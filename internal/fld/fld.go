@@ -109,6 +109,7 @@ type FLD struct {
 
 	txPipe  *sim.Resource // II pacing for the transmit pipeline
 	rxPipe  *sim.Resource // II pacing for the receive pipeline
+	freeOp  *pipeOp       // freelist of pipeline transit records
 	handler Handler
 
 	onCredits func()
@@ -371,26 +372,73 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 		f.noteOccupancy()
 	}
 
-	// Pace the hardware pipeline, then notify the NIC.
-	f.txPipe.Acquire(f.cfg.PacketInterval(), func() {
-		f.eng.After(f.cfg.PipelineDelay, func() {
-			if f.cfg.WQEByMMIO {
-				wqe := f.generateWQE(q, idx)
-				if t := f.tlm; t != nil {
-					t.wqeMMIO.Inc()
-				}
-				f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, nil)
-			} else {
-				var b [4]byte
-				binary.BigEndian.PutUint32(b[:], tq.pi)
-				if t := f.tlm; t != nil {
-					t.sqDoorbells.Inc()
-				}
-				f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), b[:], nil)
-			}
-		})
-	})
+	// Pace the hardware pipeline, cross it, then notify the NIC. The
+	// pacing slot's end stays an event of its own (txPaced), unlike the
+	// receive side's: fusing it changes no instant, but a shard's
+	// next-event times feed the group scheduler's window bounds, and in
+	// chaos scenario seed 2 that moves a barrier and flips a same-instant
+	// tie on the switch shard (goldenChaosScenarioHash; ROADMAP 5).
+	x := f.getPipeOp()
+	x.q, x.idx = q, idx
+	f.txPipe.AcquireArg(f.cfg.PacketInterval(), txPaced, x)
 	return nil
+}
+
+// pipeOp carries one packet across a streaming pipeline (II pacing, then
+// the fixed pipeline latency): a transmit's queue and ring index on the
+// way to its doorbell, or a received packet on the way to the AFU.
+// Records are recycled through a per-FLD freelist.
+type pipeOp struct {
+	f    *FLD
+	q    int    // tx: FLD queue
+	idx  uint32 // tx: ring index of the descriptor
+	data []byte // rx: packet copied out of receive SRAM
+	md   Metadata
+	next *pipeOp
+}
+
+func (f *FLD) getPipeOp() *pipeOp {
+	x := f.freeOp
+	if x != nil {
+		f.freeOp = x.next
+		x.next = nil
+		return x
+	}
+	return &pipeOp{f: f}
+}
+
+func (f *FLD) putPipeOp(x *pipeOp) {
+	*x = pipeOp{f: f, next: f.freeOp}
+	f.freeOp = x
+}
+
+// txPaced: the packet's initiation-interval slot ended; cross the pipeline.
+func txPaced(a any) {
+	x := a.(*pipeOp)
+	x.f.eng.AfterArg(x.f.cfg.PipelineDelay, txNotify, x)
+}
+
+// txNotify: the packet crossed the transmit pipeline; ring the NIC's
+// doorbell (or push the whole WQE).
+func txNotify(a any) {
+	x := a.(*pipeOp)
+	f, q, idx := x.f, x.q, x.idx
+	f.putPipeOp(x)
+	tq := f.queues[q]
+	if f.cfg.WQEByMMIO {
+		wqe := f.generateWQE(q, idx)
+		if t := f.tlm; t != nil {
+			t.wqeMMIO.Inc()
+		}
+		f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, nil)
+		return
+	}
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], tq.pi)
+	if t := f.tlm; t != nil {
+		t.sqDoorbells.Inc()
+	}
+	f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), b[:], nil)
 }
 
 // generateWQE synthesizes the 64-byte NIC descriptor for (queue, index)
@@ -717,20 +765,27 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 		Last:       rec.Last,
 		ChecksumOK: rec.ChecksumOK,
 	}
-	f.rxPipe.Acquire(f.cfg.PacketInterval(), func() {
-		f.eng.After(f.cfg.PipelineDelay, func() {
-			if f.downN > 0 {
-				// The function crashed while the packet was in the
-				// streaming pipeline: it dies with the SRAM.
-				f.Stats.CrashDrops++
-				if t := f.tlm; t != nil {
-					t.crashDrops.Inc()
-				}
-				return
-			}
-			if f.handler != nil {
-				f.handler.Receive(data, md)
-			}
-		})
-	})
+	x := f.getPipeOp()
+	x.data, x.md = data, md
+	paced := f.rxPipe.AcquireArg(f.cfg.PacketInterval(), nil, nil)
+	f.eng.AtArg(paced+f.cfg.PipelineDelay, rxStream, x)
+}
+
+// rxStream: the packet crossed the receive pipeline; hand it to the AFU.
+func rxStream(a any) {
+	x := a.(*pipeOp)
+	f, data, md := x.f, x.data, x.md
+	f.putPipeOp(x)
+	if f.downN > 0 {
+		// The function crashed while the packet was in the streaming
+		// pipeline: it dies with the SRAM.
+		f.Stats.CrashDrops++
+		if t := f.tlm; t != nil {
+			t.crashDrops.Inc()
+		}
+		return
+	}
+	if f.handler != nil {
+		f.handler.Receive(data, md)
+	}
 }

@@ -40,16 +40,8 @@ type Match struct {
 	FlowTag    *uint32
 }
 
-// pktView caches the parsed headers of the packet's current form.
-type pktView struct {
-	frame   []byte
-	flowTag uint32
-	// domain is the forwarding domain the packet entered the pipeline
-	// from (the transmitting vport's Domain; 0 from the wire). It rides
-	// the view across re-parses — header rewrites must not launder a
-	// tenant's identity.
-	domain int
-
+// pktHdrs caches the parsed headers of the packet's current form.
+type pktHdrs struct {
 	ethOK  bool
 	eth    netpkt.Eth
 	ipOK   bool
@@ -62,26 +54,74 @@ type pktView struct {
 	csumOK bool
 }
 
-func parseView(frame []byte, flowTag uint32) *pktView {
-	v := &pktView{frame: frame, flowTag: flowTag, csumOK: true}
+// pktView is one packet's traversal of the match-action pipeline: the
+// header caches rules match on, plus everything that rides along from
+// entry (egress, Ingress) to the terminal disposition. Views are recycled
+// through a per-NIC freelist and stepped by the static trampolines below,
+// so a traversal allocates nothing.
+type pktView struct {
+	frame   []byte
+	flowTag uint32
+	// domain is the forwarding domain the packet entered the pipeline
+	// from (the transmitting vport's Domain; 0 from the wire). It rides
+	// the view across re-parses — header rewrites must not launder a
+	// tenant's identity.
+	domain int
+	pktHdrs
+
+	n     *NIC
+	table int // table the next match runs in
+	// onWire is the sender's completion hook. It fires exactly once on
+	// every terminal path — including drops, as a real NIC completes the
+	// send WQE regardless of the packet's fate.
+	onWire func()
+	vp     *VPort // transmitting vport, then the hairpin target
+	rq     *RQ    // receive queue the disposition chose
+	rss    uint32 // RSS hash of frame, computed at most once per form
+	rssOK  bool
+	next   *pktView
+}
+
+func (n *NIC) getView() *pktView {
+	v := n.freeView
+	if v != nil {
+		n.freeView = v.next
+		v.next = nil
+		return v
+	}
+	return &pktView{n: n}
+}
+
+func (n *NIC) putView(v *pktView) {
+	*v = pktView{n: n, next: n.freeView}
+	n.freeView = v
+}
+
+// parse points the view at frame and derives its header caches; the
+// forwarding domain and the traversal state are left alone, so a rewritten
+// frame (encap, decap, decrypt) re-parses in place.
+func (v *pktView) parse(frame []byte, flowTag uint32) {
+	v.frame, v.flowTag = frame, flowTag
+	v.pktHdrs = pktHdrs{csumOK: true}
+	v.rssOK = false
 	eth, p, err := netpkt.ParseEth(frame)
 	if err != nil {
-		return v
+		return
 	}
 	v.ethOK = true
 	v.eth = eth
 	if eth.EtherType != netpkt.EtherTypeIPv4 {
-		return v
+		return
 	}
 	ip, l4, err := netpkt.ParseIPv4(p)
 	if err != nil {
 		v.csumOK = false
-		return v
+		return
 	}
 	v.ipOK = true
 	v.ip = ip
 	if ip.IsFragment() && ip.FragOffset != 0 {
-		return v // no L4 header in non-first fragments
+		return // no L4 header in non-first fragments
 	}
 	switch ip.Proto {
 	case netpkt.ProtoUDP:
@@ -101,16 +141,23 @@ func parseView(frame []byte, flowTag uint32) *pktView {
 			v.sport, v.dport = t.SrcPort, t.DstPort
 		}
 	}
-	return v
 }
 
-// reparse swaps the view's frame for a rewritten one (encap, decap,
-// decrypt), re-deriving the header caches while the packet keeps its
-// flow tag and forwarding domain.
-func (v *pktView) reparse(frame []byte) {
-	dom := v.domain
-	*v = *parseView(frame, v.flowTag)
-	v.domain = dom
+// rssHash returns the RSS hash of the current frame: TIR selection and the
+// receive CQE both need it, and it is computed once.
+func (v *pktView) rssHash() uint32 {
+	if !v.rssOK {
+		v.rss, v.rssOK = netpkt.RSSHash(v.frame), true
+	}
+	return v.rss
+}
+
+// sent fires the sender's completion hook, once.
+func (v *pktView) sent() {
+	if f := v.onWire; f != nil {
+		v.onWire = nil
+		f()
+	}
 }
 
 // Matches reports whether the view satisfies every set field.
@@ -270,30 +317,20 @@ func (e *ESwitch) ClearTable(table int) { delete(e.tables, table) }
 // maxTableHops bounds GotoTable chains, like hardware loop protection.
 const maxTableHops = 8
 
-// process runs a packet view through the match-action pipeline starting at
-// the given table and applies the terminal disposition. onWire (the
-// sender's completion hook) fires exactly once on every terminal path —
-// including drops, as a real NIC completes the send WQE regardless of the
-// packet's fate.
-func (e *ESwitch) process(table int, v *pktView, onWire func()) {
-	sent := func() {
-		if onWire != nil {
-			f := onWire
-			onWire = nil
-			f()
-		}
-	}
+// process runs a view through the match-action pipeline from v.table and
+// applies the terminal disposition, which fires v.onWire and recycles the
+// view.
+func (e *ESwitch) process(v *pktView) {
 	for hop := 0; hop < maxTableHops; hop++ {
-		rule := e.match(table, v)
+		rule := e.match(v.table, v)
 		if rule == nil {
-			e.nic.drop(DropESwitchMiss)
-			sent()
+			e.drop(v, DropESwitchMiss)
 			return
 		}
 		if e.tlm != nil {
-			e.tlm.hits[table].Inc()
+			e.tlm.hits[v.table].Inc()
 		}
-		a := rule.Action
+		a := &rule.Action
 		if a.Count != "" {
 			e.Counters[a.Count]++
 			if e.tlm != nil {
@@ -301,111 +338,125 @@ func (e *ESwitch) process(table int, v *pktView, onWire func()) {
 			}
 		}
 		if a.Policer != nil && !a.Policer.Admit(len(v.frame)) {
-			e.nic.drop(DropPolicer)
-			sent()
+			e.drop(v, DropPolicer)
 			return
 		}
-		if a.Decap {
-			if !e.decap(v) {
-				e.nic.drop(DropDecapFailed)
-				sent()
-				return
-			}
+		if a.Decap && !e.decap(v) {
+			e.drop(v, DropDecapFailed)
+			return
 		}
-		if a.ESPDecrypt != nil {
-			if !e.espDecrypt(v, a.ESPDecrypt) {
-				e.nic.drop(DropESPAuthFailed)
-				sent()
-				return
-			}
+		if a.ESPDecrypt != nil && !e.espDecrypt(v, a.ESPDecrypt) {
+			e.drop(v, DropESPAuthFailed)
+			return
 		}
 		if a.Encap != nil {
 			nf := make([]byte, 0, len(a.Encap)+len(v.frame))
 			nf = append(nf, a.Encap...)
 			nf = append(nf, v.frame...)
-			v.reparse(nf)
+			v.parse(nf, v.flowTag)
 		}
 		if a.SetFlowTag != nil {
 			v.flowTag = *a.SetFlowTag
 		}
-		run := func(disposition func()) {
-			if a.Shaper != nil {
-				if d := a.Shaper.Reserve(len(v.frame)); d > 0 {
-					e.nic.eng.After(d, disposition)
-					return
-				}
-			}
-			disposition()
-		}
+		var disposition func(any)
 		switch {
 		case a.Drop:
-			e.nic.drop(DropRuleDrop)
-			sent()
+			e.drop(v, DropRuleDrop)
 			return
 		case a.ToTable != nil:
-			table = *a.ToTable
+			v.table = *a.ToTable
 			continue
 		case a.ToWire:
-			run(func() { e.nic.transmitWire(v.frame, onWire) })
-			return
+			disposition = viewToWire
 		case a.ToVPort != nil:
 			vp := e.vports[*a.ToVPort]
 			if vp == nil {
-				e.nic.drop(DropNoSuchVPort)
-				sent()
+				e.drop(v, DropNoSuchVPort)
 				return
 			}
 			if e.crossDomain(v, vp.Domain) {
-				e.nic.drop(DropCrossDomain)
-				sent()
+				e.drop(v, DropCrossDomain)
 				return
 			}
-			// Hairpin through the switch fabric.
-			run(func() {
-				e.loopback.Acquire(e.LoopbackRate.Serialize(len(v.frame)), func() {
-					sent()
-					e.process(vp.IngressTable, v, nil)
-				})
-			})
-			return
-		case a.ToRQ != nil:
-			if e.crossDomain(v, a.ToRQ.domain()) {
-				e.nic.drop(DropCrossDomain)
-				sent()
-				return
-			}
+			v.vp, disposition = vp, viewHairpin
+		case a.ToRQ != nil, a.ToTIR != nil:
 			rq := a.ToRQ
-			run(func() {
-				sent()
-				e.deliverRQ(rq, v)
-			})
-			return
-		case a.ToTIR != nil:
-			rq := a.ToTIR.pick(netpkt.RSSHash(v.frame))
+			if rq == nil {
+				rq = a.ToTIR.pick(v.rssHash())
+			}
 			if e.crossDomain(v, rq.domain()) {
-				e.nic.drop(DropCrossDomain)
-				sent()
+				e.drop(v, DropCrossDomain)
 				return
 			}
-			run(func() {
-				sent()
-				e.deliverRQ(rq, v)
-			})
-			return
+			v.rq, disposition = rq, viewDeliver
 		default:
-			e.nic.drop(DropNoDisposition)
-			sent()
+			e.drop(v, DropNoDisposition)
 			return
 		}
+		if a.Shaper != nil {
+			if d := a.Shaper.Reserve(len(v.frame)); d > 0 {
+				e.nic.eng.AfterArg(d, disposition, v)
+				return
+			}
+		}
+		disposition(v)
+		return
 	}
-	e.nic.drop(DropTableLoop)
-	sent()
+	e.drop(v, DropTableLoop)
+}
+
+// drop ends a traversal without a disposition.
+func (e *ESwitch) drop(v *pktView, reason DropReason) {
+	e.nic.drop(reason)
+	v.sent()
+	e.nic.putView(v)
+}
+
+// viewToWire emits the frame on the physical port, which takes over the
+// sender's completion hook.
+func viewToWire(a any) {
+	v := a.(*pktView)
+	n, frame, onWire := v.n, v.frame, v.onWire
+	n.putView(v)
+	n.transmitWire(frame, onWire)
+}
+
+// viewHairpin crosses the switch fabric toward another vport.
+func viewHairpin(a any) {
+	v := a.(*pktView)
+	e := v.n.esw
+	e.loopback.AcquireArg(e.LoopbackRate.Serialize(len(v.frame)), viewHairpinDone, v)
+}
+
+// viewHairpinDone: the frame left the sender; continue at the target
+// vport's ingress table.
+func viewHairpinDone(a any) {
+	v := a.(*pktView)
+	v.sent()
+	v.table = v.vp.IngressTable
+	v.n.esw.process(v)
+}
+
+// viewDeliver finalizes receive-side metadata and hands the packet to the
+// chosen receive queue.
+func viewDeliver(a any) {
+	v := a.(*pktView)
+	v.sent()
+	v.rq.deliver(v.frame, CQE{
+		Opcode:     CQERecv,
+		Last:       true,
+		ChecksumOK: v.csumOK && v.ipOK,
+		FlowTag:    v.flowTag,
+		RSSHash:    v.rssHash(),
+	})
+	v.n.putView(v)
 }
 
 func (e *ESwitch) match(table int, v *pktView) *Rule {
-	for i := range e.tables[table] {
-		if e.tables[table][i].Match.Matches(v) {
-			return &e.tables[table][i]
+	rules := e.tables[table]
+	for i := range rules {
+		if rules[i].Match.Matches(v) {
+			return &rules[i]
 		}
 	}
 	return nil
@@ -432,7 +483,7 @@ func (e *ESwitch) decap(v *pktView) bool {
 	if err != nil {
 		return false
 	}
-	v.reparse(payload)
+	v.parse(payload, v.flowTag)
 	return true
 }
 
@@ -449,21 +500,8 @@ func (e *ESwitch) espDecrypt(v *pktView, sa *netpkt.ESPSA) bool {
 	}
 	nf := eth.Marshal(make([]byte, 0, netpkt.EthHeaderLen+len(inner)))
 	nf = append(nf, inner...)
-	v.reparse(nf)
+	v.parse(nf, v.flowTag)
 	return true
-}
-
-// deliverRQ finalizes receive-side metadata and hands the packet to a
-// receive queue.
-func (e *ESwitch) deliverRQ(rq *RQ, v *pktView) {
-	cqe := CQE{
-		Opcode:     CQERecv,
-		Last:       true,
-		ChecksumOK: v.csumOK && v.ipOK,
-		FlowTag:    v.flowTag,
-		RSSHash:    netpkt.RSSHash(v.frame),
-	}
-	rq.deliver(v.frame, cqe)
 }
 
 // --- NIC egress/ingress glue ---------------------------------------------
@@ -481,11 +519,17 @@ func (n *NIC) egress(vp *VPort, frame []byte, flowTag uint32, onSent func()) {
 		t.txPackets.Inc()
 		t.txBytes.Add(int64(len(frame)))
 	}
-	v := parseView(frame, flowTag)
-	v.domain = vp.Domain
-	n.eng.After(n.Prm.PipelineDelay, func() {
-		n.esw.process(vp.EgressTable, v, onSent)
-	})
+	v := n.getView()
+	v.parse(frame, flowTag)
+	v.domain, v.vp, v.onWire = vp.Domain, vp, onSent
+	n.eng.AfterArg(n.Prm.PipelineDelay, viewEgress, v)
+}
+
+// viewEgress: the frame crossed the transmit pipeline.
+func viewEgress(a any) {
+	v := a.(*pktView)
+	v.table = v.vp.EgressTable
+	v.n.esw.process(v)
 }
 
 // transmitWire puts a frame on the physical port. Callers account
@@ -502,32 +546,41 @@ func (n *NIC) transmitWire(frame []byte, onSent func()) {
 	n.phy.Send(frame, onSent)
 }
 
-// Ingress accepts a frame from the physical port (cable or switch).
+// Ingress accepts a frame from the physical port (cable or switch): it
+// queues on the receive engine and crosses the receive pipeline.
 func (n *NIC) Ingress(frame []byte) {
 	if n.downN > 0 {
 		n.drop(DropDeviceDown)
 		return
 	}
-	n.rxEngine.Acquire(n.Prm.RxPerPkt, func() {
-		n.eng.After(n.Prm.PipelineDelay, func() {
-			// RoCE transport packets bypass the match-action pipeline:
-			// the NIC's hardware transport consumes them directly. They
-			// still count as port receives, in both stats stores — the
-			// telemetry-mirror invariant holds the two equal.
-			if bth, payload, ok := parseRoCE(frame); ok {
-				n.Stats.RxPackets++
-				n.Stats.RxBytes += int64(len(frame))
-				if t := n.tlm; t != nil {
-					t.rxPackets.Inc()
-					t.rxBytes.Add(int64(len(frame)))
-				}
-				n.rdmaIngress(bth, payload)
-				return
-			}
-			v := parseView(frame, 0)
-			n.esw.process(0, v, nil)
-		})
-	})
+	v := n.getView()
+	v.frame = frame
+	served := n.rxEngine.AcquireArg(n.Prm.RxPerPkt, nil, nil)
+	n.eng.AtArg(served+n.Prm.PipelineDelay, viewIngress, v)
+}
+
+// viewIngress: the frame crossed the receive pipeline; steer it from the
+// wire-ingress root table.
+func viewIngress(a any) {
+	v := a.(*pktView)
+	n, frame := v.n, v.frame
+	// RoCE transport packets bypass the match-action pipeline: the NIC's
+	// hardware transport consumes them directly. They still count as port
+	// receives, in both stats stores — the telemetry-mirror invariant
+	// holds the two equal.
+	if bth, payload, ok := parseRoCE(frame); ok {
+		n.putView(v)
+		n.Stats.RxPackets++
+		n.Stats.RxBytes += int64(len(frame))
+		if t := n.tlm; t != nil {
+			t.rxPackets.Inc()
+			t.rxBytes.Add(int64(len(frame)))
+		}
+		n.rdmaIngress(bth, payload)
+		return
+	}
+	v.parse(frame, 0)
+	n.esw.process(v)
 }
 
 // LoopbackUtil reports the hairpin fabric's utilization (diagnostics).

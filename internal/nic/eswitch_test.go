@@ -15,6 +15,12 @@ func ipp(v netpkt.IP) *netpkt.IP {
 	return &v
 }
 
+func parseView(frame []byte, flowTag uint32) *pktView {
+	v := &pktView{}
+	v.parse(frame, flowTag)
+	return v
+}
+
 // encapVXLAN wraps an inner frame for tests.
 func encapVXLAN(inner []byte, vni uint32, srcID, dstID int) []byte {
 	vx := netpkt.VXLAN{VNI: vni}

@@ -125,6 +125,7 @@ type NIC struct {
 	freeTx   *txSend
 	freeCQW  *cqWrite
 	freeRx   *rxDone
+	freeView *pktView
 
 	nextQN uint32
 

@@ -42,11 +42,8 @@ func TestReadFromDeadDeviceTimesOut(t *testing.T) {
 	if got.Status != CplTimedOut || got.Data != nil {
 		t.Fatalf("completion = %+v, want CplTimedOut with no data", *got)
 	}
-	cfg := ps.Config()
-	want := cfg.CplTimeout +
-		2*cfg.EffectiveRate().Serialize(cfg.ReadReqWireBytes(64)+cfg.CompletionWireBytes(64)) +
-		4*cfg.PropDelay
-	if at != sim.Time(want) {
+	want := readBudget(ps.Config(), 64)
+	if at != want {
 		t.Fatalf("timed out at %v, want %v", at, want)
 	}
 	if fab.Errs.CplTimeouts != 1 {
@@ -170,5 +167,224 @@ func TestFaultHooksDropAndPoison(t *testing.T) {
 	eng.Run()
 	if ok == nil || !ok.OK() {
 		t.Fatalf("recovered read = %+v", ok)
+	}
+}
+
+// readBudget is the completion budget Port.Read grants a size-byte read:
+// the tests below hold the timeout to exactly t0+budget.
+func readBudget(cfg LinkConfig, size int) sim.Duration {
+	return cfg.CplTimeout +
+		2*cfg.EffectiveRate().Serialize(cfg.ReadReqWireBytes(size)+cfg.CompletionWireBytes(size)) +
+		4*cfg.PropDelay
+}
+
+// TestReadTimeoutOnlyWhereItCanFire covers every way a read can fail to
+// settle in time. The timeout is no longer pushed by every Read, so each
+// path that loses the request or the completion has to schedule it
+// itself: the requester must still see CplTimedOut exactly once, at
+// exactly t0+budget, and the fired timeout must be the last thing the
+// transaction leaves on the heap.
+func TestReadTimeoutOnlyWhereItCanFire(t *testing.T) {
+	const t0 = 3 * sim.Microsecond
+	cases := []struct {
+		name   string
+		dead   bool // target is a non-responding completer
+		faults func(target *Port) *FaultHooks
+		drops  int64
+	}{
+		{"dropped request", false, func(*Port) *FaultHooks {
+			return &FaultHooks{Drop: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.MemRd }}
+		}, 1},
+		{"dropped completion", false, func(*Port) *FaultHooks {
+			return &FaultHooks{Drop: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.CplD }}
+		}, 1},
+		{"non-responding device", true, func(*Port) *FaultHooks { return nil }, 0},
+		{"link down at the switch", false, func(target *Port) *FaultHooks {
+			return &FaultHooks{Down: func(p *Port) bool { return p == target }}
+		}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			fab := NewFabric(eng)
+			ps := fab.Attach(hostmem.New("src", 1<<20), Gen3x8())
+			var target *Port
+			if c.dead {
+				target = fab.Attach(deadDevice{}, Gen3x8())
+			} else {
+				target = fab.Attach(hostmem.New("dst", 1<<20), Gen3x8())
+			}
+			fab.SetFaults(c.faults(target))
+
+			var calls int
+			var got Completion
+			var at sim.Time
+			eng.At(t0, func() {
+				ps.Read(target.Base(), 64, func(c Completion) { calls++; got, at = c, eng.Now() })
+			})
+			eng.Run()
+			if calls != 1 {
+				t.Fatalf("done ran %d times, want exactly once", calls)
+			}
+			if got.Status != CplTimedOut || got.Data != nil {
+				t.Fatalf("completion = %+v, want CplTimedOut with no data", got)
+			}
+			if want := t0 + readBudget(ps.Config(), 64); at != want {
+				t.Fatalf("timed out at %v, want %v", at, want)
+			}
+			if fab.Errs.CplTimeouts != 1 || fab.Errs.DroppedTLPs != c.drops {
+				t.Fatalf("errors = %+v, want 1 timeout and %d drops", fab.Errs, c.drops)
+			}
+			if eng.Now() != at || eng.Pending() != 0 {
+				t.Fatalf("engine ran on to %v with %d events pending after the timeout at %v",
+					eng.Now(), eng.Pending(), at)
+			}
+		})
+	}
+}
+
+// TestTimeoutAmongSameInstantEvents pins what the deferred timeout does
+// and does not preserve. The instant of CplTimedOut is t0+budget whatever
+// else is queued for that picosecond. Its place among unrelated events at
+// that instant follows scheduling order, and the timeout is scheduled at
+// the point of loss (here the completer, ~300 ns in), not at t0: an event
+// queued for the deadline before the loss runs ahead of it, one queued
+// after the loss runs behind it.
+func TestTimeoutAmongSameInstantEvents(t *testing.T) {
+	const t0 = 3 * sim.Microsecond
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	ps := fab.Attach(hostmem.New("src", 1<<20), Gen3x8())
+	target := fab.Attach(hostmem.New("dst", 1<<20), Gen3x8())
+	fab.SetFaults(&FaultHooks{Drop: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.CplD }})
+	deadline := t0 + readBudget(ps.Config(), 64)
+
+	var order []string
+	var at sim.Time
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	eng.At(t0, func() {
+		ps.Read(target.Base(), 64, func(c Completion) {
+			if c.Status != CplTimedOut {
+				t.Errorf("completion = %+v, want CplTimedOut", c)
+			}
+			at = eng.Now()
+			mark("timeout")()
+		})
+		eng.At(deadline, mark("queued before the loss"))
+	})
+	eng.At(t0+sim.Microsecond, func() {
+		if fab.Errs.DroppedTLPs != 1 {
+			t.Errorf("completion not yet dropped 1 us in: %+v", fab.Errs)
+		}
+		eng.At(deadline, mark("queued after the loss"))
+	})
+	eng.Run()
+
+	if at != deadline {
+		t.Fatalf("timed out at %v, want %v", at, deadline)
+	}
+	want := []string{"queued before the loss", "timeout", "queued after the loss"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %q, want %q", order, want)
+		}
+	}
+}
+
+// TestLateCompletionLosesToTimeout queues a completion behind a saturated
+// link so that it reaches the requester after the deadline. The crossing
+// that ends past the deadline schedules the timeout: the requester sees
+// CplTimedOut at exactly t0+budget, the data that arrives later is
+// discarded, and the completion still pays for every link it occupied.
+func TestLateCompletionLosesToTimeout(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	cfg := Gen3x8()
+	cfg.CplTimeout = sim.Microsecond
+	a := hostmem.New("a", 1<<20)
+	b := hostmem.New("b", 1<<20)
+	pa := fab.Attach(a, cfg)
+	pb := fab.Attach(b, cfg)
+
+	// 32 KiB of posted writes from b occupy a's down link for ~4.6 us —
+	// the completion of a's read queues behind them.
+	const burst = 8
+	blob := make([]byte, 4096)
+	for i := 0; i < burst; i++ {
+		pb.Write(fab.AddrOf(a, uint64(i)*4096), blob, nil)
+	}
+	b.WriteAt(0x100, []byte{1, 2, 3, 4})
+	var calls int
+	var got Completion
+	var at sim.Time
+	pa.Read(fab.AddrOf(b, 0x100), 4, func(c Completion) { calls++; got, at = c, eng.Now() })
+	eng.Run()
+
+	if calls != 1 || got.Status != CplTimedOut || got.Data != nil {
+		t.Fatalf("done ran %d times, last with %+v; want one CplTimedOut without data", calls, got)
+	}
+	if want := readBudget(cfg, 4); at != want {
+		t.Fatalf("timed out at %v, want %v", at, want)
+	}
+	if eng.Now() <= at {
+		t.Fatalf("engine stopped at %v: the late completion never crossed the link", eng.Now())
+	}
+	if fab.Errs.CplTimeouts != 1 {
+		t.Fatalf("CplTimeouts = %d, want 1", fab.Errs.CplTimeouts)
+	}
+	if want := int64(burst*cfg.WriteWireBytes(4096) + cfg.CompletionWireBytes(4)); pa.DownBytes != want {
+		t.Fatalf("requester down link carried %d bytes, want %d (writes plus the late completion)",
+			pa.DownBytes, want)
+	}
+}
+
+// TestSettledReadLeavesNoResidue: a read that completes in time never
+// scheduled its timeout, so the heap is empty the instant done runs.
+func TestSettledReadLeavesNoResidue(t *testing.T) {
+	eng, fab, _, pa, b, _ := newTestFabric(t)
+	b.WriteAt(0x40, []byte{7, 7, 7, 7})
+	pending := -1
+	pa.Read(fab.AddrOf(b, 0x40), 4, func(c Completion) {
+		if !c.OK() {
+			t.Errorf("read failed: %+v", c)
+		}
+		pending = eng.Pending()
+	})
+	eng.Run()
+	if pending != 0 {
+		t.Fatalf("%d events pending when the read settled, want 0", pending)
+	}
+	if fab.Errs.Total() != 0 {
+		t.Fatalf("fault-free read counted errors: %+v", fab.Errs)
+	}
+}
+
+// TestTimedTransactionAllocs pins the fabric's own steady-state cost: a
+// posted write allocates nothing, and a read allocates only the buffer the
+// completer returns its data in — both ride pooled records through static
+// trampolines.
+func TestTimedTransactionAllocs(t *testing.T) {
+	eng, fab, _, pa, b, _ := newTestFabric(t)
+	addr := fab.AddrOf(b, 0x80)
+	data := make([]byte, 64)
+	done := func(Completion) {}
+	pa.Write(addr, data, nil) // warm: hostmem page, freelists
+	pa.Read(addr, 64, done)
+	eng.Run()
+
+	if avg := testing.AllocsPerRun(100, func() {
+		pa.Write(addr, data, nil)
+		eng.Run()
+	}); avg != 0 {
+		t.Errorf("timed Write: %.1f allocs, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		pa.Read(addr, 64, done)
+		eng.Run()
+	}); avg != 1 {
+		t.Errorf("timed Read: %.1f allocs, want 1 (the completer's data buffer)", avg)
 	}
 }

@@ -19,6 +19,7 @@ type Fabric struct {
 	ports []*Port
 	next  uint64   // next free BAR base
 	freeW *writeOp // freelist of posted-write state records
+	freeR *readOp  // freelist of read state records that settled in time
 
 	// Telemetry (optional; see SetTelemetry).
 	tel        *telemetry.Scope
@@ -203,6 +204,12 @@ func (f *Fabric) Write(addr uint64, data []byte) {
 }
 
 // --- Timed (data-plane) transactions ------------------------------------
+//
+// A TLP crossing a link occupies the link's FIFO serializer and then a
+// fixed propagation delay. Only the far end of that crossing decides
+// anything, so each crossing is one event at end-of-serialization plus
+// propagation — the serializer's completion time is known the moment the
+// TLP is queued (sim.Resource.AcquireArg returns it).
 
 // Write posts an n-byte memory write from this port to addr. The write is
 // posted: done (optional) fires when the last byte reaches the target
@@ -216,7 +223,7 @@ func (f *Fabric) Write(addr uint64, data []byte) {
 // never serialized), and for poisoned writes (bytes charged on both
 // links, but the completer discards the payload and done never fires).
 func (p *Port) Write(addr uint64, data []byte, done func()) {
-	p.write(addr, data, done, false)
+	p.write(addr, data, done, nil, nil, false)
 }
 
 // WriteOwned is Write with payload-buffer ownership transfer: data must
@@ -225,20 +232,20 @@ func (p *Port) Write(addr uint64, data []byte, done func()) {
 // consumed it, or immediately on UR/drop/poison. The caller must not touch
 // data after the call.
 func (p *Port) WriteOwned(addr uint64, data []byte, done func()) {
-	p.write(addr, data, done, true)
+	p.write(addr, data, done, nil, nil, true)
 }
 
 // WriteArg is Write with an arg-form completion callback, for callers that
 // keep their post-write state in a preallocated record instead of a
 // closure. done may be nil.
 func (p *Port) WriteArg(addr uint64, data []byte, done func(any), arg any) {
-	p.writeArg(addr, data, done, arg, false)
+	p.write(addr, data, nil, done, arg, false)
 }
 
 // WriteOwnedArg combines WriteOwned's payload ownership transfer with
 // WriteArg's closure-free completion.
 func (p *Port) WriteOwnedArg(addr uint64, data []byte, done func(any), arg any) {
-	p.writeArg(addr, data, done, arg, true)
+	p.write(addr, data, nil, done, arg, true)
 }
 
 // writeOp is the state of one posted write in flight. Records are recycled
@@ -273,15 +280,7 @@ func (f *Fabric) putWriteOp(o *writeOp) {
 	f.freeW = o
 }
 
-func (p *Port) write(addr uint64, data []byte, done func(), owned bool) {
-	p.writeCommon(addr, data, done, nil, nil, owned)
-}
-
-func (p *Port) writeArg(addr uint64, data []byte, adone func(any), aarg any, owned bool) {
-	p.writeCommon(addr, data, nil, adone, aarg, owned)
-}
-
-func (p *Port) writeCommon(addr uint64, data []byte, done func(), adone func(any), aarg any, owned bool) {
+func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aarg any, owned bool) {
 	q, ok := p.fab.target(addr)
 	if !ok {
 		p.fab.noteUR()
@@ -304,38 +303,27 @@ func (p *Port) writeCommon(addr uint64, data []byte, done func(), adone func(any
 	wire := p.cfg.WriteWireBytes(len(data))
 	p.UpBytes += int64(wire)
 	d1 := p.cfg.EffectiveRate().Serialize(wire)
-	end1 := p.up.AcquireArg(d1, writeUpDone, o)
+	end1 := p.up.AcquireArg(d1, nil, nil)
+	p.fab.eng.AtArg(end1+p.cfg.PropDelay, writeAtSwitch, o)
 	if p.tlm != nil {
 		p.observe(telemetry.Up, telemetry.MemWr, addr, len(data),
 			wire, writeSegs(p.cfg, len(data)), end1, d1)
 	}
 }
 
-// writeUpDone: the TLP finished serializing on the initiator's up link.
-func writeUpDone(a any) {
-	o := a.(*writeOp)
-	o.p.fab.eng.AfterArg(o.p.cfg.PropDelay, writeAtSwitch, o)
-}
-
-// writeAtSwitch: the TLP reached the switch; serialize on the target's
-// down link.
+// writeAtSwitch: the TLP reached the switch; cross the target's down link.
 func writeAtSwitch(a any) {
 	o := a.(*writeOp)
 	q := o.q
 	wire2 := q.cfg.WriteWireBytes(len(o.data))
 	q.DownBytes += int64(wire2)
 	d2 := q.cfg.EffectiveRate().Serialize(wire2)
-	end2 := q.down.AcquireArg(d2, writeDownDone, o)
+	end2 := q.down.AcquireArg(d2, nil, nil)
+	q.fab.eng.AtArg(end2+q.cfg.PropDelay, writeDeliver, o)
 	if q.tlm != nil {
 		q.observe(telemetry.Down, telemetry.MemWr, o.addr, len(o.data),
 			wire2, writeSegs(q.cfg, len(o.data)), end2, d2)
 	}
-}
-
-// writeDownDone: the TLP finished serializing toward the target device.
-func writeDownDone(a any) {
-	o := a.(*writeOp)
-	o.p.fab.eng.AfterArg(o.q.cfg.PropDelay, writeDeliver, o)
 }
 
 // writeDeliver: the last byte arrived; deliver to the device (or discard a
@@ -374,44 +362,47 @@ func writeDeliver(a any) {
 //   - corrupted completion payload → full wire traversal, then
 //     CplPoisoned with no data.
 //
-// Every Read arms the timeout, so a wedged completer can never deadlock
-// the simulation; the timer event is a no-op if the completion already
-// arrived.
+// Every Read carries a completion deadline, so a wedged completer can
+// never deadlock the simulation. The timeout event itself is scheduled
+// only once the read can no longer settle before the deadline — where the
+// request or completion is lost, and at a link crossing that ends at or
+// past it — so a read that settles in time leaves nothing on the heap.
 func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
-	o := &readOp{p: p, addr: addr, size: size, done: done}
+	o := p.fab.getReadOp()
+	o.p, o.addr, o.size, o.done = p, addr, size, done
 	o.q, o.hasTarget = p.fab.target(addr)
 	// The timeout budget scales with the transfer: real completers
 	// return large reads as a stream of CplD segments, each of which
 	// resets the requester's completion timer. The budget is the base
 	// timeout plus one full round trip — request and completion each
 	// serialize on two links and cross two propagation hops.
-	budget := p.cfg.CplTimeout +
+	o.deadline = p.fab.eng.Now() + p.cfg.CplTimeout +
 		2*p.cfg.EffectiveRate().Serialize(p.cfg.ReadReqWireBytes(size)+p.cfg.CompletionWireBytes(size)) +
 		4*p.cfg.PropDelay
-	p.fab.eng.AfterArg(budget, readTimeout, o)
 
 	if p.fab.linkDown(p) || p.fab.dropTLP(p, telemetry.MemRd) {
-		// The request vanished before serializing; the timeout armed
-		// above is now the only way this transaction resolves.
+		// The request vanished before serializing.
 		p.fab.noteDrop()
+		o.expire()
 		return
 	}
 	reqWire := p.cfg.ReadReqWireBytes(size)
 	p.UpBytes += int64(reqWire)
 	d1 := p.cfg.EffectiveRate().Serialize(reqWire)
-	end1 := p.up.AcquireArg(d1, readReqUpDone, o)
+	end1 := p.up.AcquireArg(d1, nil, nil)
+	o.cross(end1+p.cfg.PropDelay, readReqAtSwitch)
 	if p.tlm != nil {
 		p.observe(telemetry.Up, telemetry.MemRd, addr, 0,
 			reqWire, readReqSegs(p.cfg, size), end1, d1)
 	}
 }
 
-// readOp is the state of one non-posted read in flight: one allocation per
-// transaction, replacing the closure-per-hop chain. Unlike writeOp it is
-// not freelisted — the unconditionally armed timeout event keeps a
-// reference until the budget expires, long after a successful read
-// settles, and recycling under an outstanding alias invites double-use
-// bugs for a negligible saving (reads are descriptor-path, not per-byte).
+// readOp is the state of one non-posted read in flight, stepped through
+// the static trampolines below. A read that settles in time holds the
+// only reference to its record, which returns to the fabric's freelist; a
+// record whose timeout was scheduled may still be riding a late
+// completion when the timeout fires (or the reverse), so it is left to
+// the garbage collector instead.
 type readOp struct {
 	p, q      *Port
 	addr      uint64
@@ -419,34 +410,48 @@ type readOp struct {
 	done      func(Completion)
 	data      []byte
 	status    CplStatus
-	settled   bool
+	deadline  sim.Time
+	expired   bool // the timeout is scheduled and owns the resolution
 	hasTarget bool
+	next      *readOp
 }
 
-// settle resolves the transaction exactly once.
-func (o *readOp) settle(c Completion) {
-	if o.settled {
-		return
+func (f *Fabric) getReadOp() *readOp {
+	if o := f.freeR; o != nil {
+		f.freeR = o.next
+		o.next = nil
+		return o
 	}
-	o.settled = true
-	o.done(c)
+	return &readOp{}
 }
 
-// readTimeout fires when the completion budget expires; a no-op if the
-// completion already arrived.
+// expire hands the read's resolution to the completion timeout: from here
+// on nothing can settle it before the deadline.
+func (o *readOp) expire() {
+	if !o.expired {
+		o.expired = true
+		o.p.fab.eng.AtArg(o.deadline, readTimeout, o)
+	}
+}
+
+// cross schedules the transaction's next step at instant t, the far end of
+// a link crossing. A crossing that ends at or past the deadline loses to
+// the timeout, scheduled first so it wins the tie against this read's own
+// crossing (only that: unrelated events already queued for the deadline
+// instant run before it). The TLP still travels on, charging every link.
+func (o *readOp) cross(t sim.Time, step func(any)) {
+	if t >= o.deadline {
+		o.expire()
+	}
+	o.p.fab.eng.AtArg(t, step, o)
+}
+
+// readTimeout fires at the deadline of a read that could not settle in
+// time.
 func readTimeout(a any) {
 	o := a.(*readOp)
-	if !o.settled {
-		o.p.fab.noteTimeout()
-	}
-	o.settle(Completion{Status: CplTimedOut})
-}
-
-// readReqUpDone: the request finished serializing on the initiator's up
-// link.
-func readReqUpDone(a any) {
-	o := a.(*readOp)
-	o.p.fab.eng.AfterArg(o.p.cfg.PropDelay, readReqAtSwitch, o)
+	o.p.fab.noteTimeout()
+	o.done(Completion{Status: CplTimedOut})
 }
 
 // readReqAtSwitch: the request reached the switch; route it to the target
@@ -464,22 +469,18 @@ func readReqAtSwitch(a any) {
 	q := o.q
 	if fab.linkDown(q) {
 		fab.noteDrop()
+		o.expire()
 		return
 	}
 	reqWire2 := q.cfg.ReadReqWireBytes(o.size)
 	q.DownBytes += int64(reqWire2)
 	d2 := q.cfg.EffectiveRate().Serialize(reqWire2)
-	end2 := q.down.AcquireArg(d2, readReqDownDone, o)
+	end2 := q.down.AcquireArg(d2, nil, nil)
+	o.cross(end2+q.cfg.PropDelay, readAtDevice)
 	if q.tlm != nil {
 		q.observe(telemetry.Down, telemetry.MemRd, o.addr, 0,
 			reqWire2, readReqSegs(q.cfg, o.size), end2, d2)
 	}
-}
-
-// readReqDownDone: the request finished serializing toward the completer.
-func readReqDownDone(a any) {
-	o := a.(*readOp)
-	o.p.fab.eng.AfterArg(o.q.cfg.PropDelay, readAtDevice, o)
 }
 
 // readAtDevice: the completer executes MMIORead and streams the completion
@@ -489,12 +490,13 @@ func readAtDevice(a any) {
 	q, fab := o.q, o.p.fab
 	data := q.dev.MMIORead(o.addr-q.base, o.size)
 	if data == nil {
-		// Non-responding completer: no completion is ever generated; the
-		// requester's timeout resolves the transaction.
+		// Non-responding completer: no completion is ever generated.
+		o.expire()
 		return
 	}
 	if fab.linkDown(q) || fab.dropTLP(q, telemetry.CplD) {
 		fab.noteDrop()
+		o.expire()
 		return
 	}
 	o.status = CplSuccess
@@ -506,18 +508,12 @@ func readAtDevice(a any) {
 	cplWire := q.cfg.CompletionWireBytes(len(data))
 	q.UpBytes += int64(cplWire)
 	d3 := q.cfg.EffectiveRate().Serialize(cplWire)
-	end3 := q.up.AcquireArg(d3, readCplUpDone, o)
+	end3 := q.up.AcquireArg(d3, nil, nil)
+	o.cross(end3+q.cfg.PropDelay, readCplAtSwitch)
 	if q.tlm != nil {
 		q.observe(telemetry.Up, telemetry.CplD, o.addr, len(data),
 			cplWire, cplSegs(q.cfg, len(data)), end3, d3)
 	}
-}
-
-// readCplUpDone: the completion finished serializing on the completer's up
-// link.
-func readCplUpDone(a any) {
-	o := a.(*readOp)
-	o.p.fab.eng.AfterArg(o.q.cfg.PropDelay, readCplAtSwitch, o)
 }
 
 // readCplAtSwitch: the completion reached the switch; a poisoned payload
@@ -530,31 +526,33 @@ func readCplAtSwitch(a any) {
 	o.completeRead(o.data, o.status)
 }
 
-// completeRead serializes the completion stream (or a dataless error
-// completion) over the requester's down link and settles the read.
+// completeRead sends the completion stream (or a dataless error
+// completion) over the requester's down link to settle the read.
 func (o *readOp) completeRead(data []byte, status CplStatus) {
 	p := o.p
 	o.data, o.status = data, status
 	cplWire := p.cfg.CompletionWireBytes(len(data))
 	p.DownBytes += int64(cplWire)
 	d := p.cfg.EffectiveRate().Serialize(cplWire)
-	end := p.down.AcquireArg(d, readCplDownDone, o)
+	end := p.down.AcquireArg(d, nil, nil)
+	o.cross(end+p.cfg.PropDelay, readSettle)
 	if p.tlm != nil {
 		p.observe(telemetry.Down, telemetry.CplD, o.addr, len(data),
 			cplWire, cplSegs(p.cfg, len(data)), end, d)
 	}
 }
 
-// readCplDownDone: the completion finished serializing to the requester.
-func readCplDownDone(a any) {
-	o := a.(*readOp)
-	o.p.fab.eng.AfterArg(o.p.cfg.PropDelay, readSettle, o)
-}
-
-// readSettle delivers the completion to the caller.
+// readSettle delivers the completion to the caller, unless the timeout
+// already has (or is about to): late data is discarded.
 func readSettle(a any) {
 	o := a.(*readOp)
-	o.settle(Completion{Data: o.data, Status: o.status})
+	if o.expired {
+		return
+	}
+	fab, done, c := o.p.fab, o.done, Completion{Data: o.data, Status: o.status}
+	*o = readOp{next: fab.freeR}
+	fab.freeR = o
+	done(c)
 }
 
 // AddrOf returns the fabric address corresponding to an offset within the

@@ -54,7 +54,7 @@ type LinkConfig struct {
 	// link (serialization is charged separately).
 	PropDelay sim.Duration
 
-	// CplTimeout is the completion timeout armed on every non-posted
+	// CplTimeout is the completion timeout of every non-posted
 	// request issued through this port. If the completion has not
 	// arrived when it expires, the requester receives a CplTimeout
 	// error completion. Zero selects a default at Attach time (real

@@ -99,12 +99,19 @@ type GroupStats struct {
 	// active in (had events inside its window). A quiescent shard's
 	// count stays put — the idle-shard skip.
 	ShardRounds []int64
+	// Dispatched is the sum of Engine.Dispatched over the group's shards:
+	// events executed, the denominator for a per-event cost.
+	Dispatched uint64
 }
 
-// Stats returns a snapshot of the group's scheduler counters.
+// Stats returns a snapshot of the group's scheduler counters. Call it
+// between runs, not from a running shard event.
 func (g *Group) Stats() GroupStats {
 	s := g.stats
 	s.ShardRounds = append([]int64(nil), g.stats.ShardRounds...)
+	for _, e := range g.engines {
+		s.Dispatched += e.nrun
+	}
 	return s
 }
 

@@ -93,6 +93,7 @@ func runClosure(a any) { a.(func())() }
 type Engine struct {
 	now     Time
 	seq     uint64
+	nrun    uint64 // events dispatched since creation
 	events  []event
 	stopped bool
 	bufs    *BufPool
@@ -257,8 +258,17 @@ func (e *Engine) pop() event {
 }
 
 // Pending reports the number of scheduled events (including not-yet-expired
-// entries of stopped or reset Timers, which fire as no-ops).
+// entries of stopped or reset Timers, which fire as no-ops). A PCIe read
+// that settled leaves nothing behind — its completion timeout is only
+// scheduled once the read can no longer settle in time — so a quiesced
+// fault-free datapath reads zero.
 func (e *Engine) Pending() int { return len(e.events) }
+
+// Dispatched reports how many events the engine has executed since it was
+// created. The count is a function of the model and the seed alone, so
+// events per simulated frame is a cost figure that does not depend on the
+// speed of the machine running the simulation.
+func (e *Engine) Dispatched() uint64 { return e.nrun }
 
 // Stop makes the current Run/RunUntil call return after the in-flight event
 // completes. Subsequent Run calls clear the flag and continue.
@@ -270,6 +280,7 @@ func (e *Engine) Run() {
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.pop()
 		e.now = ev.at
+		e.nrun++
 		ev.afn(ev.arg)
 	}
 }
@@ -284,6 +295,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		ev := e.pop()
 		e.now = ev.at
+		e.nrun++
 		ev.afn(ev.arg)
 	}
 	if !e.stopped && e.now < deadline {
@@ -312,6 +324,7 @@ func (e *Engine) runBefore(limit Time) {
 		}
 		ev := e.pop()
 		e.now = ev.at
+		e.nrun++
 		ev.afn(ev.arg)
 	}
 }

@@ -16,8 +16,10 @@
 //     one predictable branch per event — calibrated timing results are
 //     unchanged whether telemetry is attached or not.
 //
-// The simulation is single-threaded (one event at a time on one
-// goroutine), so no metric is locked.
+// An engine runs one event at a time, so no metric handle is locked;
+// handles shared across the shards of a sim.Group are atomic, and the
+// registry's lookup maps take a mutex (creation is a set-up-time or
+// first-use activity, never the per-event path).
 package telemetry
 
 import (
@@ -27,6 +29,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"flexdriver/internal/sim"
@@ -177,6 +180,10 @@ func (h *Histogram) Buckets() (bounds []int64, counts []int64) {
 // usable; create one with New. A nil *Registry is a valid "telemetry
 // disabled" registry: every method returns nil handles or zero values.
 type Registry struct {
+	// mu guards the maps: the shards of a sim.Group share one registry,
+	// and a component may create a metric on first use (a NIC's
+	// per-reason drop counter) from whichever worker runs its shard.
+	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -239,6 +246,8 @@ func (r *Registry) Counter(path string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.counters[path]
 	if !ok {
 		c = &Counter{}
@@ -253,6 +262,8 @@ func (r *Registry) Gauge(path string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g, ok := r.gauges[path]
 	if !ok {
 		g = &Gauge{}
@@ -267,6 +278,8 @@ func (r *Registry) Histogram(path string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	h, ok := r.hists[path]
 	if !ok {
 		h = &Histogram{}
@@ -283,6 +296,8 @@ func (r *Registry) Func(path string, fn func() float64) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if _, ok := r.funcs[path]; !ok {
 		r.note(path)
 	}
