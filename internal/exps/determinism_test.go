@@ -182,3 +182,37 @@ func TestChaosSeqParIdentical(t *testing.T) {
 		}
 	}
 }
+
+// The three goldens below were captured at the commit before the cluster
+// experiments were rebuilt on internal/rig, so kvserve, tenancy and
+// failover are held to the same bar as the cluster, chaos and scenario
+// pins above: byte-identical telemetry, not just worker-count equality.
+// Same recapture rule.
+const (
+	goldenKVServeHash  = "56dadc93f2d61d598e3bbf98672a0958e8807fd59570e19ee5cc85a2ff9bde93"
+	goldenTenancyHash  = "90e610d0a08f3a28ea16f88190eed5a30245a2d7d7ad239be1a35c4d0dea85a5"
+	goldenFailoverHash = "286b72d3979474d4f13bf066d99fb23c24972c4400c54923d3be734bdd81741e"
+)
+
+func TestKVServeTelemetryGolden(t *testing.T) {
+	p := DefaultKVServeParams(150 * sim.Microsecond)
+	p.Connections, p.Hosts = 5000, 4
+	if got := KVServeTelemetryHash(p, 1); got != goldenKVServeHash {
+		t.Fatalf("fixed-seed kvserve telemetry diverged from golden snapshot:\n got  %s\n want %s",
+			got, goldenKVServeHash)
+	}
+}
+
+func TestTenancyTelemetryGolden(t *testing.T) {
+	if got := runTenancyPoint(3, 300*sim.Microsecond, 1).telemHash; got != goldenTenancyHash {
+		t.Fatalf("fixed-seed tenancy telemetry diverged from golden snapshot:\n got  %s\n want %s",
+			got, goldenTenancyHash)
+	}
+}
+
+func TestFailoverTelemetryGolden(t *testing.T) {
+	if _, got := failoverRun(300*sim.Microsecond, 1); got != goldenFailoverHash {
+		t.Fatalf("fixed-seed failover telemetry diverged from golden snapshot:\n got  %s\n want %s",
+			got, goldenFailoverHash)
+	}
+}

@@ -35,6 +35,11 @@ func Failover(window flexdriver.Duration) *Result {
 // FailoverWorkers is Failover with the cluster scheduler's worker count
 // pinned (0 = one per CPU, 1 = the sequential reference).
 func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
+	r, _ := failoverRun(window, workers)
+	return r
+}
+
+func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 	r := &Result{ID: "failover",
 		Title: "Node crash failover: 4 clients vs 2 Innova echo servers, one crash-restarts"}
 	r.Columns = []string{"client", "primary", "failover us", "rejoin us", "replies", "loss"}
@@ -244,7 +249,7 @@ func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 		"no silent self-heal: the watchdog's resets did this")
 	r.Check("sim engine quiesced", 0, float64(cl.Pending()), "events",
 		cl.Pending() == 0, "")
-	return r
+	return r, reg.Snapshot().Hash()
 }
 
 func srvName(s, crashed *flexdriver.Innova) string {
