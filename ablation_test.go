@@ -15,11 +15,8 @@ func remoteEchoBed(t *testing.T, cfg FLDConfig) (*RemotePair, *swdriver.EthPort,
 	t.Helper()
 	rp := NewRemotePair(WithFLD(cfg))
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	afu := echo.New(srv.FLD)
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
 	rp.Client.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: port.RQ()}})

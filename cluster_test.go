@@ -48,10 +48,7 @@ func TestClusterEchoSmoke(t *testing.T) {
 
 	var rqs []*nic.RQ
 	for _, rt := range []*Runtime{srv.RT, rt2} {
-		rt.CreateEthTxQueue(0, nil)
-		ecp := NewEControlPlane(rt)
-		ecp.InstallDefaultEgressToWire()
-		rt.Start()
+		rt.StartEth()
 		f := rt.FLD()
 		f.SetHandler(HandlerFunc(func(data []byte, md Metadata) {
 			out := append([]byte(nil), data...)
@@ -73,9 +70,7 @@ func TestClusterEchoSmoke(t *testing.T) {
 		if cl.PortOf(h.NIC) == nil {
 			t.Fatalf("client%d has no switch port", ci)
 		}
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, Rule{Match: Match{DstIP: &ip}, Action: Action{ToRQ: port.RQ()}})
+		port := h.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
 		ci := ci
 		port.OnReceive = func([]byte, swdriver.RxMeta) { received[ci]++ }
 

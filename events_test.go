@@ -34,9 +34,7 @@ func TestEventsPerEcho(t *testing.T) {
 		DoorbellBatch: 8, SignalEvery: 8,
 	}))
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	NewEControlPlane(srv.RT).InstallDefaultEgressToWire()
-	srv.RT.Start()
+	srv.RT.StartEth()
 	echo.New(srv.FLD)
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})

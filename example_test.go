@@ -18,11 +18,8 @@ func Example() {
 
 	// Control plane (runs once): an FLD transmit queue, egress to the
 	// wire, ingress steering into the accelerator.
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	afu := echo.New(srv.FLD)
 
 	// Client: send one frame, count the echo.

@@ -22,11 +22,8 @@ func main() {
 	// Control plane (runs once, on the server's CPU): one FLD transmit
 	// queue, accelerator egress to the wire, and a steering rule sending
 	// every ingress frame to the accelerator.
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 
 	// The accelerator: a one-liner echo AFU on FLD's streaming interface.
 	afu := echo.New(srv.FLD)

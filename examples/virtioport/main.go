@@ -29,11 +29,8 @@ func echoAFU(send func([]byte, fld.Metadata) error, echoed *int) fld.Handler {
 func overConnectX(n int) (echoed, received int) {
 	rp := flexdriver.NewRemotePair()
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	srv.FLD.SetHandler(echoAFU(func(d []byte, md fld.Metadata) error {
 		return srv.FLD.Send(0, d, md)
 	}, &echoed))

@@ -1,0 +1,107 @@
+package kv_test
+
+import (
+	"testing"
+
+	"flexdriver"
+	"flexdriver/internal/accel/kv"
+	"flexdriver/internal/rig"
+	"flexdriver/internal/rpc"
+	"flexdriver/internal/swdriver"
+	"flexdriver/internal/tcp"
+)
+
+// TestServeTable walks one connection through every answer the AFU can
+// give, end to end over a wire: requests leave a software port, the kv
+// core on the remote Innova serves them, responses come back TCP-framed.
+func TestServeTable(t *testing.T) {
+	rp := flexdriver.NewRemotePair()
+	srv, cli := rp.Server, rp.Client
+	srv.RT.StartEth()
+	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
+	afu := kv.New(srv.FLD)
+	afu.MaxEntries = 2
+
+	port := cli.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 64, RxEntries: 64})
+	var replies [][]byte
+	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) { replies = append(replies, append([]byte(nil), fr...)) }
+	seg := tcp.Segment{SrcPort: 5000, DstPort: 7777, Seq: 1000, Ack: 77,
+		Flags: tcp.FlagAck | tcp.FlagPsh, Window: 0xffff, Epoch: 1}
+	ask := func(payload []byte) (rpc.Frame, tcp.FrameInfo) {
+		t.Helper()
+		replies = nil
+		port.Send(tcp.BuildFrame(cli.NIC.MAC, srv.NIC.MAC, cli.NIC.IP, srv.NIC.IP, seg, payload))
+		rp.Run()
+		if len(replies) != 1 {
+			t.Fatalf("%d replies to one request", len(replies))
+		}
+		info, body, ok := tcp.ParseFrame(replies[0])
+		if !ok {
+			t.Fatal("reply is not a TCP frame")
+		}
+		resp, _, err := rpc.Parse(body)
+		if err != nil || resp.Op != rpc.OpResp {
+			t.Fatalf("reply body: %+v, %v", resp, err)
+		}
+		return resp, info
+	}
+	req := func(op uint8, id uint64, key, val string) []byte {
+		return rpc.Frame{Op: op, ID: id, Key: []byte(key), Val: []byte(val)}.Marshal(nil)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		status  uint8
+		id      uint64
+		val     string
+	}{
+		{"get miss", req(rpc.OpGet, 1, "a", ""), rpc.StatusMiss, 1, ""},
+		{"put", req(rpc.OpPut, 2, "a", "alpha"), rpc.StatusOK, 2, ""},
+		{"get hit", req(rpc.OpGet, 3, "a", ""), rpc.StatusOK, 3, "alpha"},
+		{"put second key", req(rpc.OpPut, 4, "b", "beta"), rpc.StatusOK, 4, ""},
+		{"put new key at capacity", req(rpc.OpPut, 5, "c", "gamma"), rpc.StatusFull, 5, ""},
+		{"resident key stays updatable when full", req(rpc.OpPut, 6, "a", "ALPHA"), rpc.StatusOK, 6, ""},
+		{"get sees the update", req(rpc.OpGet, 7, "a", ""), rpc.StatusOK, 7, "ALPHA"},
+		{"rejected key was not stored", req(rpc.OpGet, 8, "c", ""), rpc.StatusMiss, 8, ""},
+		{"response op sent to a server", req(rpc.OpResp, 9, "", ""), rpc.StatusBadReq, 9, ""},
+		{"garbage payload", []byte("not an rpc frame, but long enough"), rpc.StatusBadReq, 0, ""},
+		{"truncated frame", req(rpc.OpPut, 10, "k", "value")[:rpc.HeaderLen+2], rpc.StatusBadReq, 0, ""},
+		// A payload-less segment (a pure ACK) is not a request either: it
+		// is counted malformed and answered BadReq with no ID — which is
+		// why a kv server must only be steered frames addressed to it.
+		{"payload-less segment", nil, rpc.StatusBadReq, 0, ""},
+	} {
+		resp, info := ask(tc.payload)
+		if resp.Status != tc.status || resp.ID != tc.id || string(resp.Val) != tc.val {
+			t.Errorf("%s: status=%d id=%d val=%q, want status=%d id=%d val=%q",
+				tc.name, resp.Status, resp.ID, resp.Val, tc.status, tc.id, tc.val)
+		}
+		// Addressing is reversed and the stream position acknowledged.
+		if info.Eth.Dst != cli.NIC.MAC || info.IP.Src != srv.NIC.IP ||
+			info.Seg.SrcPort != 7777 || info.Seg.DstPort != 5000 ||
+			info.Seg.Seq != seg.Ack || info.Seg.Ack != seg.Seq+uint32(len(tc.payload)) {
+			t.Errorf("%s: reply addressing/sequence wrong: %+v", tc.name, info.Seg)
+		}
+		// The ID sits where the clients' ledgers read it back.
+		if id := rig.Unstamp(replies[0], tcp.FrameOverhead+rpc.IDOffset); uint64(id) != tc.id {
+			t.Errorf("%s: correlation ID at the ledger offset is %d", tc.name, id)
+		}
+	}
+
+	if afu.Requests != 9 || afu.Gets != 4 || afu.Puts != 4 || afu.Hits != 2 || afu.Misses != 2 ||
+		afu.Stored != 3 || afu.Rejected != 1 || afu.Malformed != 3 || afu.Responses != 12 || afu.Dropped != 0 {
+		t.Errorf("counters: %+v", *afu)
+	}
+	if afu.Entries() != 2 || afu.ConnCount() != 1 {
+		t.Errorf("entries=%d conns=%d, want 2 and 1", afu.Entries(), afu.ConnCount())
+	}
+
+	// A frame that is not TCP at all never gets an answer.
+	replies = nil
+	port.Send(rig.UDPFrame(cli.NIC, srv.NIC, 5000, 7777, 128))
+	rp.Run()
+	if len(replies) != 0 || afu.Malformed != 4 {
+		t.Errorf("non-TCP frame: %d replies, malformed=%d", len(replies), afu.Malformed)
+	}
+}

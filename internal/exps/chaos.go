@@ -5,6 +5,7 @@ import (
 
 	"flexdriver"
 	"flexdriver/internal/nic"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/swdriver"
 )
 
@@ -67,101 +68,46 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	cfg.Start, cfg.Stop = warmup, warmup+window
 
 	plan := flexdriver.NewFaultPlan(seed, cfg)
-	reg := flexdriver.NewRegistry()
-	cl := flexdriver.NewCluster(
-		flexdriver.WithDriver(genDriverParams()),
-		flexdriver.WithTelemetry(reg),
-		flexdriver.WithFaults(plan),
-		flexdriver.WithWorkers(workers),
-	)
+	cl := rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithFaults(plan),
+		flexdriver.WithWorkers(workers))
 
 	// Server: one Innova whose FLD runs the header-swapping echo (the
 	// switch's source filter would eat verbatim hairpin replies).
-	srv := cl.AddInnova("server")
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
-	srv.RT.Start()
-	installSwapEcho(srv.FLD)
-	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
+	srv := cl.AddServer("server", 1, func(f *flexdriver.FLD) { rig.InstallEcho(f) })
+	srv.Steer(flexdriver.Rule{})
 
 	// Client: a software port steered on its own IP, watched by the
 	// supervision ladder (crash classes leave its rings errored with the
-	// announcing CQEs unDMAable — only the ladder can notice).
-	cli := cl.AddHost("client")
-	port := cli.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-	ip := cli.NIC.IP
-	cli.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-		Match:  flexdriver.Match{DstIP: &ip},
-		Action: flexdriver.Action{ToRQ: port.RQ()}})
-	sup := flexdriver.NewSupervisor(cli.Drv, seed)
-	sup.SetTelemetry(reg.Scope("client").Scope("supervisor"))
-
-	// Sequence-stamped frames: the payload's first 8 bytes carry the send
-	// ordinal, so loss and duplication are measured per frame, not from
-	// aggregate counts. The map lives on the client's shard.
-	base := clusterFrame(cli.NIC, srv.NIC, 4000, 7777, size)
-	const seqOff = 42 // Eth(14) + IPv4(20) + UDP(8)
-	var sent int64
-	recv := make(map[int64]int64)
-	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
-		if len(fr) >= seqOff+8 {
-			var seq int64
-			for i := 0; i < 8; i++ {
-				seq = seq<<8 | int64(fr[seqOff+i])
-			}
-			recv[seq]++
-		}
-	}
+	// announcing CQEs unDMAable — only the ladder can notice). Frames are
+	// sequence-stamped, so loss and duplication are measured per frame,
+	// not from aggregate counts.
+	cli := cl.AddClient("client", seqOff)
+	cl.AddSupervisor(cli.Host, seed)
+	cli.Flows = [][]byte{rig.UDPFrame(cli.Host.NIC, srv.NIC, 4000, 7777, size)}
+	cli.Port.OnReceive = func(fr []byte, _ swdriver.RxMeta) { cli.Deliver(fr) }
 
 	// ~10 Gbps offered: safely below the echo path's capacity, so a
 	// fault-free run is lossless.
-	interval := flexdriver.Duration(float64(len(base)*8) / 10e9 * float64(flexdriver.Second))
+	interval := flexdriver.Duration(float64(size*8) / 10e9 * float64(flexdriver.Second))
 	deadline := warmup + window + drain
-	paceSends(cli.Engine(), interval, deadline, func() {
-		f := append([]byte(nil), base...)
-		seq := sent
-		for i := 7; i >= 0; i-- {
-			f[seqOff+i] = byte(seq)
-			seq >>= 8
-		}
-		sent++
-		port.Send(f)
-	})
+	rig.OpenLoop(cli.Host.Engine(), 0, deadline, 1, rig.Every(interval), cli.Send)
 
-	// Watchdog: a Control barrier sweep — it may touch every shard — that
-	// kicks the client's supervision ladder and the server runtime's
+	// The watchdog kicks the client's ladder and the server runtime's
 	// queue scans, so Error states whose announcing CQE was lost (or
 	// never DMA-able: the device was crashed) still get noticed.
-	var watchdog func()
-	watchdog = func() {
-		sup.Kick()
-		srv.RT.Recover()
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*flexdriver.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
+	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, srv.Recover)
+	cl.Quiesce(deadline, srv.Recover)
 
-	cl.RunUntil(deadline)
-	// Quiesce: drain in-flight work, then give the watchdogs one final
-	// pass in case an error surfaced after their last tick, and drain the
-	// recovery they may have scheduled.
-	cl.Run()
-	sup.Kick()
-	srv.RT.Recover()
-	cl.Run()
+	snap := cl.Telemetry().Snapshot()
+	chaosReport(r, cfg, plan.Injected, cl, srv, cli, snap)
+	return r, snap.Hash()
+}
 
-	inj := plan.Injected
-	var lost, dups int64
-	for seq := int64(0); seq < sent; seq++ {
-		n := recv[seq]
-		if n == 0 {
-			lost++
-		} else if n > 1 {
-			dups += n - 1
-		}
-	}
+// chaosReport tabulates the storm and judges the recovery invariants.
+func chaosReport(r *Result, cfg flexdriver.FaultsConfig, inj flexdriver.FaultCounts,
+	cl *rig.Rig, srv *rig.Server, cli *rig.Client, snap flexdriver.Snapshot) {
+	sent := cli.Sent()
+	lost, dups := cli.Tally()
 
 	r.AddRow("frames sent", d64(sent), "", "", "", "")
 	r.AddRow("frames lost", d64(lost), "", "", "", "")
@@ -203,21 +149,20 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	// Byte-exact PCIe reconciliation on both fabrics: injected drops
 	// charge no bytes anywhere, poisoned TLPs charge bytes on every link
 	// they traverse, so telemetry and port accounting must still agree.
-	snap := reg.Snapshot()
-	cm, _, _ := reconcilePCIe(r, snap, "client", cli.Fab)
+	cm, _, _ := reconcilePCIe(r, snap, "client", cli.Host.Fab)
 	sm, _, _ := reconcilePCIe(r, snap, "server", srv.Fab)
 	r.Check("PCIe byte counters reconcile under faults", 0, float64(cm+sm), "mismatches",
 		cm+sm == 0, "telemetry vs Port.{Up,Down}Bytes, byte-exact")
 
 	// The plan's telemetry mirror must agree with its own tallies.
-	injTel := sumCounters(snap, "faults/injected/", "")
+	injTel := snap.Sum("faults/injected/", "")
 	r.Check("injection telemetry mirrors plan tallies", float64(inj.Total()), float64(injTel),
 		"faults", injTel == inj.Total(), "")
 
 	// The driver's telemetry mirror must agree with its raw Stats.
-	drvTelOK := snap.Get("client/swdriver/errors/recoveries") == cli.Drv.Recoveries &&
-		snap.Get("client/swdriver/errors/tx") == cli.Drv.TxErrors &&
-		snap.Get("client/swdriver/errors/cqe") == cli.Drv.CQEErrors
+	drvTelOK := snap.Get("client/swdriver/errors/recoveries") == cli.Host.Drv.Recoveries &&
+		snap.Get("client/swdriver/errors/tx") == cli.Host.Drv.TxErrors &&
+		snap.Get("client/swdriver/errors/cqe") == cli.Host.Drv.CQEErrors
 	r.Check("driver telemetry mirrors Stats counters", 1, b2f(drvTelOK), "",
 		drvTelOK, "errors/{tx,cqe,recoveries} vs Driver fields")
 
@@ -228,11 +173,11 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	// the Ready check and the supervisor's episode accounting carry the
 	// assertion instead.
 	srvReady := srv.RT.QueuesReady()
-	cliReady := port.SQ().State() == nic.QueueReady && port.RQ().State() == nic.QueueReady
+	cliReady := cli.Port.SQ().State() == nic.QueueReady && cli.Port.RQ().State() == nic.QueueReady
 	r.Check("all queues recovered to Ready", 1, b2f(srvReady && cliReady), "",
 		srvReady && cliReady, "server runtime + client port")
 	if crashes == 0 {
-		cliN, srvN := cli.NIC.Stats, srv.NIC.Stats
+		cliN, srvN := cli.Host.NIC.Stats, srv.NIC.Stats
 		errsAnswered := cliN.QueueErrors <= cliN.QueueRecoveries && srvN.QueueErrors <= srvN.QueueRecoveries
 		r.Check("every queue error answered by a reset",
 			float64(cliN.QueueErrors+srvN.QueueErrors),
@@ -250,7 +195,7 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	r.Check("no recovery episode abandoned", 0, float64(abandoned), "episodes",
 		abandoned == 0, "")
 	if episodes > 0 {
-		bound := 3*maxCrashFor(cfg) + 100*flexdriver.Microsecond
+		bound := 3*rig.MaxCrashFor(cfg) + 100*flexdriver.Microsecond
 		worst := flexdriver.Duration(snap.Gauges["client/supervisor/mttr_max"].High)
 		r.Check("MTTR bounded", float64(bound)/1e6, float64(worst)/1e6, "us",
 			worst <= bound, "detection -> healthy, worst episode")
@@ -260,21 +205,6 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	// loop keeps scheduling events once traffic stops.
 	r.Check("sim engine quiesced", 0, float64(cl.Pending()), "events",
 		cl.Pending() == 0, "no wedged retry loops")
-	return r, snap.Hash()
-}
-
-// maxCrashFor returns the longest configured crash-downtime window —
-// the dominant term of any honest MTTR bound: an episode detected the
-// instant a component dies cannot close before the component returns.
-func maxCrashFor(cfg flexdriver.FaultsConfig) flexdriver.Duration {
-	m := cfg.FLDResetFor
-	for _, d := range []flexdriver.Duration{cfg.NICFLRFor, cfg.NodeCrashFor,
-		cfg.DrvCrashFor, cfg.SwRebootFor, cfg.PartFor, cfg.FlapFor} {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 func orHeavy(spec string) string {

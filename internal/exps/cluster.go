@@ -5,9 +5,8 @@ import (
 
 	"flexdriver"
 	"flexdriver/internal/netpkt"
-	"flexdriver/internal/nic"
-	"flexdriver/internal/pcie"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 	"flexdriver/internal/swdriver"
@@ -36,8 +35,7 @@ type ClusterParams struct {
 	Seed int64
 	// Workers pins the cluster scheduler's worker count (0 = one per
 	// CPU, 1 = the sequential reference schedule). Results are
-	// byte-identical at any setting; the determinism tests and the
-	// parallel-speedup benchmarks sweep it.
+	// byte-identical at any setting; the determinism tests sweep it.
 	Workers int
 	// Hosts, when positive, folds each point's N clients into this many
 	// aggregated-client hosts (flexdriver.AggregatedClients) instead of
@@ -46,10 +44,6 @@ type ClusterParams struct {
 	// unchanged while topology cost drops from N nodes to Hosts nodes.
 	// Zero keeps the historical one-host-per-client build.
 	Hosts int
-	// Colocate racks every node and the switch on one shared engine —
-	// the monolithic-baseline mode fldbench's scheduler-overhead ratio
-	// measures against.
-	Colocate bool
 }
 
 // DefaultClusterParams returns the standard sweep: N ∈ {1,2,4,8}
@@ -72,76 +66,26 @@ func DefaultClusterParams(window flexdriver.Duration) ClusterParams {
 
 // clusterPoint is one sweep point's measurements.
 type clusterPoint struct {
-	clients        int
-	offeredGbps    float64
-	achievedGbps   float64
-	p50us, p99us   float64
-	fldRx          []int64
-	imbalance      float64 // max relative deviation from the per-core mean
-	tailDrops      int64
-	pcieMismatches int
-	pending        int    // engine events left after quiesce
-	telemHash      string // SHA-256 of the final telemetry snapshot
+	servedTotals
+	clients      int
+	offeredGbps  float64
+	achievedGbps float64
+	p50us, p99us float64
+	imbalance    float64 // max relative deviation from the per-core mean
 }
 
-// swapEcho reverses a UDP frame in place — Ethernet addresses, IPv4
-// addresses, UDP ports — so the reply routes back through the switch to
-// the sender. Pure swaps keep the IPv4 header checksum valid.
-func swapEcho(f []byte) {
-	if len(f) < netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.UDPHeaderLen {
-		return
-	}
-	for i := 0; i < 6; i++ {
-		f[i], f[6+i] = f[6+i], f[i]
-	}
-	for i := 0; i < 4; i++ {
-		f[26+i], f[30+i] = f[30+i], f[26+i]
-	}
-	f[34], f[36] = f[36], f[34]
-	f[35], f[37] = f[37], f[35]
-}
-
-// installSwapEcho installs a cluster-aware echo AFU: unlike the verbatim
-// echo (whose replies would hairpin into the switch's source filter), it
-// swaps the headers so each reply is addressed to its client.
-func installSwapEcho(f *flexdriver.FLD) {
-	f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-		out := append([]byte(nil), data...)
-		swapEcho(out)
-		f.Send(0, out, md) //nolint:errcheck // credit-stall drops are open-loop loss
-	}))
-}
-
-// clusterFrame builds a UDP frame between two concrete NICs.
-func clusterFrame(src, dst *flexdriver.NIC, sport, dport uint16, size int) []byte {
-	n := size - netpkt.EthHeaderLen - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
-	payload := make([]byte, n)
-	udp := netpkt.UDP{SrcPort: sport, DstPort: dport, Length: uint16(netpkt.UDPHeaderLen + n)}
-	l4 := append(udp.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: src.IP, Dst: dst.IP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dst.MAC, Src: src.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
-}
-
-// balancedFlows picks source ports whose RSS hash spreads the client's
-// flows exactly evenly over the server's cores — modeling a generator
-// with enough flow entropy for RSS to balance (§9).
-func balancedFlows(cli *flexdriver.Host, srv *flexdriver.Innova, flows, cores, size int) [][]byte {
-	return balancedFlowsFrom(cli.NIC, srv, flows, cores, size, 4000)
-}
-
-// balancedFlowsFrom is balancedFlows with an explicit source NIC and
-// starting sport: aggregated hosts carry many clients on one NIC, so
-// each client scans from its own base port and keeps a distinct flow-tag
-// set for RSS spread and telemetry attribution.
-func balancedFlowsFrom(src *flexdriver.NIC, srv *flexdriver.Innova, flows, cores, size int, base uint16) [][]byte {
+// balancedFlows picks source ports, scanning up from base, whose RSS hash
+// spreads the client's flows exactly evenly over the server's cores —
+// modeling a generator with enough flow entropy for RSS to balance (§9).
+// Aggregated hosts carry many clients on one NIC, so each client scans
+// from its own base and keeps a distinct flow-tag set for RSS spread and
+// telemetry attribution.
+func balancedFlows(src, dst *flexdriver.NIC, flows, cores, size int, base uint16) [][]byte {
 	per := (flows + cores - 1) / cores
 	count := make([]int, cores)
 	var out [][]byte
 	for sport := base; len(out) < per*cores && sport < 65000; sport++ {
-		f := clusterFrame(src, srv.NIC, sport, 7777, size)
+		f := rig.UDPFrame(src, dst, sport, 7777, size)
 		if b := int(netpkt.RSSHash(f)) % cores; count[b] < per {
 			count[b]++
 			out = append(out, f)
@@ -150,223 +94,170 @@ func balancedFlowsFrom(src *flexdriver.NIC, srv *flexdriver.Innova, flows, cores
 	return out
 }
 
-// pcieMismatches is the quiet form of reconcilePCIe: it compares every
-// port's telemetry byte counters against the fabric's independent
-// accounting and returns only the mismatch count (the cluster sweep has
-// too many nodes for per-port rows).
-func pcieMismatches(snap flexdriver.Snapshot, node string, fab *pcie.Fabric) int {
-	m := 0
-	for _, p := range fab.Ports() {
-		dev := p.Device().PCIeName()
-		if snap.Get(node+"/pcie/"+dev+"/up/bytes") != p.UpBytes ||
-			snap.Get(node+"/pcie/"+dev+"/down/bytes") != p.DownBytes {
-			m++
+// seqOff is where the send ordinal rides in a UDP frame: Eth(14) +
+// IPv4(20) + UDP(8).
+const seqOff = 42
+
+// rttHost is one traffic-carrying host of a measured, fault-free point:
+// the rig client plus what it saw inside the measurement window. Every
+// accumulator is private to the host's shard during the run and merged
+// afterwards — shards run on real goroutines, so shared accumulators
+// would race.
+type rttHost struct {
+	*rig.Client
+	lat        []float64 // RTTs, us
+	rx, rxB    int64     // replies and reply bytes
+	sentWindow int64     // requests (aggregated sources only)
+}
+
+// servedPoint is the topology the cluster and kvserve points share: an
+// RSS multi-core server, open-loop hosts, and one measurement window.
+type servedPoint struct {
+	*rig.Rig
+	srv       *rig.Server
+	hosts     []*rttHost
+	measuring bool
+}
+
+// watch wraps a racked client into the point's window accounting.
+func (pt *servedPoint) watch(c *rig.Client) *rttHost {
+	h := &rttHost{Client: c}
+	c.Port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
+		if !pt.measuring || c.Truncated(fr) {
+			return
+		}
+		if rtt, ok := c.Deliver(fr); ok {
+			h.lat = append(h.lat, rtt.Seconds()*1e6)
+		}
+		h.rx++
+		h.rxB += int64(len(fr))
+	}
+	pt.hosts = append(pt.hosts, h)
+	return h
+}
+
+// addAggregated racks one aggregated-source host counting its in-window
+// sends; cfg.OnSend (optional) stamps any further per-request fields.
+func (pt *servedPoint) addAggregated(hi, off int, cfg flexdriver.AggregatedClientsConfig) {
+	var h *rttHost
+	stamp := cfg.OnSend
+	cfg.OnSend = func(ci int, f []byte) {
+		if pt.measuring {
+			h.sentWindow++
+		}
+		if stamp != nil {
+			stamp(ci, f)
 		}
 	}
-	return m
+	h = pt.watch(pt.AddAggregatedClient(fmt.Sprintf("client%d", hi), off, cfg))
+}
+
+// servedTotals is what every served point reports.
+type servedTotals struct {
+	lat            *stats.Sample
+	sent, rx, rxB  int64 // in-window
+	fldRx          []int64
+	tailDrops      int64
+	pcieMismatches int
+	pending        int    // engine events left after quiesce
+	hash           string // SHA-256 of the final telemetry snapshot
+}
+
+// measure runs the window and merges the per-shard accumulators now that
+// every shard is idle. Size hint: every measured-window packet can
+// contribute one RTT observation, so preallocate generously to keep Add
+// off the slice growth path at cluster scale.
+func (pt *servedPoint) measure(warmup, window, drain flexdriver.Duration) servedTotals {
+	rig.Window(pt, warmup, window, drain, &pt.measuring)
+	pt.Run()
+	t := servedTotals{lat: stats.NewSample(1 << 16), pending: pt.Pending(), tailDrops: pt.TailDrops()}
+	for _, h := range pt.hosts {
+		for _, v := range h.lat {
+			t.lat.Add(v)
+		}
+		t.sent += h.sentWindow
+		t.rx += h.rx
+		t.rxB += h.rxB
+	}
+	for _, rt := range pt.srv.RTs {
+		t.fldRx = append(t.fldRx, rt.FLD().Stats.RxPackets)
+	}
+	snap := pt.Telemetry().Snapshot()
+	t.hash = snap.Hash()
+	t.pcieMismatches = pt.Reconcile(snap)
+	return t
 }
 
 // runClusterPoint runs one sweep point: n clients, each an open-loop
 // Poisson source over many flows, against the multi-FLD server behind
-// the ToR switch.
+// the ToR switch — one discrete host per client, or (p.Hosts > 0) folded
+// onto aggregated hosts where client gi keeps the arrival stream
+// (Seed*1000+gi) and flow-tag set (base sport strided per client) it
+// would own as a discrete host.
 func runClusterPoint(n int, p ClusterParams) clusterPoint {
-	reg := flexdriver.NewRegistry()
-	cl := flexdriver.NewCluster(
-		flexdriver.WithDriver(genDriverParams()),
-		flexdriver.WithTelemetry(reg),
-		flexdriver.WithWorkers(p.Workers),
-		flexdriver.WithColocated(p.Colocate),
-	).SwitchQueueFrames(p.QueueFrames)
+	pt := &servedPoint{Rig: rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithWorkers(p.Workers))}
+	pt.SwitchQueueFrames(p.QueueFrames)
+	pt.srv = pt.AddServer("server", p.FLDCores, func(f *flexdriver.FLD) { rig.InstallEcho(f) })
+	pt.srv.Steer(flexdriver.Rule{})
 
-	// Server: one Innova, FLDCores cores behind an RSS TIR, each running
-	// the header-swapping echo.
-	srv := cl.AddInnova("server")
-	rts := []*flexdriver.Runtime{srv.RT}
-	for i := 1; i < p.FLDCores; i++ {
-		_, rt := srv.AddFLD(srv.FLD.Config())
-		rts = append(rts, rt)
-	}
-	var rqs []*nic.RQ
-	for _, rt := range rts {
-		rt.CreateEthTxQueue(0, nil)
-		ecp := flexdriver.NewEControlPlane(rt)
-		ecp.InstallDefaultEgressToWire()
-		rt.Start()
-		installSwapEcho(rt.FLD())
-		rqs = append(rqs, rt.RQ())
-	}
-	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-		Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-
-	// Clients: RSS-balanced flow sets, sequence stamping for RTT,
-	// steering on own IP (flooded frames for other nodes miss). One
-	// bookkeeping record per traffic-carrying host — each discrete
-	// client, or each aggregated host folding many clients. Every
-	// accumulator (latencies, rx bytes) is private to that host's shard
-	// during the run and merged afterwards — shards run on real
-	// goroutines, so shared accumulators would race.
-	const seqOff = 42 // Eth(14) + IPv4(20) + UDP(8)
-	measuring := false
-	type client struct {
-		eng    *sim.Engine
-		port   *swdriver.EthPort
-		frames [][]byte // discrete mode only; aggregated flows live in the source
-		sent   int64
-		sendAt []flexdriver.Time
-		lat    []float64
-		rxB    int64
-	}
-	hookRecv := func(c *client) {
-		c.port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
-			if len(fr) < seqOff+8 || !measuring {
-				return
-			}
-			var seq int64
-			for i := 0; i < 8; i++ {
-				seq = seq<<8 | int64(fr[seqOff+i])
-			}
-			if seq < int64(len(c.sendAt)) {
-				c.lat = append(c.lat, (c.eng.Now()-c.sendAt[seq]).Seconds()*1e6)
-			}
-			c.rxB += int64(len(fr))
-		}
-	}
-	stopSending := p.Warmup + p.Window
+	stop := p.Warmup + p.Window
 	mean := flexdriver.Duration(float64(p.FrameSize*8) /
 		(p.PerClientGbps * 1e9) * float64(flexdriver.Second))
-	nhosts := n
-	if p.Hosts > 0 && p.Hosts < n {
-		nhosts = p.Hosts
+	flows := func(h *flexdriver.Host, gi int) [][]byte {
+		return balancedFlows(h.NIC, pt.srv.NIC, p.FlowsPerClient, p.FLDCores, p.FrameSize, uint16(4000+gi*97))
 	}
-	clients := make([]*client, 0, nhosts)
 	if p.Hosts > 0 {
-		// Aggregated topology: n logical clients folded into nhosts
-		// sources. Client gi keeps the arrival stream (Seed*1000+gi) it
-		// would own as a discrete host, and its own flow-tag set (base
-		// sport strided per client); stamps are host-level ordinals.
-		for hi, base := 0, 0; hi < nhosts; hi++ {
-			k := n / nhosts
-			if hi < n%nhosts {
-				k++
-			}
-			c := &client{}
-			b := base
-			src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
-				Clients:    k,
-				StreamSeed: p.Seed*1000 + int64(b),
-				Stop:       stopSending,
+		for hi, span := range rig.Split(n, min(p.Hosts, n)) {
+			first := span.First
+			pt.addAggregated(hi, seqOff, flexdriver.AggregatedClientsConfig{
+				Clients:    span.N,
+				StreamSeed: p.Seed*1000 + int64(first),
+				Stop:       stop,
 				Setup: func(h *flexdriver.Host, ci int, _ *sim.Rand) flexdriver.ClientSetup {
-					return flexdriver.ClientSetup{
-						Flows: balancedFlowsFrom(h.NIC, srv, p.FlowsPerClient,
-							p.FLDCores, p.FrameSize, uint16(4000+(b+ci)*97)),
-						Mean: mean,
-					}
-				},
-				OnSend: func(_ int, f []byte) {
-					seq := c.sent
-					for i := 7; i >= 0; i-- {
-						f[seqOff+i] = byte(seq)
-						seq >>= 8
-					}
-					c.sendAt = append(c.sendAt, c.eng.Now())
-					c.sent++
+					return flexdriver.ClientSetup{Flows: flows(h, first+ci), Mean: mean}
 				},
 			})
-			c.eng, c.port = src.Host.Engine(), src.Port
-			hookRecv(c)
-			clients = append(clients, c)
-			base += k
 		}
 	} else {
 		for ci := 0; ci < n; ci++ {
-			h := cl.AddHost(fmt.Sprintf("client%d", ci))
-			port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-			ip := h.NIC.IP
-			h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstIP: &ip},
-				Action: flexdriver.Action{ToRQ: port.RQ()}})
-			c := &client{eng: h.Engine(), port: port,
-				frames: balancedFlows(h, srv, p.FlowsPerClient, p.FLDCores, p.FrameSize)}
-			hookRecv(c)
-			clients = append(clients, c)
-		}
-
-		// Open-loop load: each client draws i.i.d. exponential gaps
-		// (Poisson arrivals) and round-robins its flow set, sending until
-		// the window closes. (Aggregated sources drive themselves.)
-		for ci, c := range clients {
-			rng := sim.NewRand(p.Seed*1000 + int64(ci))
-			c := c
-			var tick func()
-			tick = func() {
-				if c.eng.Now() >= stopSending {
-					return
-				}
-				f := append([]byte(nil), c.frames[int(c.sent)%len(c.frames)]...)
-				seq := c.sent
-				for i := 7; i >= 0; i-- {
-					f[seqOff+i] = byte(seq)
-					seq >>= 8
-				}
-				c.sendAt = append(c.sendAt, c.eng.Now())
-				c.sent++
-				c.port.Send(f)
-				c.eng.After(rng.Exp(mean), tick)
-			}
-			c.eng.After(rng.Exp(mean), tick)
+			c := pt.watch(pt.AddClient(fmt.Sprintf("client%d", ci), seqOff))
+			c.Flows = flows(c.Host, 0)
+			gap := rig.Poisson(sim.NewRand(p.Seed*1000+int64(ci)), mean)
+			rig.OpenLoop(c.Host.Engine(), gap(), stop, 1, gap, c.Send)
 		}
 	}
 
-	cl.RunUntil(p.Warmup)
-	measuring = true
-	cl.RunUntil(stopSending)
-	measuring = false
-	cl.RunUntil(stopSending + p.Drain)
-	cl.Run()
-
-	// Merge the per-shard accumulators now that every shard is idle.
-	// Size hint: every measured-window packet can contribute one RTT
-	// observation, so preallocate generously to keep Add off the slice
-	// growth path at cluster scale.
-	lat := stats.NewSample(1 << 16)
-	var rxBytes int64
-	for _, c := range clients {
-		for _, v := range c.lat {
-			lat.Add(v)
-		}
-		rxBytes += c.rxB
-	}
-
-	pt := clusterPoint{
+	t := pt.measure(p.Warmup, p.Window, p.Drain)
+	cp := clusterPoint{
 		clients:      n,
 		offeredGbps:  float64(n) * p.PerClientGbps,
-		achievedGbps: float64(rxBytes) * 8 / p.Window.Seconds() / 1e9,
-		p50us:        lat.Median(),
-		p99us:        lat.Percentile(99),
-		pending:      cl.Pending(),
+		achievedGbps: float64(t.rxB) * 8 / p.Window.Seconds() / 1e9,
+		p50us:        t.lat.Median(),
+		p99us:        t.lat.Percentile(99),
+		servedTotals: t,
 	}
 	var total int64
-	for _, rt := range rts {
-		rx := rt.FLD().Stats.RxPackets
-		pt.fldRx = append(pt.fldRx, rx)
+	for _, rx := range t.fldRx {
 		total += rx
 	}
-	coreMean := float64(total) / float64(len(rts))
-	for _, rx := range pt.fldRx {
-		if dev := abs(float64(rx)-coreMean) / coreMean; dev > pt.imbalance {
-			pt.imbalance = dev
-		}
+	coreMean := float64(total) / float64(len(t.fldRx))
+	for _, rx := range t.fldRx {
+		cp.imbalance = max(cp.imbalance, abs(float64(rx)-coreMean)/coreMean)
 	}
-	for _, port := range cl.Switch().Ports() {
-		pt.tailDrops += port.Counters.TailDrops
-	}
-	snap := reg.Snapshot()
-	pt.telemHash = snap.Hash()
-	pt.pcieMismatches = pcieMismatches(snap, "server", srv.Fab)
-	for _, h := range cl.Hosts {
-		pt.pcieMismatches += pcieMismatches(snap, h.Name(), h.Fab)
-	}
-	return pt
+	return cp
+}
+
+// ClusterTelemetryHash runs one fixed-seed cluster sweep point (n clients
+// against the multi-FLD server) and returns the SHA-256 of the final
+// telemetry snapshot dump. Because the engine is deterministic, the hash
+// is a compact fingerprint of the entire run: every counter, byte total
+// and histogram bucket on every node must match for two runs to agree.
+//
+// The determinism regression test pins this hash to a golden value so
+// event-queue or scheduling refactors that reorder same-time events are
+// caught immediately.
+func ClusterTelemetryHash(n int, p ClusterParams) string {
+	return runClusterPoint(n, p).hash
 }
 
 func abs(v float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"flexdriver/internal/accel/defrag"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/nic"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/swdriver"
 )
@@ -250,7 +251,7 @@ func defragThroughput(cfg DefragConfig, flows int, window flexdriver.Duration) f
 	idx := 0
 	warmup := 200 * flexdriver.Microsecond
 	deadline := warmup + window + 200*flexdriver.Microsecond
-	paceSends(rp.Engine(), interval, deadline, func() {
+	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() {
 		port.Send(frames[idx%len(frames)])
 		idx++
 	})

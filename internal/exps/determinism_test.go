@@ -72,7 +72,7 @@ func TestClusterTelemetryStable(t *testing.T) {
 const goldenChaosScenarioHash = "441eb8d37842ee99e4ae7ec9397fd262391b6553f2380a5f625b9f52e47e10be"
 
 func TestChaosScenarioTelemetryGolden(t *testing.T) {
-	got := ScenarioTelemetryHash(2)
+	got := ScenarioTelemetryHash(2, 0)
 	if got != goldenChaosScenarioHash {
 		t.Fatalf("chaos-fault scenario telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenChaosScenarioHash)
@@ -83,8 +83,8 @@ func TestChaosScenarioTelemetryGolden(t *testing.T) {
 // under fault injection: the plan's Bernoulli stream, the flap schedule
 // and every recovery path must be as replayable as the clean fast path.
 func TestChaosScenarioTelemetryStable(t *testing.T) {
-	a := ScenarioTelemetryHash(2)
-	b := ScenarioTelemetryHash(2)
+	a := ScenarioTelemetryHash(2, 0)
+	b := ScenarioTelemetryHash(2, 0)
 	if a != b {
 		t.Fatalf("back-to-back chaos scenario runs diverged: %s vs %s", a, b)
 	}
@@ -174,9 +174,9 @@ func TestCluster128SeqParIdentical(t *testing.T) {
 // watchdog controls and the RDMA sidecar must all replay identically
 // under the parallel scheduler.
 func TestChaosSeqParIdentical(t *testing.T) {
-	seq := ScenarioTelemetryHashWorkers(2, 1)
+	seq := ScenarioTelemetryHash(2, 1)
 	for _, w := range []int{2, 8} {
-		if got := ScenarioTelemetryHashWorkers(2, w); got != seq {
+		if got := ScenarioTelemetryHash(2, w); got != seq {
 			t.Fatalf("workers=%d diverged from the sequential schedule:\n got  %s\n want %s",
 				w, got, seq)
 		}

@@ -7,6 +7,8 @@ import (
 	"flexdriver/internal/accel/echo"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/rig"
+	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 	"flexdriver/internal/swdriver"
 	"flexdriver/internal/trace"
@@ -78,15 +80,9 @@ func buildFrame(size int, sport, dport uint16) []byte {
 	if size < 46 {
 		size = 46
 	}
-	n := size - netpkt.EthHeaderLen - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
-	payload := make([]byte, n)
-	udp := netpkt.UDP{SrcPort: sport, DstPort: dport, Length: uint16(netpkt.UDPHeaderLen + n)}
-	l4 := append(udp.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: netpkt.IPFrom(1), Dst: netpkt.IPFrom(2)}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(1), EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
+	payload := make([]byte, size-netpkt.EthHeaderLen-netpkt.IPv4HeaderLen-netpkt.UDPHeaderLen)
+	return netpkt.BuildUDP(netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(1)},
+		netpkt.IPFrom(1), netpkt.IPFrom(2), sport, dport, payload)
 }
 
 // fldeRemoteBed wires the remote FLD-E echo topology and returns the
@@ -96,11 +92,8 @@ func fldeRemoteBed(extra ...flexdriver.Option) (*flexdriver.RemotePair, *swdrive
 	opts := append([]flexdriver.Option{flexdriver.WithDriver(genDriverParams())}, extra...)
 	rp := flexdriver.NewRemotePair(opts...)
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := flexdriver.NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	afu := echo.New(srv.FLD)
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
@@ -140,20 +133,6 @@ func cpuRemoteBed(serverDrv flexdriver.DriverParams) (*flexdriver.RemotePair, *s
 	return rp, port
 }
 
-// paceSends schedules an open-loop constant-rate stream of calls to send,
-// one every interval, until deadline.
-func paceSends(eng *flexdriver.Engine, interval, deadline flexdriver.Duration, send func()) {
-	var tick func()
-	tick = func() {
-		if eng.Now() >= deadline {
-			return
-		}
-		send()
-		eng.After(interval, tick)
-	}
-	eng.After(0, tick)
-}
-
 // measureEcho runs an offered-rate stream of size-byte frames through an
 // echo path and returns the achieved receive goodput in Gbit/s.
 type echoBedFns struct {
@@ -173,12 +152,8 @@ func measureEcho(b echoBedFns, size int, offeredGbps float64, warmup, window fle
 		}
 	})
 	deadline := warmup + window + 100*flexdriver.Microsecond
-	paceSends(b.eng, interval, deadline, func() { b.send(frame) })
-	b.eng.RunUntil(warmup)
-	measuring = true
-	b.eng.RunUntil(warmup + window)
-	measuring = false
-	b.eng.RunUntil(deadline)
+	rig.OpenLoop(b.eng, 0, deadline, 1, rig.Every(interval), func() { b.send(frame) })
+	rig.Window(b.eng, warmup, window, deadline-warmup-window, &measuring)
 	return float64(rxBytes) * 8 / window.Seconds() / 1e9
 }
 
@@ -330,12 +305,8 @@ func fldrRemoteBandwidth(size int, offeredGbps float64, window flexdriver.Durati
 	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
 	warmup := 150 * flexdriver.Microsecond
 	deadline := warmup + window + 100*flexdriver.Microsecond
-	paceSends(rp.Engine(), interval, deadline, func() { ep.Send(msg) })
-	rp.RunUntil(warmup)
-	measuring = true
-	rp.RunUntil(warmup + window)
-	measuring = false
-	rp.RunUntil(deadline)
+	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() { ep.Send(msg) })
+	rig.Window(rp, warmup, window, deadline-warmup-window, &measuring)
 	return float64(rxBytes) * 8 / window.Seconds() / 1e9
 }
 
@@ -417,7 +388,7 @@ func MixedTrace(window flexdriver.Duration) *Result {
 			}
 		}
 		// Offer slightly above line rate of mixed traffic.
-		rng := newRand(77)
+		rng := sim.NewRand(77)
 		var rxPkts, rxBytes int64
 		measuring := false
 		hook(func(n int) {
@@ -430,14 +401,10 @@ func MixedTrace(window flexdriver.Duration) *Result {
 		interval := flexdriver.Duration(mean * 8 / 26.5e9 * float64(flexdriver.Second))
 		warmup := 150 * flexdriver.Microsecond
 		deadline := warmup + window + 100*flexdriver.Microsecond
-		paceSends(eng, interval, deadline, func() {
+		rig.OpenLoop(eng, 0, deadline, 1, rig.Every(interval), func() {
 			send(buildFrame(dist.Sample(rng), 4000, 7777))
 		})
-		eng.RunUntil(warmup)
-		measuring = true
-		eng.RunUntil(warmup + window)
-		measuring = false
-		eng.RunUntil(deadline)
+		rig.Window(eng, warmup, window, deadline-warmup-window, &measuring)
 		return float64(rxPkts) / window.Seconds() / 1e6,
 			float64(rxBytes) * 8 / window.Seconds() / 1e9
 	}
@@ -603,7 +570,7 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 	}
 	msg := make([]byte, size)
 	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := newRand(5)
+	rng := sim.NewRand(5)
 	sent := 0
 	var tick func()
 	tick = func() {
@@ -624,8 +591,6 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 	}
 	return lat.Median(), lat.Percentile(99), float64(rxBytes) * 8 / dur.Seconds() / 1e9
 }
-
-func engOf(inn *flexdriver.Innova) *flexdriver.Engine { return inn.Engine() }
 
 // fldrLocalLowLoadLatency measures the single-node FLD-R echo RTT: the
 // client endpoint lives on the Innova host and its QP loops back through

@@ -4,10 +4,11 @@ import (
 	"fmt"
 
 	"flexdriver"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/swdriver"
 )
 
-// Failover is the failure-domain experiment: two Innova echo servers
+// FailoverWorkers is the failure-domain experiment: two Innova echo servers
 // behind a ToR switch serve four clients; mid-traffic one server
 // crash–restarts as a whole node (NIC, FLD, host driver together). The
 // clients run a consecutive-loss failover policy — no reply for a
@@ -28,12 +29,9 @@ import (
 // No fault plan runs here: the crash is a single deterministic Control
 // action, so the measured windows are attributable to the ladder and
 // the policy, not to storm luck.
-func Failover(window flexdriver.Duration) *Result {
-	return FailoverWorkers(window, 0)
-}
-
-// FailoverWorkers is Failover with the cluster scheduler's worker count
-// pinned (0 = one per CPU, 1 = the sequential reference).
+//
+// workers pins the cluster scheduler's worker count (0 = one per CPU, 1 =
+// the sequential reference).
 func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
 	r, _ := failoverRun(window, workers)
 	return r
@@ -49,72 +47,32 @@ func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 		warmup     = 50 * flexdriver.Microsecond
 		lossThresh = 15 * flexdriver.Microsecond
 		probeEvery = 20 * flexdriver.Microsecond
-		// SLOs: detection is the loss threshold plus in-flight slack;
-		// rejoin covers the restart, one watchdog sweep (20us), the
-		// driver reset latency and one probe round trip.
-		failoverSLO = 30 * flexdriver.Microsecond
-		rejoinSLO   = 100 * flexdriver.Microsecond
 	)
-	crashAt := warmup + 50*flexdriver.Microsecond
-	restartAt := crashAt + 80*flexdriver.Microsecond
 	stopSend := restartAt + window
 	deadline := stopSend + 60*flexdriver.Microsecond
 
-	reg := flexdriver.NewRegistry()
-	cl := flexdriver.NewCluster(
-		flexdriver.WithDriver(genDriverParams()),
-		flexdriver.WithTelemetry(reg),
-		flexdriver.WithWorkers(workers),
-	)
+	cl := rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithWorkers(workers))
 
-	servers := make([]*flexdriver.Innova, 2)
+	servers := make([]*rig.Server, 2)
 	for i := range servers {
-		srv := cl.AddInnova(fmt.Sprintf("server%c", 'A'+i))
-		srv.RT.CreateEthTxQueue(0, nil)
-		ecp := flexdriver.NewEControlPlane(srv.RT)
-		ecp.InstallDefaultEgressToWire()
-		srv.RT.Start()
-		installSwapEcho(srv.FLD)
-		// Steer only frames addressed to this server into the echo AFU. A
-		// match-all rule would let a flooded frame destined to the *other*
-		// server be echoed here — and because swapEcho swaps the Ethernet
-		// header too, that reply would carry the other server's source MAC
-		// and poison the switch's learned FDB.
-		srvIP := srv.NIC.IP
-		srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &srvIP},
-			Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
+		srv := cl.AddServer(fmt.Sprintf("server%c", 'A'+i), 1, func(f *flexdriver.FLD) { rig.InstallEcho(f) })
+		// Steer only frames addressed to this server into the echo AFU
+		// (see rig.Server.Steer: a match-all rule would answer the other
+		// server's flooded frames and poison the FDB).
+		srv.Steer(flexdriver.Rule{Match: flexdriver.Match{DstIP: &srv.NIC.IP}})
 		servers[i] = srv
 	}
 	crashed, survivor := servers[0], servers[1]
 
 	// Clients 0,2 home on serverA (the one that crashes), 1,3 on serverB.
-	type client struct {
-		name     string
-		eng      *flexdriver.Engine
-		port     *swdriver.EthPort
-		primary  *flexdriver.Innova
-		target   *flexdriver.Innova
-		sent     int64
-		recv     int64
-		lastRx   flexdriver.Time // most recent reply (any source); -1 until first
-		lastProb flexdriver.Time
-		failedAt flexdriver.Time // failover decision; 0 = never
-		rejoinAt flexdriver.Time // first primary reply after failover; 0 = never
-		outageRx int64           // survivor replies received while primary was down
-	}
-	clients := make([]*client, 0, 4)
+	clients := make([]*failoverClient, 0, 4)
 	for ci := 0; ci < 4; ci++ {
 		h := cl.AddHost(fmt.Sprintf("client%d", ci))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &ip},
-			Action: flexdriver.Action{ToRQ: port.RQ()}})
-		c := &client{name: fmt.Sprintf("client%d", ci), eng: h.Engine(), port: port,
+		c := &failoverClient{name: h.Name(), eng: h.Engine(),
+			port:    h.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512}),
 			primary: servers[ci%2], target: servers[ci%2], lastRx: -1}
 		myNIC := h.NIC
-		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
+		c.port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
 			if len(fr) < 34 {
 				return
 			}
@@ -145,38 +103,25 @@ func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 		// plus echo replies on one 25 GbE port) well under the wire bound:
 		// the experiment measures recovery, not congestion.
 		interval := flexdriver.Duration(size*8) * flexdriver.Second / flexdriver.Duration(4e9)
-		var tick func()
-		tick = func() {
+		rig.OpenLoop(c.eng, interval, stopSend, 1, rig.Every(interval), func() {
 			now := c.eng.Now()
-			if now >= stopSend {
-				return
-			}
 			if c.target == c.primary && c.failedAt == 0 && c.lastRx >= 0 && now-c.lastRx > lossThresh {
 				c.failedAt = now
 				c.target = survivor
 			}
 			if c.target != c.primary && now-c.lastProb >= probeEvery {
 				c.lastProb = now
-				c.port.Send(clusterFrame(myNIC, c.primary.NIC, 4000+uint16(ci), 7777, size))
+				c.port.Send(rig.UDPFrame(myNIC, c.primary.NIC, 4000+uint16(ci), 7777, size))
 			}
 			c.sent++
-			c.port.Send(clusterFrame(myNIC, c.target.NIC, 4000+uint16(ci), 7777, size))
-			c.eng.After(interval, tick)
-		}
-		c.eng.After(interval, tick)
+			c.port.Send(rig.UDPFrame(myNIC, c.target.NIC, 4000+uint16(ci), 7777, size))
+		})
 		clients = append(clients, c)
 	}
 
-	// Pin every MAC to its port so no frame ever floods: loss accounting
-	// stays exact and a dead server's traffic is dropped at its own port
+	// Pin every MAC so a dead server's traffic is dropped at its own port
 	// rather than delivered to a flood copy.
-	sw := cl.Switch()
-	for _, h := range cl.Hosts {
-		sw.Program(h.NIC.MAC, cl.PortOf(h.NIC))
-	}
-	for _, inn := range cl.Innovas {
-		sw.Program(inn.NIC.MAC, cl.PortOf(inn.NIC))
-	}
+	cl.PinFDB()
 
 	// The crash and restart are cluster-wide barrier actions: every shard
 	// observes a consistent instant for the whole failure domain.
@@ -185,24 +130,46 @@ func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 
 	// Watchdog sweep: server runtimes scan for silently-errored queues
 	// (a crashed device cannot DMA the CQE that would announce them).
-	var watchdog func()
-	watchdog = func() {
+	sweep := func() {
 		for _, srv := range servers {
-			srv.RT.Recover()
-		}
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*flexdriver.Microsecond, watchdog)
+			srv.Recover()
 		}
 	}
-	cl.Control(warmup, watchdog)
+	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, sweep)
+	cl.Quiesce(deadline, sweep)
 
-	cl.RunUntil(deadline)
-	cl.Run()
-	for _, srv := range servers {
-		srv.RT.Recover()
-	}
-	cl.Run()
+	failoverReport(r, clients, crashed, survivor, cl.Pending())
+	return r, cl.Telemetry().Snapshot().Hash()
+}
 
+// The failure-domain timeline and its SLOs: detection is the loss
+// threshold plus in-flight slack; rejoin covers the restart, one watchdog
+// sweep (20us), the driver reset latency and one probe round trip.
+const (
+	crashAt     = 100 * flexdriver.Microsecond
+	restartAt   = crashAt + 80*flexdriver.Microsecond
+	failoverSLO = 30 * flexdriver.Microsecond
+	rejoinSLO   = 100 * flexdriver.Microsecond
+)
+
+// failoverClient is one client's policy state and tallies.
+type failoverClient struct {
+	name     string
+	eng      *flexdriver.Engine
+	port     *swdriver.EthPort
+	primary  *rig.Server
+	target   *rig.Server
+	sent     int64
+	recv     int64
+	lastRx   flexdriver.Time // most recent reply (any source); -1 until first
+	lastProb flexdriver.Time
+	failedAt flexdriver.Time // failover decision; 0 = never
+	rejoinAt flexdriver.Time // first primary reply after failover; 0 = never
+	outageRx int64           // survivor replies received while primary was down
+}
+
+// failoverReport tabulates the clients and judges the recovery SLOs.
+func failoverReport(r *Result, clients []*failoverClient, crashed, survivor *rig.Server, pending int) {
 	allFailed, allRejoined, redistributed := true, true, true
 	maxFailover, maxRejoin := flexdriver.Duration(0), flexdriver.Duration(0)
 	var survivorLoss int64
@@ -247,12 +214,10 @@ func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 	ready := crashed.RT.QueuesReady() && survivor.RT.QueuesReady()
 	r.Check("server queues recovered to Ready", 1, b2f(ready), "", ready,
 		"no silent self-heal: the watchdog's resets did this")
-	r.Check("sim engine quiesced", 0, float64(cl.Pending()), "events",
-		cl.Pending() == 0, "")
-	return r, reg.Snapshot().Hash()
+	r.Check("sim engine quiesced", 0, float64(pending), "events", pending == 0, "")
 }
 
-func srvName(s, crashed *flexdriver.Innova) string {
+func srvName(s, crashed *rig.Server) string {
 	if s == crashed {
 		return "A (crashes)"
 	}

@@ -7,6 +7,7 @@ import (
 	"flexdriver/internal/accel/iotauth"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/swdriver"
 )
 
@@ -90,7 +91,7 @@ func IotLineRate(window flexdriver.Duration) *Result {
 		interval := flexdriver.Duration(float64(len(frame)*8) / 26.5e9 * float64(flexdriver.Second))
 		warmup := 150 * flexdriver.Microsecond
 		deadline := warmup + window + 100*flexdriver.Microsecond
-		paceSends(rp.Engine(), interval, deadline, func() { port.Send(frame) })
+		rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() { port.Send(frame) })
 		rp.RunUntil(warmup)
 		start := afu.ValidBytes[1]
 		rp.RunUntil(warmup + window)
@@ -116,7 +117,7 @@ func IotInvalidTokensDropped(window flexdriver.Duration) *Result {
 	forged := iotFrame(512, 100, 10001, []byte("attacker-key"), "dev0")
 	n := 0
 	deadline := window
-	paceSends(rp.Engine(), 2*flexdriver.Microsecond, deadline, func() {
+	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(2*flexdriver.Microsecond), func() {
 		if n%2 == 0 {
 			port.Send(good)
 		} else {
@@ -153,8 +154,8 @@ func IotIsolation(window flexdriver.Duration) *Result {
 		intervalB := flexdriver.Duration(float64(size*8) / 16e9 * float64(flexdriver.Second))
 		warmup := 150 * flexdriver.Microsecond
 		deadline := warmup + window + 100*flexdriver.Microsecond
-		paceSends(rp.Engine(), intervalA, deadline, func() { port.Send(frameA) })
-		paceSends(rp.Engine(), intervalB, deadline, func() { port.Send(frameB) })
+		rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(intervalA), func() { port.Send(frameA) })
+		rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(intervalB), func() { port.Send(frameB) })
 		rp.RunUntil(warmup)
 		a0, b0 := afu.ValidBytes[1], afu.ValidBytes[2]
 		rp.RunUntil(warmup + window)

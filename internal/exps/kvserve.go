@@ -6,12 +6,10 @@ import (
 	"flexdriver"
 	"flexdriver/internal/accel/kv"
 	"flexdriver/internal/memmodel"
-	"flexdriver/internal/nic"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/rpc"
 	"flexdriver/internal/sim"
-	"flexdriver/internal/stats"
-	"flexdriver/internal/swdriver"
 	"flexdriver/internal/tcp"
 )
 
@@ -86,8 +84,7 @@ func (p KVServeParams) ReqBytes() int {
 
 // kvPoint is one run's measurements.
 type kvPoint struct {
-	sentW, respW         int64 // in-window requests / responses
-	rxB                  int64 // in-window response bytes at the clients
+	servedTotals
 	p50us, p99us, p999us float64
 	activeConns          int   // distinct connections the server saw
 	served               int64 // AFU-parsed requests (whole run)
@@ -96,11 +93,6 @@ type kvPoint struct {
 	replyBytes           int64 // whole-run response bytes (mean-size estimate)
 	responses            int64
 	dropped, malformed   int64
-	fldRx                []int64
-	tailDrops            int64
-	pcieMismatches       int
-	pending              int
-	hash                 string
 }
 
 // Frame offsets of the mutable request fields: the TCP sequence number,
@@ -108,84 +100,41 @@ type kvPoint struct {
 // header checksum only covers the L3 header, so stamping L4 bytes keeps
 // the frame parseable.
 const (
-	kvSeqOff = 38                        // Eth(14) + IPv4(20) + seq at TCP+4
-	kvOpOff  = tcp.FrameOverhead + 1     // rpc op byte
+	kvSeqOff = 38                    // Eth(14) + IPv4(20) + seq at TCP+4
+	kvOpOff  = tcp.FrameOverhead + 1 // rpc op byte
 	kvIDOff  = tcp.FrameOverhead + rpc.IDOffset
 	kvKeyOff = tcp.FrameOverhead + rpc.HeaderLen
 )
 
 // runKVServePoint runs the serving topology once at the given worker
-// count. Every accumulator is shard-private during the run (client state
-// with its host, AFU counters with the server) and merged after.
+// count: FLDCores kv AFUs behind an RSS TIR, like the cluster echo, and
+// Connections flow-level TCP connections folded into Hosts aggregated
+// sources. Connection gi owns arrival stream Seed*1000+gi (splitmix
+// state — 10^5 full rand.Rand instances would cost half a gigabyte), the
+// 4-tuple (hostIP, 2048+local, srv, 7777) and a sequence cursor; the
+// host-level ordinal rides in the RPC correlation ID for RTT; popularity
+// is a per-host Zipf stream.
 func runKVServePoint(p KVServeParams, workers int) kvPoint {
-	reg := flexdriver.NewRegistry()
-	cl := flexdriver.NewCluster(
-		flexdriver.WithDriver(genDriverParams()),
-		flexdriver.WithTelemetry(reg),
-		flexdriver.WithWorkers(workers),
-	).SwitchQueueFrames(p.QueueFrames)
+	pt := &servedPoint{Rig: rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithWorkers(workers))}
+	pt.SwitchQueueFrames(p.QueueFrames)
+	var kvs []*kv.AFU
+	pt.srv = pt.AddServer("server", p.FLDCores, func(f *flexdriver.FLD) { kvs = append(kvs, kv.New(f)) })
+	pt.srv.Steer(flexdriver.Rule{})
 
-	// Server: FLDCores kv AFUs behind an RSS TIR, like the cluster echo.
-	srv := cl.AddInnova("server")
-	rts := []*flexdriver.Runtime{srv.RT}
-	for i := 1; i < p.FLDCores; i++ {
-		_, rt := srv.AddFLD(srv.FLD.Config())
-		rts = append(rts, rt)
-	}
-	var rqs []*nic.RQ
-	kvs := make([]*kv.AFU, 0, len(rts))
-	for _, rt := range rts {
-		rt.CreateEthTxQueue(0, nil)
-		ecp := flexdriver.NewEControlPlane(rt)
-		ecp.InstallDefaultEgressToWire()
-		rt.Start()
-		kvs = append(kvs, kv.New(rt.FLD()))
-		rqs = append(rqs, rt.RQ())
-	}
-	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-		Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-
-	// Clients: Connections flow-level TCP connections folded into Hosts
-	// aggregated sources. Connection gi owns arrival stream Seed*1000+gi
-	// (splitmix state — 10^5 full rand.Rand instances would cost half a
-	// gigabyte), the 4-tuple (hostIP, 2048+local, srv, 7777), a sequence
-	// cursor and a request ordinal; popularity is a per-host Zipf stream.
-	measuring := false
 	reqLen := rpc.HeaderLen + p.KeyBytes + p.ValueBytes
-	type client struct {
-		eng    *sim.Engine
-		port   *swdriver.EthPort
-		sent   int64
-		sentW  int64
-		sendAt []flexdriver.Time
-		lat    []float64
-		rxB    int64
-		respW  int64
-	}
 	// conns[gi] counts connection gi's requests; each index is touched
 	// only by its owning host's shard, so the shared slice does not race.
 	conns := make([]uint32, p.Connections)
-	stopSending := p.Warmup + p.Window
 	perConnBps := p.OfferedGbps * 1e9 / float64(p.Connections)
 	mean := flexdriver.Duration(float64(p.ReqBytes()*8) / perConnBps *
 		float64(flexdriver.Second))
-	nhosts := p.Hosts
-	if nhosts > p.Connections {
-		nhosts = p.Connections
-	}
-	clients := make([]*client, 0, nhosts)
-	for hi, base := 0, 0; hi < nhosts; hi++ {
-		k := p.Connections / nhosts
-		if hi < p.Connections%nhosts {
-			k++
-		}
-		c := &client{}
-		b := base
-		zipf := sim.NewLightRand(p.Seed*77 + int64(hi)).Zipf(p.ZipfS, 1, uint64(p.Keys-1))
-		src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
-			Clients:    k,
-			StreamSeed: p.Seed*1000 + int64(b),
-			Stop:       stopSending,
+	for hi, span := range rig.Split(p.Connections, min(p.Hosts, p.Connections)) {
+		first := span.First
+		zipf := sim.NewLightRand(p.Seed*77+int64(hi)).Zipf(p.ZipfS, 1, uint64(p.Keys-1))
+		pt.addAggregated(hi, kvIDOff, flexdriver.AggregatedClientsConfig{
+			Clients:    span.N,
+			StreamSeed: p.Seed*1000 + int64(first),
+			Stop:       p.Warmup + p.Window,
 			Rand:       sim.NewLightRand,
 			Setup: func(h *flexdriver.Host, ci int, _ *sim.Rand) flexdriver.ClientSetup {
 				// One flow per connection: a full TCP request frame
@@ -197,108 +146,47 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 				req := rpc.Frame{Op: rpc.OpPut,
 					Key: make([]byte, p.KeyBytes), Val: make([]byte, p.ValueBytes)}
 				for i := range req.Val {
-					req.Val[i] = byte(b + ci)
+					req.Val[i] = byte(first + ci)
 				}
-				frame := tcp.BuildFrame(h.NIC.MAC, srv.NIC.MAC, h.NIC.IP, srv.NIC.IP,
+				frame := tcp.BuildFrame(h.NIC.MAC, pt.srv.NIC.MAC, h.NIC.IP, pt.srv.NIC.IP,
 					seg, req.Marshal(nil))
 				return flexdriver.ClientSetup{Flows: [][]byte{frame}, Mean: mean}
 			},
 			OnSend: func(ci int, f []byte) {
-				// Host-level ordinal for RTT correlation.
-				ord := c.sent
-				for i := 7; i >= 0; i-- {
-					f[kvIDOff+i] = byte(ord)
-					ord >>= 8
-				}
-				c.sendAt = append(c.sendAt, c.eng.Now())
-				c.sent++
-				if measuring {
-					c.sentW++
-				}
 				// Connection-level stream position and op mix.
-				gi := b + ci
-				reqs := conns[gi]
-				conns[gi]++
+				reqs := conns[first+ci]
+				conns[first+ci]++
 				seq := reqs * uint32(reqLen)
 				f[kvSeqOff], f[kvSeqOff+1] = byte(seq>>24), byte(seq>>16)
 				f[kvSeqOff+2], f[kvSeqOff+3] = byte(seq>>8), byte(seq)
+				f[kvOpOff] = rpc.OpGet
 				if int(reqs)%p.PutEvery == 0 {
 					f[kvOpOff] = rpc.OpPut
-				} else {
-					f[kvOpOff] = rpc.OpGet
 				}
 				// Zipf-popular key, drawn on the host's popularity stream.
-				rank := zipf()
-				for i := 7; i >= 0; i-- {
-					f[kvKeyOff+i] = byte(rank)
-					rank >>= 8
-				}
+				rig.Stamp(f, kvKeyOff, int64(zipf()))
 			},
 		})
-		c.eng, c.port = src.Host.Engine(), src.Port
-		c.port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
-			if len(fr) < kvIDOff+8 || !measuring {
-				return
-			}
-			var ord int64
-			for i := 0; i < 8; i++ {
-				ord = ord<<8 | int64(fr[kvIDOff+i])
-			}
-			if ord < int64(len(c.sendAt)) {
-				c.lat = append(c.lat, (c.eng.Now()-c.sendAt[ord]).Seconds()*1e6)
-			}
-			c.respW++
-			c.rxB += int64(len(fr))
-		}
-		clients = append(clients, c)
-		base += k
 	}
 
-	cl.RunUntil(p.Warmup)
-	measuring = true
-	cl.RunUntil(stopSending)
-	measuring = false
-	cl.RunUntil(stopSending + p.Drain)
-	cl.Run()
-
-	// Merge the shard-private accumulators now that every shard is idle.
-	lat := stats.NewSample(1 << 16)
-	pt := kvPoint{pending: cl.Pending()}
-	for _, c := range clients {
-		for _, v := range c.lat {
-			lat.Add(v)
-		}
-		pt.sentW += c.sentW
-		pt.respW += c.respW
-		pt.rxB += c.rxB
+	kp := kvPoint{servedTotals: pt.measure(p.Warmup, p.Window, p.Drain)}
+	kp.p50us, kp.p99us, kp.p999us = kp.lat.Median(), kp.lat.Percentile(99), kp.lat.Percentile(99.9)
+	for _, a := range kvs {
+		kp.activeConns += a.ConnCount()
+		kp.served += a.Requests
+		kp.hits += a.Hits
+		kp.misses += a.Misses
+		kp.stored += a.Stored
+		kp.replyBytes += a.ReplyBytes
+		kp.responses += a.Responses
+		kp.dropped += a.Dropped
+		kp.malformed += a.Malformed
 	}
-	pt.p50us, pt.p99us, pt.p999us = lat.Median(), lat.Percentile(99), lat.Percentile(99.9)
-	for i, a := range kvs {
-		pt.activeConns += a.ConnCount()
-		pt.served += a.Requests
-		pt.hits += a.Hits
-		pt.misses += a.Misses
-		pt.stored += a.Stored
-		pt.replyBytes += a.ReplyBytes
-		pt.responses += a.Responses
-		pt.dropped += a.Dropped
-		pt.malformed += a.Malformed
-		pt.fldRx = append(pt.fldRx, rts[i].FLD().Stats.RxPackets)
-	}
-	for _, port := range cl.Switch().Ports() {
-		pt.tailDrops += port.Counters.TailDrops
-	}
-	snap := reg.Snapshot()
-	pt.hash = snap.Hash()
-	pt.pcieMismatches = pcieMismatches(snap, "server", srv.Fab)
-	for _, h := range cl.Hosts {
-		pt.pcieMismatches += pcieMismatches(snap, h.Name(), h.Fab)
-	}
-	return pt
+	return kp
 }
 
 // KVServeTelemetryHash runs the serving point at the given worker count
-// and returns the final telemetry snapshot hash (fldbench's determinism
+// and returns the final telemetry snapshot hash (the determinism tests'
 // subject).
 func KVServeTelemetryHash(p KVServeParams, workers int) string {
 	return runKVServePoint(p, workers).hash
@@ -331,7 +219,7 @@ func KVServe(p KVServeParams) *Result {
 	pt := runKVServePoint(p, hw[0])
 
 	win := p.Window.Seconds()
-	reqRate := float64(pt.sentW) / win
+	reqRate := float64(pt.sent) / win
 	respGbps := float64(pt.rxB) * 8 / win / 1e9
 	hitRate := 0.0
 	if pt.hits+pt.misses > 0 {
@@ -352,8 +240,8 @@ func KVServe(p KVServeParams) *Result {
 
 	r.Check("population runs at paper scale", 1e5, float64(p.Connections), "conns",
 		p.Connections >= 1e5, fmt.Sprintf("%d active in the window", pt.activeConns))
-	r.Check("served responses track offered requests", float64(pt.sentW), float64(pt.respW),
-		"responses", pt.respW >= int64(0.9*float64(pt.sentW)) && pt.sentW > 0,
+	r.Check("served responses track offered requests", float64(pt.sent), float64(pt.rx),
+		"responses", pt.rx >= int64(0.9*float64(pt.sent)) && pt.sent > 0,
 		"open-loop window counts, >= 90%")
 	r.Check("p999 latency under the analytic envelope", m.P999BoundUs(rho), pt.p999us, "us",
 		pt.p999us > 0 && pt.p999us <= m.P999BoundUs(rho),
@@ -373,15 +261,7 @@ func KVServe(p KVServeParams) *Result {
 	r.Check("no credit-stall response drops", 0, float64(pt.dropped), "frames",
 		pt.dropped == 0, "")
 
-	hashes := []string{pt.hash}
-	hashOK := true
-	for _, w := range hw[1:] {
-		h := runKVServePoint(p, w).hash
-		hashes = append(hashes, h)
-		if h != pt.hash {
-			hashOK = false
-		}
-	}
+	hashOK := rig.SameHash(pt.hash, hw[1:], func(w int) string { return runKVServePoint(p, w).hash })
 	r.Check("telemetry hash identical across workers", float64(len(hw)), b2f(hashOK), "",
 		hashOK, fmt.Sprintf("workers %v, hash %s...", hw, pt.hash[:12]))
 	r.Check("PCIe byte counters reconcile on every node", 0, float64(pt.pcieMismatches),

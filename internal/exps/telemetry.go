@@ -5,34 +5,24 @@ import (
 
 	"flexdriver"
 	"flexdriver/internal/pcie"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/swdriver"
 )
 
-// sumCounters totals every counter whose path starts with prefix and
-// ends with suffix — used to aggregate per-queue metrics (sq3/doorbells,
-// sq7/doorbells, ...) without knowing queue IDs.
-func sumCounters(s flexdriver.Snapshot, prefix, suffix string) int64 {
-	return s.Sum(prefix, suffix)
-}
-
-// reconcilePCIe compares the telemetry byte counters of every port on a
-// fabric against the ports' own UpBytes/DownBytes accounting, which the
-// fabric maintains independently. Returns the number of mismatching
-// link directions and the two grand totals.
+// reconcilePCIe adds one row per fabric port comparing the telemetry byte
+// counters against the port's own UpBytes/DownBytes accounting, which
+// the fabric maintains independently. Returns the number of mismatching
+// ports and the two grand totals.
 func reconcilePCIe(r *Result, snap flexdriver.Snapshot, node string, fab *pcie.Fabric) (mismatches int, telTotal, portTotal int64) {
-	for _, p := range fab.Ports() {
-		dev := p.Device().PCIeName()
-		up := snap.Get(node + "/pcie/" + dev + "/up/bytes")
-		down := snap.Get(node + "/pcie/" + dev + "/down/bytes")
+	mismatches = rig.ReconcileFabric(snap, node, fab, func(dev string, up, portUp, down, portDown int64) {
 		status := "exact"
-		if up != p.UpBytes || down != p.DownBytes {
-			mismatches++
+		if up != portUp || down != portDown {
 			status = "MISMATCH"
 		}
-		r.AddRow(node+"/"+dev, d64(up), d64(p.UpBytes), d64(down), d64(p.DownBytes), status)
+		r.AddRow(node+"/"+dev, d64(up), d64(portUp), d64(down), d64(portDown), status)
 		telTotal += up + down
-		portTotal += p.UpBytes + p.DownBytes
-	}
+		portTotal += portUp + portDown
+	})
 	return mismatches, telTotal, portTotal
 }
 
@@ -88,19 +78,19 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 		name string
 		v    int64
 	}{
-		{"client SQ doorbells", sumCounters(snap, "client/swdriver/", "/tx/doorbells")},
-		{"client NIC WQE fetch reads", sumCounters(snap, "client/nic/", "/wqe_fetch_reads")},
-		{"client NIC WQEs fetched", sumCounters(snap, "client/nic/", "/wqe_fetched")},
-		{"client NIC CQEs", sumCounters(snap, "client/nic/", "/cqes")},
-		{"server eSwitch rule hits", sumCounters(snap, "server/nic/eswitch/", "/hits")},
-		{"server NIC CQEs", sumCounters(snap, "server/nic/", "/cqes")},
+		{"client SQ doorbells", snap.Sum("client/swdriver/", "/tx/doorbells")},
+		{"client NIC WQE fetch reads", snap.Sum("client/nic/", "/wqe_fetch_reads")},
+		{"client NIC WQEs fetched", snap.Sum("client/nic/", "/wqe_fetched")},
+		{"client NIC CQEs", snap.Sum("client/nic/", "/cqes")},
+		{"server eSwitch rule hits", snap.Sum("server/nic/eswitch/", "/hits")},
+		{"server NIC CQEs", snap.Sum("server/nic/", "/cqes")},
 		{"server FLD RQ doorbells", snap.Get("server/fld/doorbells/rq")},
 		{"server FLD MMIO WQEs", snap.Get("server/fld/doorbells/wqe_mmio")},
 		{"server FLD RX CQEs", snap.Get("server/fld/cqe/rx")},
 		{"server FLD TX CQEs", snap.Get("server/fld/cqe/tx")},
-		{"MemWr TLP segments (both nodes)", sumCounters(snap, "", "/memwr")},
-		{"MemRd TLP segments (both nodes)", sumCounters(snap, "", "/memrd")},
-		{"CplD TLP segments (both nodes)", sumCounters(snap, "", "/cpld")},
+		{"MemWr TLP segments (both nodes)", snap.Sum("", "/memwr")},
+		{"MemRd TLP segments (both nodes)", snap.Sum("", "/memrd")},
+		{"CplD TLP segments (both nodes)", snap.Sum("", "/cpld")},
 	}
 	allStages := true
 	for _, sg := range stages {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"flexdriver"
-	"flexdriver/internal/nic"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/swdriver"
 )
 
@@ -74,10 +74,9 @@ func Tenancy(seed int64, window flexdriver.Duration) *Result {
 
 	// Determinism: the full run — traffic, faults, drains, reconfigures —
 	// replays byte-identically under the parallel scheduler.
-	h1 := runTenancyPoint(seed, window, 1).telemHash
-	h4 := runTenancyPoint(seed, window, 4).telemHash
-	h8 := runTenancyPoint(seed, window, 8).telemHash
-	same := h1 == h4 && h4 == h8
+	hashAt := func(workers int) string { return runTenancyPoint(seed, window, workers).telemHash }
+	h1 := hashAt(1)
+	same := rig.SameHash(h1, []int{4, 8}, hashAt)
 	r.AddRow("telemetry hash (1 worker)", h1[:16]+"...", "", "", "", "")
 	r.Check("seq/par telemetry hashes identical (1/4/8 workers)", 1, b2f(same), "",
 		same, "reconcile + faults inside the deterministic schedule")
@@ -123,8 +122,7 @@ func tenancySpecV2() flexdriver.TenancySpec {
 func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenancyPoint {
 	const (
 		size   = 512
-		seqOff = 42 // Eth(14) + IPv4(20) + UDP(8)
-		tagOff = 50 // tenant tag rides after the 8-byte sequence
+		tagOff = seqOff + 8 // tenant tag rides after the 8-byte sequence
 		warmup = 50 * flexdriver.Microsecond
 		settle = 20 * flexdriver.Microsecond
 	)
@@ -144,58 +142,10 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 	cfg.Start, cfg.Stop = warmup, stopSend
 	plan := flexdriver.NewFaultPlan(seed, cfg)
 
-	reg := flexdriver.NewRegistry()
-	cl := flexdriver.NewCluster(
-		flexdriver.WithDriver(genDriverParams()),
-		flexdriver.WithTelemetry(reg),
-		flexdriver.WithFaults(plan),
-		flexdriver.WithWorkers(workers),
-	)
-
-	srv := cl.AddInnova("server")
-	tm := cl.ManageTenants(srv, seed)
-
-	// reSteer rebuilds the server's wire-ingress steering from the live,
-	// non-draining tenant set: one DstPort rule per tenant into its own
-	// runtimes' RQs. Runs only on the server's shard (provision and
-	// drain hooks fire inside reconciler events).
-	reSteer := func() {
-		esw := srv.NIC.ESwitch()
-		esw.ClearTable(0)
-		for i, name := range tenants {
-			if tm.Draining(name) {
-				continue
-			}
-			rts := tm.Runtimes(name)
-			if len(rts) == 0 {
-				continue
-			}
-			var rqs []*nic.RQ
-			for _, rt := range rts {
-				rqs = append(rqs, rt.RQ())
-			}
-			dp := ports[i]
-			esw.AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstPort: &dp},
-				Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-		}
-	}
-	provisioned := make(map[*flexdriver.Runtime]bool)
-	tm.SetProvision(func(name string, t flexdriver.TenantSpec, rts []*flexdriver.Runtime) {
-		for _, rt := range rts {
-			if provisioned[rt] {
-				continue // bandwidth-only re-slice: the data plane stands
-			}
-			provisioned[rt] = true
-			rt.CreateEthTxQueue(0, nil)
-			ecp := flexdriver.NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
-			installSwapEcho(rt.FLD())
-		}
-		reSteer()
-	})
-	tm.SetOnDrainChange(func(string) { reSteer() })
+	cl := rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithFaults(plan),
+		flexdriver.WithWorkers(workers))
+	srv := cl.ManageTenants("server", seed, tenants, ports,
+		func(_ string, f *flexdriver.FLD) { rig.InstallEcho(f) })
 	if err := cl.Apply(tenancySpecV1()); err != nil {
 		panic(err)
 	}
@@ -205,8 +155,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 	// cross-tenant leak, the thing the eSwitch domains must make
 	// impossible no matter what the steering tables say mid-reconfigure.
 	type tclient struct {
-		eng  *flexdriver.Engine
-		port *swdriver.EthPort
+		*rig.Client
 		// Phase accounting: receives before reconfigAt vs after the
 		// settle band; the band itself counts toward neither bound.
 		rx1B, rx2B int64
@@ -215,15 +164,10 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 	}
 	clients := make([]*tclient, len(tenants))
 	for i := range tenants {
-		h := cl.AddHost(fmt.Sprintf("client%s", tenants[i]))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &ip},
-			Action: flexdriver.Action{ToRQ: port.RQ()}})
-		c := &tclient{eng: h.Engine(), port: port}
+		c := &tclient{Client: cl.AddClient("client"+tenants[i], seqOff)}
+		eng := c.Host.Engine()
 		tag := byte('A' + i)
-		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
+		c.Port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
 			if len(fr) < tagOff+1 {
 				return
 			}
@@ -231,8 +175,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 				c.leaks++
 				return
 			}
-			now := c.eng.Now()
-			switch {
+			switch now := eng.Now(); {
 			case now >= warmup && now < reconfigAt:
 				c.rx1++
 				c.rx1B += int64(len(fr))
@@ -245,39 +188,20 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 
 		// 5 Gbit/s offered per tenant: above A's cap (the shaper must
 		// bind), comfortably inside each core's echo capacity.
-		base := clusterFrame(h.NIC, srv.NIC, 4000+uint16(i), ports[i], size)
+		base := rig.UDPFrame(c.Host.NIC, srv.NIC, 4000+uint16(i), ports[i], size)
 		base[tagOff] = tag
-		interval := flexdriver.Duration(float64(size*8) / 5e9 * float64(flexdriver.Second))
+		c.Flows = [][]byte{base}
 		startAt := warmup
 		if tenants[i] == "C" {
 			startAt = reconfigAt
 		}
-		var sent int64
-		var tick func()
-		tick = func() {
-			if c.eng.Now() >= stopSend {
-				return
-			}
-			f := append([]byte(nil), base...)
-			seq := sent
-			for bi := 7; bi >= 0; bi-- {
-				f[seqOff+bi] = byte(seq)
-				seq >>= 8
-			}
-			sent++
-			c.port.Send(f)
-			c.eng.After(interval, tick)
-		}
-		c.eng.At(startAt, tick)
+		rig.OpenLoop(eng, startAt, stopSend, 1,
+			rig.Every(flexdriver.Duration(float64(size*8)/5e9*float64(flexdriver.Second))), c.Send)
 	}
 
 	// Pin every MAC so nothing floods: a flooded reply reaching the wrong
 	// client would read as a leak when it is only switch behavior.
-	sw := cl.Switch()
-	for _, h := range cl.Hosts {
-		sw.Program(h.NIC.MAC, cl.PortOf(h.NIC))
-	}
-	sw.Program(srv.NIC.MAC, cl.PortOf(srv.NIC))
+	cl.PinFDB()
 
 	// Spec v2 lands mid-traffic as a cluster-wide barrier action.
 	cl.Control(reconfigAt, func() {
@@ -285,35 +209,8 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 			panic(err)
 		}
 	})
-
-	// Watchdog: scan every tenant runtime for silently-errored queues
-	// (crashed cores cannot DMA their announcing CQEs) and re-kick the
-	// reconciler in case an episode was abandoned mid-storm.
-	var watchdog func()
-	watchdog = func() {
-		srv.RT.Recover()
-		for _, name := range tenants {
-			for _, rt := range tm.Runtimes(name) {
-				rt.Recover()
-			}
-		}
-		tm.Reconciler().Kick()
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*flexdriver.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
-
-	cl.RunUntil(deadline)
-	cl.Run()
-	srv.RT.Recover()
-	for _, name := range tenants {
-		for _, rt := range tm.Runtimes(name) {
-			rt.Recover()
-		}
-	}
-	tm.Reconciler().Kick()
-	cl.Run()
+	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, srv.Recover)
+	cl.Quiesce(deadline, srv.Recover)
 
 	phase1 := (reconfigAt - warmup).Seconds()
 	phase2 := (stopSend - reconfigAt - settle).Seconds()
@@ -324,22 +221,18 @@ func runTenancyPoint(seed int64, window flexdriver.Duration, workers int) tenanc
 		bRx2:      clients[1].rx2,
 		cRx:       clients[2].rx2,
 		fldResets: plan.Injected.FLDResets,
-		converged: tm.Reconciler().Converged(),
-		version:   int64(tm.Reconciler().Version()),
+		converged: srv.TM.Reconciler().Converged(),
+		version:   int64(srv.TM.Reconciler().Version()),
 		pending:   cl.Pending(),
 	}
 	for _, c := range clients {
 		pt.leaks += c.leaks
 	}
 	pt.queuesReady = true
-	for _, name := range tenants {
-		for _, rt := range tm.Runtimes(name) {
-			if !rt.QueuesReady() {
-				pt.queuesReady = false
-			}
-		}
-	}
-	snap := reg.Snapshot()
+	srv.EachRuntime(func(_ string, _ int, rt *flexdriver.Runtime) {
+		pt.queuesReady = pt.queuesReady && rt.QueuesReady()
+	})
+	snap := cl.Telemetry().Snapshot()
 	pt.crossDomainDrops = snap.Get("server/nic/drops/cross-domain")
 	pt.drains = snap.Get("server/ctrlplane/drains")
 	pt.drainMaxUs = float64(snap.Gauges["server/ctrlplane/drain_max"].High) / 1e6

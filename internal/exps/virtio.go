@@ -6,6 +6,7 @@ import (
 	"flexdriver/internal/fldvirtio"
 	"flexdriver/internal/hostmem"
 	"flexdriver/internal/pcie"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/virtio"
 )
 
@@ -47,12 +48,8 @@ func VirtioEchoGoodput(size int, offeredGbps float64, window flexdriver.Duration
 	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
 	warmup := 150 * flexdriver.Microsecond
 	deadline := warmup + window + 100*flexdriver.Microsecond
-	paceSends(eng, interval, deadline, func() { client.Send(frame) })
-	eng.RunUntil(warmup)
-	measuring = true
-	eng.RunUntil(warmup + window)
-	measuring = false
-	eng.RunUntil(deadline)
+	rig.OpenLoop(eng, 0, deadline, 1, rig.Every(interval), func() { client.Send(frame) })
+	rig.Window(eng, warmup, window, deadline-warmup-window, &measuring)
 	return float64(rxBytes) * 8 / window.Seconds() / 1e9
 }
 

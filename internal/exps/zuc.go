@@ -6,6 +6,8 @@ import (
 	"flexdriver"
 	"flexdriver/internal/accel/zuc"
 	"flexdriver/internal/perfmodel"
+	"flexdriver/internal/rig"
+	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 )
 
@@ -57,7 +59,7 @@ func zucThroughputAt(size int, window flexdriver.Duration) float64 {
 	count := uint32(0)
 	warmup := 150 * flexdriver.Microsecond
 	deadline := warmup + window + 150*flexdriver.Microsecond
-	paceSends(rp.Engine(), interval, deadline, func() {
+	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() {
 		count++
 		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: count, Data: data,
 			Done: func(o *zuc.Op) {
@@ -66,11 +68,7 @@ func zucThroughputAt(size int, window flexdriver.Duration) float64 {
 				}
 			}})
 	})
-	rp.RunUntil(warmup)
-	measuring = true
-	rp.RunUntil(warmup + window)
-	measuring = false
-	rp.RunUntil(deadline)
+	rig.Window(rp, warmup, window, deadline-warmup-window, &measuring)
 	return float64(doneBytes) * 8 / window.Seconds() / 1e9
 }
 
@@ -177,7 +175,7 @@ func zucLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99
 	var lat stats.Sample
 	var bytes int64
 	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := newRand(3)
+	rng := sim.NewRand(3)
 	sent := 0
 	t0 := rp.Engine().Now()
 	var tick func()

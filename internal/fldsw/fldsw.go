@@ -403,3 +403,14 @@ func (r *Runtime) Drained() bool {
 
 // Start arms the receive path.
 func (r *Runtime) Start() { r.fld.Start() }
+
+// StartEth brings the core up as a plain Ethernet sender: transmit queue
+// 0, untagged accelerator egress straight to the wire, receive path
+// armed. The returned control plane takes any further FLD-E rules.
+func (r *Runtime) StartEth() *EControlPlane {
+	r.CreateEthTxQueue(0, nil)
+	ecp := NewEControlPlane(r)
+	ecp.InstallDefaultEgressToWire()
+	r.Start()
+	return ecp
+}

@@ -183,6 +183,17 @@ func (h UDP) Marshal(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, 0)
 }
 
+// BuildUDP assembles a whole Eth+IPv4+UDP frame around payload; eth's
+// EtherType is set to IPv4.
+func BuildUDP(eth Eth, src, dst IP, sport, dport uint16, payload []byte) []byte {
+	eth.EtherType = EtherTypeIPv4
+	udpLen := UDPHeaderLen + len(payload)
+	b := eth.Marshal(make([]byte, 0, EthHeaderLen+IPv4HeaderLen+udpLen))
+	b = IPv4{TotalLen: uint16(IPv4HeaderLen + udpLen), Proto: ProtoUDP, Src: src, Dst: dst}.Marshal(b)
+	b = UDP{SrcPort: sport, DstPort: dport, Length: uint16(udpLen)}.Marshal(b)
+	return append(b, payload...)
+}
+
 // ParseUDP decodes a UDP header and returns it with the payload.
 func ParseUDP(b []byte) (UDP, []byte, error) {
 	if len(b) < UDPHeaderLen {

@@ -4,14 +4,9 @@ import (
 	"fmt"
 
 	"flexdriver"
-	"flexdriver/internal/accel/kv"
 	"flexdriver/internal/faults"
-	"flexdriver/internal/netpkt"
-	"flexdriver/internal/nic"
-	"flexdriver/internal/rpc"
+	"flexdriver/internal/rig"
 	"flexdriver/internal/sim"
-	"flexdriver/internal/swdriver"
-	"flexdriver/internal/tcp"
 )
 
 // Phasing shared by every scenario: clean warmup (queues settle, no
@@ -20,25 +15,8 @@ import (
 const (
 	warmup = 20 * sim.Microsecond
 	drain  = 60 * sim.Microsecond
-	// seqOff is where the 8-byte send ordinal lives in a delivered echo
-	// frame: Eth(14) + IPv4(20) + UDP(8).
-	seqOff = 42
-	// vxlanOuter is the encapsulation overhead in front of the inner
-	// frame: outer Eth(14) + IPv4(20) + UDP(8) + VXLAN(8).
-	vxlanOuter = 50
-	// flowsPerClient is each client's flow-set size (sport/size variety
-	// for RSS spread).
-	flowsPerClient = 6
-	// tcpStampOff is the ordinal's home in a TCP-framed echo frame: the
-	// first payload bytes behind Eth(14) + IPv4(20) + TCP(20).
-	tcpStampOff = tcp.FrameOverhead
-	// rpcStampOff is the ordinal's home on the rpc path: the RPC
-	// correlation ID inside the frame header, which the kv server echoes
-	// into its response.
-	rpcStampOff = tcp.FrameOverhead + rpc.IDOffset
-	// rpcFrameMin is the smallest rpc request the flow builder emits:
-	// headers plus an 8-byte key and room for a value.
-	rpcFrameMin = 96
+	// watchdogEvery is the cadence an OS driver's health check would run at.
+	watchdogEvery = 20 * sim.Microsecond
 )
 
 // Violation is one failed global invariant.
@@ -79,293 +57,84 @@ func (r *Result) Violated(invariant string) bool {
 	return false
 }
 
-// client is one echo client's bookkeeping.
-type client struct {
-	host      *flexdriver.Host
-	port      *swdriver.EthPort
-	frames    [][]byte
-	sent      int64
-	delivered int64
-	recv      map[int64]int64
-	ghosts    int64
-	short     int64
-	// leaks counts replies carrying a foreign tenant's UDP source port
-	// (tenant scenarios only; the zero-tolerance isolation invariant).
-	leaks int64
+// part is one self-contained element of a scenario — a server data path,
+// the echo clients, a transport sidecar. A part owns its nodes, its load,
+// its recovery sweep, its tallies and the invariants only it can judge;
+// Run is the fixed skeleton that calls the five stages in order. Adding a
+// protocol or a sidecar is a new file implementing part (or, for a client
+// framing, a new framing value in server_flat.go), not an edit to Run.
+type part interface {
+	// build racks the part's nodes and wires its handlers. Parts build in
+	// partsFor's order, which fixes shard, switch-port and address
+	// assignment.
+	build(rn *run)
+	// start schedules the part's open-loop load and timed controls.
+	start(rn *run)
+	// sweep is the part's share of one watchdog pass: polls and queue
+	// scans for errors whose announcing CQE was itself lost. It runs
+	// inside a cluster Control, so it may touch any node.
+	sweep()
+	// gather folds the part's tallies into the result and excuses the
+	// losses and duplicates it can give a reason for.
+	gather(rn *run, j *judgement)
+	// check judges the invariants only this part can state.
+	check(rn *run, j *judgement)
 }
 
-// tenantBasePort numbers tenant T<i>'s service port tenantBasePort+i.
-// Clients bind to tenants round-robin and every reply's source port
-// must name the client's own tenant.
-const tenantBasePort = 7801
-
-// tenantRun is the managed-mode counterpart of the flat server data
-// path: the node's TenantManager plus the tenant naming the clients,
-// the watchdog and the invariants key off.
-type tenantRun struct {
-	tm    *flexdriver.TenantManager
-	names []string
-	ports []uint16
+// run is the ground the parts of one scenario share.
+type run struct {
+	*rig.Rig
+	spec Spec
+	plan *faults.Plan // nil without a fault spec
+	stop sim.Time     // open-loop sources send nothing from here on
+	// clients is the echo-client part, which the server parts' reply
+	// screens tally into (per client, so no shard shares a counter).
+	clients *echoClients
 }
 
-// port returns the service port of client ci's tenant.
-func (t *tenantRun) port(ci int) uint16 { return t.ports[ci%len(t.ports)] }
-
-// recover sweeps every tenant runtime for silently-errored queues or an
-// unresynced crash and re-kicks the reconciler in case an episode was
-// abandoned mid-storm. Tenant order (not map order) keeps the sweep
-// deterministic.
-func (t *tenantRun) recover() {
-	for _, name := range t.names {
-		for _, rt := range t.tm.Runtimes(name) {
-			rt.Recover()
-		}
-	}
-	t.tm.Reconciler().Kick()
+// judgement is what gather fills and check reads: the result, the final
+// snapshot, and the conservation budgets.
+type judgement struct {
+	res  *Result
+	snap flexdriver.Snapshot
+	// lossBudget and dupBudget are the losses and duplicate deliveries
+	// some layer recorded with a reason; excuses itemises the former for
+	// the violation message.
+	lossBudget, dupBudget int64
+	excuses               []excuse
 }
 
-// tenancyDesired builds the version-v desired state: one single-core VF
-// slice per tenant, quotas sized to the runtime's fixed footprint (2
-// CQs + the RQ) plus the one echo tx queue. Version 1 alternates DRR
-// weights 1/2 across tenants; version 2 flips them — a bandwidth-only
-// reshape the reconciler still applies through a live drain →
-// reconfigure → undrain episode per tenant.
-func tenancyDesired(s Spec, version int) flexdriver.TenancySpec {
-	spec := flexdriver.TenancySpec{Version: version}
-	for i := 0; i < s.Tenants; i++ {
-		w := 1 + i%2
-		if version >= 2 {
-			w = 2 - i%2
-		}
-		spec.Tenants = append(spec.Tenants, flexdriver.TenantSpec{
-			Name: fmt.Sprintf("T%d", i), VFs: 1, Cores: 1, SQs: 1, RQs: 1, CQs: 2, Weight: w})
-	}
-	return spec
+type excuse struct {
+	reason string
+	n      int64
 }
 
-// setupTenants puts the server under control-plane management and
-// applies the version-1 spec. Wire ingress is steered per tenant by
-// destination port into the tenant's own RQs; the provision hook
-// re-installs each runtime's echo path after every (re)build, and the
-// drain hook rebuilds steering so a draining tenant stops receiving new
-// frames (eSwitch-missed frames count as reasoned drops, and the cutoff
-// is what lets a drain complete under open-loop load).
-func setupTenants(cl *flexdriver.Cluster, srv *flexdriver.Innova, s Spec, echoSendFails *int64) *tenantRun {
-	t := &tenantRun{tm: cl.ManageTenants(srv, s.Seed)}
-	for i := 0; i < s.Tenants; i++ {
-		t.names = append(t.names, fmt.Sprintf("T%d", i))
-		t.ports = append(t.ports, tenantBasePort+uint16(i))
-	}
-	reSteer := func() {
-		esw := srv.NIC.ESwitch()
-		esw.ClearTable(0)
-		for i, name := range t.names {
-			if t.tm.Draining(name) {
-				continue
-			}
-			rts := t.tm.Runtimes(name)
-			if len(rts) == 0 {
-				continue
-			}
-			var rqs []*nic.RQ
-			for _, rt := range rts {
-				rqs = append(rqs, rt.RQ())
-			}
-			dp := t.ports[i]
-			esw.AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstPort: &dp},
-				Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-		}
-	}
-	provisioned := make(map[*flexdriver.Runtime]bool)
-	var t0Echoed int64
-	t.tm.SetProvision(func(name string, _ flexdriver.TenantSpec, rts []*flexdriver.Runtime) {
-		for _, rt := range rts {
-			if provisioned[rt] {
-				continue // bandwidth-only re-slice: the data plane stands
-			}
-			provisioned[rt] = true
-			rt.CreateEthTxQueue(0, nil)
-			ecp := flexdriver.NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
-			f := rt.FLD()
-			plantPort := uint16(0)
-			if s.PlantLeakNth > 0 && name == t.names[0] {
-				plantPort = t.ports[1]
-			}
-			f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-				out := append([]byte(nil), data...)
-				swapEcho(out)
-				if plantPort != 0 {
-					if t0Echoed++; t0Echoed%s.PlantLeakNth == 0 {
-						// The planted defect: tenant 0's pipeline claims
-						// tenant 1's identity on the wire — the isolation
-						// violation the tenant-leak invariant must catch.
-						out[34], out[35] = byte(plantPort>>8), byte(plantPort)
-					}
-				}
-				if err := f.Send(0, out, md); err != nil {
-					*echoSendFails++
-				}
-			}))
-		}
-		reSteer()
-	})
-	t.tm.SetOnDrainChange(func(string) { reSteer() })
-	if err := cl.Apply(tenancyDesired(s, 1)); err != nil {
-		panic(err)
-	}
-	return t
+func (j *judgement) bad(invariant, format string, args ...any) {
+	j.res.Violations = append(j.res.Violations, Violation{invariant, fmt.Sprintf(format, args...)})
 }
 
-// udpFrame builds a UDP frame between two concrete NICs, sized to size
-// bytes on the wire (before any encapsulation).
-func udpFrame(src, dst *flexdriver.NIC, sport, dport uint16, size int) []byte {
-	n := size - netpkt.EthHeaderLen - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
-	payload := make([]byte, n)
-	udp := netpkt.UDP{SrcPort: sport, DstPort: dport, Length: uint16(netpkt.UDPHeaderLen + n)}
-	l4 := append(udp.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: src.IP, Dst: dst.IP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dst.MAC, Src: src.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
+// excuse adds n reasoned frame losses to the conservation budget.
+func (j *judgement) excuse(reason string, n int64) {
+	j.lossBudget += n
+	j.excuses = append(j.excuses, excuse{reason, n})
 }
 
-// vxlanWrap encapsulates inner in an outer Eth+IPv4+UDP(4789)+VXLAN
-// envelope between the same pair of NICs, the frame shape the server's
-// decap rule strips back to inner.
-func vxlanWrap(src, dst *flexdriver.NIC, osport uint16, inner []byte) []byte {
-	vx := append(netpkt.VXLAN{VNI: 42}.Marshal(nil), inner...)
-	udp := netpkt.UDP{SrcPort: osport, DstPort: netpkt.VXLANPort,
-		Length: uint16(netpkt.UDPHeaderLen + len(vx))}
-	l4 := append(udp.Marshal(nil), vx...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: src.IP, Dst: dst.IP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dst.MAC, Src: src.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
-}
-
-// swapEcho reverses a UDP frame in place — Ethernet addresses, IPv4
-// addresses, UDP ports — so the reply routes back through the switch to
-// the sender (pure swaps keep the IPv4 checksum valid).
-func swapEcho(f []byte) {
-	if len(f) < netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.UDPHeaderLen {
-		return
+// partsFor composes the scenario the spec describes: a server data path,
+// the echo clients talking to it, and the transport sidecars.
+func partsFor(rn *run) []part {
+	var srv server = &flatServer{}
+	if rn.spec.Tenants > 0 {
+		srv = &tenantServer{}
 	}
-	for i := 0; i < 6; i++ {
-		f[i], f[6+i] = f[6+i], f[i]
+	rn.clients = &echoClients{srv: srv}
+	parts := []part{srv, rn.clients}
+	if rn.spec.RDMA {
+		parts = append(parts, &rdmaSidecar{})
 	}
-	for i := 0; i < 4; i++ {
-		f[26+i], f[30+i] = f[30+i], f[26+i]
+	if rn.spec.Proto != "" {
+		parts = append(parts, &tcpSidecar{})
 	}
-	f[34], f[36] = f[36], f[34]
-	f[35], f[37] = f[37], f[35]
-}
-
-// stamp writes an 8-byte big-endian ordinal at off.
-func stamp(f []byte, off int, seq int64) {
-	for i := 7; i >= 0; i-- {
-		f[off+i] = byte(seq)
-		seq >>= 8
-	}
-}
-
-// unstamp reads the ordinal stamp back.
-func unstamp(f []byte, off int) int64 {
-	var seq int64
-	for i := 0; i < 8; i++ {
-		seq = seq<<8 | int64(f[off+i])
-	}
-	return seq
-}
-
-// rdmaPattern builds (and rdmaVerify checks) a sidecar message: the send
-// ordinal in the first 8 bytes, then an ordinal-keyed byte pattern, so a
-// delivered message proves byte-exact end-to-end transport.
-func rdmaPattern(seq int64, n int) []byte {
-	msg := make([]byte, n)
-	stamp(msg, 0, seq)
-	for i := 8; i < n; i++ {
-		msg[i] = byte(int64(i)*7 + seq)
-	}
-	return msg
-}
-
-func rdmaVerify(msg []byte) (seq int64, ok bool) {
-	if len(msg) < 8 {
-		return 0, false
-	}
-	seq = unstamp(msg, 0)
-	for i := 8; i < len(msg); i++ {
-		if msg[i] != byte(int64(i)*7+seq) {
-			return seq, false
-		}
-	}
-	return seq, true
-}
-
-// tcpEchoFrame builds a TCP-framed frame of size bytes on the wire whose
-// payload carries the send ordinal at tcpStampOff — the proto=tcp
-// workload shape. The sequence fields are inert (the server echoes by
-// header swap, it does not terminate the stream).
-func tcpEchoFrame(src, dst *flexdriver.NIC, sport, dport uint16, size int) []byte {
-	seg := tcp.Segment{SrcPort: sport, DstPort: dport,
-		Flags: tcp.FlagAck | tcp.FlagPsh, Window: 0xffff, Epoch: 1}
-	return tcp.BuildFrame(src.MAC, dst.MAC, src.IP, dst.IP, seg,
-		make([]byte, size-tcp.FrameOverhead))
-}
-
-// rpcReqFrame builds a TCP-framed RPC request of size bytes: an 8-byte
-// key naming the flow and a value filling the rest. Even flows PUT their
-// key, odd flows GET the preceding flow's key, so the kv stores see both
-// ops (hits once the PUT landed, misses before). OnSend stamps the
-// correlation ID at rpcStampOff.
-func rpcReqFrame(src, dst *flexdriver.NIC, sport, dport uint16, size, fi int) []byte {
-	if size < rpcFrameMin {
-		size = rpcFrameMin
-	}
-	op, keyFlow := uint8(rpc.OpPut), fi
-	if fi%2 == 1 {
-		op, keyFlow = rpc.OpGet, fi-1
-	}
-	key := make([]byte, 8)
-	k := uint64(sport)<<16 | uint64(keyFlow)
-	for i := 7; i >= 0; i-- {
-		key[i] = byte(k)
-		k >>= 8
-	}
-	val := make([]byte, size-tcp.FrameOverhead-rpc.HeaderLen-len(key))
-	for i := range val {
-		val[i] = byte(i*3 + fi)
-	}
-	seg := tcp.Segment{SrcPort: sport, DstPort: dport,
-		Flags: tcp.FlagAck | tcp.FlagPsh, Window: 0xffff, Epoch: 1}
-	return tcp.BuildFrame(src.MAC, dst.MAC, src.IP, dst.IP, seg,
-		rpc.Frame{Op: op, Key: key, Val: val}.Marshal(nil))
-}
-
-// tcpMsg builds (and tcpMsgVerify checks) one TCP-sidecar message: an
-// rpc-framed record whose ID is the send ordinal and whose value is an
-// ordinal-keyed byte pattern, so a decoded frame proves byte-exact
-// stream transport through retransmission and recovery.
-func tcpMsg(seq int64, n int) []byte {
-	v := make([]byte, n)
-	for i := range v {
-		v[i] = byte(int64(i)*7 + seq)
-	}
-	return rpc.Frame{Op: rpc.OpPut, ID: uint64(seq), Val: v}.Marshal(nil)
-}
-
-func tcpMsgVerify(f rpc.Frame) bool {
-	for i, b := range f.Val {
-		if b != byte(int64(i)*7+int64(f.ID)) {
-			return false
-		}
-	}
-	return true
+	return parts
 }
 
 // Run executes one scenario to quiescence and checks every global
@@ -374,9 +143,7 @@ func tcpMsgVerify(f rpc.Frame) bool {
 func Run(s Spec) *Result {
 	res := &Result{Spec: s}
 	window := sim.Duration(s.WindowUs) * sim.Microsecond
-
-	reg := flexdriver.NewRegistry()
-	opts := []flexdriver.Option{flexdriver.WithTelemetry(reg), flexdriver.WithWorkers(s.Workers)}
+	opts := []flexdriver.Option{flexdriver.WithWorkers(s.Workers)}
 	var plan *faults.Plan
 	if s.Faults != "" {
 		cfg, err := faults.ParseSpec(s.Faults)
@@ -391,502 +158,39 @@ func Run(s Spec) *Result {
 		plan = faults.NewPlan(s.Seed, cfg)
 		opts = append(opts, flexdriver.WithFaults(plan))
 	}
+	rn := &run{Rig: rig.New(opts...), spec: s, plan: plan, stop: warmup + window}
+	rn.SwitchRate(sim.BitRate(s.RateGbps) * sim.Gbps).SwitchQueueFrames(s.QueueFrames)
 
-	cl := flexdriver.NewCluster(opts...).
-		SwitchRate(sim.BitRate(s.RateGbps) * sim.Gbps).
-		SwitchQueueFrames(s.QueueFrames)
+	parts := partsFor(rn)
+	for _, p := range parts {
+		p.build(rn)
+	}
+	rn.PinFDB()
+	for _, p := range parts {
+		p.start(rn)
+	}
+	sweep := func() {
+		for _, p := range parts {
+			p.sweep()
+		}
+	}
+	deadline := rn.stop + drain
+	rn.Supervise(warmup, watchdogEvery, deadline, sweep)
+	rn.Quiesce(deadline, sweep)
 
-	// Server: one Innova. With Tenants set, the FLD cores and NIC queues
-	// are carved into per-tenant VF slices by the managed control plane;
-	// otherwise FLDCores cores sit behind one flat RSS TIR. Either way
-	// every core runs the header-swapping echo, and send failures (credit
-	// stalls under fault storms) are counted so open-loop loss stays
-	// accounted for.
-	srv := cl.AddInnova("server")
-	rts := []*flexdriver.Runtime{srv.RT}
-	var echoSendFails int64
-	var kvs []*kv.AFU // per-core key-value servers (proto=rpc only)
-	var tn *tenantRun
-	if s.Tenants > 0 {
-		tn = setupTenants(cl, srv, s, &echoSendFails)
-	} else {
-		for i := 1; i < s.FLDCores; i++ {
-			_, rt := srv.AddFLD(srv.FLD.Config())
-			rts = append(rts, rt)
-		}
-		var rqs []*nic.RQ
-		for _, rt := range rts {
-			rt.CreateEthTxQueue(0, nil)
-			ecp := flexdriver.NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
-			f := rt.FLD()
-			if s.Proto == "rpc" {
-				// The serving path: each core answers GET/PUT from its
-				// private store; its send failures and parse rejections
-				// join the loss budget like echo send failures do.
-				kvs = append(kvs, kv.New(f))
-			} else {
-				f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-					out := append([]byte(nil), data...)
-					swapEcho(out)
-					if err := f.Send(0, out, md); err != nil {
-						echoSendFails++
-					}
-				}))
-			}
-			rqs = append(rqs, rt.RQ())
-		}
-		if s.Path == "vxlan" {
-			vxport := uint16(netpkt.VXLANPort)
-			srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-				Match:  flexdriver.Match{DstPort: &vxport},
-				Action: flexdriver.Action{Decap: true, ToTIR: &nic.TIR{RQs: rqs}}})
-		} else {
-			srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-				Action: flexdriver.Action{ToTIR: &nic.TIR{RQs: rqs}}})
-		}
-	}
-
-	// Clients: per-client flow sets (random sports and sizes), sequence
-	// stamping for per-frame conservation, steering on own IP. The stamp
-	// rides at the *inner* offset on the VXLAN path, so replies (which
-	// come back decapped) always carry it at seqOff.
-	stampOff := seqOff
-	switch {
-	case s.Path == "vxlan":
-		stampOff = vxlanOuter + seqOff
-	case s.Proto == "tcp":
-		stampOff = tcpStampOff
-	case s.Proto == "rpc":
-		stampOff = rpcStampOff
-	}
-	// Replies carry the stamp where the request put it: decapped VXLAN
-	// frames at seqOff, TCP echoes at the payload offset, and rpc
-	// responses echo the correlation ID in their own header.
-	recvOff := seqOff
-	switch s.Proto {
-	case "tcp":
-		recvOff = tcpStampOff
-	case "rpc":
-		recvOff = rpcStampOff
-	}
-	stop := warmup + window
-
-	// hookRecv installs the reply-side bookkeeping shared by discrete and
-	// aggregated client hosts: short-frame and foreign-tenant screening,
-	// the planted-loss defect, and the per-ordinal conservation ledger.
-	hookRecv := func(c *client, myPort uint16) {
-		plant := s.PlantLossNth
-		c.port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
-			if len(fr) < recvOff+8 {
-				c.short++
-				return
-			}
-			if myPort != 0 && uint16(fr[34])<<8|uint16(fr[35]) != myPort {
-				c.leaks++
-			}
-			if s.Proto == "rpc" && fr[tcp.FrameOverhead+2] == rpc.StatusBadReq {
-				// A BadReq response carries no request ID; screening it
-				// keeps a rejected request out of the per-ordinal ledger
-				// (its loss is the server's Malformed count).
-				c.short++
-				return
-			}
-			c.delivered++
-			if plant > 0 && c.delivered%plant == 0 {
-				// The planted defect: a delivered frame vanishes before
-				// the bookkeeping — a drop with no drop reason anywhere.
-				return
-			}
-			seq := unstamp(fr, recvOff)
-			if seq < 0 || seq >= c.sent {
-				c.ghosts++
-				return
-			}
-			c.recv[seq]++
-		}
-	}
-
-	// clientFlows draws global client gi's flow set — sports and sizes off
-	// the client's own flow stream (Seed*7919+gi), built against the
-	// carrying host's NIC. Folding clients onto fewer hosts never
-	// reshuffles which flows a client owns, only which NIC carries them.
-	clientFlows := func(h *flexdriver.Host, gi int, dport uint16) (flows [][]byte, avgBits float64) {
-		frng := sim.NewRand(s.Seed*7919 + int64(gi))
-		for fi := 0; fi < flowsPerClient; fi++ {
-			sport := uint16(4000 + frng.Intn(20000))
-			size := s.FrameMin
-			if s.FrameMax > s.FrameMin {
-				size += frng.Intn(s.FrameMax - s.FrameMin + 1)
-			}
-			var f []byte
-			switch s.Proto {
-			case "tcp":
-				f = tcpEchoFrame(h.NIC, srv.NIC, sport, dport, size)
-			case "rpc":
-				f = rpcReqFrame(h.NIC, srv.NIC, sport, dport, size, fi)
-			default:
-				f = udpFrame(h.NIC, srv.NIC, sport, dport, size)
-				if s.Path == "vxlan" {
-					f = vxlanWrap(h.NIC, srv.NIC, sport, f)
-				}
-			}
-			flows = append(flows, f)
-			avgBits += float64(len(f) * 8)
-		}
-		return flows, avgBits / flowsPerClient
-	}
-
-	clients := make([]*client, 0, s.Clients)
-	if s.AggClients > 0 {
-		// Hundred-node mode: AggClients modeled clients fold onto AggHosts
-		// event-driven sources. Each client keeps the arrival stream
-		// (Seed*1000+gi) and flow stream it would own as a discrete host;
-		// conservation bookkeeping moves to host granularity — OnSend
-		// stamps the host-level ordinal, so the per-sequence ledger spans
-		// every client the host carries.
-		base := 0
-		for hi := 0; hi < s.AggHosts; hi++ {
-			k := s.AggClients / s.AggHosts
-			if hi < s.AggClients%s.AggHosts {
-				k++
-			}
-			b := base
-			base += k
-			c := &client{recv: make(map[int64]int64)}
-			src := cl.AddAggregatedClients(fmt.Sprintf("client%d", hi), flexdriver.AggregatedClientsConfig{
-				Clients:    k,
-				StreamSeed: s.Seed*1000 + int64(b),
-				Stop:       stop,
-				Setup: func(h *flexdriver.Host, ci int, rng *sim.Rand) flexdriver.ClientSetup {
-					flows, avgBits := clientFlows(h, b+ci, 7777)
-					set := flexdriver.ClientSetup{
-						Flows: flows,
-						Mean:  sim.Duration(avgBits / (s.PerClientGbps * 1e9) * float64(sim.Second)),
-					}
-					if s.Pattern == "bursty" {
-						set.Burst = 8 + rng.Intn(25)
-					}
-					return set
-				},
-				OnSend: func(_ int, f []byte) {
-					stamp(f, stampOff, c.sent)
-					c.sent++
-				},
-			})
-			c.host, c.port = src.Host, src.Port
-			hookRecv(c, 0)
-			clients = append(clients, c)
-		}
-	}
-	for ci := 0; s.AggClients == 0 && ci < s.Clients; ci++ {
-		h := cl.AddHost(fmt.Sprintf("client%d", ci))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, flexdriver.Rule{
-			Match:  flexdriver.Match{DstIP: &ip},
-			Action: flexdriver.Action{ToRQ: port.RQ()}})
-		c := &client{host: h, port: port, recv: make(map[int64]int64)}
-		// In tenant mode each client belongs to one tenant (round-robin)
-		// and addresses it by destination port; every reply's source port
-		// must then name that same tenant, or the reply leaked across an
-		// isolation domain.
-		dport, myPort := uint16(7777), uint16(0)
-		if tn != nil {
-			dport = tn.port(ci)
-			myPort = dport
-		}
-		c.frames, _ = clientFlows(h, ci, dport)
-		hookRecv(c, myPort)
-		clients = append(clients, c)
-	}
-
-	// Every host driver gets a supervision ladder, kicked from the same
-	// watchdog cadence an OS driver's health check would run at. The
-	// ladder is what turns a device/node crash (rings errored, process
-	// restarted, device FLRed) back into Ready queues; its seed stream is
-	// independent of the workload's so backoff jitter never perturbs
-	// traffic draws. RDMA hosts get one too, but with no reconnect hook —
-	// QP reconnection takes both shards, so it stays in the Control
-	// barrier below.
-	var sups []*swdriver.Supervisor
-	superviseHost := func(h *flexdriver.Host, ord int64) {
-		sup := flexdriver.NewSupervisor(h.Drv, s.Seed*8191+ord)
-		sup.SetTelemetry(reg.Scope(h.Name()).Scope("supervisor"))
-		sups = append(sups, sup)
-	}
-	for ci, c := range clients {
-		superviseHost(c.host, int64(ci))
-	}
-
-	// RDMA sidecar: a host pair on the same switch running a reliable
-	// message stream, so the go-back-N transport shares the fabric (and
-	// its faults) with the echo traffic. The receive callback runs on
-	// rdma1's shard while the send ordinal lives on rdma0's, so delivered
-	// ordinals are collected raw and judged against the final send count
-	// after the run — shards must not read each other's bookkeeping.
-	var epA, epB *swdriver.RDMAEndpoint
-	var rdmaSent, rdmaDelivered, rdmaBad int64
-	var rdmaSeqs []int64 // delivered ordinals, judged against rdmaSent post-run
-	rrng := sim.NewRand(s.Seed * 31337)
-	var rdmaEng *flexdriver.Engine
-	if s.RDMA {
-		ra := cl.AddHost("rdma0")
-		rb := cl.AddHost("rdma1")
-		rdmaEng = ra.Engine()
-		cfg := swdriver.RDMAConfig{SendEntries: 64, RecvEntries: 64, MaxMsgBytes: 32 << 10, MTU: 1024}
-		epA = ra.Drv.NewRDMAEndpoint(cfg)
-		epB = rb.Drv.NewRDMAEndpoint(cfg)
-		nic.ConnectQPs(epA.QP, epB.QP)
-		epB.OnMessage = func(data []byte) {
-			rdmaDelivered++
-			seq, ok := rdmaVerify(data)
-			if !ok {
-				rdmaBad++
-			}
-			rdmaSeqs = append(rdmaSeqs, seq)
-		}
-		superviseHost(ra, 100)
-		superviseHost(rb, 101)
-	}
-
-	// TCP sidecar: with any Proto set, a host pair runs the reliable
-	// byte-stream transport (internal/tcp) with rpc-framed messages over
-	// the same switch and fault plan — the go-back-N counterpart of the
-	// RDMA sidecar, exercising retransmission, zero-window handling and
-	// the retry-exceeded -> reconnect escalation under the full fault
-	// mix. Delivered IDs are collected raw and judged post-run for the
-	// same shard-discipline reason as the RDMA ordinals. The modest
-	// stream window makes a stalled connection overflow into queued
-	// (flushable) messages quickly — what the planted ack-drop defect
-	// needs to surface as lost deliveries.
-	var tepA, tepB *swdriver.TCPEndpoint
-	var tcpSent, tcpDelivered, tcpBad int64
-	var tcpSeqs []int64
-	var tdec rpc.Decoder
-	trng := sim.NewRand(s.Seed * 52711)
-	var tcpEng *flexdriver.Engine
-	if s.Proto != "" {
-		ta := cl.AddHost("tcp0")
-		tb := cl.AddHost("tcp1")
-		tcpEng = ta.Engine()
-		mk := func(sport, dport uint16) tcp.Config {
-			return tcp.Config{SrcPort: sport, DstPort: dport, Window: 8192}
-		}
-		tepA = ta.Drv.NewTCPEndpoint(swdriver.TCPConfig{Conn: mk(9100, 9101)})
-		tepB = tb.Drv.NewTCPEndpoint(swdriver.TCPConfig{Conn: mk(9101, 9100)})
-		tepA.DropAcksAfterN = s.PlantAckDropNth
-		tepB.Conn.OnDeliver = func(p []byte) {
-			for _, fr := range tdec.Feed(p) {
-				tcpDelivered++
-				if !tcpMsgVerify(fr) {
-					tcpBad++
-				}
-				tcpSeqs = append(tcpSeqs, int64(fr.ID))
-			}
-			tepB.Conn.Consume(len(p))
-		}
-		// A reconnect starts a fresh stream incarnation; the decoder must
-		// drop its partial frame or it would splice bytes across epochs.
-		tepB.OnReconnect = func() { tdec.Reset() }
-		swdriver.ConnectTCPEndpoints(tepA, tepB)
-		superviseHost(ta, 102)
-		superviseHost(tb, 103)
-	}
-
-	// The FDB is programmed statically (every MAC pinned to its port) so
-	// no frame ever floods to a foreign NIC: per-sequence conservation
-	// then has no benign flood copies to excuse.
-	sw := cl.Switch()
-	for _, h := range cl.Hosts {
-		sw.Program(h.NIC.MAC, cl.PortOf(h.NIC))
-	}
-	for _, inn := range cl.Innovas {
-		sw.Program(inn.NIC.MAC, cl.PortOf(inn.NIC))
-	}
-
-	// Spec v2 (flipped DRR weights) lands mid-window as a cluster-wide
-	// barrier action, so the reconciler drains and reshapes every tenant
-	// while traffic and the fault plan are live.
-	if tn != nil && s.Reconfig {
-		cl.Control(warmup+window/2, func() {
-			if err := cl.Apply(tenancyDesired(s, 2)); err != nil {
-				panic(err)
-			}
-		})
-	}
-
-	// Open-loop load: Poisson clients draw i.i.d. exponential gaps;
-	// bursty clients send fixed back-to-back trains at the same mean
-	// rate, stressing the switch queues and RQ refill paths. Aggregated
-	// hosts drive themselves (the source scheduled every client's first
-	// tick at construction), so the loop is empty in hundred-node mode.
-	for ci, c := range clients {
-		if s.AggClients > 0 {
-			break
-		}
-		rng := sim.NewRand(s.Seed*1000 + int64(ci))
-		var avgBits float64
-		for _, f := range c.frames {
-			avgBits += float64(len(f) * 8)
-		}
-		avgBits /= float64(len(c.frames))
-		mean := sim.Duration(avgBits / (s.PerClientGbps * 1e9) * float64(sim.Second))
-		burst := 1
-		if s.Pattern == "bursty" {
-			burst = 8 + rng.Intn(25)
-		}
-		gap := mean * sim.Duration(burst)
-		c := c
-		ceng := c.host.Engine()
-		var tick func()
-		tick = func() {
-			if ceng.Now() >= stop {
-				return
-			}
-			for b := 0; b < burst; b++ {
-				f := append([]byte(nil), c.frames[int(c.sent)%len(c.frames)]...)
-				stamp(f, stampOff, c.sent)
-				c.sent++
-				c.port.Send(f)
-			}
-			ceng.After(rng.Exp(gap), tick)
-		}
-		ceng.After(rng.Exp(gap), tick)
-	}
-	if s.RDMA {
-		msgBytes := 1024 << rrng.Intn(3) // 1, 2 or 4 KiB messages
-		interval := sim.Duration(float64(msgBytes*8) / 1.5e9 * float64(sim.Second))
-		var mtick func()
-		mtick = func() {
-			if rdmaEng.Now() >= stop {
-				return
-			}
-			epA.Send(rdmaPattern(rdmaSent, msgBytes))
-			rdmaSent++
-			rdmaEng.After(rrng.Exp(interval), mtick)
-		}
-		rdmaEng.After(rrng.Exp(interval), mtick)
-	}
-	if s.Proto != "" {
-		valBytes := 64 << trng.Intn(3) // 64, 128 or 256 B values
-		interval := sim.Duration(float64((valBytes+16)*8) / 1.5e9 * float64(sim.Second))
-		var ttick func()
-		ttick = func() {
-			if tcpEng.Now() >= stop {
-				return
-			}
-			tepA.Send(tcpMsg(tcpSent, valBytes))
-			tcpSent++
-			tcpEng.After(trng.Exp(interval), ttick)
-		}
-		tcpEng.After(trng.Exp(interval), ttick)
-	}
-
-	// Watchdog: poll-mode drivers and the FLD runtimes notice Error-state
-	// queues even when the CQE announcing the error was itself lost; a QP
-	// pair stuck in Error is reconnected (modify-QP cycle). It sweeps
-	// every node, so it runs as a cluster control: all shards quiesced
-	// and advanced to the tick before it touches their queues.
-	deadline := stop + drain
-	recoverAll := func() {
-		for _, sup := range sups {
-			sup.Kick()
-		}
-		for _, c := range clients {
-			c.port.Poll()
-		}
-		for _, rt := range rts {
-			rt.Recover()
-		}
-		if tn != nil {
-			tn.recover()
-		}
-		if epA != nil {
-			epA.Poll()
-			epB.Poll()
-			if epA.QP.State() != nic.QueueReady || epB.QP.State() != nic.QueueReady {
-				swdriver.ReconnectEndpoints(epA, epB)
-			}
-		}
-		if tepA != nil {
-			tepA.Poll()
-			tepB.Poll()
-			if tepA.Conn.State() == tcp.StateError || tepB.Conn.State() == tcp.StateError {
-				swdriver.ReconnectTCPEndpoints(tepA, tepB)
-			}
-		}
-	}
-	var watchdog func()
-	watchdog = func() {
-		recoverAll()
-		if cl.Now() < deadline {
-			cl.Control(cl.Now()+20*sim.Microsecond, watchdog)
-		}
-	}
-	cl.Control(warmup, watchdog)
-
-	cl.RunUntil(deadline)
-	// Quiesce: drain in-flight work, give recovery one final pass in
-	// case an error surfaced after the watchdog's last tick, and drain
-	// whatever that pass scheduled.
-	cl.Run()
-	recoverAll()
-	cl.Run()
-
-	// --- gather ---------------------------------------------------------
-	for _, c := range clients {
-		res.Sent += c.sent
-		for seq := int64(0); seq < c.sent; seq++ {
-			switch n := c.recv[seq]; {
-			case n == 0:
-				res.Lost++
-			case n > 1:
-				res.Dups += n - 1
-			}
-		}
-	}
+	j := &judgement{res: res, snap: rn.Telemetry().Snapshot()}
+	res.Hash = j.snap.Hash()
 	if plan != nil {
 		res.Injected = plan.Injected
 	}
-	for _, p := range sw.Ports() {
-		res.TailDrops += p.Counters.TailDrops
+	res.TailDrops = rn.TailDrops()
+	for _, p := range parts {
+		p.gather(rn, j)
 	}
-	res.RDMASent, res.RDMADelivered = rdmaSent, rdmaDelivered
-	// A ghost is an ordinal the sender never issued. rdmaSent only grows,
-	// so judging against its final value post-run is equivalent to the
-	// at-delivery check without reading across shards mid-run.
-	var rdmaGhosts int64
-	for _, seq := range rdmaSeqs {
-		if seq < 0 || seq >= rdmaSent {
-			rdmaGhosts++
-		}
+	checkCluster(rn, j)
+	for _, p := range parts {
+		p.check(rn, j)
 	}
-	res.TCPSent, res.TCPDelivered = tcpSent, tcpDelivered
-	var tcpGhosts int64
-	for _, seq := range tcpSeqs {
-		if seq < 0 || seq >= tcpSent {
-			tcpGhosts++
-		}
-	}
-	// The kv servers' reasoned losses (credit-stall drops, parse
-	// rejections) join the conservation budget like echo send failures.
-	var kvDrops, kvMalformed int64
-	for _, a := range kvs {
-		kvDrops += a.Dropped
-		kvMalformed += a.Malformed
-	}
-
-	checkInvariants(res, &runState{
-		spec: s, cl: cl, reg: reg, plan: plan, rts: rts, tn: tn,
-		clients: clients, sups: sups, epA: epA, epB: epB,
-		rdmaBad: rdmaBad, rdmaGhosts: rdmaGhosts,
-		echoSendFails: echoSendFails,
-		tepA: tepA, tepB: tepB,
-		tcpBad: tcpBad, tcpGhosts: tcpGhosts,
-		kvDrops: kvDrops, kvMalformed: kvMalformed,
-	})
 	return res
 }
 

@@ -281,6 +281,18 @@ type EthPortConfig struct {
 	Shaper *sim.TokenBucket
 }
 
+// NewClientPort is NewEthPort plus the steering an addressed endpoint
+// needs: wire ingress for the NIC's own IP lands in the port's RQ, so
+// frames flooded towards other nodes miss.
+func (d *Driver) NewClientPort(cfg EthPortConfig) *EthPort {
+	p := d.NewEthPort(cfg)
+	ip := d.nic.IP
+	d.nic.ESwitch().AddRule(0, nic.Rule{
+		Match:  nic.Match{DstIP: &ip},
+		Action: nic.Action{ToRQ: p.RQ()}})
+	return p
+}
+
 // NewEthPort allocates rings and buffers in host memory and programs the
 // NIC queues. When cfg.VPort is nil a fresh vport is allocated with a
 // default to-wire egress rule.

@@ -2,7 +2,6 @@ package swdriver
 
 import (
 	"flexdriver/internal/netpkt"
-	"flexdriver/internal/nic"
 	"flexdriver/internal/tcp"
 )
 
@@ -53,11 +52,7 @@ func (d *Driver) NewTCPEndpoint(cfg TCPConfig) *TCPEndpoint {
 		cfg.RxEntries = 512
 	}
 	e := &TCPEndpoint{drv: d}
-	e.port = d.NewEthPort(EthPortConfig{TxEntries: cfg.TxEntries, RxEntries: cfg.RxEntries})
-	ip := d.nic.IP
-	d.nic.ESwitch().AddRule(0, nic.Rule{
-		Match:  nic.Match{DstIP: &ip},
-		Action: nic.Action{ToRQ: e.port.RQ()}})
+	e.port = d.NewClientPort(EthPortConfig{TxEntries: cfg.TxEntries, RxEntries: cfg.RxEntries})
 	e.Conn = tcp.New(d.eng, cfg.Conn)
 	e.Conn.Transmit = func(seg tcp.Segment, payload []byte) {
 		e.port.Send(tcp.BuildFrame(d.nic.MAC, e.remoteMAC, d.nic.IP, e.remoteIP, seg, payload))

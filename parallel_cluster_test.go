@@ -29,9 +29,7 @@ func runPingCluster(t *testing.T, n, workers, perHost int, zeroLookahead bool) (
 	recv := make([]int, n)
 	for i := 0; i < n; i++ {
 		h := cl.AddHost(fmt.Sprintf("host%d", i))
-		port := h.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
-		ip := h.NIC.IP
-		h.NIC.ESwitch().AddRule(0, Rule{Match: Match{DstIP: &ip}, Action: Action{ToRQ: port.RQ()}})
+		port := h.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
 		i := i
 		port.OnReceive = func([]byte, swdriver.RxMeta) { recv[i]++ }
 		hosts[i], ports[i] = h, port

@@ -63,11 +63,8 @@ func TestMultiFLDCoreScaling(t *testing.T) {
 	single := func() float64 {
 		rp := NewRemotePair(WithDriver(genPrm), WithFLD(cfg))
 		srv := rp.Server
-		srv.RT.CreateEthTxQueue(0, nil)
-		ecp := NewEControlPlane(srv.RT)
-		ecp.InstallDefaultEgressToWire()
+		srv.RT.StartEth()
 		srv.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: srv.RT.RQ()}})
-		srv.RT.Start()
 		echo.New(srv.FLD)
 		port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 		rp.Client.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: port.RQ()}})
@@ -80,10 +77,7 @@ func TestMultiFLDCoreScaling(t *testing.T) {
 		// Core 1 is the built-in one; core 2 is added on the same FPGA.
 		_, rt2 := srv.AddFLD(cfg)
 		for _, rt := range []*Runtime{srv.RT, rt2} {
-			rt.CreateEthTxQueue(0, nil)
-			ecp := NewEControlPlane(rt)
-			ecp.InstallDefaultEgressToWire()
-			rt.Start()
+			rt.StartEth()
 			echo.New(rt.FLD())
 		}
 		// RSS spreads flows across the two cores' receive queues.
@@ -109,11 +103,8 @@ func TestMultiFLDCoreScaling(t *testing.T) {
 func TestConnectX6DxPortability(t *testing.T) {
 	rp := NewRemotePair(WithNIC(nic.ConnectX6DxParams()))
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	afu := echo.New(srv.FLD)
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
 	rp.Client.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: port.RQ()}})

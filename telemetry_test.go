@@ -17,11 +17,8 @@ func telemetryEchoBed(t *testing.T, reg *Registry) (*RemotePair, *swdriver.EthPo
 	t.Helper()
 	rp := NewRemotePair(WithTelemetry(reg))
 	srv := rp.Server
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	echo.New(srv.FLD)
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})

@@ -52,10 +52,10 @@ type Options struct {
 	// engine instead of one shard each. With no cross-shard conduits the
 	// group runs the single shard straight to each deadline — no windows,
 	// no barriers — making this the monolithic-engine baseline that
-	// scheduler-overhead measurements (fldbench cluster_scaling vs
-	// cluster_par1) compare against. Same-instant event interleaving
-	// across nodes differs from the sharded schedule, so telemetry hashes
-	// are comparable only within one mode.
+	// scheduler-overhead measurements (bench's colocated_ratio) compare
+	// against. Same-instant event interleaving across nodes differs from
+	// the sharded schedule, so telemetry hashes are comparable only
+	// within one mode.
 	Colocate bool
 }
 
@@ -96,21 +96,6 @@ func WithTelemetry(reg *Registry) Option { return func(o *Options) { o.Telemetry
 // plan may serve several nodes; they share its seeded random stream.
 func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } }
 
-// WithParallel toggles the parallel scheduler for Cluster runs. Off
-// forces the sequential reference schedule (one worker); on restores
-// the default of one worker per CPU. Results are byte-identical either
-// way — sequential mode exists as the determinism reference and for
-// single-core profiling.
-func WithParallel(on bool) Option {
-	return func(o *Options) {
-		if on {
-			o.Workers = 0
-		} else {
-			o.Workers = 1
-		}
-	}
-}
-
 // WithWorkers pins the scheduler's worker count for Cluster runs
 // (0 = one per CPU, 1 = sequential).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
@@ -119,10 +104,6 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // shared engine — the monolithic baseline for scheduler-overhead
 // measurement. See Options.Colocate for the determinism caveat.
 func WithColocated(on bool) Option { return func(o *Options) { o.Colocate = on } }
-
-// WithOptions replaces the whole carrier at once — an escape hatch for
-// callers that build an Options value programmatically.
-func WithOptions(full Options) Option { return func(o *Options) { *o = full } }
 
 // buildOptions folds functional options into a defaulted carrier.
 func buildOptions(opts []Option) Options {

@@ -35,11 +35,8 @@ func TestFLDERemoteEcho(t *testing.T) {
 
 	// Server control plane: one FLD TX queue, default egress to wire,
 	// ingress steering of all client traffic into the accelerator.
-	srv.RT.CreateEthTxQueue(0, nil)
-	ecp := NewEControlPlane(srv.RT)
-	ecp.InstallDefaultEgressToWire()
+	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, Rule{Action: Action{ToRQ: srv.RT.RQ()}})
-	srv.RT.Start()
 	afu := echo.New(srv.FLD)
 
 	// Client: software port; steer returning traffic to its RQ.

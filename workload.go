@@ -118,12 +118,8 @@ func AttachAggregatedClients(h *Host, cfg AggregatedClientsConfig) *AggregatedCl
 	if cfg.RxEntries == 0 {
 		cfg.RxEntries = 512
 	}
-	port := h.Drv.NewEthPort(swdriver.EthPortConfig{
+	port := h.Drv.NewClientPort(swdriver.EthPortConfig{
 		TxEntries: cfg.TxEntries, RxEntries: cfg.RxEntries})
-	ip := h.NIC.IP
-	h.NIC.ESwitch().AddRule(0, Rule{
-		Match:  Match{DstIP: &ip},
-		Action: Action{ToRQ: port.RQ()}})
 
 	s := &AggregatedClients{
 		Host: h, Port: port, cfg: cfg, eng: h.Engine(), stop: cfg.Stop,
