@@ -13,7 +13,7 @@
 //	                           # chrome://tracing or Perfetto)
 //	fldreport -exp chaos -seed 7 -faults heavy
 //	                           # replay one deterministic fault storm
-//	fldreport -exp scenario -seed 1 -count 200
+//	fldreport -exp scenario -seed 1 -count 300
 //	                           # sweep 200 generated scenarios (CI smoke)
 //	fldreport -exp scenario -seed 42 -spec "seed=42 clients=1 ..."
 //	                           # replay one exact (possibly shrunk) scenario

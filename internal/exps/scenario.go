@@ -12,7 +12,7 @@ import (
 //   - sweep (spec == ""): run `count` generated scenarios starting at
 //     `seed`, each to quiescence and twice (the replay-determinism
 //     invariant compares the two telemetry hashes). This is the CI
-//     smoke: `fldreport -exp scenario -seed 1 -count 200`.
+//     smoke: `fldreport -exp scenario -seed 1 -count 300`.
 //   - replay (spec != ""): parse and run that exact spec — the path the
 //     shrinker's one-line repro command takes, so a shrunk violation
 //     reproduces outside the test harness.
