@@ -25,13 +25,8 @@ func coapFrame(srcID int, sport uint16, token string) []byte {
 	if err != nil {
 		panic(err)
 	}
-	udp := netpkt.UDP{SrcPort: sport, DstPort: 5683, Length: uint16(netpkt.UDPHeaderLen + len(enc))}
-	l4 := append(udp.Marshal(nil), enc...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: netpkt.IPFrom(srcID), Dst: netpkt.IPFrom(2)}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(srcID), EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
+	return netpkt.BuildUDP(netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(srcID)},
+		netpkt.IPFrom(srcID), netpkt.IPFrom(2), sport, 5683, enc)
 }
 
 func main() {

@@ -25,15 +25,9 @@ func buildFrame(size int, sport uint16) []byte {
 }
 
 func vxlanEncap(inner []byte, vni uint32) []byte {
-	vx := netpkt.VXLAN{VNI: vni}
-	l5 := append(vx.Marshal(nil), inner...)
-	udp := netpkt.UDP{SrcPort: 41000, DstPort: netpkt.VXLANPort, Length: uint16(netpkt.UDPHeaderLen + len(l5))}
-	l4 := append(udp.Marshal(nil), l5...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: netpkt.IPFrom(21), Dst: netpkt.IPFrom(22)}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: netpkt.MACFrom(22), Src: netpkt.MACFrom(21), EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
+	return netpkt.BuildUDP(netpkt.Eth{Dst: netpkt.MACFrom(22), Src: netpkt.MACFrom(21)},
+		netpkt.IPFrom(21), netpkt.IPFrom(22), 41000, netpkt.VXLANPort,
+		append(netpkt.VXLAN{VNI: vni}.Marshal(nil), inner...))
 }
 
 func main() {

@@ -41,13 +41,8 @@ func main() {
 	}
 
 	// Fire 1000 frames.
-	udp := netpkt.UDP{SrcPort: 1234, DstPort: 7777, Length: netpkt.UDPHeaderLen + 498}
-	l4 := append(udp.Marshal(nil), make([]byte, 498)...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoUDP,
-		Src: netpkt.IPFrom(1), Dst: netpkt.IPFrom(2)}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(1), EtherType: netpkt.EtherTypeIPv4}
-	frame := append(eth.Marshal(nil), l3...)
+	frame := netpkt.BuildUDP(netpkt.Eth{Dst: netpkt.MACFrom(2), Src: netpkt.MACFrom(1)},
+		netpkt.IPFrom(1), netpkt.IPFrom(2), 1234, 7777, make([]byte, 498))
 
 	const n = 1000
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package exps
 
 import (
 	"fmt"
+	"math"
 
 	"flexdriver"
 	"flexdriver/internal/netpkt"
@@ -242,7 +243,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 	}
 	coreMean := float64(total) / float64(len(t.fldRx))
 	for _, rx := range t.fldRx {
-		cp.imbalance = max(cp.imbalance, abs(float64(rx)-coreMean)/coreMean)
+		cp.imbalance = max(cp.imbalance, math.Abs(float64(rx)-coreMean)/coreMean)
 	}
 	return cp
 }
@@ -258,13 +259,6 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 // caught immediately.
 func ClusterTelemetryHash(n int, p ClusterParams) string {
 	return runClusterPoint(n, p).hash
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Cluster sweeps N clients against one multi-FLD server behind a ToR

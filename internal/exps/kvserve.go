@@ -1,6 +1,7 @@
 package exps
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
@@ -156,9 +157,7 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 				// Connection-level stream position and op mix.
 				reqs := conns[first+ci]
 				conns[first+ci]++
-				seq := reqs * uint32(reqLen)
-				f[kvSeqOff], f[kvSeqOff+1] = byte(seq>>24), byte(seq>>16)
-				f[kvSeqOff+2], f[kvSeqOff+3] = byte(seq>>8), byte(seq)
+				binary.BigEndian.PutUint32(f[kvSeqOff:], reqs*uint32(reqLen))
 				f[kvOpOff] = rpc.OpGet
 				if int(reqs)%p.PutEvery == 0 {
 					f[kvOpOff] = rpc.OpPut

@@ -1,23 +1,16 @@
 package rig
 
-import "flexdriver/internal/sim"
+import (
+	"encoding/binary"
+
+	"flexdriver/internal/sim"
+)
 
 // Stamp writes an 8-byte big-endian ordinal into f at off.
-func Stamp(f []byte, off int, seq int64) {
-	for i := 7; i >= 0; i-- {
-		f[off+i] = byte(seq)
-		seq >>= 8
-	}
-}
+func Stamp(f []byte, off int, seq int64) { binary.BigEndian.PutUint64(f[off:], uint64(seq)) }
 
 // Unstamp reads the ordinal Stamp wrote.
-func Unstamp(f []byte, off int) int64 {
-	var seq int64
-	for i := 0; i < 8; i++ {
-		seq = seq<<8 | int64(f[off+i])
-	}
-	return seq
-}
+func Unstamp(f []byte, off int) int64 { return int64(binary.BigEndian.Uint64(f[off:])) }
 
 // Ledger is one sender's per-ordinal conservation record: when each
 // ordinal was issued and how many times it came back. Ordinals arrive off

@@ -255,8 +255,8 @@ func (r *Rig) PinFDB() {
 	})
 }
 
-// recover is one watchdog pass: the ladders, then the caller's sweep.
-func (r *Rig) recover(sweep func()) {
+// pass is one watchdog pass: the ladders, then the caller's sweep.
+func (r *Rig) pass(sweep func()) {
 	for _, sup := range r.sups {
 		sup.Kick()
 	}
@@ -271,7 +271,7 @@ func (r *Rig) recover(sweep func()) {
 func (r *Rig) Supervise(from sim.Time, every sim.Duration, until sim.Time, sweep func()) {
 	var tick func()
 	tick = func() {
-		r.recover(sweep)
+		r.pass(sweep)
 		if r.Now() < until {
 			r.Control(r.Now()+every, tick)
 		}
@@ -285,7 +285,7 @@ func (r *Rig) Supervise(from sim.Time, every sim.Duration, until sim.Time, sweep
 func (r *Rig) Quiesce(deadline sim.Time, sweep func()) {
 	r.RunUntil(deadline)
 	r.Run()
-	r.recover(sweep)
+	r.pass(sweep)
 	r.Run()
 }
 

@@ -149,7 +149,8 @@ func TestOpenLoopMatchesClosures(t *testing.T) {
 
 // TestEchoRoundTrip drives every stage once on a two-client rig: the
 // ledger must come back whole, RTTs positive, PCIe reconciled, and the
-// steered-on-own-address server must leave a foreign flood unanswered.
+// server — which Steer scopes to its own address whatever rule it is
+// given — must leave a foreign flood unanswered.
 func TestEchoRoundTrip(t *testing.T) {
 	const off = 42
 	r := New(flexdriver.WithWorkers(1))

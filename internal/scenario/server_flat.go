@@ -35,7 +35,12 @@ type proto struct {
 	framing
 	serve      func(f *flexdriver.FLD) (losses func() int64)
 	lossReason string
+	// steer narrows and dresses the server's wire-ingress rule (zero:
+	// everything addressed to the server, as is).
+	steer flexdriver.Rule
 }
+
+var vxlanPort uint16 = netpkt.VXLANPort
 
 // echo is the header-swapping echo AFU; its reasoned losses are replies
 // the core could not post (credit stalls under fault storms).
@@ -54,8 +59,12 @@ var protos = map[string]proto{
 			build: func(src, dst *flexdriver.NIC, sport, dport uint16, size, _ int) []byte {
 				return rig.UDPFrame(src, dst, sport, dport, size)
 			}}},
-	// vxlan stamps the *inner* frame, which is what comes back.
+	// vxlan stamps the *inner* frame, which is what comes back once the
+	// server NIC's decap rule has stripped the envelope.
 	"vxlan": {serve: echo, lossReason: "echo-fail",
+		steer: flexdriver.Rule{
+			Match:  flexdriver.Match{DstPort: &vxlanPort},
+			Action: flexdriver.Action{Decap: true}},
 		framing: framing{dport: servicePort, stampOff: vxlanOuter + seqOff, recvOff: seqOff,
 			build: func(src, dst *flexdriver.NIC, sport, dport uint16, size, _ int) []byte {
 				return vxlanWrap(src, dst, sport, rig.UDPFrame(src, dst, sport, dport, size))
@@ -103,20 +112,14 @@ func (p *flatServer) nic() *flexdriver.NIC { return p.srv.NIC }
 func (p *flatServer) framing(int) framing  { return p.proto.framing }
 
 func (p *flatServer) build(rn *run) {
-	s := rn.spec
-	p.proto = protos[s.Proto]
-	steer := flexdriver.Rule{}
-	if s.Path == "vxlan" {
+	p.proto = protos[rn.spec.Proto]
+	if rn.spec.Path == "vxlan" {
 		p.proto = protos["vxlan"]
-		vxport := uint16(netpkt.VXLANPort)
-		steer = flexdriver.Rule{
-			Match:  flexdriver.Match{DstPort: &vxport},
-			Action: flexdriver.Action{Decap: true}}
 	}
-	p.srv = rn.AddServer("server", s.FLDCores, func(f *flexdriver.FLD) {
+	p.srv = rn.AddServer("server", rn.spec.FLDCores, func(f *flexdriver.FLD) {
 		p.losses = append(p.losses, p.proto.serve(f))
 	})
-	p.srv.Steer(steer)
+	p.srv.Steer(p.proto.steer)
 }
 
 func (p *flatServer) start(*run) {}

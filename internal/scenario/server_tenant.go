@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexdriver"
@@ -30,7 +31,7 @@ func (p *tenantServer) framing(gi int) framing {
 	fr := protos[""].framing
 	fr.dport = p.t.Ports[gi%len(p.t.Ports)]
 	fr.screen = func(c *echoClient, reply []byte) bool {
-		if uint16(reply[34])<<8|uint16(reply[35]) != fr.dport {
+		if binary.BigEndian.Uint16(reply[34:]) != fr.dport {
 			c.leaks++
 		}
 		return true
@@ -81,7 +82,7 @@ func (p *tenantServer) build(rn *run) {
 			// tenant-leak invariant must catch.
 			e.Rewrite = func(reply []byte) {
 				if t0Echoed++; t0Echoed%s.PlantLeakNth == 0 {
-					reply[34], reply[35] = byte(ports[1]>>8), byte(ports[1])
+					binary.BigEndian.PutUint16(reply[34:], ports[1])
 				}
 			}
 		}
