@@ -56,10 +56,7 @@ func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 	servers := make([]*rig.Server, 2)
 	for i := range servers {
 		srv := cl.AddServer(fmt.Sprintf("server%c", 'A'+i), 1, func(f *flexdriver.FLD) { rig.InstallEcho(f) })
-		// Steer only frames addressed to this server into the echo AFU
-		// (see rig.Server.Steer: a match-all rule would answer the other
-		// server's flooded frames and poison the FDB).
-		srv.Steer(flexdriver.Rule{Match: flexdriver.Match{DstIP: &srv.NIC.IP}})
+		srv.Steer(flexdriver.Rule{})
 		servers[i] = srv
 	}
 	crashed, survivor := servers[0], servers[1]

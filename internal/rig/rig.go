@@ -71,11 +71,13 @@ func tir(rts []*flexdriver.Runtime) *nic.TIR {
 }
 
 // Steer installs the wire-ingress rule that delivers the frames rule
-// matches (after any action it names, such as decap) to the cores' TIR.
-// A server sharing a switch with other addressable nodes must match on
-// its own address: a match-all rule lets a flooded foreign frame be
-// answered with that node's source MAC, which poisons the switch's FDB.
+// matches (after any action it names, such as decap) to the cores' TIR —
+// and only those addressed to this server. An AFU that answers by
+// reversing the headers answers a flooded foreign frame with *that
+// node's* source MAC, which poisons the switch's learned FDB; scoping
+// the rule here means no caller can forget to.
 func (s *Server) Steer(rule flexdriver.Rule) {
+	rule.Match.DstIP = &s.NIC.IP
 	rule.Action.ToTIR = tir(s.RTs)
 	s.NIC.ESwitch().AddRule(0, rule)
 }

@@ -156,7 +156,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	r := New(flexdriver.WithWorkers(1))
 	var echoes []*Echo
 	srv := r.AddServer("server", 2, func(f *flexdriver.FLD) { echoes = append(echoes, InstallEcho(f)) })
-	srv.Steer(flexdriver.Rule{Match: flexdriver.Match{DstIP: &srv.NIC.IP}})
+	srv.Steer(flexdriver.Rule{})
 	stop := 30 * sim.Microsecond
 	var cs []*Client
 	rtts := 0

@@ -3,6 +3,7 @@ package scenario
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestGeneratedCrashScenarioOpensEpisodes pins one generated seed whose
@@ -45,5 +46,33 @@ func TestForcedNodeCrashScenarioClean(t *testing.T) {
 	}
 	if r.Injected.NodeCrashes == 0 || r.Injected.SwReboots == 0 {
 		t.Fatalf("crash classes did not fire: %+v", r.Injected)
+	}
+}
+
+// TestSeed240Quiesces pins the scenario that used to spin forever: an rpc
+// server plus the TCP sidecar under switch reboots. A reboot empties the
+// FDB, the sidecar's payload-less ACKs flood to the server, and while the
+// server's rule matched everything its kv cores answered them BadReq with
+// the *sidecar's* MAC as source — poisoning the FDB so every further ACK
+// was steered to the server and answered again. The server now steers
+// only frames addressed to it; the run must end, clean, and quickly.
+func TestSeed240Quiesces(t *testing.T) {
+	s := Generate(240)
+	if s.Proto != "rpc" || !strings.Contains(s.Faults, "sw.reboot") {
+		t.Fatalf("seed 240 no longer draws the rpc + switch-reboot scenario: %v", s)
+	}
+	s.Workers = 1
+	done := make(chan *Result, 1)
+	go func() { done <- Check(s) }()
+	select {
+	case r := <-done:
+		if len(r.Violations) > 0 {
+			t.Fatalf("violations: %v", r.Violations)
+		}
+		if r.TCPSent == 0 || r.Injected.SwReboots == 0 {
+			t.Fatalf("the sidecar or the reboots did not run: %+v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("seed 240 did not quiesce within 5 s")
 	}
 }

@@ -111,6 +111,11 @@ type flatServer struct {
 func (p *flatServer) nic() *flexdriver.NIC { return p.srv.NIC }
 func (p *flatServer) framing(int) framing  { return p.proto.framing }
 
+// build racks the server. Only frames addressed to it reach its cores
+// (rig.Server.Steer): after a switch reboot the FDB is empty and the
+// sidecars' frames flood here, and while the rule matched everything the
+// kv AFU answered the TCP sidecar's payload-less ACKs with tcp1's source
+// MAC — seed 240 looped on the poisoned FDB forever.
 func (p *flatServer) build(rn *run) {
 	p.proto = protos[rn.spec.Proto]
 	if rn.spec.Path == "vxlan" {
