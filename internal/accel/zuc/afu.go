@@ -3,6 +3,7 @@ package zuc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"flexdriver/internal/fld"
 	"flexdriver/internal/sim"
@@ -37,7 +38,14 @@ type Request struct {
 
 // Marshal encodes header+payload.
 func (r Request) Marshal() []byte {
-	b := make([]byte, HeaderBytes, HeaderBytes+len(r.Payload))
+	b := make([]byte, HeaderBytes+len(r.Payload))
+	r.putHeader(b)
+	copy(b[HeaderBytes:], r.Payload)
+	return b
+}
+
+// putHeader writes the 64-byte header into b, which must be zeroed.
+func (r Request) putHeader(b []byte) {
 	b[0], b[1] = 'Z', 'C'
 	b[2] = r.Op
 	b[3] = r.Bearer<<3 | r.Direction<<2
@@ -45,7 +53,6 @@ func (r Request) Marshal() []byte {
 	copy(b[8:24], r.Key[:])
 	binary.BigEndian.PutUint32(b[40:], r.ID)
 	binary.BigEndian.PutUint32(b[44:], uint32(r.BitLen))
-	return append(b, r.Payload...)
 }
 
 // ParseRequest decodes header+payload.
@@ -101,7 +108,9 @@ type AFU struct {
 	// to that connection (wired by the control plane).
 	QueueFor func(tag uint32) int
 
-	reasm map[uint32][]byte // per-QP message reassembly
+	// reasm holds one reassembly scratch per QP, sized for a whole receive
+	// buffer on first use and reused for every later message.
+	reasm map[uint32][]byte
 
 	// keyStore is the on-FPGA key table (§8.2.1 future work: clients
 	// register keys once and reference them by slot).
@@ -137,14 +146,26 @@ func NewAFU(f *fld.FLD, eng *sim.Engine, nLanes int, prm LaneParams) *AFU {
 // dispatch its request(s) to the least-loaded lanes (the front-end
 // load-balancing unit). Messages may be single full-header requests,
 // compact stored-key requests, key registrations, or batches.
+//
+// Fragments collect in the QP's scratch; a complete message leaves it as
+// one exact-length copy, because its requests alias it until their lanes
+// fire and by then the scratch is taking the QP's next message.
 func (a *AFU) Receive(data []byte, md fld.Metadata) {
-	buf := append(a.reasm[md.Tag], data...)
+	buf, ok := a.reasm[md.Tag]
+	if md.Last && len(buf) == 0 {
+		a.dispatchMessage(slices.Clone(data), md.Tag)
+		return
+	}
+	if !ok {
+		buf = make([]byte, 0, a.f.Config().RxWQEBytes)
+	}
+	buf = append(buf, data...)
 	if !md.Last {
 		a.reasm[md.Tag] = buf
 		return
 	}
-	delete(a.reasm, md.Tag)
-	a.dispatchMessage(buf, md.Tag)
+	a.reasm[md.Tag] = buf[:0]
+	a.dispatchMessage(slices.Clone(buf), md.Tag)
 }
 
 func (a *AFU) dispatchMessage(buf []byte, tag uint32) {
@@ -166,10 +187,14 @@ func (a *AFU) dispatchMessage(buf []byte, tag uint32) {
 // handleOne decodes a single request, runs it on a lane, and routes the
 // response — directly, or into its batch.
 func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
+	// Responses are single-owner scratch from the engine's BufPool: send
+	// copies them into FLD's transmit pages, after which they are dead.
+	bufs := a.f.Engine().Bufs()
 	finish := func(resp []byte) {
 		if batch == nil {
 			if resp != nil {
 				a.send(tag, resp)
+				bufs.Put(resp)
 			}
 			return
 		}
@@ -179,6 +204,9 @@ func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
 		batch.remaining--
 		if batch.remaining == 0 && len(batch.responses) > 0 {
 			a.send(tag, MarshalBatch(batch.responses))
+			for _, r := range batch.responses {
+				bufs.Put(r)
+			}
 		}
 	}
 
@@ -227,19 +255,25 @@ func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
 		keySlot = binary.BigEndian.Uint16(buf[4:])
 	}
 	lane.Acquire(service, func() {
-		payload, bitLen := a.compute(req)
-		var resp []byte
+		// The response is one buffer: its header, then the cipher's
+		// output written straight behind it (compute fills every byte).
+		bitLen := resultBits(req)
+		hdrBytes := HeaderBytes
 		if short {
-			resp = ShortRequest{Op: req.Op | respFlag, Bearer: req.Bearer,
-				Direction: req.Direction, KeySlot: keySlot, Count: req.Count,
-				ID: req.ID, BitLen: bitLen, Payload: payload}.Marshal()
-		} else {
-			out := req
-			out.Op = req.Op | respFlag
-			out.Payload = payload
-			out.BitLen = bitLen
-			resp = out.Marshal()
+			hdrBytes = ShortHeaderBytes
 		}
+		resp := bufs.Get(hdrBytes + (bitLen+7)/8)
+		clear(resp[:hdrBytes])
+		if short {
+			ShortRequest{Op: req.Op | respFlag, Bearer: req.Bearer,
+				Direction: req.Direction, KeySlot: keySlot, Count: req.Count,
+				ID: req.ID, BitLen: bitLen}.putHeader(resp)
+		} else {
+			hdr := req
+			hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
+			hdr.putHeader(resp)
+		}
+		compute(resp[hdrBytes:], req)
 		finish(resp)
 	})
 }
@@ -268,16 +302,26 @@ func (a *AFU) pickLane() *sim.Resource {
 	return best
 }
 
-// compute runs the real cipher and returns the response payload.
-func (a *AFU) compute(req Request) (payload []byte, bitLen int) {
+// resultBits is the bit length of a request's response payload.
+func resultBits(req Request) int {
 	switch req.Op {
 	case OpEncrypt, OpDecrypt:
-		return EEA3(req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen), req.BitLen
+		return req.BitLen
 	case OpAuth:
-		mac := EIA3(req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen)
-		return binary.BigEndian.AppendUint32(nil, mac), 32
+		return 32
 	default:
-		return nil, 0
+		return 0
+	}
+}
+
+// compute runs the real cipher into dst, the response payload.
+func compute(dst []byte, req Request) {
+	switch req.Op {
+	case OpEncrypt, OpDecrypt:
+		eea3(dst, req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen)
+	case OpAuth:
+		binary.BigEndian.PutUint32(dst,
+			EIA3(req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen))
 	}
 }
 

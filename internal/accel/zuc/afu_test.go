@@ -13,6 +13,14 @@ import (
 // 8-lane ZUC AFU behind FLD-R.
 func newZucTestbed(t *testing.T) (*flexdriver.RemotePair, *zuc.AFU, *zuc.Cryptodev) {
 	t.Helper()
+	rp, afu, cd, _ := newZucTestbedEndpoint(t)
+	return rp, afu, cd
+}
+
+// newZucTestbedEndpoint also returns the client's RDMA endpoint, for tests
+// that hand the cryptodev a response of their own making.
+func newZucTestbedEndpoint(t *testing.T) (*flexdriver.RemotePair, *zuc.AFU, *zuc.Cryptodev, *flexdriver.RDMAEndpoint) {
+	t.Helper()
 	rp := flexdriver.NewRemotePair()
 	rsrv := flexdriver.NewRServer(rp.Server.RT)
 	rsrv.Listen("zuc")
@@ -27,7 +35,7 @@ func newZucTestbed(t *testing.T) (*flexdriver.RemotePair, *zuc.AFU, *zuc.Cryptod
 		t.Fatal(err)
 	}
 	cd := zuc.NewCryptodev(rp.Engine(), ep)
-	return rp, afu, cd
+	return rp, afu, cd, ep
 }
 
 func TestDisaggregatedEncryptMatchesLocal(t *testing.T) {
@@ -133,5 +141,46 @@ func TestRequestCodecRejectsGarbage(t *testing.T) {
 	junk := make([]byte, zuc.HeaderBytes)
 	if _, err := zuc.ParseRequest(junk); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestCryptodevDropsMalformedResponses: a response the client cannot use
+// — too short for its opcode's result, truncated, wrong magic — is
+// dropped and counted; it neither completes an op nor panics the library.
+func TestCryptodevDropsMalformedResponses(t *testing.T) {
+	_, _, cd, ep := newZucTestbedEndpoint(t)
+	completed := 0
+	var mac uint32
+	cd.Enqueue(&zuc.Op{Op: zuc.OpAuth, Data: []byte("msg"), Done: func(o *zuc.Op) { completed++; mac = o.MAC }})
+	// The op above has ID 1; the simulation never runs, so every response
+	// it sees is one of these.
+	authResp := func(payload []byte) []byte {
+		return zuc.Request{Op: zuc.OpAuth | 0x80, ID: 1, Payload: payload}.Marshal()
+	}
+	bad := []struct {
+		name string
+		msg  []byte
+	}{
+		{"auth response with no payload", authResp(nil)},
+		{"auth response with a 3-byte payload", authResp([]byte{1, 2, 3})},
+		{"truncated header", authResp([]byte{1, 2, 3, 4})[:zuc.HeaderBytes-1]},
+		{"bad magic", append([]byte{'X', 'C'}, make([]byte, zuc.HeaderBytes+2)...)},
+		{"short-format response cut inside its header", zuc.ShortRequest{Op: zuc.OpAuth | 0x80, ID: 1}.Marshal()[:10]},
+		{"short-format auth response with no payload", zuc.ShortRequest{Op: zuc.OpAuth | 0x80, ID: 1}.Marshal()},
+		{"batch whose entry is truncated", zuc.MarshalBatch([][]byte{authResp([]byte{9, 9, 9, 9})})[:20]},
+		{"batch carrying a short auth response", zuc.MarshalBatch([][]byte{authResp([]byte{7})})},
+	}
+	for i, c := range bad {
+		ep.OnMessage(c.msg)
+		if completed != 0 || cd.Inflight() != 1 {
+			t.Fatalf("%s: completed=%d inflight=%d, want the op untouched", c.name, completed, cd.Inflight())
+		}
+		if cd.BadResponses != int64(i+1) {
+			t.Fatalf("%s: BadResponses=%d, want %d", c.name, cd.BadResponses, i+1)
+		}
+	}
+	ep.OnMessage(authResp([]byte{0xde, 0xad, 0xbe, 0xef}))
+	if completed != 1 || mac != 0xdeadbeef || cd.Inflight() != 0 || cd.BadResponses != int64(len(bad)) {
+		t.Fatalf("well-formed response: completed=%d mac=%08x inflight=%d bad=%d", completed, mac, cd.Inflight(), cd.BadResponses)
 	}
 }

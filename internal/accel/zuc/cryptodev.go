@@ -43,8 +43,11 @@ type Cryptodev struct {
 	nextID   uint32
 	inflight map[uint32]*Op
 
-	// Completed counts finished ops.
-	Completed int64
+	// Completed counts finished ops; BadResponses counts responses dropped
+	// because they did not parse or were too short for their opcode (wire
+	// corruption, a buggy peer) — their ops stay in flight.
+	Completed    int64
+	BadResponses int64
 }
 
 // NewCryptodev wraps a connected FLD-R endpoint.
@@ -75,6 +78,7 @@ func (c *Cryptodev) onResponse(msg []byte) {
 	if len(msg) >= 2 && msg[0] == 'Z' && msg[1] == magicBatch {
 		entries, err := ParseBatch(msg)
 		if err != nil {
+			c.BadResponses++
 			return
 		}
 		for _, e := range entries {
@@ -92,15 +96,21 @@ func (c *Cryptodev) handleResponse(msg []byte) {
 	if len(msg) >= 2 && msg[0] == 'Z' && msg[1] == magicShort {
 		sr, err := ParseShortRequest(msg)
 		if err != nil {
+			c.BadResponses++
 			return
 		}
 		id, op8, payload = sr.ID, sr.Op, sr.Payload
 	} else {
 		resp, err := ParseRequest(msg)
 		if err != nil {
+			c.BadResponses++
 			return
 		}
 		id, op8, payload = resp.ID, resp.Op, resp.Payload
+	}
+	if op8 == OpAuth && len(payload) < 4 {
+		c.BadResponses++ // no room for the MAC
+		return
 	}
 	op := c.inflight[id]
 	if op == nil {

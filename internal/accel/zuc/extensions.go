@@ -53,7 +53,14 @@ type ShortRequest struct {
 
 // Marshal encodes header+payload.
 func (r ShortRequest) Marshal() []byte {
-	b := make([]byte, ShortHeaderBytes, ShortHeaderBytes+len(r.Payload))
+	b := make([]byte, ShortHeaderBytes+len(r.Payload))
+	r.putHeader(b)
+	copy(b[ShortHeaderBytes:], r.Payload)
+	return b
+}
+
+// putHeader writes the 24-byte header into b, which must be zeroed.
+func (r ShortRequest) putHeader(b []byte) {
 	b[0], b[1] = 'Z', magicShort
 	b[2] = r.Op
 	b[3] = r.Bearer<<3 | r.Direction<<2
@@ -61,7 +68,6 @@ func (r ShortRequest) Marshal() []byte {
 	binary.BigEndian.PutUint32(b[8:], r.Count)
 	binary.BigEndian.PutUint32(b[12:], r.ID)
 	binary.BigEndian.PutUint32(b[16:], uint32(r.BitLen))
-	return append(b, r.Payload...)
 }
 
 // ParseShortRequest decodes a compact request.

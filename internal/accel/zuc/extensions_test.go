@@ -64,6 +64,9 @@ func TestKeyStorageEndToEnd(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("stored-key result differs from direct EEA3")
 	}
+	if out := rp.Engine().Bufs().Outstanding(); out != 0 {
+		t.Fatalf("%d pooled buffers outstanding at quiescence", out)
+	}
 }
 
 func TestUnknownKeySlotRejected(t *testing.T) {
@@ -107,6 +110,10 @@ func TestBatchedRequestsEndToEnd(t *testing.T) {
 	}
 	if cd.Inflight() != 0 {
 		t.Fatalf("inflight = %d after batch completion", cd.Inflight())
+	}
+	// The AFU's pooled response buffers all went back once the batch left.
+	if out := rp.Engine().Bufs().Outstanding(); out != 0 {
+		t.Fatalf("%d pooled buffers outstanding after the batch", out)
 	}
 }
 

@@ -58,12 +58,10 @@ func (p *pagePool) alloc(data []byte) []uint16 {
 	return pages
 }
 
-// read returns size bytes starting at the given offset within a page.
-func (p *pagePool) read(page uint16, offset, size int) []byte {
-	base := int(page)*p.pageBytes + offset
-	out := make([]byte, size)
-	copy(out, p.mem[base:base+size])
-	return out
+// read copies len(dst) bytes starting at the given offset within a page
+// into dst.
+func (p *pagePool) read(dst []byte, page uint16, offset int) {
+	copy(dst, p.mem[int(page)*p.pageBytes+offset:])
 }
 
 // release returns pages to the free list.

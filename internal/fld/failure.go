@@ -53,7 +53,8 @@ func (f *FLD) flushFunction(crashed bool) {
 	// The transmit pools are on-die SRAM: every pending descriptor, its
 	// payload pages and its translation entries die with the function.
 	for qi, tq := range f.queues {
-		for _, p := range tq.pending {
+		for tq.pending.Len() > 0 {
+			p := tq.pending.Pop()
 			f.txPool.release(p.pages)
 			for i := 0; i < p.npages; i++ {
 				vp := (p.vstart + i) % f.windowPages
@@ -68,7 +69,6 @@ func (f *FLD) flushFunction(crashed bool) {
 				}
 			}
 		}
-		tq.pending = nil
 		tq.released = tq.pi
 	}
 	// Abandon the receive buffer the NIC was mid-fill on; ResyncRx

@@ -140,7 +140,7 @@ type txQueue struct {
 	nicSQN   uint32
 	pi       uint32
 	released uint32 // completions consumed up to here
-	pending  []txPending
+	pending  sim.FIFO[txPending]
 	cursor   int // next virtual page in this queue's window
 	sinceSig int
 }
@@ -360,7 +360,7 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	if !f.descXlt.Insert(ringKey, uint32(slot)) {
 		panic("fld: descriptor translation table overflow (sizing bug)")
 	}
-	tq.pending = append(tq.pending, txPending{
+	tq.pending.Push(txPending{
 		idx: idx, slot: slot, pages: pages, vstart: vstart, npages: len(pages), signal: signal,
 	})
 
@@ -426,11 +426,12 @@ func txNotify(a any) {
 	f.putPipeOp(x)
 	tq := f.queues[q]
 	if f.cfg.WQEByMMIO {
-		wqe := f.generateWQE(q, idx)
+		wqe := f.eng.Bufs().Get(nic.SendWQESize)
+		f.generateWQE(wqe, q, idx)
 		if t := f.tlm; t != nil {
 			t.wqeMMIO.Inc()
 		}
-		f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, nil)
+		f.port.WriteOwned(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, nil)
 		return
 	}
 	var b [4]byte
@@ -442,9 +443,9 @@ func txNotify(a any) {
 }
 
 // generateWQE synthesizes the 64-byte NIC descriptor for (queue, index)
-// from the compressed pool — the on-the-fly structure generation at the
-// heart of §5.2.
-func (f *FLD) generateWQE(q int, idx uint32) []byte {
+// from the compressed pool into b — the on-the-fly structure generation
+// at the heart of §5.2.
+func (f *FLD) generateWQE(b []byte, q int, idx uint32) {
 	ringKey := uint64(q)<<32 | uint64(idx%uint32(f.cfg.TxRingEntries))
 	slotv, ok := f.descXlt.Lookup(ringKey)
 	if t := f.tlm; t != nil {
@@ -458,15 +459,15 @@ func (f *FLD) generateWQE(q int, idx uint32) []byte {
 		// The NIC read a descriptor FLD never posted: emit an invalid
 		// WQE; the NIC will complete it with an error that flows back
 		// through the control plane's error channel.
-		bad := make([]byte, nic.SendWQESize)
-		bad[0] = 0xff // invalid opcode
-		return bad
+		clear(b[:nic.SendWQESize])
+		b[0] = 0xff // invalid opcode
+		return
 	}
 	d := f.descPool[slotv]
 	vaddr := f.port.Base() + f.txDataBase +
 		uint64(q)*uint64(f.windowPages*f.cfg.TxPageBytes) +
 		uint64(d.Page)*uint64(f.cfg.TxPageBytes)
-	w := nic.SendWQE{
+	nic.SendWQE{
 		Opcode:  nic.OpSend,
 		Index:   uint16(idx),
 		QPN:     f.queues[q].nicSQN,
@@ -474,8 +475,7 @@ func (f *FLD) generateWQE(q int, idx uint32) []byte {
 		FlowTag: d.FlowTag,
 		Addr:    vaddr,
 		Len:     uint32(d.Len),
-	}
-	return w.Marshal()
+	}.MarshalInto(b)
 }
 
 // --- pcie.Device ----------------------------------------------------------
@@ -515,51 +515,56 @@ func (f *FLD) MMIORead(offset uint64, size int) []byte {
 }
 
 // readDescRegion serves NIC descriptor-ring reads by generating WQEs on
-// the fly (used when WQEByMMIO is off).
+// the fly (used when WQEByMMIO is off), each straight into its place in
+// the completion.
 func (f *FLD) readDescRegion(off uint64, size int) []byte {
 	ringBytes := uint64(f.cfg.TxRingEntries) * nic.SendWQESize
-	out := make([]byte, 0, size)
-	for len(out) < size {
+	out := make([]byte, size)
+	for n := 0; n < size; {
 		q := int(off / ringBytes)
 		idx := uint32((off % ringBytes) / nic.SendWQESize)
 		within := int(off % nic.SendWQESize)
-		wqe := f.generateWQE(q, idx)
-		take := nic.SendWQESize - within
-		if take > size-len(out) {
-			take = size - len(out)
+		take := min(nic.SendWQESize-within, size-n)
+		if take == nic.SendWQESize {
+			f.generateWQE(out[n:], q, idx)
+		} else {
+			// A read that starts or ends inside a descriptor gets the
+			// part it asked for.
+			var wqe [nic.SendWQESize]byte
+			f.generateWQE(wqe[:], q, idx)
+			copy(out[n:], wqe[within:within+take])
 		}
-		out = append(out, wqe[within:within+take]...)
+		n += take
 		off += uint64(take)
 	}
 	return out
 }
 
 // readDataRegion translates virtual data addresses through the data
-// translation table and serves bytes from the shared buffer pool.
+// translation table and copies the bytes from the shared buffer pool into
+// the completion, page by page.
 func (f *FLD) readDataRegion(off uint64, size int) []byte {
 	window := uint64(f.windowPages * f.cfg.TxPageBytes)
-	out := make([]byte, 0, size)
-	for len(out) < size {
+	out := make([]byte, size) // unmapped pages stay zero
+	for n := 0; n < size; {
 		q := int(off / window)
 		within := off % window
 		vp := int(within) / f.cfg.TxPageBytes
 		pageOff := int(within) % f.cfg.TxPageBytes
-		take := f.cfg.TxPageBytes - pageOff
-		if take > size-len(out) {
-			take = size - len(out)
-		}
+		take := min(f.cfg.TxPageBytes-pageOff, size-n)
 		key := uint64(q)<<32 | uint64(vp)
-		if phys, ok := f.dataXlt.Lookup(key); ok {
-			if t := f.tlm; t != nil {
+		phys, ok := f.dataXlt.Lookup(key)
+		if ok {
+			f.txPool.read(out[n:n+take], uint16(phys), pageOff)
+		}
+		if t := f.tlm; t != nil {
+			if ok {
 				t.dataHits.Inc()
-			}
-			out = append(out, f.txPool.read(uint16(phys), pageOff, take)...)
-		} else {
-			if t := f.tlm; t != nil {
+			} else {
 				t.dataMisses.Inc()
 			}
-			out = append(out, make([]byte, take)...) // unmapped: zeros
 		}
+		n += take
 		off += uint64(take)
 	}
 	return out
@@ -626,14 +631,13 @@ func (f *FLD) handleTxCQE(c nic.CQE) {
 	}
 	tq := f.queues[qi]
 	released := false
-	for len(tq.pending) > 0 {
-		p := tq.pending[0]
+	for tq.pending.Len() > 0 {
 		// Release entries up to the completed index (16-bit ring
 		// arithmetic like the hardware).
-		if int16(uint16(p.idx)-rec.Index) > 0 {
+		if int16(uint16(tq.pending.Peek(0).idx)-rec.Index) > 0 {
 			break
 		}
-		tq.pending = tq.pending[1:]
+		p := tq.pending.Pop()
 		tq.released++
 		f.txPool.release(p.pages)
 		for i := 0; i < p.npages; i++ {
@@ -672,8 +676,8 @@ func (f *FLD) ReplayWindow(q int) (ci, pi uint32) {
 	if t := f.tlm; t != nil {
 		t.recoveries.Inc()
 	}
-	if len(tq.pending) > 0 {
-		return tq.pending[0].idx, tq.pi
+	if tq.pending.Len() > 0 {
+		return tq.pending.Peek(0).idx, tq.pi
 	}
 	return tq.pi, tq.pi
 }

@@ -100,6 +100,29 @@ func TestOnTheFlyWQEGeneration(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("translated data read mismatch")
 	}
+	// A span that starts and ends inside a page is the same bytes.
+	if part := f.MMIORead(w.Addr-base+100, 1000); !bytes.Equal(part, payload[100:1100]) {
+		t.Fatal("translated data read at an offset mismatch")
+	}
+	// Reads that start or end inside a descriptor return the part asked
+	// for: two descriptors' worth from 16 bytes in.
+	two := f.MMIORead(f.txDescBase, 3*nic.SendWQESize)
+	if part := f.MMIORead(f.txDescBase+16, 2*nic.SendWQESize); !bytes.Equal(part, two[16:16+2*nic.SendWQESize]) {
+		t.Fatal("descriptor read at an offset mismatch")
+	}
+
+	// Both regions copy straight into the completion: one allocation per
+	// read, however many pages or descriptors it spans.
+	if avg := testing.AllocsPerRun(100, func() { f.MMIORead(w.Addr-base, len(payload)) }); avg != 1 {
+		t.Errorf("data-window read: %.1f allocations, want 1 (the completion)", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { f.MMIORead(f.txDescBase+16, 2*nic.SendWQESize) }); avg != 1 {
+		t.Errorf("descriptor-ring read: %.1f allocations, want 1 (the completion)", avg)
+	}
+	var page [512]byte
+	if avg := testing.AllocsPerRun(100, func() { f.txPool.read(page[:], 0, 0) }); avg != 0 {
+		t.Errorf("pagePool.read: %.1f allocations, want 0", avg)
+	}
 }
 
 func TestUnmappedDescriptorReadsInvalid(t *testing.T) {

@@ -88,7 +88,7 @@ func (f *FLD) Quiesced() bool {
 		return false
 	}
 	for _, tq := range f.queues {
-		if len(tq.pending) > 0 {
+		if tq.pending.Len() > 0 {
 			return false
 		}
 	}

@@ -69,19 +69,30 @@ func (m *Memory) WriteAt(offset uint64, data []byte) {
 // ReadAt returns size bytes at the given offset. Unwritten bytes read as
 // zero, like freshly mapped anonymous memory.
 func (m *Memory) ReadAt(offset uint64, size int) []byte {
-	if offset+uint64(size) > m.size {
-		panic(fmt.Sprintf("hostmem: read [%#x,%#x) beyond size %#x", offset, offset+uint64(size), m.size))
-	}
 	out := make([]byte, size)
-	dst := out
+	m.ReadInto(offset, out)
+	return out
+}
+
+// ReadInto fills dst with the bytes at the given offset, for callers that
+// own the destination (a reassembly buffer, a completion). A page nobody
+// wrote reads as zeros without being materialised: only writes grow the
+// backing store.
+func (m *Memory) ReadInto(offset uint64, dst []byte) {
+	if offset+uint64(len(dst)) > m.size {
+		panic(fmt.Sprintf("hostmem: read [%#x,%#x) beyond size %#x", offset, offset+uint64(len(dst)), m.size))
+	}
 	for len(dst) > 0 {
-		p := m.page(offset)
 		o := offset % pageSize
-		n := copy(dst, p[o:])
+		n := min(len(dst), int(pageSize-o))
+		if p := m.pages[offset/pageSize]; p != nil {
+			copy(dst[:n], p[o:])
+		} else {
+			clear(dst[:n])
+		}
 		dst = dst[n:]
 		offset += uint64(n)
 	}
-	return out
 }
 
 // Alloc reserves size bytes aligned to align (a power of two) and returns

@@ -25,6 +25,35 @@ func TestZeroFill(t *testing.T) {
 	}
 }
 
+// TestReadsDoNotMaterialisePages: reading memory nobody wrote (a ring
+// prefetch past the producer, a zero-filled receive buffer) returns zeros
+// and leaves the backing store as it was; only writes grow it.
+func TestReadsDoNotMaterialisePages(t *testing.T) {
+	m := New("host", 1<<24)
+	m.WriteAt(10, []byte{1, 2, 3})
+	pages := len(m.pages)
+	// Untouched pages, and a span from the written page into untouched ones.
+	got := m.ReadAt(5*pageSize-8, 2*pageSize)
+	got = append(got, m.MMIORead(8, 3*pageSize)...)
+	dst := bytes.Repeat([]byte{0xee}, 64)
+	m.ReadInto(9*pageSize+1, dst)
+	got = append(got, dst...)
+	for i, b := range got {
+		if want := map[int]byte{2*pageSize + 2: 1, 2*pageSize + 3: 2, 2*pageSize + 4: 3}[i]; b != want {
+			t.Fatalf("byte %d reads %#x, want %#x", i, b, want)
+		}
+	}
+	if len(m.pages) != pages {
+		t.Fatalf("reads grew the backing store from %d to %d pages", pages, len(m.pages))
+	}
+	if avg := testing.AllocsPerRun(100, func() { m.ReadAt(3*pageSize-100, 4096) }); avg > 1 {
+		t.Fatalf("ReadAt: %.1f allocations, want at most 1 (the result)", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { m.ReadInto(3*pageSize-100, dst) }); avg != 0 {
+		t.Fatalf("ReadInto: %.1f allocations, want 0", avg)
+	}
+}
+
 func TestCrossPageAccess(t *testing.T) {
 	m := New("host", 1<<20)
 	data := make([]byte, 3*pageSize/2)

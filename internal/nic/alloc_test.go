@@ -1,6 +1,10 @@
 package nic
 
-import "testing"
+import (
+	"testing"
+
+	"flexdriver/internal/sim"
+)
 
 // TestWireTransitZeroAlloc pins the wire forwarding machinery at zero
 // allocations per frame: getXfer/putXfer recycle the transit record and
@@ -74,5 +78,59 @@ func TestESwitchTraversalZeroAlloc(t *testing.T) {
 	}
 	if got := b.nic.Stats.Drops[DropRQError]; got != 102 {
 		t.Errorf("%d frames reached the receive queue, want 102", got)
+	}
+}
+
+// TestRoCEFramingOneAllocPerFrame pins the transport's framing at one
+// allocation per frame — the frame itself, exactly sized — for data
+// packets and for ACK/NAKs. The control frame is measured all the way
+// through transmit and across the cable (dropped at its far edge, like
+// TestWireTransitZeroAlloc), so the ACK path adds nothing of its own.
+func TestRoCEFramingOneAllocPerFrame(t *testing.T) {
+	h := newRDMAHarness(t, 1024)
+	h.wire.Loss = func(int, []byte) bool { return true }
+	payload := make([]byte, 1024)
+	if avg := testing.AllocsPerRun(100, func() { h.qpA.buildPacket(btSendMiddle, 7, payload) }); avg != 1 {
+		t.Errorf("buildPacket: %.1f allocations per frame, want 1", avg)
+	}
+	ack := func() {
+		h.qpB.sendCtl(btAck, 7)
+		h.eng.Run()
+	}
+	ack() // warm: wire transit record, drop-reason counter
+	if avg := testing.AllocsPerRun(100, ack); avg != 1 {
+		t.Errorf("sendCtl: %.1f allocations per ACK, want 1", avg)
+	}
+}
+
+// TestRQPlacementZeroAlloc pins receive placement at zero allocations per
+// packet once the descriptors are on the NIC: deliver queues the packet,
+// progress takes a prefetched descriptor by value, place carries the CQE
+// in a pooled record through the payload DMA write. Eight 32 KiB MPRQ
+// buffers arrive in one descriptor fetch during warm-up and hold every
+// packet of the measurement, so no fetch (which does allocate) falls
+// inside it; the queue has no CQ, so the measurement ends where the
+// payload lands.
+func TestRQPlacementZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	b := newNode(t, eng)
+	rqRing := b.mem.Alloc(64*RecvWQESize, 64)
+	rq := b.nic.CreateRQ(RQConfig{Ring: b.fab.AddrOf(b.mem, rqRing), Size: 64, StrideSize: 256})
+	drq := &driverRQ{nd: b, rq: rq, ring: rqRing}
+	bufBase := b.mem.Alloc(8*32768, 4096)
+	for i := 0; i < 8; i++ {
+		drq.post(b.fab.AddrOf(b.mem, bufBase+uint64(i)*32768), 32768, 8)
+	}
+	pkt := make([]byte, 200)
+	rx := func() {
+		rq.deliver(pkt, CQE{Opcode: CQERecv, Last: true})
+		eng.Run()
+	}
+	rx() // warm: descriptor fetch, host-memory page, pooled records
+	if avg := testing.AllocsPerRun(200, rx); avg != 0 {
+		t.Fatalf("deliver -> place: %.2f allocations per packet, want 0", avg)
+	}
+	if got := b.nic.Stats.RxPackets; got != 202 {
+		t.Fatalf("placed %d packets, want 202", got)
 	}
 }

@@ -102,7 +102,7 @@ func (sq *SQ) Reset() {
 	sq.epoch++
 	sq.ci = sq.pi
 	sq.inflight = 0
-	sq.mmio = make(map[uint32][]byte)
+	clear(sq.mmio)
 	sq.state = QueueReady
 	sq.n.noteRecovery()
 }
@@ -119,7 +119,7 @@ func (sq *SQ) ResetTo(ci, pi uint32) {
 	sq.epoch++
 	sq.ci, sq.pi = ci, pi
 	sq.inflight = 0
-	sq.mmio = make(map[uint32][]byte)
+	clear(sq.mmio)
 	sq.state = QueueReady
 	sq.n.noteRecovery()
 	sq.kick()
@@ -160,9 +160,9 @@ func (rq *RQ) Reset() {
 	rq.inflight = 0
 	rq.fetchSeq, rq.drainSeq = 0, 0
 	rq.fetched = nil
-	rq.ready = nil
-	rq.backlog = nil
-	rq.cur = nil
+	rq.ready.Reset()
+	rq.backlog.Reset()
+	rq.haveCur = false
 	rq.state = QueueReady
 	rq.n.noteRecovery()
 	rq.prefetch()

@@ -1,5 +1,7 @@
 package nic
 
+import "flexdriver/internal/sim"
+
 // Enhanced Transmission Selection (ETS): weighted arbitration among send
 // queues sharing the egress port. The paper's §5.5 names NIC
 // prioritization (e.g. ETS) as one reason transmit queues progress at
@@ -21,14 +23,14 @@ type etsFrame struct {
 type etsQueue struct {
 	weight  int
 	deficit int
-	fifo    []etsFrame
+	fifo    sim.FIFO[etsFrame]
 	inRound bool // membership in the scheduler's round-robin order
 }
 
 type etsScheduler struct {
 	n       *NIC
 	queues  map[uint32]*etsQueue
-	order   []uint32 // round-robin order of active arbitration keys
+	order   sim.FIFO[uint32] // round-robin order of active arbitration keys
 	quantum int
 	busy    bool
 }
@@ -66,9 +68,9 @@ func (s *etsScheduler) dispatch(sq *SQ, frame []byte, flowTag uint32, onSent fun
 	}
 	if !q.inRound {
 		q.inRound = true
-		s.order = append(s.order, key)
+		s.order.Push(key)
 	}
-	q.fifo = append(q.fifo, etsFrame{frame: frame, flowTag: flowTag, vport: sq.VPort, onSent: onSent})
+	q.fifo.Push(etsFrame{frame: frame, flowTag: flowTag, vport: sq.VPort, onSent: onSent})
 	if !s.busy {
 		s.pump()
 	}
@@ -89,35 +91,34 @@ func (s *etsScheduler) setWeight(key uint32, w int) {
 // pump grants the next frame by deficit round robin and recurses when its
 // transmission completes.
 func (s *etsScheduler) pump() {
-	if len(s.order) == 0 {
+	if s.order.Len() == 0 {
 		s.busy = false
 		return
 	}
 	s.busy = true
 	for {
-		id := s.order[0]
+		id := *s.order.Peek(0)
 		q := s.queues[id]
-		if len(q.fifo) == 0 {
+		if q.fifo.Len() == 0 {
 			// Idle queues leave the round and forfeit their deficit
 			// (DRR's work-conserving rule).
 			q.deficit = 0
 			q.inRound = false
-			s.order = s.order[1:]
-			if len(s.order) == 0 {
+			s.order.Pop()
+			if s.order.Len() == 0 {
 				s.busy = false
 				return
 			}
 			continue
 		}
-		head := q.fifo[0]
-		if q.deficit < len(head.frame) {
+		if q.deficit < len(q.fifo.Peek(0).frame) {
 			q.deficit += s.quantum * q.weight
 			// Move to the back of the round.
-			s.order = append(s.order[1:], id)
+			s.order.Push(s.order.Pop())
 			continue
 		}
+		head := q.fifo.Pop()
 		q.deficit -= len(head.frame)
-		q.fifo = q.fifo[1:]
 		s.n.egress(head.vport, head.frame, head.flowTag, func() {
 			if head.onSent != nil {
 				head.onSent()

@@ -107,24 +107,22 @@ func (rq *RQ) fail() {
 	rq.state = QueueError
 	rq.epoch++
 	rq.n.noteQueueError()
-	for range rq.backlog {
+	for ; rq.backlog.Len() > 0; rq.backlog.Pop() {
 		rq.n.drop(DropDeviceDown)
 	}
-	rq.backlog = nil
 }
 
 // fail silently transitions the QP to Error: in-flight messages die with
 // the device (no flush CQEs — those require DMA) and are counted as
-// drops. The generation bump disarms pending retransmit timers.
+// drops.
 func (qp *QP) fail() {
 	if qp.state == QueueError {
 		return
 	}
 	qp.state = QueueError
-	qp.gen++
+	qp.rto.Stop()
 	qp.n.noteQueueError()
-	for range qp.sent {
+	for ; qp.sent.Len() > 0; qp.sent.Pop() {
 		qp.n.drop(DropDeviceDown)
 	}
-	qp.sent = nil
 }

@@ -320,7 +320,7 @@ func (n *NIC) createSQ(cfg SQConfig, vf *VF) *SQ {
 	}
 	sq := &SQ{n: n, ID: n.allocQN(), Ring: cfg.Ring, Size: cfg.Size,
 		CQ: cfg.CQ, VPort: cfg.VPort, Shaper: cfg.Shaper, Weight: cfg.Weight,
-		vf: vf, mmio: make(map[uint32][]byte)}
+		vf: vf, mmio: make(map[uint32]*sqExec)}
 	n.sqs[sq.ID] = sq
 	if n.tlm != nil {
 		sq.instrument(n.queueScope(vf))
@@ -378,7 +378,7 @@ type SQ struct {
 
 	pi, ci   uint32
 	inflight int
-	mmio     map[uint32][]byte // WQEs pushed via WQE-by-MMIO, by index
+	mmio     map[uint32]*sqExec // WQEs pushed via WQE-by-MMIO, by index
 
 	// state gates all processing; epoch invalidates in-flight fetch and
 	// execute callbacks across an error/reset cycle so a stale DMA
@@ -409,7 +409,11 @@ func (sq *SQ) ringDoorbell(pi uint32) {
 // acts as a doorbell for one entry.
 func (sq *SQ) pushWQE(b []byte) {
 	sq.tWQEMMIO.Inc()
-	sq.mmio[sq.pi] = append([]byte(nil), b...)
+	// The MMIO write's buffer dies with the write; the descriptor waits
+	// for its txEngine slot inside the pooled record that will carry it.
+	x := sq.n.getSQExec()
+	x.raw = x.pushed[:copy(x.pushed[:], b)]
+	sq.mmio[sq.pi] = x
 	sq.pi++
 	sq.kick()
 }
@@ -429,11 +433,10 @@ func (sq *SQ) kick() {
 	ep := sq.epoch
 	for sq.ci+uint32(sq.inflight) != sq.pi && sq.inflight < sq.n.Prm.SQWindow {
 		idx := sq.ci + uint32(sq.inflight)
-		if b, ok := sq.mmio[idx]; ok {
+		if x, ok := sq.mmio[idx]; ok {
 			delete(sq.mmio, idx)
 			sq.inflight++
-			x := sq.n.getSQExec()
-			x.sq, x.ep, x.idx, x.raw = sq, ep, idx, b
+			x.sq, x.ep, x.idx = sq, ep, idx
 			sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, x)
 			continue
 		}
@@ -598,10 +601,11 @@ type RQ struct {
 	state QueueState
 	epoch uint32
 
-	cur       *RecvWQE
+	cur       RecvWQE // buffer being filled; valid while haveCur
+	haveCur   bool
 	curIdx    uint32
 	curOffset int
-	backlog   []pendingRx
+	backlog   sim.FIFO[pendingRx]
 
 	// Descriptor prefetch pipeline: the NIC reads descriptors ahead in
 	// cache-line batches with several reads in flight, like real
@@ -612,7 +616,7 @@ type RQ struct {
 	fetchSeq uint64
 	drainSeq uint64
 	fetched  map[uint64][]RecvWQE
-	ready    []RecvWQE
+	ready    sim.FIFO[RecvWQE]
 
 	// WastedBytes counts stride fragmentation (packet skipped to the
 	// next buffer because the current one lacked room).
@@ -651,7 +655,7 @@ func (rq *RQ) prefetch() {
 	ep := rq.epoch
 	for rq.inflight < rqFetchWindow &&
 		int32(rq.pi-rq.fetchIdx) > 0 &&
-		len(rq.ready) < rqReadyLowWater {
+		rq.ready.Len() < rqReadyLowWater {
 		n := int(rq.pi - rq.fetchIdx)
 		if n > rqFetchBatch {
 			n = rqFetchBatch
@@ -699,7 +703,9 @@ func (rq *RQ) prefetch() {
 				}
 				delete(rq.fetched, rq.drainSeq)
 				rq.drainSeq++
-				rq.ready = append(rq.ready, next...)
+				for _, w := range next {
+					rq.ready.Push(w)
+				}
 			}
 			rq.prefetch()
 			rq.progress()
@@ -718,48 +724,49 @@ func (rq *RQ) deliver(data []byte, cqe CQE) {
 	}
 	// Bound the NIC-internal rx FIFO: a real NIC has shallow buffering
 	// and drops when the host does not post buffers fast enough.
-	if len(rq.backlog) >= 256 {
+	if rq.backlog.Len() >= 256 {
 		rq.n.drop(DropRQOverflow)
 		return
 	}
-	rq.backlog = append(rq.backlog, pendingRx{data: data, cqe: cqe})
+	rq.backlog.Push(pendingRx{data: data, cqe: cqe})
 	rq.progress()
 }
 
 // progress places backlog packets into buffers from the prefetched
-// descriptor queue.
+// descriptor queue. A packet leaves the backlog once place has disposed of
+// it; one that does not fit the current buffer's remaining strides stays
+// at the head and is retried against the next buffer.
 func (rq *RQ) progress() {
-	for len(rq.backlog) > 0 {
-		if rq.cur == nil {
-			if len(rq.ready) == 0 {
+	for rq.backlog.Len() > 0 {
+		if !rq.haveCur {
+			if rq.ready.Len() == 0 {
 				if rq.ci == rq.pi {
 					// No posted buffers: drop from the tail like
 					// hardware.
 					rq.n.drop(DropRQNoBuffers)
-					rq.backlog = rq.backlog[1:]
+					rq.backlog.Pop()
 					continue
 				}
 				// Buffers posted but descriptors still in flight.
 				rq.prefetch()
 				return
 			}
-			w := rq.ready[0]
-			rq.ready = rq.ready[1:]
-			rq.cur = &w
+			rq.cur, rq.haveCur = rq.ready.Pop(), true
 			rq.curIdx = rq.ci
 			rq.curOffset = 0
 			rq.ci++
 			rq.prefetch()
 		}
-		p := rq.backlog[0]
-		rq.backlog = rq.backlog[1:]
-		rq.place(p)
+		if rq.place(rq.backlog.Peek(0)) {
+			rq.backlog.Pop()
+		}
 	}
 }
 
 // place writes one packet into the current buffer, advancing stride
-// accounting and emitting the receive CQE.
-func (rq *RQ) place(p pendingRx) {
+// accounting and emitting the receive CQE. It reports false when the
+// packet did not fit and the buffer was abandoned instead.
+func (rq *RQ) place(p *pendingRx) bool {
 	n := len(p.data)
 	stride := rq.StrideSize
 	if stride == 0 {
@@ -768,16 +775,14 @@ func (rq *RQ) place(p pendingRx) {
 	need := (n + stride - 1) / stride * stride
 	if n > int(rq.cur.Len) {
 		rq.n.drop(DropRxTooBig)
-		return
+		return true
 	}
 	if rq.curOffset+need > int(rq.cur.Len) {
 		// Doesn't fit in the remaining strides: MPRQ fragmentation —
 		// waste the tail and move to the next buffer.
 		rq.WastedBytes += int64(int(rq.cur.Len) - rq.curOffset)
-		rq.cur = nil
-		rq.backlog = append([]pendingRx{p}, rq.backlog...)
-		rq.progress()
-		return
+		rq.haveCur = false
+		return false
 	}
 	addr := rq.cur.Addr + uint64(rq.curOffset)
 	strideIdx := rq.curOffset / stride
@@ -785,7 +790,7 @@ func (rq *RQ) place(p pendingRx) {
 	rq.curOffset += need
 	last := rq.curOffset+stride > int(rq.cur.Len)
 	if last {
-		rq.cur = nil // buffer exhausted; descriptor consumed
+		rq.haveCur = false // buffer exhausted; descriptor consumed
 	}
 	cqe := p.cqe
 	cqe.Opcode = orDefault(cqe.Opcode, CQERecv)
@@ -804,6 +809,7 @@ func (rq *RQ) place(p pendingRx) {
 	r := rq.n.getRxDone()
 	r.rq, r.ep, r.cqe = rq, rq.epoch, cqe
 	rq.n.port.WriteArg(addr, p.data, rqPlaceDone, r)
+	return true
 }
 
 func orDefault(v, d uint8) uint8 {

@@ -12,13 +12,16 @@ package nic
 // collector — correctness never depends on a record returning to its
 // freelist.
 
-// sqExec carries one descriptor through the txEngine service delay.
+// sqExec carries one descriptor through the txEngine service delay. raw
+// aliases the fetch completion for a ring descriptor, or pushed for one
+// that arrived by MMIO.
 type sqExec struct {
-	sq   *SQ
-	ep   uint32
-	idx  uint32
-	raw  []byte
-	next *sqExec
+	sq     *SQ
+	ep     uint32
+	idx    uint32
+	raw    []byte
+	pushed [SendWQEMMIOSize]byte
+	next   *sqExec
 }
 
 func (n *NIC) getSQExec() *sqExec {
@@ -32,19 +35,21 @@ func (n *NIC) getSQExec() *sqExec {
 }
 
 func (n *NIC) putSQExec(x *sqExec) {
-	*x = sqExec{next: n.freeExec}
+	x.sq, x.raw = nil, nil
+	x.next = n.freeExec
 	n.freeExec = x
 }
 
 // sqExecRun is the txEngine completion: run the descriptor unless the
-// queue was reset while it waited.
+// queue was reset while it waited. The record is recycled only afterwards,
+// since raw may live in it.
 func sqExecRun(a any) {
 	x := a.(*sqExec)
-	sq, ep, idx, raw := x.sq, x.ep, x.idx, x.raw
-	sq.n.putSQExec(x)
-	if sq.epoch == ep {
-		sq.execute(idx, raw)
+	sq := x.sq
+	if sq.epoch == x.ep {
+		sq.execute(x.idx, x.raw)
 	}
+	sq.n.putSQExec(x)
 }
 
 // txSend carries a raw-Ethernet transmit from dispatch (optionally through

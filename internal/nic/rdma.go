@@ -96,21 +96,23 @@ type QP struct {
 	remoteQPN uint32
 
 	// state gates the transport: an Error-state QP drops sends and
-	// arriving packets until ReconnectQPs re-establishes it. gen
-	// invalidates pending timer events across a reconnect; connEpoch is
+	// arriving packets until ReconnectQPs re-establishes it. connEpoch is
 	// the wire-visible incarnation number stamped into every BTH, so
 	// packets of a dead connection are rejected instead of aliasing into
 	// the restarted PSN space.
 	state     QueueState
-	gen       uint32
 	connEpoch uint8
 
 	// Sender state.
-	sndPSN     uint32 // next PSN to assign
-	una        uint32 // oldest unacknowledged PSN
-	sent       []txPkt
-	retries    int // consecutive no-progress retransmissions
-	timerArmed bool
+	sndPSN  uint32 // next PSN to assign
+	una     uint32 // oldest unacknowledged PSN
+	sent    sim.FIFO[txPkt]
+	retries int // consecutive no-progress retransmissions
+	// rto is the retransmission timer, stopped whenever the connection
+	// dies or restarts; rtoUna is una as it stood when the timer was
+	// armed, so expiry can tell progress from none.
+	rto        *sim.Timer
+	rtoUna     uint32
 	lastAckAt  sim.Time
 	nakPending bool
 
@@ -121,7 +123,7 @@ type QP struct {
 	// ACK coalescing: acknowledge every AckCoalesce completed messages,
 	// with an idle timer bounding the delay.
 	unackedMsgs int
-	ackTimer    bool
+	ackTimer    *sim.Timer
 }
 
 type txPkt struct {
@@ -147,6 +149,8 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 	if qp.MTU == 0 {
 		qp.MTU = n.Prm.RoCEMTU
 	}
+	qp.rto = n.eng.NewTimer(qpRTOExpired, qp)
+	qp.ackTimer = n.eng.NewTimer(qpAckDelayExpired, qp)
 	if cfg.SQ != nil {
 		cfg.SQ.QP = qp
 	}
@@ -202,7 +206,7 @@ func (qp *QP) send(idx uint32, wqe SendWQE, data []byte) {
 		psn := qp.sndPSN
 		qp.sndPSN++
 		frame := qp.buildPacket(op, psn, data[lo:hi])
-		qp.sent = append(qp.sent, txPkt{
+		qp.sent.Push(txPkt{
 			psn: psn, frame: frame, last: i == nseg-1,
 			wqeIdx: uint16(idx), signal: wqe.Signal, msgLen: total,
 		})
@@ -212,24 +216,30 @@ func (qp *QP) send(idx uint32, wqe SendWQE, data []byte) {
 
 // buildPacket wraps a payload segment in RoCE v2 framing.
 func (qp *QP) buildPacket(op uint8, psn uint32, payload []byte) []byte {
-	bth := BTH{Opcode: op, Epoch: qp.connEpoch, DestQPN: qp.remoteQPN, PSN: psn}
-	l4 := bth.marshal(make([]byte, 0, BTHLen+len(payload)+ICRCLen))
-	l4 = append(l4, payload...)
-	l4 = append(l4, 0, 0, 0, 0) // ICRC placeholder
-	udp := netpkt.UDP{SrcPort: 0xC000 | uint16(qp.QPN&0x3fff), DstPort: netpkt.RoCEPort,
-		Length: uint16(netpkt.UDPHeaderLen + len(l4))}
-	l3p := append(udp.Marshal(make([]byte, 0, netpkt.UDPHeaderLen+len(l4))), l4...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l3p)), Proto: netpkt.ProtoUDP,
-		Src: qp.n.IP, Dst: qp.remoteNIC.IP}
-	l2p := append(ip.Marshal(make([]byte, 0, netpkt.IPv4HeaderLen+len(l3p))), l3p...)
-	eth := netpkt.Eth{Dst: qp.remoteNIC.MAC, Src: qp.n.MAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(make([]byte, 0, netpkt.EthHeaderLen+len(l2p))), l2p...)
+	return qp.frame(0xC000|uint16(qp.QPN&0x3fff), op, psn, payload)
+}
+
+// frame marshals Eth + IPv4 + UDP + BTH + payload + ICRC placeholder front
+// to back into one exactly-sized buffer: the segment is copied once, on its
+// way to the wire. The buffer is a plain allocation, not a BufPool one —
+// the retransmission queue, wire duplication and switch flooding all share
+// a frame, so it has no single owner to free it.
+func (qp *QP) frame(srcPort uint16, op uint8, psn uint32, payload []byte) []byte {
+	l4 := BTHLen + len(payload) + ICRCLen
+	b := make([]byte, 0, RoCEOverhead+len(payload))
+	b = netpkt.Eth{Dst: qp.remoteNIC.MAC, Src: qp.n.MAC, EtherType: netpkt.EtherTypeIPv4}.Marshal(b)
+	b = netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + netpkt.UDPHeaderLen + l4), Proto: netpkt.ProtoUDP,
+		Src: qp.n.IP, Dst: qp.remoteNIC.IP}.Marshal(b)
+	b = netpkt.UDP{SrcPort: srcPort, DstPort: netpkt.RoCEPort, Length: uint16(netpkt.UDPHeaderLen + l4)}.Marshal(b)
+	b = BTH{Opcode: op, Epoch: qp.connEpoch, DestQPN: qp.remoteQPN, PSN: psn}.marshal(b)
+	b = append(b, payload...)
+	return append(b, 0, 0, 0, 0) // ICRC placeholder
 }
 
 // pump transmits packets allowed by the window.
 func (qp *QP) pump() {
-	for i := range qp.sent {
-		p := &qp.sent[i]
+	for i := 0; i < qp.sent.Len(); i++ {
+		p := qp.sent.Peek(i)
 		if p.started {
 			continue
 		}
@@ -254,46 +264,57 @@ func (qp *QP) transmit(frame []byte) {
 	}
 	if qp.remoteNIC == qp.n {
 		n := qp.n
-		n.esw.loopback.Acquire(n.esw.LoopbackRate.Serialize(len(frame)), func() {
-			n.eng.After(n.Prm.PipelineDelay, func() {
-				if bth, payload, ok := parseRoCE(frame); ok {
-					n.rdmaIngress(bth, payload)
-				}
-			})
-		})
+		v := n.getView()
+		v.frame = frame
+		n.esw.loopback.AcquireArg(n.esw.LoopbackRate.Serialize(len(frame)), rdmaHairpinDone, v)
 		return
 	}
 	qp.n.transmitWire(frame, nil)
 }
 
+// rdmaHairpinDone: a transport frame crossed the switch fabric toward a QP
+// of the same NIC; it still has the receive pipeline to cross.
+func rdmaHairpinDone(a any) {
+	v := a.(*pktView)
+	v.n.eng.AfterArg(v.n.Prm.PipelineDelay, rdmaHairpinIngress, v)
+}
+
+// rdmaHairpinIngress hands the hairpinned frame to the transport.
+func rdmaHairpinIngress(a any) {
+	v := a.(*pktView)
+	n, frame := v.n, v.frame
+	n.putView(v)
+	if bth, payload, ok := parseRoCE(frame); ok {
+		n.rdmaIngress(bth, payload)
+	}
+}
+
 func (qp *QP) armTimer() {
-	if qp.timerArmed || len(qp.sent) == 0 || qp.state != QueueReady {
+	if qp.rto.Armed() || qp.sent.Len() == 0 || qp.state != QueueReady {
 		return
 	}
-	qp.timerArmed = true
-	una := qp.una
-	gen := qp.gen
-	qp.n.eng.After(qp.n.Prm.RetransmitTimeout, func() {
-		if qp.gen != gen {
-			return // QP was reconnected while the timer was pending
-		}
-		qp.timerArmed = false
-		if len(qp.sent) == 0 || qp.state != QueueReady {
+	qp.rtoUna = qp.una
+	qp.rto.Reset(qp.n.Prm.RetransmitTimeout)
+}
+
+// qpRTOExpired fires one retransmission timeout after the timer was armed.
+func qpRTOExpired(a any) {
+	qp := a.(*QP)
+	if qp.sent.Len() == 0 || qp.state != QueueReady {
+		return
+	}
+	if qp.una == qp.rtoUna {
+		// No progress: go-back-N from the oldest unacked packet,
+		// bounded by the retry budget (IB retry_cnt analogue).
+		qp.n.drop(DropRDMATimeout)
+		qp.retries++
+		if qp.retries > qp.maxRetransmits() {
+			qp.enterError(SynRetryExceeded)
 			return
 		}
-		if qp.una == una {
-			// No progress: go-back-N from the oldest unacked packet,
-			// bounded by the retry budget (IB retry_cnt analogue).
-			qp.n.drop(DropRDMATimeout)
-			qp.retries++
-			if qp.retries > qp.maxRetransmits() {
-				qp.enterError(SynRetryExceeded)
-				return
-			}
-			qp.retransmit()
-		}
-		qp.armTimer()
-	})
+		qp.retransmit()
+	}
+	qp.armTimer()
 }
 
 // maxRetransmits returns the bounded retry budget (Params.MaxRetransmits,
@@ -316,9 +337,10 @@ func (qp *QP) enterError(syndrome uint8) {
 		return
 	}
 	qp.state = QueueError
-	qp.gen++
+	qp.rto.Stop()
 	qp.n.noteQueueError()
-	for _, p := range qp.sent {
+	for qp.sent.Len() > 0 {
+		p := qp.sent.Pop()
 		if p.last && qp.SQ != nil && qp.SQ.CQ != nil {
 			qp.SQ.CQ.Push(CQE{
 				Opcode: CQEError, Syndrome: syndrome, Last: true,
@@ -327,7 +349,6 @@ func (qp *QP) enterError(syndrome uint8) {
 			})
 		}
 	}
-	qp.sent = nil
 }
 
 // reset returns the QP to a freshly-established state. The connection
@@ -338,12 +359,11 @@ func (qp *QP) reset() {
 		qp.n.noteRecovery()
 	}
 	qp.state = QueueReady
-	qp.gen++
 	qp.connEpoch++
 	qp.sndPSN, qp.una = 0, 0
-	qp.sent = nil
+	qp.sent.Reset()
 	qp.retries = 0
-	qp.timerArmed = false
+	qp.rto.Stop()
 	qp.nakPending = false
 	qp.expPSN = 0
 	qp.rxMsgLen = 0
@@ -363,8 +383,8 @@ func ReconnectQPs(a, b *QP) {
 
 // retransmit resends every unacknowledged packet in order.
 func (qp *QP) retransmit() {
-	for i := range qp.sent {
-		p := &qp.sent[i]
+	for i := 0; i < qp.sent.Len(); i++ {
+		p := qp.sent.Peek(i)
 		if p.psn >= qp.una+defaultQPWindow {
 			break
 		}
@@ -450,17 +470,19 @@ func (qp *QP) handleData(bth BTH, payload []byte) {
 		}
 		if qp.unackedMsgs >= coalesce {
 			qp.ackNow()
-		} else if !qp.ackTimer {
+		} else if !qp.ackTimer.Armed() {
 			// Bound the ACK delay so the sender's completions and
 			// retransmission timer stay healthy under light load.
-			qp.ackTimer = true
-			qp.n.eng.After(qp.n.Prm.AckDelay, func() {
-				qp.ackTimer = false
-				if qp.unackedMsgs > 0 {
-					qp.ackNow()
-				}
-			})
+			qp.ackTimer.Reset(qp.n.Prm.AckDelay)
 		}
+	}
+}
+
+// qpAckDelayExpired acknowledges whatever completed since the last ACK.
+func qpAckDelayExpired(a any) {
+	qp := a.(*QP)
+	if qp.unackedMsgs > 0 {
+		qp.ackNow()
 	}
 }
 
@@ -475,17 +497,7 @@ func (qp *QP) sendCtl(op uint8, psn uint32) {
 	if qp.remoteNIC == nil {
 		return
 	}
-	bth := BTH{Opcode: op, Epoch: qp.connEpoch, DestQPN: qp.remoteQPN, PSN: psn}
-	l4 := bth.marshal(make([]byte, 0, BTHLen+ICRCLen))
-	l4 = append(l4, 0, 0, 0, 0)
-	udp := netpkt.UDP{SrcPort: 0xC000, DstPort: netpkt.RoCEPort, Length: uint16(netpkt.UDPHeaderLen + len(l4))}
-	l3p := append(udp.Marshal(nil), l4...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l3p)), Proto: netpkt.ProtoUDP,
-		Src: qp.n.IP, Dst: qp.remoteNIC.IP}
-	l2p := append(ip.Marshal(nil), l3p...)
-	eth := netpkt.Eth{Dst: qp.remoteNIC.MAC, Src: qp.n.MAC, EtherType: netpkt.EtherTypeIPv4}
-	frame := append(eth.Marshal(nil), l2p...)
-	qp.transmit(frame)
+	qp.transmit(qp.frame(0xC000, op, psn, nil))
 }
 
 // handleAck releases acknowledged packets and writes send completions for
@@ -496,9 +508,8 @@ func (qp *QP) handleAck(psn uint32) {
 	}
 	qp.una = psn + 1
 	qp.retries = 0 // forward progress refills the retry budget
-	for len(qp.sent) > 0 && int32(qp.sent[0].psn-psn) <= 0 {
-		p := qp.sent[0]
-		qp.sent = qp.sent[1:]
+	for qp.sent.Len() > 0 && int32(qp.sent.Peek(0).psn-psn) <= 0 {
+		p := qp.sent.Pop()
 		if p.last && p.signal && qp.SQ != nil && qp.SQ.CQ != nil {
 			qp.SQ.CQ.Push(CQE{
 				Opcode: CQESend, Last: true, Index: p.wqeIdx,
@@ -519,9 +530,8 @@ func (qp *QP) handleNak(psn uint32) {
 	}
 	qp.una = psn
 	// Drop delivery state of acked packets (< psn) and retransmit the rest.
-	for len(qp.sent) > 0 && int32(qp.sent[0].psn-psn) < 0 {
-		p := qp.sent[0]
-		qp.sent = qp.sent[1:]
+	for qp.sent.Len() > 0 && int32(qp.sent.Peek(0).psn-psn) < 0 {
+		p := qp.sent.Pop()
 		if p.last && p.signal && qp.SQ != nil && qp.SQ.CQ != nil {
 			qp.SQ.CQ.Push(CQE{
 				Opcode: CQESend, Last: true, Index: p.wqeIdx,
@@ -533,4 +543,4 @@ func (qp *QP) handleNak(psn uint32) {
 }
 
 // Outstanding reports unacknowledged packets (tests).
-func (qp *QP) Outstanding() int { return len(qp.sent) }
+func (qp *QP) Outstanding() int { return qp.sent.Len() }

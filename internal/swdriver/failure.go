@@ -27,15 +27,15 @@ func (d *Driver) Crash() {
 		t.crashes.Inc()
 	}
 	for _, p := range d.ports {
-		d.noteTxErrors(int64(len(p.txQueued)))
-		p.txQueued = nil
+		d.noteTxErrors(int64(p.txQueued.Len()))
+		p.txQueued.Reset()
 		p.dbTimer.Stop()
 		p.sincedb = 0
 	}
 	for _, e := range d.endpoints {
-		d.noteTxErrors(int64(len(e.queued)))
-		e.queued = nil
-		e.cur = nil
+		d.noteTxErrors(int64(e.queued.Len()))
+		e.queued.Reset()
+		e.cur = e.cur[:0]
 	}
 }
 

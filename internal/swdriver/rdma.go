@@ -1,7 +1,10 @@
 package swdriver
 
 import (
+	"slices"
+
 	"flexdriver/internal/nic"
+	"flexdriver/internal/sim"
 )
 
 // RDMAEndpoint is a verbs-style software endpoint: a QP with host-memory
@@ -18,9 +21,13 @@ type RDMAEndpoint struct {
 	rqEntries int
 	pi, ci    uint32
 	rqPI      uint32
-	queued    [][]byte
+	queued    sim.FIFO[[]byte]
+	scratch   [nic.SendWQESize]byte // ring-descriptor marshal buffer
 
-	// reassembly per local QP (SRQ delivers per-packet CQEs).
+	// cur reassembles the incoming message (SRQ delivers per-packet
+	// CQEs): fragments are read out of the receive buffers into this
+	// one scratch, sized for the largest message when the first fragment
+	// arrives, and a complete message leaves as one exact-length copy.
 	cur     []byte
 	recycle func(nic.CQE)
 
@@ -126,15 +133,11 @@ func (e *RDMAEndpoint) Poll() bool {
 		e.ci = e.pi
 		e.QP.SQ.ResetTo(e.pi, e.pi)
 		e.drv.noteRecovery()
-		for len(e.queued) > 0 && int(e.pi-e.ci) < e.sqSize {
-			d := e.queued[0]
-			e.queued = e.queued[1:]
-			e.post(d)
-		}
+		e.drainQueued()
 		recovered = true
 	}
 	if e.QP.RQ.State() == nic.QueueError {
-		e.cur = nil
+		e.cur = e.cur[:0]
 		e.QP.RQ.Reset()
 		e.drv.noteRecovery()
 		e.ringRQDoorbell()
@@ -149,13 +152,29 @@ func (e *RDMAEndpoint) Send(data []byte) {
 		e.drv.noteDownTxDrop()
 		return
 	}
-	e.drv.cpuWork(e.drv.Prm.TxCost, func() {
-		if int(e.pi-e.ci) >= e.sqSize {
-			e.queued = append(e.queued, data)
-			return
-		}
-		e.post(data)
-	})
+	x := e.drv.getTxPost()
+	x.e, x.frame = e, data
+	e.drv.cpuWorkArg(e.drv.Prm.TxCost, rdmaPostRun, x)
+}
+
+// rdmaPostRun: the TX CPU cost is paid; post the message, or queue it in
+// software behind a full ring.
+func rdmaPostRun(a any) {
+	x := a.(*txPost)
+	e, data := x.e, x.frame
+	e.drv.putTxPost(x)
+	if int(e.pi-e.ci) >= e.sqSize {
+		e.queued.Push(data)
+		return
+	}
+	e.post(data)
+}
+
+// drainQueued posts software-queued messages into freed ring slots.
+func (e *RDMAEndpoint) drainQueued() {
+	for e.queued.Len() > 0 && int(e.pi-e.ci) < e.sqSize {
+		e.post(e.queued.Pop())
+	}
 }
 
 func (e *RDMAEndpoint) post(data []byte) {
@@ -164,7 +183,8 @@ func (e *RDMAEndpoint) post(data []byte) {
 	e.drv.mem.WriteAt(bufOff, data)
 	w := nic.SendWQE{Opcode: nic.OpSend, Index: uint16(e.pi), Signal: true,
 		Addr: e.drv.fab.AddrOf(e.drv.mem, bufOff), Len: uint32(len(data))}
-	e.drv.mem.WriteAt(e.sqRing+slot*nic.SendWQESize, w.Marshal())
+	w.MarshalInto(e.scratch[:])
+	e.drv.mem.WriteAt(e.sqRing+slot*nic.SendWQESize, e.scratch[:])
 	e.pi++
 	e.drv.TxPackets++
 	var b [4]byte
@@ -184,17 +204,13 @@ func (e *RDMAEndpoint) post(data []byte) {
 func ReconnectEndpoints(a, b *RDMAEndpoint) {
 	nic.ReconnectQPs(a.QP, b.QP)
 	for _, e := range []*RDMAEndpoint{a, b} {
-		e.cur = nil
+		e.cur = e.cur[:0]
 		if e.pi != e.ci {
 			e.drv.noteTxErrors(int64(e.pi - e.ci))
 			e.ci = e.pi
 			e.QP.SQ.ResetTo(e.pi, e.pi)
 			e.drv.noteRecovery()
-			for len(e.queued) > 0 && int(e.pi-e.ci) < e.sqSize {
-				d := e.queued[0]
-				e.queued = e.queued[1:]
-				e.post(d)
-			}
+			e.drainQueued()
 		}
 	}
 }
@@ -222,11 +238,7 @@ func (e *RDMAEndpoint) sendComplete(c nic.CQE) {
 	if e.OnSendComplete != nil {
 		e.OnSendComplete()
 	}
-	for len(e.queued) > 0 && int(e.pi-e.ci) < e.sqSize {
-		d := e.queued[0]
-		e.queued = e.queued[1:]
-		e.post(d)
-	}
+	e.drainQueued()
 }
 
 func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
@@ -236,33 +248,50 @@ func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
 	}
 	if c.Opcode == nic.CQEError {
 		e.drv.noteCQEError()
-		e.cur = nil
+		e.cur = e.cur[:0]
 		return
 	}
 	if e.recycle != nil {
 		e.recycle(c)
 	}
-	e.drv.cpuWork(e.drv.Prm.RxCost, func() {
-		base := e.drv.fab.PortOf(e.drv.mem).Base()
-		e.cur = append(e.cur, e.drv.mem.ReadAt(c.Addr-base, int(c.ByteCount))...)
-		if c.Last {
-			msg := e.cur
-			e.cur = nil
-			// Integrity check (the model's ICRC stand-in): the CQE's
-			// flow tag carries the transport's byte count for the whole
-			// message. A shorter reassembly means a fragment's payload
-			// DMA was lost after the transport already acknowledged it
-			// (e.g. a dropped PCIe TLP); delivering it would hand the
-			// application spliced garbage, so the driver discards the
-			// message and counts the loss.
-			if len(msg) != int(c.FlowTag) {
-				e.drv.noteRxError()
-				return
-			}
-			e.drv.RxPackets++
-			if e.OnMessage != nil {
-				e.OnMessage(msg)
-			}
-		}
-	})
+	x := e.drv.getRxWork()
+	x.e, x.c = e, c
+	e.drv.cpuWorkArg(e.drv.Prm.RxCost, rdmaRxRun, x)
+}
+
+// rdmaRxRun: the RX CPU cost is paid; read the fragment out of its
+// receive buffer into the reassembly scratch and deliver a complete
+// message.
+func rdmaRxRun(a any) {
+	x := a.(*rxWork)
+	e, c := x.e, x.c
+	e.drv.putRxWork(x)
+	if e.cur == nil {
+		e.cur = make([]byte, 0, e.txBufSz) // MaxMsgBytes
+	}
+	base := e.drv.fab.PortOf(e.drv.mem).Base()
+	n := len(e.cur)
+	e.cur = slices.Grow(e.cur, int(c.ByteCount))[:n+int(c.ByteCount)]
+	e.drv.mem.ReadInto(c.Addr-base, e.cur[n:])
+	if !c.Last {
+		return
+	}
+	// The application may keep the message; the scratch is about to take
+	// the next one.
+	msg := slices.Clone(e.cur)
+	e.cur = e.cur[:0]
+	// Integrity check (the model's ICRC stand-in): the CQE's flow tag
+	// carries the transport's byte count for the whole message. A shorter
+	// reassembly means a fragment's payload DMA was lost after the
+	// transport already acknowledged it (e.g. a dropped PCIe TLP);
+	// delivering it would hand the application spliced garbage, so the
+	// driver discards the message and counts the loss.
+	if len(msg) != int(c.FlowTag) {
+		e.drv.noteRxError()
+		return
+	}
+	e.drv.RxPackets++
+	if e.OnMessage != nil {
+		e.OnMessage(msg)
+	}
 }

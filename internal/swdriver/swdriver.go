@@ -149,9 +149,11 @@ func (d *Driver) cpuCost(cost sim.Duration) sim.Duration {
 	return cost
 }
 
-// txPost carries one frame through the TX CPU cost to its ring post.
+// txPost carries one frame (or, with e set, one RDMA message) through the
+// TX CPU cost to its ring post.
 type txPost struct {
 	p     *EthPort
+	e     *RDMAEndpoint
 	frame []byte
 	next  *txPost
 }
@@ -177,16 +179,17 @@ func txPostRun(a any) {
 	p.drv.putTxPost(x)
 	if int(p.pi-p.ci) >= p.sqSize {
 		p.tTxSwQueued.Inc()
-		p.txQueued = append(p.txQueued, frame)
+		p.txQueued.Push(frame)
 		return
 	}
 	p.post(frame)
 }
 
 // rxWork carries one receive completion through the RX CPU cost to frame
-// delivery and buffer recycling.
+// delivery and buffer recycling (or, with e set, to message reassembly).
 type rxWork struct {
 	p    *EthPort
+	e    *RDMAEndpoint
 	c    nic.CQE
 	next *rxWork
 }
@@ -248,7 +251,7 @@ type EthPort struct {
 	pi       uint32
 	ci       uint32
 	sincedb  int
-	txQueued [][]byte // frames waiting for ring space
+	txQueued sim.FIFO[[]byte] // frames waiting for ring space
 	dbTimer  *sim.Timer
 	scratch  [nic.SendWQESize]byte // ring-descriptor marshal buffer
 
@@ -465,10 +468,13 @@ func (p *EthPort) flushTx() {
 	p.sincedb = 0
 	p.sq.ResetTo(p.pi, p.pi)
 	p.drv.noteRecovery()
-	for len(p.txQueued) > 0 && int(p.pi-p.ci) < p.sqSize {
-		f := p.txQueued[0]
-		p.txQueued = p.txQueued[1:]
-		p.post(f)
+	p.drainQueued()
+}
+
+// drainQueued posts software-queued frames into freed ring slots.
+func (p *EthPort) drainQueued() {
+	for p.txQueued.Len() > 0 && int(p.pi-p.ci) < p.sqSize {
+		p.post(p.txQueued.Pop())
 	}
 }
 
@@ -502,12 +508,7 @@ func (p *EthPort) txComplete(c nic.CQE) {
 	if p.OnSendComplete != nil {
 		p.OnSendComplete(int(adv) + 1)
 	}
-	// Drain software queue into freed slots.
-	for len(p.txQueued) > 0 && int(p.pi-p.ci) < p.sqSize {
-		f := p.txQueued[0]
-		p.txQueued = p.txQueued[1:]
-		p.post(f)
-	}
+	p.drainQueued()
 }
 
 func (p *EthPort) rxComplete(c nic.CQE) {
