@@ -252,7 +252,7 @@ func (r *Reconciler) attempt() {
 		}
 	}
 
-	r.eng.After(r.backoff(), r.attempt)
+	r.eng.After(r.rng.Backoff(reconcileBackoffBase, reconcileBackoffMax, r.attempts), r.attempt)
 }
 
 // drainStep advances one tenant's drain: returns true once quiesced,
@@ -283,17 +283,4 @@ func (r *Reconciler) finish(gaveUp bool) {
 	}
 	r.tEpisodes.Inc()
 	r.hConverge.Observe(int64(r.eng.Now() - r.startedAt))
-}
-
-// backoff mirrors the supervisor's pacing: base·2^attempt capped, ±25%
-// jitter from the reconciler's own stream.
-func (r *Reconciler) backoff() sim.Duration {
-	d := reconcileBackoffBase
-	for i := 1; i < r.attempts && d < reconcileBackoffMax; i++ {
-		d *= 2
-	}
-	if d > reconcileBackoffMax {
-		d = reconcileBackoffMax
-	}
-	return sim.Duration(float64(d) * (0.75 + 0.5*r.rng.Float64()))
 }

@@ -14,6 +14,7 @@ import (
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/nic"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/telemetry"
 )
 
 // Config sets the fabric's uniform port parameters.
@@ -85,7 +86,7 @@ type Switch struct {
 	// forwarding plane runs only at zero.
 	downN int
 
-	tlm *swTelemetry
+	tlm *telemetry.Scope // nil unless SetTelemetry was called
 }
 
 // Crash models the ToR switch rebooting: the forwarding plane stops
@@ -100,9 +101,6 @@ func (s *Switch) Crash() {
 		return
 	}
 	s.Stats.Reboots++
-	if t := s.tlm; t != nil {
-		t.reboots.Inc()
-	}
 	s.fdb = make(map[netpkt.MAC]*Port)
 }
 
@@ -210,7 +208,7 @@ func (s *Switch) Connect(ep Endpoint) *Port {
 	s.ports = append(s.ports, p)
 	ep.AttachPort(p)
 	if s.tlm != nil {
-		p.instrument(s.tlm.scope)
+		p.instrument(s.tlm)
 	}
 	return p
 }
@@ -229,16 +227,9 @@ func unicastMAC(m netpkt.MAC) bool { return m[0]&1 == 0 && m != (netpkt.MAC{}) }
 func (s *Switch) ingress(src *Port, frame []byte) {
 	if s.downN > 0 {
 		s.Stats.RebootDrops++
-		if t := s.tlm; t != nil {
-			t.rebootDrops.Inc()
-		}
 		return
 	}
 	src.count(&src.Counters.RxFrames, &src.Counters.RxBytes, len(frame))
-	if t := src.tlm; t != nil {
-		t.rxFrames.Inc()
-		t.rxBytes.Add(int64(len(frame)))
-	}
 	eh, _, err := netpkt.ParseEth(frame)
 	if err != nil {
 		s.Stats.Malformed++
@@ -250,22 +241,13 @@ func (s *Switch) ingress(src *Port, frame []byte) {
 	if dst, ok := s.fdb[eh.Dst]; ok && unicastMAC(eh.Dst) {
 		if dst == src {
 			s.Stats.Filtered++
-			if t := s.tlm; t != nil {
-				t.filtered.Inc()
-			}
 			return
 		}
 		s.Stats.Forwarded++
-		if t := s.tlm; t != nil {
-			t.forwarded.Inc()
-		}
 		dst.deliver(frame)
 		return
 	}
 	s.Stats.Floods++
-	if t := s.tlm; t != nil {
-		t.floods.Inc()
-	}
 	for _, p := range s.ports {
 		if p != src {
 			p.deliver(frame)
@@ -308,7 +290,7 @@ type Port struct {
 	inC, outC *sim.Conduit
 	freeN     *portXfer // dir-0 transit records (endpoint shard's pool)
 
-	tlm *portTelemetry
+	depth *telemetry.Gauge // output-queue occupancy (high-water tracked); nil-safe
 }
 
 // Link exposes the segment's fault hooks and delivery counters for
@@ -353,9 +335,6 @@ func portInSent(a any) {
 	p.putXferN(x)
 	if l.Loss != nil && l.Loss(0, frame) {
 		l.Lost[0]++
-		if t := p.tlm; t != nil {
-			t.injectedUp.Inc()
-		}
 		return
 	}
 	lat := p.sw.cfg.Latency
@@ -383,15 +362,10 @@ func (p *Port) recvIn(frame []byte) {
 func (p *Port) deliver(frame []byte) {
 	if p.queued >= p.sw.cfg.QueueFrames {
 		p.Counters.TailDrops++
-		if t := p.tlm; t != nil {
-			t.tailDrops.Inc()
-		}
 		return
 	}
 	p.queued++
-	if t := p.tlm; t != nil {
-		t.depth.Set(int64(p.queued))
-	}
+	p.depth.Set(int64(p.queued))
 	p.link.Sent[1]++
 	x := p.sw.getXfer(p)
 	x.frame = frame
@@ -406,15 +380,10 @@ func portOutSent(a any) {
 	x := a.(*portXfer)
 	p, l, frame, d := x.p, &x.p.link, x.frame, x.d
 	p.queued--
-	if t := p.tlm; t != nil {
-		t.depth.Set(int64(p.queued))
-	}
+	p.depth.Set(int64(p.queued))
 	p.sw.putXfer(x)
 	if l.Loss != nil && l.Loss(1, frame) {
 		l.Lost[1]++
-		if t := p.tlm; t != nil {
-			t.injectedDown.Inc()
-		}
 		return
 	}
 	lat := p.sw.cfg.Latency
@@ -433,9 +402,5 @@ func portOutSent(a any) {
 func (p *Port) recvOut(frame []byte) {
 	p.link.Delivered[1]++
 	p.count(&p.Counters.TxFrames, &p.Counters.TxBytes, len(frame))
-	if t := p.tlm; t != nil {
-		t.txFrames.Inc()
-		t.txBytes.Add(int64(len(frame)))
-	}
 	p.ep.Ingress(frame)
 }

@@ -8,6 +8,7 @@ import (
 	"flexdriver/internal/nic"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/telemetry"
+	"flexdriver/internal/telemetry/bindtest"
 )
 
 // stubEP is a minimal Endpoint: it records every delivered frame and
@@ -205,6 +206,36 @@ func TestSwitchTelemetry(t *testing.T) {
 	} {
 		if snap.Get(k) != want {
 			t.Errorf("%s = %d, want %d\n%s", k, snap.Get(k), want, snap)
+		}
+	}
+}
+
+// TestCountersArePublishedWhole: the switch's Stats, each port's
+// Counters and its link's fault-plane losses are the counters at their
+// paths, whether the port was connected before or after SetTelemetry;
+// a field added without a CounterVar line fails.
+func TestCountersArePublishedWhole(t *testing.T) {
+	eng := sim.NewEngine()
+	reg := telemetry.New()
+	sw := New(eng, Config{})
+	early := sw.Connect(&stubEP{eng: eng})
+	sw.SetTelemetry(reg.Scope("switch"))
+	late := sw.Connect(&stubEP{eng: eng})
+
+	bindtest.Fields(t, reg, "switch/", &sw.Stats, map[string]string{
+		"Forwarded": "forwarded", "Floods": "floods", "Filtered": "filtered",
+		"Reboots": "reboots", "RebootDrops": "reboot_drops",
+	}, "Malformed")
+	for i, p := range []*Port{early, late} {
+		prefix := fmt.Sprintf("switch/port%d/", i)
+		bindtest.Fields(t, reg, prefix, &p.Counters, map[string]string{
+			"RxFrames": "rx/frames", "RxBytes": "rx/bytes",
+			"TxFrames": "tx/frames", "TxBytes": "tx/bytes", "TailDrops": "tail_drops",
+		})
+		p.Link().Lost = [2]int64{11, 22}
+		snap := reg.Snapshot()
+		if up, down := snap.Get(prefix+"injected_loss/up"), snap.Get(prefix+"injected_loss/down"); up != 11 || down != 22 {
+			t.Errorf("%sinjected_loss up=%d down=%d, want 11 22", prefix, up, down)
 		}
 	}
 }

@@ -6,62 +6,41 @@ import (
 	"flexdriver/internal/telemetry"
 )
 
-// swTelemetry holds the switch-level counters; per-port handles live on
-// the ports (nil-safe, same convention as the NIC).
-type swTelemetry struct {
-	scope *telemetry.Scope
-
-	forwarded, floods, filtered *telemetry.Counter
-	reboots, rebootDrops        *telemetry.Counter
-}
-
-// portTelemetry counters are split by writing shard: the endpoint's
-// engine owns the dir-0 (up) side plus delivered tx, the switch engine
-// owns the dir-1 (down) side — so each counter has exactly one writer
-// when the cluster runs sharded.
-type portTelemetry struct {
-	rxFrames, rxBytes *telemetry.Counter
-	txFrames, txBytes *telemetry.Counter
-	tailDrops         *telemetry.Counter
-	injectedUp        *telemetry.Counter // fault-plane losses, NIC-to-switch
-	injectedDown      *telemetry.Counter // fault-plane losses, switch-to-NIC
-	depth             *telemetry.Gauge   // output-queue occupancy (high-water tracked)
-}
-
-// SetTelemetry attaches a telemetry scope: switch-level forwarding
-// counters, FDB size, and per-port rx/tx/tail-drop counters plus
-// output-queue depth and utilization — for ports that already exist and
-// ports connected later.
+// SetTelemetry attaches a telemetry scope: the switch's Stats published
+// as forwarding counters, FDB size, and per-port rx/tx/tail-drop
+// counters plus output-queue depth and utilization — for ports that
+// already exist and ports connected later.
 func (s *Switch) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		return
 	}
-	s.tlm = &swTelemetry{
-		scope:       sc,
-		forwarded:   sc.Counter("forwarded"),
-		floods:      sc.Counter("floods"),
-		filtered:    sc.Counter("filtered"),
-		reboots:     sc.Counter("reboots"),
-		rebootDrops: sc.Counter("reboot_drops"),
-	}
+	s.tlm = sc
+	st := &s.Stats
+	sc.CounterVar("forwarded", &st.Forwarded)
+	sc.CounterVar("floods", &st.Floods)
+	sc.CounterVar("filtered", &st.Filtered)
+	sc.CounterVar("reboots", &st.Reboots)
+	sc.CounterVar("reboot_drops", &st.RebootDrops)
 	sc.Func("fdb/size", func() float64 { return float64(len(s.fdb)) })
 	for _, p := range s.ports {
 		p.instrument(sc)
 	}
 }
 
+// instrument publishes the port's Counters and its link's fault-plane
+// losses (dir 0 is NIC-to-switch, "up"). Every published cell keeps the
+// single writing shard the Port comment describes.
 func (p *Port) instrument(sc *telemetry.Scope) {
 	ps := sc.Scope(fmt.Sprintf("port%d", p.ID))
-	p.tlm = &portTelemetry{
-		rxFrames:     ps.Counter("rx/frames"),
-		rxBytes:      ps.Counter("rx/bytes"),
-		txFrames:     ps.Counter("tx/frames"),
-		txBytes:      ps.Counter("tx/bytes"),
-		tailDrops:    ps.Counter("tail_drops"),
-		injectedUp:   ps.Counter("injected_loss/up"),
-		injectedDown: ps.Counter("injected_loss/down"),
-		depth:        ps.Gauge("queue/depth"),
-	}
+	c := &p.Counters
+	ps.CounterVar("rx/frames", &c.RxFrames)
+	ps.CounterVar("rx/bytes", &c.RxBytes)
+	ps.CounterVar("tx/frames", &c.TxFrames)
+	ps.CounterVar("tx/bytes", &c.TxBytes)
+	ps.CounterVar("tail_drops", &c.TailDrops)
+	ps.CounterVar("injected_loss/up", &p.link.Lost[0])
+	ps.CounterVar("injected_loss/down", &p.link.Lost[1])
+	p.depth = ps.Gauge("queue/depth")
 	ps.Func("out/util", p.out.Utilization)
 	ps.Func("in/util", p.in.Utilization)
 }

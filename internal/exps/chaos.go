@@ -154,18 +154,6 @@ func chaosReport(r *Result, cfg flexdriver.FaultsConfig, inj flexdriver.FaultCou
 	r.Check("PCIe byte counters reconcile under faults", 0, float64(cm+sm), "mismatches",
 		cm+sm == 0, "telemetry vs Port.{Up,Down}Bytes, byte-exact")
 
-	// The plan's telemetry mirror must agree with its own tallies.
-	injTel := snap.Sum("faults/injected/", "")
-	r.Check("injection telemetry mirrors plan tallies", float64(inj.Total()), float64(injTel),
-		"faults", injTel == inj.Total(), "")
-
-	// The driver's telemetry mirror must agree with its raw Stats.
-	drvTelOK := snap.Get("client/swdriver/errors/recoveries") == cli.Host.Drv.Recoveries &&
-		snap.Get("client/swdriver/errors/tx") == cli.Host.Drv.TxErrors &&
-		snap.Get("client/swdriver/errors/cqe") == cli.Host.Drv.CQEErrors
-	r.Check("driver telemetry mirrors Stats counters", 1, b2f(drvTelOK), "",
-		drvTelOK, "errors/{tx,cqe,recoveries} vs Driver fields")
-
 	// Recovery: both NICs' queues are Ready again. When no crash class
 	// ran, every queue error is answered one-for-one by a driver reset;
 	// crash windows break that pairing by design (a crash errors every

@@ -1,6 +1,8 @@
 package exps
 
 import (
+	"encoding/binary"
+
 	"flexdriver"
 	"flexdriver/internal/accel/defrag"
 	"flexdriver/internal/netpkt"
@@ -56,15 +58,11 @@ func newKernelCores(inn *flexdriver.Innova, n int, perPkt sim.Duration, swDefrag
 		k.rqs = append(k.rqs, rq)
 		k.pis = append(k.pis, entries)
 		var b [4]byte
-		putBE32(b[:], entries)
+		binary.BigEndian.PutUint32(b[:], entries)
 		inn.Fab.Write(inn.Fab.PortOf(inn.NIC).Base()+nic.RQDoorbellOffset(rq.ID), b[:])
 		tir.RQs = append(tir.RQs, rq)
 	}
 	return k, tir
-}
-
-func putBE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
 
 // onPacket charges the kernel path and counts delivered application bytes.
@@ -72,7 +70,7 @@ func (k *kernelCores) onPacket(core int, c nic.CQE) {
 	// Recycle the buffer immediately (in-order ring).
 	k.pis[core]++
 	var b [4]byte
-	putBE32(b[:], k.pis[core])
+	binary.BigEndian.PutUint32(b[:], k.pis[core])
 	k.nodes.Fab.Write(k.nodes.Fab.PortOf(k.nodes.NIC).Base()+nic.RQDoorbellOffset(k.rqs[core].ID), b[:])
 
 	base := k.nodes.Fab.PortOf(k.nodes.Mem).Base()

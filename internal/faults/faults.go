@@ -117,15 +117,14 @@ func (c Counts) Total() int64 {
 type Plan struct {
 	Cfg Config
 	// Injected tallies what was actually injected, for reconciliation
-	// against observed loss. Several shards feed it concurrently, hence
-	// the atomic updates in note; read it only between runs.
+	// against observed loss; SetTelemetry publishes the same fields as
+	// injected/<class>. Several shards feed it concurrently, hence the
+	// atomic updates in note; read it only between runs.
 	Injected Counts
 
 	seed    int64
 	nstream int64       // attachment-stream ordinal allocator
 	eng     *sim.Engine // default clock for streams without their own
-
-	tlm *planTelemetry
 }
 
 // NewPlan builds a plan drawing all probabilistic decisions from the
@@ -211,11 +210,36 @@ func (s *stream) hit(prob float64) bool {
 	return prob > 0 && s.active() && s.rng.Float64() < prob
 }
 
-// note records one injection in Counts and telemetry. Atomic on both:
-// every shard with an attachment funnels into these shared tallies.
-func (p *Plan) note(n *int64, c *telemetry.Counter) {
-	atomic.AddInt64(n, 1)
-	c.IncAtomic()
+// note records one injection. Atomic: every shard with an attachment
+// funnels into the plan's shared tallies.
+func (p *Plan) note(n *int64) { atomic.AddInt64(n, 1) }
+
+// SetTelemetry publishes the Injected tallies in sc as injected/<class>
+// counters. Every node of a testbed that shares the plan calls this with
+// the same scope; binding again is a no-op.
+func (p *Plan) SetTelemetry(sc *telemetry.Scope) {
+	if sc == nil {
+		return
+	}
+	c := &p.Injected
+	sc = sc.Scope("injected")
+	sc.CounterVar("pcie_drops", &c.PCIeDrops)
+	sc.CounterVar("pcie_corrupts", &c.PCIeCorrupts)
+	sc.CounterVar("link_flap_tlps", &c.LinkFlapTLPs)
+	sc.CounterVar("doorbell_losses", &c.DoorbellLosses)
+	sc.CounterVar("wqe_fetch_fails", &c.WQEFetchFails)
+	sc.CounterVar("cqe_errors", &c.CQEErrors)
+	sc.CounterVar("accel_stalls", &c.AccelStalls)
+	sc.CounterVar("wire_losses", &c.WireLosses)
+	sc.CounterVar("wire_dups", &c.WireDups)
+	sc.CounterVar("wire_delays", &c.WireDelays)
+	sc.CounterVar("wire_dropped", &c.WireDropped)
+	sc.CounterVar("fld_resets", &c.FLDResets)
+	sc.CounterVar("nic_flrs", &c.NICFLRs)
+	sc.CounterVar("node_crashes", &c.NodeCrashes)
+	sc.CounterVar("drv_crashes", &c.DrvCrashes)
+	sc.CounterVar("sw_reboots", &c.SwReboots)
+	sc.CounterVar("partition_drops", &c.PartitionDrops)
 }
 
 // --- failure domains ------------------------------------------------------
@@ -309,13 +333,13 @@ func (p *Plan) attachCrash(eng *sim.Engine, every, dur sim.Duration, note func()
 // AttachFLDReset schedules FLD/AFU hard resets for one accelerator.
 func (p *Plan) AttachFLDReset(eng *sim.Engine, f Crashable) {
 	p.attachCrash(eng, p.Cfg.FLDResetEvery, p.Cfg.FLDResetFor,
-		func() { p.note(&p.Injected.FLDResets, p.tlm.fldResets()) }, f)
+		func() { p.note(&p.Injected.FLDResets) }, f)
 }
 
 // AttachNICFLR schedules NIC function-level resets for one adapter.
 func (p *Plan) AttachNICFLR(eng *sim.Engine, n Crashable) {
 	p.attachCrash(eng, p.Cfg.NICFLREvery, p.Cfg.NICFLRFor,
-		func() { p.note(&p.Injected.NICFLRs, p.tlm.nicFLRs()) }, n)
+		func() { p.note(&p.Injected.NICFLRs) }, n)
 }
 
 // AttachNodeCrash schedules whole-node crash–restart cycles: every
@@ -323,19 +347,19 @@ func (p *Plan) AttachNICFLR(eng *sim.Engine, n Crashable) {
 // back together, as when an Innova loses power or a host reboots.
 func (p *Plan) AttachNodeCrash(eng *sim.Engine, comps ...Crashable) {
 	p.attachCrash(eng, p.Cfg.NodeCrashEvery, p.Cfg.NodeCrashFor,
-		func() { p.note(&p.Injected.NodeCrashes, p.tlm.nodeCrashes()) }, comps...)
+		func() { p.note(&p.Injected.NodeCrashes) }, comps...)
 }
 
 // AttachDriverCrash schedules host-driver process crashes.
 func (p *Plan) AttachDriverCrash(eng *sim.Engine, d Crashable) {
 	p.attachCrash(eng, p.Cfg.DrvCrashEvery, p.Cfg.DrvCrashFor,
-		func() { p.note(&p.Injected.DrvCrashes, p.tlm.drvCrashes()) }, d)
+		func() { p.note(&p.Injected.DrvCrashes) }, d)
 }
 
 // AttachSwitchReboot schedules ToR switch reboots.
 func (p *Plan) AttachSwitchReboot(eng *sim.Engine, sw Crashable) {
 	p.attachCrash(eng, p.Cfg.SwRebootEvery, p.Cfg.SwRebootFor,
-		func() { p.note(&p.Injected.SwReboots, p.tlm.swReboots()) }, sw)
+		func() { p.note(&p.Injected.SwReboots) }, sw)
 }
 
 // --- attachment -----------------------------------------------------------
@@ -353,21 +377,21 @@ func (p *Plan) AttachFabric(f *pcie.Fabric) {
 	f.SetFaults(&pcie.FaultHooks{
 		Drop: func(_ *pcie.Port, _ telemetry.TLPType) bool {
 			if s.hit(c.PCIeDrop) {
-				p.note(&p.Injected.PCIeDrops, p.tlm.pcieDrops())
+				p.note(&p.Injected.PCIeDrops)
 				return true
 			}
 			return false
 		},
 		Corrupt: func(_ *pcie.Port, _ telemetry.TLPType) bool {
 			if s.hit(c.PCIeCorrupt) {
-				p.note(&p.Injected.PCIeCorrupts, p.tlm.pcieCorrupts())
+				p.note(&p.Injected.PCIeCorrupts)
 				return true
 			}
 			return false
 		},
 		Down: func(_ *pcie.Port) bool {
 			if s.flapDown() {
-				p.note(&p.Injected.LinkFlapTLPs, p.tlm.linkFlapTLPs())
+				p.note(&p.Injected.LinkFlapTLPs)
 				return true
 			}
 			return false
@@ -387,21 +411,21 @@ func (p *Plan) AttachNIC(n *nic.NIC) {
 	n.SetFaults(&nic.FaultHooks{
 		DropDoorbell: func(_ *nic.NIC) bool {
 			if s.hit(c.DoorbellLoss) {
-				p.note(&p.Injected.DoorbellLosses, p.tlm.doorbellLosses())
+				p.note(&p.Injected.DoorbellLosses)
 				return true
 			}
 			return false
 		},
 		FailWQEFetch: func(_ *nic.SQ) bool {
 			if s.hit(c.WQEFetchFail) {
-				p.note(&p.Injected.WQEFetchFails, p.tlm.wqeFetchFails())
+				p.note(&p.Injected.WQEFetchFails)
 				return true
 			}
 			return false
 		},
 		CQEError: func(_ *nic.CQ) bool {
 			if s.hit(c.CQEErr) {
-				p.note(&p.Injected.CQEErrors, p.tlm.cqeErrors())
+				p.note(&p.Injected.CQEErrors)
 				return true
 			}
 			return false
@@ -419,7 +443,7 @@ func (p *Plan) AttachFLD(f *fld.FLD) {
 	f.SetFaults(&fld.FaultHooks{
 		AccelStall: func(_ *fld.FLD) bool {
 			if s.hit(c.AccelStall) {
-				p.note(&p.Injected.AccelStalls, p.tlm.accelStalls())
+				p.note(&p.Injected.AccelStalls)
 				return true
 			}
 			return false
@@ -490,7 +514,7 @@ func (p *Plan) AttachLink(l *nic.Link, eng0, eng1 *sim.Engine) {
 		// regardless of WireDir; each casualty is tallied so frame
 		// conservation can attribute it.
 		if partitioned(dir) {
-			p.note(&p.Injected.PartitionDrops, p.tlm.partitionDrops())
+			p.note(&p.Injected.PartitionDrops)
 			return true
 		}
 		if !p.dirMatch(dir) {
@@ -499,12 +523,12 @@ func (p *Plan) AttachLink(l *nic.Link, eng0, eng1 *sim.Engine) {
 		seq[dir]++
 		for _, k := range c.WireDropNth {
 			if seq[dir] == k {
-				p.note(&p.Injected.WireDropped, p.tlm.wireDropped())
+				p.note(&p.Injected.WireDropped)
 				return true
 			}
 		}
 		if ss[dir].hit(c.WireLoss) {
-			p.note(&p.Injected.WireLosses, p.tlm.wireLosses())
+			p.note(&p.Injected.WireLosses)
 			return true
 		}
 		return false
@@ -514,7 +538,7 @@ func (p *Plan) AttachLink(l *nic.Link, eng0, eng1 *sim.Engine) {
 			return false
 		}
 		if ss[dir].hit(c.WireDup) {
-			p.note(&p.Injected.WireDups, p.tlm.wireDups())
+			p.note(&p.Injected.WireDups)
 			return true
 		}
 		return false
@@ -524,7 +548,7 @@ func (p *Plan) AttachLink(l *nic.Link, eng0, eng1 *sim.Engine) {
 			return 0
 		}
 		if ss[dir].hit(c.WireDelay) {
-			p.note(&p.Injected.WireDelays, p.tlm.wireDelays())
+			p.note(&p.Injected.WireDelays)
 			return c.WireDelayBy
 		}
 		return 0
@@ -566,20 +590,50 @@ var Presets = map[string]Config{
 	},
 }
 
-// ParseSpec parses a fault specification for the -faults flag: either a
-// preset name ("light", "heavy") or comma-separated key=value pairs,
-// optionally starting from a preset ("light,wire.loss=0.1"). Keys:
-//
-//	pcie.drop pcie.corrupt flap.every flap.for
-//	db.loss wqe.fail cqe.err accel.stall
-//	wire.loss wire.dup wire.delay wire.delayby wire.dir wire.dropn
-//	fld.reset.every fld.reset.for nic.flr.every nic.flr.for
-//	node.crash.every node.crash.for drv.crash.every drv.crash.for
-//	sw.reboot.every sw.reboot.for part.every part.for
-//	start stop
-//
-// Probabilities are floats; durations use Go syntax ("200us");
+// specKeys is the key=value schema of the -faults flag, in the order
+// Config.String emits it: ParseSpec, String and this list are the one
+// place a key is named. A key's value syntax follows its field's type:
+// a float64 is a probability in [0, 1]; a sim.Duration uses Go syntax
+// ("200us") and may not be negative; wire.dir is 0 (both), 1 or 2;
 // wire.dropn is a semicolon-separated 1-based ordinal list ("1;5;9").
+var specKeys = []struct {
+	key   string
+	field func(*Config) any
+}{
+	{"pcie.drop", func(c *Config) any { return &c.PCIeDrop }},
+	{"pcie.corrupt", func(c *Config) any { return &c.PCIeCorrupt }},
+	{"flap.every", func(c *Config) any { return &c.FlapEvery }},
+	{"flap.for", func(c *Config) any { return &c.FlapFor }},
+	{"db.loss", func(c *Config) any { return &c.DoorbellLoss }},
+	{"wqe.fail", func(c *Config) any { return &c.WQEFetchFail }},
+	{"cqe.err", func(c *Config) any { return &c.CQEErr }},
+	{"accel.stall", func(c *Config) any { return &c.AccelStall }},
+	{"wire.loss", func(c *Config) any { return &c.WireLoss }},
+	{"wire.dup", func(c *Config) any { return &c.WireDup }},
+	{"wire.delay", func(c *Config) any { return &c.WireDelay }},
+	{"wire.delayby", func(c *Config) any { return &c.WireDelayBy }},
+	{"wire.dir", func(c *Config) any { return &c.WireDir }},
+	{"wire.dropn", func(c *Config) any { return &c.WireDropNth }},
+	{"fld.reset.every", func(c *Config) any { return &c.FLDResetEvery }},
+	{"fld.reset.for", func(c *Config) any { return &c.FLDResetFor }},
+	{"nic.flr.every", func(c *Config) any { return &c.NICFLREvery }},
+	{"nic.flr.for", func(c *Config) any { return &c.NICFLRFor }},
+	{"node.crash.every", func(c *Config) any { return &c.NodeCrashEvery }},
+	{"node.crash.for", func(c *Config) any { return &c.NodeCrashFor }},
+	{"drv.crash.every", func(c *Config) any { return &c.DrvCrashEvery }},
+	{"drv.crash.for", func(c *Config) any { return &c.DrvCrashFor }},
+	{"sw.reboot.every", func(c *Config) any { return &c.SwRebootEvery }},
+	{"sw.reboot.for", func(c *Config) any { return &c.SwRebootFor }},
+	{"part.every", func(c *Config) any { return &c.PartEvery }},
+	{"part.for", func(c *Config) any { return &c.PartFor }},
+	{"start", func(c *Config) any { return &c.Start }},
+	{"stop", func(c *Config) any { return &c.Stop }},
+}
+
+// ParseSpec parses a fault specification for the -faults flag: either a
+// preset name ("light", "heavy", "crash") or comma-separated key=value
+// pairs, optionally starting from a preset ("light,wire.loss=0.1").
+// specKeys lists the keys and their value syntax.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
 	spec = strings.TrimSpace(spec)
@@ -601,74 +655,33 @@ func ParseSpec(spec string) (Config, error) {
 		}
 		kv := strings.SplitN(part, "=", 2)
 		key, val := strings.TrimSpace(kv[0]), strings.TrimSpace(kv[1])
+		var field any
+		for _, k := range specKeys {
+			if k.key == key {
+				field = k.field(&cfg)
+				break
+			}
+		}
 		var err error
-		switch key {
-		case "pcie.drop":
-			cfg.PCIeDrop, err = parseProb(val)
-		case "pcie.corrupt":
-			cfg.PCIeCorrupt, err = parseProb(val)
-		case "flap.every":
-			cfg.FlapEvery, err = parseDur(val)
-		case "flap.for":
-			cfg.FlapFor, err = parseDur(val)
-		case "db.loss":
-			cfg.DoorbellLoss, err = parseProb(val)
-		case "wqe.fail":
-			cfg.WQEFetchFail, err = parseProb(val)
-		case "cqe.err":
-			cfg.CQEErr, err = parseProb(val)
-		case "accel.stall":
-			cfg.AccelStall, err = parseProb(val)
-		case "wire.loss":
-			cfg.WireLoss, err = parseProb(val)
-		case "wire.dup":
-			cfg.WireDup, err = parseProb(val)
-		case "wire.delay":
-			cfg.WireDelay, err = parseProb(val)
-		case "wire.delayby":
-			cfg.WireDelayBy, err = parseDur(val)
-		case "wire.dir":
-			cfg.WireDir, err = strconv.Atoi(val)
-			if err == nil && (cfg.WireDir < 0 || cfg.WireDir > 2) {
+		switch f := field.(type) {
+		case *float64:
+			*f, err = parseProb(val)
+		case *sim.Duration:
+			*f, err = parseDur(val)
+		case *int:
+			*f, err = strconv.Atoi(val)
+			if err == nil && (*f < 0 || *f > 2) {
 				err = fmt.Errorf("must be 0 (both), 1 or 2")
 			}
-		case "wire.dropn":
+		case *[]int64:
 			for _, s := range strings.Split(val, ";") {
 				var n int64
 				n, err = strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 				if err != nil {
 					break
 				}
-				cfg.WireDropNth = append(cfg.WireDropNth, n)
+				*f = append(*f, n)
 			}
-		case "fld.reset.every":
-			cfg.FLDResetEvery, err = parseDur(val)
-		case "fld.reset.for":
-			cfg.FLDResetFor, err = parseDur(val)
-		case "nic.flr.every":
-			cfg.NICFLREvery, err = parseDur(val)
-		case "nic.flr.for":
-			cfg.NICFLRFor, err = parseDur(val)
-		case "node.crash.every":
-			cfg.NodeCrashEvery, err = parseDur(val)
-		case "node.crash.for":
-			cfg.NodeCrashFor, err = parseDur(val)
-		case "drv.crash.every":
-			cfg.DrvCrashEvery, err = parseDur(val)
-		case "drv.crash.for":
-			cfg.DrvCrashFor, err = parseDur(val)
-		case "sw.reboot.every":
-			cfg.SwRebootEvery, err = parseDur(val)
-		case "sw.reboot.for":
-			cfg.SwRebootFor, err = parseDur(val)
-		case "part.every":
-			cfg.PartEvery, err = parseDur(val)
-		case "part.for":
-			cfg.PartFor, err = parseDur(val)
-		case "start":
-			cfg.Start, err = parseDur(val)
-		case "stop":
-			cfg.Stop, err = parseDur(val)
 		default:
 			return cfg, fmt.Errorf("faults: unknown key %q", key)
 		}
@@ -722,51 +735,31 @@ func formatDur(d sim.Duration) string {
 // parse-time zero value, so specs stay minimal.
 func (c Config) String() string {
 	var parts []string
-	add := func(key string, v float64) {
-		if v != 0 {
-			parts = append(parts, key+"="+strconv.FormatFloat(v, 'g', -1, 64))
+	for _, k := range specKeys {
+		var val string
+		switch f := k.field(&c).(type) {
+		case *float64:
+			if *f != 0 {
+				val = strconv.FormatFloat(*f, 'g', -1, 64)
+			}
+		case *sim.Duration:
+			if *f != 0 {
+				val = formatDur(*f)
+			}
+		case *int:
+			if *f != 0 {
+				val = strconv.Itoa(*f)
+			}
+		case *[]int64:
+			ns := make([]string, len(*f))
+			for i, n := range *f {
+				ns[i] = strconv.FormatInt(n, 10)
+			}
+			val = strings.Join(ns, ";")
+		}
+		if val != "" {
+			parts = append(parts, k.key+"="+val)
 		}
 	}
-	addDur := func(key string, d sim.Duration) {
-		if d != 0 {
-			parts = append(parts, key+"="+formatDur(d))
-		}
-	}
-	add("pcie.drop", c.PCIeDrop)
-	add("pcie.corrupt", c.PCIeCorrupt)
-	addDur("flap.every", c.FlapEvery)
-	addDur("flap.for", c.FlapFor)
-	add("db.loss", c.DoorbellLoss)
-	add("wqe.fail", c.WQEFetchFail)
-	add("cqe.err", c.CQEErr)
-	add("accel.stall", c.AccelStall)
-	add("wire.loss", c.WireLoss)
-	add("wire.dup", c.WireDup)
-	add("wire.delay", c.WireDelay)
-	addDur("wire.delayby", c.WireDelayBy)
-	if c.WireDir != 0 {
-		parts = append(parts, "wire.dir="+strconv.Itoa(c.WireDir))
-	}
-	if len(c.WireDropNth) > 0 {
-		ns := make([]string, len(c.WireDropNth))
-		for i, n := range c.WireDropNth {
-			ns[i] = strconv.FormatInt(n, 10)
-		}
-		parts = append(parts, "wire.dropn="+strings.Join(ns, ";"))
-	}
-	addDur("fld.reset.every", c.FLDResetEvery)
-	addDur("fld.reset.for", c.FLDResetFor)
-	addDur("nic.flr.every", c.NICFLREvery)
-	addDur("nic.flr.for", c.NICFLRFor)
-	addDur("node.crash.every", c.NodeCrashEvery)
-	addDur("node.crash.for", c.NodeCrashFor)
-	addDur("drv.crash.every", c.DrvCrashEvery)
-	addDur("drv.crash.for", c.DrvCrashFor)
-	addDur("sw.reboot.every", c.SwRebootEvery)
-	addDur("sw.reboot.for", c.SwRebootFor)
-	addDur("part.every", c.PartEvery)
-	addDur("part.for", c.PartFor)
-	addDur("start", c.Start)
-	addDur("stop", c.Stop)
 	return strings.Join(parts, ",")
 }

@@ -6,6 +6,8 @@ import (
 
 	"flexdriver/internal/nic"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/telemetry"
+	"flexdriver/internal/telemetry/bindtest"
 )
 
 // driveWire pushes n frames in each direction through a plan's wire
@@ -242,5 +244,55 @@ func TestParseSpecFailureDomains(t *testing.T) {
 		if _, err := ParseSpec(tc.spec); err == nil {
 			t.Errorf("%s: ParseSpec(%q) accepted, want error", tc.name, tc.spec)
 		}
+	}
+}
+
+// TestInjectedIsPublishedWhole: every class tallied in Plan.Injected is
+// the counter at faults/injected/<class> — one cell, no mirror — and a
+// class added to Counts without a SetTelemetry line fails here. A loss
+// injected through a hook lands at its path with nothing in between.
+func TestInjectedIsPublishedWhole(t *testing.T) {
+	reg := telemetry.New()
+	p := NewPlan(1, Config{WireDropNth: []int64{1}})
+	p.SetTelemetry(reg.Scope("faults"))
+	p.SetTelemetry(reg.Scope("faults")) // every node of a testbed calls it
+
+	var l nic.Link
+	p.AttachLink(&l, nil, nil)
+	if !l.Loss(0, nil) {
+		t.Fatal("first frame must be dropped")
+	}
+	if got := reg.Snapshot().Get("faults/injected/wire_dropped"); got != 1 || p.Injected.WireDropped != 1 {
+		t.Fatalf("registry %d, Injected %d, want 1 1", got, p.Injected.WireDropped)
+	}
+
+	bindtest.Fields(t, reg, "faults/injected/", &p.Injected, map[string]string{
+		"PCIeDrops": "pcie_drops", "PCIeCorrupts": "pcie_corrupts", "LinkFlapTLPs": "link_flap_tlps",
+		"DoorbellLosses": "doorbell_losses", "WQEFetchFails": "wqe_fetch_fails", "CQEErrors": "cqe_errors",
+		"AccelStalls": "accel_stalls",
+		"WireLosses":  "wire_losses", "WireDups": "wire_dups", "WireDelays": "wire_delays", "WireDropped": "wire_dropped",
+		"FLDResets": "fld_resets", "NICFLRs": "nic_flrs", "NodeCrashes": "node_crashes",
+		"DrvCrashes": "drv_crashes", "SwReboots": "sw_reboots", "PartitionDrops": "partition_drops",
+	})
+	if tel := reg.Snapshot().Sum("faults/injected/", ""); tel != p.Injected.Total() {
+		t.Fatalf("faults/injected/* sums to %d, Total() is %d", tel, p.Injected.Total())
+	}
+}
+
+// TestSpecKeysCoverConfig: the spec table names every Config field
+// exactly once, so a field added without a key (or a key pointing at the
+// wrong field) cannot parse, print or round-trip silently.
+func TestSpecKeysCoverConfig(t *testing.T) {
+	var cfg Config
+	seen := map[any]string{}
+	for _, k := range specKeys {
+		f := k.field(&cfg)
+		if prev, dup := seen[f]; dup {
+			t.Errorf("keys %q and %q share one field", prev, k.key)
+		}
+		seen[f] = k.key
+	}
+	if n := reflect.TypeOf(cfg).NumField(); len(seen) != n {
+		t.Fatalf("%d keys for %d Config fields", len(seen), n)
 	}
 }

@@ -20,9 +20,6 @@ func (f *FLD) Crash() {
 		return
 	}
 	f.Stats.Crashes++
-	if t := f.tlm; t != nil {
-		t.crashes.Inc()
-	}
 	f.flushFunction(true)
 }
 
@@ -64,9 +61,6 @@ func (f *FLD) flushFunction(crashed bool) {
 			f.descFree = append(f.descFree, p.slot)
 			if crashed {
 				f.Stats.CrashDrops++
-				if t := f.tlm; t != nil {
-					t.crashDrops.Inc()
-				}
 			}
 		}
 		tq.released = tq.pi

@@ -305,18 +305,12 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	slots, bufBytes := f.Credits(q)
 	if slots < 1 || bufBytes < len(data) {
 		f.Stats.CreditStalls++
-		if t := f.tlm; t != nil {
-			t.creditStalls.Inc()
-		}
 		return ErrNoCredits
 	}
 
 	pages := f.txPool.alloc(data)
 	if pages == nil {
 		f.Stats.CreditStalls++
-		if t := f.tlm; t != nil {
-			t.creditStalls.Inc()
-		}
 		return ErrNoCredits
 	}
 	slot := f.descFree[len(f.descFree)-1]
@@ -366,11 +360,7 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 
 	f.Stats.TxPackets++
 	f.Stats.TxBytes += int64(len(data))
-	if t := f.tlm; t != nil {
-		t.txPackets.Inc()
-		t.txBytes.Add(int64(len(data)))
-		f.noteOccupancy()
-	}
+	f.noteOccupancy()
 
 	// Pace the hardware pipeline, cross it, then notify the NIC. The
 	// pacing slot's end stays an event of its own (txPaced), unlike the
@@ -578,9 +568,6 @@ func (f *FLD) MMIOWrite(offset uint64, data []byte) {
 	if f.downN > 0 {
 		if offset >= f.txCQBase {
 			f.Stats.CrashLostCQEs++
-			if t := f.tlm; t != nil {
-				t.crashLostCQEs.Inc()
-			}
 		}
 		return
 	}
@@ -608,9 +595,6 @@ func (f *FLD) handleTxCQE(c nic.CQE) {
 	}
 	if rec.Opcode == nic.CQEError {
 		f.Stats.Errors++
-		if t := f.tlm; t != nil {
-			t.errors.Inc()
-		}
 		if f.onError != nil {
 			f.onError(f.queueBySQN(rec.Queue), c.Syndrome)
 		}
@@ -673,9 +657,6 @@ func (f *FLD) recycleRxBuf() {
 func (f *FLD) ReplayWindow(q int) (ci, pi uint32) {
 	tq := f.queues[q]
 	f.Stats.Recoveries++
-	if t := f.tlm; t != nil {
-		t.recoveries.Inc()
-	}
 	if tq.pending.Len() > 0 {
 		return tq.pending.Peek(0).idx, tq.pi
 	}
@@ -688,9 +669,6 @@ func (f *FLD) ReplayWindow(q int) (ci, pi uint32) {
 // the recovered RQ resumes filling buffers.
 func (f *FLD) ReArmRx() {
 	f.Stats.Recoveries++
-	if t := f.tlm; t != nil {
-		t.recoveries.Inc()
-	}
 	if f.rxCurBuf >= 0 {
 		f.recycleRxBuf() // re-doorbells as a side effect
 		return
@@ -715,9 +693,6 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 		// runtime (queue -1 marks the receive path) which resets the
 		// RQ and calls ReArmRx; nothing to release here.
 		f.Stats.Errors++
-		if t := f.tlm; t != nil {
-			t.errors.Inc()
-		}
 		if f.onError != nil {
 			f.onError(-1, c.Syndrome)
 		}
@@ -728,8 +703,6 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	f.Stats.RxBytes += int64(rec.ByteCount)
 	if t := f.tlm; t != nil {
 		t.rxCQEs.Inc()
-		t.rxPackets.Inc()
-		t.rxBytes.Add(int64(rec.ByteCount))
 	}
 
 	// In-order buffer recycling (§5.2 "Receive Ring in Host Memory"):
@@ -752,9 +725,6 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 		// Accelerator stall: the buffer was already recycled above, so
 		// dropping here frees every resource — count and move on.
 		f.Stats.AccelStalls++
-		if t := f.tlm; t != nil {
-			t.accelStalls.Inc()
-		}
 		return
 	}
 
@@ -784,9 +754,6 @@ func rxStream(a any) {
 		// The function crashed while the packet was in the streaming
 		// pipeline: it dies with the SRAM.
 		f.Stats.CrashDrops++
-		if t := f.tlm; t != nil {
-			t.crashDrops.Inc()
-		}
 		return
 	}
 	if f.handler != nil {

@@ -8,6 +8,8 @@ import (
 	"flexdriver/internal/nic"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/telemetry"
+	"flexdriver/internal/telemetry/bindtest"
 )
 
 // minimal harness: FLD attached to a fabric with a NIC present only as a
@@ -66,6 +68,10 @@ func TestOnTheFlyWQEGeneration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WQEByMMIO = false
 	eng, _, f := newFLD(t, cfg)
+	// Instrumented, as in every cluster run: the allocation pins at the
+	// end hold with the translation hit/miss handles live.
+	reg := telemetry.New()
+	f.SetTelemetry(reg.Scope("fld"))
 
 	payload := bytes.Repeat([]byte{0x5A, 0x7E}, 650) // 1300 B, 3 pages
 	if err := f.Send(0, payload, Metadata{Tag: 0x1234}); err != nil {
@@ -219,4 +225,27 @@ func TestMalformedCQEIgnored(t *testing.T) {
 	if f.Stats.RxPackets != 0 || f.Stats.Errors != 0 {
 		t.Fatalf("garbage CQE processed: %+v", f.Stats)
 	}
+}
+
+// TestStatsArePublishedWhole: every field of FLD.Stats is the counter at
+// its path — written once, by the data path — and a field added without
+// a CounterVar line fails.
+func TestStatsArePublishedWhole(t *testing.T) {
+	_, _, f := newFLD(t, DefaultConfig())
+	reg := telemetry.New()
+	f.SetTelemetry(reg.Scope("fld"))
+	if err := f.Send(0, make([]byte, 100), Metadata{}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := reg.Snapshot(); snap.Get("fld/tx/packets") != 1 || snap.Get("fld/tx/bytes") != 100 {
+		t.Fatalf("one 100 B send reads as\n%s", snap)
+	}
+	bindtest.Fields(t, reg, "fld/", &f.Stats, map[string]string{
+		"TxPackets": "tx/packets", "TxBytes": "tx/bytes",
+		"RxPackets": "rx/packets", "RxBytes": "rx/bytes",
+		"CreditStalls": "credit_stalls", "Errors": "errors",
+		"AccelStalls": "errors/accel_stalls", "Recoveries": "errors/recoveries",
+		"Crashes": "errors/crashes", "CrashDrops": "errors/crash_drops",
+		"CrashLostCQEs": "errors/crash_lost_cqes",
+	})
 }

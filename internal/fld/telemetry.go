@@ -2,19 +2,10 @@ package fld
 
 import "flexdriver/internal/telemetry"
 
-// fldTelemetry holds the FLD data-plane counters. All handles are
-// nil-safe, so an uninstrumented FLD pays one branch per event.
+// fldTelemetry holds the FLD data-plane handles that have no Stats
+// field behind them. All handles are nil-safe, so an uninstrumented FLD
+// pays one branch per event.
 type fldTelemetry struct {
-	txPackets, txBytes *telemetry.Counter
-	rxPackets, rxBytes *telemetry.Counter
-	creditStalls       *telemetry.Counter
-	errors             *telemetry.Counter
-	accelStalls        *telemetry.Counter
-	recoveries         *telemetry.Counter
-	crashes            *telemetry.Counter
-	crashDrops         *telemetry.Counter
-	crashLostCQEs      *telemetry.Counter
-
 	sqDoorbells *telemetry.Counter // 4 B PI doorbells (WQEByMMIO off)
 	wqeMMIO     *telemetry.Counter // full WQEs pushed over MMIO
 	rqDoorbells *telemetry.Counter
@@ -33,8 +24,9 @@ type fldTelemetry struct {
 	descSlots *telemetry.Gauge // descriptor-pool slots in use
 }
 
-// SetTelemetry attaches a telemetry scope to the FLD instance:
-// packet/byte counters, doorbell and WQE-by-MMIO counts,
+// SetTelemetry attaches a telemetry scope to the FLD instance: the
+// Stats fields published as packet/byte/error counters, doorbell and
+// WQE-by-MMIO counts,
 // descriptor-compression and data-translation hit/miss counters,
 // cuckoo stash-depth funcs, and buffer-pool occupancy high-water
 // gauges.
@@ -42,29 +34,30 @@ func (f *FLD) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		return
 	}
+	st := &f.Stats
+	sc.CounterVar("tx/packets", &st.TxPackets)
+	sc.CounterVar("tx/bytes", &st.TxBytes)
+	sc.CounterVar("rx/packets", &st.RxPackets)
+	sc.CounterVar("rx/bytes", &st.RxBytes)
+	sc.CounterVar("credit_stalls", &st.CreditStalls)
+	sc.CounterVar("errors", &st.Errors)
+	sc.CounterVar("errors/accel_stalls", &st.AccelStalls)
+	sc.CounterVar("errors/recoveries", &st.Recoveries)
+	sc.CounterVar("errors/crashes", &st.Crashes)
+	sc.CounterVar("errors/crash_drops", &st.CrashDrops)
+	sc.CounterVar("errors/crash_lost_cqes", &st.CrashLostCQEs)
 	f.tlm = &fldTelemetry{
-		txPackets:     sc.Counter("tx/packets"),
-		txBytes:       sc.Counter("tx/bytes"),
-		rxPackets:     sc.Counter("rx/packets"),
-		rxBytes:       sc.Counter("rx/bytes"),
-		creditStalls:  sc.Counter("credit_stalls"),
-		errors:        sc.Counter("errors"),
-		accelStalls:   sc.Counter("errors/accel_stalls"),
-		recoveries:    sc.Counter("errors/recoveries"),
-		crashes:       sc.Counter("errors/crashes"),
-		crashDrops:    sc.Counter("errors/crash_drops"),
-		crashLostCQEs: sc.Counter("errors/crash_lost_cqes"),
-		sqDoorbells:   sc.Counter("doorbells/sq"),
-		wqeMMIO:       sc.Counter("doorbells/wqe_mmio"),
-		rqDoorbells:   sc.Counter("doorbells/rq"),
-		descHits:      sc.Counter("xlt/desc_hits"),
-		descMisses:    sc.Counter("xlt/desc_misses"),
-		dataHits:      sc.Counter("xlt/data_hits"),
-		dataMisses:    sc.Counter("xlt/data_misses"),
-		txCQEs:        sc.Counter("cqe/tx"),
-		rxCQEs:        sc.Counter("cqe/rx"),
-		poolPages:     sc.Gauge("pool/pages_in_use"),
-		descSlots:     sc.Gauge("pool/desc_in_use"),
+		sqDoorbells: sc.Counter("doorbells/sq"),
+		wqeMMIO:     sc.Counter("doorbells/wqe_mmio"),
+		rqDoorbells: sc.Counter("doorbells/rq"),
+		descHits:    sc.Counter("xlt/desc_hits"),
+		descMisses:  sc.Counter("xlt/desc_misses"),
+		dataHits:    sc.Counter("xlt/data_hits"),
+		dataMisses:  sc.Counter("xlt/data_misses"),
+		txCQEs:      sc.Counter("cqe/tx"),
+		rxCQEs:      sc.Counter("cqe/rx"),
+		poolPages:   sc.Gauge("pool/pages_in_use"),
+		descSlots:   sc.Gauge("pool/desc_in_use"),
 	}
 	sc.Func("tx_pipe/util", f.txPipe.Utilization)
 	sc.Func("rx_pipe/util", f.rxPipe.Utilization)

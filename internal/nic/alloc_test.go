@@ -4,7 +4,17 @@ import (
 	"testing"
 
 	"flexdriver/internal/sim"
+	"flexdriver/internal/telemetry"
 )
+
+// instrumented attaches a live registry to each NIC: the allocation pins
+// below hold with telemetry on, which is how every cluster run executes.
+func instrumented(nodes ...*node) {
+	reg := telemetry.New()
+	for i, nd := range nodes {
+		nd.nic.SetTelemetry(reg.Scope(string(rune('a' + i))))
+	}
+}
 
 // TestWireTransitZeroAlloc pins the wire forwarding machinery at zero
 // allocations per frame: getXfer/putXfer recycle the transit record and
@@ -45,6 +55,7 @@ func TestWireTransitZeroAlloc(t *testing.T) {
 // placement, CQE writes) is not counted here.
 func TestESwitchTraversalZeroAlloc(t *testing.T) {
 	eng, a, b, w := twoNodes(t)
+	instrumented(a, b)
 	w.Loss = func(int, []byte) bool { return true }
 	frame := buildFrame(1, 2, 1000, 2000, 64)
 
@@ -114,6 +125,7 @@ func TestRoCEFramingOneAllocPerFrame(t *testing.T) {
 func TestRQPlacementZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	b := newNode(t, eng)
+	instrumented(b)
 	rqRing := b.mem.Alloc(64*RecvWQESize, 64)
 	rq := b.nic.CreateRQ(RQConfig{Ring: b.fab.AddrOf(b.mem, rqRing), Size: 64, StrideSize: 256})
 	drq := &driverRQ{nd: b, rq: rq, ring: rqRing}

@@ -5,6 +5,7 @@ import (
 
 	"flexdriver/internal/sim"
 	"flexdriver/internal/telemetry"
+	"flexdriver/internal/telemetry/bindtest"
 )
 
 // TestDropReasonsHaveCounters asserts the DropReason enumeration is
@@ -53,4 +54,19 @@ func TestDropReasonsHaveCounters(t *testing.T) {
 		t.Fatalf("aggregate mismatch: stats=%d telemetry=%d want %d",
 			stats, tel, len(AllDropReasons))
 	}
+}
+
+// TestStatsArePublishedWhole: every scalar of NIC.Stats is the counter
+// at its path (the Drops map is the documented two-sided exception,
+// covered above), and a field added without a CounterVar line fails.
+func TestStatsArePublishedWhole(t *testing.T) {
+	reg := telemetry.New()
+	n := New("nic", sim.NewEngine(), DefaultParams())
+	n.SetTelemetry(reg.Scope("nic"))
+	bindtest.Fields(t, reg, "nic/", &n.Stats, map[string]string{
+		"TxPackets": "tx/packets", "TxBytes": "tx/bytes",
+		"RxPackets": "rx/packets", "RxBytes": "rx/bytes",
+		"QueueErrors": "errors/queue", "QueueRecoveries": "errors/recovered",
+		"DeviceCrashes": "device/crashes", "DeviceFLRs": "device/flrs",
+	})
 }

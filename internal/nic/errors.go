@@ -51,22 +51,6 @@ type FaultHooks struct {
 // SetFaults installs (or, with nil, removes) fault-injection hooks.
 func (n *NIC) SetFaults(h *FaultHooks) { n.flt = h }
 
-// noteQueueError records a queue (SQ/RQ/QP) transition into Error.
-func (n *NIC) noteQueueError() {
-	n.Stats.QueueErrors++
-	if t := n.tlm; t != nil {
-		t.errQueue.Inc()
-	}
-}
-
-// noteRecovery records a driver-initiated queue reset back to Ready.
-func (n *NIC) noteRecovery() {
-	n.Stats.QueueRecoveries++
-	if t := n.tlm; t != nil {
-		t.errRecovered.Inc()
-	}
-}
-
 // --- SQ error state ------------------------------------------------------
 
 // State reports the send queue's operational state.
@@ -81,7 +65,7 @@ func (sq *SQ) enterError(syndrome uint8) {
 	}
 	sq.state = QueueError
 	sq.epoch++
-	sq.n.noteQueueError()
+	sq.n.Stats.QueueErrors++
 	if sq.CQ != nil {
 		sq.CQ.Push(CQE{Opcode: CQEError, Syndrome: syndrome, Last: true,
 			Index: uint16(sq.ci), Queue: sq.ID})
@@ -104,7 +88,7 @@ func (sq *SQ) Reset() {
 	sq.inflight = 0
 	clear(sq.mmio)
 	sq.state = QueueReady
-	sq.n.noteRecovery()
+	sq.n.Stats.QueueRecoveries++
 }
 
 // ResetTo returns an Error-state SQ to Ready at an explicit ci/pi — the
@@ -121,7 +105,7 @@ func (sq *SQ) ResetTo(ci, pi uint32) {
 	sq.inflight = 0
 	clear(sq.mmio)
 	sq.state = QueueReady
-	sq.n.noteRecovery()
+	sq.n.Stats.QueueRecoveries++
 	sq.kick()
 }
 
@@ -139,7 +123,7 @@ func (rq *RQ) enterError(syndrome uint8) {
 	}
 	rq.state = QueueError
 	rq.epoch++
-	rq.n.noteQueueError()
+	rq.n.Stats.QueueErrors++
 	if rq.CQ != nil {
 		rq.CQ.Push(CQE{Opcode: CQEError, Syndrome: syndrome, Last: true,
 			Queue: rq.ID})
@@ -164,6 +148,6 @@ func (rq *RQ) Reset() {
 	rq.backlog.Reset()
 	rq.haveCur = false
 	rq.state = QueueReady
-	rq.n.noteRecovery()
+	rq.n.Stats.QueueRecoveries++
 	rq.prefetch()
 }

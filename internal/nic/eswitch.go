@@ -332,6 +332,8 @@ func (e *ESwitch) process(v *pktView) {
 		}
 		a := &rule.Action
 		if a.Count != "" {
+			// A map entry has no address to publish, so like NIC.drop a
+			// named count is kept on both sides.
 			e.Counters[a.Count]++
 			if e.tlm != nil {
 				e.tlm.count(a.Count).Inc()
@@ -515,10 +517,6 @@ func (n *NIC) egress(vp *VPort, frame []byte, flowTag uint32, onSent func()) {
 	}
 	n.Stats.TxPackets++
 	n.Stats.TxBytes += int64(len(frame))
-	if t := n.tlm; t != nil {
-		t.txPackets.Inc()
-		t.txBytes.Add(int64(len(frame)))
-	}
 	v := n.getView()
 	v.parse(frame, flowTag)
 	v.domain, v.vp, v.onWire = vp.Domain, vp, onSent
@@ -566,16 +564,11 @@ func viewIngress(a any) {
 	n, frame := v.n, v.frame
 	// RoCE transport packets bypass the match-action pipeline: the NIC's
 	// hardware transport consumes them directly. They still count as port
-	// receives, in both stats stores — the telemetry-mirror invariant
-	// holds the two equal.
+	// receives.
 	if bth, payload, ok := parseRoCE(frame); ok {
 		n.putView(v)
 		n.Stats.RxPackets++
 		n.Stats.RxBytes += int64(len(frame))
-		if t := n.tlm; t != nil {
-			t.rxPackets.Inc()
-			t.rxBytes.Add(int64(len(frame)))
-		}
 		n.rdmaIngress(bth, payload)
 		return
 	}

@@ -31,9 +31,6 @@ func (n *NIC) Crash() {
 		return
 	}
 	n.Stats.DeviceCrashes++
-	if t := n.tlm; t != nil {
-		t.devCrashes.Inc()
-	}
 	for _, sq := range n.sqs {
 		sq.fail()
 	}
@@ -65,9 +62,6 @@ func (n *NIC) FLR() {
 		return
 	}
 	n.Stats.DeviceFLRs++
-	if t := n.tlm; t != nil {
-		t.devFLRs.Inc()
-	}
 	for _, id := range sortedKeys(n.sqs) {
 		sq := n.sqs[id]
 		sq.ResetTo(sq.ci, sq.pi)
@@ -95,7 +89,7 @@ func (sq *SQ) fail() {
 	}
 	sq.state = QueueError
 	sq.epoch++
-	sq.n.noteQueueError()
+	sq.n.Stats.QueueErrors++
 }
 
 // fail silently transitions the RQ to Error; the internal rx backlog is
@@ -106,7 +100,7 @@ func (rq *RQ) fail() {
 	}
 	rq.state = QueueError
 	rq.epoch++
-	rq.n.noteQueueError()
+	rq.n.Stats.QueueErrors++
 	for ; rq.backlog.Len() > 0; rq.backlog.Pop() {
 		rq.n.drop(DropDeviceDown)
 	}
@@ -121,7 +115,7 @@ func (qp *QP) fail() {
 	}
 	qp.state = QueueError
 	qp.rto.Stop()
-	qp.n.noteQueueError()
+	qp.n.Stats.QueueErrors++
 	for ; qp.sent.Len() > 0; qp.sent.Pop() {
 		qp.n.drop(DropDeviceDown)
 	}

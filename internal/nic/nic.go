@@ -802,10 +802,6 @@ func (rq *RQ) place(p *pendingRx) bool {
 	rq.n.Stats.RxBytes += int64(n)
 	rq.tPlaced.Inc()
 	rq.tPlacedBytes.Add(int64(n))
-	if t := rq.n.tlm; t != nil {
-		t.rxPackets.Inc()
-		t.rxBytes.Add(int64(n))
-	}
 	r := rq.n.getRxDone()
 	r.rq, r.ep, r.cqe = rq, rq.epoch, cqe
 	rq.n.port.WriteArg(addr, p.data, rqPlaceDone, r)

@@ -258,10 +258,6 @@ func (qp *QP) pump() {
 func (qp *QP) transmit(frame []byte) {
 	qp.n.Stats.TxPackets++
 	qp.n.Stats.TxBytes += int64(len(frame))
-	if t := qp.n.tlm; t != nil {
-		t.txPackets.Inc()
-		t.txBytes.Add(int64(len(frame)))
-	}
 	if qp.remoteNIC == qp.n {
 		n := qp.n
 		v := n.getView()
@@ -338,7 +334,7 @@ func (qp *QP) enterError(syndrome uint8) {
 	}
 	qp.state = QueueError
 	qp.rto.Stop()
-	qp.n.noteQueueError()
+	qp.n.Stats.QueueErrors++
 	for qp.sent.Len() > 0 {
 		p := qp.sent.Pop()
 		if p.last && qp.SQ != nil && qp.SQ.CQ != nil {
@@ -356,7 +352,7 @@ func (qp *QP) enterError(syndrome uint8) {
 // leftovers of the old one (ConnectQPs re-aligns both ends).
 func (qp *QP) reset() {
 	if qp.state == QueueError {
-		qp.n.noteRecovery()
+		qp.n.Stats.QueueRecoveries++
 	}
 	qp.state = QueueReady
 	qp.connEpoch++

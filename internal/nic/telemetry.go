@@ -6,45 +6,34 @@ import (
 	"flexdriver/internal/telemetry"
 )
 
-// nicTelemetry holds the NIC-level counters. Per-queue handles live on
-// the queues themselves (nil-safe: a NIC without telemetry pays one
-// branch per event inside each handle method).
+// nicTelemetry holds the NIC scope and the per-reason drop handles.
+// Per-queue handles live on the queues themselves (nil-safe: a NIC
+// without telemetry pays one branch per event inside each handle
+// method).
 type nicTelemetry struct {
 	scope *telemetry.Scope
-
-	txPackets, txBytes *telemetry.Counter
-	rxPackets, rxBytes *telemetry.Counter
-	drops              map[DropReason]*telemetry.Counter
-
-	errQueue     *telemetry.Counter // queue transitions into Error
-	errRecovered *telemetry.Counter // driver-initiated resets to Ready
-
-	devCrashes *telemetry.Counter // device-level crash windows
-	devFLRs    *telemetry.Counter // function-level resets
+	drops map[DropReason]*telemetry.Counter
 }
 
-// SetTelemetry attaches a telemetry scope to the NIC: NIC-level
-// tx/rx/drop counters, engine-utilization funcs, per-queue
+// SetTelemetry attaches a telemetry scope to the NIC: the Stats fields
+// published as tx/rx, errors/ and device/ counters, per-reason drop
+// counters, engine-utilization funcs, per-queue
 // doorbell/WQE/CQE counters (for queues that already exist and queues
 // created later), and eSwitch per-table rule-hit counters.
 func (n *NIC) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		return
 	}
-	n.tlm = &nicTelemetry{
-		scope:     sc,
-		txPackets: sc.Counter("tx/packets"),
-		txBytes:   sc.Counter("tx/bytes"),
-		rxPackets: sc.Counter("rx/packets"),
-		rxBytes:   sc.Counter("rx/bytes"),
-		drops:     make(map[DropReason]*telemetry.Counter),
-
-		errQueue:     sc.Counter("errors/queue"),
-		errRecovered: sc.Counter("errors/recovered"),
-
-		devCrashes: sc.Counter("device/crashes"),
-		devFLRs:    sc.Counter("device/flrs"),
-	}
+	n.tlm = &nicTelemetry{scope: sc, drops: make(map[DropReason]*telemetry.Counter)}
+	st := &n.Stats
+	sc.CounterVar("tx/packets", &st.TxPackets)
+	sc.CounterVar("tx/bytes", &st.TxBytes)
+	sc.CounterVar("rx/packets", &st.RxPackets)
+	sc.CounterVar("rx/bytes", &st.RxBytes)
+	sc.CounterVar("errors/queue", &st.QueueErrors)
+	sc.CounterVar("errors/recovered", &st.QueueRecoveries)
+	sc.CounterVar("device/crashes", &st.DeviceCrashes)
+	sc.CounterVar("device/flrs", &st.DeviceFLRs)
 	sc.Func("tx_engine/util", n.txEngine.Utilization)
 	sc.Func("rx_engine/util", n.rxEngine.Utilization)
 	for _, vf := range n.VFs() {
@@ -65,8 +54,10 @@ func (n *NIC) SetTelemetry(sc *telemetry.Scope) {
 }
 
 // drop records a packet/doorbell drop in Stats and, when telemetry is
-// attached, in a per-reason counter. Drops are off the hot path, so the
-// lazy per-reason counter creation is acceptable.
+// attached, in a per-reason counter — the one event still counted twice:
+// Stats.Drops stays a map callers index by reason, a map value cannot
+// be published by address, and drops/<reason> must not exist until that
+// reason first occurs. Drops are off the hot path.
 func (n *NIC) drop(reason DropReason) {
 	n.Stats.drop(reason)
 	if t := n.tlm; t != nil {

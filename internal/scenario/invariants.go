@@ -57,13 +57,6 @@ func checkCluster(rn *run, j *judgement) {
 		if crashes == 0 && errs > n.Stats.QueueRecoveries {
 			bad("queues-recovered", "%s: %d queue errors vs %d recoveries", name, errs, n.Stats.QueueRecoveries)
 		}
-
-		// The NIC's packet counters flow through two independent paths
-		// (Stats fields and telemetry counters); they must agree exactly.
-		if snap.Get(name+"/nic/tx/packets") != n.Stats.TxPackets ||
-			snap.Get(name+"/nic/rx/packets") != n.Stats.RxPackets {
-			bad("telemetry-mirror", "%s: NIC Stats and telemetry tx/rx packet counters disagree", name)
-		}
 	})
 
 	// Frame conservation: every sent frame is delivered, or its loss is
@@ -136,29 +129,6 @@ func checkCluster(rn *run, j *judgement) {
 		if hi := snap.Gauges[base+"mttr_max"].High; hi > bound {
 			bad("mttr-bounded", "%s: worst MTTR %dns exceeds bound %dns",
 				h.Name(), hi/1000, bound/1000)
-		}
-	}
-
-	// The plan's telemetry mirror must agree with its own tallies.
-	if rn.plan != nil {
-		if tel := snap.Sum("faults/injected/", ""); tel != inj.Total() {
-			bad("faults-telemetry", "faults/injected/* sums to %d, plan tallied %d", tel, inj.Total())
-		}
-	}
-
-	// The host drivers' error/crash ledgers likewise: the raw Stats
-	// fields and their telemetry mirrors increment on independent lines,
-	// so any disagreement means an error path skipped its bookkeeping.
-	for _, h := range rn.Hosts {
-		d := h.Drv
-		base := h.Name() + "/swdriver/"
-		if snap.Get(base+"errors/cqe") != d.CQEErrors ||
-			snap.Get(base+"errors/tx") != d.TxErrors ||
-			snap.Get(base+"errors/rx") != d.RxErrors ||
-			snap.Get(base+"errors/recoveries") != d.Recoveries ||
-			snap.Get(base+"crashes") != d.Crashes ||
-			snap.Get(base+"down/tx_drops") != d.DownTxDrops {
-			bad("telemetry-mirror", "%s: driver Stats and telemetry error/crash counters disagree", h.Name())
 		}
 	}
 }

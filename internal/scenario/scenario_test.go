@@ -67,16 +67,16 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"faults=wire-loss=2.0",
 		"seed",
 		"bogus=1",
-		"tenants=1",            // a single tenant is not multi-tenancy
-		"tenants=2 path=vxlan", // both own the server NIC's table 0
-		"hosts=4",              // aggregation needs a client population
-		"aggclients=64",        // ...and a host count to fold it onto
-		"hosts=8 aggclients=4", // more hosts than clients to carry
+		"tenants=1",                       // a single tenant is not multi-tenancy
+		"tenants=2 path=vxlan",            // both own the server NIC's table 0
+		"hosts=4",                         // aggregation needs a client population
+		"aggclients=64",                   // ...and a host count to fold it onto
+		"hosts=8 aggclients=4",            // more hosts than clients to carry
 		"hosts=128 aggclients=256",        // above the 64-host ceiling
 		"hosts=4 aggclients=4096",         // above the 2048-client ceiling
 		"tenants=2 hosts=4 aggclients=16", // aggregation is single-tenant only
-		"reconfig=1",           // nothing to reconfigure without tenants
-		"plantleak=5",          // a leak needs a foreign tenant to leak into
+		"reconfig=1",                      // nothing to reconfigure without tenants
+		"plantleak=5",                     // a leak needs a foreign tenant to leak into
 		"tenants=2 plantleak=-1",
 	} {
 		if _, err := Parse(text); err == nil {

@@ -78,3 +78,18 @@ func (r *Rand) Pareto(min, max Duration, alpha float64) Duration {
 	}
 	return Time(x)
 }
+
+// Backoff returns the retry delay before attempt n+1 (n counts attempts
+// made, from 1): base doubled per attempt and capped at max, then
+// jittered ±25% with one draw from r's stream. The supervision ladder
+// and the tenancy reconciler both pace retries with it.
+func (r *Rand) Backoff(base, max Duration, n int) Duration {
+	d := base
+	for i := 1; i < n && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	return Duration(float64(d) * (0.75 + 0.5*r.Float64()))
+}

@@ -278,3 +278,19 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	}
 	e.Run()
 }
+
+// TestBackoffDrawsOncePerCall pins the retry pacing the supervision
+// ladder and the tenancy reconciler share: base·2^(n-1) capped at max,
+// times a ±25 % factor that is exactly one Float64 from the caller's
+// stream — so the schedules (and the failover/tenancy goldens built on
+// them) are a function of the seed and the attempt number alone.
+func TestBackoffDrawsOncePerCall(t *testing.T) {
+	const base, max = 500 * Nanosecond, 4 * Microsecond
+	r, ref := NewRand(7), NewRand(7)
+	for n, nominal := range []Duration{base, base, 2 * base, 4 * base, max, max, max} {
+		want := Duration(float64(nominal) * (0.75 + 0.5*ref.Float64()))
+		if got := r.Backoff(base, max, n); got != want {
+			t.Fatalf("attempt %d: backoff %v, want %v", n, got, want)
+		}
+	}
+}

@@ -23,17 +23,14 @@ func (d *Driver) Crash() {
 		return
 	}
 	d.Crashes++
-	if t := d.tlm; t != nil {
-		t.crashes.Inc()
-	}
 	for _, p := range d.ports {
-		d.noteTxErrors(int64(p.txQueued.Len()))
+		d.TxErrors += int64(p.txQueued.Len())
 		p.txQueued.Reset()
 		p.dbTimer.Stop()
 		p.sincedb = 0
 	}
 	for _, e := range d.endpoints {
-		d.noteTxErrors(int64(e.queued.Len()))
+		d.TxErrors += int64(e.queued.Len())
 		e.queued.Reset()
 		e.cur = e.cur[:0]
 	}
@@ -67,7 +64,7 @@ func (p *EthPort) reattach() {
 	p.flushTx()
 	if p.rq.State() == nic.QueueError {
 		p.rq.Reset()
-		p.drv.noteRecovery()
+		p.drv.Recoveries++
 	}
 	if missing := p.rqSize - p.rq.Posted(); missing > 0 {
 		p.rqPI += uint32(missing)
@@ -82,30 +79,16 @@ func (p *EthPort) reattach() {
 // stays with ReconnectEndpoints.
 func (e *RDMAEndpoint) reattach() {
 	e.cur = nil
-	e.drv.noteTxErrors(int64(e.pi - e.ci))
+	e.drv.TxErrors += int64(e.pi - e.ci)
 	e.ci = e.pi
 	e.QP.SQ.ResetTo(e.pi, e.pi)
-	e.drv.noteRecovery()
+	e.drv.Recoveries++
 	if e.QP.RQ.State() == nic.QueueError {
 		e.QP.RQ.Reset()
-		e.drv.noteRecovery()
+		e.drv.Recoveries++
 	}
 	if missing := e.rqEntries - e.QP.RQ.Posted(); missing > 0 {
 		e.rqPI += uint32(missing)
 	}
 	e.ringRQDoorbell()
-}
-
-func (d *Driver) noteDownTxDrop() {
-	d.DownTxDrops++
-	if t := d.tlm; t != nil {
-		t.downTxDrops.Inc()
-	}
-}
-
-func (d *Driver) noteDownCQE() {
-	d.DownCQEs++
-	if t := d.tlm; t != nil {
-		t.downCQEs.Inc()
-	}
 }

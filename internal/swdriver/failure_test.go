@@ -6,6 +6,7 @@ import (
 	"flexdriver/internal/nic"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/telemetry"
+	"flexdriver/internal/telemetry/bindtest"
 )
 
 // wireAtoB builds two hosts cabled back to back with an Ethernet port on
@@ -153,4 +154,41 @@ func TestSupervisorCrashDuringEpisode(t *testing.T) {
 	if sup.Active() {
 		t.Fatal("episode still open")
 	}
+}
+
+// TestOversizeSendIsDroppedAndCounted: a frame no transmit buffer can
+// hold is an application error on a library path — dropped and counted
+// in TxErrors (errors/tx) like any other lost transmit, never a panic —
+// and the port keeps working.
+func TestOversizeSendIsDroppedAndCounted(t *testing.T) {
+	eng := sim.NewEngine()
+	a, _, tx, got := wireAtoB(eng)
+	reg := telemetry.New()
+	a.drv.SetTelemetry(reg.Scope("drv"))
+
+	tx.Send(make([]byte, tx.txBufSz+1))
+	tx.Send(frame(256, 7))
+	eng.Run()
+
+	if a.drv.TxErrors != 1 || reg.Snapshot().Get("drv/errors/tx") != 1 {
+		t.Fatalf("TxErrors=%d errors/tx=%d, want 1 and 1", a.drv.TxErrors, reg.Snapshot().Get("drv/errors/tx"))
+	}
+	if *got != 1 || a.drv.TxPackets != 1 {
+		t.Fatalf("received %d, posted %d; want the in-range frame only", *got, a.drv.TxPackets)
+	}
+}
+
+// TestDriverLedgerIsPublishedWhole: the driver's error, recovery and
+// crash fields are the counters at their paths, and an int64 field added
+// to Driver without a CounterVar line (or a place on the unpublished
+// list, like the per-port packet totals) fails.
+func TestDriverLedgerIsPublishedWhole(t *testing.T) {
+	h := newHost(sim.NewEngine(), noJitter())
+	reg := telemetry.New()
+	h.drv.SetTelemetry(reg.Scope("drv"))
+	bindtest.Fields(t, reg, "drv/", h.drv, map[string]string{
+		"CQEErrors": "errors/cqe", "TxErrors": "errors/tx", "RxErrors": "errors/rx",
+		"Recoveries": "errors/recoveries", "Crashes": "crashes",
+		"DownTxDrops": "down/tx_drops", "DownCQEs": "down/cqes",
+	}, "RxPackets", "TxPackets")
 }

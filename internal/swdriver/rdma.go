@@ -1,6 +1,7 @@
 package swdriver
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"flexdriver/internal/nic"
@@ -75,7 +76,7 @@ func (d *Driver) NewRDMAEndpoint(cfg RDMAConfig) *RDMAEndpoint {
 		d.mem.WriteAt(rqRing+uint64(i)*nic.RecvWQESize, w.Marshal())
 	}
 	var b [4]byte
-	putU32(b[:], uint32(cfg.RecvEntries))
+	binary.BigEndian.PutUint32(b[:], uint32(cfg.RecvEntries))
 	d.host.Write(d.bar+nic.RQDoorbellOffset(rq.ID), b[:], nil)
 	// In-order recycling driven from CQEs, same as the Ethernet port.
 	e.armRecycle(rq, cfg.RecvEntries, bufBytes)
@@ -113,7 +114,7 @@ func (e *RDMAEndpoint) armRecycle(rq *nic.RQ, entries, bufBytes int) {
 
 func (e *RDMAEndpoint) ringRQDoorbell() {
 	var b [4]byte
-	putU32(b[:], e.rqPI)
+	binary.BigEndian.PutUint32(b[:], e.rqPI)
 	e.drv.host.Write(e.drv.bar+nic.RQDoorbellOffset(e.QP.RQ.ID), b[:], nil)
 }
 
@@ -129,17 +130,17 @@ func (e *RDMAEndpoint) ringRQDoorbell() {
 func (e *RDMAEndpoint) Poll() bool {
 	recovered := false
 	if e.QP.SQ.State() == nic.QueueError {
-		e.drv.noteTxErrors(int64(e.pi - e.ci))
+		e.drv.TxErrors += int64(e.pi - e.ci)
 		e.ci = e.pi
 		e.QP.SQ.ResetTo(e.pi, e.pi)
-		e.drv.noteRecovery()
+		e.drv.Recoveries++
 		e.drainQueued()
 		recovered = true
 	}
 	if e.QP.RQ.State() == nic.QueueError {
 		e.cur = e.cur[:0]
 		e.QP.RQ.Reset()
-		e.drv.noteRecovery()
+		e.drv.Recoveries++
 		e.ringRQDoorbell()
 		recovered = true
 	}
@@ -149,7 +150,7 @@ func (e *RDMAEndpoint) Poll() bool {
 // Send transmits one message over the QP, charging CPU cost.
 func (e *RDMAEndpoint) Send(data []byte) {
 	if e.drv.downN > 0 {
-		e.drv.noteDownTxDrop()
+		e.drv.DownTxDrops++
 		return
 	}
 	x := e.drv.getTxPost()
@@ -188,7 +189,7 @@ func (e *RDMAEndpoint) post(data []byte) {
 	e.pi++
 	e.drv.TxPackets++
 	var b [4]byte
-	putU32(b[:], e.pi)
+	binary.BigEndian.PutUint32(b[:], e.pi)
 	e.drv.host.Write(e.drv.bar+nic.SQDoorbellOffset(e.QP.SQ.ID), b[:], nil)
 }
 
@@ -206,10 +207,10 @@ func ReconnectEndpoints(a, b *RDMAEndpoint) {
 	for _, e := range []*RDMAEndpoint{a, b} {
 		e.cur = e.cur[:0]
 		if e.pi != e.ci {
-			e.drv.noteTxErrors(int64(e.pi - e.ci))
+			e.drv.TxErrors += int64(e.pi - e.ci)
 			e.ci = e.pi
 			e.QP.SQ.ResetTo(e.pi, e.pi)
-			e.drv.noteRecovery()
+			e.drv.Recoveries++
 			e.drainQueued()
 		}
 	}
@@ -217,7 +218,7 @@ func ReconnectEndpoints(a, b *RDMAEndpoint) {
 
 func (e *RDMAEndpoint) sendComplete(c nic.CQE) {
 	if e.drv.downN > 0 {
-		e.drv.noteDownCQE()
+		e.drv.DownCQEs++
 		return
 	}
 	if e.ci == e.pi {
@@ -229,8 +230,8 @@ func (e *RDMAEndpoint) sendComplete(c nic.CQE) {
 		// SynRetryExceeded flushes the QP with one error CQE per
 		// unacknowledged message; each consumed its SQ slot. Recovery
 		// (ReconnectQPs) needs both ends and is left to the application.
-		e.drv.noteCQEError()
-		e.drv.noteTxErrors(1)
+		e.drv.CQEErrors++
+		e.drv.TxErrors++
 		e.ci++
 		return
 	}
@@ -243,11 +244,11 @@ func (e *RDMAEndpoint) sendComplete(c nic.CQE) {
 
 func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
 	if e.drv.downN > 0 {
-		e.drv.noteDownCQE()
+		e.drv.DownCQEs++
 		return
 	}
 	if c.Opcode == nic.CQEError {
-		e.drv.noteCQEError()
+		e.drv.CQEErrors++
 		e.cur = e.cur[:0]
 		return
 	}
@@ -287,7 +288,7 @@ func rdmaRxRun(a any) {
 	// delivering it would hand the application spliced garbage, so the
 	// driver discards the message and counts the loss.
 	if len(msg) != int(c.FlowTag) {
-		e.drv.noteRxError()
+		e.drv.RxErrors++
 		return
 	}
 	e.drv.RxPackets++

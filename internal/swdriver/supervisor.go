@@ -172,7 +172,7 @@ func (s *Supervisor) attempt() {
 		s.tRungs[s.rung].Inc()
 		s.hTimeToRung.Observe(int64(s.eng.Now() - s.detectedAt))
 	}
-	s.eng.After(s.backoff(), s.attempt)
+	s.eng.After(s.rng.Backoff(backoffBase, backoffMax, s.attempts), s.attempt)
 }
 
 // apply executes one rung of the ladder.
@@ -229,17 +229,4 @@ func (s *Supervisor) finish(gaveUp bool) {
 	s.tEpisodes.Inc()
 	s.hMTTR.Observe(mttr)
 	s.gMTTRMax.Set(mttr)
-}
-
-// backoff is the jittered exponential retry delay: base·2^attempt
-// capped at backoffMax, ±25% from the supervisor's own stream.
-func (s *Supervisor) backoff() sim.Duration {
-	d := backoffBase
-	for i := 1; i < s.attempts && d < backoffMax; i++ {
-		d *= 2
-	}
-	if d > backoffMax {
-		d = backoffMax
-	}
-	return sim.Duration(float64(d) * (0.75 + 0.5*s.rng.Float64()))
 }

@@ -6,7 +6,7 @@
 package swdriver
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"flexdriver/internal/hostmem"
 	"flexdriver/internal/nic"
@@ -356,23 +356,21 @@ func (p *EthPort) SQ() *nic.SQ { return p.sq }
 func (p *EthPort) ringRQDoorbell() {
 	p.tRQDoorbells.Inc()
 	b := p.drv.eng.Bufs().Get(4)
-	putU32(b, p.rqPI)
+	binary.BigEndian.PutUint32(b, p.rqPI)
 	p.drv.host.WriteOwned(p.drv.bar+nic.RQDoorbellOffset(p.rq.ID), b, nil)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 }
 
 // Send transmits one frame, charging CPU cost; frames beyond the ring
 // capacity queue in software.
 func (p *EthPort) Send(frame []byte) {
 	if p.drv.downN > 0 {
-		p.drv.noteDownTxDrop()
+		p.drv.DownTxDrops++
 		return
 	}
 	if len(frame) > p.txBufSz {
-		panic(fmt.Sprintf("swdriver: frame %d exceeds buffer %d", len(frame), p.txBufSz))
+		// No transmit buffer can hold it: lost like any other transmit.
+		p.drv.TxErrors++
+		return
 	}
 	x := p.drv.getTxPost()
 	x.p, x.frame = p, frame
@@ -433,7 +431,7 @@ func (p *EthPort) flushDoorbell() {
 	p.sincedb = 0
 	p.dbTimer.Stop()
 	b := p.drv.eng.Bufs().Get(4)
-	putU32(b, p.pi)
+	binary.BigEndian.PutUint32(b, p.pi)
 	p.drv.host.WriteOwned(p.drv.bar+nic.SQDoorbellOffset(p.sq.ID), b, nil)
 }
 
@@ -450,7 +448,7 @@ func (p *EthPort) Poll() bool {
 	}
 	if p.rq.State() == nic.QueueError {
 		p.rq.Reset()
-		p.drv.noteRecovery()
+		p.drv.Recoveries++
 		p.ringRQDoorbell()
 		recovered = true
 	}
@@ -463,11 +461,11 @@ func (p *EthPort) Poll() bool {
 // discarded slots — stale completions from those would wrap the ci
 // advance in txComplete.
 func (p *EthPort) flushTx() {
-	p.drv.noteTxErrors(int64(p.pi - p.ci))
+	p.drv.TxErrors += int64(p.pi - p.ci)
 	p.ci = p.pi
 	p.sincedb = 0
 	p.sq.ResetTo(p.pi, p.pi)
-	p.drv.noteRecovery()
+	p.drv.Recoveries++
 	p.drainQueued()
 }
 
@@ -482,11 +480,11 @@ func (p *EthPort) txComplete(c nic.CQE) {
 	if p.drv.downN > 0 {
 		// The driver process is dead: nobody polls this CQ. The work is
 		// accounted when the restarted driver reattaches.
-		p.drv.noteDownCQE()
+		p.drv.DownCQEs++
 		return
 	}
 	if c.Opcode == nic.CQEError {
-		p.drv.noteCQEError()
+		p.drv.CQEErrors++
 		if c.Syndrome == nic.SynQueueErr {
 			// Queue-fatal: nothing between ci and pi completed.
 			p.flushTx()
@@ -494,7 +492,7 @@ func (p *EthPort) txComplete(c nic.CQE) {
 		}
 		// Per-WQE error: the slot was consumed; fall through and advance
 		// ci exactly like a successful completion.
-		p.drv.noteTxErrors(1)
+		p.drv.TxErrors++
 	}
 	// A signaled completion covers its unsignaled predecessors.
 	adv := uint32(uint16(c.Index)-uint16(p.ci)) & 0xffff
@@ -513,17 +511,17 @@ func (p *EthPort) txComplete(c nic.CQE) {
 
 func (p *EthPort) rxComplete(c nic.CQE) {
 	if p.drv.downN > 0 {
-		p.drv.noteDownCQE()
+		p.drv.DownCQEs++
 		return
 	}
 	if c.Opcode == nic.CQEError {
-		p.drv.noteCQEError()
+		p.drv.CQEErrors++
 		if c.Syndrome == nic.SynQueueErr {
 			// RQ.Reset preserves the posted descriptors between ci and
 			// pi, so re-ringing the current producer index fully re-arms
 			// the receive pipeline.
 			p.rq.Reset()
-			p.drv.noteRecovery()
+			p.drv.Recoveries++
 			p.ringRQDoorbell()
 			return
 		}

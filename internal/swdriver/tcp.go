@@ -80,7 +80,7 @@ func (e *TCPEndpoint) Port() *EthPort { return e.port }
 // does not block on recovery, same as the RDMA sidecar.
 func (e *TCPEndpoint) Send(data []byte) {
 	if e.drv.downN > 0 {
-		e.drv.noteDownTxDrop()
+		e.drv.DownTxDrops++
 		return
 	}
 	e.drv.cpuWork(e.drv.Prm.TxCost, func() {

@@ -6,31 +6,20 @@ import (
 	"flexdriver/internal/telemetry"
 )
 
-// drvTelemetry holds the driver-level CPU counters; per-port handles
-// live on the EthPort. All handles are nil-safe.
+// drvTelemetry holds the handles that have no Driver field behind them;
+// per-port handles live on the EthPort. All handles are nil-safe.
 type drvTelemetry struct {
 	scope   *telemetry.Scope
 	cpuOps  *telemetry.Counter
 	jitters *telemetry.Counter
-
-	// Error/recovery mirrors of the raw Stats fields, so invariant
-	// checkers and fldreport read them from the telemetry tree instead
-	// of peeking at the struct.
-	cqeErrors  *telemetry.Counter
-	txErrors   *telemetry.Counter
-	rxErrors   *telemetry.Counter
-	recoveries *telemetry.Counter
-
-	// Failure domains (see failure.go).
-	crashes     *telemetry.Counter
-	downTxDrops *telemetry.Counter
-	downCQEs    *telemetry.Counter
 }
 
 // SetTelemetry attaches a telemetry scope to the driver: CPU
-// operation/jitter counters, error/recovery mirrors, a core-utilization
-// func, and per-port doorbell/batch instrumentation for ports created
-// afterwards.
+// operation/jitter counters, the driver's own error, recovery and crash
+// fields published under errors/, crashes and down/ (invariant checkers
+// and fldreport read them from the tree instead of peeking at the
+// struct), a core-utilization func, and per-port doorbell/batch
+// instrumentation for ports created afterwards.
 func (d *Driver) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		return
@@ -39,51 +28,15 @@ func (d *Driver) SetTelemetry(sc *telemetry.Scope) {
 		scope:   sc,
 		cpuOps:  sc.Counter("cpu/ops"),
 		jitters: sc.Counter("cpu/jitter_events"),
-
-		cqeErrors:  sc.Counter("errors/cqe"),
-		txErrors:   sc.Counter("errors/tx"),
-		rxErrors:   sc.Counter("errors/rx"),
-		recoveries: sc.Counter("errors/recoveries"),
-
-		crashes:     sc.Counter("crashes"),
-		downTxDrops: sc.Counter("down/tx_drops"),
-		downCQEs:    sc.Counter("down/cqes"),
 	}
+	sc.CounterVar("errors/cqe", &d.CQEErrors)
+	sc.CounterVar("errors/tx", &d.TxErrors)
+	sc.CounterVar("errors/rx", &d.RxErrors)
+	sc.CounterVar("errors/recoveries", &d.Recoveries)
+	sc.CounterVar("crashes", &d.Crashes)
+	sc.CounterVar("down/tx_drops", &d.DownTxDrops)
+	sc.CounterVar("down/cqes", &d.DownCQEs)
 	sc.Func("cpu/util", d.cpu.Utilization)
-}
-
-// note* mirror every Stats increment into the registry; all are
-// nil-telemetry safe so uninstrumented drivers pay one branch.
-
-func (d *Driver) noteCQEError() {
-	d.CQEErrors++
-	if t := d.tlm; t != nil {
-		t.cqeErrors.Inc()
-	}
-}
-
-func (d *Driver) noteTxErrors(n int64) {
-	if n == 0 {
-		return
-	}
-	d.TxErrors += n
-	if t := d.tlm; t != nil {
-		t.txErrors.Add(n)
-	}
-}
-
-func (d *Driver) noteRxError() {
-	d.RxErrors++
-	if t := d.tlm; t != nil {
-		t.rxErrors.Inc()
-	}
-}
-
-func (d *Driver) noteRecovery() {
-	d.Recoveries++
-	if t := d.tlm; t != nil {
-		t.recoveries.Inc()
-	}
 }
 
 func (p *EthPort) instrument(sc *telemetry.Scope) {

@@ -16,9 +16,10 @@
 //     one predictable branch per event — calibrated timing results are
 //     unchanged whether telemetry is attached or not.
 //
-// An engine runs one event at a time, so no metric handle is locked;
-// handles shared across the shards of a sim.Group are atomic, and the
-// registry's lookup maps take a mutex (creation is a set-up-time or
+// An engine runs one event at a time, so no metric handle is locked; a
+// cell several shards of a sim.Group feed (the fault plane's Injected
+// tallies) is written atomically by its owner, and the registry's lookup
+// maps take a mutex (creation is a set-up-time or
 // first-use activity, never the per-event path).
 package telemetry
 
@@ -30,22 +31,22 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"flexdriver/internal/sim"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	v int64
-}
+// Counter is a monotonically increasing event count. It is a plain
+// int64 so that a component's own statistics field can be the counter:
+// CounterVar publishes &x.Stats.F under a path, the component keeps
+// writing x.Stats.F++, and a snapshot reads the one cell both share.
+type Counter int64
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.v++
+	*c++
 }
 
 // Add adds n.
@@ -53,18 +54,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.v += n
-}
-
-// IncAtomic adds one with an atomic read-modify-write. Most counters have
-// exactly one writing shard and use the plain Inc; a counter that several
-// shards of a parallel cluster feed (the fault plane's injection mirrors)
-// must use this form exclusively.
-func (c *Counter) IncAtomic() {
-	if c == nil {
-		return
-	}
-	atomic.AddInt64(&c.v, 1)
+	*c += Counter(n)
 }
 
 // Value returns the current count (0 for a nil counter).
@@ -72,7 +62,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	return int64(*c)
 }
 
 // Gauge is an instantaneous level that also tracks its high-water mark
@@ -188,7 +178,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
-	order    []string // insertion order, for deterministic dumps
 
 	clock func() sim.Time
 	rec   *Recorder
@@ -236,10 +225,6 @@ func (r *Registry) Recorder() *Recorder {
 	return r.rec
 }
 
-func (r *Registry) note(path string) {
-	r.order = append(r.order, path)
-}
-
 // Counter returns (creating if needed) the counter at path. Returns nil
 // on a nil registry.
 func (r *Registry) Counter(path string) *Counter {
@@ -250,11 +235,29 @@ func (r *Registry) Counter(path string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[path]
 	if !ok {
-		c = &Counter{}
+		c = new(Counter)
 		r.counters[path] = c
-		r.note(path)
 	}
 	return c
+}
+
+// CounterVar publishes the caller's own field v as the counter at path:
+// the component increments *v directly and snapshots read it, so an
+// event is counted once. A set-up-time call. Binding the same variable
+// to its path again is a no-op; a path that already holds a different
+// cell panics — two ledgers for one name is the bug this call exists to
+// rule out.
+func (r *Registry) CounterVar(path string, v *int64) {
+	if r == nil {
+		return
+	}
+	c := (*Counter)(v)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old, ok := r.counters[path]; ok && old != c {
+		panic("telemetry: counter " + path + " is already bound to another variable")
+	}
+	r.counters[path] = c
 }
 
 // Gauge returns (creating if needed) the gauge at path.
@@ -268,7 +271,6 @@ func (r *Registry) Gauge(path string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[path] = g
-		r.note(path)
 	}
 	return g
 }
@@ -284,7 +286,6 @@ func (r *Registry) Histogram(path string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.hists[path] = h
-		r.note(path)
 	}
 	return h
 }
@@ -298,9 +299,6 @@ func (r *Registry) Func(path string, fn func() float64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.funcs[path]; !ok {
-		r.note(path)
-	}
 	r.funcs[path] = fn
 }
 
@@ -334,6 +332,15 @@ func (s *Scope) Counter(name string) *Counter {
 		return nil
 	}
 	return s.reg.Counter(s.prefix + name)
+}
+
+// CounterVar publishes v as the counter at this scope's prefix + name
+// (see Registry.CounterVar).
+func (s *Scope) CounterVar(name string, v *int64) {
+	if s == nil {
+		return
+	}
+	s.reg.CounterVar(s.prefix+name, v)
 }
 
 // Gauge returns the gauge at this scope's prefix + name.

@@ -31,6 +31,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	sc.Func("u", func() float64 { return 1 })
 	reg.Func("u", func() float64 { return 1 })
+	var own int64
+	sc.CounterVar("x", &own)
+	reg.CounterVar("x", &own)
 	reg.Bind(func() sim.Time { return 0 })
 
 	c.Inc()
@@ -176,6 +179,58 @@ func TestChromeTraceJSON(t *testing.T) {
 	}
 }
 
+// TestCounterVar: a published field is the counter. Writes to the field
+// show up in Snapshot, Diff and Hash with no handle in between;
+// publishing the same field again changes nothing; a second field under
+// a taken path is a set-up bug and panics.
+func TestCounterVar(t *testing.T) {
+	reg := New()
+	var stats struct{ Tx, Rx int64 }
+	sc := reg.Scope("nic")
+	sc.CounterVar("tx", &stats.Tx)
+	sc.CounterVar("rx", &stats.Rx)
+	sc.CounterVar("tx", &stats.Tx) // same cell: idempotent
+
+	stats.Tx = 7
+	a := reg.Snapshot()
+	if a.Get("nic/tx") != 7 || a.Get("nic/rx") != 0 {
+		t.Fatalf("snapshot reads tx=%d rx=%d, want 7 0", a.Get("nic/tx"), a.Get("nic/rx"))
+	}
+	if _, ok := a.Counters["nic/rx"]; !ok {
+		t.Fatal("a published field at zero must still have its path")
+	}
+	stats.Tx += 5
+	stats.Rx++
+	b := reg.Snapshot()
+	if d := b.Diff(a); d.Get("nic/tx") != 5 || d.Get("nic/rx") != 1 {
+		t.Fatalf("diff tx=%d rx=%d, want 5 1", d.Get("nic/tx"), d.Get("nic/rx"))
+	}
+	if a.Hash() == b.Hash() {
+		t.Fatal("hash must move with the field")
+	}
+	// The handle form and the field form of one path are the same cell.
+	reg.Counter("nic/tx").Inc()
+	if stats.Tx != 13 {
+		t.Fatalf("handle Inc did not reach the field: %d", stats.Tx)
+	}
+
+	// Same dump as a registry that created the counters itself.
+	ref := New()
+	ref.Counter("nic/tx").Add(13)
+	ref.Counter("nic/rx").Add(1)
+	if got, want := reg.Snapshot().String(), ref.Snapshot().String(); got != want {
+		t.Fatalf("published fields dump differently:\n%s\nvs\n%s", got, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("publishing a different variable under a taken path must panic")
+		}
+	}()
+	var other int64
+	sc.CounterVar("tx", &other)
+}
+
 // TestHotPathAllocs guards the zero-allocation claim for the per-event
 // operations.
 func TestHotPathAllocs(t *testing.T) {
@@ -185,8 +240,11 @@ func TestHotPathAllocs(t *testing.T) {
 	h := reg.Histogram("h")
 	rec := NewRecorder(128)
 	ev := TLPEvent{Time: 1, Dur: 2, Link: "l", Type: MemWr, Bytes: 64, Wire: 88}
+	var own int64
+	reg.CounterVar("own", &own)
 
 	allocs := testing.AllocsPerRun(1000, func() {
+		own++
 		c.Inc()
 		c.Add(2)
 		g.Set(5)
