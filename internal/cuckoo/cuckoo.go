@@ -25,9 +25,10 @@ type entry struct {
 	key  uint64
 	val  uint32
 	used bool
-	// from records the bank the entry was last evicted from, so the
-	// stash prefers a different bank on re-insertion.
-	from int
+	// from records the bank the entry was last evicted from (-1: none),
+	// so the stash prefers a different bank on re-insertion. One byte
+	// keeps the entry at 16 B.
+	from int8
 }
 
 // Table is a fixed-size 4-bank cuckoo hash table mapping uint64 keys to
@@ -48,15 +49,9 @@ type Table struct {
 // the physical table is sized at twice the capacity (load factor 1/2),
 // rounded up so each bank is a power of two.
 func New(capacity int) *Table {
-	if capacity < 1 {
-		capacity = 1
-	}
-	perBank := (2*capacity + Banks - 1) / Banks
-	// Round up to a power of two for cheap masking, like the RTL.
-	perBank = 1 << bits.Len(uint(perBank-1))
-	t := &Table{bankSize: perBank}
+	t := &Table{bankSize: bankSizeFor(capacity)}
 	for i := range t.banks {
-		t.banks[i] = make([]entry, perBank)
+		t.banks[i] = make([]entry, t.bankSize)
 	}
 	// Distinct odd multipliers per bank (splitmix-style constants).
 	t.seeds = [Banks]uint64{
@@ -64,6 +59,15 @@ func New(capacity int) *Table {
 	}
 	return t
 }
+
+// bankSizeFor is one bank's slots for capacity entries at load factor
+// 1/2, rounded up to a power of two for cheap masking, like the RTL.
+func bankSizeFor(capacity int) int {
+	return 1 << bits.Len(uint((2*max(capacity, 1)+Banks-1)/Banks-1))
+}
+
+// SlotsFor returns New(capacity).Slots() without building the table.
+func SlotsFor(capacity int) int { return bankSizeFor(capacity)*Banks + StashSize }
 
 // Capacity returns the number of entries the table guarantees to hold
 // (half the physical slots).
@@ -133,7 +137,7 @@ func (t *Table) Insert(key uint64, val uint32) bool {
 // room. It fails only when every bank slot is taken and the stash is full.
 func (t *Table) place(e entry) bool {
 	for b := 0; b < Banks; b++ {
-		if b == e.from {
+		if b == int(e.from) {
 			continue // prefer a different bank than the one we came from
 		}
 		slot := &t.banks[b][t.bucket(b, e.key)]
@@ -142,9 +146,9 @@ func (t *Table) place(e entry) bool {
 			return true
 		}
 	}
-	if e.from >= 0 {
+	if from := int(e.from); from >= 0 {
 		// Allow returning to the origin bank as a last resort.
-		slot := &t.banks[e.from][t.bucket(e.from, e.key)]
+		slot := &t.banks[from][t.bucket(from, e.key)]
 		if !slot.used {
 			*slot = entry{key: e.key, val: e.val, used: true}
 			return true
@@ -158,7 +162,7 @@ func (t *Table) place(e entry) bool {
 	t.victim++
 	slot := &t.banks[b][t.bucket(b, e.key)]
 	victim := *slot
-	victim.from = b
+	victim.from = int8(b)
 	*slot = entry{key: e.key, val: e.val, used: true}
 	t.stash = append(t.stash, victim)
 	if len(t.stash) > t.MaxStashDepth {

@@ -4,7 +4,25 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEntryIs16Bytes pins the slot layout: key, value, used and the
+// origin bank pack into two words, so a four-bank probe touches four
+// 16-byte slots and both FLD translation tables cost 16 B per slot.
+func TestEntryIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("sizeof(entry) = %d, want 16", got)
+	}
+}
+
+func TestSlotsForMatchesNew(t *testing.T) {
+	for c := -1; c <= 10000; c++ {
+		if got, want := SlotsFor(c), New(c).Slots(); got != want {
+			t.Fatalf("SlotsFor(%d) = %d, New(%d).Slots() = %d", c, got, c, want)
+		}
+	}
+}
 
 func TestInsertLookup(t *testing.T) {
 	tbl := New(100)

@@ -6,13 +6,13 @@ package fld
 // buffer pool and recycle buffers as needed").
 type pagePool struct {
 	pageBytes int
-	mem       []byte
+	mem       sram
 	free      []uint16 // LIFO free list of page indices
 }
 
 func newPagePool(totalBytes, pageBytes int) *pagePool {
 	n := totalBytes / pageBytes
-	p := &pagePool{pageBytes: pageBytes, mem: make([]byte, n*pageBytes)}
+	p := &pagePool{pageBytes: pageBytes, mem: newSRAM(n * pageBytes)}
 	// Push in reverse so pages allocate in ascending order initially.
 	for i := n - 1; i >= 0; i-- {
 		p.free = append(p.free, uint16(i))
@@ -46,14 +46,8 @@ func (p *pagePool) alloc(data []byte) []uint16 {
 	for i := range pages {
 		pages[i] = p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
-	}
-	for i, pg := range pages {
 		lo := i * p.pageBytes
-		hi := lo + p.pageBytes
-		if hi > len(data) {
-			hi = len(data)
-		}
-		copy(p.mem[int(pg)*p.pageBytes:], data[lo:hi])
+		p.mem.write(int(pages[i])*p.pageBytes, data[lo:min(lo+p.pageBytes, len(data))])
 	}
 	return pages
 }
@@ -61,10 +55,53 @@ func (p *pagePool) alloc(data []byte) []uint16 {
 // read copies len(dst) bytes starting at the given offset within a page
 // into dst.
 func (p *pagePool) read(dst []byte, page uint16, offset int) {
-	copy(dst, p.mem[int(page)*p.pageBytes+offset:])
+	p.mem.read(dst, int(page)*p.pageBytes+offset)
 }
 
 // release returns pages to the free list.
 func (p *pagePool) release(pages []uint16) {
 	p.free = append(p.free, pages...)
+}
+
+// sramGranule is the unit data SRAM materialises in: one default MPRQ
+// buffer or 64 default tx pages, so a datapath access stays inside one.
+const sramGranule = 32 << 10
+
+// sram is on-die data memory (this pool, the receive buffer) that costs
+// the simulator what a run writes: a granule is allocated on first write,
+// unwritten bytes read as zero, accesses past the end clip as copy does.
+// The pool's LIFO free list and the in-order MPRQ ring keep a short run
+// inside one or two granules.
+type sram struct {
+	size     int
+	granules [][]byte
+}
+
+func newSRAM(size int) sram {
+	return sram{size, make([][]byte, (size+sramGranule-1)/sramGranule)}
+}
+
+func (s *sram) write(off int, data []byte) {
+	data = data[:min(len(data), s.size-off)]
+	for len(data) > 0 {
+		g := &s.granules[off/sramGranule]
+		if *g == nil {
+			*g = make([]byte, min(sramGranule, s.size-off/sramGranule*sramGranule))
+		}
+		n := copy((*g)[off%sramGranule:], data)
+		data, off = data[n:], off+n
+	}
+}
+
+func (s *sram) read(dst []byte, off int) {
+	dst = dst[:min(len(dst), s.size-off)]
+	for len(dst) > 0 {
+		n := min(len(dst), sramGranule-off%sramGranule)
+		if g := s.granules[off/sramGranule]; g != nil {
+			copy(dst[:n], g[off%sramGranule:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+n
+	}
 }

@@ -108,3 +108,52 @@ func TestPagePoolChurnNeverLosesPages(t *testing.T) {
 		t.Fatalf("pages leaked: free=%d inuse=%d total=%d", p.freePages(), inUse, total/page)
 	}
 }
+
+// TestSRAMMatchesFlatSlice drives the lazy store and the flat slice it
+// replaced with the same accesses: unwritten bytes read as zero, an access
+// straddling a granule boundary round-trips, an access past the end clips
+// exactly as copy does (the tail of dst stays untouched), and only written
+// granules exist.
+func TestSRAMMatchesFlatSlice(t *testing.T) {
+	const size = 2*sramGranule + 1000 // partial last granule
+	s, flat := newSRAM(size), make([]byte, size)
+	check := func(off, n int) {
+		t.Helper()
+		got, want := bytes.Repeat([]byte{0xAA}, n), bytes.Repeat([]byte{0xAA}, n)
+		s.read(got, off)
+		copy(want, flat[off:])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("read(%d, %d) differs from the flat slice", off, n)
+		}
+	}
+	write := func(off int, data []byte) {
+		s.write(off, data)
+		copy(flat[off:], data)
+	}
+
+	check(0, size) // nothing written: all zero
+	for _, g := range s.granules {
+		if g != nil {
+			t.Fatal("a read materialised a granule")
+		}
+	}
+
+	pat := make([]byte, 3000)
+	for i := range pat {
+		pat[i] = byte(i*7 + 1)
+	}
+	write(sramGranule-1500, pat) // straddles granules 0 and 1
+	check(sramGranule-1500, len(pat))
+	check(sramGranule-2000, 4000) // zero bytes on both sides
+	if s.granules[0] == nil || s.granules[1] == nil || s.granules[2] != nil {
+		t.Fatal("granules 0 and 1 should exist, 2 should not")
+	}
+
+	write(size-100, pat) // clips at the end
+	check(size-200, 500)
+	check(size, 10) // empty read at the very end
+	check(0, size)
+	if len(s.granules[2]) != 1000 {
+		t.Fatalf("last granule holds %d bytes, want 1000", len(s.granules[2]))
+	}
+}

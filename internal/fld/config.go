@@ -91,14 +91,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fld: need at least one tx queue")
 	case c.TxRingEntries&(c.TxRingEntries-1) != 0:
 		return fmt.Errorf("fld: TxRingEntries must be a power of two")
-	case c.TxPageBytes&(c.TxPageBytes-1) != 0:
+	case c.TxPageBytes < 1 || c.TxPageBytes&(c.TxPageBytes-1) != 0:
 		return fmt.Errorf("fld: TxPageBytes must be a power of two")
-	case c.RxWQEBytes%c.RxStrideBytes != 0:
-		return fmt.Errorf("fld: RxWQEBytes must be a multiple of the stride")
+	case c.RxStrideBytes < 1 || c.RxWQEBytes < 1 || c.RxWQEBytes%c.RxStrideBytes != 0:
+		return fmt.Errorf("fld: RxWQEBytes must be a positive multiple of the stride")
 	case c.RxBufBytes%c.RxWQEBytes != 0:
 		return fmt.Errorf("fld: RxBufBytes must be a multiple of RxWQEBytes")
 	case c.SignalEvery < 1:
 		return fmt.Errorf("fld: SignalEvery must be >= 1")
+	case c.TxDescPool > 1<<16 || 2*c.TxBufBytes/c.TxPageBytes > 1<<16:
+		// Pool slots, pages and a queue's virtual window are uint16-indexed.
+		return fmt.Errorf("fld: TxDescPool and 2*TxBufBytes/TxPageBytes must not exceed 65536")
 	}
 	return nil
 }
@@ -154,8 +157,8 @@ func (c Config) Memory() MemoryBreakdown {
 	if c.CompressDescriptors {
 		// Shared pool + cuckoo translation sized for the pool.
 		m.TxDescPoolBytes = c.TxDescPool * descBytes
-		m.TxXltBytes = cuckoo.New(c.TxDescPool).Slots() * xltEntryBytes
-		m.TxDataXltBytes = cuckoo.New(c.TxBufBytes/c.TxPageBytes).Slots() * xltEntryBytes
+		m.TxXltBytes = cuckoo.SlotsFor(c.TxDescPool) * xltEntryBytes
+		m.TxDataXltBytes = cuckoo.SlotsFor(c.TxBufBytes/c.TxPageBytes) * xltEntryBytes
 	} else {
 		// One full ring per queue, no sharing.
 		m.TxDescPoolBytes = c.NumTxQueues * c.TxRingEntries * descBytes

@@ -12,21 +12,38 @@ func TestDefaultConfigValid(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadConfigs has one row per Validate rule; New panics
+// on what Validate rejects, so a rule that lets its row through would
+// surface as a divide by zero or a silently wrapped uint16 index.
 func TestValidateCatchesBadConfigs(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.NumTxQueues = 0 },
-		func(c *Config) { c.TxRingEntries = 1000 },   // not power of two
-		func(c *Config) { c.TxPageBytes = 500 },      // not power of two
-		func(c *Config) { c.RxWQEBytes = 1000 },      // not stride multiple
-		func(c *Config) { c.RxBufBytes = 100 << 10 }, // not RxWQE multiple
-		func(c *Config) { c.SignalEvery = 0 },
+	bad := []struct {
+		rule   string
+		mutate func(*Config)
+	}{
+		{"no tx queue", func(c *Config) { c.NumTxQueues = 0 }},
+		{"ring entries not a power of two", func(c *Config) { c.TxRingEntries = 1000 }},
+		{"page bytes not a power of two", func(c *Config) { c.TxPageBytes = 500 }},
+		{"page bytes zero", func(c *Config) { c.TxPageBytes = 0 }},
+		{"stride zero", func(c *Config) { c.RxStrideBytes = 0 }},
+		{"rx WQE bytes zero", func(c *Config) { c.RxWQEBytes = 0 }},
+		{"rx WQE not a stride multiple", func(c *Config) { c.RxWQEBytes = 1000 }},
+		{"rx buffer not an rx WQE multiple", func(c *Config) { c.RxBufBytes = 100 << 10 }},
+		{"signal every zero", func(c *Config) { c.SignalEvery = 0 }},
+		{"descriptor pool past uint16", func(c *Config) { c.TxDescPool = 1<<16 + 1 }},
+		{"page window past uint16", func(c *Config) { c.TxBufBytes, c.TxPageBytes = 16<<20+512, 512 }},
 	}
-	for i, mutate := range bad {
+	for _, tc := range bad {
 		c := DefaultConfig()
-		mutate(&c)
+		tc.mutate(&c)
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("%s: accepted", tc.rule)
 		}
+	}
+	// The largest index spaces that still fit are accepted.
+	c := DefaultConfig()
+	c.TxDescPool, c.TxBufBytes = 1<<16, 16<<20
+	if err := c.Validate(); err != nil {
+		t.Errorf("limit config rejected: %v", err)
 	}
 }
 

@@ -100,7 +100,7 @@ type FLD struct {
 	queues   []*txQueue
 
 	// Receive state.
-	rxMem        []byte
+	rxMem        sram
 	rxRQN        uint32
 	rxEntries    int
 	rxPI         uint32
@@ -186,7 +186,7 @@ func New(eng *sim.Engine, cfg Config) *FLD {
 	for i := 0; i < cfg.NumTxQueues; i++ {
 		f.queues = append(f.queues, &txQueue{})
 	}
-	f.rxMem = make([]byte, cfg.RxBufBytes)
+	f.rxMem = newSRAM(cfg.RxBufBytes)
 	f.txPipe = sim.NewResource(eng)
 	f.rxPipe = sim.NewResource(eng)
 	return f
@@ -573,7 +573,7 @@ func (f *FLD) MMIOWrite(offset uint64, data []byte) {
 	}
 	switch {
 	case offset >= f.rxBufBase && offset < f.rxBufBase+uint64(f.cfg.RxBufBytes):
-		copy(f.rxMem[offset-f.rxBufBase:], data)
+		f.rxMem.write(int(offset-f.rxBufBase), data)
 	case offset >= f.txCQBase && offset < f.txCQBase+uint64(f.cfg.CQEntries)*nic.CQESize:
 		if c, err := nic.ParseCQE(data); err == nil {
 			f.handleTxCQE(c)
@@ -732,7 +732,7 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	// through the paced pipeline.
 	off := c.Addr - (f.port.Base() + f.rxBufBase)
 	data := make([]byte, rec.ByteCount)
-	copy(data, f.rxMem[off:])
+	f.rxMem.read(data, int(off))
 	md := Metadata{
 		Queue:      int(rec.Queue),
 		Tag:        rec.FlowTag,

@@ -182,7 +182,9 @@ func TestRxBufferWriteLandsInSRAM(t *testing.T) {
 	_, _, f := newFLD(t, DefaultConfig())
 	data := []byte{9, 8, 7, 6, 5}
 	f.MMIOWrite(f.rxBufBase+100, data)
-	if !bytes.Equal(f.rxMem[100:105], data) {
+	got := make([]byte, len(data))
+	f.rxMem.read(got, 100)
+	if !bytes.Equal(got, data) {
 		t.Fatal("rx SRAM write misrouted")
 	}
 }

@@ -116,7 +116,7 @@ func (p Params) Software() Breakdown {
 
 // xltBytes sizes a 4-bank cuckoo translation table for n live entries.
 func xltBytes(n int) int {
-	return cuckoo.New(n).Slots() * xltEntry
+	return cuckoo.SlotsFor(n) * xltEntry
 }
 
 // ConnEntryBytes is the packed per-connection state of the TCP-offload
@@ -131,7 +131,7 @@ const ConnEntryBytes = 16
 // the SRAM term a TCP-serving AFU (internal/accel/kv) adds on top of
 // the driver structures in FLD().
 func ConnTableBytes(n int) int {
-	return cuckoo.New(n).Slots() * ConnEntryBytes
+	return cuckoo.SlotsFor(n) * ConnEntryBytes
 }
 
 // ConnTableFits reports whether n connections' table plus the FLD

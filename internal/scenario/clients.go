@@ -47,6 +47,9 @@ type server interface {
 type echoClients struct {
 	srv server
 	cs  []*echoClient
+	// frng is flows' scratch stream, re-seeded per client: construction
+	// is sequential, and a source per modelled client is ~5 KB.
+	frng *sim.Rand
 }
 
 // echoClient is one traffic-carrying host's bookkeeping.
@@ -66,14 +69,18 @@ type echoClient struct {
 // a client owns, only which NIC carries them.
 func (p *echoClients) flows(s Spec, h *flexdriver.Host, gi int) ([][]byte, sim.Duration) {
 	fr := p.srv.framing(gi)
-	frng := sim.NewRand(s.Seed*7919 + int64(gi))
+	if seed := s.Seed*7919 + int64(gi); p.frng == nil {
+		p.frng = sim.NewRand(seed)
+	} else {
+		p.frng.Seed(seed)
+	}
 	var flows [][]byte
 	var avgBits float64
 	for fi := 0; fi < flowsPerClient; fi++ {
-		sport := uint16(4000 + frng.Intn(20000))
+		sport := uint16(4000 + p.frng.Intn(20000))
 		size := s.FrameMin
 		if s.FrameMax > s.FrameMin {
-			size += frng.Intn(s.FrameMax - s.FrameMin + 1)
+			size += p.frng.Intn(s.FrameMax - s.FrameMin + 1)
 		}
 		f := fr.build(h.NIC, p.srv.nic(), sport, fr.dport, size, fi)
 		flows = append(flows, f)

@@ -1,11 +1,38 @@
 package scenario
 
 import (
+	"strings"
+
 	"flexdriver"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/rig"
 	"flexdriver/internal/sim"
 )
+
+// nicLaw names the counters the CQE/WQE law reads, per NIC: executed send
+// WQEs, placed receive packets, written CQEs. VF-owned queues instrument
+// under <node>/nic/vf<ID>/{sq,rq,cq}<ID>/ rather than the PF's flat
+// paths, so each sum takes both scopes; the law itself is VF-blind.
+var nicLaw = [3]struct{ scope, suffix string }{
+	{"sq", "/wqe_executed"}, {"rq", "/packets"}, {"cq", "/cqes"},
+}
+
+// nicQueueSums folds every node's nicLaw sums in one pass over the
+// counters, where a Snapshot.Sum per node and term rescans the tree.
+func nicQueueSums(snap flexdriver.Snapshot) map[string][3]int64 {
+	sums := map[string][3]int64{}
+	for p, v := range snap.Counters {
+		name, rest, _ := strings.Cut(p, "/nic/") // no "/nic/": rest is empty
+		for i, l := range nicLaw {
+			if strings.HasSuffix(rest, l.suffix) && (strings.HasPrefix(rest, l.scope) || strings.HasPrefix(rest, "vf")) {
+				s := sums[name]
+				s[i] += v
+				sums[name] = s
+			}
+		}
+	}
+	return sums
+}
 
 // checkCluster judges the invariants that hold for the cluster as a
 // whole, whatever parts the scenario is made of. Every check is phrased
@@ -19,6 +46,7 @@ func checkCluster(rn *run, j *judgement) {
 	crashes := inj.FLDResets + inj.NICFLRs + inj.NodeCrashes + inj.DrvCrashes + inj.SwReboots
 
 	var nicDrops int64
+	sums := nicQueueSums(snap)
 	rn.EachNode(func(name string, n *flexdriver.NIC, _ *pcie.Fabric) {
 		for _, v := range n.Stats.Drops {
 			nicDrops += v
@@ -32,12 +60,8 @@ func checkCluster(rn *run, j *judgement) {
 		// placements means one went missing — excusable only by an
 		// injected fault (a dropped PCIe TLP can kill the completion write
 		// after the payload already landed), so the receive-side bound is
-		// exact on a fault-free run. VF-owned queues instrument under
-		// <node>/nic/vf<ID>/{sq,rq,cq}<ID>/ rather than the PF's flat
-		// paths, so the sums take both scopes; the law itself is VF-blind.
-		executed := snap.Sum(name+"/nic/sq", "/wqe_executed") + snap.Sum(name+"/nic/vf", "/wqe_executed")
-		placed := snap.Sum(name+"/nic/rq", "/packets") + snap.Sum(name+"/nic/vf", "/packets")
-		cqes := snap.Sum(name+"/nic/cq", "/cqes") + snap.Sum(name+"/nic/vf", "/cqes")
+		// exact on a fault-free run.
+		executed, placed, cqes := sums[name][0], sums[name][1], sums[name][2]
 		errs := n.Stats.QueueErrors
 		if cqes > executed+placed+errs {
 			bad("cqe-wqe", "%s: %d CQEs exceed %d executed WQEs + %d placed packets + %d errors",

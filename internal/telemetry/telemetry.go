@@ -26,11 +26,12 @@ package telemetry
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"flexdriver/internal/sim"
 )
@@ -451,7 +452,7 @@ func (s Snapshot) Sum(prefix, suffix string) int64 {
 // must match for two runs to agree. The determinism regression tests and
 // the scenario fuzzer's replay-determinism invariant both pin on it.
 func (s Snapshot) Hash() string {
-	sum := sha256.Sum256([]byte(s.String()))
+	sum := sha256.Sum256(s.dump())
 	return hex.EncodeToString(sum[:])
 }
 
@@ -491,8 +492,12 @@ func (s Snapshot) Rate(path string, prev Snapshot) float64 {
 
 // String renders the snapshot as a sorted, aligned dump, one metric per
 // line — the counter-snapshot format the docs show.
-func (s Snapshot) String() string {
-	var paths []string
+func (s Snapshot) String() string { return string(s.dump()) }
+
+// dump is String's bytes: fmt's "%-*s  %d\n" &c. spelled with strconv, so
+// the dump every scenario hashes is one buffer sized up front.
+func (s Snapshot) dump() []byte {
+	paths := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Hists)+len(s.Funcs))
 	for p := range s.Counters {
 		paths = append(paths, p)
 	}
@@ -508,24 +513,28 @@ func (s Snapshot) String() string {
 	sort.Strings(paths)
 	width := 0
 	for _, p := range paths {
-		if len(p) > width {
-			width = len(p)
-		}
+		width = max(width, len(p))
 	}
-	var b strings.Builder
+	b := make([]byte, 0, len(paths)*(width+16)+32)
 	if s.At != 0 {
-		fmt.Fprintf(&b, "# snapshot at %v\n", s.At)
+		b = append(append(append(b, "# snapshot at "...), s.At.String()...), '\n')
 	}
+	pad := strings.Repeat(" ", width+2)
 	for _, p := range paths {
+		// fmt pads to width in runes; two more spaces separate the value.
+		b = append(append(b, p...), pad[utf8.RuneCountInString(p):]...)
 		if v, ok := s.Counters[p]; ok {
-			fmt.Fprintf(&b, "%-*s  %d\n", width, p, v)
+			b = strconv.AppendInt(b, v, 10)
 		} else if g, ok := s.Gauges[p]; ok {
-			fmt.Fprintf(&b, "%-*s  %d (high %d)\n", width, p, g.Value, g.High)
+			b = append(strconv.AppendInt(b, g.Value, 10), " (high "...)
+			b = append(strconv.AppendInt(b, g.High, 10), ')')
 		} else if h, ok := s.Hists[p]; ok {
-			fmt.Fprintf(&b, "%-*s  n=%d mean=%.2f\n", width, p, h.Count, h.Mean)
+			b = append(strconv.AppendInt(append(b, "n="...), h.Count, 10), " mean="...)
+			b = strconv.AppendFloat(b, h.Mean, 'f', 2, 64)
 		} else if f, ok := s.Funcs[p]; ok {
-			fmt.Fprintf(&b, "%-*s  %.4f\n", width, p, f)
+			b = strconv.AppendFloat(b, f, 'f', 4, 64)
 		}
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
 }

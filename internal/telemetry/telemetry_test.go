@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -253,5 +254,55 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.1f per event, want 0", allocs)
+	}
+}
+
+// TestSnapshotStringGolden pins the dump byte for byte against what the
+// fmt verbs ("%-*s  %d\n", "%d (high %d)", "n=%d mean=%.2f", "%.4f")
+// printed before String moved to strconv: every kind of metric, negative
+// values, non-finite funcs, one path longer than the rest and one whose
+// rune count differs from its byte count (fmt pads by runes). The literal
+// and the hash were captured from the fmt implementation.
+func TestSnapshotStringGolden(t *testing.T) {
+	reg := New()
+	reg.Bind(func() sim.Time { return 1500 * sim.Nanosecond })
+	reg.Counter("a/nic/sq1/doorbells").Add(42)
+	reg.Counter("a/x").Add(-7)
+	reg.Counter("zero")
+	reg.Counter("node/with/a/path/much/longer/than/the/rest").Add(1 << 40)
+	reg.Counter("ünï/cødé").Add(3)
+	g := reg.Gauge("a/nic/depth")
+	g.Set(9)
+	g.Set(-2)
+	h := reg.Histogram("a/lat")
+	for _, v := range []int64{10, 15, 16} {
+		h.Observe(v)
+	}
+	reg.Histogram("a/empty")
+	reg.Func("a/share", func() float64 { return 2.0 / 3 })
+	reg.Func("a/neg", func() float64 { return -1234.56785 })
+	reg.Func("a/nan", math.NaN)
+	reg.Func("a/inf", func() float64 { return math.Inf(1) })
+
+	const want = `# snapshot at 1.500us
+a/empty                                     n=0 mean=0.00
+a/inf                                       +Inf
+a/lat                                       n=3 mean=13.67
+a/nan                                       NaN
+a/neg                                       -1234.5678
+a/nic/depth                                 -2 (high 9)
+a/nic/sq1/doorbells                         42
+a/share                                     0.6667
+a/x                                         -7
+node/with/a/path/much/longer/than/the/rest  1099511627776
+zero                                        0
+ünï/cødé                                    3
+`
+	snap := reg.Snapshot()
+	if got := snap.String(); got != want {
+		t.Fatalf("dump drifted from the fmt format:\n%s\nwant:\n%s", got, want)
+	}
+	if got := snap.Hash(); got != "f47ae81124d5515e288d461a13884bdf46ef3166ef94371c21bc30db18d3cf3e" {
+		t.Fatalf("hash of the golden dump = %s", got)
 	}
 }
