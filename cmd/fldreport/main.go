@@ -6,6 +6,12 @@
 //
 //	fldreport                  # run everything
 //	fldreport -exp fig7b       # run one experiment
+//	fldreport -exp fig7b -sizes 512,1500
+//	                           # echo bandwidth at chosen frame sizes
+//	fldreport -exp table6 -samples 50000
+//	                           # latency percentiles from more samples
+//	fldreport -csv fig4        # the analytic model's sweep as CSV (fig4,
+//	                           # fig7a); pipe into a plotting tool
 //	fldreport -quick           # shorter measurement windows
 //	fldreport -trace out.json  # telemetry run: dump the counter snapshot
 //	                           # and write the TLP flight recorder as
@@ -22,40 +28,93 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"flexdriver"
 	"flexdriver/internal/exps"
+	"flexdriver/internal/memmodel"
+	"flexdriver/internal/perfmodel"
 )
 
-// parseClients turns "1,2,4,8" into client counts for -exp cluster.
-func parseClients(spec string) ([]int, error) {
+// parseInts turns "1,2,4,8" into positive counts (-clients, -sizes).
+func parseInts(spec string) ([]int, error) {
 	var ns []int
 	for _, s := range strings.Split(spec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad client count %q", s)
+			return nil, fmt.Errorf("bad count %q", s)
 		}
 		ns = append(ns, n)
 	}
 	return ns, nil
 }
 
-func main() {
-	exp := flag.String("exp", "", "run a single experiment (see -list for the full set)")
-	list := flag.Bool("list", false, "list every experiment with the flags it honors, then exit")
-	quick := flag.Bool("quick", false, "shorter measurement windows")
-	seed := flag.Int64("seed", 1, "random seed for the chaos experiment's fault plan and the scenario sweep's first seed; a failing seed replays the identical run")
-	faults := flag.String("faults", "", `fault spec for the chaos experiment: a preset ("light", "heavy", "crash") or key=value pairs, e.g. "heavy" or "light,wire.loss=0.1" (default "heavy")`)
-	count := flag.Int("count", 25, "how many generated scenarios the scenario sweep runs (seeds seed..seed+count-1)")
-	spec := flag.String("spec", "", "exact scenario spec to replay for -exp scenario (the form a shrunk repro command prints); overrides -count")
-	clients := flag.String("clients", "1,2,4,8", "client counts the cluster experiment sweeps, comma-separated; with -hosts these are aggregated counts (e.g. -clients 128,512)")
-	hosts := flag.Int("hosts", 0, "fold each cluster client count onto this many aggregated-client hosts (0 = one discrete host per client); the hundred-node scaling mode")
-	workers := flag.Int("workers", 0, "scheduler workers for the cluster, chaos and failover experiments: 0 = one per CPU, 1 = sequential reference (identical telemetry either way)")
-	traceOut := flag.String("trace", "", "run the telemetry experiment, print its counter snapshot, and write the TLP flight recorder as Chrome trace_event JSON to this file")
-	flag.Parse()
+// writeCSV prints one of the paper's analytic models as a CSV sweep: the
+// driver-memory scalability analysis (fig4) or the PCIe-vs-Ethernet
+// performance model (fig7a).
+func writeCSV(out io.Writer, fig string) error {
+	switch fig {
+	case "fig4":
+		fmt.Fprintln(out, "gbps,queues,software_bytes,fld_bytes,xcku15p_bytes")
+		pts := memmodel.ScalabilitySweep(
+			[]float64{25, 50, 100, 150, 200, 300, 400},
+			[]int{64, 128, 256, 512, 1024, 2048})
+		for _, p := range pts {
+			fmt.Fprintf(out, "%.0f,%d,%d,%d,%d\n",
+				p.BandwidthGbps, p.TxQueues, p.SoftwareBytes, p.FLDBytes, memmodel.XCKU15PBytes)
+		}
+	case "fig7a":
+		fmt.Fprintln(out, "config_gbps,size,ethernet_gbps,fld_gbps,fraction")
+		sizes := []int{64, 96, 128, 192, 256, 384, 512, 768, 1024, 1500, 2048, 4096}
+		for _, rate := range []float64{25, 50, 100} {
+			m := perfmodel.DefaultEchoModel(rate)
+			for _, p := range m.Sweep(sizes) {
+				fmt.Fprintf(out, "%.0f,%d,%.3f,%.3f,%.4f\n",
+					rate, p.Size, p.EthernetGbps, p.FLDGbps, p.FractionOfEthNet)
+			}
+		}
+	default:
+		return fmt.Errorf("unknown figure %q (want fig4 or fig7a)", fig)
+	}
+	return nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it parses args, writes the report to out
+// (diagnostics go to stderr) and returns the exit status.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("fldreport", flag.ContinueOnError)
+	exp := fs.String("exp", "", "run a single experiment (see -list for the full set)")
+	list := fs.Bool("list", false, "list every experiment with the flags it honors, then exit")
+	quick := fs.Bool("quick", false, "shorter measurement windows")
+	sizesSpec := fs.String("sizes", "64,128,256,512,1024", "frame sizes in bytes the fig7b echo-bandwidth experiment sweeps, comma-separated")
+	samples := fs.Int("samples", 0, "latency samples for the table6 experiment (0 = 20000, or 4000 with -quick)")
+	csv := fs.String("csv", "", "print an analytic model's sweep as CSV instead of running experiments: fig4 or fig7a")
+	seed := fs.Int64("seed", 1, "random seed for the chaos experiment's fault plan and the scenario sweep's first seed; a failing seed replays the identical run")
+	faults := fs.String("faults", "", `fault spec for the chaos experiment: a preset ("light", "heavy", "crash") or key=value pairs, e.g. "heavy" or "light,wire.loss=0.1" (default "heavy")`)
+	count := fs.Int("count", 25, "how many generated scenarios the scenario sweep runs (seeds seed..seed+count-1)")
+	spec := fs.String("spec", "", "exact scenario spec to replay for -exp scenario (the form a shrunk repro command prints); overrides -count")
+	clients := fs.String("clients", "1,2,4,8", "client counts the cluster experiment sweeps, comma-separated; with -hosts these are aggregated counts (e.g. -clients 128,512)")
+	hosts := fs.Int("hosts", 0, "fold each cluster client count onto this many aggregated-client hosts (0 = one discrete host per client); the hundred-node scaling mode")
+	workers := fs.Int("workers", 0, "scheduler workers for the cluster, chaos and failover experiments: 0 = one per CPU, 1 = sequential reference (identical telemetry either way)")
+	traceOut := fs.String("trace", "", "run the telemetry experiment, print its counter snapshot, and write the TLP flight recorder as Chrome trace_event JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(status int, format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "fldreport: "+format+"\n", a...)
+		return status
+	}
+	if *csv != "" {
+		if err := writeCSV(out, *csv); err != nil {
+			return fail(2, "-csv: %v", err)
+		}
+		return 0
+	}
 
 	window := 800 * flexdriver.Microsecond
 	latSamples := 20000
@@ -65,8 +124,18 @@ func main() {
 		latSamples = 4000
 		loadSamples = 1500
 	}
+	if *samples > 0 {
+		latSamples = *samples
+	}
+	sizes, err := parseInts(*sizesSpec)
+	if err != nil {
+		return fail(2, "-sizes: %v", err)
+	}
+	clientCounts, err := parseInts(*clients)
+	if err != nil {
+		return fail(2, "-clients: %v", err)
+	}
 
-	sizes := []int{64, 128, 256, 512, 1024}
 	fractions := []float64{0.1, 0.3, 0.5, 0.7, 0.82, 0.95, 1.03}
 
 	// The telemetry runner keeps its registry and recorder so -trace can
@@ -92,9 +161,9 @@ func main() {
 		{"table5", "ZUC accelerator throughput vs Table 5", exps.Table5},
 		{"fig4", "doorbell batching sweep vs Figure 4", exps.Fig4},
 		{"fig7a", "single-core packet-rate ceiling vs Figure 7a", exps.Fig7a},
-		{"fig7b", "throughput by frame size vs Figure 7b", func() *exps.Result { return exps.Fig7b(sizes, window) }},
+		{"fig7b", "throughput by frame size vs Figure 7b; honors -sizes", func() *exps.Result { return exps.Fig7b(sizes, window) }},
 		{"fig7c", "latency under load vs Figure 7c", func() *exps.Result { return exps.Fig7c(fractions, loadSamples) }},
-		{"table6", "round-trip latency percentiles vs Table 6", func() *exps.Result { return exps.Table6(latSamples) }},
+		{"table6", "round-trip latency percentiles vs Table 6; honors -samples", func() *exps.Result { return exps.Table6(latSamples) }},
 		{"mixed-trace", "mixed ZUC/plain traffic trace replay", func() *exps.Result { return exps.MixedTrace(window) }},
 		{"fig8a", "IP-defrag throughput by fragment size vs Figure 8a", func() *exps.Result { return exps.Fig8a([]int{64, 128, 256, 512, 1024, 2048, 4096}, window) }},
 		{"fig8b", "IP-defrag throughput by fragmented fraction vs Figure 8b", func() *exps.Result { return exps.Fig8b([]float64{0.1, 0.3, 0.5, 0.7, 0.9}, loadSamples) }},
@@ -118,12 +187,7 @@ func main() {
 		}},
 		{"cluster", "N-client scaling behind a ToR switch; honors -clients -hosts -workers", func() *exps.Result {
 			p := exps.DefaultClusterParams(window)
-			ns, err := parseClients(*clients)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fldreport: -clients: %v\n", err)
-				os.Exit(2)
-			}
-			p.Clients = ns
+			p.Clients = clientCounts
 			p.Hosts = *hosts
 			p.Workers = *workers
 			return exps.Cluster(p)
@@ -131,11 +195,11 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("experiments (run one with -exp <id>; all honor -quick):")
+		fmt.Fprintln(out, "experiments (run one with -exp <id>; all honor -quick):")
 		for _, rn := range runners {
-			fmt.Printf("  %-14s %s\n", rn.id, rn.about)
+			fmt.Fprintf(out, "  %-14s %s\n", rn.id, rn.about)
 		}
-		return
+		return 0
 	}
 
 	if *exp != "" {
@@ -146,20 +210,17 @@ func main() {
 			}
 		}
 		if !known {
-			fmt.Fprintf(os.Stderr, "fldreport: unknown experiment %q\n", *exp)
-			os.Exit(2)
+			return fail(2, "unknown experiment %q", *exp)
 		}
 	}
 
 	failed := 0
-	ran := 0
 	for _, rn := range runners {
 		if *exp != "" && rn.id != *exp {
 			continue
 		}
-		ran++
 		r := rn.run()
-		fmt.Println(r.String())
+		fmt.Fprintln(out, r.String())
 		if !r.Passed() {
 			failed++
 		}
@@ -167,31 +228,29 @@ func main() {
 	if *traceOut != "" {
 		if telRec == nil { // the runner loop skipped the telemetry experiment
 			r := runTelemetry()
-			fmt.Println(r.String())
+			fmt.Fprintln(out, r.String())
 			if !r.Passed() {
 				failed++
 			}
 		}
-		fmt.Println("== telemetry counter snapshot ==")
-		fmt.Print(telReg.Snapshot().String())
+		fmt.Fprintln(out, "== telemetry counter snapshot ==")
+		fmt.Fprint(out, telReg.Snapshot().String())
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fldreport: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		if err := telRec.WriteChromeTrace(f); err == nil {
+		if err = telRec.WriteChromeTrace(f); err == nil {
 			err = f.Close()
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fldreport: writing trace: %v\n", err)
-			os.Exit(1)
+			return fail(1, "writing trace: %v", err)
 		}
-		fmt.Printf("wrote %d TLP events to %s (open in chrome://tracing or Perfetto)\n",
+		fmt.Fprintf(out, "wrote %d TLP events to %s (open in chrome://tracing or Perfetto)\n",
 			telRec.Len(), *traceOut)
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "fldreport: %d experiment(s) had failing checks\n", failed)
-		os.Exit(1)
+		return fail(1, "%d experiment(s) had failing checks", failed)
 	}
-	fmt.Println("all experiment checks passed")
+	fmt.Fprintln(out, "all experiment checks passed")
+	return 0
 }

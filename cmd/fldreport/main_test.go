@@ -1,0 +1,59 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestQuickReportGolden pins the whole -quick report byte for byte: 25
+// experiments, 113 checks. It is the only pin on the two-node experiments
+// (fig7b/7c, table6, fig8a/8b, defrag, iot-*, mixed-trace, ext-virtio),
+// which otherwise stand behind threshold checks alone. The simulation is
+// deterministic, so any diff is a behaviour change: recapture with
+// `go run ./cmd/fldreport -quick > cmd/fldreport/testdata/quick.golden`
+// only when the change is meant to move results, and say so.
+func TestQuickReportGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if status := run([]string{"-quick"}, &got); status != 0 {
+		t.Fatalf("run(-quick) = %d, want 0", status)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("line %d differs\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("report has %d lines, golden %d", len(g), len(w))
+}
+
+// TestCSVAndFlagErrors covers the surface folded in from the two retired
+// binaries: the model sweeps keep their header and row count, and bad
+// flag values exit 2 without running anything.
+func TestCSVAndFlagErrors(t *testing.T) {
+	for fig, wantLines := range map[string]int{"fig4": 43, "fig7a": 37} {
+		var out bytes.Buffer
+		if status := run([]string{"-csv", fig}, &out); status != 0 {
+			t.Fatalf("-csv %s: status %d", fig, status)
+		}
+		if n := strings.Count(out.String(), "\n"); n != wantLines {
+			t.Errorf("-csv %s: %d lines, want %d", fig, n, wantLines)
+		}
+	}
+	for _, args := range [][]string{
+		{"-csv", "fig9"}, {"-sizes", "64,x"}, {"-clients", "0"}, {"-exp", "nope"},
+	} {
+		var out bytes.Buffer
+		if status := run(args, &out); status != 2 || out.Len() != 0 {
+			t.Errorf("run(%v) = %d with %d bytes of output, want 2 and none", args, status, out.Len())
+		}
+	}
+}

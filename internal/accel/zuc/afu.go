@@ -324,8 +324,3 @@ func compute(dst []byte, req Request) {
 			EIA3(req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen))
 	}
 }
-
-// IsResponse reports whether an encoded message is a response.
-func IsResponse(b []byte) bool {
-	return len(b) >= HeaderBytes && b[2]&respFlag != 0
-}

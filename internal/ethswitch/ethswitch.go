@@ -80,7 +80,6 @@ type Switch struct {
 	cfg   Config
 	ports []*Port
 	fdb   map[netpkt.MAC]*Port
-	freeX *portXfer // freelist of transit records, shared by all ports
 
 	// downN counts active reboot windows (see Crash/Restart); the
 	// forwarding plane runs only at zero.
@@ -115,57 +114,6 @@ func (s *Switch) Restart() {
 // Down reports whether the switch is currently rebooting.
 func (s *Switch) Down() bool { return s.downN > 0 }
 
-// portXfer is one frame's transit record through a port segment (either
-// direction). Records are recycled through freelists and scheduled with
-// the engine's arg-form callbacks, so the steady-state forwarding path
-// allocates nothing per frame. Dir-0 records live on the port's own
-// freelist (touched only by the endpoint's shard); dir-1 records live on
-// the switch's freelist (touched only by the switch shard) — the two
-// sides of a port may run on different engines and must not share one.
-type portXfer struct {
-	p      *Port
-	frame  []byte
-	onSent func()
-	d      sim.Duration // serialization time (dup spacing)
-	next   *portXfer
-}
-
-func (s *Switch) getXfer(p *Port) *portXfer {
-	x := s.freeX
-	if x != nil {
-		s.freeX = x.next
-		x.next = nil
-	} else {
-		x = &portXfer{}
-	}
-	x.p = p
-	return x
-}
-
-func (s *Switch) putXfer(x *portXfer) {
-	x.p, x.frame, x.onSent = nil, nil, nil
-	x.next = s.freeX
-	s.freeX = x
-}
-
-func (p *Port) getXferN() *portXfer {
-	x := p.freeN
-	if x != nil {
-		p.freeN = x.next
-		x.next = nil
-	} else {
-		x = &portXfer{}
-	}
-	x.p = p
-	return x
-}
-
-func (p *Port) putXferN(x *portXfer) {
-	x.p, x.frame, x.onSent = nil, nil, nil
-	x.next = p.freeN
-	p.freeN = x
-}
-
 // New builds a switch; zero Config fields take defaults.
 func New(eng *sim.Engine, cfg Config) *Switch {
 	return &Switch{eng: eng, cfg: cfg.withDefaults(), fdb: make(map[netpkt.MAC]*Port)}
@@ -190,21 +138,17 @@ func (s *Switch) Ports() []*Port { return s.ports }
 func (s *Switch) FDBSize() int { return len(s.fdb) }
 
 // Connect attaches an endpoint to the next free port and makes the port
-// the endpoint's physical attachment. The NIC-to-switch serialization
-// resource lives on the endpoint's engine and the two segment directions
-// become conduits, so an endpoint on another shard exchanges frames with
-// the switch only through the group's barrier merge. With the endpoint on
-// the switch's own engine the conduits degenerate to direct schedules and
+// the endpoint's physical attachment. The NIC-to-switch segment
+// serializes on the endpoint's engine and the switch-to-NIC one on the
+// switch's, so an endpoint on another shard exchanges frames with the
+// switch only through the group's barrier merge. With the endpoint on the
+// switch's own engine the crossings degenerate to direct schedules and
 // behavior is unchanged.
 func (s *Switch) Connect(ep Endpoint) *Port {
-	epEng := ep.Engine()
-	p := &Port{
-		sw: s, ID: len(s.ports), ep: ep, epEng: epEng,
-		in:  sim.NewResource(epEng),
-		out: sim.NewResource(s.eng),
-	}
-	p.inC = sim.NewConduit(epEng, s.eng, p.recvIn)
-	p.outC = sim.NewConduit(s.eng, epEng, p.recvOut)
+	p := &Port{sw: s, ID: len(s.ports), ep: ep}
+	p.in.Init(&p.link, 0, &s.cfg.Rate, &s.cfg.Latency, ep.Engine(), s.eng, p.recvIn)
+	p.out.Init(&p.link, 1, &s.cfg.Rate, &s.cfg.Latency, s.eng, ep.Engine(), p.recvOut)
+	p.outSent = p.dequeue
 	s.ports = append(s.ports, p)
 	ep.AttachPort(p)
 	if s.tlm != nil {
@@ -266,40 +210,37 @@ type PortCounters struct {
 	TailDrops int64
 }
 
-// Port is one switch port plus the segment cabling it to its endpoint.
-// It implements nic.Port for the NIC-to-switch direction. On its Link,
-// dir 0 is NIC-to-switch and dir 1 is switch-to-NIC.
+// Port is one switch port plus the two segments cabling it to its
+// endpoint. It implements nic.Port for the NIC-to-switch direction. On
+// its Link, dir 0 is NIC-to-switch and dir 1 is switch-to-NIC.
 //
-// Shard split: Send/portInSent and recvOut run on the endpoint's engine;
-// ingress, deliver and portOutSent run on the switch's engine. Each field
-// has a single writing shard (the Link's per-direction counters and fault
-// hooks are disjoint by direction), so a parallel group needs no locks
-// here.
+// Shard split: in's sending half and recvOut run on the endpoint's
+// engine; ingress, deliver, out's sending half and dequeue run on the
+// switch's engine. Each field has a single writing shard (the Link's
+// per-direction counters and fault hooks are disjoint by direction), so a
+// parallel group needs no locks here.
 type Port struct {
 	ID       int
 	Counters PortCounters
 
-	sw    *Switch
-	ep    Endpoint
-	epEng *sim.Engine
-	link  nic.Link
+	sw   *Switch
+	ep   Endpoint
+	link nic.Link
 
-	in, out *sim.Resource // in: endpoint engine; out: switch engine
-	queued  int           // frames waiting or in service on out
-
-	inC, outC *sim.Conduit
-	freeN     *portXfer // dir-0 transit records (endpoint shard's pool)
+	in, out nic.Segment // in: NIC-to-switch (dir 0); out: switch-to-NIC (dir 1)
+	queued  int         // frames waiting or in service on out
+	outSent func()      // p.dequeue, bound once: a method value allocates
 
 	depth *telemetry.Gauge // output-queue occupancy (high-water tracked); nil-safe
 }
 
-// Link exposes the segment's fault hooks and delivery counters for
+// Link exposes the segments' fault hooks and delivery counters for
 // faults.Plan.AttachLink.
 func (p *Port) Link() *nic.Link { return &p.link }
 
 // EndpointEngine returns the engine the port's NIC-side half runs on
 // (dir-0 hooks fire there; dir-1 hooks fire on the switch engine).
-func (p *Port) EndpointEngine() *sim.Engine { return p.epEng }
+func (p *Port) EndpointEngine() *sim.Engine { return p.ep.Engine() }
 
 // QueueDepth returns the instantaneous output-queue occupancy,
 // including the frame in service.
@@ -313,44 +254,9 @@ func (p *Port) count(frames, bytes *int64, n int) {
 // Send serializes a frame from the NIC into the switch (dir 0). It is
 // the nic.Port implementation; onSent fires when the frame has fully
 // left the NIC. Runs on the endpoint's shard.
-func (p *Port) Send(frame []byte, onSent func()) {
-	p.link.Sent[0]++
-	x := p.getXferN()
-	x.frame, x.onSent = frame, onSent
-	x.d = p.sw.cfg.Rate.Serialize(len(frame) + nic.EthWireOverhead)
-	p.in.AcquireArg(x.d, portInSent, x)
-}
+func (p *Port) Send(frame []byte, onSent func()) { p.in.Send(frame, onSent) }
 
-// portInSent runs when the frame has fully left the NIC (dir 0, endpoint
-// shard). Loss, delay and duplication for this direction are evaluated
-// here, on the sending side of the segment; surviving copies cross to the
-// switch shard through the inbound conduit.
-func portInSent(a any) {
-	x := a.(*portXfer)
-	p, l, frame, d := x.p, &x.p.link, x.frame, x.d
-	if x.onSent != nil {
-		x.onSent()
-		x.onSent = nil
-	}
-	p.putXferN(x)
-	if l.Loss != nil && l.Loss(0, frame) {
-		l.Lost[0]++
-		return
-	}
-	lat := p.sw.cfg.Latency
-	if l.Delay != nil {
-		lat += l.Delay(0, frame)
-	}
-	now := p.epEng.Now()
-	p.inC.Send(now+lat, frame)
-	if l.Dup != nil && l.Dup(0, frame) {
-		// A duplicate trails the original by one serialization time,
-		// matching the Wire model.
-		p.inC.Send(now+lat+d, frame)
-	}
-}
-
-// recvIn accepts a frame off the inbound conduit and hands it to the
+// recvIn accepts a frame off the inbound segment and hands it to the
 // forwarding pipeline (switch shard).
 func (p *Port) recvIn(frame []byte) {
 	p.link.Delivered[0]++
@@ -366,38 +272,17 @@ func (p *Port) deliver(frame []byte) {
 	}
 	p.queued++
 	p.depth.Set(int64(p.queued))
-	p.link.Sent[1]++
-	x := p.sw.getXfer(p)
-	x.frame = frame
-	x.d = p.sw.cfg.Rate.Serialize(len(frame) + nic.EthWireOverhead)
-	p.out.AcquireArg(x.d, portOutSent, x)
+	p.out.Send(frame, p.outSent)
 }
 
-// portOutSent runs when the frame has fully left the switch port (dir 1,
-// switch shard). Surviving copies cross to the endpoint shard through the
-// outbound conduit.
-func portOutSent(a any) {
-	x := a.(*portXfer)
-	p, l, frame, d := x.p, &x.p.link, x.frame, x.d
+// dequeue frees the output-queue slot once the frame has fully left the
+// switch port, lost on the segment or not.
+func (p *Port) dequeue() {
 	p.queued--
 	p.depth.Set(int64(p.queued))
-	p.sw.putXfer(x)
-	if l.Loss != nil && l.Loss(1, frame) {
-		l.Lost[1]++
-		return
-	}
-	lat := p.sw.cfg.Latency
-	if l.Delay != nil {
-		lat += l.Delay(1, frame)
-	}
-	now := p.sw.eng.Now()
-	p.outC.Send(now+lat, frame)
-	if l.Dup != nil && l.Dup(1, frame) {
-		p.outC.Send(now+lat+d, frame)
-	}
 }
 
-// recvOut accepts a frame off the outbound conduit and hands it to the
+// recvOut accepts a frame off the outbound segment and hands it to the
 // endpoint NIC's ingress pipeline (endpoint shard).
 func (p *Port) recvOut(frame []byte) {
 	p.link.Delivered[1]++

@@ -133,27 +133,29 @@ func cpuRemoteBed(serverDrv flexdriver.DriverParams) (*flexdriver.RemotePair, *s
 	return rp, port
 }
 
-// measureEcho runs an offered-rate stream of size-byte frames through an
-// echo path and returns the achieved receive goodput in Gbit/s.
-type echoBedFns struct {
-	eng       *flexdriver.Engine
-	send      func(frame []byte)
-	onReceive func(fn func(n int))
+// openLoopWindow is the phasing of every open-loop echo run: send fires
+// every interval from time zero, *measuring is true for window after a
+// 150 us warm-up, and the source stops 100 us of drain later.
+func openLoopWindow(eng *flexdriver.Engine, interval, window flexdriver.Duration, measuring *bool, send func()) {
+	const warmup, drain = 150 * flexdriver.Microsecond, 100 * flexdriver.Microsecond
+	rig.OpenLoop(eng, 0, warmup+window+drain, 1, rig.Every(interval), send)
+	rig.Window(eng, warmup, window, drain, measuring)
 }
 
-func measureEcho(b echoBedFns, size int, offeredGbps float64, warmup, window flexdriver.Duration) float64 {
+// measureEcho offers an offered-rate stream of size-byte frames to the
+// echo path behind the client port and returns the achieved receive
+// goodput in Gbit/s.
+func measureEcho(eng *flexdriver.Engine, port *swdriver.EthPort, size int, offeredGbps float64, window flexdriver.Duration) float64 {
 	frame := buildFrame(size, 4000, 7777)
 	interval := flexdriver.Duration(float64(len(frame)*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
 	var rxBytes int64
 	measuring := false
-	b.onReceive(func(n int) {
+	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
 		if measuring {
-			rxBytes += int64(n)
+			rxBytes += int64(len(fr))
 		}
-	})
-	deadline := warmup + window + 100*flexdriver.Microsecond
-	rig.OpenLoop(b.eng, 0, deadline, 1, rig.Every(interval), func() { b.send(frame) })
-	rig.Window(b.eng, warmup, window, deadline-warmup-window, &measuring)
+	}
+	openLoopWindow(eng, interval, window, &measuring, func() { port.Send(frame) })
 	return float64(rxBytes) * 8 / window.Seconds() / 1e9
 }
 
@@ -242,33 +244,15 @@ func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration
 		switch mode {
 		case FLDERemote:
 			rp, port, _ := fldeRemoteBed()
-			achieved = measureEcho(echoBedFns{
-				eng:  rp.Engine(),
-				send: func(f []byte) { port.Send(f) },
-				onReceive: func(fn func(int)) {
-					port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-				},
-			}, size, offered, 150*flexdriver.Microsecond, window)
+			achieved = measureEcho(rp.Engine(), port, size, offered, window)
 		case FLDELocal:
 			inn, port, _ := fldeLocalBed(genDriverParams())
-			achieved = measureEcho(echoBedFns{
-				eng:  inn.Engine(),
-				send: func(f []byte) { port.Send(f) },
-				onReceive: func(fn func(int)) {
-					port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-				},
-			}, size, offered, 150*flexdriver.Microsecond, window)
+			achieved = measureEcho(inn.Engine(), port, size, offered, window)
 		case FLDRRemote:
 			achieved = fldrRemoteBandwidth(size, offered, window, nicPrm)
 		case CPURemote:
 			rp, port := cpuRemoteBed(ioFwdParams())
-			achieved = measureEcho(echoBedFns{
-				eng:  rp.Engine(),
-				send: func(f []byte) { port.Send(f) },
-				onReceive: func(fn func(int)) {
-					port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-				},
-			}, size, offered, 150*flexdriver.Microsecond, window)
+			achieved = measureEcho(rp.Engine(), port, size, offered, window)
 		}
 		model := echoModelFor(mode, size)
 		// "Meets" = within 10% of the analytic expectation, the same
@@ -284,16 +268,7 @@ func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration
 // fldrRemoteBandwidth runs the FLD-R echo at one message size.
 func fldrRemoteBandwidth(size int, offeredGbps float64, window flexdriver.Duration, nicPrm flexdriver.NICParams) float64 {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()), flexdriver.WithNIC(nicPrm))
-	rsrv := flexdriver.NewRServer(rp.Server.RT)
-	rsrv.Listen("echo")
-	rp.Server.RT.Start()
-	installFLDREcho(rp.Server.FLD, rsrv)
-
-	ep, err := flexdriver.ConnectRDMA(rp.Client.Drv, rsrv, "echo",
-		flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
-	if err != nil {
-		panic(err)
-	}
+	ep := fldrEchoBed(rp.Server, rp.Client.Drv, 512, 128)
 	var rxBytes int64
 	measuring := false
 	ep.OnMessage = func(data []byte) {
@@ -303,25 +278,33 @@ func fldrRemoteBandwidth(size int, offeredGbps float64, window flexdriver.Durati
 	}
 	msg := make([]byte, size)
 	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	warmup := 150 * flexdriver.Microsecond
-	deadline := warmup + window + 100*flexdriver.Microsecond
-	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() { ep.Send(msg) })
-	rig.Window(rp, warmup, window, deadline-warmup-window, &measuring)
+	openLoopWindow(rp.Engine(), interval, window, &measuring, func() { ep.Send(msg) })
 	return float64(rxBytes) * 8 / window.Seconds() / 1e9
 }
 
-// installFLDREcho installs a per-QP reassembling echo handler.
-func installFLDREcho(f *flexdriver.FLD, rsrv *flexdriver.RServer) {
+// fldrEchoBed starts an FLD-R "echo" service on srv — a per-QP
+// reassembling echo handler behind an RServer — and connects a client
+// endpoint to it from drv.
+func fldrEchoBed(srv *flexdriver.Innova, drv *flexdriver.Driver, sendEntries, recvEntries int) *flexdriver.RDMAEndpoint {
+	rsrv := flexdriver.NewRServer(srv.RT)
+	rsrv.Listen("echo")
+	srv.RT.Start()
 	reasm := map[uint32][]byte{}
-	f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
+	srv.FLD.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
 		buf := append(reasm[md.Tag], data...)
 		if !md.Last {
 			reasm[md.Tag] = buf
 			return
 		}
 		delete(reasm, md.Tag)
-		f.Send(rsrv.QueueFor(md.Tag), buf, flexdriver.Metadata{})
+		srv.FLD.Send(rsrv.QueueFor(md.Tag), buf, flexdriver.Metadata{})
 	}))
+	ep, err := flexdriver.ConnectRDMA(drv, rsrv, "echo",
+		flexdriver.RDMAConfig{SendEntries: sendEntries, RecvEntries: recvEntries})
+	if err != nil {
+		panic(err)
+	}
+	return ep
 }
 
 // Fig7b runs the full Figure 7b reproduction.
@@ -368,49 +351,29 @@ func MixedTrace(window flexdriver.Duration) *Result {
 	r.Columns = []string{"engine", "Mpps", "Gbps"}
 	dist := trace.IMC2010()
 
-	run := func(useFLD bool) (mpps, gbps float64) {
-		var eng *flexdriver.Engine
-		var send func([]byte)
-		var hook func(func(int))
-		if useFLD {
-			rp, port, _ := fldeRemoteBed()
-			eng = rp.Engine()
-			send = func(f []byte) { port.Send(f) }
-			hook = func(fn func(int)) {
-				port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-			}
-		} else {
-			rp, port := cpuRemoteBed(fwdCoreParams())
-			eng = rp.Engine()
-			send = func(f []byte) { port.Send(f) }
-			hook = func(fn func(int)) {
-				port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-			}
-		}
+	run := func(rp *flexdriver.RemotePair, port *swdriver.EthPort) (mpps, gbps float64) {
 		// Offer slightly above line rate of mixed traffic.
 		rng := sim.NewRand(77)
 		var rxPkts, rxBytes int64
 		measuring := false
-		hook(func(n int) {
+		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
 			if measuring {
 				rxPkts++
-				rxBytes += int64(n)
+				rxBytes += int64(len(fr))
 			}
-		})
+		}
 		mean := dist.Mean()
 		interval := flexdriver.Duration(mean * 8 / 26.5e9 * float64(flexdriver.Second))
-		warmup := 150 * flexdriver.Microsecond
-		deadline := warmup + window + 100*flexdriver.Microsecond
-		rig.OpenLoop(eng, 0, deadline, 1, rig.Every(interval), func() {
-			send(buildFrame(dist.Sample(rng), 4000, 7777))
+		openLoopWindow(rp.Engine(), interval, window, &measuring, func() {
+			port.Send(buildFrame(dist.Sample(rng), 4000, 7777))
 		})
-		rig.Window(eng, warmup, window, deadline-warmup-window, &measuring)
 		return float64(rxPkts) / window.Seconds() / 1e6,
 			float64(rxBytes) * 8 / window.Seconds() / 1e9
 	}
 
-	fldMpps, fldGbps := run(true)
-	cpuMpps, cpuGbps := run(false)
+	rp, port, _ := fldeRemoteBed()
+	fldMpps, fldGbps := run(rp, port)
+	cpuMpps, cpuGbps := run(cpuRemoteBed(fwdCoreParams()))
 	r.AddRow("FLD-E", f2(fldMpps), f2(fldGbps))
 	r.AddRow("CPU core", f2(cpuMpps), f2(cpuGbps))
 	r.Check("FLD-E mixed Mpps", 12.7, fldMpps, "Mpps", within(fldMpps, 12.7, 0.25), "line-bound")
@@ -424,27 +387,10 @@ func Table6(samples int) *Result {
 	r := &Result{ID: "table6", Title: "64 B echo RTT percentiles (us)"}
 	r.Columns = []string{"path", "mean", "median", "p99", "p99.9"}
 
-	runFLDE := func() stats.Summary {
-		rp, port, _ := fldeRemoteBed()
-		rp.Client.Drv.Prm = latencyDriverParams()
-		return closedLoopRTT(rp.Engine(), samples,
-			func(f []byte) { port.Send(f) },
-			func(fn func()) {
-				port.OnReceive = func([]byte, swdriver.RxMeta) { fn() }
-			})
-	}
-	runCPU := func() stats.Summary {
-		rp, port := cpuRemoteBed(serverCPUParams())
-		rp.Client.Drv.Prm = latencyDriverParams()
-		return closedLoopRTT(rp.Engine(), samples,
-			func(f []byte) { port.Send(f) },
-			func(fn func()) {
-				port.OnReceive = func([]byte, swdriver.RxMeta) { fn() }
-			})
-	}
-
-	flde := runFLDE()
-	cpu := runCPU()
+	rp, port, _ := fldeRemoteBed()
+	flde := closedLoopRTT(rp, port, samples)
+	rp, port = cpuRemoteBed(serverCPUParams())
+	cpu := closedLoopRTT(rp, port, samples)
 	r.AddRow("FLD-E", f2(flde.Mean), f2(flde.Median), f2(flde.P99), f2(flde.P999))
 	r.AddRow("CPU", f2(cpu.Mean), f2(cpu.Median), f2(cpu.P99), f2(cpu.P999))
 
@@ -459,16 +405,22 @@ func Table6(samples int) *Result {
 	return r
 }
 
-// closedLoopRTT runs a one-in-flight 64 B echo and summarizes RTTs in us.
-func closedLoopRTT(eng *flexdriver.Engine, samples int,
-	send func([]byte), hookRx func(func())) stats.Summary {
+// closedLoopRTT runs a one-in-flight 64 B echo from the pair's client
+// port, driven by the latency-measurement core model, and summarizes
+// RTTs in us.
+func closedLoopRTT(rp *flexdriver.RemotePair, port *swdriver.EthPort, samples int) stats.Summary {
+	rp.Client.Drv.Prm = latencyDriverParams()
+	eng := rp.Engine()
 	frame := buildFrame(64, 5000, 6000)
 	var s stats.Sample
 	var sentAt flexdriver.Time
 	n := 0
 	const warmupSamples = 200
-	var fire func()
-	hookRx(func() {
+	fire := func() {
+		sentAt = eng.Now()
+		port.Send(frame)
+	}
+	port.OnReceive = func([]byte, swdriver.RxMeta) {
 		rtt := eng.Now() - sentAt
 		if n >= warmupSamples {
 			s.Add(rtt.Microseconds())
@@ -477,10 +429,6 @@ func closedLoopRTT(eng *flexdriver.Engine, samples int,
 		if n < samples+warmupSamples {
 			fire()
 		}
-	})
-	fire = func() {
-		sentAt = eng.Now()
-		send(frame)
 	}
 	fire()
 	eng.Run()
@@ -546,15 +494,7 @@ func Fig7c(fractions []float64, perPoint int) *Result {
 
 func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99Us, achievedGbps float64) {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()))
-	rsrv := flexdriver.NewRServer(rp.Server.RT)
-	rsrv.Listen("echo")
-	rp.Server.RT.Start()
-	installFLDREcho(rp.Server.FLD, rsrv)
-	ep, err := flexdriver.ConnectRDMA(rp.Client.Drv, rsrv, "echo",
-		flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
-	if err != nil {
-		panic(err)
-	}
+	ep := fldrEchoBed(rp.Server, rp.Client.Drv, 512, 128)
 
 	var lat stats.Sample
 	var sendTimes []flexdriver.Time
@@ -597,15 +537,7 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 // the eSwitch to the FLD QP (the paper's local setup, 9.4 us median).
 func fldrLocalLowLoadLatency(size, samples int) float64 {
 	inn := flexdriver.NewLocalInnova(flexdriver.WithDriver(genDriverParams()))
-	rsrv := flexdriver.NewRServer(inn.RT)
-	rsrv.Listen("echo")
-	inn.RT.Start()
-	installFLDREcho(inn.FLD, rsrv)
-	ep, err := flexdriver.ConnectRDMA(inn.Drv, rsrv, "echo",
-		flexdriver.RDMAConfig{SendEntries: 64, RecvEntries: 64})
-	if err != nil {
-		panic(err)
-	}
+	ep := fldrEchoBed(inn, inn.Drv, 64, 64)
 	var lat stats.Sample
 	var sentAt flexdriver.Time
 	msg := make([]byte, size)

@@ -6,7 +6,6 @@ import (
 	"flexdriver"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/rig"
-	"flexdriver/internal/swdriver"
 )
 
 // reconcilePCIe adds one row per fabric port comparing the telemetry byte
@@ -55,13 +54,7 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 	rec := reg.EnableRecorder(0) // default capacity
 	rp, port, _ := fldeRemoteBed(flexdriver.WithTelemetry(reg))
 
-	achieved := measureEcho(echoBedFns{
-		eng:  rp.Engine(),
-		send: func(f []byte) { port.Send(f) },
-		onReceive: func(fn func(int)) {
-			port.OnReceive = func(fr []byte, md swdriver.RxMeta) { fn(len(fr)) }
-		},
-	}, 1024, 24, 150*flexdriver.Microsecond, window)
+	achieved := measureEcho(rp.Engine(), port, 1024, 24, window)
 
 	snap := reg.Snapshot()
 

@@ -11,13 +11,13 @@ import (
 )
 
 // driveWire pushes n frames in each direction through a plan's wire
-// hooks and returns the injection tallies. The wire is a bare struct —
+// hooks and returns the injection tallies. The wire is a bare Link —
 // only the hook closures are exercised, so the tallies depend on
 // nothing but the plan's own random stream.
 func driveWire(seed int64, cfg Config, n int) Counts {
 	p := NewPlan(seed, cfg)
-	w := &nic.Wire{}
-	p.AttachWire(w)
+	w := &nic.Link{}
+	p.AttachLink(w, nil, nil)
 	frame := make([]byte, 64)
 	for i := 0; i < n; i++ {
 		for dir := 0; dir < 2; dir++ {
@@ -58,8 +58,8 @@ func TestWindowGatesInjection(t *testing.T) {
 	eng := sim.NewEngine()
 	p := NewPlan(1, cfg)
 	p.Bind(eng)
-	w := &nic.Wire{}
-	p.AttachWire(w)
+	w := &nic.Link{}
+	p.AttachLink(w, nil, nil)
 
 	frame := make([]byte, 64)
 	if w.Loss(0, frame) {
@@ -86,8 +86,8 @@ func TestWindowGatesInjection(t *testing.T) {
 // from probabilistic losses.
 func TestDeterministicDropOrdinals(t *testing.T) {
 	p := NewPlan(1, Config{WireDropNth: []int64{2, 5}, WireDir: 1})
-	w := &nic.Wire{}
-	p.AttachWire(w)
+	w := &nic.Link{}
+	p.AttachLink(w, nil, nil)
 	frame := make([]byte, 64)
 
 	var dropped []int

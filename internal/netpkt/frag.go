@@ -2,28 +2,6 @@ package netpkt
 
 import "fmt"
 
-// Alloc supplies output buffers for pool-aware packet construction: it
-// returns a slice of length n whose capacity may exceed n. sim.BufPool.Get
-// satisfies it. A nil Alloc means plain make-allocation. Buffers obtained
-// through an Alloc are owned by the caller of the constructing function,
-// which must hand each one to exactly one consumer (or return it to the
-// pool itself) — the same free-on-delivery discipline sim.BufPool
-// documents.
-type Alloc func(n int) []byte
-
-func (a Alloc) get(n int) []byte {
-	if a == nil {
-		return make([]byte, n)
-	}
-	return a(n)
-}
-
-func (a Alloc) copyOf(b []byte) []byte {
-	out := a.get(len(b))
-	copy(out, b)
-	return out
-}
-
 // FragmentIPv4 splits an IPv4 packet (header + payload, as produced by
 // IPv4.Marshal) into fragments that fit mtu bytes of IP packet each. A
 // packet that already fits is returned unchanged as a single element.
@@ -32,26 +10,12 @@ func (a Alloc) copyOf(b []byte) []byte {
 // fragments in software exactly like this when the route MTU (1450 B) is
 // below the packet size (1500 B).
 func FragmentIPv4(pkt []byte, mtu int) ([][]byte, error) {
-	return fragmentIPv4(pkt, mtu, nil)
-}
-
-// FragmentIPv4Alloc is FragmentIPv4 drawing every returned fragment from
-// alloc — including the single-fragment pass-through case, which is copied
-// so the caller owns each result uniformly.
-func FragmentIPv4Alloc(pkt []byte, mtu int, alloc Alloc) ([][]byte, error) {
-	return fragmentIPv4(pkt, mtu, alloc)
-}
-
-func fragmentIPv4(pkt []byte, mtu int, alloc Alloc) ([][]byte, error) {
 	h, payload, err := ParseIPv4(pkt)
 	if err != nil {
 		return nil, err
 	}
 	if len(pkt) <= mtu {
-		if alloc == nil {
-			return [][]byte{pkt}, nil
-		}
-		return [][]byte{alloc.copyOf(pkt)}, nil
+		return [][]byte{pkt}, nil
 	}
 	if h.DontFrag {
 		return nil, fmt.Errorf("netpkt: packet needs fragmentation but DF is set")
@@ -73,7 +37,7 @@ func fragmentIPv4(pkt []byte, mtu int, alloc Alloc) ([][]byte, error) {
 		fh.TotalLen = uint16(IPv4HeaderLen + end - off)
 		fh.FragOffset = h.FragOffset + uint16(off)
 		fh.MoreFrags = more || h.MoreFrags
-		frag := fh.Marshal(alloc.get(IPv4HeaderLen + end - off)[:0])
+		frag := fh.Marshal(make([]byte, 0, IPv4HeaderLen+end-off))
 		frag = append(frag, payload[off:end]...)
 		frags = append(frags, frag)
 	}
@@ -97,29 +61,6 @@ func FragmentEth(frame []byte, mtu int) ([][]byte, error) {
 	out := make([][]byte, len(frags))
 	for i, f := range frags {
 		b := eh.Marshal(make([]byte, 0, EthHeaderLen+len(f)))
-		out[i] = append(b, f...)
-	}
-	return out, nil
-}
-
-// FragmentEthAlloc is FragmentEth drawing every returned frame from alloc,
-// including the single-frame pass-through cases, so the caller owns each
-// result uniformly (free-on-delivery when alloc is a sim.BufPool's Get).
-func FragmentEthAlloc(frame []byte, mtu int, alloc Alloc) ([][]byte, error) {
-	eh, ip, err := ParseEth(frame)
-	if err != nil {
-		return nil, err
-	}
-	if eh.EtherType != EtherTypeIPv4 {
-		return [][]byte{alloc.copyOf(frame)}, nil
-	}
-	frags, err := fragmentIPv4(ip, mtu, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(frags))
-	for i, f := range frags {
-		b := eh.Marshal(alloc.get(EthHeaderLen + len(f))[:0])
 		out[i] = append(b, f...)
 	}
 	return out, nil

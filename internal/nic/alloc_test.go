@@ -16,35 +16,6 @@ func instrumented(nodes ...*node) {
 	}
 }
 
-// TestWireTransitZeroAlloc pins the wire forwarding machinery at zero
-// allocations per frame: getXfer/putXfer recycle the transit record and
-// the serialization resource reschedules it through arg-form callbacks,
-// so steady-state sends never allocate. The test drops every frame at the
-// far edge of the cable (injected loss) so the measurement ends where the
-// wire's ownership does — delivery hands the frame to the receiving NIC's
-// match-action pipeline, which is outside the wire's zero-alloc contract.
-func TestWireTransitZeroAlloc(t *testing.T) {
-	eng, w, frame := wireBed(t)
-	w.Loss = func(int, []byte) bool { return true }
-
-	// Warm: first drop creates the telemetry counter for the reason, the
-	// first transit record seeds the freelist.
-	w.send(0, frame, nil)
-	eng.Run()
-
-	avg := testing.AllocsPerRun(100, func() {
-		w.send(0, frame, nil)
-		eng.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("wire transit: %.1f allocs per frame, want 0", avg)
-	}
-	if w.Sent[0] == 0 || w.Lost[0] != w.Sent[0] {
-		t.Fatalf("Sent=%d Lost=%d, loss hook should have dropped every frame",
-			w.Sent[0], w.Lost[0])
-	}
-}
-
 // TestESwitchTraversalZeroAlloc pins the match-action pipeline at zero
 // allocations per frame in both directions: the pooled pktView carries the
 // parsed headers, the sender's completion hook and the chosen queue from
@@ -95,8 +66,8 @@ func TestESwitchTraversalZeroAlloc(t *testing.T) {
 // TestRoCEFramingOneAllocPerFrame pins the transport's framing at one
 // allocation per frame — the frame itself, exactly sized — for data
 // packets and for ACK/NAKs. The control frame is measured all the way
-// through transmit and across the cable (dropped at its far edge, like
-// TestWireTransitZeroAlloc), so the ACK path adds nothing of its own.
+// through transmit and across the cable (dropped at its far edge by
+// injected loss), so the ACK path adds nothing of its own.
 func TestRoCEFramingOneAllocPerFrame(t *testing.T) {
 	h := newRDMAHarness(t, 1024)
 	h.wire.Loss = func(int, []byte) bool { return true }

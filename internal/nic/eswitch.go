@@ -575,6 +575,3 @@ func viewIngress(a any) {
 	v.parse(frame, 0)
 	n.esw.process(v)
 }
-
-// LoopbackUtil reports the hairpin fabric's utilization (diagnostics).
-func (e *ESwitch) LoopbackUtil() float64 { return e.loopback.Utilization() }

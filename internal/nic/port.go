@@ -3,10 +3,9 @@ package nic
 import "flexdriver/internal/sim"
 
 // Port is the NIC-facing side of a physical-layer attachment: the thing
-// a NIC transmits into. A point-to-point cable end (Wire) and an
-// Ethernet-switch port both implement it, so a NIC does not know — or
-// care — whether it is cabled back to back or racked behind a ToR
-// switch.
+// a NIC transmits into. A Wire's Segment and an Ethernet-switch port
+// both implement it, so a NIC does not know — or care — whether it is
+// cabled back to back or racked behind a ToR switch.
 type Port interface {
 	// Send serializes frame out of the NIC. onSent fires when the frame
 	// has fully left the sender (the NIC's transmit-completion

@@ -1,0 +1,107 @@
+package nic
+
+import "flexdriver/internal/sim"
+
+// EthWireOverhead is the per-frame physical-layer overhead in bytes
+// (preamble, FCS, inter-frame gap) the paper's rate model charges.
+const EthWireOverhead = 20
+
+// Segment is one direction of an Ethernet cable, and the only place a
+// frame's transit is written: serialize at the line rate on the sender's
+// engine, fire onSent, consult the Link's hooks for this direction, cross
+// the latency to the receiver's engine, deliver. A Wire is two segments
+// on one engine, a switch port two across the shard seam, a virtio cable
+// two between NetDevices. It implements Port, so the sending NIC
+// transmits straight into it.
+//
+// The owner embeds the segment by value and keeps what differs at its
+// ends: the deliver callback it hands to Init (which counts
+// Link.Delivered as its first act), any per-frame onSent, and onLost.
+// Everything here runs on the sender's shard except deliver; the Link's
+// counters and hooks are disjoint by direction, so a parallel group needs
+// no locks.
+type Segment struct {
+	link *Link
+	dir  int
+	// rate and latency point into the owner's configuration and are read
+	// per frame, so retuning applies to frames offered afterwards.
+	rate    *sim.BitRate
+	latency *sim.Duration
+
+	ser  sim.Resource // the sender's serializer
+	c    *sim.Conduit // a direct schedule when both ends share an engine
+	free *transit
+
+	// onLost, when set, tells the owner a frame fell to the Loss hook.
+	onLost func()
+}
+
+// transit is one frame's record through the serializer, recycled on a
+// per-segment freelist and scheduled through the engine's arg-form
+// callbacks, so steady-state forwarding allocates nothing per frame.
+type transit struct {
+	seg    *Segment
+	frame  []byte
+	onSent func()
+	d      sim.Duration // serialization time (dup spacing)
+	next   *transit
+}
+
+// Init wires direction dir of link l from src to dst. deliver runs on
+// dst's shard at each arrival.
+func (s *Segment) Init(l *Link, dir int, rate *sim.BitRate, latency *sim.Duration,
+	src, dst *sim.Engine, deliver func(frame []byte)) {
+	*s = Segment{link: l, dir: dir, rate: rate, latency: latency,
+		ser: *sim.NewResource(src), c: sim.NewConduit(src, dst, deliver)}
+}
+
+// Utilization returns the fraction of time the serializer spent busy.
+func (s *Segment) Utilization() float64 { return s.ser.Utilization() }
+
+// Send serializes frame onto the segment; onSent (which may be nil)
+// fires when it has fully left the sender, delivery follows after the
+// latency.
+func (s *Segment) Send(frame []byte, onSent func()) {
+	s.link.Sent[s.dir]++
+	x := s.free
+	if x != nil {
+		s.free = x.next
+	} else {
+		x = &transit{seg: s}
+	}
+	x.frame, x.onSent = frame, onSent
+	x.d = s.rate.Serialize(len(frame) + EthWireOverhead)
+	s.ser.AcquireArg(x.d, segmentSent, x)
+}
+
+// segmentSent runs when the frame has fully left the sender. Loss, delay
+// and duplication are decided here, on the sending side; surviving copies
+// cross the conduit.
+func segmentSent(a any) {
+	x := a.(*transit)
+	s, frame, onSent, d := x.seg, x.frame, x.onSent, x.d
+	x.frame, x.onSent = nil, nil
+	x.next = s.free
+	s.free = x
+	if onSent != nil {
+		onSent()
+	}
+	l, dir := s.link, s.dir
+	if l.Loss != nil && l.Loss(dir, frame) {
+		l.Lost[dir]++
+		if s.onLost != nil {
+			s.onLost()
+		}
+		return
+	}
+	at := s.c.Src().Now() + *s.latency
+	if l.Delay != nil {
+		at += l.Delay(dir, frame)
+	}
+	s.c.Send(at, frame)
+	if l.Dup != nil && l.Dup(dir, frame) {
+		// A duplicate trails the original by one serialization time, as a
+		// back-to-back link-level retransmission would.
+		s.c.Send(at+d, frame)
+	}
+}

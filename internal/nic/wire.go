@@ -2,60 +2,17 @@ package nic
 
 import "flexdriver/internal/sim"
 
-// Wire is a full-duplex Ethernet cable between two NIC ports. Each
-// direction serializes frames at the line rate, charging the physical
-// per-frame overhead (preamble, FCS, inter-frame gap) the paper's rate
-// model uses. The embedded Link carries the fault hooks and delivery
-// counters shared with switch ports.
+// Wire is a full-duplex Ethernet cable between two NIC ports: two
+// segments on one engine. The embedded Link carries the fault hooks and
+// delivery counters shared with switch ports; dir is the transmitting
+// end.
 type Wire struct {
 	Link
 
-	eng     *sim.Engine
 	rate    sim.BitRate
 	latency sim.Duration
-	ends    [2]*NIC
-	dirs    [2]*sim.Resource
-	freeX   *wireXfer // freelist of transit records
+	segs    [2]Segment
 }
-
-// wireXfer is one frame's transit record. Records are recycled through a
-// per-wire freelist and scheduled with the engine's arg-form callbacks, so
-// the steady-state forwarding path allocates nothing per frame.
-type wireXfer struct {
-	w      *Wire
-	from   int
-	frame  []byte
-	onSent func()
-	d      sim.Duration // serialization time (dup spacing)
-	next   *wireXfer
-}
-
-func (w *Wire) getXfer() *wireXfer {
-	if x := w.freeX; x != nil {
-		w.freeX = x.next
-		x.next = nil
-		return x
-	}
-	return &wireXfer{w: w}
-}
-
-func (w *Wire) putXfer(x *wireXfer) {
-	x.frame, x.onSent = nil, nil
-	x.next = w.freeX
-	w.freeX = x
-}
-
-// EthWireOverhead is the per-frame physical-layer overhead in bytes.
-const EthWireOverhead = 20
-
-// wireEnd adapts one cable end to the Port interface a NIC transmits
-// into.
-type wireEnd struct {
-	w   *Wire
-	end int
-}
-
-func (we *wireEnd) Send(frame []byte, onSent func()) { we.w.send(we.end, frame, onSent) }
 
 // ConnectWire cables two NICs back to back. Both NICs must live on the
 // same engine: a point-to-point cable has no barrier seam, so a sharded
@@ -65,16 +22,19 @@ func ConnectWire(a, b *NIC, rate sim.BitRate, latency sim.Duration) *Wire {
 	if a.eng != b.eng {
 		panic("nic: ConnectWire requires both NICs on one engine; cross-shard links go through the switch")
 	}
-	w := &Wire{
-		eng:     a.eng,
-		rate:    rate,
-		latency: latency,
-		ends:    [2]*NIC{a, b},
+	w := &Wire{rate: rate, latency: latency}
+	for dir, tx := range [2]*NIC{a, b} {
+		rx := [2]*NIC{b, a}[dir]
+		s := &w.segs[dir]
+		s.Init(&w.Link, dir, &w.rate, &w.latency, tx.eng, rx.eng, func(frame []byte) {
+			w.Delivered[dir]++
+			rx.Ingress(frame)
+		})
+		// The sending NIC keeps its own ledger of frames the cable ate,
+		// next to its other drop reasons.
+		s.onLost = func() { tx.drop(DropWireInjectedLoss) }
+		tx.AttachPort(s)
 	}
-	w.dirs[0] = sim.NewResource(a.eng)
-	w.dirs[1] = sim.NewResource(a.eng)
-	a.AttachPort(&wireEnd{w, 0})
-	b.AttachPort(&wireEnd{w, 1})
 	return w
 }
 
@@ -82,52 +42,4 @@ func ConnectWire(a, b *NIC, rate sim.BitRate, latency sim.Duration) *Wire {
 func (w *Wire) Rate() sim.BitRate { return w.rate }
 
 // Engine returns the engine both cable ends schedule on.
-func (w *Wire) Engine() *sim.Engine { return w.eng }
-
-// send serializes a frame from the given end; onSent fires when the frame
-// has fully left the sender, delivery at the far NIC after latency.
-func (w *Wire) send(from int, frame []byte, onSent func()) {
-	w.Sent[from]++
-	x := w.getXfer()
-	x.from, x.frame, x.onSent = from, frame, onSent
-	x.d = w.rate.Serialize(len(frame) + EthWireOverhead)
-	w.dirs[from].AcquireArg(x.d, wireSent, x)
-}
-
-// wireSent runs when the frame has fully left the sender.
-func wireSent(a any) {
-	x := a.(*wireXfer)
-	w, from, frame := x.w, x.from, x.frame
-	if x.onSent != nil {
-		x.onSent()
-		x.onSent = nil
-	}
-	if w.Loss != nil && w.Loss(from, frame) {
-		w.Lost[from]++
-		w.ends[from].drop(DropWireInjectedLoss)
-		w.putXfer(x)
-		return
-	}
-	lat := w.latency
-	if w.Delay != nil {
-		lat += w.Delay(from, frame)
-	}
-	dup := w.Dup != nil && w.Dup(from, frame)
-	w.eng.AfterArg(lat, wireDeliver, x)
-	if dup {
-		// A duplicate trails the original by one serialization time, as a
-		// back-to-back link-level retransmission would.
-		x2 := w.getXfer()
-		x2.from, x2.frame = from, frame
-		w.eng.AfterArg(lat+x.d, wireDeliver, x2)
-	}
-}
-
-// wireDeliver hands the frame to the far end's ingress pipeline.
-func wireDeliver(a any) {
-	x := a.(*wireXfer)
-	w, from, frame := x.w, x.from, x.frame
-	w.putXfer(x)
-	w.Delivered[from]++
-	w.ends[1-from].Ingress(frame)
-}
+func (w *Wire) Engine() *sim.Engine { return w.segs[0].c.Src() }

@@ -1,86 +1,6 @@
 package nic
 
-import (
-	"testing"
-
-	"flexdriver/internal/sim"
-)
-
-// wireBed cables two idle NICs and returns the wire plus a 600 B test
-// frame; tests drive w.send directly and pin delivery instants through
-// the Delivered counter, which increments exactly when a copy reaches
-// the far NIC.
-func wireBed(t *testing.T) (*sim.Engine, *Wire, []byte) {
-	t.Helper()
-	eng, _, _, w := twoNodes(t)
-	return eng, w, buildFrame(1, 2, 1000, 2000, 600)
-}
-
-// deliveredAt asserts the cumulative dir-0 delivery count just before
-// and at the expected instant.
-func deliveredAt(t *testing.T, eng *sim.Engine, w *Wire, at sim.Time, want int64) {
-	t.Helper()
-	eng.RunUntil(at - 1)
-	if w.Delivered[0] == want {
-		t.Errorf("delivery #%d already happened before %v", want, at)
-	}
-	eng.RunUntil(at)
-	if w.Delivered[0] != want {
-		t.Errorf("at %v: Delivered = %d, want %d", at, w.Delivered[0], want)
-	}
-}
-
-// TestWireDupStagger pins the duplicate-delivery timing contract: the
-// original arrives after one serialization time plus the propagation
-// latency, and the second copy trails it by exactly one more
-// serialization time, as a back-to-back link-level retransmission would.
-func TestWireDupStagger(t *testing.T) {
-	eng, w, frame := wireBed(t)
-	w.Dup = func(int, []byte) bool { return true }
-
-	w.send(0, frame, nil)
-	ser := w.Rate().Serialize(len(frame) + EthWireOverhead)
-	first := ser + 500*sim.Nanosecond
-	deliveredAt(t, eng, w, first, 1)
-	deliveredAt(t, eng, w, first+ser, 2)
-	eng.Run()
-	if w.Sent[0] != 1 || w.Delivered[0] != 2 {
-		t.Errorf("counters Sent=%d Delivered=%d, want 1 sent / 2 delivered", w.Sent[0], w.Delivered[0])
-	}
-}
-
-// TestWireDelayShiftsDelivery pins the Delay hook contract: the extra
-// latency adds to the propagation delay without touching serialization,
-// so delivery shifts by exactly the injected amount.
-func TestWireDelayShiftsDelivery(t *testing.T) {
-	eng, w, frame := wireBed(t)
-	const extra = 700 * sim.Nanosecond
-	w.Delay = func(int, []byte) sim.Duration { return extra }
-
-	w.send(0, frame, nil)
-	ser := w.Rate().Serialize(len(frame) + EthWireOverhead)
-	deliveredAt(t, eng, w, ser+500*sim.Nanosecond+extra, 1)
-	eng.Run()
-	if w.Delivered[0] != 1 {
-		t.Errorf("Delivered = %d, want 1", w.Delivered[0])
-	}
-}
-
-// TestWireDupAndDelayCompose pins the interaction: an injected delay
-// shifts both copies of a duplicated frame while the one-serialization
-// stagger between them is preserved.
-func TestWireDupAndDelayCompose(t *testing.T) {
-	eng, w, frame := wireBed(t)
-	const extra = 700 * sim.Nanosecond
-	w.Dup = func(int, []byte) bool { return true }
-	w.Delay = func(int, []byte) sim.Duration { return extra }
-
-	w.send(0, frame, nil)
-	ser := w.Rate().Serialize(len(frame) + EthWireOverhead)
-	first := ser + 500*sim.Nanosecond + extra
-	deliveredAt(t, eng, w, first, 1)
-	deliveredAt(t, eng, w, first+ser, 2)
-}
+import "testing"
 
 // TestWireDupEndToEnd drives a duplicated frame through the full NIC
 // receive path: both copies must land as distinct host CQEs.

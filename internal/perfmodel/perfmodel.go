@@ -206,12 +206,6 @@ func (m KVServeModel) RequestRate() float64 {
 	return r
 }
 
-// GoodputGbps returns the response-side goodput bound at the request-
-// rate ceiling.
-func (m KVServeModel) GoodputGbps() float64 {
-	return m.RequestRate() * float64(m.RespBytes) * 8 / 1e9
-}
-
 // OfferedGoodputGbps returns the response goodput at an offered request
 // rate (requests/s), capped by the ceiling.
 func (m KVServeModel) OfferedGoodputGbps(rps float64) float64 {

@@ -70,25 +70,6 @@ func (r *Resource) AcquireArg(service Duration, done func(any), arg any) Time {
 	return end
 }
 
-// AcquireAt is like Acquire but the item only becomes eligible for service
-// at the given release time (which may be in the future).
-func (r *Resource) AcquireAt(release Time, service Duration, done func()) Time {
-	start := release
-	if now := r.eng.Now(); start < now {
-		start = now
-	}
-	if r.busyUntil > start {
-		start = r.busyUntil
-	}
-	end := start + service
-	r.busyUntil = end
-	r.Busy += service
-	if done != nil {
-		r.eng.At(end, done)
-	}
-	return end
-}
-
 // BusyUntil reports the time at which the resource drains given no further
 // arrivals.
 func (r *Resource) BusyUntil() Time { return r.busyUntil }

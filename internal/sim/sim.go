@@ -121,10 +121,6 @@ func (e *Engine) Now() Time { return e.now }
 // engine.
 func (e *Engine) Group() *Group { return e.group }
 
-// Shard returns the engine's index within its Group (creation order), or 0
-// for a standalone engine.
-func (e *Engine) Shard() int { return e.shard }
-
 // NextID returns 1, 2, 3, ... per name, an engine-scoped identity
 // allocator. Components that need unique-but-deterministic identities
 // (NIC MAC/IP numbering, device names) draw from here instead of a
@@ -301,14 +297,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
-}
-
-// nextTime reports the timestamp of the earliest pending event.
-func (e *Engine) nextTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
 }
 
 // runBefore executes events with timestamps strictly less than limit. It is

@@ -148,17 +148,6 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestResourceAcquireAt(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e)
-	var done Time
-	r.AcquireAt(100*Nanosecond, 10*Nanosecond, func() { done = e.Now() })
-	e.Run()
-	if done != 110*Nanosecond {
-		t.Fatalf("done at %v, want 110ns", done)
-	}
-}
-
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)

@@ -65,6 +65,3 @@ func (t *Timer) Stop() bool {
 
 // Armed reports whether the timer currently has a live deadline.
 func (t *Timer) Armed() bool { return t.armed }
-
-// When returns the live deadline; only meaningful while Armed.
-func (t *Timer) When() Time { return t.when }

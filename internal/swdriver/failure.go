@@ -23,17 +23,25 @@ func (d *Driver) Crash() {
 		return
 	}
 	d.Crashes++
-	for _, p := range d.ports {
-		d.TxErrors += int64(p.txQueued.Len())
-		p.txQueued.Reset()
-		p.dbTimer.Stop()
-		p.sincedb = 0
+	for _, q := range d.queues {
+		q.crash()
 	}
-	for _, e := range d.endpoints {
-		d.TxErrors += int64(e.queued.Len())
-		e.queued.Reset()
-		e.cur = e.cur[:0]
-	}
+}
+
+// crash is one queue set's share of Driver.Crash: what lived only in the
+// process's memory (software queue, pending doorbell, half-reassembled
+// message) is gone.
+func (p *EthPort) crash() {
+	p.drv.TxErrors += int64(p.txQueued.Len())
+	p.txQueued.Reset()
+	p.dbTimer.Stop()
+	p.sincedb = 0
+}
+
+func (e *RDMAEndpoint) crash() {
+	e.drv.TxErrors += int64(e.queued.Len())
+	e.queued.Reset()
+	e.cur = e.cur[:0]
 }
 
 // Restart brings the process back; when the last crash window lifts,
@@ -46,11 +54,8 @@ func (d *Driver) Restart() {
 	if d.downN > 0 {
 		return
 	}
-	for _, p := range d.ports {
-		p.reattach()
-	}
-	for _, e := range d.endpoints {
-		e.reattach()
+	for _, q := range d.queues {
+		q.reattach()
 	}
 }
 
@@ -79,10 +84,7 @@ func (p *EthPort) reattach() {
 // stays with ReconnectEndpoints.
 func (e *RDMAEndpoint) reattach() {
 	e.cur = nil
-	e.drv.TxErrors += int64(e.pi - e.ci)
-	e.ci = e.pi
-	e.QP.SQ.ResetTo(e.pi, e.pi)
-	e.drv.Recoveries++
+	e.drv.flushSQ(e.QP.SQ, e.pi, &e.ci)
 	if e.QP.RQ.State() == nic.QueueError {
 		e.QP.RQ.Reset()
 		e.drv.Recoveries++

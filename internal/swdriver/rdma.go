@@ -1,7 +1,6 @@
 package swdriver
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"flexdriver/internal/nic"
@@ -75,14 +74,12 @@ func (d *Driver) NewRDMAEndpoint(cfg RDMAConfig) *RDMAEndpoint {
 		w := nic.RecvWQE{Addr: d.fab.AddrOf(d.mem, rxBufs+uint64(i)*bufBytes), Len: bufBytes, StrideLog2: 8}
 		d.mem.WriteAt(rqRing+uint64(i)*nic.RecvWQESize, w.Marshal())
 	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(cfg.RecvEntries))
-	d.host.Write(d.bar+nic.RQDoorbellOffset(rq.ID), b[:], nil)
+	d.doorbell(nic.RQDoorbellOffset(rq.ID), uint32(cfg.RecvEntries))
 	// In-order recycling driven from CQEs, same as the Ethernet port.
 	e.armRecycle(rq, cfg.RecvEntries, bufBytes)
 
 	e.QP = d.nic.CreateQP(nic.QPConfig{SQ: sq, RQ: rq, MTU: cfg.MTU})
-	d.endpoints = append(d.endpoints, e)
+	d.queues = append(d.queues, e)
 	return e
 }
 
@@ -112,10 +109,10 @@ func (e *RDMAEndpoint) armRecycle(rq *nic.RQ, entries, bufBytes int) {
 	}
 }
 
+func (e *RDMAEndpoint) rings() (*nic.SQ, *nic.RQ) { return e.QP.SQ, e.QP.RQ }
+
 func (e *RDMAEndpoint) ringRQDoorbell() {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], e.rqPI)
-	e.drv.host.Write(e.drv.bar+nic.RQDoorbellOffset(e.QP.RQ.ID), b[:], nil)
+	e.drv.doorbell(nic.RQDoorbellOffset(e.QP.RQ.ID), e.rqPI)
 }
 
 // Poll makes the endpoint notice Error-state rings even when the error
@@ -130,10 +127,7 @@ func (e *RDMAEndpoint) ringRQDoorbell() {
 func (e *RDMAEndpoint) Poll() bool {
 	recovered := false
 	if e.QP.SQ.State() == nic.QueueError {
-		e.drv.TxErrors += int64(e.pi - e.ci)
-		e.ci = e.pi
-		e.QP.SQ.ResetTo(e.pi, e.pi)
-		e.drv.Recoveries++
+		e.drv.flushSQ(e.QP.SQ, e.pi, &e.ci)
 		e.drainQueued()
 		recovered = true
 	}
@@ -188,9 +182,7 @@ func (e *RDMAEndpoint) post(data []byte) {
 	e.drv.mem.WriteAt(e.sqRing+slot*nic.SendWQESize, e.scratch[:])
 	e.pi++
 	e.drv.TxPackets++
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], e.pi)
-	e.drv.host.Write(e.drv.bar+nic.SQDoorbellOffset(e.QP.SQ.ID), b[:], nil)
+	e.drv.doorbell(nic.SQDoorbellOffset(e.QP.SQ.ID), e.pi)
 }
 
 // ReconnectEndpoints re-establishes the RC connection between two
@@ -207,10 +199,7 @@ func ReconnectEndpoints(a, b *RDMAEndpoint) {
 	for _, e := range []*RDMAEndpoint{a, b} {
 		e.cur = e.cur[:0]
 		if e.pi != e.ci {
-			e.drv.TxErrors += int64(e.pi - e.ci)
-			e.ci = e.pi
-			e.QP.SQ.ResetTo(e.pi, e.pi)
-			e.drv.Recoveries++
+			e.drv.flushSQ(e.QP.SQ, e.pi, &e.ci)
 			e.drainQueued()
 		}
 	}

@@ -13,7 +13,10 @@ import (
 //
 //	rung 0  poll          notice Error-state queues, apply queue resets
 //	rung 1  queue reset   force-flush/reset every ring (Error or not)
-//	rung 2  QP reconnect  re-establish RC connections (optional hook)
+//	rung 2  QP reconnect  a pause only: reconnection takes both ends of
+//	                      the connection, so the watchdog Control that
+//	                      sees both owns it (the slot keeps its budget in
+//	                      every episode's backoff schedule)
 //	rung 3  device FLR    function-level reset of the NIC, re-ring
 //	rung 4  full reattach tear down to a fresh attach and replay
 //
@@ -32,12 +35,6 @@ type Supervisor struct {
 	drv *Driver
 	eng *sim.Engine
 	rng *sim.Rand
-
-	// reconnect, when set, is rung 2: re-establish RC connections.
-	// Reconnection takes both ends, which may live on another shard —
-	// cross-shard deployments leave this nil and run reconnection from
-	// a Control barrier instead; the ladder then skips to rung 3.
-	reconnect func()
 
 	active     bool
 	detectedAt sim.Time
@@ -73,8 +70,8 @@ const (
 	// Exponential backoff between attempts, jittered ±25%.
 	backoffBase = 500 * sim.Nanosecond
 	backoffMax  = 4 * sim.Microsecond
-	// maxAttempts bounds an episode that can never heal (e.g. a QP
-	// needing a reconnect no hook provides): the supervisor gives up
+	// maxAttempts bounds an episode that can never heal (e.g. a NIC that
+	// stays down): the supervisor gives up
 	// rather than keep the engine from quiescing forever.
 	maxAttempts = 256
 )
@@ -85,9 +82,6 @@ const (
 func NewSupervisor(d *Driver, seed int64) *Supervisor {
 	return &Supervisor{drv: d, eng: d.eng, rng: sim.NewRand(seed)}
 }
-
-// SetReconnect installs the rung-2 hook (see the field comment).
-func (s *Supervisor) SetReconnect(fn func()) { s.reconnect = fn }
 
 // SetTelemetry attaches MTTR and per-rung instrumentation, typically
 // under the driver's scope as "supervisor".
@@ -106,25 +100,16 @@ func (s *Supervisor) SetTelemetry(sc *telemetry.Scope) {
 	s.gMTTRMax = sc.Gauge("mttr_max")
 }
 
-// Healthy reports whether every queue the driver owns is operational
-// and the process itself is running. QP connection state is included
-// only when a reconnect hook exists — without one, QP repair belongs
-// to whoever owns both ends.
+// Healthy reports whether every ring the driver owns is operational and
+// the process itself is running. QP connection state is not included:
+// QP repair belongs to whoever owns both ends.
 func (s *Supervisor) Healthy() bool {
 	d := s.drv
 	if d.downN > 0 || d.nic.Down() {
 		return false
 	}
-	for _, p := range d.ports {
-		if p.sq.State() != nic.QueueReady || p.rq.State() != nic.QueueReady {
-			return false
-		}
-	}
-	for _, e := range d.endpoints {
-		if e.QP.SQ.State() != nic.QueueReady || e.QP.RQ.State() != nic.QueueReady {
-			return false
-		}
-		if s.reconnect != nil && e.QP.State() != nic.QueueReady {
+	for _, q := range d.queues {
+		if sq, rq := q.rings(); sq.State() != nic.QueueReady || rq.State() != nic.QueueReady {
 			return false
 		}
 	}
@@ -177,43 +162,17 @@ func (s *Supervisor) attempt() {
 
 // apply executes one rung of the ladder.
 func (s *Supervisor) apply(rung int) {
-	d := s.drv
-	switch rung {
-	case RungPoll:
-		for _, p := range d.ports {
-			p.Poll()
-		}
-		for _, e := range d.endpoints {
-			e.Poll()
-		}
-	case RungQueueReset:
-		for _, p := range d.ports {
-			p.reattach()
-		}
-		for _, e := range d.endpoints {
-			e.reattach()
-		}
-	case RungReconnect:
-		if s.reconnect != nil {
-			s.reconnect()
-		}
-	case RungFLR:
-		d.nic.FLR()
-		for _, p := range d.ports {
-			p.ringRQDoorbell()
-		}
-		for _, e := range d.endpoints {
-			e.ringRQDoorbell()
-		}
-	case RungReattach:
-		for _, p := range d.ports {
-			p.reattach()
-		}
-		for _, e := range d.endpoints {
-			e.reattach()
-		}
-		if s.reconnect != nil {
-			s.reconnect()
+	if rung == RungFLR {
+		s.drv.nic.FLR()
+	}
+	for _, q := range s.drv.queues {
+		switch rung {
+		case RungPoll:
+			q.Poll()
+		case RungQueueReset, RungReattach:
+			q.reattach()
+		case RungFLR:
+			q.ringRQDoorbell()
 		}
 	}
 }

@@ -74,8 +74,7 @@ type Driver struct {
 
 	// Every port and endpoint the driver built, in creation order — the
 	// crash–restart reattach and the supervision ladder walk these.
-	ports     []*EthPort
-	endpoints []*RDMAEndpoint
+	queues []queueSet
 
 	// downN counts active crash windows (see Crash/Restart in
 	// failure.go); the driver process is running only at zero.
@@ -118,6 +117,35 @@ func New(eng *sim.Engine, fab *pcie.Fabric, mem *hostmem.Memory, n *nic.NIC, prm
 		cpu:  sim.NewResource(eng),
 		rng:  sim.NewRand(prm.Seed),
 	}
+}
+
+// queueSet is what crash–restart and the supervision ladder need of an
+// EthPort or an RDMAEndpoint.
+type queueSet interface {
+	Poll() bool
+	rings() (*nic.SQ, *nic.RQ)
+	crash()
+	reattach()
+	ringRQDoorbell()
+}
+
+// doorbell rings a producer-index doorbell register.
+func (d *Driver) doorbell(offset uint64, pi uint32) {
+	b := d.eng.Bufs().Get(4)
+	binary.BigEndian.PutUint32(b, pi)
+	d.host.WriteOwned(d.bar+offset, b, nil)
+}
+
+// flushSQ is the host flush recovery of a send ring: in-flight work is
+// counted lost and the ring restarts empty. The NIC is reset to the
+// driver's own producer count (not the last-doorbell value) so it never
+// re-fetches discarded slots — stale completions from those would wrap
+// the ci advance in the completion handler.
+func (d *Driver) flushSQ(sq *nic.SQ, pi uint32, ci *uint32) {
+	d.TxErrors += int64(pi - *ci)
+	*ci = pi
+	sq.ResetTo(pi, pi)
+	d.Recoveries++
 }
 
 // CPU exposes the core's resource for utilization accounting.
@@ -340,7 +368,7 @@ func (d *Driver) NewEthPort(cfg EthPortConfig) *EthPort {
 	}
 	p.rqPI = uint32(cfg.RxEntries)
 	p.ringRQDoorbell()
-	d.ports = append(d.ports, p)
+	d.queues = append(d.queues, p)
 	return p
 }
 
@@ -353,11 +381,11 @@ func (p *EthPort) VPort() *nic.VPort { return p.vport }
 // SQ returns the port's send queue.
 func (p *EthPort) SQ() *nic.SQ { return p.sq }
 
+func (p *EthPort) rings() (*nic.SQ, *nic.RQ) { return p.sq, p.rq }
+
 func (p *EthPort) ringRQDoorbell() {
 	p.tRQDoorbells.Inc()
-	b := p.drv.eng.Bufs().Get(4)
-	binary.BigEndian.PutUint32(b, p.rqPI)
-	p.drv.host.WriteOwned(p.drv.bar+nic.RQDoorbellOffset(p.rq.ID), b, nil)
+	p.drv.doorbell(nic.RQDoorbellOffset(p.rq.ID), p.rqPI)
 }
 
 // Send transmits one frame, charging CPU cost; frames beyond the ring
@@ -430,9 +458,7 @@ func (p *EthPort) flushDoorbell() {
 	p.tSQDoorbells.Inc()
 	p.sincedb = 0
 	p.dbTimer.Stop()
-	b := p.drv.eng.Bufs().Get(4)
-	binary.BigEndian.PutUint32(b, p.pi)
-	p.drv.host.WriteOwned(p.drv.bar+nic.SQDoorbellOffset(p.sq.ID), b, nil)
+	p.drv.doorbell(nic.SQDoorbellOffset(p.sq.ID), p.pi)
 }
 
 // Poll is the poll-mode driver's queue-health check: a PMD core notices
@@ -455,17 +481,10 @@ func (p *EthPort) Poll() bool {
 	return recovered
 }
 
-// flushTx is the host flush recovery: in-flight frames are counted lost
-// and the ring restarts empty. The NIC is reset to the driver's own
-// producer count (not the last-doorbell value) so it never re-fetches
-// discarded slots — stale completions from those would wrap the ci
-// advance in txComplete.
+// flushTx flushes the send ring and refills it from the software queue.
 func (p *EthPort) flushTx() {
-	p.drv.TxErrors += int64(p.pi - p.ci)
-	p.ci = p.pi
+	p.drv.flushSQ(p.sq, p.pi, &p.ci)
 	p.sincedb = 0
-	p.sq.ResetTo(p.pi, p.pi)
-	p.drv.Recoveries++
 	p.drainQueued()
 }
 

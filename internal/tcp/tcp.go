@@ -236,9 +236,6 @@ func (c *Conn) State() State { return c.state }
 // Epoch returns the current incarnation.
 func (c *Conn) Epoch() uint8 { return c.epoch }
 
-// InflightBytes returns the unacknowledged byte count.
-func (c *Conn) InflightBytes() int { return int(c.sndNxt - c.sndUna) }
-
 // Connect establishes a pair (the three-way handshake abstracted away,
 // like ConnectQPs). Both ends start at sequence zero, epoch 1.
 func Connect(a, b *Conn) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"flexdriver/internal/nic"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
 )
@@ -59,8 +60,7 @@ type NetDevice struct {
 	queues [2]*queueState
 	engine *sim.Resource
 
-	link    *Link
-	linkEnd int
+	link *nic.Segment // this device's transmit direction of its cable
 
 	// Interrupt, when set, fires after the device publishes a used-ring
 	// update for the given queue (MSI-X stand-in for passive memories).
@@ -226,7 +226,7 @@ func (d *NetDevice) transmit(st *queueState, head uint16, frame []byte) {
 		d.eng.After(d.Prm.PipelineDelay, func() {
 			d.TxPackets++
 			if d.link != nil {
-				d.link.send(d.linkEnd, frame)
+				d.link.Send(frame, nil)
 			} else {
 				d.Drops["no-link"]++
 			}
@@ -327,35 +327,25 @@ func (d *NetDevice) publishUsed(q int, e UsedElem) {
 	})
 }
 
-// Link is a point-to-point cable between two virtio-net devices.
-type Link struct {
-	eng     *sim.Engine
+// cable is what the two directions of a virtio-net link share.
+type cable struct {
+	nic.Link
 	rate    sim.BitRate
 	latency sim.Duration
-	ends    [2]*NetDevice
-	dirs    [2]*sim.Resource
-	// Loss, when set, drops matching frames.
-	Loss func([]byte) bool
+	segs    [2]nic.Segment
 }
 
-// ConnectLink cables two devices back to back.
-func ConnectLink(a, b *NetDevice, rate sim.BitRate, latency sim.Duration) *Link {
-	l := &Link{eng: a.eng, rate: rate, latency: latency, ends: [2]*NetDevice{a, b}}
-	l.dirs[0] = sim.NewResource(a.eng)
-	l.dirs[1] = sim.NewResource(a.eng)
-	a.link, a.linkEnd = l, 0
-	b.link, b.linkEnd = l, 1
-	return l
-}
-
-func (l *Link) send(from int, frame []byte) {
-	d := l.rate.Serialize(len(frame) + 20)
-	l.dirs[from].Acquire(d, func() {
-		if l.Loss != nil && l.Loss(frame) {
-			return
-		}
-		l.eng.After(l.latency, func() {
-			l.ends[1-from].deliver(frame)
+// ConnectLink cables two devices back to back and returns the cable's
+// fault hooks and delivery counters; dir is the transmitting end (a is 0).
+func ConnectLink(a, b *NetDevice, rate sim.BitRate, latency sim.Duration) *nic.Link {
+	c := &cable{rate: rate, latency: latency}
+	for dir, tx := range [2]*NetDevice{a, b} {
+		rx := [2]*NetDevice{b, a}[dir]
+		tx.link = &c.segs[dir]
+		tx.link.Init(&c.Link, dir, &c.rate, &c.latency, tx.eng, rx.eng, func(frame []byte) {
+			c.Delivered[dir]++
+			rx.deliver(frame)
 		})
-	})
+	}
+	return &c.Link
 }

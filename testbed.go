@@ -27,13 +27,6 @@ type Options struct {
 	Driver DriverParams
 	// Link is the PCIe configuration for host and FPGA fabric links.
 	Link LinkConfig
-	// NICLink is the NIC ASIC's attachment to the embedded switch. The
-	// ConnectX-5 *contains* the Innova-2's PCIe switch (paper Figure 6),
-	// so its internal attach matches the aggregate of the two external
-	// x8 links; by default it is the Link with doubled lanes.
-	NICLink LinkConfig
-	// HostMemBytes sizes each host's DRAM (default 1 GiB).
-	HostMemBytes uint64
 	// Telemetry, when set, instruments every layer of the node into the
 	// registry under `<node>/{pcie,nic,fld,swdriver}/...`. Nil (the
 	// default) disables telemetry at zero cost to the hot paths.
@@ -74,13 +67,6 @@ func WithDriver(p DriverParams) Option { return func(o *Options) { o.Driver = p 
 
 // WithLink sets the PCIe configuration for host and FPGA fabric links.
 func WithLink(l LinkConfig) Option { return func(o *Options) { o.Link = l } }
-
-// WithNICLink overrides the NIC ASIC's internal switch attachment
-// (default: WithLink's configuration with doubled lanes).
-func WithNICLink(l LinkConfig) Option { return func(o *Options) { o.NICLink = l } }
-
-// WithHostMem sizes each host's DRAM in bytes (default 1 GiB).
-func WithHostMem(bytes uint64) Option { return func(o *Options) { o.HostMemBytes = bytes } }
 
 // WithTelemetry instruments the node(s) into reg: per-link TLP
 // counters, per-queue doorbell/WQE/CQE counters, FLD compression and
@@ -127,14 +113,20 @@ func (o Options) withDefaults() Options {
 	if o.Link.Lanes == 0 {
 		o.Link = pcie.Gen3x8()
 	}
-	if o.NICLink.Lanes == 0 {
-		o.NICLink = o.Link
-		o.NICLink.Lanes *= 2
-	}
-	if o.HostMemBytes == 0 {
-		o.HostMemBytes = 1 << 30
-	}
 	return o
+}
+
+// hostMemBytes sizes each host's DRAM.
+const hostMemBytes = 1 << 30
+
+// nicLink is the NIC ASIC's attachment to the embedded switch. The
+// ConnectX-5 *contains* the Innova-2's PCIe switch (paper Figure 6), so
+// its internal attach matches the aggregate of the two external x8
+// links: the Link with doubled lanes.
+func (o Options) nicLink() LinkConfig {
+	l := o.Link
+	l.Lanes *= 2
+	return l
 }
 
 // wireTelemetry binds the registry to the engine clock and attaches
@@ -286,10 +278,10 @@ func NewHost(eng *Engine, name string, opts ...Option) *Host {
 // once per topology.
 func newHost(eng *Engine, name string, o Options) *Host {
 	fab := pcie.NewFabric(eng)
-	mem := hostmem.New(name+"-dram", o.HostMemBytes)
+	mem := hostmem.New(name+"-dram", hostMemBytes)
 	fab.Attach(mem, o.Link)
 	n := nic.New(name+"-nic", eng, o.NIC)
-	n.AttachPCIe(fab, o.NICLink)
+	n.AttachPCIe(fab, o.nicLink())
 	drv := swdriver.New(eng, fab, mem, n, o.Driver)
 	wireTelemetry(o.Telemetry, eng, name, fab, n, nil, drv)
 	wireFaults(o, eng, fab, n, nil, drv)
@@ -356,10 +348,10 @@ func NewInnova(eng *Engine, name string, opts ...Option) *Innova {
 // newInnova builds an Innova node from an already-folded carrier.
 func newInnova(eng *Engine, name string, o Options) *Innova {
 	fab := pcie.NewFabric(eng)
-	mem := hostmem.New(name+"-dram", o.HostMemBytes)
+	mem := hostmem.New(name+"-dram", hostMemBytes)
 	fab.Attach(mem, o.Link)
 	n := nic.New(name+"-nic", eng, o.NIC)
-	n.AttachPCIe(fab, o.NICLink)
+	n.AttachPCIe(fab, o.nicLink())
 	f := fld.New(eng, o.FLD)
 	f.AttachPCIe(fab, o.Link)
 	rt := fldsw.NewRuntime(eng, fab, mem, n, f)
