@@ -33,7 +33,9 @@ type AFU struct {
 	store map[string][]byte
 	// conns tracks live connection state (peer IP + ports -> last seen
 	// sequence), the footprint memmodel.ConnTableBytes accounts for.
-	conns map[uint64]*connState
+	// Entries live in the table itself, like the SRAM rows they model:
+	// no heap object per connection and nothing in it for the GC to scan.
+	conns map[uint64]connState
 
 	// Counters. Malformed counts frames that reached the AFU but failed
 	// TCP or RPC parsing (fault-injected corruption); Dropped counts
@@ -57,7 +59,7 @@ type connState struct {
 // New installs a KV AFU on the FLD instance.
 func New(f *fld.FLD) *AFU {
 	a := &AFU{f: f, MaxEntries: 1 << 20,
-		store: make(map[string][]byte), conns: make(map[uint64]*connState)}
+		store: make(map[string][]byte), conns: make(map[uint64]connState)}
 	f.SetHandler(a)
 	return a
 }
@@ -95,13 +97,11 @@ func (a *AFU) Receive(data []byte, md fld.Metadata) {
 	a.RequestBytes += int64(len(data))
 	resp.ID = req.ID
 
-	cs := a.conns[connKey(info)]
-	if cs == nil {
-		cs = &connState{}
-		a.conns[connKey(info)] = cs
-	}
+	key := connKey(info)
+	cs := a.conns[key]
 	cs.LastSeq = info.Seg.Seq
 	cs.Reqs++
+	a.conns[key] = cs
 
 	switch req.Op {
 	case rpc.OpGet:
@@ -116,11 +116,18 @@ func (a *AFU) Receive(data []byte, md fld.Metadata) {
 		}
 	case rpc.OpPut:
 		a.Puts++
-		if _, resident := a.store[string(req.Key)]; !resident && len(a.store) >= a.MaxEntries {
+		if old, resident := a.store[string(req.Key)]; !resident && len(a.store) >= a.MaxEntries {
 			a.Rejected++
 			resp.Status = rpc.StatusFull
 		} else {
-			a.store[string(req.Key)] = append([]byte(nil), req.Val...)
+			if resident && len(old) == len(req.Val) {
+				// Overwrite in place. Nothing aliases the stored bytes: a
+				// GET marshals its hit into the response before Receive
+				// returns.
+				copy(old, req.Val)
+			} else {
+				a.store[string(req.Key)] = append([]byte(nil), req.Val...)
+			}
 			a.Stored++
 			resp.Status = rpc.StatusOK
 		}
@@ -134,19 +141,29 @@ func (a *AFU) Receive(data []byte, md fld.Metadata) {
 // frame. The response's TCP sequence numbers follow the stream: its Seq
 // is the request's Ack (where the server's byte stream stands) and its
 // Ack acknowledges the request's payload.
+//
+// The frame is marshalled once, into single-owner scratch from the
+// engine's BufPool — headers, then the response straight behind them.
+// Send copies it into FLD's transmit pages (or refuses it), so the
+// buffer goes back on both outcomes.
 func (a *AFU) respond(info tcp.FrameInfo, reqPayloadLen int, resp rpc.Frame, md fld.Metadata) {
 	seg := tcp.Segment{
 		SrcPort: info.Seg.DstPort, DstPort: info.Seg.SrcPort,
 		Seq: info.Seg.Ack, Ack: info.Seg.Seq + uint32(reqPayloadLen),
 		Flags: tcp.FlagAck, Window: info.Seg.Window, Epoch: info.Seg.Epoch,
 	}
-	out := tcp.BuildFrame(info.Eth.Dst, info.Eth.Src, info.IP.Dst, info.IP.Src,
-		seg, resp.Marshal(nil))
+	bufs := a.f.Engine().Bufs()
+	n := resp.Len()
+	out := tcp.AppendHeaders(bufs.Get(tcp.FrameOverhead + n)[:0],
+		info.Eth.Dst, info.Eth.Src, info.IP.Dst, info.IP.Src, seg, n)
+	out = resp.Marshal(out)
 	q := 0
 	if a.QueueFor != nil {
 		q = a.QueueFor(md)
 	}
-	if err := a.f.Send(q, out, md); err != nil {
+	err := a.f.Send(q, out, md)
+	bufs.Put(out)
+	if err != nil {
 		a.Dropped++
 		return
 	}

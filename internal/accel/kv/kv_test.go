@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"slices"
 	"testing"
 
 	"flexdriver"
@@ -103,5 +104,108 @@ func TestServeTable(t *testing.T) {
 	rp.Run()
 	if len(replies) != 0 || afu.Malformed != 4 {
 		t.Errorf("non-TCP frame: %d replies, malformed=%d", len(replies), afu.Malformed)
+	}
+}
+
+// kvBed is a remote pair with the kv AFU on the server and a client port
+// that keeps every reply; frames are handed to the AFU directly, so a test
+// decides what the engine has and has not run between two requests.
+type kvBed struct {
+	rp      *flexdriver.RemotePair
+	afu     *kv.AFU
+	replies [][]byte
+}
+
+func newKVBed() *kvBed {
+	b := &kvBed{rp: flexdriver.NewRemotePair()}
+	b.rp.Server.RT.StartEth()
+	b.afu = kv.New(b.rp.Server.FLD)
+	port := b.rp.Client.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 64, RxEntries: 1024})
+	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) { b.replies = append(b.replies, append([]byte(nil), fr...)) }
+	b.rp.Run() // the port's receive buffers are posted: no pooled doorbell in flight
+	return b
+}
+
+// request frames one RPC from client port 5000 at the given sequence number.
+func (b *kvBed) request(seq uint32, op uint8, id uint64, key, val string) []byte {
+	cli, srv := b.rp.Client.NIC, b.rp.Server.NIC
+	seg := tcp.Segment{SrcPort: 5000, DstPort: 7777, Seq: seq, Ack: 77,
+		Flags: tcp.FlagAck | tcp.FlagPsh, Window: 0xffff, Epoch: 1}
+	return tcp.BuildFrame(cli.MAC, srv.MAC, cli.IP, srv.IP, seg,
+		rpc.Frame{Op: op, ID: id, Key: []byte(key), Val: []byte(val)}.Marshal(nil))
+}
+
+// TestResponseBufferAndInPlacePut covers the response path's two sharing
+// rules. The response frame is pooled scratch that goes back to the
+// engine's BufPool whether FLD took the frame or refused it for lack of
+// credits. And a same-length PUT overwrites the resident value in place,
+// which is safe only because a GET's hit is marshalled out of the store
+// before Receive returns: a response already sitting in FLD's transmit
+// pages keeps the old bytes, the next GET sees the new ones.
+func TestResponseBufferAndInPlacePut(t *testing.T) {
+	b := newKVBed()
+	bufs := b.rp.Engine().Bufs()
+	md := flexdriver.Metadata{Last: true}
+
+	b.afu.Receive(b.request(1000, rpc.OpPut, 1, "a", "alpha"), md)
+	b.afu.Receive(b.request(1100, rpc.OpGet, 2, "a", ""), md)
+	b.afu.Receive(b.request(1200, rpc.OpPut, 3, "a", "ALPHA"), md) // same length: in place, the hit above not yet on the wire
+	b.afu.Receive(b.request(1300, rpc.OpGet, 4, "a", ""), md)
+	b.afu.Receive(b.request(1400, rpc.OpPut, 5, "a", "longer value"), md) // other length: replaced
+	b.afu.Receive(b.request(1500, rpc.OpGet, 6, "a", ""), md)
+	if out := bufs.Outstanding(); out != 0 {
+		t.Fatalf("%d pooled buffers outstanding after six served requests, before the engine ran", out)
+	}
+	b.rp.Run()
+	var vals []string
+	for _, fr := range b.replies {
+		_, body, _ := tcp.ParseFrame(fr)
+		resp, _, err := rpc.Parse(body)
+		if err != nil || resp.Status != rpc.StatusOK {
+			t.Fatalf("reply %d: %+v, %v", len(vals), resp, err)
+		}
+		vals = append(vals, string(resp.Val))
+	}
+	if want := []string{"", "alpha", "", "ALPHA", "", "longer value"}; !slices.Equal(vals, want) {
+		t.Errorf("reply values %q, want %q", vals, want)
+	}
+
+	// One connection, seen six times: one table entry, counting.
+	info, _, _ := tcp.ParseFrame(b.request(1500, rpc.OpGet, 6, "a", ""))
+	if seq, reqs := b.afu.ConnState(info); b.afu.ConnCount() != 1 || seq != 1500 || reqs != 6 {
+		t.Errorf("conns=%d lastSeq=%d reqs=%d, want 1, 1500, 6", b.afu.ConnCount(), seq, reqs)
+	}
+	info.Seg.SrcPort++
+	if seq, reqs := b.afu.ConnState(info); seq != 0 || reqs != 0 || b.afu.ConnCount() != 1 {
+		t.Errorf("looking up an unseen connection gave lastSeq=%d reqs=%d and left %d entries", seq, reqs, b.afu.ConnCount())
+	}
+
+	// Credit stall: with the engine stopped FLD's transmit pages run out.
+	get := b.request(1600, rpc.OpGet, 7, "a", "")
+	for i := 0; b.afu.Dropped == 0; i++ {
+		if i > 4096 {
+			t.Fatal("FLD never ran out of transmit credits")
+		}
+		b.afu.Receive(get, md)
+	}
+	if out := bufs.Outstanding(); out != 0 {
+		t.Fatalf("%d pooled buffers outstanding after a credit-stall drop", out)
+	}
+	// Stalled, Send refuses the frame before it takes pages: what is left
+	// is the AFU's own cost of a GET hit — parse, look up, frame — and
+	// that is no allocation at all.
+	if avg := testing.AllocsPerRun(100, func() { b.afu.Receive(get, md) }); avg != 0 {
+		t.Errorf("GET hit up to Send: %.1f allocations inside Receive, want 0", avg)
+	}
+	b.rp.Run()
+	// Served, the one allocation is fld.Send's page list.
+	b.afu.Receive(get, md)
+	if avg := testing.AllocsPerRun(100, func() { b.afu.Receive(get, md) }); avg > 1 {
+		t.Errorf("GET hit, served: %.1f allocations inside Receive, want 1 (fld.Send's page list)", avg)
+	}
+	b.rp.Run()
+	if out := bufs.Outstanding(); out != 0 || b.afu.Responses+b.afu.Dropped != b.afu.Requests {
+		t.Errorf("%d pooled buffers outstanding at quiescence; %d responses + %d drops for %d requests",
+			out, b.afu.Responses, b.afu.Dropped, b.afu.Requests)
 	}
 }

@@ -117,3 +117,96 @@ func TestRQPlacementZeroAlloc(t *testing.T) {
 		t.Fatalf("placed %d packets, want 202", got)
 	}
 }
+
+// TestAllocsPerRingSend pins a ring-posted send on a
+// warm queue — doorbell, descriptor fetch, txEngine slot, payload gather,
+// egress, lost at the cable's far edge — at two allocations: the fetch's
+// and the gather's completion buffers, which host memory makes (one buffer
+// per hop that makes one). The state of both reads rides in pooled
+// records whose completion callbacks were bound when the records were
+// made, so neither read costs a closure.
+func TestAllocsPerRingSend(t *testing.T) {
+	eng, a, b, w := twoNodes(t)
+	instrumented(a, b)
+	w.Loss = func(int, []byte) bool { return true }
+	dsq, _, _, _ := setupEthTxRx(t, a, b, 0)
+	frame := buildFrame(1, 2, 1000, 2000, 64)
+	fbuf := a.mem.Alloc(2048, 64)
+	a.mem.WriteAt(fbuf, frame)
+	// Every slot of the ring holds the same unsignaled descriptor, so a
+	// send is one doorbell.
+	for i := 0; i < dsq.sq.Size; i++ {
+		dsq.post(SendWQE{Opcode: OpSend, Addr: a.fab.AddrOf(a.mem, fbuf), Len: uint32(len(frame))})
+	}
+	pi := uint32(0)
+	send := func() {
+		pi++
+		dsq.sq.ringDoorbell(pi)
+		eng.Run()
+	}
+	send() // warm: pooled records, host-memory pages, wire transit record
+	if avg := testing.AllocsPerRun(200, send); avg != 2 {
+		t.Errorf("ring-posted send: %.2f allocations, want 2 (fetch and gather completion buffers)", avg)
+	}
+	if got := a.nic.Stats.TxPackets; got != 202 || dsq.sq.CI() != pi {
+		t.Errorf("sent %d frames with ci=%d pi=%d, want 202 and a drained queue", got, dsq.sq.CI(), pi)
+	}
+}
+
+// TestGatherRecordSurvivesQueueReset: the record that carries a descriptor
+// through its payload gather is out of the freelist until the gather's
+// completion, however late. A queue reset in that window must neither let
+// the stale completion retire into the new epoch nor hand the in-flight
+// record to the next descriptor (here one pushed by MMIO, which takes its
+// record the moment it arrives); the record comes back exactly once.
+func TestGatherRecordSurvivesQueueReset(t *testing.T) {
+	eng, a, b, w := twoNodes(t)
+	w.Loss = func(int, []byte) bool { return true }
+	dsq, _, _, _ := setupEthTxRx(t, a, b, 0)
+	frame := buildFrame(1, 2, 1000, 2000, 64)
+	fbuf := a.mem.Alloc(2048, 64)
+	a.mem.WriteAt(fbuf, frame)
+	wqe := SendWQE{Opcode: OpSend, Addr: a.fab.AddrOf(a.mem, fbuf), Len: uint32(len(frame))}
+
+	dsq.post(wqe)
+	dsq.doorbell()
+	eng.Run()
+	rec := a.nic.freeExec
+	if rec == nil || rec.next != nil || rec.sq != nil {
+		t.Fatalf("after one send the freelist should hold its one cleared record: %+v", rec)
+	}
+
+	dsq.post(wqe)
+	dsq.doorbell()
+	for i := 0; rec.wqe.Len == 0; i++ { // until execute parked the parsed descriptor in the record: gather in flight
+		if i > 1000 {
+			t.Fatal("the second send never reached its gather")
+		}
+		eng.RunUntil(eng.Now() + 10*sim.Nanosecond)
+	}
+	oldEpoch := rec.ep
+	dsq.sq.enterError(SynQueueErr)
+	dsq.sq.Reset()
+	a.fab.Write(a.bar+SQDoorbellOffset(dsq.sq.ID), wqe.Marshal()) // WQE-by-MMIO in the new epoch
+	if a.nic.freeExec != nil || rec.sq != dsq.sq || rec.ep != oldEpoch || rec.idx != 1 {
+		t.Fatalf("the in-flight gather's record was reused: on freelist=%v ep=%d (was %d) idx=%d", a.nic.freeExec != nil, rec.ep, oldEpoch, rec.idx)
+	}
+	eng.Run()
+
+	if ci, pi := dsq.sq.CI(), dsq.sq.PI(); ci != pi || pi != 3 {
+		t.Errorf("ci=%d pi=%d, want both 3: the stale gather must not retire a slot of the new epoch", ci, pi)
+	}
+	if got := a.nic.Stats.TxPackets; got != 2 {
+		t.Errorf("%d frames transmitted, want 2 (the reset discarded the middle one)", got)
+	}
+	seen, total := 0, 0
+	for x := a.nic.freeExec; x != nil && total < 10; x = x.next {
+		total++
+		if x == rec {
+			seen++
+		}
+	}
+	if seen != 1 || total != 2 {
+		t.Errorf("freelist holds the gather's record %d times among %d records, want once among 2", seen, total)
+	}
+}

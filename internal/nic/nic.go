@@ -121,11 +121,13 @@ type NIC struct {
 	ets      *etsScheduler // lazily created when a weighted SQ sends
 
 	// Freelists of pooled steady-state records (see pool.go).
-	freeExec *sqExec
-	freeTx   *txSend
-	freeCQW  *cqWrite
-	freeRx   *rxDone
-	freeView *pktView
+	freeFetch   *sqFetch
+	freeExec    *sqExec
+	freeTx      *txSend
+	freeCQW     *cqWrite
+	freeRQFetch *rqFetch
+	freeRx      *rxDone
+	freeView    *pktView
 
 	nextQN uint32
 
@@ -454,65 +456,42 @@ func (sq *SQ) kick() {
 			n++
 		}
 		sq.inflight += n
-		addr := sq.Ring + uint64(slot)*SendWQESize
-		first := idx
-		count := n
 		if f := sq.n.flt; f != nil && f.FailWQEFetch != nil && f.FailWQEFetch(sq) {
 			sq.enterError(SynQueueErr)
 			return
 		}
 		sq.tFetchReads.Inc()
-		sq.tFetchedWQEs.Add(int64(count))
-		sq.tFetchBatch.Observe(int64(count))
-		sq.n.port.Read(addr, count*SendWQESize, func(c pcie.Completion) {
-			if sq.epoch != ep {
-				return // queue was reset while the fetch was in flight
-			}
-			if !c.OK() {
-				sq.enterError(SynQueueErr)
-				return
-			}
-			for i := 0; i < count; i++ {
-				x := sq.n.getSQExec()
-				x.sq, x.ep = sq, ep
-				x.idx = first + uint32(i)
-				x.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
-				sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, x)
-			}
-		})
+		sq.tFetchedWQEs.Add(int64(n))
+		sq.tFetchBatch.Observe(int64(n))
+		x := sq.n.getSQFetch()
+		x.sq, x.ep, x.first, x.count = sq, ep, idx, n
+		sq.n.port.Read(sq.Ring+uint64(slot)*SendWQESize, n*SendWQESize, x.done)
 	}
 }
 
-// execute runs one fetched descriptor through the transmit path.
-func (sq *SQ) execute(idx uint32, raw []byte) {
-	ep := sq.epoch
+// execute runs one fetched descriptor through the transmit path. It
+// reports whether x went on to carry the descriptor through a payload
+// gather, whose completion (sqExecGathered) recycles the record then.
+func (sq *SQ) execute(x *sqExec) (gathering bool) {
+	ep, idx := x.ep, x.idx
 	sq.tExecuted.Inc()
-	wqe, err := ParseSendWQE(raw)
+	wqe, err := ParseSendWQE(x.raw)
 	if err != nil || wqe.Opcode == opInvalid {
 		sq.retire(ep, idx, CQE{Opcode: CQEError, Syndrome: SynBadWQE, Index: uint16(idx), Queue: sq.ID}, true)
-		return
+		return false
 	}
 	wqe.Index = uint16(idx)
 	if wqe.Opcode == OpNop {
 		sq.retire(ep, idx, CQE{Opcode: CQESend, Index: uint16(idx), Queue: sq.ID}, wqe.Signal)
-		return
+		return false
 	}
 	if wqe.Inline != nil {
 		sq.dispatch(ep, idx, wqe, wqe.Inline)
-		return
+		return false
 	}
-	sq.n.port.Read(wqe.Addr, int(wqe.Len), func(c pcie.Completion) {
-		if sq.epoch != ep {
-			return
-		}
-		if !c.OK() {
-			// Per-WQE gather failure: the slot is consumed with an
-			// error completion; the queue itself stays Ready.
-			sq.retire(ep, idx, CQE{Opcode: CQEError, Syndrome: SynGather, Index: uint16(idx), Queue: sq.ID}, true)
-			return
-		}
-		sq.dispatch(ep, idx, wqe, c.Data)
-	})
+	x.wqe = wqe
+	sq.n.port.Read(wqe.Addr, int(wqe.Len), x.gathered)
+	return true
 }
 
 // dispatch hands the gathered payload to the QP transport or the Ethernet
@@ -669,48 +648,50 @@ func (rq *RQ) prefetch() {
 		rq.fetchSeq++
 		rq.fetchIdx += uint32(n)
 		rq.inflight++
-		addr := rq.Ring + uint64(slot)*RecvWQESize
 		rq.tFetchReads.Inc()
 		rq.tFetchedDescs.Add(int64(n))
-		rq.n.port.Read(addr, n*RecvWQESize, func(c pcie.Completion) {
-			if rq.epoch != ep {
-				return // queue was reset while the fetch was in flight
-			}
-			rq.inflight--
-			if !c.OK() {
-				rq.enterError(SynQueueErr)
-				return
-			}
-			batch := make([]RecvWQE, 0, n)
-			for i := 0; i < n; i++ {
-				w, err := ParseRecvWQE(c.Data[i*RecvWQESize:])
-				if err != nil {
-					rq.n.drop(DropRQBadDesc)
-					continue
-				}
-				batch = append(batch, w)
-			}
-			if rq.fetched == nil {
-				rq.fetched = make(map[uint64][]RecvWQE)
-			}
-			rq.fetched[seq] = batch
-			// Drain in order so the consumer sees ring order even if
-			// reads completed out of order.
-			for {
-				next, ok := rq.fetched[rq.drainSeq]
-				if !ok {
-					break
-				}
-				delete(rq.fetched, rq.drainSeq)
-				rq.drainSeq++
-				for _, w := range next {
-					rq.ready.Push(w)
-				}
-			}
-			rq.prefetch()
-			rq.progress()
-		})
+		x := rq.n.getRQFetch()
+		x.rq, x.ep, x.seq, x.n = rq, ep, seq, n
+		rq.n.port.Read(rq.Ring+uint64(slot)*RecvWQESize, n*RecvWQESize, x.done)
 	}
+}
+
+// fetchDone takes the completion of descriptor read seq (n descriptors)
+// on a queue that was not reset while the read was in flight.
+func (rq *RQ) fetchDone(seq uint64, n int, c pcie.Completion) {
+	rq.inflight--
+	if !c.OK() {
+		rq.enterError(SynQueueErr)
+		return
+	}
+	batch := make([]RecvWQE, 0, n)
+	for i := 0; i < n; i++ {
+		w, err := ParseRecvWQE(c.Data[i*RecvWQESize:])
+		if err != nil {
+			rq.n.drop(DropRQBadDesc)
+			continue
+		}
+		batch = append(batch, w)
+	}
+	if rq.fetched == nil {
+		rq.fetched = make(map[uint64][]RecvWQE)
+	}
+	rq.fetched[seq] = batch
+	// Drain in order so the consumer sees ring order even if reads
+	// completed out of order.
+	for {
+		next, ok := rq.fetched[rq.drainSeq]
+		if !ok {
+			break
+		}
+		delete(rq.fetched, rq.drainSeq)
+		rq.drainSeq++
+		for _, w := range next {
+			rq.ready.Push(w)
+		}
+	}
+	rq.prefetch()
+	rq.progress()
 }
 
 // deliver enqueues a received packet for buffer placement. cqe carries the

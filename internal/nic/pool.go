@@ -1,5 +1,7 @@
 package nic
 
+import "flexdriver/internal/pcie"
+
 // Pooled steady-state records. The NIC's per-packet paths (WQE execution,
 // transmit dispatch, CQE writes, receive placement) used to allocate a
 // closure per event; each path now carries its state in one of these
@@ -12,16 +14,69 @@ package nic
 // collector — correctness never depends on a record returning to its
 // freelist.
 
-// sqExec carries one descriptor through the txEngine service delay. raw
+// sqFetch carries one batched descriptor read from SQ.kick to its
+// completion. Like txSend.onSent below, done is bound to the record once,
+// when the record is first made, so handing it to pcie.Port.Read costs no
+// closure. A read's completion fires exactly once — with data, an error
+// status or a timeout — and that is where the record is recycled.
+type sqFetch struct {
+	sq    *SQ
+	ep    uint32
+	first uint32
+	count int
+	done  func(pcie.Completion)
+	next  *sqFetch
+}
+
+func (n *NIC) getSQFetch() *sqFetch {
+	x := n.freeFetch
+	if x != nil {
+		n.freeFetch = x.next
+		x.next = nil
+		return x
+	}
+	x = &sqFetch{}
+	x.done = func(c pcie.Completion) { sqFetchDone(x, c) }
+	return x
+}
+
+// sqFetchDone is the descriptor read's completion: queue each fetched
+// descriptor for its txEngine slot, unless the queue was reset while the
+// fetch was in flight.
+func sqFetchDone(x *sqFetch, c pcie.Completion) {
+	sq, ep, first, count := x.sq, x.ep, x.first, x.count
+	x.sq, x.next = nil, sq.n.freeFetch
+	sq.n.freeFetch = x
+	if sq.epoch != ep {
+		return
+	}
+	if !c.OK() {
+		sq.enterError(SynQueueErr)
+		return
+	}
+	for i := 0; i < count; i++ {
+		e := sq.n.getSQExec()
+		e.sq, e.ep = sq, ep
+		e.idx = first + uint32(i)
+		e.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
+		sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, e)
+	}
+}
+
+// sqExec carries one descriptor through the txEngine service delay and,
+// when its payload lives in memory, on through the gather read. raw
 // aliases the fetch completion for a ring descriptor, or pushed for one
-// that arrived by MMIO.
+// that arrived by MMIO; wqe is the parsed descriptor the gather completion
+// dispatches. gathered is bound once, like sqFetch.done.
 type sqExec struct {
-	sq     *SQ
-	ep     uint32
-	idx    uint32
-	raw    []byte
-	pushed [SendWQEMMIOSize]byte
-	next   *sqExec
+	sq       *SQ
+	ep       uint32
+	idx      uint32
+	raw      []byte
+	pushed   [SendWQEMMIOSize]byte
+	wqe      SendWQE
+	gathered func(pcie.Completion)
+	next     *sqExec
 }
 
 func (n *NIC) getSQExec() *sqExec {
@@ -31,25 +86,43 @@ func (n *NIC) getSQExec() *sqExec {
 		x.next = nil
 		return x
 	}
-	return &sqExec{}
+	x = &sqExec{}
+	x.gathered = func(c pcie.Completion) { sqExecGathered(x, c) }
+	return x
 }
 
 func (n *NIC) putSQExec(x *sqExec) {
-	x.sq, x.raw = nil, nil
+	x.sq, x.raw, x.wqe = nil, nil, SendWQE{}
 	x.next = n.freeExec
 	n.freeExec = x
 }
 
 // sqExecRun is the txEngine completion: run the descriptor unless the
-// queue was reset while it waited. The record is recycled only afterwards,
-// since raw may live in it.
+// queue was reset while it waited. The record is recycled here, after
+// execute (raw may live in it) — unless it went on to carry a gather.
 func sqExecRun(a any) {
 	x := a.(*sqExec)
-	sq := x.sq
-	if sq.epoch == x.ep {
-		sq.execute(x.idx, x.raw)
+	if sq := x.sq; sq.epoch != x.ep || !sq.execute(x) {
+		sq.n.putSQExec(x)
 	}
+}
+
+// sqExecGathered is the payload read's completion: the record has done its
+// job either way, and the descriptor is dispatched unless the queue was
+// reset while the gather was in flight.
+func sqExecGathered(x *sqExec, c pcie.Completion) {
+	sq, ep, idx, wqe := x.sq, x.ep, x.idx, x.wqe
 	sq.n.putSQExec(x)
+	if sq.epoch != ep {
+		return
+	}
+	if !c.OK() {
+		// Per-WQE gather failure: the slot is consumed with an error
+		// completion; the queue itself stays Ready.
+		sq.retire(ep, idx, CQE{Opcode: CQEError, Syndrome: SynGather, Index: uint16(idx), Queue: sq.ID}, true)
+		return
+	}
+	sq.dispatch(ep, idx, wqe, c.Data)
 }
 
 // txSend carries a raw-Ethernet transmit from dispatch (optionally through
@@ -141,6 +214,40 @@ func cqPushDone(a any) {
 	cq.n.putCQWrite(x)
 	if cq.onCQE != nil {
 		cq.onCQE(c)
+	}
+}
+
+// rqFetch carries one batched receive-descriptor read from RQ.prefetch to
+// its completion; done is bound once, like sqFetch.done.
+type rqFetch struct {
+	rq   *RQ
+	ep   uint32
+	seq  uint64
+	n    int
+	done func(pcie.Completion)
+	next *rqFetch
+}
+
+func (n *NIC) getRQFetch() *rqFetch {
+	x := n.freeRQFetch
+	if x != nil {
+		n.freeRQFetch = x.next
+		x.next = nil
+		return x
+	}
+	x = &rqFetch{}
+	x.done = func(c pcie.Completion) { rqFetchDone(x, c) }
+	return x
+}
+
+// rqFetchDone is the descriptor read's completion: recycle the record,
+// then hand the batch to the queue unless it was reset meanwhile.
+func rqFetchDone(x *rqFetch, c pcie.Completion) {
+	rq, ep, seq, n := x.rq, x.ep, x.seq, x.n
+	x.rq, x.next = nil, rq.n.freeRQFetch
+	rq.n.freeRQFetch = x
+	if rq.epoch == ep {
+		rq.fetchDone(seq, n, c)
 	}
 }
 

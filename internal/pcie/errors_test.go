@@ -98,6 +98,61 @@ func TestWriteUnmappedAddressCounted(t *testing.T) {
 	}
 }
 
+// TestSpanPastBAREndIsUR: a DMA is routed by its whole span, not its first
+// byte. A transfer whose last byte is the target BAR's last byte goes
+// through; one byte more is an Unsupported Request in both directions —
+// CplUR for the read, a counted drop for the posted write — where the
+// first-byte lookup used to hand the overrun to the device and panic in
+// hostmem. Owned write buffers go back to the pool on either outcome.
+func TestSpanPastBAREndIsUR(t *testing.T) {
+	const size = 1 << 20
+	for _, tc := range []struct {
+		name string
+		off  uint64
+		n    int
+		ok   bool
+	}{
+		{"last byte inside", size - 64, 64, true},
+		{"one byte over", size - 63, 64, false},
+		{"starts on the last byte", size - 1, 1, true},
+		{"straddles by most of its length", size - 8, 64, false},
+	} {
+		eng := sim.NewEngine()
+		fab := NewFabric(eng)
+		ps := fab.Attach(hostmem.New("src", size), Gen3x8())
+		dst := hostmem.New("dst", size)
+		pd := fab.Attach(dst, Gen3x8())
+		fab.Attach(hostmem.New("above", size), Gen3x8()) // the overrun lands in a mapped neighbour, not a hole
+
+		var got *Completion
+		ps.Read(pd.Base()+tc.off, tc.n, func(c Completion) { got = &c })
+		wrote := false
+		payload := eng.Bufs().Get(tc.n)
+		for i := range payload {
+			payload[i] = 0xa5
+		}
+		ps.WriteOwned(pd.Base()+tc.off, payload, func() { wrote = true })
+		eng.Run()
+
+		if got == nil {
+			t.Fatalf("%s: read never completed", tc.name)
+		}
+		wantUR := int64(2)
+		if tc.ok {
+			wantUR = 0
+		}
+		if got.OK() != tc.ok || (!tc.ok && got.Status != CplUR) || wrote != tc.ok || fab.Errs.UR != wantUR {
+			t.Errorf("%s: read status %v, write delivered %v, UR count %d; want ok=%v", tc.name, got.Status, wrote, fab.Errs.UR, tc.ok)
+		}
+		if tc.ok && (len(got.Data) != tc.n || dst.ReadAt(tc.off, 1)[0] != 0xa5) {
+			t.Errorf("%s: read %d bytes, byte at %#x is %#x", tc.name, len(got.Data), tc.off, dst.ReadAt(tc.off, 1)[0])
+		}
+		if out := eng.Bufs().Outstanding(); out != 0 {
+			t.Errorf("%s: %d pooled buffers outstanding", tc.name, out)
+		}
+	}
+}
+
 // TestFaultHooksDropAndPoison exercises the injection hooks directly:
 // dropped TLPs charge no wire bytes (keeping telemetry reconciliation
 // exact), poisoned writes charge bytes but never reach the device, and

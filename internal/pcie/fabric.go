@@ -163,25 +163,30 @@ func (p *Port) Config() LinkConfig { return p.cfg }
 // Device returns the attached device.
 func (p *Port) Device() Device { return p.dev }
 
-// target resolves addr to the owning port. ok is false when no device
-// claims the address — on the data plane that is an Unsupported Request,
+// target resolves the n-byte span at addr to the port that owns all of it.
+// ok is false when no device claims the address or the span runs past the
+// end of its BAR — on the data plane that is an Unsupported Request,
 // answered with an error completion rather than a crash.
-func (f *Fabric) target(addr uint64) (p *Port, ok bool) {
+func (f *Fabric) target(addr uint64, n int) (p *Port, ok bool) {
 	for _, p := range f.ports {
-		if addr >= p.base && addr < p.base+p.size {
+		if off := addr - p.base; addr >= p.base && off < p.size {
+			// BARs do not overlap: the first byte's owner decides.
+			if uint64(n) > p.size-off {
+				return nil, false
+			}
 			return p, true
 		}
 	}
 	return nil, false
 }
 
-// mustTarget resolves addr or panics. Control-plane accesses use it: an
+// mustTarget resolves the span or panics. Control-plane accesses use it: an
 // unmapped address during software setup is always a model bug and must
 // fail loudly.
-func (f *Fabric) mustTarget(addr uint64) *Port {
-	p, ok := f.target(addr)
+func (f *Fabric) mustTarget(addr uint64, n int) *Port {
+	p, ok := f.target(addr, n)
 	if !ok {
-		panic(fmt.Sprintf("pcie: no device at address %#x", addr))
+		panic(fmt.Sprintf("pcie: no device at [%#x,%#x)", addr, addr+uint64(n)))
 	}
 	return p
 }
@@ -191,14 +196,14 @@ func (f *Fabric) mustTarget(addr uint64) *Port {
 // Read performs an immediate, untimed read. Control-plane software setup
 // uses this; data-plane engines must use Port.Read for timing fidelity.
 func (f *Fabric) Read(addr uint64, size int) []byte {
-	p := f.mustTarget(addr)
+	p := f.mustTarget(addr, size)
 	f.ctrlReads.Inc()
 	return p.dev.MMIORead(addr-p.base, size)
 }
 
 // Write performs an immediate, untimed write.
 func (f *Fabric) Write(addr uint64, data []byte) {
-	p := f.mustTarget(addr)
+	p := f.mustTarget(addr, len(data))
 	f.ctrlWrites.Inc()
 	p.dev.MMIOWrite(addr-p.base, data)
 }
@@ -216,12 +221,13 @@ func (f *Fabric) Write(addr uint64, data []byte) {
 // device. Wire time is charged on the initiator's upstream direction and
 // the target's downstream direction.
 //
-// Error semantics: a write to an unmapped address is an Unsupported
-// Request — posted writes carry no completion, so the TLP is dropped and
-// only the fabric's error counters record it. The same holds for
-// fault-injected drops and link-flap windows (no bytes charged: the TLP
-// never serialized), and for poisoned writes (bytes charged on both
-// links, but the completer discards the payload and done never fires).
+// Error semantics: a write to an unmapped address, or one that runs past
+// the end of its target's BAR, is an Unsupported Request — posted writes
+// carry no completion, so the TLP is dropped and only the fabric's error
+// counters record it. The same holds for fault-injected drops and
+// link-flap windows (no bytes charged: the TLP never serialized), and for
+// poisoned writes (bytes charged on both links, but the completer discards
+// the payload and done never fires).
 func (p *Port) Write(addr uint64, data []byte, done func()) {
 	p.write(addr, data, done, nil, nil, false)
 }
@@ -281,7 +287,7 @@ func (f *Fabric) putWriteOp(o *writeOp) {
 }
 
 func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aarg any, owned bool) {
-	q, ok := p.fab.target(addr)
+	q, ok := p.fab.target(addr, len(data))
 	if !ok {
 		p.fab.noteUR()
 		if owned {
@@ -354,8 +360,9 @@ func writeDeliver(a any) {
 //
 // Error semantics (all surfaced through done, never by hanging):
 //
-//   - unmapped address → the switch answers with an Unsupported-Request
-//     completion (CplUR) after the request serializes;
+//   - unmapped address, or a span that runs past the end of its target's
+//     BAR → the switch answers with an Unsupported-Request completion
+//     (CplUR) after the request serializes;
 //   - non-responding device (MMIORead returns nil), a dropped request or
 //     completion, or a link-flap window → the requester's completion
 //     timeout (LinkConfig.CplTimeout) fires and done gets CplTimedOut;
@@ -370,7 +377,7 @@ func writeDeliver(a any) {
 func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 	o := p.fab.getReadOp()
 	o.p, o.addr, o.size, o.done = p, addr, size, done
-	o.q, o.hasTarget = p.fab.target(addr)
+	o.q, o.hasTarget = p.fab.target(addr, size)
 	// The timeout budget scales with the transfer: real completers
 	// return large reads as a stream of CplD segments, each of which
 	// resets the requester's completion timer. The budget is the base

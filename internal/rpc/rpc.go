@@ -11,6 +11,7 @@ package rpc
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Magic tags every frame's first byte so stray bytes fail fast.
@@ -52,19 +53,24 @@ type Frame struct {
 	Val    []byte
 }
 
-// Len returns the marshaled size.
-func (f Frame) Len() int { return HeaderLen + len(f.Key) + len(f.Val) }
+// clip bounds the variable sections to what their length fields can
+// say; Len and Marshal both go through it, so they always agree.
+func (f Frame) clip() (key, val []byte) {
+	return f.Key[:min(len(f.Key), MaxKeyLen)], f.Val[:min(len(f.Val), MaxValLen)]
+}
 
-// Marshal appends the frame to b. Key/value lengths beyond the field
-// bounds are truncated (the fuzz targets feed arbitrary slices).
+// Len returns the marshaled size.
+func (f Frame) Len() int {
+	key, val := f.clip()
+	return HeaderLen + len(key) + len(val)
+}
+
+// Marshal appends the frame to b, growing it at most once. Key/value
+// lengths beyond the field bounds are truncated (the fuzz targets feed
+// arbitrary slices).
 func (f Frame) Marshal(b []byte) []byte {
-	key, val := f.Key, f.Val
-	if len(key) > MaxKeyLen {
-		key = key[:MaxKeyLen]
-	}
-	if len(val) > MaxValLen {
-		val = val[:MaxValLen]
-	}
+	key, val := f.clip()
+	b = slices.Grow(b, HeaderLen+len(key)+len(val))
 	b = append(b, Magic, f.Op, f.Status, uint8(len(key)))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(val)))
 	b = append(b, 0, 0) // reserved
@@ -123,24 +129,30 @@ type Decoder struct {
 
 // Feed appends stream bytes and returns every complete frame now
 // available, in order. Returned frames own their bytes (the internal
-// buffer is reused).
+// buffer is reused): one backing array per frame, key then value, the
+// key capped so that appending to it cannot reach the value. A cursor
+// walks the buffer and the unread tail moves once, on the way out.
 func (d *Decoder) Feed(p []byte) []Frame {
 	d.buf = append(d.buf, p...)
 	var out []Frame
+	rest := d.buf
 	for {
-		f, rest, err := Parse(d.buf)
+		f, next, err := Parse(rest)
 		switch err {
 		case nil:
-			out = append(out, Frame{Op: f.Op, Status: f.Status, ID: f.ID,
-				Key: append([]byte(nil), f.Key...), Val: append([]byte(nil), f.Val...)})
-			d.buf = append(d.buf[:0], rest...)
-			continue
+			k := len(f.Key)
+			own := append(append(make([]byte, 0, k+len(f.Val)), f.Key...), f.Val...)
+			f.Key, f.Val = own[:k:k], own[k:]
+			out = append(out, f)
+			rest = next
 		case ErrBadFrame:
 			// Resync: skip one byte and hunt for the next Magic.
 			d.Bad++
-			d.buf = append(d.buf[:0], d.buf[1:]...)
-			continue
+			rest = rest[1:]
 		default: // truncated: wait for more bytes
+			if len(rest) < len(d.buf) { // nothing consumed, nothing to move
+				d.buf = append(d.buf[:0], rest...)
+			}
 			return out
 		}
 	}

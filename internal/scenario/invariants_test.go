@@ -89,7 +89,7 @@ func TestScenarioFootprint(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes, objects := (after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n
-	t.Logf("per scenario: %d bytes, %d objects", bytes, objects)
+	t.Logf("%d objects and %d bytes per scenario", objects, bytes)
 	if bytes > maxBytes || objects > maxObjects {
 		t.Fatalf("per scenario: %d bytes (budget %d), %d objects (budget %d)",
 			bytes, maxBytes, objects, maxObjects)

@@ -643,14 +643,22 @@ type FrameInfo struct {
 	Seg Segment
 }
 
-// BuildFrame wraps a segment in Eth+IPv4 headers between two NICs.
+// AppendHeaders appends the Eth+IPv4+TCP headers of a frame that will
+// carry payloadLen bytes behind them. Every header byte is written, the
+// IPv4 checksum included, so b may be a recycled sim.BufPool buffer; the
+// caller appends the payload straight after.
+func AppendHeaders(b []byte, srcMAC, dstMAC netpkt.MAC, srcIP, dstIP netpkt.IP, seg Segment, payloadLen int) []byte {
+	b = netpkt.Eth{Dst: dstMAC, Src: srcMAC, EtherType: netpkt.EtherTypeIPv4}.Marshal(b)
+	b = netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + HeaderLen + payloadLen), Proto: netpkt.ProtoTCP,
+		Src: srcIP, Dst: dstIP}.Marshal(b)
+	return seg.Marshal(b)
+}
+
+// BuildFrame wraps a segment in Eth+IPv4 headers between two NICs: one
+// exactly-sized buffer, headers and payload each written into it once.
 func BuildFrame(srcMAC, dstMAC netpkt.MAC, srcIP, dstIP netpkt.IP, seg Segment, payload []byte) []byte {
-	l4 := append(seg.Marshal(nil), payload...)
-	ip := netpkt.IPv4{TotalLen: uint16(netpkt.IPv4HeaderLen + len(l4)), Proto: netpkt.ProtoTCP,
-		Src: srcIP, Dst: dstIP}
-	l3 := append(ip.Marshal(nil), l4...)
-	eth := netpkt.Eth{Dst: dstMAC, Src: srcMAC, EtherType: netpkt.EtherTypeIPv4}
-	return append(eth.Marshal(nil), l3...)
+	b := AppendHeaders(make([]byte, 0, FrameOverhead+len(payload)), srcMAC, dstMAC, srcIP, dstIP, seg, len(payload))
+	return append(b, payload...)
 }
 
 // ParseFrame decodes an Eth+IPv4+TCP frame. Non-IPv4 and non-TCP frames
