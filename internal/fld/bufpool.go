@@ -12,7 +12,7 @@ type pagePool struct {
 
 func newPagePool(totalBytes, pageBytes int) *pagePool {
 	n := totalBytes / pageBytes
-	p := &pagePool{pageBytes: pageBytes, mem: newSRAM(n * pageBytes)}
+	p := &pagePool{pageBytes: pageBytes, mem: newSRAM(n * pageBytes), free: make([]uint16, 0, n)}
 	// Push in reverse so pages allocate in ascending order initially.
 	for i := n - 1; i >= 0; i-- {
 		p.free = append(p.free, uint16(i))

@@ -177,6 +177,7 @@ func New(eng *sim.Engine, cfg Config) *FLD {
 	f.barSize = f.rxCQBase + uint64(cfg.CQEntries)*nic.CQESize
 
 	f.descPool = make([]txDesc, cfg.TxDescPool)
+	f.descFree = make([]uint16, 0, cfg.TxDescPool)
 	for i := cfg.TxDescPool - 1; i >= 0; i-- {
 		f.descFree = append(f.descFree, uint16(i))
 	}

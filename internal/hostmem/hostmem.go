@@ -54,8 +54,9 @@ func (m *Memory) MMIORead(offset uint64, size int) []byte {
 
 // WriteAt stores data at the given offset.
 func (m *Memory) WriteAt(offset uint64, data []byte) {
-	if offset+uint64(len(data)) > m.size {
-		panic(fmt.Sprintf("hostmem: write [%#x,%#x) beyond size %#x", offset, offset+uint64(len(data)), m.size))
+	// Subtract, never add: offset+len can wrap 2^64 and pass.
+	if n := uint64(len(data)); offset > m.size || n > m.size-offset {
+		panic(fmt.Sprintf("hostmem: write of %d bytes at %#x beyond size %#x", len(data), offset, m.size))
 	}
 	for len(data) > 0 {
 		p := m.page(offset)
@@ -79,8 +80,8 @@ func (m *Memory) ReadAt(offset uint64, size int) []byte {
 // wrote reads as zeros without being materialised: only writes grow the
 // backing store.
 func (m *Memory) ReadInto(offset uint64, dst []byte) {
-	if offset+uint64(len(dst)) > m.size {
-		panic(fmt.Sprintf("hostmem: read [%#x,%#x) beyond size %#x", offset, offset+uint64(len(dst)), m.size))
+	if n := uint64(len(dst)); offset > m.size || n > m.size-offset {
+		panic(fmt.Sprintf("hostmem: read of %d bytes at %#x beyond size %#x", len(dst), offset, m.size))
 	}
 	for len(dst) > 0 {
 		o := offset % pageSize
@@ -106,8 +107,8 @@ func (m *Memory) Alloc(size uint64, align uint64) uint64 {
 		panic(fmt.Sprintf("hostmem: alignment %d not a power of two", align))
 	}
 	off := (m.next + align - 1) &^ (align - 1)
-	if off+size > m.size {
-		panic(fmt.Sprintf("hostmem: out of memory allocating %d bytes", size))
+	if off > m.size || size > m.size-off {
+		panic(fmt.Sprintf("hostmem: out of memory allocating %d bytes at %#x of %#x", size, off, m.size))
 	}
 	m.next = off + size
 	return off

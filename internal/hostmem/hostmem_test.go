@@ -2,6 +2,7 @@ package hostmem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,38 @@ func TestOutOfBoundsPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestWrappingSpanPanics: a span whose end wraps 2^64 is out of bounds
+// like any other — the check must not add before it compares. Each row
+// passed the old check (the wrapped end is a small number), after which a
+// write materialised pages at absurd indices, a read returned zeros from
+// them and Alloc moved its cursor backwards.
+func TestWrappingSpanPanics(t *testing.T) {
+	m := New("host", 1<<20)
+	for _, tc := range []struct {
+		msg string
+		f   func()
+	}{
+		{"hostmem: write of 8 bytes at 0xfffffffffffffffc beyond size 0x100000",
+			func() { m.WriteAt(math.MaxUint64-3, make([]byte, 8)) }},
+		{"hostmem: read of 16 bytes at 0xfffffffffffffff8 beyond size 0x100000",
+			func() { m.ReadInto(math.MaxUint64-7, make([]byte, 16)) }},
+		{"hostmem: out of memory allocating 18446744073709547520 bytes at 0x1000 of 0x100000",
+			func() { m.Alloc(math.MaxUint64-0xfff, 1) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.msg {
+					t.Errorf("panic %v, want %q", got, tc.msg)
+				}
+			}()
+			tc.f()
+		}()
+		if len(m.pages) != 0 || m.Used() != 0x1000 {
+			t.Fatalf("%s: left %d pages and cursor %#x behind", tc.msg, len(m.pages), m.Used())
+		}
 	}
 }
 

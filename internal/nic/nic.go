@@ -657,29 +657,40 @@ func (rq *RQ) prefetch() {
 }
 
 // fetchDone takes the completion of descriptor read seq (n descriptors)
-// on a queue that was not reset while the read was in flight.
+// on a queue that was not reset while the read was in flight. Descriptors
+// reach ready in ring order: the read that is next to drain parses
+// straight onto it, one that overtook an earlier read parks its batch in
+// fetched until the gap closes.
 func (rq *RQ) fetchDone(seq uint64, n int, c pcie.Completion) {
 	rq.inflight--
 	if !c.OK() {
 		rq.enterError(SynQueueErr)
 		return
 	}
-	batch := make([]RecvWQE, 0, n)
+	inOrder := seq == rq.drainSeq
+	var batch []RecvWQE
+	if !inOrder {
+		batch = make([]RecvWQE, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		w, err := ParseRecvWQE(c.Data[i*RecvWQESize:])
 		if err != nil {
 			rq.n.drop(DropRQBadDesc)
-			continue
+		} else if inOrder {
+			rq.ready.Push(w)
+		} else {
+			batch = append(batch, w)
 		}
-		batch = append(batch, w)
 	}
-	if rq.fetched == nil {
-		rq.fetched = make(map[uint64][]RecvWQE)
+	if inOrder {
+		rq.drainSeq++
+	} else {
+		if rq.fetched == nil {
+			rq.fetched = make(map[uint64][]RecvWQE)
+		}
+		rq.fetched[seq] = batch
 	}
-	rq.fetched[seq] = batch
-	// Drain in order so the consumer sees ring order even if reads
-	// completed out of order.
-	for {
+	for len(rq.fetched) > 0 {
 		next, ok := rq.fetched[rq.drainSeq]
 		if !ok {
 			break

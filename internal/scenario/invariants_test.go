@@ -72,12 +72,12 @@ func TestNICQueueSumsMatchSnapshotSum(t *testing.T) {
 
 // TestScenarioFootprint pins what building, running, judging and dropping
 // one topology allocates, as TestEventsPerEcho pins events: the mean over
-// Generate(1..20) at Workers=1. The budgets sit 4 % over the 5.10 MB and
-// 8 988 objects measured under go1.24 (DESIGN "Simulator performance",
+// Generate(1..20) at Workers=1. The budgets sit 4 % over the 4.96 MB and
+// 7 338 objects measured under go1.24 (DESIGN "Simulator performance",
 // construction ledger); before the FLD SRAM went lazy and the translation
 // tables packed, the same loop cost 6.81 MB and 10 156 objects.
 func TestScenarioFootprint(t *testing.T) {
-	const n, maxBytes, maxObjects = 20, 5_300_000, 9_350
+	const n, maxBytes, maxObjects = 20, 5_160_000, 7_630
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for seed := int64(1); seed <= n; seed++ {

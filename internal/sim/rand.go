@@ -5,21 +5,25 @@ import (
 	"math/rand"
 )
 
-// Rand wraps math/rand with distributions the experiments need. All
-// experiments construct it from a fixed seed so runs are reproducible.
+// Rand is math/rand's generator over this package's sources, with the
+// distributions the experiments need; a fixed seed makes a run reproducible.
 type Rand struct {
 	*rand.Rand
 }
 
-// NewRand returns a deterministic generator for the given seed.
+// NewRand returns a deterministic generator for the given seed: math/rand's
+// stream for that seed, value for value, from a source that costs what is
+// drawn from it (see alfg).
 func NewRand(seed int64) *Rand {
-	return &Rand{rand.New(rand.NewSource(seed))}
+	g := new(alfg)
+	g.Seed(seed)
+	return &Rand{rand.New(g)}
 }
 
 // splitmix is a SplitMix64 rand.Source64: 8 bytes of state against the
-// default lagged-Fibonacci source's ~5 KiB. Population-scale workloads
-// (10^5 per-connection streams in exps.KVServe) would pay ~500 MB for
-// the default source; this one costs ~10 MB.
+// lagged-Fibonacci source's ~5 KiB. Seeding either is O(1); memory is the
+// difference. Population-scale workloads (10^5 per-connection streams in
+// exps.KVServe) would pay ~500 MB for alfg; this one costs ~10 MB.
 type splitmix struct{ s uint64 }
 
 func (s *splitmix) Uint64() uint64 {
