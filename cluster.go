@@ -1,8 +1,6 @@
 package flexdriver
 
 import (
-	"runtime"
-
 	"flexdriver/internal/ethswitch"
 	"flexdriver/internal/sim"
 )
@@ -27,9 +25,9 @@ type (
 //
 // Each node owns a private shard engine; the switch fabric is a shard of
 // its own, and the only cross-shard paths are the port conduits, whose
-// propagation delay is the scheduler's lookahead. Run and RunUntil drive
-// all shards through the group's conservative parallel scheduler —
-// byte-identical to the sequential schedule at any worker count.
+// propagation delay is the scheduler's lookahead. Run and RunUntil step
+// all shards through the group's window scheduler on the calling
+// goroutine.
 type Cluster struct {
 	Hosts   []*Host
 	Innovas []*Innova
@@ -54,9 +52,9 @@ func NewCluster(opts ...Option) *Cluster {
 		o:     buildOptions(opts),
 		ports: make(map[*NIC]*ethswitch.Port),
 	}
-	// Lookahead = the per-segment switch latency (ethswitch's default
-	// until SwitchLatency overrides it): no frame crosses shards faster
-	// than one segment's propagation delay.
+	// Lookahead = the per-segment switch latency (ethswitch's default):
+	// no frame crosses shards faster than one segment's propagation
+	// delay.
 	c.group.SetLookahead(500 * Nanosecond)
 	// The group clock is the cluster's time authority. Bind is
 	// first-wins, so binding here keeps any node's per-shard clock from
@@ -72,20 +70,6 @@ func (c *Cluster) SwitchRate(r BitRate) *Cluster {
 	c.swCfg.Rate = r
 	if c.sw != nil {
 		c.sw.SetRate(r)
-	}
-	return c
-}
-
-// SwitchLatency sets the per-segment propagation delay (default 500 ns)
-// and with it the scheduler's lookahead.
-func (c *Cluster) SwitchLatency(d Duration) *Cluster {
-	c.swCfg.Latency = d
-	if d == 0 {
-		d = 500 * Nanosecond // ethswitch treats 0 as "use the default"
-	}
-	c.group.SetLookahead(d)
-	if c.sw != nil {
-		c.sw.SetLatency(c.swCfg.Latency)
 	}
 	return c
 }
@@ -136,7 +120,7 @@ func (c *Cluster) PortOf(n *NIC) *SwitchPort { return c.ports[n] }
 func (c *Cluster) Telemetry() *Registry { return c.o.Telemetry }
 
 // Group exposes the underlying scheduler group — the escape hatch for
-// invariant sweeps (per-shard Pending/Bufs) and scheduler tuning.
+// invariant sweeps (per-shard Pending/Bufs) and scheduler statistics.
 func (c *Cluster) Group() *sim.Group { return c.group }
 
 // Engines returns every shard engine in creation order (nodes, then the
@@ -147,10 +131,10 @@ func (c *Cluster) Engines() []*Engine { return c.group.Engines() }
 // return, when every shard has synchronized.
 func (c *Cluster) Now() Time { return c.group.Now() }
 
-// Control schedules fn at cluster time t on the coordinator: every
-// shard is quiesced past t and advanced to t before fn runs, so fn may
-// read or mutate any node. Controls are the cluster-wide analogue of
-// Engine.At; per-node work belongs on the node's own engine.
+// Control schedules fn at cluster time t: every shard is quiesced past t
+// and advanced to t before fn runs, so fn may read or mutate any node.
+// Controls are the cluster-wide analogue of Engine.At; per-node work
+// belongs on the node's own engine.
 func (c *Cluster) Control(t Time, fn func()) { c.group.Control(t, fn) }
 
 // Pending returns the number of undelivered events across all shards,
@@ -158,31 +142,11 @@ func (c *Cluster) Control(t Time, fn func()) { c.group.Control(t, fn) }
 func (c *Cluster) Pending() int { return c.group.Pending() }
 
 // Run drives every shard until the cluster is idle.
-func (c *Cluster) Run() {
-	c.prepare()
-	c.group.Run()
-}
+func (c *Cluster) Run() { c.group.Run() }
 
 // RunUntil drives every shard through deadline (inclusive), then
 // advances all clocks to it.
-func (c *Cluster) RunUntil(deadline Time) {
-	c.prepare()
-	c.group.RunUntil(deadline)
-}
-
-// prepare resolves the worker count just before a run: 0 means one
-// worker per CPU; the TLP flight recorder — a single unlocked ring
-// buffer — forces the (identical) sequential schedule.
-func (c *Cluster) prepare() {
-	w := c.o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if c.o.Telemetry != nil && c.o.Telemetry.Recorder() != nil {
-		w = 1
-	}
-	c.group.SetWorkers(w)
-}
+func (c *Cluster) RunUntil(deadline Time) { c.group.RunUntil(deadline) }
 
 // AddHost builds a plain host on its own shard and racks it behind the
 // switch.

@@ -100,7 +100,6 @@ func run(args []string, out io.Writer) int {
 	spec := fs.String("spec", "", "exact scenario spec to replay for -exp scenario (the form a shrunk repro command prints); overrides -count")
 	clients := fs.String("clients", "1,2,4,8", "client counts the cluster experiment sweeps, comma-separated; with -hosts these are aggregated counts (e.g. -clients 128,512)")
 	hosts := fs.Int("hosts", 0, "fold each cluster client count onto this many aggregated-client hosts (0 = one discrete host per client); the hundred-node scaling mode")
-	workers := fs.Int("workers", 0, "scheduler workers for the cluster, chaos and failover experiments: 0 = one per CPU, 1 = sequential reference (identical telemetry either way)")
 	traceOut := fs.String("trace", "", "run the telemetry experiment, print its counter snapshot, and write the TLP flight recorder as Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -173,23 +172,19 @@ func run(args []string, out io.Writer) int {
 		{"iot-security", "invalid IoT tokens dropped in hardware", func() *exps.Result { return exps.IotInvalidTokensDropped(window) }},
 		{"ext-virtio", "portability: FLD behind a virtio-style NIC", func() *exps.Result { return exps.Portability(window) }},
 		{"telemetry", "telemetry/flight-recorder self-check; honors -trace", runTelemetry},
-		{"chaos", "deterministic fault storm; honors -seed -faults -workers", func() *exps.Result { return exps.ChaosWorkers(*seed, *faults, window, *workers) }},
-		{"failover", "crash-failover SLOs under supervision; honors -workers", func() *exps.Result { return exps.FailoverWorkers(window, *workers) }},
+		{"chaos", "deterministic fault storm; honors -seed -faults", func() *exps.Result { return exps.Chaos(*seed, *faults, window) }},
+		{"failover", "crash-failover SLOs under supervision", func() *exps.Result { return exps.Failover(window) }},
 		{"scenario", "generated-scenario sweep; honors -seed -count -spec", func() *exps.Result { return exps.Scenario(*seed, *count, *spec) }},
 		{"tenancy", "multi-tenant live reconcile under traffic; honors -seed", func() *exps.Result { return exps.Tenancy(*seed, window) }},
-		{"kvserve", "TCP offload + KV serving under 10^5 connections; honors -seed -workers", func() *exps.Result {
+		{"kvserve", "TCP offload + KV serving under 10^5 connections; honors -seed", func() *exps.Result {
 			p := exps.DefaultKVServeParams(window)
 			p.Seed = *seed
-			if *workers > 0 {
-				p.HashWorkers = []int{*workers, 1, 4}
-			}
 			return exps.KVServe(p)
 		}},
-		{"cluster", "N-client scaling behind a ToR switch; honors -clients -hosts -workers", func() *exps.Result {
+		{"cluster", "N-client scaling behind a ToR switch; honors -clients -hosts", func() *exps.Result {
 			p := exps.DefaultClusterParams(window)
 			p.Clients = clientCounts
 			p.Hosts = *hosts
-			p.Workers = *workers
 			return exps.Cluster(p)
 		}},
 	}

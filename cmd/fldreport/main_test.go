@@ -8,7 +8,7 @@ import (
 )
 
 // TestQuickReportGolden pins the whole -quick report byte for byte: 25
-// experiments, 113 checks. It is the only pin on the two-node experiments
+// experiments, 112 checks. It is the only pin on the two-node experiments
 // (fig7b/7c, table6, fig8a/8b, defrag, iot-*, mixed-trace, ext-virtio),
 // which otherwise stand behind threshold checks alone. The simulation is
 // deterministic, so any diff is a behaviour change: recapture with
@@ -49,11 +49,31 @@ func TestCSVAndFlagErrors(t *testing.T) {
 		}
 	}
 	for _, args := range [][]string{
-		{"-csv", "fig9"}, {"-sizes", "64,x"}, {"-clients", "0"}, {"-exp", "nope"},
+		{"-csv", "fig9"}, {"-sizes", "64,x"}, {"-clients", "0"}, {"-exp", "nope"}, {"-workers", "2"},
 	} {
 		var out bytes.Buffer
 		if status := run(args, &out); status != 2 || out.Len() != 0 {
 			t.Errorf("run(%v) = %d with %d bytes of output, want 2 and none", args, status, out.Len())
+		}
+	}
+}
+
+// TestCISmokeCommandsExitZero runs the -quick command lines ci.yml
+// smokes, so a check that cannot pass on one of them (a saturation
+// comparison on a one-point sweep, say) fails here and not only in CI.
+func TestCISmokeCommandsExitZero(t *testing.T) {
+	for _, cmd := range []string{
+		"-exp chaos -seed 1 -faults heavy -quick",
+		"-exp chaos -seed 1 -faults crash -quick",
+		"-exp failover -quick",
+		"-exp tenancy -quick",
+		"-exp cluster -clients 1,2 -quick",
+		"-exp cluster -clients 256 -hosts 128 -quick",
+		"-exp kvserve -quick",
+	} {
+		var out bytes.Buffer
+		if status := run(strings.Fields(cmd), &out); status != 0 {
+			t.Errorf("fldreport %s = %d, want 0\n%s", cmd, status, out.String())
 		}
 	}
 }

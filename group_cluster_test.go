@@ -9,14 +9,14 @@ import (
 
 // runPingCluster builds an n-host cluster in which every host streams
 // stamped UDP frames at its ring neighbor through the ToR switch, runs
-// it with the given worker count (optionally forcing zero lookahead),
-// and returns the telemetry hash and the total frames received. It is
-// the smallest all-cross-shard workload: every frame crosses two shard
-// boundaries (sender→switch, switch→receiver).
-func runPingCluster(t *testing.T, n, workers, perHost int, zeroLookahead bool) (string, int) {
+// it (optionally forcing zero lookahead), and returns the telemetry hash
+// and the total frames received. It is the smallest all-cross-shard
+// workload: every frame crosses two shard boundaries (sender→switch,
+// switch→receiver).
+func runPingCluster(t *testing.T, n, perHost int, zeroLookahead bool) (string, int) {
 	t.Helper()
 	reg := NewRegistry()
-	cl := NewCluster(WithTelemetry(reg), WithWorkers(workers))
+	cl := NewCluster(WithTelemetry(reg))
 	if zeroLookahead {
 		// Lookahead below the true link latency is conservative-safe: the
 		// scheduler degenerates to single-instant lockstep rounds but must
@@ -69,48 +69,15 @@ func runPingCluster(t *testing.T, n, workers, perHost int, zeroLookahead bool) (
 // and reproduce the normal-lookahead schedule byte-for-byte.
 func TestClusterZeroLookahead(t *testing.T) {
 	const n, perHost = 4, 40
-	ref, want := runPingCluster(t, n, 1, perHost, false)
+	ref, want := runPingCluster(t, n, perHost, false)
 	if want != n*perHost {
 		t.Fatalf("reference run delivered %d frames, want %d", want, n*perHost)
 	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 8}} {
-		hash, got := runPingCluster(t, n, tc.workers, perHost, true)
-		if got != want {
-			t.Errorf("%s zero-lookahead run delivered %d frames, want %d", tc.name, got, want)
-		}
-		if hash != ref {
-			t.Errorf("%s zero-lookahead telemetry diverged:\n got  %s\n want %s", tc.name, hash, ref)
-		}
+	hash, got := runPingCluster(t, n, perHost, true)
+	if got != want {
+		t.Errorf("zero-lookahead run delivered %d frames, want %d", got, want)
 	}
-}
-
-// TestClusterSeqParTelemetry is the facade-level determinism pin: the
-// same topology must hash identically at any worker count.
-func TestClusterSeqParTelemetry(t *testing.T) {
-	ref, want := runPingCluster(t, 6, 1, 60, false)
-	for _, w := range []int{2, 4, 8} {
-		hash, got := runPingCluster(t, 6, w, 60, false)
-		if got != want || hash != ref {
-			t.Errorf("workers=%d diverged: frames %d vs %d, hash %s vs %s", w, got, want, hash, ref)
-		}
-	}
-}
-
-// TestClusterParallelStress leans on the barrier and merge paths with a
-// wider topology and more traffic — most valuable under -race, where it
-// sweeps the coordinator/worker handoff for ordering bugs.
-func TestClusterParallelStress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress sweep")
-	}
-	ref, want := runPingCluster(t, 16, 1, 120, false)
-	for _, w := range []int{4, 8} {
-		hash, got := runPingCluster(t, 16, w, 120, false)
-		if got != want || hash != ref {
-			t.Errorf("workers=%d diverged: frames %d vs %d, hash %s vs %s", w, got, want, hash, ref)
-		}
+	if hash != ref {
+		t.Errorf("zero-lookahead telemetry diverged:\n got  %s\n want %s", hash, ref)
 	}
 }

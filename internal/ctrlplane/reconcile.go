@@ -50,7 +50,7 @@ const (
 	// reconcileBackoffBase/Max pace retry attempts, jittered ±25% from
 	// the reconciler's own seeded stream — same discipline as the
 	// swdriver supervision ladder, so convergence schedules replay
-	// byte-identically under the parallel scheduler.
+	// byte-identically.
 	reconcileBackoffBase = 1 * sim.Microsecond
 	reconcileBackoffMax  = 16 * sim.Microsecond
 	// reconcileMaxAttempts bounds an episode that can never converge

@@ -28,25 +28,18 @@ import (
 // faults.ParseSpec; empty means the "heavy" preset ("crash" adds the
 // device/node crash–restart classes). window is the storm's duration.
 func Chaos(seed int64, spec string, window flexdriver.Duration) *Result {
-	return ChaosWorkers(seed, spec, window, 0)
-}
-
-// ChaosWorkers is Chaos with the cluster scheduler's worker count
-// pinned (0 = one per CPU, 1 = the sequential reference). Results are
-// byte-identical at any setting — TestChaosExpSeqParIdentical pins it.
-func ChaosWorkers(seed int64, spec string, window flexdriver.Duration, workers int) *Result {
-	r, _ := chaosRun(seed, spec, window, workers)
+	r, _ := chaosRun(seed, spec, window)
 	return r
 }
 
 // ChaosTelemetryHash runs the storm and returns only the SHA-256 of the
 // final telemetry snapshot — the determinism tests' replay pin.
-func ChaosTelemetryHash(seed int64, spec string, window flexdriver.Duration, workers int) string {
-	_, h := chaosRun(seed, spec, window, workers)
+func ChaosTelemetryHash(seed int64, spec string, window flexdriver.Duration) string {
+	_, h := chaosRun(seed, spec, window)
 	return h
 }
 
-func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) (*Result, string) {
+func chaosRun(seed int64, spec string, window flexdriver.Duration) (*Result, string) {
 	r := &Result{ID: "chaos",
 		Title: fmt.Sprintf("FLD-E cluster echo under fault injection (seed=%d, faults=%q)", seed, orHeavy(spec))}
 	r.Columns = []string{"metric", "value", "", "", "", ""}
@@ -68,8 +61,7 @@ func chaosRun(seed int64, spec string, window flexdriver.Duration, workers int) 
 	cfg.Start, cfg.Stop = warmup, warmup+window
 
 	plan := flexdriver.NewFaultPlan(seed, cfg)
-	cl := rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithFaults(plan),
-		flexdriver.WithWorkers(workers))
+	cl := rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithFaults(plan))
 
 	// Server: one Innova whose FLD runs the header-swapping echo (the
 	// switch's source filter would eat verbatim hairpin replies).

@@ -34,10 +34,6 @@ type ClusterParams struct {
 	Warmup, Window, Drain flexdriver.Duration
 	// Seed drives the per-client Poisson arrival streams.
 	Seed int64
-	// Workers pins the cluster scheduler's worker count (0 = one per
-	// CPU, 1 = the sequential reference schedule). Results are
-	// byte-identical at any setting; the determinism tests sweep it.
-	Workers int
 	// Hosts, when positive, folds each point's N clients into this many
 	// aggregated-client hosts (flexdriver.AggregatedClients) instead of
 	// N discrete nodes: client gi keeps its discrete arrival stream
@@ -100,10 +96,8 @@ func balancedFlows(src, dst *flexdriver.NIC, flows, cores, size int, base uint16
 const seqOff = 42
 
 // rttHost is one traffic-carrying host of a measured, fault-free point:
-// the rig client plus what it saw inside the measurement window. Every
-// accumulator is private to the host's shard during the run and merged
-// afterwards — shards run on real goroutines, so shared accumulators
-// would race.
+// the rig client plus what it saw inside the measurement window, merged
+// across hosts once every shard is idle.
 type rttHost struct {
 	*rig.Client
 	lat        []float64 // RTTs, us
@@ -196,7 +190,7 @@ func (pt *servedPoint) measure(warmup, window, drain flexdriver.Duration) served
 // (Seed*1000+gi) and flow-tag set (base sport strided per client) it
 // would own as a discrete host.
 func runClusterPoint(n int, p ClusterParams) clusterPoint {
-	pt := &servedPoint{Rig: rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithWorkers(p.Workers))}
+	pt := &servedPoint{Rig: rig.New(flexdriver.WithDriver(genDriverParams()))}
 	pt.SwitchQueueFrames(p.QueueFrames)
 	pt.srv = pt.AddServer("server", p.FLDCores, func(f *flexdriver.FLD) { rig.InstallEcho(f) })
 	pt.srv.Steer(flexdriver.Rule{})
@@ -325,9 +319,12 @@ func Cluster(p ClusterParams) *Result {
 		r.Check("switch tail-drops only under overload", 0, float64(drops0), "frames",
 			drops0 == 0 && dropsOver > 0,
 			fmt.Sprintf("%d drops at the overloaded points", dropsOver))
-		p99OK := last.p99us > points[0].p99us
-		r.Check("p99 latency inflates at saturation", points[0].p99us, last.p99us, "us",
-			p99OK, "queueing delay at the congested port")
+		// Inflation needs an unsaturated point to compare against; a
+		// sweep that starts over the bound (-clients 256) has none.
+		if first := points[0]; first.offeredGbps <= 0.9*bound {
+			r.Check("p99 latency inflates at saturation", first.p99us, last.p99us, "us",
+				last.p99us > first.p99us, "queueing delay at the congested port")
+		}
 	}
 	r.Check("per-FLD imbalance under RSS", 0.20, maxImb, "rel",
 		maxImb < 0.20, "max relative deviation from the per-core mean")

@@ -15,9 +15,7 @@ import (
 //
 // Recaptured for the sharded-engine cluster: each node now runs on a
 // private engine synchronized at the switch, which legitimately
-// re-interleaves same-instant events across nodes. The new hash is the
-// sequential reference schedule's, and TestClusterSeqParIdentical pins
-// every parallel worker count to it.
+// re-interleaves same-instant events across nodes.
 //
 // Recaptured for the failure-domain layer: every node now registers its
 // crash/recovery counters (nic device/*, fld errors/crash*, swdriver
@@ -72,7 +70,7 @@ func TestClusterTelemetryStable(t *testing.T) {
 const goldenChaosScenarioHash = "441eb8d37842ee99e4ae7ec9397fd262391b6553f2380a5f625b9f52e47e10be"
 
 func TestChaosScenarioTelemetryGolden(t *testing.T) {
-	got := ScenarioTelemetryHash(2, 0)
+	got := ScenarioTelemetryHash(2)
 	if got != goldenChaosScenarioHash {
 		t.Fatalf("chaos-fault scenario telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenChaosScenarioHash)
@@ -83,8 +81,8 @@ func TestChaosScenarioTelemetryGolden(t *testing.T) {
 // under fault injection: the plan's Bernoulli stream, the flap schedule
 // and every recovery path must be as replayable as the clean fast path.
 func TestChaosScenarioTelemetryStable(t *testing.T) {
-	a := ScenarioTelemetryHash(2, 0)
-	b := ScenarioTelemetryHash(2, 0)
+	a := ScenarioTelemetryHash(2)
+	b := ScenarioTelemetryHash(2)
 	if a != b {
 		t.Fatalf("back-to-back chaos scenario runs diverged: %s vs %s", a, b)
 	}
@@ -106,87 +104,35 @@ func TestChaosScenarioTelemetryStable(t *testing.T) {
 const goldenChaosExpHash = "bdd6cb3ecaaf3137e05f1529229953f5bc42aa9a8169214c76bdc96c981b4e8e"
 
 func TestChaosExpTelemetryGolden(t *testing.T) {
-	got := ChaosTelemetryHash(7, "crash", 200*sim.Microsecond, 1)
+	got := ChaosTelemetryHash(7, "crash", 200*sim.Microsecond)
 	if got != goldenChaosExpHash {
 		t.Fatalf("fixed-seed chaos telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenChaosExpHash)
 	}
 }
 
-// TestChaosExpSeqParIdentical pins the chaos experiment's telemetry to
-// the sequential reference schedule at several worker counts — crash
-// windows, supervision-ladder retries and watchdog Control sweeps must
-// replay byte-identically under the parallel scheduler.
-func TestChaosExpSeqParIdentical(t *testing.T) {
-	seq := ChaosTelemetryHash(7, "crash", 200*sim.Microsecond, 1)
-	for _, w := range []int{4, 8} {
-		if got := ChaosTelemetryHash(7, "crash", 200*sim.Microsecond, w); got != seq {
-			t.Fatalf("workers=%d diverged from the sequential schedule:\n got  %s\n want %s",
-				w, got, seq)
-		}
-	}
-}
-
-// TestClusterSeqParIdentical is the parallel scheduler's core guarantee,
-// pinned at the experiment layer: the sharded cluster must produce
-// byte-identical telemetry whether its shards run on one worker (the
-// sequential reference schedule) or on many. Any divergence means a
-// cross-shard ordering leaked into results.
-func TestClusterSeqParIdentical(t *testing.T) {
-	p := DefaultClusterParams(100 * sim.Microsecond)
-	p.Workers = 1
-	seq := ClusterTelemetryHash(2, p)
-	for _, w := range []int{2, 4, 8} {
-		p.Workers = w
-		if got := ClusterTelemetryHash(2, p); got != seq {
-			t.Fatalf("workers=%d diverged from the sequential schedule:\n got  %s\n want %s",
-				w, got, seq)
-		}
-	}
-}
-
-// TestCluster128SeqParIdentical is the large-cluster form of the pin:
-// 256 aggregated clients folded onto 128 hosts (two per source) — the
-// topology the hundred-node experiments run — must hash byte-identically
-// at 1, 4 and 8 workers. This exercises the idle-shard skip and the
-// batched conduit merge at a shard count two orders of magnitude above
-// the 2-client pin, where any window-extension or merge-order bug that
-// depends on shard population would actually show.
+// TestCluster128SeqParIdentical is the large-cluster form of
+// TestClusterTelemetryStable: 256 aggregated clients folded onto 128
+// hosts (two per source) — the topology the hundred-node experiments
+// run — must replay byte-identically. The idle-shard skip and the
+// batched conduit merge run at a shard count two orders of magnitude
+// above the 2-client pin, where a map-ordered walk over nodes or ports
+// would actually show.
 func TestCluster128SeqParIdentical(t *testing.T) {
 	p := DefaultClusterParams(40 * sim.Microsecond)
 	p.Warmup = 20 * sim.Microsecond
 	p.Drain = 60 * sim.Microsecond
 	p.Hosts = 128
 	p.PerClientGbps = 0.4
-	p.Workers = 1
-	seq := ClusterTelemetryHash(256, p)
-	for _, w := range []int{4, 8} {
-		p.Workers = w
-		if got := ClusterTelemetryHash(256, p); got != seq {
-			t.Fatalf("workers=%d diverged from the sequential schedule at 128 hosts:\n got  %s\n want %s",
-				w, got, seq)
-		}
-	}
-}
-
-// TestChaosSeqParIdentical extends the sequential-vs-parallel pin to a
-// fault-injecting scenario: per-attachment fault streams, recovery
-// watchdog controls and the RDMA sidecar must all replay identically
-// under the parallel scheduler.
-func TestChaosSeqParIdentical(t *testing.T) {
-	seq := ScenarioTelemetryHash(2, 1)
-	for _, w := range []int{2, 8} {
-		if got := ScenarioTelemetryHash(2, w); got != seq {
-			t.Fatalf("workers=%d diverged from the sequential schedule:\n got  %s\n want %s",
-				w, got, seq)
-		}
+	if a, b := ClusterTelemetryHash(256, p), ClusterTelemetryHash(256, p); a != b {
+		t.Fatalf("back-to-back 128-host runs diverged:\n %s\n %s", a, b)
 	}
 }
 
 // The three goldens below were captured at the commit before the cluster
 // experiments were rebuilt on internal/rig, so kvserve, tenancy and
 // failover are held to the same bar as the cluster, chaos and scenario
-// pins above: byte-identical telemetry, not just worker-count equality.
+// pins above: byte-identical telemetry.
 // Same recapture rule.
 const (
 	goldenKVServeHash  = "56dadc93f2d61d598e3bbf98672a0958e8807fd59570e19ee5cc85a2ff9bde93"
@@ -197,21 +143,21 @@ const (
 func TestKVServeTelemetryGolden(t *testing.T) {
 	p := DefaultKVServeParams(150 * sim.Microsecond)
 	p.Connections, p.Hosts = 5000, 4
-	if got := KVServeTelemetryHash(p, 1); got != goldenKVServeHash {
+	if got := KVServeTelemetryHash(p); got != goldenKVServeHash {
 		t.Fatalf("fixed-seed kvserve telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenKVServeHash)
 	}
 }
 
 func TestTenancyTelemetryGolden(t *testing.T) {
-	if got := runTenancyPoint(3, 300*sim.Microsecond, 1).telemHash; got != goldenTenancyHash {
+	if got := runTenancyPoint(3, 300*sim.Microsecond).telemHash; got != goldenTenancyHash {
 		t.Fatalf("fixed-seed tenancy telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenTenancyHash)
 	}
 }
 
 func TestFailoverTelemetryGolden(t *testing.T) {
-	if _, got := failoverRun(300*sim.Microsecond, 1); got != goldenFailoverHash {
+	if _, got := failoverRun(300 * sim.Microsecond); got != goldenFailoverHash {
 		t.Fatalf("fixed-seed failover telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenFailoverHash)
 	}

@@ -8,7 +8,7 @@ import (
 	"flexdriver/internal/swdriver"
 )
 
-// FailoverWorkers is the failure-domain experiment: two Innova echo servers
+// Failover is the failure-domain experiment: two Innova echo servers
 // behind a ToR switch serve four clients; mid-traffic one server
 // crash–restarts as a whole node (NIC, FLD, host driver together). The
 // clients run a consecutive-loss failover policy — no reply for a
@@ -29,15 +29,12 @@ import (
 // No fault plan runs here: the crash is a single deterministic Control
 // action, so the measured windows are attributable to the ladder and
 // the policy, not to storm luck.
-//
-// workers pins the cluster scheduler's worker count (0 = one per CPU, 1 =
-// the sequential reference).
-func FailoverWorkers(window flexdriver.Duration, workers int) *Result {
-	r, _ := failoverRun(window, workers)
+func Failover(window flexdriver.Duration) *Result {
+	r, _ := failoverRun(window)
 	return r
 }
 
-func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
+func failoverRun(window flexdriver.Duration) (*Result, string) {
 	r := &Result{ID: "failover",
 		Title: "Node crash failover: 4 clients vs 2 Innova echo servers, one crash-restarts"}
 	r.Columns = []string{"client", "primary", "failover us", "rejoin us", "replies", "loss"}
@@ -51,7 +48,7 @@ func failoverRun(window flexdriver.Duration, workers int) (*Result, string) {
 	stopSend := restartAt + window
 	deadline := stopSend + 60*flexdriver.Microsecond
 
-	cl := rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithWorkers(workers))
+	cl := rig.New(flexdriver.WithDriver(genDriverParams()))
 
 	servers := make([]*rig.Server, 2)
 	for i := range servers {

@@ -50,10 +50,6 @@ type KVServeParams struct {
 	Warmup, Window, Drain flexdriver.Duration
 	// Seed drives every arrival and popularity stream.
 	Seed int64
-	// HashWorkers lists the scheduler worker counts the experiment
-	// re-runs under to pin telemetry-hash equality (default {1, 4, 8});
-	// the first entry is the measurement run.
-	HashWorkers []int
 }
 
 // DefaultKVServeParams returns the paper-scale point: 10^5 connections
@@ -107,24 +103,23 @@ const (
 	kvKeyOff = tcp.FrameOverhead + rpc.HeaderLen
 )
 
-// runKVServePoint runs the serving topology once at the given worker
-// count: FLDCores kv AFUs behind an RSS TIR, like the cluster echo, and
-// Connections flow-level TCP connections folded into Hosts aggregated
-// sources. Connection gi owns arrival stream Seed*1000+gi (splitmix
-// state — 10^5 full rand.Rand instances would cost half a gigabyte), the
+// runKVServePoint runs the serving topology once: FLDCores kv AFUs
+// behind an RSS TIR, like the cluster echo, and Connections flow-level
+// TCP connections folded into Hosts aggregated sources. Connection gi
+// owns arrival stream Seed*1000+gi (splitmix state — 10^5 full
+// rand.Rand instances would cost half a gigabyte), the
 // 4-tuple (hostIP, 2048+local, srv, 7777) and a sequence cursor; the
 // host-level ordinal rides in the RPC correlation ID for RTT; popularity
 // is a per-host Zipf stream.
-func runKVServePoint(p KVServeParams, workers int) kvPoint {
-	pt := &servedPoint{Rig: rig.New(flexdriver.WithDriver(genDriverParams()), flexdriver.WithWorkers(workers))}
+func runKVServePoint(p KVServeParams) kvPoint {
+	pt := &servedPoint{Rig: rig.New(flexdriver.WithDriver(genDriverParams()))}
 	pt.SwitchQueueFrames(p.QueueFrames)
 	var kvs []*kv.AFU
 	pt.srv = pt.AddServer("server", p.FLDCores, func(f *flexdriver.FLD) { kvs = append(kvs, kv.New(f)) })
 	pt.srv.Steer(flexdriver.Rule{})
 
 	reqLen := rpc.HeaderLen + p.KeyBytes + p.ValueBytes
-	// conns[gi] counts connection gi's requests; each index is touched
-	// only by its owning host's shard, so the shared slice does not race.
+	// conns[gi] counts connection gi's requests, written by its owning host.
 	conns := make([]uint32, p.Connections)
 	perConnBps := p.OfferedGbps * 1e9 / float64(p.Connections)
 	mean := flexdriver.Duration(float64(p.ReqBytes()*8) / perConnBps *
@@ -184,11 +179,10 @@ func runKVServePoint(p KVServeParams, workers int) kvPoint {
 	return kp
 }
 
-// KVServeTelemetryHash runs the serving point at the given worker count
-// and returns the final telemetry snapshot hash (the determinism tests'
-// subject).
-func KVServeTelemetryHash(p KVServeParams, workers int) string {
-	return runKVServePoint(p, workers).hash
+// KVServeTelemetryHash runs the serving point and returns the final
+// telemetry snapshot hash (the determinism tests' subject).
+func KVServeTelemetryHash(p KVServeParams) string {
+	return runKVServePoint(p).hash
 }
 
 // KVServe runs the TCP-offload key-value serving experiment: 10^5
@@ -203,19 +197,15 @@ func KVServeTelemetryHash(p KVServeParams, workers int) string {
 //     and never exceeds the model ceiling;
 //   - memory: the Connections-sized connection table plus the FLD
 //     driver structures fit the XCKU15P on-chip budget;
-//   - determinism: the telemetry hash is byte-identical across
-//     scheduler worker counts (default 1, 4 and 8).
+//   - determinism: a second run replays the telemetry hash
+//     byte-identically.
 func KVServe(p KVServeParams) *Result {
 	r := &Result{ID: "kvserve",
 		Title: fmt.Sprintf("TCP offload + RPC serving: %d connections vs %d kv cores",
 			p.Connections, p.FLDCores)}
 	r.Columns = []string{"conns", "active", "req/s (win)", "resp Gb/s", "p50 us", "p99 us", "p999 us", "hit rate"}
 
-	hw := p.HashWorkers
-	if len(hw) == 0 {
-		hw = []int{1, 4, 8}
-	}
-	pt := runKVServePoint(p, hw[0])
+	pt := runKVServePoint(p)
 
 	win := p.Window.Seconds()
 	reqRate := float64(pt.sent) / win
@@ -260,9 +250,9 @@ func KVServe(p KVServeParams) *Result {
 	r.Check("no credit-stall response drops", 0, float64(pt.dropped), "frames",
 		pt.dropped == 0, "")
 
-	hashOK := rig.SameHash(pt.hash, hw[1:], func(w int) string { return runKVServePoint(p, w).hash })
-	r.Check("telemetry hash identical across workers", float64(len(hw)), b2f(hashOK), "",
-		hashOK, fmt.Sprintf("workers %v, hash %s...", hw, pt.hash[:12]))
+	replayOK := runKVServePoint(p).hash == pt.hash
+	r.Check("telemetry hash identical on replay", 1, b2f(replayOK), "",
+		replayOK, fmt.Sprintf("two runs, hash %s...", pt.hash[:12]))
 	r.Check("PCIe byte counters reconcile on every node", 0, float64(pt.pcieMismatches),
 		"mismatches", pt.pcieMismatches == 0, "telemetry vs Port.{Up,Down}Bytes, all nodes")
 	r.Check("sim engine quiesced", 0, float64(pt.pending), "events", pt.pending == 0, "")

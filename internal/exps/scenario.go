@@ -81,15 +81,11 @@ func Scenario(seed int64, count int, spec string) *Result {
 	return r
 }
 
-// ScenarioTelemetryHash runs one generated scenario once, with the
-// cluster scheduler's worker count pinned (0 = one per CPU), and returns
-// the SHA-256 of its final telemetry snapshot — the whole run's
-// deterministic fingerprint, golden-pinned by the determinism regression
-// tests (including a chaos-fault scenario, so fault-plan random streams
-// are covered too) and cross-checked between the parallel schedule and
-// the sequential reference.
-func ScenarioTelemetryHash(seed int64, workers int) string {
-	s := scenario.Generate(seed)
-	s.Workers = workers
-	return scenario.Run(s).Hash
+// ScenarioTelemetryHash runs one generated scenario once and returns the
+// SHA-256 of its final telemetry snapshot — the whole run's deterministic
+// fingerprint, golden-pinned by the determinism regression tests
+// (including a chaos-fault scenario, so fault-plan random streams are
+// covered too).
+func ScenarioTelemetryHash(seed int64) string {
+	return scenario.Run(scenario.Generate(seed)).Hash
 }

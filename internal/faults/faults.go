@@ -112,14 +112,13 @@ func (c Counts) Total() int64 {
 // random stream from the plan seed and its attachment ordinal, which
 // keeps the whole testbed's fault sequence a pure function of
 // (seed, config, construction order) — independent of event interleaving
-// across shards, so sequential and parallel cluster runs inject
-// identically.
+// across shards.
 type Plan struct {
 	Cfg Config
 	// Injected tallies what was actually injected, for reconciliation
 	// against observed loss; SetTelemetry publishes the same fields as
-	// injected/<class>. Several shards feed it concurrently, hence the
-	// atomic updates in note; read it only between runs.
+	// injected/<class>. Every shard with an attachment feeds it, through
+	// note's atomic adds; read it only between runs.
 	Injected Counts
 
 	seed    int64
@@ -210,8 +209,8 @@ func (s *stream) hit(prob float64) bool {
 	return prob > 0 && s.active() && s.rng.Float64() < prob
 }
 
-// note records one injection. Atomic: every shard with an attachment
-// funnels into the plan's shared tallies.
+// note records one injection. Atomic: one plan may serve clusters that
+// different goroutines run, and all funnel into its shared tallies.
 func (p *Plan) note(n *int64) { atomic.AddInt64(n, 1) }
 
 // SetTelemetry publishes the Injected tallies in sc as injected/<class>

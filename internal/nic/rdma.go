@@ -243,7 +243,7 @@ func (qp *QP) pump() {
 		if p.started {
 			continue
 		}
-		if p.psn >= qp.una+defaultQPWindow {
+		if int32(p.psn-qp.una) >= defaultQPWindow {
 			break
 		}
 		p.started = true
@@ -381,7 +381,7 @@ func ReconnectQPs(a, b *QP) {
 func (qp *QP) retransmit() {
 	for i := 0; i < qp.sent.Len(); i++ {
 		p := qp.sent.Peek(i)
-		if p.psn >= qp.una+defaultQPWindow {
+		if int32(p.psn-qp.una) >= defaultQPWindow {
 			break
 		}
 		p.started = true

@@ -286,3 +286,44 @@ func TestRoCEParseRejectsNonRoCE(t *testing.T) {
 		t.Fatal("plain UDP parsed as RoCE")
 	}
 }
+
+// TestRDMAWindowAcrossPSNWrap starts both PSN streams 64 below 2³² and
+// sends 300 packets (30 messages of 10: the receiver acks per message,
+// so one message must fit the 128-packet window), so the send window's
+// upper edge (una+128) wraps before the first packet leaves. Compared
+// unsigned, every PSN sits "beyond" the wrapped edge: nothing is sent and
+// the QP burns its retry budget into Error.
+func TestRDMAWindowAcrossPSNWrap(t *testing.T) {
+	h := newRDMAHarness(t, 1024)
+	const start = ^uint32(0) - 63
+	h.qpA.sndPSN, h.qpA.una, h.qpB.expPSN = start, start, start
+	msg := make([]byte, 10*1024)
+	for i := range msg {
+		msg[i] = byte(i * 11)
+	}
+	buf := h.a.mem.Alloc(uint64(len(msg)), 64)
+	h.a.mem.WriteAt(buf, msg)
+	const n = 30
+	for m := 0; m < n; m++ {
+		h.sqA.post(SendWQE{Opcode: OpSend, Signal: m == n-1,
+			Addr: h.a.fab.AddrOf(h.a.mem, buf), Len: uint32(len(msg))})
+		if m%10 == 9 { // 100 KB of gather reads at a time fits the completion timeout
+			h.sqA.doorbell()
+			h.eng.Run()
+		}
+	}
+	if h.qpA.State() != QueueReady || h.qpB.State() != QueueReady {
+		t.Fatalf("QP states %v/%v after the wrap, want Ready", h.qpA.State(), h.qpB.State())
+	}
+	if len(*h.msgs) != n {
+		t.Fatalf("delivered %d messages across the PSN wrap, want %d", len(*h.msgs), n)
+	}
+	for m, got := range *h.msgs {
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("message %d corrupted", m)
+		}
+	}
+	if tx := h.a.nic.Stats.TxPackets; tx != 10*n {
+		t.Fatalf("%d data packets sent for %d: retransmission on a lossless wire", tx, 10*n)
+	}
+}

@@ -153,7 +153,7 @@ func TestOpenLoopMatchesClosures(t *testing.T) {
 // given — must leave a foreign flood unanswered.
 func TestEchoRoundTrip(t *testing.T) {
 	const off = 42
-	r := New(flexdriver.WithWorkers(1))
+	r := New()
 	var echoes []*Echo
 	srv := r.AddServer("server", 2, func(f *flexdriver.FLD) { echoes = append(echoes, InstallEcho(f)) })
 	srv.Steer(flexdriver.Rule{})
@@ -222,17 +222,7 @@ func TestWindowFlag(t *testing.T) {
 	}
 }
 
-func TestSameHashAndMaxCrashFor(t *testing.T) {
-	ran := []int{}
-	if !SameHash("h", []int{4, 8}, func(w int) string { ran = append(ran, w); return "h" }) {
-		t.Fatal("equal hashes reported as different")
-	}
-	if SameHash("h", []int{4, 8}, func(w int) string { return fmt.Sprint("h", w%8) }) {
-		t.Fatal("a diverging worker count went unnoticed")
-	}
-	if fmt.Sprint(ran) != "[4 8]" {
-		t.Fatalf("ladder ran %v", ran)
-	}
+func TestMaxCrashFor(t *testing.T) {
 	cfg, err := flexdriver.ParseFaultSpec("fld.reset.every=50us,fld.reset.for=4us,sw.reboot.every=90us,sw.reboot.for=9us")
 	if err != nil {
 		t.Fatal(err)

@@ -57,20 +57,6 @@ func Split(n, hosts int) []Span {
 	return spans
 }
 
-// SameHash re-runs a fixed-seed run at each worker count and reports
-// whether every telemetry hash equals ref (the sequential or measurement
-// run's): the parallel scheduler's determinism guarantee, checked at the
-// experiment layer.
-func SameHash(ref string, workers []int, run func(workers int) string) bool {
-	same := true
-	for _, w := range workers {
-		if run(w) != ref {
-			same = false
-		}
-	}
-	return same
-}
-
 // MaxCrashFor is the longest configured crash-window duration across
 // every failure-domain class — the dominant term of any honest MTTR
 // bound: an episode detected the instant a component dies cannot close

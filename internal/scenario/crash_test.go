@@ -61,7 +61,6 @@ func TestSeed240Quiesces(t *testing.T) {
 	if s.Proto != "rpc" || !strings.Contains(s.Faults, "sw.reboot") {
 		t.Fatalf("seed 240 no longer draws the rpc + switch-reboot scenario: %v", s)
 	}
-	s.Workers = 1
 	done := make(chan *Result, 1)
 	go func() { done <- Check(s) }()
 	select {

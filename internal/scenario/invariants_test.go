@@ -24,7 +24,7 @@ func TestNICQueueSumsMatchSnapshotSum(t *testing.T) {
 		}
 		// Run's own build-and-quiesce steps, fault-free, keeping the
 		// cluster so the oracle can be asked node by node.
-		rn := &run{Rig: rig.New(flexdriver.WithWorkers(1)), spec: s,
+		rn := &run{Rig: rig.New(), spec: s,
 			stop: warmup + sim.Duration(s.WindowUs)*sim.Microsecond}
 		rn.SwitchRate(sim.BitRate(s.RateGbps) * sim.Gbps).SwitchQueueFrames(s.QueueFrames)
 		parts := partsFor(rn)
@@ -72,7 +72,7 @@ func TestNICQueueSumsMatchSnapshotSum(t *testing.T) {
 
 // TestScenarioFootprint pins what building, running, judging and dropping
 // one topology allocates, as TestEventsPerEcho pins events: the mean over
-// Generate(1..20) at Workers=1. The budgets sit 4 % over the 4.96 MB and
+// Generate(1..20). The budgets sit 4 % over the 4.96 MB and
 // 7 338 objects measured under go1.24 (DESIGN "Simulator performance",
 // construction ledger); before the FLD SRAM went lazy and the translation
 // tables packed, the same loop cost 6.81 MB and 10 156 objects.
@@ -82,7 +82,6 @@ func TestScenarioFootprint(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for seed := int64(1); seed <= n; seed++ {
 		s := Generate(seed)
-		s.Workers = 1
 		if res := Run(s); len(res.Violations) > 0 {
 			t.Fatalf("seed %d: %v", seed, res.Violations)
 		}

@@ -143,7 +143,7 @@ func partsFor(rn *run) []part {
 func Run(s Spec) *Result {
 	res := &Result{Spec: s}
 	window := sim.Duration(s.WindowUs) * sim.Microsecond
-	opts := []flexdriver.Option{flexdriver.WithWorkers(s.Workers)}
+	var opts []flexdriver.Option
 	var plan *faults.Plan
 	if s.Faults != "" {
 		cfg, err := faults.ParseSpec(s.Faults)

@@ -303,10 +303,8 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestParallelSweep200 drives two hundred generated scenarios through
-// the parallel scheduler (default worker count) and holds every global
-// invariant. The narrower golden tests prove sequential and parallel
-// schedules are byte-identical; this sweep covers topology and fault
-// variety at a scale the double-run Check sweep cannot afford.
+// the sharded scheduler and holds every global invariant: topology and
+// fault variety at a scale the double-run Check sweep cannot afford.
 func TestParallelSweep200(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-seed sweep")
@@ -327,26 +325,5 @@ func TestParallelSweep200(t *testing.T) {
 	}
 	if quiet > 10 {
 		t.Errorf("%d of 200 scenarios sent no frames", quiet)
-	}
-}
-
-// TestSeqParHashEquality spot-checks a band of generated scenarios for
-// byte-identical telemetry between the sequential reference schedule
-// and an 8-worker parallel run — the fuzzer-facing form of the
-// determinism guarantee the golden tests pin on fixed topologies.
-func TestSeqParHashEquality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed double-run sweep")
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		s := Generate(seed)
-		s.Workers = 1
-		seq := Run(s)
-		s.Workers = 8
-		par := Run(s)
-		if seq.Hash != par.Hash {
-			t.Errorf("seed %d: sequential %s vs parallel %s\nrepro: %s",
-				seed, seq.Hash, par.Hash, s.ReproCommand())
-		}
 	}
 }

@@ -120,11 +120,9 @@ type Spec struct {
 	// Run confines the probabilistic window to the measurement window.
 	Faults string
 
-	// Workers pins the cluster scheduler's worker count (0 = one per
-	// CPU, 1 = the sequential reference schedule). It never affects the
-	// Result — only wall-clock time — and exists so the determinism
-	// tests can cross-check the parallel schedule against sequential.
-	// Generate leaves it 0 and Spec.String omits it.
+	// Workers is ignored: Run steps the shards on the caller.
+	//
+	// Deprecated: bench/ is the only writer; ROADMAP 1(a)'s benchmark-only PR deletes it.
 	Workers int
 }
 

@@ -26,8 +26,8 @@ type alfg struct {
 }
 
 // alfgPow[i][j] = 48271^(21+3i+j) mod (2^31-1); alfgCooked is math/rand's
-// additive table. Both are written during package initialisation only:
-// shards draw from their own sources concurrently and share these.
+// additive table. Both are written during package initialisation only,
+// so sources on any number of goroutines share them.
 var alfgPow, alfgCooked = alfgTables()
 
 // mulmod31 returns a·b mod (2^31-1) for a, b in [1, 2^31-2]: two folds of

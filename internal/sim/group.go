@@ -1,12 +1,9 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Group joins several Engines — one per node shard — under a conservative
-// parallel scheduler.
+// window scheduler that steps them in index order on the calling goroutine.
 //
 // The scheduler exploits the one physical fact that makes node shards
 // independent: every cross-shard interaction crosses a link with nonzero
@@ -14,9 +11,9 @@ import (
 // link, then an event executed at time t can only influence another shard
 // at t+L or later. The group therefore advances in rounds: find the
 // earliest pending event time T across all shards, let every shard run its
-// own events inside its window on its own goroutine, then synchronize at a
-// barrier where cross-shard messages (buffered in Conduits during the
-// round) are merged and injected into their destination engines.
+// own events inside its window, then stop at a barrier where cross-shard
+// messages (buffered in Conduits during the round) are merged and injected
+// into their destination engines.
 //
 // Windows are per-shard and adaptive. Every shard but the one holding the
 // global minimum T runs the classic conservative window [T, T+L). The
@@ -28,19 +25,16 @@ import (
 // cross-shard traffic is sparse; a group with no cross-shard conduits at
 // all (a fully co-located model) has no influence paths and runs every
 // shard straight to the next control or deadline. Shards with no events
-// before their window end are skipped entirely: no wakeup, no barrier
-// work, no merge scan.
+// before their window end are skipped entirely: no barrier work, no merge
+// scan.
 //
-// Determinism does not depend on the number of worker goroutines. The
-// window bounds are a pure function of per-shard next-event times, and
-// within a round shards touch only their own state plus per-conduit
-// outboxes owned by the sending shard; at the barrier the coordinator
-// merges all buffered messages in (arrival time, conduit ID, send index)
-// order and injects them in that order, so destination-engine sequence
-// numbers — and hence the (time, seq) execution order — come out identical
-// whether the round ran on one worker or eight. Sequential mode
-// (SetWorkers(1)) runs the same rounds in shard-index order inline on the
-// coordinator and is the determinism reference.
+// The schedule is a pure function of the model. The window bounds depend
+// only on per-shard next-event times, and within a round shards touch only
+// their own state plus per-conduit outboxes owned by the sending shard; at
+// the barrier all buffered messages are merged in (arrival time, conduit
+// ID, send index) order and injected in that order, which fixes the
+// destination-engine sequence numbers and hence the (time, seq) execution
+// order.
 //
 // Zero lookahead degenerates gracefully: windows shrink to a single
 // picosecond instant, rounds crawl one timestamp at a time, and messages
@@ -49,15 +43,13 @@ import (
 // disabled at zero lookahead: a message sent at t can be answered at t,
 // and the answer must not land behind a shard that ran past t.)
 //
-// Construction (NewEngine, Conduit wiring, Control scheduling from outside
-// a run) is single-threaded, like everything else at build time. During a
-// round, shard events must not touch group state; Control actions run at
-// barriers on the coordinator goroutine and may touch everything.
+// During a round, shard events must not touch group state or another
+// shard (the windows are only sound if every cross-shard influence rides a
+// conduit); Control actions run at barriers and may touch everything.
 type Group struct {
 	engines   []*Engine
 	conduits  []*Conduit
 	lookahead Duration
-	workers   int
 	now       Time
 	ids       map[string]int
 
@@ -66,30 +58,20 @@ type Group struct {
 
 	// Barrier scratch, reused across rounds so the steady state does not
 	// allocate.
-	active []*Engine
-	dirty  []*Conduit // conduits with buffered messages, gathered per barrier
-	mh     []*Conduit // k-way merge heap over the dirty conduits
+	dirty []*Conduit // conduits with buffered messages, gathered per barrier
+	mh    []*Conduit // k-way merge heap over the dirty conduits
 
-	// inRound is true while shard events execute (set before a round is
-	// published to the workers, cleared after the barrier), guarding the
-	// Conduit lookahead check: only sends from shard events must respect
-	// the lookahead; controls and construction inject before any shard
-	// has run past them.
+	// inRound is true while shard events execute, guarding the Conduit
+	// lookahead check: only sends from shard events must respect the
+	// lookahead; controls and construction inject before any shard has
+	// run past them.
 	inRound bool
 
 	stats GroupStats
-
-	// Worker-pool state for the current run. Workers are spawned at the
-	// start of a parallel run and torn down when it returns, so an idle
-	// group holds no goroutines.
-	rounds chan *roundState
-	doneCh chan struct{}
-	nwork  int
 }
 
 // GroupStats are scheduler-observability counters, cumulative over the
-// group's lifetime. They are deterministic: a fixed scenario produces the
-// same counts at any worker setting.
+// group's lifetime, and a pure function of the scenario.
 type GroupStats struct {
 	// Rounds counts barrier rounds executed.
 	Rounds int64
@@ -118,31 +100,19 @@ func (g *Group) Stats() GroupStats {
 // maxTime is the largest representable instant, used as "no bound".
 const maxTime = Time(1<<63 - 1)
 
-// roundState is one round's work descriptor. It is a fresh object per
-// round so that a worker whose token delivery straggles past the barrier
-// finds an exhausted cursor and parks, instead of claiming work from the
-// next round with a stale shard set. Each shard's window limit rides on
-// the engine itself (Engine.wend), written by the coordinator before the
-// descriptor is published.
-type roundState struct {
-	act   []*Engine
-	claim atomic.Int64
-	left  atomic.Int64
-}
-
-// control is a barrier action: fn runs at time at on the coordinator
-// goroutine, with every shard quiesced and advanced to at. Controls are
-// the sharded replacement for "global" events — watchdogs that poll every
-// node, recovery passes, phase changes.
+// control is a barrier action: fn runs at time at with every shard
+// quiesced and advanced to at. Controls are the sharded replacement for
+// "global" events — watchdogs that poll every node, recovery passes,
+// phase changes.
 type control struct {
 	at  Time
 	seq uint64
 	fn  func()
 }
 
-// NewGroup returns an empty group with lookahead 0 and workers 1.
+// NewGroup returns an empty group with lookahead 0.
 func NewGroup() *Group {
-	return &Group{workers: 1, ids: make(map[string]int)}
+	return &Group{ids: make(map[string]int)}
 }
 
 // NewEngine creates a new shard engine owned by the group. Shard indices
@@ -173,18 +143,10 @@ func (g *Group) SetLookahead(d Duration) {
 // Lookahead returns the configured lookahead.
 func (g *Group) Lookahead() Duration { return g.lookahead }
 
-// SetWorkers sets the number of goroutines that execute shards within a
-// round. 1 (the default) is fully sequential: same rounds, same results,
-// one goroutine — the reference mode for determinism checks.
-func (g *Group) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.workers = n
-}
-
-// Workers returns the configured worker count.
-func (g *Group) Workers() int { return g.workers }
+// SetWorkers does nothing: shards run in index order on the caller.
+//
+// Deprecated: bench/ is the only caller; ROADMAP 1(a)'s benchmark-only PR deletes it.
+func (g *Group) SetWorkers(int) {}
 
 // Now returns the group's notion of current time: the maximum of the
 // barrier clock and every shard clock. It is exact at barriers (where
@@ -206,11 +168,11 @@ func (g *Group) NextID(name string) int {
 	return g.ids[name]
 }
 
-// Control schedules fn to run at absolute time t on the coordinator, with
-// all shards quiesced up to t and their clocks advanced to t. Controls at
-// the same instant run in scheduling order, before any shard event at t.
-// Call it at construction time or from within another control action —
-// never from a shard event, which would race the coordinator.
+// Control schedules fn to run at absolute time t with all shards quiesced
+// up to t and their clocks advanced to t. Controls at the same instant run
+// in scheduling order, before any shard event at t. Call it at
+// construction time or from within another control action — never from a
+// shard event, whose shard may already have run past t.
 func (g *Group) Control(t Time, fn func()) {
 	if t < g.now {
 		panic(fmt.Sprintf("sim: scheduling control at %v before now %v", t, g.now))
@@ -254,11 +216,6 @@ func (g *Group) RunUntil(deadline Time) {
 
 // run is the round loop shared by Run and RunUntil.
 func (g *Group) run(deadline Time, drain bool) {
-	par := g.workers > 1 && len(g.engines) > 1
-	if par {
-		g.startWorkers()
-		defer g.stopWorkers()
-	}
 	// Construction and controls from a previous run may have left
 	// messages in conduit outboxes; the scans below must see them in
 	// engine heaps.
@@ -339,8 +296,7 @@ func (g *Group) run(deadline Time, drain bool) {
 		if ownerEnd > bound {
 			ownerEnd = bound
 		}
-		g.round(base, ownerEnd, tNext, par)
-		g.flushRound()
+		g.round(base, ownerEnd, tNext)
 	}
 }
 
@@ -414,15 +370,22 @@ func (g *Group) advanceAll(t Time) {
 	}
 }
 
-// round runs every shard with work before its window end — ownerEnd for
-// shards holding the global minimum min1, base for the rest — skipping
-// idle shards entirely, concurrently when par and more than one shard is
-// active.
-func (g *Group) round(base, ownerEnd, min1 Time, par bool) {
+// round runs, in index order, every shard with work before its window end
+// — ownerEnd for shards holding the global minimum min1, base for the rest
+// — then merges what they sent. An idle shard costs one heap peek. Only a
+// shard that ran can have buffered cross-shard sends, so gathering each
+// one's dirty conduits as it finishes keeps the merge cost proportional to
+// the traffic that actually crossed, not to the topology. A shard's run
+// never changes another's heap — sends wait in outboxes — so deciding each
+// window as the pass reaches it is the same as deciding them all up front;
+// and the shard holding min1 always runs (run keeps every bound above
+// min1), so every call is a round.
+func (g *Group) round(base, ownerEnd, min1 Time) {
 	for len(g.stats.ShardRounds) < len(g.engines) {
 		g.stats.ShardRounds = append(g.stats.ShardRounds, 0)
 	}
-	act := g.active[:0]
+	d := g.dirty[:0]
+	g.inRound = true
 	for _, e := range g.engines {
 		if len(e.events) == 0 {
 			continue
@@ -434,83 +397,23 @@ func (g *Group) round(base, ownerEnd, min1 Time, par bool) {
 			// extension is exact for any number of co-minimal shards.
 			end = ownerEnd
 		}
-		if t < end {
-			e.wend = end
-			act = append(act, e)
-			g.stats.ShardRounds[e.shard]++
+		if t >= end {
+			continue
 		}
-	}
-	g.active = act
-	if len(act) == 0 {
-		return
-	}
-	g.stats.Rounds++
-	g.inRound = true
-	if !par || len(act) == 1 {
-		for _, e := range act {
-			e.runBefore(e.wend)
+		g.stats.ShardRounds[e.shard]++
+		e.runBefore(end)
+		for _, c := range e.dirty {
+			c.inDirty = false
+			if len(c.out) > 0 {
+				d = append(d, c)
+			}
 		}
-		g.inRound = false
-		return
+		e.dirty = e.dirty[:0]
 	}
-	// Parallel round: workers claim shards off the round descriptor via
-	// its atomic cursor. The token send publishes the descriptor (and
-	// every shard's wend) to the workers; the worker that finishes the
-	// last shard signals done, which publishes every shard's state back
-	// to the coordinator, so the barrier merge observes a consistent
-	// world without locks.
-	rs := &roundState{act: act}
-	rs.left.Store(int64(len(act)))
-	n := g.nwork
-	if n > len(act) {
-		n = len(act)
-	}
-	for i := 0; i < n; i++ {
-		g.rounds <- rs
-	}
-	<-g.doneCh
 	g.inRound = false
-}
-
-// startWorkers spawns the round-execution goroutines for one run call.
-func (g *Group) startWorkers() {
-	n := g.workers
-	if n > len(g.engines) {
-		n = len(g.engines)
-	}
-	g.nwork = n
-	g.rounds = make(chan *roundState)
-	g.doneCh = make(chan struct{})
-	for i := 0; i < n; i++ {
-		go g.worker(g.rounds, g.doneCh)
-	}
-}
-
-// stopWorkers tears the pool down; parked workers exit on channel close.
-func (g *Group) stopWorkers() {
-	close(g.rounds)
-	g.rounds = nil
-	g.doneCh = nil
-}
-
-// worker executes rounds: claim a shard, run it to its window end, repeat
-// until the round's shards are exhausted. The worker that finishes the
-// last shard signals the coordinator. Channels come in as parameters so a
-// worker never touches group fields the coordinator rewrites between runs.
-func (g *Group) worker(rounds <-chan *roundState, done chan<- struct{}) {
-	for rs := range rounds {
-		for {
-			i := int(rs.claim.Add(1)) - 1
-			if i >= len(rs.act) {
-				break
-			}
-			e := rs.act[i]
-			e.runBefore(e.wend)
-			if rs.left.Add(-1) == 0 {
-				done <- struct{}{}
-			}
-		}
-	}
+	g.stats.Rounds++
+	g.dirty = d
+	g.merge()
 }
 
 // --- Conduits ------------------------------------------------------------
@@ -523,9 +426,7 @@ type cmsg struct {
 
 // dnode carries a delivery through the destination engine's event heap and
 // is recycled on a per-conduit freelist, so steady-state crossings do not
-// allocate. The freelist is touched by the coordinator (get, at barriers)
-// and the destination shard (put, during rounds); barrier alternation
-// orders the two, so no lock is needed.
+// allocate.
 type dnode struct {
 	c     *Conduit
 	frame []byte
@@ -550,7 +451,7 @@ func conduitDeliver(a any) {
 // merge injects them into the destination engine in (arrival time, conduit
 // ID, send index) order. Handlers run on the destination shard at the
 // arrival time and read the frame only; a frame handed to Send must not be
-// mutated afterwards (concurrent readers on another shard may hold it).
+// mutated afterwards (the destination reads it a lookahead or more later).
 //
 // A conduit whose endpoints are the same engine (a co-located pair, or a
 // model built on one standalone engine) degenerates to a direct schedule
@@ -592,9 +493,6 @@ func NewConduit(src, dst *Engine, deliver func(frame []byte)) *Conduit {
 
 // Src returns the source engine.
 func (c *Conduit) Src() *Engine { return c.src }
-
-// Dst returns the destination engine.
-func (c *Conduit) Dst() *Engine { return c.dst }
 
 // Send schedules frame to arrive at absolute time at. Call it from the
 // source shard (or from a control action). From a shard event the arrival
@@ -661,9 +559,9 @@ func (c *Conduit) sortRun() {
 
 // flushAll gathers every conduit with buffered messages and merges them
 // into the destination engines. Used at run start and after control
-// actions — contexts that may send on conduits whose source shard was not
-// in the last round's active set. Also resets every engine's dirty list,
-// so flushRound's incremental bookkeeping restarts clean.
+// actions — contexts that may send on conduits whose source shard did not
+// run in the last round. Also resets every engine's dirty list, so round's
+// incremental bookkeeping restarts clean.
 func (g *Group) flushAll() {
 	for _, e := range g.engines {
 		e.dirty = e.dirty[:0]
@@ -674,25 +572,6 @@ func (g *Group) flushAll() {
 		if len(c.out) > 0 {
 			d = append(d, c)
 		}
-	}
-	g.dirty = d
-	g.merge()
-}
-
-// flushRound gathers the conduits dirtied by the shards that ran in the
-// last round — the only place shard execution can buffer cross-shard
-// sends — so a barrier's merge cost scales with the traffic that actually
-// crossed, not with the topology. Idle shards contribute nothing.
-func (g *Group) flushRound() {
-	d := g.dirty[:0]
-	for _, e := range g.active {
-		for _, c := range e.dirty {
-			c.inDirty = false
-			if len(c.out) > 0 {
-				d = append(d, c)
-			}
-		}
-		e.dirty = e.dirty[:0]
 	}
 	g.dirty = d
 	g.merge()
@@ -736,10 +615,8 @@ func siftDownC(h []*Conduit, i int) {
 
 // merge injects every buffered message on the gathered dirty conduits
 // into the destination engines in (arrival time, conduit ID, send index)
-// order. That order is a pure function of what the shards produced — not
-// of which worker ran them or when — so the injected sequence numbers,
-// and every subsequent tie-break, are identical in sequential and
-// parallel runs. Runs on the coordinator between rounds. Each conduit's
+// order: a pure function of what the shards produced, and so are the
+// injected sequence numbers and every subsequent tie-break. Each conduit's
 // outbox is a (nearly always pre-sorted) run, so the merge is a k-way
 // heap walk over per-conduit cursors: no per-message scratch records, no
 // global sort, and all scratch is reused, so steady state does not

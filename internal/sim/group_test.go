@@ -92,9 +92,8 @@ func (w *ringWorld) hash() string {
 	return s
 }
 
-func runRing(nShards, seed, workers int, lookahead Duration, maxMsg int) string {
+func runRing(nShards, seed int, lookahead Duration, maxMsg int) string {
 	w := newRingWorld(nShards, seed, lookahead, maxMsg)
-	w.g.SetWorkers(workers)
 	for i := range w.eng {
 		w.send(i)
 		w.send(i)
@@ -106,28 +105,11 @@ func runRing(nShards, seed, workers int, lookahead Duration, maxMsg int) string 
 	return w.hash()
 }
 
-func TestGroupSequentialParallelIdentical(t *testing.T) {
-	for _, seed := range []int{1, 7, 42} {
-		ref := runRing(8, seed, 1, 500*Nanosecond, 200)
-		for _, workers := range []int{2, 4, 8} {
-			got := runRing(8, seed, workers, 500*Nanosecond, 200)
-			if got != ref {
-				t.Fatalf("seed %d: workers=%d trace differs from sequential", seed, workers)
-			}
-		}
-	}
-}
-
 func TestGroupZeroLookahead(t *testing.T) {
 	// Degenerate topology: no latency slack at all. The scheduler must
-	// fall back to lockstep single-instant rounds and still match the
-	// sequential reference exactly.
-	ref := runRing(4, 3, 1, 0, 50)
-	got := runRing(4, 3, 8, 0, 50)
-	if got != ref {
-		t.Fatalf("zero-lookahead parallel trace differs from sequential")
-	}
-	if ref == "" {
+	// fall back to lockstep single-instant rounds and still quiesce
+	// (runRing panics otherwise) having delivered something.
+	if runRing(4, 3, 0, 50) == "" {
 		t.Fatalf("zero-lookahead world produced no trace")
 	}
 }
@@ -202,11 +184,8 @@ func TestConduitSameEngineDegenerate(t *testing.T) {
 }
 
 func TestGroupSteadyStateAllocs(t *testing.T) {
-	// After warm-up, sequential rounds must not allocate: conduit
-	// delivery nodes, merge refs, and the active-shard scratch all come
-	// from reused storage. (Parallel rounds allocate one small round
-	// descriptor each — bounded and tiny — so the zero-alloc pin is on
-	// the sequential path.)
+	// After warm-up, rounds must not allocate: conduit delivery nodes
+	// and the merge scratch all come from reused storage.
 	w := newRingWorld(4, 9, 500*Nanosecond, 1<<30)
 	w.quiet = true
 	for i := range w.eng {
@@ -217,7 +196,7 @@ func TestGroupSteadyStateAllocs(t *testing.T) {
 		w.g.RunUntil(w.g.Now() + 200*Microsecond)
 	})
 	if avg > 0.5 {
-		t.Fatalf("steady-state sequential run allocates %.1f/op", avg)
+		t.Fatalf("steady-state run allocates %.1f/op", avg)
 	}
 }
 
@@ -280,19 +259,5 @@ func TestGroupBarrierMergeAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Fatalf("high fan-in barrier merge allocates %.1f/op at steady state", avg)
-	}
-}
-
-// TestGroupRaceStress exists to give `go test -race` a workout over the
-// barrier, worker-claim, and merge paths: many shards, all-to-all-ish
-// traffic, thousands of rounds. Correctness is checked against the
-// sequential reference.
-func TestGroupRaceStress(t *testing.T) {
-	for seed := 0; seed < 4; seed++ {
-		ref := runRing(16, 100+seed, 1, 200*Nanosecond, 300)
-		got := runRing(16, 100+seed, 8, 200*Nanosecond, 300)
-		if got != ref {
-			t.Fatalf("seed %d: parallel stress trace differs", seed)
-		}
 	}
 }

@@ -138,9 +138,6 @@ func (tb *TokenBucket) Reserve(n int) Duration {
 	return Time(-tb.tokens * 8 / float64(tb.rate) * float64(Second))
 }
 
-// Rate returns the configured refill rate.
-func (tb *TokenBucket) Rate() BitRate { return tb.rate }
-
 // SetRate retunes the bucket live: the balance is settled at the old
 // rate first, then refills continue at the new rate with the new depth.
 // An over-full or over-drawn balance carries across the change, so a

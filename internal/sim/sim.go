@@ -7,11 +7,10 @@
 // strictly in (time, insertion-order) order, so runs are reproducible.
 //
 // A single Engine is single-threaded. For cluster-scale models, several
-// engines — one per node — can be joined into a Group (see parallel.go),
-// which runs them under a conservative parallel scheduler: shards execute
-// concurrently inside lookahead windows and exchange cross-shard messages
-// through Conduits merged in a fixed order at barriers, so results are
-// byte-identical whether the group runs on one goroutine or many.
+// engines — one per node — can be joined into a Group (see group.go),
+// which steps them in index order on the same goroutine: each shard runs
+// its own heap inside a lookahead window and cross-shard messages ride
+// Conduits merged in a fixed order at barriers.
 package sim
 
 import "fmt"
@@ -101,13 +100,9 @@ type Engine struct {
 	group   *Group // non-nil when the engine is one shard of a Group
 	shard   int    // index within the group (creation order)
 
-	// Group-scheduler state. wend is the shard's window end for the
-	// round in flight (written by the coordinator before the round is
-	// published, read by the worker that claims the shard); dirty lists
-	// the conduits this shard buffered messages on since the last
-	// barrier, so the barrier merge visits only conduits that actually
-	// carry traffic instead of scanning the whole topology.
-	wend  Time
+	// dirty lists the conduits this shard buffered messages on since
+	// the last barrier, so the barrier merge visits only conduits that
+	// actually carry traffic instead of scanning the whole topology.
 	dirty []*Conduit
 }
 
@@ -116,10 +111,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Group returns the Group this engine belongs to, or nil for a standalone
-// engine.
-func (e *Engine) Group() *Group { return e.group }
 
 // NextID returns 1, 2, 3, ... per name, an engine-scoped identity
 // allocator. Components that need unique-but-deterministic identities
@@ -300,7 +291,7 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // runBefore executes events with timestamps strictly less than limit. It is
-// the shard workhorse of the conservative parallel scheduler: within a
+// the shard workhorse of the group's window scheduler: within a
 // window [T, T+lookahead) no cross-shard message can arrive, so every shard
 // may run its own events for the window without coordination. The strict
 // inequality matters — an event exactly at the window end may race a

@@ -23,10 +23,10 @@ import (
 // Each rung gets a bounded retry budget; exhausted budgets escalate.
 // Retry pacing is seeded exponential backoff with jitter from the
 // supervisor's own deterministic stream, so recovery schedules replay
-// byte-identically under the parallel scheduler (everything runs on the
-// driver's shard). The supervisor is event-armed, not timer-driven: it
-// schedules work only while an episode is open, so an idle healthy
-// driver contributes nothing to the engine and simulations quiesce.
+// byte-identically (everything runs on the driver's shard). The
+// supervisor is event-armed, not timer-driven: it schedules work only
+// while an episode is open, so an idle healthy driver contributes
+// nothing to the engine and simulations quiesce.
 //
 // Drive it from a watchdog edge (a cluster Control sweep, an
 // experiment's poll loop) by calling Kick; every recovery episode is

@@ -207,3 +207,28 @@ func TestSmallWindowNoDeadlock(t *testing.T) {
 		t.Errorf("no stall/probe on a too-small window: %+v", w.a.Stats)
 	}
 }
+
+// TestAckBeyondSndNxtIgnored delivers a pure ACK for a byte the sender
+// never sent (Ack = sndNxt+1) to a connection with data in flight. A
+// sender that takes it cumulatively frees segments the peer has not
+// received; the ACK must change nothing.
+func TestAckBeyondSndNxtIgnored(t *testing.T) {
+	eng := sim.NewEngine()
+	w := newLoopback(eng, Config{SrcPort: 1, DstPort: 2}, Config{SrcPort: 2, DstPort: 1})
+	w.drop = func(int, Segment, []byte) bool { return true } // a silent peer
+	if err := w.a.Send(bytes.Repeat([]byte("x"), 600)); err != nil {
+		t.Fatal(err)
+	}
+	c := w.a
+	una, queued := c.sndUna, len(c.txq)
+	if una == c.sndNxt || queued == 0 || !c.timerLive {
+		t.Fatalf("nothing in flight to mis-acknowledge: una=%d nxt=%d txq=%d timer=%v",
+			una, c.sndNxt, queued, c.timerLive)
+	}
+	c.Ingress(Segment{SrcPort: 2, DstPort: 1, Ack: c.sndNxt + 1, Flags: FlagAck,
+		Window: 65535, Epoch: c.epoch}, nil)
+	if c.sndUna != una || len(c.txq) != queued || !c.timerLive || c.Stats.AckedBytes != 0 {
+		t.Fatalf("ACK beyond sndNxt accepted: sndUna %d -> %d, retransmit queue %d -> %d, RTO armed %v, %d bytes counted acked",
+			una, c.sndUna, queued, len(c.txq), c.timerLive, c.Stats.AckedBytes)
+	}
+}

@@ -171,9 +171,9 @@ func (h *Histogram) Buckets() (bounds []int64, counts []int64) {
 // usable; create one with New. A nil *Registry is a valid "telemetry
 // disabled" registry: every method returns nil handles or zero values.
 type Registry struct {
-	// mu guards the maps: the shards of a sim.Group share one registry,
-	// and a component may create a metric on first use (a NIC's
-	// per-reason drop counter) from whichever worker runs its shard.
+	// mu guards the maps: a component may create a metric on first use
+	// (a NIC's per-reason drop counter) mid-run, and nothing ties a
+	// registry's readers to the goroutine that runs the simulation.
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge

@@ -36,11 +36,6 @@ type Options struct {
 	// ConnectWire on the option-built pairs — the Ethernet wire). Nil
 	// (the default) injects nothing.
 	Faults *FaultPlan
-	// Workers caps the scheduler's worker goroutines for Cluster runs:
-	// 0 (the default) uses one worker per CPU, 1 forces the sequential
-	// reference schedule, n > 1 uses n workers. Every setting produces
-	// byte-identical results; workers change only wall-clock time.
-	Workers int
 	// Colocate builds every Cluster node and the switch on one shared
 	// engine instead of one shard each. With no cross-shard conduits the
 	// group runs the single shard straight to each deadline — no windows,
@@ -82,9 +77,10 @@ func WithTelemetry(reg *Registry) Option { return func(o *Options) { o.Telemetry
 // plan may serve several nodes; they share its seeded random stream.
 func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } }
 
-// WithWorkers pins the scheduler's worker count for Cluster runs
-// (0 = one per CPU, 1 = sequential).
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
+// WithWorkers does nothing: a Cluster steps its shards on the caller.
+//
+// Deprecated: bench/ is the only caller; ROADMAP 1(a)'s benchmark-only PR deletes it.
+func WithWorkers(int) Option { return func(*Options) {} }
 
 // WithColocated(true) racks every cluster node and the switch on one
 // shared engine — the monolithic baseline for scheduler-overhead
@@ -220,17 +216,6 @@ func (n *Node) Name() string { return n.name }
 
 // Cluster returns the owning cluster, or nil for standalone nodes.
 func (n *Node) Cluster() *Cluster { return n.cl }
-
-// At schedules fn at absolute time t on the node's shard.
-func (n *Node) At(t Time, fn func()) { n.eng.At(t, fn) }
-
-// Now returns the node's virtual time (the cluster's, when clustered).
-func (n *Node) Now() Time {
-	if n.cl != nil {
-		return n.cl.Now()
-	}
-	return n.eng.Now()
-}
 
 // Run drives the simulation to quiescence: the whole cluster for
 // clustered nodes, the private engine for standalone ones.
