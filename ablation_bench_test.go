@@ -129,13 +129,3 @@ func BenchmarkAblationRQPrefetch(b *testing.B) {
 	b.ReportMetric(serialMpps, "Mpps-serial-bound")
 	b.ReportMetric(31.25, "Mpps-pipelined(FLD-II)")
 }
-
-// BenchmarkExtensionZucBatching measures the §8.2.1 future-work features
-// (on-FPGA key storage + request batching) on 64 B cipher requests.
-func BenchmarkExtensionZucBatching(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		speedup = exps.ZucBatchingSpeedup(64, 512)
-	}
-	b.ReportMetric(speedup, "speedup-x")
-}

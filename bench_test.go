@@ -193,7 +193,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("enabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			reportChecks(b, exps.Telemetry(benchWindow))
+			r, _, _ := exps.TelemetryWithRegistry(benchWindow)
+			reportChecks(b, r)
 		}
 	})
 }

@@ -65,21 +65,17 @@ func NewCluster(opts ...Option) *Cluster {
 	return c
 }
 
-// SwitchRate sets the switch's per-port line rate (default 25 Gbps).
+// SwitchRate sets the switch's per-port line rate (default 25 Gbps). The
+// switch is built, from this configuration, when the first node is
+// added: call SwitchRate and SwitchQueueFrames before that.
 func (c *Cluster) SwitchRate(r BitRate) *Cluster {
 	c.swCfg.Rate = r
-	if c.sw != nil {
-		c.sw.SetRate(r)
-	}
 	return c
 }
 
 // SwitchQueueFrames bounds each output queue in frames (default 64).
 func (c *Cluster) SwitchQueueFrames(n int) *Cluster {
 	c.swCfg.QueueFrames = n
-	if c.sw != nil {
-		c.sw.SetQueueFrames(n)
-	}
 	return c
 }
 

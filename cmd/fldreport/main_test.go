@@ -56,6 +56,12 @@ func TestCSVAndFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) = %d with %d bytes of output, want 2 and none", args, status, out.Len())
 		}
 	}
+	// A -spec the parser refuses is a failed check that names the key.
+	var out bytes.Buffer
+	if status := run([]string{"-exp", "scenario", "-spec", "rdma=banana"}, &out); status != 1 ||
+		!strings.Contains(out.String(), "scenario: bad value for rdma") {
+		t.Errorf("-spec rdma=banana: status %d, output %q; want 1 and the key named", status, out.String())
+	}
 }
 
 // TestCISmokeCommandsExitZero runs the -quick command lines ci.yml

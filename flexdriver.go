@@ -168,9 +168,6 @@ func DefaultFLDConfig() FLDConfig { return fld.DefaultConfig() }
 // DefaultNICParams returns ConnectX-5-calibrated NIC constants.
 func DefaultNICParams() NICParams { return nic.DefaultParams() }
 
-// DefaultDriverParams returns the calibrated CPU-driver cost model.
-func DefaultDriverParams() DriverParams { return swdriver.DefaultParams() }
-
 // NewSupervisor builds the recovery escalation ladder for a driver; the
 // seed feeds only the retry-backoff jitter stream. Kick it from a
 // watchdog (for clusters, a Control sweep) whenever health should be

@@ -155,9 +155,6 @@ func NewSoftCryptodev(eng *sim.Engine) *SoftCryptodev {
 	}
 }
 
-// CPU exposes the core for utilization accounting.
-func (s *SoftCryptodev) CPU() *sim.Resource { return s.cpu }
-
 // Enqueue runs the op on the CPU model.
 func (s *SoftCryptodev) Enqueue(op *Op) {
 	op.SubmittedAt = s.eng.Now()

@@ -13,10 +13,12 @@ package ctrlplane
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"flexdriver/internal/kvspec"
 )
 
 // Tenant is one tenant's slice of a node: how many virtual functions
@@ -73,8 +75,10 @@ func (s Spec) Validate() error {
 		if t.Cores < 0 || t.SQs < 0 || t.RQs < 0 || t.CQs < 0 || t.Weight < 0 {
 			return fmt.Errorf("ctrlplane: tenant %q has a negative allotment", t.Name)
 		}
-		if t.RateGbps < 0 {
-			return fmt.Errorf("ctrlplane: tenant %q has a negative rate", t.Name)
+		// Written so that NaN, for which every comparison is false, fails:
+		// perVFRate turns the rate into a sim.BitRate.
+		if !(t.RateGbps >= 0 && t.RateGbps <= math.MaxFloat64) {
+			return fmt.Errorf("ctrlplane: tenant %q has a negative rate or one that is not finite", t.Name)
 		}
 	}
 	return nil
@@ -103,26 +107,52 @@ func (s Spec) Names() []string {
 }
 
 // MarshalJSON-compatible round trips come from the struct tags; the
-// text form below is the CLI/fuzzer encoding, one token per tenant:
+// text form below is the CLI/fuzzer encoding, one token per tenant, the
+// tenant's name first in its token:
 //
 //	version=2 tenant=A,vfs=1,cores=2,sqs=4,rqs=1,cqs=2,weight=3,rate=10
 //
-// Fields at their zero value are still written, so String∘Parse is an
-// exact round trip.
+// The integer attributes are written even at zero, so String∘Parse is
+// an exact round trip. Validate, not the tables, owns the lower bounds:
+// the JSON form needs them too.
+var (
+	specKeys = kvspec.Schema[Spec]{Name: "ctrlplane", Sep: ' ', Fields: []kvspec.Field[Spec]{
+		{Key: "version", Ptr: func(s *Spec) any { return &s.Version }, Always: true},
+		{Key: "tenant", Ptr: func(s *Spec) any { return (*tenantList)(&s.Tenants) }},
+	}}
+	tenantKeys = kvspec.Schema[Tenant]{Name: "ctrlplane", Sep: ',', Fields: []kvspec.Field[Tenant]{
+		{Key: "vfs", Ptr: func(t *Tenant) any { return &t.VFs }, Always: true},
+		{Key: "cores", Ptr: func(t *Tenant) any { return &t.Cores }, Always: true},
+		{Key: "sqs", Ptr: func(t *Tenant) any { return &t.SQs }, Always: true},
+		{Key: "rqs", Ptr: func(t *Tenant) any { return &t.RQs }, Always: true},
+		{Key: "cqs", Ptr: func(t *Tenant) any { return &t.CQs }, Always: true},
+		{Key: "weight", Ptr: func(t *Tenant) any { return &t.Weight }, Always: true},
+		{Key: "rate", Ptr: func(t *Tenant) any { return &t.RateGbps }, Max: math.MaxFloat64},
+	}}
+)
+
+// tenantList is the repeating tenant= key: "NAME,attr=value,...".
+type tenantList []Tenant
+
+func (l *tenantList) Add(val string) error {
+	name, attrs, _ := strings.Cut(val, ",")
+	t := Tenant{Name: name}
+	if err := tenantKeys.Parse(attrs, &t); err != nil {
+		return err
+	}
+	*l = append(*l, t)
+	return nil
+}
+
+func (l *tenantList) Len() int { return len(*l) }
+
+func (l *tenantList) Elem(i int) string {
+	t := &(*l)[i]
+	return t.Name + "," + tenantKeys.Format(t)
+}
 
 // String renders the spec in its one-line text form.
-func (s Spec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "version=%d", s.Version)
-	for _, t := range s.Tenants {
-		fmt.Fprintf(&b, " tenant=%s,vfs=%d,cores=%d,sqs=%d,rqs=%d,cqs=%d,weight=%d",
-			t.Name, t.VFs, t.Cores, t.SQs, t.RQs, t.CQs, t.Weight)
-		if t.RateGbps != 0 {
-			fmt.Fprintf(&b, ",rate=%s", strconv.FormatFloat(t.RateGbps, 'g', -1, 64))
-		}
-	}
-	return b.String()
-}
+func (s Spec) String() string { return specKeys.Format(&s) }
 
 // JSON renders the spec as JSON (the operator-facing wire form).
 func (s Spec) JSON() string {
@@ -131,91 +161,18 @@ func (s Spec) JSON() string {
 }
 
 // ParseSpec parses either encoding: JSON (first byte '{') or the
-// one-line text form.
+// one-line text form. A text spec without a version fails Validate.
 func ParseSpec(in string) (Spec, error) {
-	in = strings.TrimSpace(in)
-	if strings.HasPrefix(in, "{") {
-		var s Spec
+	var s Spec
+	if in = strings.TrimSpace(in); strings.HasPrefix(in, "{") {
 		if err := json.Unmarshal([]byte(in), &s); err != nil {
 			return Spec{}, fmt.Errorf("ctrlplane: bad JSON spec: %w", err)
 		}
-		if err := s.Validate(); err != nil {
-			return Spec{}, err
-		}
-		return s, nil
-	}
-	var s Spec
-	sawVersion := false
-	for _, tok := range strings.Fields(in) {
-		key, val, ok := strings.Cut(tok, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("ctrlplane: bad token %q (want key=value)", tok)
-		}
-		switch key {
-		case "version":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return Spec{}, fmt.Errorf("ctrlplane: bad version %q", val)
-			}
-			s.Version = v
-			sawVersion = true
-		case "tenant":
-			t, err := parseTenant(val)
-			if err != nil {
-				return Spec{}, err
-			}
-			s.Tenants = append(s.Tenants, t)
-		default:
-			return Spec{}, fmt.Errorf("ctrlplane: unknown key %q", key)
-		}
-	}
-	if !sawVersion {
-		return Spec{}, fmt.Errorf("ctrlplane: spec has no version")
+	} else if err := specKeys.Parse(in, &s); err != nil {
+		return Spec{}, err
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
-}
-
-// parseTenant decodes "NAME,vfs=1,cores=2,..." — the first comma field
-// is the name, the rest are attributes.
-func parseTenant(val string) (Tenant, error) {
-	fields := strings.Split(val, ",")
-	t := Tenant{Name: fields[0]}
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return Tenant{}, fmt.Errorf("ctrlplane: bad tenant attribute %q", f)
-		}
-		if k == "rate" {
-			r, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Tenant{}, fmt.Errorf("ctrlplane: bad tenant rate %q", v)
-			}
-			t.RateGbps = r
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return Tenant{}, fmt.Errorf("ctrlplane: bad tenant attribute value %q=%q", k, v)
-		}
-		switch k {
-		case "vfs":
-			t.VFs = n
-		case "cores":
-			t.Cores = n
-		case "sqs":
-			t.SQs = n
-		case "rqs":
-			t.RQs = n
-		case "cqs":
-			t.CQs = n
-		case "weight":
-			t.Weight = n
-		default:
-			return Tenant{}, fmt.Errorf("ctrlplane: unknown tenant attribute %q", k)
-		}
-	}
-	return t, nil
 }

@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,8 @@ func TestSpecValidate(t *testing.T) {
 		{"no VFs", func(s *Spec) { s.Tenants[0].VFs = 0 }, "at least one VF"},
 		{"negative quota", func(s *Spec) { s.Tenants[0].SQs = -1 }, "negative"},
 		{"negative rate", func(s *Spec) { s.Tenants[0].RateGbps = -1 }, "negative rate"},
+		{"NaN rate", func(s *Spec) { s.Tenants[0].RateGbps = math.NaN() }, "not finite"},
+		{"infinite rate", func(s *Spec) { s.Tenants[0].RateGbps = math.Inf(1) }, "not finite"},
 	}
 	for _, c := range cases {
 		s := specAB()

@@ -119,11 +119,6 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	return &Switch{eng: eng, cfg: cfg.withDefaults(), fdb: make(map[netpkt.MAC]*Port)}
 }
 
-// SetRate and SetQueueFrames adjust the fabric parameters; they apply to
-// frames offered after the call.
-func (s *Switch) SetRate(r sim.BitRate) { s.cfg.Rate = r }
-func (s *Switch) SetQueueFrames(n int)  { s.cfg.QueueFrames = n }
-
 // Rate returns the per-port line rate.
 func (s *Switch) Rate() sim.BitRate { return s.cfg.Rate }
 

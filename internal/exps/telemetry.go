@@ -25,13 +25,6 @@ func reconcilePCIe(r *Result, snap flexdriver.Snapshot, node string, fab *pcie.F
 	return mismatches, telTotal, portTotal
 }
 
-// Telemetry runs the telemetry-instrumented §8.1.1 echo (see
-// TelemetryWithRegistry) and reports the reconciliation result.
-func Telemetry(window flexdriver.Duration) *Result {
-	r, _, _ := TelemetryWithRegistry(window)
-	return r
-}
-
 // TelemetryWithRegistry runs the §8.1.1 FLD-E remote echo with full
 // telemetry (every layer instrumented, TLP flight recorder enabled) and
 // verifies the subsystem against the simulation's independent

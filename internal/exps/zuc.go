@@ -213,38 +213,3 @@ func zucCPULatency(size int, samples int) float64 {
 	}
 	return lat.Median()
 }
-
-// ZucBatchingSpeedup measures the §8.2.1 future-work extensions (on-FPGA
-// key storage + request batching): the ratio of completion times for a
-// burst of small requests, plain protocol vs batched stored-key protocol.
-func ZucBatchingSpeedup(size, total int) float64 {
-	run := func(batched bool) flexdriver.Time {
-		rp, _, cd := zucBed()
-		key := [16]byte{9}
-		n := 0
-		var last flexdriver.Time
-		done := func(*zuc.Op) { n++; last = rp.Engine().Now() }
-		if batched {
-			cd.SetKey(1, key)
-			for i := 0; i < total; i += 16 {
-				ops := make([]*zuc.Op, 16)
-				for j := range ops {
-					ops[j] = &zuc.Op{Op: zuc.OpEncrypt, Count: uint32(i + j),
-						Data: make([]byte, size), Done: done}
-				}
-				cd.EnqueueBatch(ops, 1)
-			}
-		} else {
-			for i := 0; i < total; i++ {
-				cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: uint32(i),
-					Data: make([]byte, size), Done: done})
-			}
-		}
-		rp.Run()
-		if n != total {
-			panic("zuc batching run incomplete")
-		}
-		return last
-	}
-	return float64(run(false)) / float64(run(true))
-}

@@ -15,12 +15,11 @@ package faults
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"flexdriver/internal/fld"
+	"flexdriver/internal/kvspec"
 	"flexdriver/internal/nic"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
@@ -590,175 +589,61 @@ var Presets = map[string]Config{
 }
 
 // specKeys is the key=value schema of the -faults flag, in the order
-// Config.String emits it: ParseSpec, String and this list are the one
-// place a key is named. A key's value syntax follows its field's type:
-// a float64 is a probability in [0, 1]; a sim.Duration uses Go syntax
-// ("200us") and may not be negative; wire.dir is 0 (both), 1 or 2;
+// Config.String emits it; kvspec parses and formats by it. A key's value
+// syntax follows its field's type: a float64 is a probability in [0, 1];
+// a sim.Duration uses Go syntax ("200us"); wire.dir is 0 (both), 1 or 2;
 // wire.dropn is a semicolon-separated 1-based ordinal list ("1;5;9").
-var specKeys = []struct {
-	key   string
-	field func(*Config) any
-}{
-	{"pcie.drop", func(c *Config) any { return &c.PCIeDrop }},
-	{"pcie.corrupt", func(c *Config) any { return &c.PCIeCorrupt }},
-	{"flap.every", func(c *Config) any { return &c.FlapEvery }},
-	{"flap.for", func(c *Config) any { return &c.FlapFor }},
-	{"db.loss", func(c *Config) any { return &c.DoorbellLoss }},
-	{"wqe.fail", func(c *Config) any { return &c.WQEFetchFail }},
-	{"cqe.err", func(c *Config) any { return &c.CQEErr }},
-	{"accel.stall", func(c *Config) any { return &c.AccelStall }},
-	{"wire.loss", func(c *Config) any { return &c.WireLoss }},
-	{"wire.dup", func(c *Config) any { return &c.WireDup }},
-	{"wire.delay", func(c *Config) any { return &c.WireDelay }},
-	{"wire.delayby", func(c *Config) any { return &c.WireDelayBy }},
-	{"wire.dir", func(c *Config) any { return &c.WireDir }},
-	{"wire.dropn", func(c *Config) any { return &c.WireDropNth }},
-	{"fld.reset.every", func(c *Config) any { return &c.FLDResetEvery }},
-	{"fld.reset.for", func(c *Config) any { return &c.FLDResetFor }},
-	{"nic.flr.every", func(c *Config) any { return &c.NICFLREvery }},
-	{"nic.flr.for", func(c *Config) any { return &c.NICFLRFor }},
-	{"node.crash.every", func(c *Config) any { return &c.NodeCrashEvery }},
-	{"node.crash.for", func(c *Config) any { return &c.NodeCrashFor }},
-	{"drv.crash.every", func(c *Config) any { return &c.DrvCrashEvery }},
-	{"drv.crash.for", func(c *Config) any { return &c.DrvCrashFor }},
-	{"sw.reboot.every", func(c *Config) any { return &c.SwRebootEvery }},
-	{"sw.reboot.for", func(c *Config) any { return &c.SwRebootFor }},
-	{"part.every", func(c *Config) any { return &c.PartEvery }},
-	{"part.for", func(c *Config) any { return &c.PartFor }},
-	{"start", func(c *Config) any { return &c.Start }},
-	{"stop", func(c *Config) any { return &c.Stop }},
-}
+var specKeys = kvspec.Schema[Config]{Name: "faults", Sep: ',', Fields: []kvspec.Field[Config]{
+	{Key: "pcie.drop", Ptr: func(c *Config) any { return &c.PCIeDrop }, Max: 1},
+	{Key: "pcie.corrupt", Ptr: func(c *Config) any { return &c.PCIeCorrupt }, Max: 1},
+	{Key: "flap.every", Ptr: func(c *Config) any { return &c.FlapEvery }},
+	{Key: "flap.for", Ptr: func(c *Config) any { return &c.FlapFor }},
+	{Key: "db.loss", Ptr: func(c *Config) any { return &c.DoorbellLoss }, Max: 1},
+	{Key: "wqe.fail", Ptr: func(c *Config) any { return &c.WQEFetchFail }, Max: 1},
+	{Key: "cqe.err", Ptr: func(c *Config) any { return &c.CQEErr }, Max: 1},
+	{Key: "accel.stall", Ptr: func(c *Config) any { return &c.AccelStall }, Max: 1},
+	{Key: "wire.loss", Ptr: func(c *Config) any { return &c.WireLoss }, Max: 1},
+	{Key: "wire.dup", Ptr: func(c *Config) any { return &c.WireDup }, Max: 1},
+	{Key: "wire.delay", Ptr: func(c *Config) any { return &c.WireDelay }, Max: 1},
+	{Key: "wire.delayby", Ptr: func(c *Config) any { return &c.WireDelayBy }},
+	{Key: "wire.dir", Ptr: func(c *Config) any { return &c.WireDir }, Max: 2},
+	{Key: "wire.dropn", Ptr: func(c *Config) any { return &c.WireDropNth }, Min: 1, Max: math.Inf(1)},
+	{Key: "fld.reset.every", Ptr: func(c *Config) any { return &c.FLDResetEvery }},
+	{Key: "fld.reset.for", Ptr: func(c *Config) any { return &c.FLDResetFor }},
+	{Key: "nic.flr.every", Ptr: func(c *Config) any { return &c.NICFLREvery }},
+	{Key: "nic.flr.for", Ptr: func(c *Config) any { return &c.NICFLRFor }},
+	{Key: "node.crash.every", Ptr: func(c *Config) any { return &c.NodeCrashEvery }},
+	{Key: "node.crash.for", Ptr: func(c *Config) any { return &c.NodeCrashFor }},
+	{Key: "drv.crash.every", Ptr: func(c *Config) any { return &c.DrvCrashEvery }},
+	{Key: "drv.crash.for", Ptr: func(c *Config) any { return &c.DrvCrashFor }},
+	{Key: "sw.reboot.every", Ptr: func(c *Config) any { return &c.SwRebootEvery }},
+	{Key: "sw.reboot.for", Ptr: func(c *Config) any { return &c.SwRebootFor }},
+	{Key: "part.every", Ptr: func(c *Config) any { return &c.PartEvery }},
+	{Key: "part.for", Ptr: func(c *Config) any { return &c.PartFor }},
+	{Key: "start", Ptr: func(c *Config) any { return &c.Start }},
+	{Key: "stop", Ptr: func(c *Config) any { return &c.Stop }},
+}}
 
 // ParseSpec parses a fault specification for the -faults flag: either a
 // preset name ("light", "heavy", "crash") or comma-separated key=value
-// pairs, optionally starting from a preset ("light,wire.loss=0.1").
-// specKeys lists the keys and their value syntax.
+// pairs, optionally starting from a preset ("light,wire.loss=0.1": the
+// pairs override what the preset set). specKeys lists the keys and their
+// value syntax.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
-	}
-	for i, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	first, rest, _ := strings.Cut(spec, ",")
+	if first = strings.TrimSpace(first); first != "" && !strings.Contains(first, "=") {
+		pre, ok := Presets[first]
+		if !ok {
+			return cfg, fmt.Errorf("faults: unknown preset %q", first)
 		}
-		if !strings.Contains(part, "=") {
-			pre, ok := Presets[part]
-			if !ok || i != 0 {
-				return cfg, fmt.Errorf("faults: unknown preset %q", part)
-			}
-			cfg = pre
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		key, val := strings.TrimSpace(kv[0]), strings.TrimSpace(kv[1])
-		var field any
-		for _, k := range specKeys {
-			if k.key == key {
-				field = k.field(&cfg)
-				break
-			}
-		}
-		var err error
-		switch f := field.(type) {
-		case *float64:
-			*f, err = parseProb(val)
-		case *sim.Duration:
-			*f, err = parseDur(val)
-		case *int:
-			*f, err = strconv.Atoi(val)
-			if err == nil && (*f < 0 || *f > 2) {
-				err = fmt.Errorf("must be 0 (both), 1 or 2")
-			}
-		case *[]int64:
-			for _, s := range strings.Split(val, ";") {
-				var n int64
-				n, err = strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil {
-					break
-				}
-				*f = append(*f, n)
-			}
-		default:
-			return cfg, fmt.Errorf("faults: unknown key %q", key)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("faults: bad value for %s: %v", key, err)
-		}
+		cfg, spec = pre, rest
 	}
-	return cfg, nil
-}
-
-func parseProb(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	// NaN must be rejected explicitly: it passes both range comparisons
-	// below (every comparison with NaN is false), yet never round-trips
-	// through String (NaN != NaN), and a NaN rate silently disables the
-	// class. Found by FuzzParseSpecRoundTrip.
-	if math.IsNaN(v) || v < 0 || v > 1 {
-		return 0, fmt.Errorf("probability %v outside [0,1]", v)
-	}
-	return v, nil
-}
-
-func parseDur(s string) (sim.Duration, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	// Negative durations would put the injection window or flap schedule
-	// before time zero; flapDown's modulo arithmetic also misbehaves on
-	// them. Found by FuzzParseSpecRoundTrip.
-	if d < 0 {
-		return 0, fmt.Errorf("duration %v is negative", d)
-	}
-	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond, nil
-}
-
-// formatDur renders a duration in the Go syntax ParseSpec accepts.
-// ParseSpec only produces whole-nanosecond durations, so the conversion
-// is lossless.
-func formatDur(d sim.Duration) string {
-	return time.Duration(int64(d / sim.Nanosecond)).String()
+	return cfg, specKeys.Parse(spec, &cfg)
 }
 
 // String serializes the config as a ParseSpec-compatible key=value spec:
 // ParseSpec(cfg.String()) reproduces cfg exactly (the round trip is
 // fuzzed). Zero-valued classes are omitted; the zero config renders as
-// the empty string. WireDelayBy is emitted only when it differs from the
-// parse-time zero value, so specs stay minimal.
-func (c Config) String() string {
-	var parts []string
-	for _, k := range specKeys {
-		var val string
-		switch f := k.field(&c).(type) {
-		case *float64:
-			if *f != 0 {
-				val = strconv.FormatFloat(*f, 'g', -1, 64)
-			}
-		case *sim.Duration:
-			if *f != 0 {
-				val = formatDur(*f)
-			}
-		case *int:
-			if *f != 0 {
-				val = strconv.Itoa(*f)
-			}
-		case *[]int64:
-			ns := make([]string, len(*f))
-			for i, n := range *f {
-				ns[i] = strconv.FormatInt(n, 10)
-			}
-			val = strings.Join(ns, ";")
-		}
-		if val != "" {
-			parts = append(parts, k.key+"="+val)
-		}
-	}
-	return strings.Join(parts, ",")
-}
+// the empty string.
+func (c Config) String() string { return specKeys.Format(&c) }

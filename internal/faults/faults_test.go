@@ -285,12 +285,12 @@ func TestInjectedIsPublishedWhole(t *testing.T) {
 func TestSpecKeysCoverConfig(t *testing.T) {
 	var cfg Config
 	seen := map[any]string{}
-	for _, k := range specKeys {
-		f := k.field(&cfg)
+	for _, k := range specKeys.Fields {
+		f := k.Ptr(&cfg)
 		if prev, dup := seen[f]; dup {
-			t.Errorf("keys %q and %q share one field", prev, k.key)
+			t.Errorf("keys %q and %q share one field", prev, k.Key)
 		}
-		seen[f] = k.key
+		seen[f] = k.Key
 	}
 	if n := reflect.TypeOf(cfg).NumField(); len(seen) != n {
 		t.Fatalf("%d keys for %d Config fields", len(seen), n)

@@ -36,6 +36,7 @@ func FuzzParseSpecRoundTrip(f *testing.F) {
 		"node.crash.every=60us,node.crash.for=8us,drv.crash.every=40us,drv.crash.for=3us",
 		"sw.reboot.every=55us,sw.reboot.for=6us,part.every=45us,part.for=4us",
 		"node.crash.every=-1us", "drv.crash.for=nan", "part.every=",
+		"wire.loss=0.1,wire.loss=0.2", "wire.dropn=1;2,wire.dropn=3", "start=10000000s",
 	}
 	for _, s := range seeds {
 		f.Add(s)

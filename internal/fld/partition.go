@@ -62,9 +62,6 @@ func (p *Partition) Release(f *FLD) {
 	}
 }
 
-// Tenant reports which tenant owns the core ("" if unassigned).
-func (p *Partition) Tenant(f *FLD) string { return p.tenantOf[f] }
-
 // Cores returns a tenant's cores in assignment order.
 func (p *Partition) Cores(tenant string) []*FLD { return p.cores[tenant] }
 

@@ -2,6 +2,7 @@ package fldsw
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"flexdriver/internal/fld"
@@ -244,17 +245,19 @@ func TestTenantRuleValidation(t *testing.T) {
 		name  string
 		table int
 		r     nic.Rule
+		why   string // the refusal names the rule that was broken
 	}{
-		{"foreign tag", 70, nic.Rule{Action: nic.Action{SetFlowTag: tag(9), ToRQ: inn.rt.RQ()}}},
-		{"foreign table", 0, nic.Rule{Action: nic.Action{Drop: true}}},
-		{"jump out", 70, nic.Rule{Action: nic.Action{ToTable: tbl(0)}}},
-		{"vport", 70, nic.Rule{Action: nic.Action{ToVPort: tbl(1)}}},
-		{"untagged accel steering", 70, nic.Rule{Action: nic.Action{ToRQ: inn.rt.RQ()}}},
-		{"ipsec", 70, nic.Rule{Action: nic.Action{ESPDecrypt: &netpkt.ESPSA{}, Drop: true}}},
+		{"foreign tag", 70, nic.Rule{Action: nic.Action{SetFlowTag: tag(9), ToRQ: inn.rt.RQ()}}, "foreign context tag"},
+		{"foreign table", 0, nic.Rule{Action: nic.Action{Drop: true}}, "table not owned by tenant"},
+		{"jump out", 70, nic.Rule{Action: nic.Action{ToTable: tbl(0)}}, "jump to foreign table"},
+		{"vport", 70, nic.Rule{Action: nic.Action{ToVPort: tbl(1)}}, "vport forwarding is hypervisor-only"},
+		{"untagged accel steering", 70, nic.Rule{Action: nic.Action{ToRQ: inn.rt.RQ()}}, "must tag the tenant context"},
+		{"ipsec", 70, nic.Rule{Action: nic.Action{ESPDecrypt: &netpkt.ESPSA{}, Drop: true}}, "IPSec SAs are hypervisor-only"},
 	}
 	for _, c := range bad {
-		if err := ecp.InstallTenantRule(tenantCtx, owned, c.table, c.r); err == nil {
-			t.Errorf("%s: malicious rule accepted", c.name)
+		err := ecp.InstallTenantRule(tenantCtx, owned, c.table, c.r)
+		if err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("%s: got %v, want a refusal saying %q", c.name, err, c.why)
 		}
 	}
 }

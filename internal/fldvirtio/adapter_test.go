@@ -8,6 +8,7 @@ import (
 	"flexdriver/internal/hostmem"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/telemetry"
 	"flexdriver/internal/virtio"
 )
 
@@ -20,6 +21,7 @@ type bed struct {
 	adapter *Adapter
 	devA    *virtio.NetDevice
 	devB    *virtio.NetDevice
+	reg     *telemetry.Registry // the server fabric's links, by device name
 }
 
 func newBed(t *testing.T) *bed {
@@ -36,6 +38,8 @@ func newBed(t *testing.T) *bed {
 
 	// Server: virtio NIC + FLD adapter, no host involvement.
 	fabB := pcie.NewFabric(eng)
+	reg := telemetry.New()
+	fabB.SetTelemetry(reg.Scope("server"))
 	devB := virtio.NewNetDevice("server-vnic", eng, virtio.DefaultNetDeviceParams())
 	devB.AttachPCIe(fabB, pcie.Gen3x8())
 	ad := New(eng, DefaultConfig())
@@ -43,7 +47,7 @@ func newBed(t *testing.T) *bed {
 	ad.BindDevice(devB)
 
 	virtio.ConnectLink(devA, devB, 25*sim.Gbps, 500*sim.Nanosecond)
-	return &bed{eng: eng, client: client, adapter: ad, devA: devA, devB: devB}
+	return &bed{eng: eng, client: client, adapter: ad, devA: devA, devB: devB, reg: reg}
 }
 
 // TestSameAFUWorksOverVirtio: an accelerator written against the standard
@@ -76,6 +80,15 @@ func TestSameAFUWorksOverVirtio(t *testing.T) {
 	}
 	if b.adapter.RxPackets != n || b.adapter.TxPackets != n {
 		t.Fatalf("adapter counters rx=%d tx=%d", b.adapter.RxPackets, b.adapter.TxPackets)
+	}
+	// Both ends of the server's peer-to-peer traffic are on the fabric's
+	// ledger under their own names: the NIC reads rings and buffers out
+	// of the adapter's BAR, the adapter rings the NIC's notify registers.
+	snap := b.reg.Snapshot()
+	for _, link := range []string{"server/fld-virtio/up/bytes", "server/server-vnic/up/bytes"} {
+		if snap.Get(link) == 0 {
+			t.Errorf("%s is 0 after %d echoes", link, n)
+		}
 	}
 }
 

@@ -285,9 +285,6 @@ func (e *ESwitch) AddVPort() *VPort {
 	return vp
 }
 
-// VPort returns the vport with the given ID, or nil.
-func (e *ESwitch) VPort(id int) *VPort { return e.vports[id] }
-
 // removeVPort retires a vport (VF teardown). Rules still pointing at it
 // hit DropNoSuchVPort, like hardware steering to a destroyed function.
 func (e *ESwitch) removeVPort(id int) { delete(e.vports, id) }
@@ -305,9 +302,6 @@ func (e *ESwitch) AddRule(table int, r Rule) {
 	e.tables[table] = append(e.tables[table], r)
 	if e.tlm != nil {
 		e.tlm.table(table)
-		if r.Action.Count != "" {
-			e.tlm.count(r.Action.Count)
-		}
 	}
 }
 
@@ -332,12 +326,7 @@ func (e *ESwitch) process(v *pktView) {
 		}
 		a := &rule.Action
 		if a.Count != "" {
-			// A map entry has no address to publish, so like NIC.drop a
-			// named count is kept on both sides.
 			e.Counters[a.Count]++
-			if e.tlm != nil {
-				e.tlm.count(a.Count).Inc()
-			}
 		}
 		if a.Policer != nil && !a.Policer.Admit(len(v.frame)) {
 			e.drop(v, DropPolicer)

@@ -200,6 +200,26 @@ func TestWQEByMMIO(t *testing.T) {
 	}
 }
 
+// TestRegisterRead: the BAR is write-only, so a register read completes
+// with zeros, and a crashed NIC does not answer at all — the requester's
+// completion timeout is what a driver sees of a dead device.
+func TestRegisterRead(t *testing.T) {
+	eng := sim.NewEngine()
+	nd := newNode(t, eng)
+	var got pcie.Completion
+	read := func() {
+		nd.host.Read(nd.bar+SQDoorbellOffset(0), 8, func(c pcie.Completion) { got = c })
+		eng.Run()
+	}
+	if read(); !got.OK() || !bytes.Equal(got.Data, make([]byte, 8)) {
+		t.Fatalf("register read: status %v data %x, want success and eight zero bytes", got.Status, got.Data)
+	}
+	nd.nic.Crash()
+	if read(); got.Status != pcie.CplTimedOut {
+		t.Fatalf("read of a crashed NIC: status %v, want a completion timeout", got.Status)
+	}
+}
+
 func TestMPRQStrideAccounting(t *testing.T) {
 	eng, a, b, _ := twoNodes(t)
 	dsq, drq, cqes, bufBase := setupEthTxRx(t, a, b, 256)

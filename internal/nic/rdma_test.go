@@ -312,8 +312,8 @@ func TestRDMAWindowAcrossPSNWrap(t *testing.T) {
 			h.eng.Run()
 		}
 	}
-	if h.qpA.State() != QueueReady || h.qpB.State() != QueueReady {
-		t.Fatalf("QP states %v/%v after the wrap, want Ready", h.qpA.State(), h.qpB.State())
+	if a, b := h.qpA.State().String(), h.qpB.State().String(); a != "ready" || b != "ready" {
+		t.Fatalf("QP states %s/%s after the wrap, want ready", a, b)
 	}
 	if len(*h.msgs) != n {
 		t.Fatalf("delivered %d messages across the PSN wrap, want %d", len(*h.msgs), n)

@@ -94,29 +94,18 @@ func (cq *CQ) instrument(sc *telemetry.Scope) {
 	cq.tCQEs = sc.Scope(fmt.Sprintf("cq%d", cq.ID)).Counter("cqes")
 }
 
-// eswTelemetry counts rule activity: hits per table plus the named
-// Count actions mirrored into the registry.
+// eswTelemetry counts rule activity: hits per table.
 type eswTelemetry struct {
-	scope  *telemetry.Scope
-	hits   map[int]*telemetry.Counter
-	counts map[string]*telemetry.Counter
+	scope *telemetry.Scope
+	hits  map[int]*telemetry.Counter
 }
 
 func (e *ESwitch) setTelemetry(sc *telemetry.Scope) {
-	t := &eswTelemetry{
-		scope:  sc,
-		hits:   make(map[int]*telemetry.Counter),
-		counts: make(map[string]*telemetry.Counter),
-	}
+	t := &eswTelemetry{scope: sc, hits: make(map[int]*telemetry.Counter)}
 	e.tlm = t
 	sc.Func("loopback_util", e.loopback.Utilization)
-	for table, rules := range e.tables {
+	for table := range e.tables {
 		t.table(table)
-		for i := range rules {
-			if name := rules[i].Action.Count; name != "" {
-				t.count(name)
-			}
-		}
 	}
 }
 
@@ -126,17 +115,6 @@ func (t *eswTelemetry) table(table int) *telemetry.Counter {
 	if c == nil {
 		c = t.scope.Counter(fmt.Sprintf("table%d/hits", table))
 		t.hits[table] = c
-	}
-	return c
-}
-
-// count returns (creating on first use) the counter backing a Count
-// action name.
-func (t *eswTelemetry) count(name string) *telemetry.Counter {
-	c := t.counts[name]
-	if c == nil {
-		c = t.scope.Counter("count/" + name)
-		t.counts[name] = c
 	}
 	return c
 }

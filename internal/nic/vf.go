@@ -97,9 +97,6 @@ func (n *NIC) CreateVF(cfg VFConfig) *VF {
 	return vf
 }
 
-// VF returns the function with the given ID, or nil.
-func (n *NIC) VF(id int) *VF { return n.vfs[id] }
-
 // VFs returns every live function in ID order.
 func (n *NIC) VFs() []*VF {
 	ids := make([]int, 0, len(n.vfs))
@@ -135,9 +132,6 @@ func (vf *VF) VPort() *VPort { return vf.vport }
 
 // Weight returns the VF's ETS share.
 func (vf *VF) Weight() int { return vf.weight }
-
-// Shaper returns the VF's aggregate egress shaper, or nil.
-func (vf *VF) Shaper() *sim.TokenBucket { return vf.shaper }
 
 // SetWeight re-slices the VF's ETS share live; frames already queued
 // keep their accumulated deficit, new rounds accrue at the new weight.
@@ -262,21 +256,6 @@ func (vf *VF) FLR() {
 	}
 }
 
-// QueuesReady reports whether every queue the VF owns is Ready.
-func (vf *VF) QueuesReady() bool {
-	for _, id := range vf.sqIDs {
-		if sq := vf.n.sqs[id]; sq != nil && sq.State() != QueueReady {
-			return false
-		}
-	}
-	for _, id := range vf.rqIDs {
-		if rq := vf.n.rqs[id]; rq != nil && rq.State() != QueueReady {
-			return false
-		}
-	}
-	return true
-}
-
 // DestroyVF tears a function down: its queues are failed (in-flight
 // work is invalidated), removed from the device, its tables cleared and
 // its vport retired. PF-owned, like creation. Telemetry counters the
@@ -319,9 +298,3 @@ func (rq *RQ) domain() int {
 	}
 	return 0
 }
-
-// VF returns the queue's owning virtual function (nil for PF queues).
-func (sq *SQ) VF() *VF { return sq.vf }
-
-// VF returns the queue's owning virtual function (nil for PF queues).
-func (rq *RQ) VF() *VF { return rq.vf }

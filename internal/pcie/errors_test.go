@@ -67,8 +67,8 @@ func TestReadUnmappedAddressUR(t *testing.T) {
 	if got == nil {
 		t.Fatal("read never completed")
 	}
-	if got.Status != CplUR {
-		t.Fatalf("status = %v, want CplUR", got.Status)
+	if st := got.Status.String(); st != "unsupported-request" {
+		t.Fatalf("status = %s, want unsupported-request", st)
 	}
 	if fab.Errs.UR != 1 {
 		t.Fatalf("UR count = %d, want 1", fab.Errs.UR)

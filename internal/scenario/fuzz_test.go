@@ -51,6 +51,7 @@ func FuzzParseScenarioSpec(f *testing.F) {
 	f.Add("gbps=NaN")
 	f.Add("frames=512:64")
 	f.Add("pattern=bursty window=1001")
+	f.Add("clients=1 clients=3")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := Parse(text)
 		if err != nil {

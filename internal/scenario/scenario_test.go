@@ -36,21 +36,27 @@ func TestGenerateIsPure(t *testing.T) {
 }
 
 // TestSpecRoundTrip: String then Parse must reproduce the spec exactly
-// for generated scenarios, so a printed repro line loses nothing.
+// for generated scenarios, so a printed repro line loses nothing — every
+// seed of the CI sweep as generated, then with the optional plants set.
 func TestSpecRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
+	roundTrip := func(s Spec) {
+		t.Helper()
+		got, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("seed %d: Parse(%q): %v", s.Seed, s.String(), err)
+		}
+		if got != s {
+			t.Fatalf("seed %d round-trip changed the spec:\n  in  %v\n  out %v", s.Seed, s, got)
+		}
+	}
+	for seed := int64(0); seed <= 300; seed++ {
 		s := Generate(seed)
+		roundTrip(s)
 		s.PlantLossNth = seed % 3 // exercise the optional fields too
 		if s.Tenants >= 2 {
 			s.PlantLeakNth = 10 + seed%5
 		}
-		got, err := Parse(s.String())
-		if err != nil {
-			t.Fatalf("seed %d: Parse(%q): %v", seed, s.String(), err)
-		}
-		if got != s {
-			t.Fatalf("seed %d round-trip changed the spec:\n  in  %v\n  out %v", seed, s, got)
-		}
+		roundTrip(s)
 	}
 }
 
@@ -101,7 +107,7 @@ func TestPlantedViolationIsCaughtAndShrunk(t *testing.T) {
 	}
 
 	min, runs := Shrink(s, "frame-conservation")
-	t.Logf("shrunk after %d runs to: %s", runs, min)
+	t.Logf("%s; shrunk after %d runs to: %s", res.Violations[0], runs, min)
 	if min.Clients != 1 {
 		t.Errorf("shrinker left %d clients; one is enough to reproduce", min.Clients)
 	}

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"flexdriver/internal/faults"
+	"flexdriver/internal/kvspec"
 	"flexdriver/internal/sim"
 )
 
@@ -279,54 +280,77 @@ func genFaults(rng *sim.Rand) string {
 	return cfg.String()
 }
 
+// specKeys is the scenario spec's schema, in the order String emits it;
+// the ranges are the ones Run supports, so a hand-edited spec fails
+// loudly instead of building a degenerate cluster. The first ten keys
+// are always written; the rest only when set.
+var specKeys = kvspec.Schema[Spec]{Name: "scenario", Sep: ' ', Fields: []kvspec.Field[Spec]{
+	{Key: "seed", Ptr: func(s *Spec) any { return &s.Seed }, Always: true},
+	{Key: "clients", Ptr: func(s *Spec) any { return &s.Clients }, Min: 1, Max: 8, Always: true},
+	{Key: "cores", Ptr: func(s *Spec) any { return &s.FLDCores }, Min: 1, Max: 8, Always: true},
+	{Key: "rate", Ptr: func(s *Spec) any { return &s.RateGbps }, Min: 1, Max: 100, Always: true},
+	{Key: "queue", Ptr: func(s *Spec) any { return &s.QueueFrames }, Min: 1, Max: 4096, Always: true},
+	{Key: "pattern", Ptr: func(s *Spec) any { return &s.Pattern }, Enum: []string{"poisson", "bursty"}, Always: true},
+	{Key: "frames", Ptr: func(s *Spec) any { return frameRange{&s.FrameMin, &s.FrameMax} }, Always: true},
+	// (0, 100]: the smallest positive float stands for the open end.
+	{Key: "gbps", Ptr: func(s *Spec) any { return &s.PerClientGbps }, Min: math.SmallestNonzeroFloat64, Max: 100, Always: true},
+	{Key: "window", Ptr: func(s *Spec) any { return &s.WindowUs }, Min: 5, Max: 1000, Always: true},
+	{Key: "path", Ptr: func(s *Spec) any { return &s.Path }, Enum: []string{"eth", "vxlan"}, Always: true},
+	{Key: "rdma", Ptr: func(s *Spec) any { return &s.RDMA }},
+	{Key: "hosts", Ptr: func(s *Spec) any { return &s.AggHosts }, Min: 1, Max: 64},
+	{Key: "aggclients", Ptr: func(s *Spec) any { return &s.AggClients }, Min: 1, Max: 2048},
+	{Key: "proto", Ptr: func(s *Spec) any { return &s.Proto }, Enum: []string{"tcp", "rpc"}},
+	{Key: "plantackdrop", Ptr: func(s *Spec) any { return &s.PlantAckDropNth }, Max: math.Inf(1)},
+	{Key: "tenants", Ptr: func(s *Spec) any { return &s.Tenants }, Min: 2, Max: 4},
+	{Key: "reconfig", Ptr: func(s *Spec) any { return &s.Reconfig }},
+	{Key: "plant", Ptr: func(s *Spec) any { return &s.PlantLossNth }, Max: math.Inf(1)},
+	{Key: "plantleak", Ptr: func(s *Spec) any { return &s.PlantLeakNth }, Max: math.Inf(1)},
+	{Key: "faults", Ptr: func(s *Spec) any { return (*faultSpec)(&s.Faults) }},
+}}
+
+// frameRange is the frames=min:max value.
+type frameRange struct{ min, max *int }
+
+func (r frameRange) Set(val string) (err error) {
+	lo, hi, ok := strings.Cut(val, ":")
+	if !ok {
+		return fmt.Errorf("want min:max")
+	}
+	if *r.min, err = kvspec.Int(lo, 64, 9000); err != nil {
+		return err
+	}
+	if *r.max, err = kvspec.Int(hi, 64, 9000); err != nil {
+		return err
+	}
+	if *r.max < *r.min {
+		return fmt.Errorf("max %d below min %d", *r.max, *r.min)
+	}
+	return nil
+}
+
+func (r frameRange) String() string {
+	return strconv.Itoa(*r.min) + ":" + strconv.Itoa(*r.max)
+}
+
+// faultSpec is the faults= value: a fault spec kept as written, so the
+// repro line carries it verbatim, once faults.ParseSpec has accepted it.
+type faultSpec string
+
+func (f *faultSpec) Set(val string) error {
+	if _, err := faults.ParseSpec(val); err != nil {
+		return err
+	}
+	*f = faultSpec(val)
+	return nil
+}
+
+func (f *faultSpec) String() string { return string(*f) }
+
 // String serializes the spec as space-separated key=value fields, the
 // textual form Parse accepts and ReproCommand embeds. No value contains
 // a space (the fault spec is comma/semicolon-structured), so the format
 // survives shell quoting as a single argument.
-func (s Spec) String() string {
-	parts := []string{
-		"seed=" + strconv.FormatInt(s.Seed, 10),
-		"clients=" + strconv.Itoa(s.Clients),
-		"cores=" + strconv.Itoa(s.FLDCores),
-		"rate=" + strconv.Itoa(s.RateGbps),
-		"queue=" + strconv.Itoa(s.QueueFrames),
-		"pattern=" + s.Pattern,
-		"frames=" + strconv.Itoa(s.FrameMin) + ":" + strconv.Itoa(s.FrameMax),
-		"gbps=" + strconv.FormatFloat(s.PerClientGbps, 'g', -1, 64),
-		"window=" + strconv.Itoa(s.WindowUs),
-		"path=" + s.Path,
-	}
-	if s.RDMA {
-		parts = append(parts, "rdma=1")
-	}
-	if s.AggClients > 0 {
-		parts = append(parts,
-			"hosts="+strconv.Itoa(s.AggHosts),
-			"aggclients="+strconv.Itoa(s.AggClients))
-	}
-	if s.Proto != "" {
-		parts = append(parts, "proto="+s.Proto)
-	}
-	if s.PlantAckDropNth > 0 {
-		parts = append(parts, "plantackdrop="+strconv.FormatInt(s.PlantAckDropNth, 10))
-	}
-	if s.Tenants > 0 {
-		parts = append(parts, "tenants="+strconv.Itoa(s.Tenants))
-	}
-	if s.Reconfig {
-		parts = append(parts, "reconfig=1")
-	}
-	if s.PlantLossNth > 0 {
-		parts = append(parts, "plant="+strconv.FormatInt(s.PlantLossNth, 10))
-	}
-	if s.PlantLeakNth > 0 {
-		parts = append(parts, "plantleak="+strconv.FormatInt(s.PlantLeakNth, 10))
-	}
-	if s.Faults != "" {
-		parts = append(parts, "faults="+s.Faults)
-	}
-	return strings.Join(parts, " ")
-}
+func (s Spec) String() string { return specKeys.Format(&s) }
 
 // ReproCommand returns the one-line command that replays this exact
 // scenario (and its invariant checking) from a shell.
@@ -334,110 +358,19 @@ func (s Spec) ReproCommand() string {
 	return fmt.Sprintf("fldreport -exp scenario -seed %d -spec %q", s.Seed, s.String())
 }
 
-// Parse decodes a String-serialized spec. Every field is validated
-// against the ranges Run supports, so a hand-edited spec fails loudly
-// instead of building a degenerate cluster.
+// Parse decodes a String-serialized spec; keys it does not give keep
+// the defaults below.
 func Parse(text string) (Spec, error) {
 	s := Spec{
 		Clients: 1, FLDCores: 1, RateGbps: 25, QueueFrames: 64,
 		Pattern: "poisson", FrameMin: 64, FrameMax: 64,
 		PerClientGbps: 1, WindowUs: 50, Path: "eth",
 	}
-	for _, field := range strings.Fields(text) {
-		kv := strings.SplitN(field, "=", 2)
-		if len(kv) != 2 {
-			return s, fmt.Errorf("scenario: field %q is not key=value", field)
-		}
-		key, val := kv[0], kv[1]
-		var err error
-		switch key {
-		case "seed":
-			s.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "clients":
-			s.Clients, err = parseRange(val, 1, 8)
-		case "cores":
-			s.FLDCores, err = parseRange(val, 1, 8)
-		case "rate":
-			s.RateGbps, err = parseRange(val, 1, 100)
-		case "queue":
-			s.QueueFrames, err = parseRange(val, 1, 4096)
-		case "pattern":
-			if val != "poisson" && val != "bursty" {
-				err = fmt.Errorf("must be poisson or bursty")
-			}
-			s.Pattern = val
-		case "frames":
-			lohi := strings.SplitN(val, ":", 2)
-			if len(lohi) != 2 {
-				err = fmt.Errorf("want min:max")
-				break
-			}
-			if s.FrameMin, err = parseRange(lohi[0], 64, 9000); err != nil {
-				break
-			}
-			if s.FrameMax, err = parseRange(lohi[1], 64, 9000); err != nil {
-				break
-			}
-			if s.FrameMax < s.FrameMin {
-				err = fmt.Errorf("max %d below min %d", s.FrameMax, s.FrameMin)
-			}
-		case "gbps":
-			s.PerClientGbps, err = strconv.ParseFloat(val, 64)
-			// NaN slips past the range check (every comparison is false)
-			// but can never round-trip; reject it explicitly.
-			if err == nil && (math.IsNaN(s.PerClientGbps) || s.PerClientGbps <= 0 || s.PerClientGbps > 100) {
-				err = fmt.Errorf("out of (0,100]")
-			}
-		case "window":
-			s.WindowUs, err = parseRange(val, 5, 1000)
-		case "path":
-			if val != "eth" && val != "vxlan" {
-				err = fmt.Errorf("must be eth or vxlan")
-			}
-			s.Path = val
-		case "rdma":
-			s.RDMA = val == "1" || val == "true"
-		case "hosts":
-			s.AggHosts, err = parseRange(val, 1, 64)
-		case "aggclients":
-			s.AggClients, err = parseRange(val, 1, 2048)
-		case "proto":
-			if val != "tcp" && val != "rpc" {
-				err = fmt.Errorf("must be tcp or rpc")
-			}
-			s.Proto = val
-		case "plantackdrop":
-			s.PlantAckDropNth, err = strconv.ParseInt(val, 10, 64)
-			if err == nil && s.PlantAckDropNth < 0 {
-				err = fmt.Errorf("must be >= 0")
-			}
-		case "tenants":
-			s.Tenants, err = parseRange(val, 2, 4)
-		case "reconfig":
-			s.Reconfig = val == "1" || val == "true"
-		case "plant":
-			s.PlantLossNth, err = strconv.ParseInt(val, 10, 64)
-			if err == nil && s.PlantLossNth < 0 {
-				err = fmt.Errorf("must be >= 0")
-			}
-		case "plantleak":
-			s.PlantLeakNth, err = strconv.ParseInt(val, 10, 64)
-			if err == nil && s.PlantLeakNth < 0 {
-				err = fmt.Errorf("must be >= 0")
-			}
-		case "faults":
-			if _, err = faults.ParseSpec(val); err == nil {
-				s.Faults = val
-			}
-		default:
-			return s, fmt.Errorf("scenario: unknown key %q", key)
-		}
-		if err != nil {
-			return s, fmt.Errorf("scenario: bad value for %s: %v", key, err)
-		}
+	if err := specKeys.Parse(text, &s); err != nil {
+		return s, err
 	}
 	// Cross-field constraints (fields arrive in any order, so they are
-	// judged after the loop).
+	// judged once all are in).
 	if s.Tenants > 0 && s.Path == "vxlan" {
 		return s, fmt.Errorf("scenario: tenants and vxlan both steer via the server NIC's table 0; use path=eth")
 	}
@@ -466,15 +399,4 @@ func Parse(text string) (Spec, error) {
 		return s, fmt.Errorf("scenario: plantackdrop needs proto")
 	}
 	return s, nil
-}
-
-func parseRange(val string, lo, hi int) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, err
-	}
-	if n < lo || n > hi {
-		return 0, fmt.Errorf("%d outside [%d,%d]", n, lo, hi)
-	}
-	return n, nil
 }

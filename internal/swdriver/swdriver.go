@@ -148,9 +148,6 @@ func (d *Driver) flushSQ(sq *nic.SQ, pi uint32, ci *uint32) {
 	d.Recoveries++
 }
 
-// CPU exposes the core's resource for utilization accounting.
-func (d *Driver) CPU() *sim.Resource { return d.cpu }
-
 // cpuWork charges one CPU operation, with occasional OS jitter, then runs
 // fn.
 func (d *Driver) cpuWork(cost sim.Duration, fn func()) {

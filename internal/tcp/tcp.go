@@ -233,9 +233,6 @@ func (c *Conn) Config() Config { return c.cfg }
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// Epoch returns the current incarnation.
-func (c *Conn) Epoch() uint8 { return c.epoch }
-
 // Connect establishes a pair (the three-way handshake abstracted away,
 // like ConnectQPs). Both ends start at sequence zero, epoch 1.
 func Connect(a, b *Conn) {

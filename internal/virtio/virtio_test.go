@@ -77,6 +77,14 @@ func TestVirtioEndToEnd(t *testing.T) {
 	if a.dev.TxPackets != n || b.dev.RxPackets != n {
 		t.Fatalf("device counters tx=%d rx=%d", a.dev.TxPackets, b.dev.RxPackets)
 	}
+	// The notify registers are write-only: a read completes, with zeros.
+	var reg []byte
+	a.fab.PortOf(a.mem).Read(a.fab.PortOf(a.dev).Base()+NotifyOffset(TxQueue), 4,
+		func(c pcie.Completion) { reg = c.Data })
+	eng.Run()
+	if !bytes.Equal(reg, make([]byte, 4)) {
+		t.Fatalf("notify register read %x, want four zero bytes", reg)
+	}
 }
 
 func TestVirtioBidirectional(t *testing.T) {

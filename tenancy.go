@@ -73,9 +73,6 @@ func NewTenantManager(inn *Innova, seed int64) *TenantManager {
 	return tm
 }
 
-// Node returns the managed Innova.
-func (tm *TenantManager) Node() *Innova { return tm.inn }
-
 // Reconciler exposes the node's reconcile loop (for watchdog Kicks and
 // convergence checks).
 func (tm *TenantManager) Reconciler() *ctrlplane.Reconciler { return tm.rec }
@@ -343,9 +340,6 @@ func (c *Cluster) ManageTenants(inn *Innova, seed int64) *TenantManager {
 	c.tms = append(c.tms, tm)
 	return tm
 }
-
-// TenantManagers returns the cluster's managed nodes in management order.
-func (c *Cluster) TenantManagers() []*TenantManager { return c.tms }
 
 // TenancySpec returns the spec the cluster last applied (version 0 before
 // the first Apply).

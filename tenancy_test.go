@@ -1,6 +1,7 @@
 package flexdriver
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -47,6 +48,24 @@ func TestTenantManagerConverges(t *testing.T) {
 	}
 	if v := snap.Gauges["innova/ctrlplane/tenant/alpha/rate_mbps"].Value; v != 10000 {
 		t.Fatalf("alpha rate gauge = %d, want 10000", v)
+	}
+	// A function-level reset is scoped to the function: alpha's VF counts
+	// it, beta's two do not, and alpha's queues come back Ready.
+	alpha := tm.VFs("alpha")[0]
+	alpha.FLR()
+	inn.Run()
+	snap = reg.Snapshot()
+	for _, vf := range append(tm.VFs("beta"), alpha) {
+		want := int64(0)
+		if vf == alpha {
+			want = 1
+		}
+		if got := snap.Get(fmt.Sprintf("innova/nic/vf%d/flrs", vf.ID)); got != want {
+			t.Errorf("vf%d/flrs = %d, want %d", vf.ID, got, want)
+		}
+	}
+	if !tm.Runtimes("alpha")[0].QueuesReady() {
+		t.Error("alpha's queues are not Ready after its function-level reset")
 	}
 }
 
@@ -155,7 +174,12 @@ func TestClusterApplyReachesEveryManagedNode(t *testing.T) {
 	b := c.AddInnova("b")
 	tma := c.ManageTenants(a, 1)
 	tmb := c.ManageTenants(b, 2)
-	if err := c.Apply(tenancyTestSpec()); err != nil {
+	// The spec arrives the way an operator sends it: as text.
+	spec, err := ParseTenancySpec(tenancyTestSpec().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Apply(spec); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
