@@ -4,80 +4,97 @@ import (
 	"fmt"
 	"testing"
 
+	"flexdriver/internal/nic"
 	"flexdriver/internal/swdriver"
 )
 
-// runPingCluster builds an n-host cluster in which every host streams
-// stamped UDP frames at its ring neighbor through the ToR switch, runs
-// it (optionally forcing zero lookahead), and returns the telemetry hash
-// and the total frames received. It is the smallest all-cross-shard
-// workload: every frame crosses two shard boundaries (sender→switch,
-// switch→receiver).
-func runPingCluster(t *testing.T, n, perHost int, zeroLookahead bool) (string, int) {
+// runIncastCluster builds the tie-prone workload of the lookahead table:
+// three hosts, started on the same picosecond, burst UDP frames at host0
+// through the ToR switch while a wire-delay fault plan holds some of them
+// back by a whole number of frame times — so frames of different senders
+// keep meeting each other, and the output port's own dequeue events, on the
+// same picosecond, and whether an arrival or a dequeue goes first decides
+// queue depths and tail drops. One more host is racked but
+// sends nothing; with noops its engine runs events that do nothing, which
+// moves the scheduler's window bounds and must move nothing else. It
+// returns the telemetry hash and the frames host0 received.
+func runIncastCluster(t *testing.T, lookahead Duration, noops bool) (string, int) {
 	t.Helper()
+	const senders, bursts, burst, size, period = 3, 40, 4, 256, 800 * Nanosecond
 	reg := NewRegistry()
-	cl := NewCluster(WithTelemetry(reg))
-	if zeroLookahead {
-		// Lookahead below the true link latency is conservative-safe: the
-		// scheduler degenerates to single-instant lockstep rounds but must
-		// produce the identical schedule.
-		cl.Group().SetLookahead(0)
-	}
+	// One frame's serialization time on a switch segment: senders emit
+	// their bursts back to back, so arrivals at the switch are spaced by
+	// exactly this, the output port drains at exactly this, and the fault
+	// plan delays a frame by exactly twice this.
+	slot := (25 * Gbps).Serialize(size + nic.EthWireOverhead)
+	plan := NewFaultPlan(11, FaultsConfig{WireDelay: 0.25, WireDelayBy: 2 * slot})
+	cl := NewCluster(WithTelemetry(reg), WithFaults(plan))
+	// A lookahead below the true link latency is conservative-safe: windows
+	// shrink (to single-instant lockstep rounds at zero) and the schedule
+	// must not change.
+	cl.Group().SetLookahead(lookahead)
 
-	hosts := make([]*Host, n)
-	ports := make([]*swdriver.EthPort, n)
-	recv := make([]int, n)
-	for i := 0; i < n; i++ {
+	sink := cl.AddHost("host0")
+	recv := 0
+	sink.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256}).
+		OnReceive = func([]byte, swdriver.RxMeta) { recv++ }
+	for i := 1; i <= senders; i++ {
 		h := cl.AddHost(fmt.Sprintf("host%d", i))
 		port := h.Drv.NewClientPort(swdriver.EthPortConfig{TxEntries: 256, RxEntries: 256})
-		i := i
-		port.OnReceive = func([]byte, swdriver.RxMeta) { recv[i]++ }
-		hosts[i], ports[i] = h, port
-	}
-	for i := 0; i < n; i++ {
-		dst := hosts[(i+1)%n]
-		frame := clusterUDPFrame(hosts[i].NIC, dst.NIC, uint16(4000+i), 7777, 256)
-		heng := hosts[i].Engine()
-		port := ports[i]
+		frame := clusterUDPFrame(h.NIC, sink.NIC, uint16(4000+i), 7777, size)
+		heng := h.Engine()
 		sent := 0
 		var tick func()
 		tick = func() {
-			if sent >= perHost {
+			if sent >= bursts {
 				return
 			}
-			port.Send(frame)
+			for j := 0; j < burst; j++ {
+				port.Send(frame)
+			}
 			sent++
-			heng.After(800*Nanosecond, tick)
+			heng.After(period, tick)
 		}
-		heng.After(Duration(i)*100*Nanosecond, tick)
+		heng.After(period, tick)
+	}
+	idle := cl.AddHost("idle").Engine()
+	if noops {
+		for at := 130 * Nanosecond; at < bursts*period; at += 130 * Nanosecond {
+			idle.At(at, func() {})
+		}
 	}
 	cl.Run()
-
-	total := 0
-	for _, r := range recv {
-		total += r
-	}
 	if pending := cl.Pending(); pending != 0 {
 		t.Fatalf("cluster left %d events pending after Run", pending)
 	}
-	return reg.Snapshot().Hash(), total
+	return reg.Snapshot().Hash(), recv
 }
 
-// TestClusterZeroLookahead pins the degenerate-topology case: with the
-// lookahead forced to zero the scheduler falls back to single-instant
-// lockstep rounds, and the run must still complete, deliver everything,
-// and reproduce the normal-lookahead schedule byte-for-byte.
+// TestClusterZeroLookahead pins that model output is a function of the
+// model and not of where the scheduler's windows fell: any lookahead up to
+// the true link latency — zero included, where the scheduler falls back to
+// single-instant lockstep rounds — and any amount of unrelated activity on
+// another shard must complete, deliver everything, and reproduce the same
+// telemetry byte for byte.
 func TestClusterZeroLookahead(t *testing.T) {
-	const n, perHost = 4, 40
-	ref, want := runPingCluster(t, n, perHost, false)
-	if want != n*perHost {
-		t.Fatalf("reference run delivered %d frames, want %d", want, n*perHost)
+	ref, want := runIncastCluster(t, 500*Nanosecond, false)
+	if want == 0 {
+		t.Fatalf("reference run delivered nothing")
 	}
-	hash, got := runPingCluster(t, n, perHost, true)
-	if got != want {
-		t.Errorf("zero-lookahead run delivered %d frames, want %d", got, want)
-	}
-	if hash != ref {
-		t.Errorf("zero-lookahead telemetry diverged:\n got  %s\n want %s", hash, ref)
+	for _, la := range []Duration{0, 50 * Nanosecond, 250 * Nanosecond, 500 * Nanosecond} {
+		for _, noops := range []bool{false, true} {
+			if la == 500*Nanosecond && !noops {
+				continue // the reference itself
+			}
+			t.Run(fmt.Sprintf("lookahead=%v/noops=%v", la, noops), func(t *testing.T) {
+				hash, got := runIncastCluster(t, la, noops)
+				if got != want {
+					t.Errorf("delivered %d frames, want %d", got, want)
+				}
+				if hash != ref {
+					t.Errorf("telemetry diverged from the 500ns run:\n got  %s\n want %s", hash, ref)
+				}
+			})
+		}
 	}
 }

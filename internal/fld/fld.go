@@ -363,15 +363,12 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	f.Stats.TxBytes += int64(len(data))
 	f.noteOccupancy()
 
-	// Pace the hardware pipeline, cross it, then notify the NIC. The
-	// pacing slot's end stays an event of its own (txPaced), unlike the
-	// receive side's: fusing it changes no instant, but a shard's
-	// next-event times feed the group scheduler's window bounds, and in
-	// chaos scenario seed 2 that moves a barrier and flips a same-instant
-	// tie on the switch shard (goldenChaosScenarioHash; ROADMAP 5).
+	// Pace the hardware pipeline, cross it, then notify the NIC: one
+	// event, at the end of the pacing slot plus the pipeline latency.
 	x := f.getPipeOp()
 	x.q, x.idx = q, idx
-	f.txPipe.AcquireArg(f.cfg.PacketInterval(), txPaced, x)
+	end := f.txPipe.AcquireArg(f.cfg.PacketInterval(), nil, nil)
+	f.eng.AtArg(end+f.cfg.PipelineDelay, txNotify, x)
 	return nil
 }
 
@@ -401,12 +398,6 @@ func (f *FLD) getPipeOp() *pipeOp {
 func (f *FLD) putPipeOp(x *pipeOp) {
 	*x = pipeOp{f: f, next: f.freeOp}
 	f.freeOp = x
-}
-
-// txPaced: the packet's initiation-interval slot ended; cross the pipeline.
-func txPaced(a any) {
-	x := a.(*pipeOp)
-	x.f.eng.AfterArg(x.f.cfg.PipelineDelay, txNotify, x)
 }
 
 // txNotify: the packet crossed the transmit pipeline; ring the NIC's

@@ -10,10 +10,11 @@ import "fmt"
 // latency. If L (the lookahead) is the minimum latency of any cross-shard
 // link, then an event executed at time t can only influence another shard
 // at t+L or later. The group therefore advances in rounds: find the
-// earliest pending event time T across all shards, let every shard run its
-// own events inside its window, then stop at a barrier where cross-shard
-// messages (buffered in Conduits during the round) are merged and injected
-// into their destination engines.
+// earliest pending event time T across all shards, then let every shard run
+// its own events inside its window. A cross-shard message (a Conduit send)
+// goes straight into the destination engine's heap; the windows guarantee
+// it lands at or after the end of the destination's current window, never
+// inside it or behind it.
 //
 // Windows are per-shard and adaptive. Every shard but the one holding the
 // global minimum T runs the classic conservative window [T, T+L). The
@@ -25,27 +26,30 @@ import "fmt"
 // cross-shard traffic is sparse; a group with no cross-shard conduits at
 // all (a fully co-located model) has no influence paths and runs every
 // shard straight to the next control or deadline. Shards with no events
-// before their window end are skipped entirely: no barrier work, no merge
-// scan.
+// before their window end are skipped entirely at the cost of one heap
+// peek.
 //
-// The schedule is a pure function of the model. The window bounds depend
-// only on per-shard next-event times, and within a round shards touch only
-// their own state plus per-conduit outboxes owned by the sending shard; at
-// the barrier all buffered messages are merged in (arrival time, conduit
-// ID, send index) order and injected in that order, which fixes the
-// destination-engine sequence numbers and hence the (time, seq) execution
-// order.
+// The schedule is a pure function of the model, and so is every tie. Each
+// engine runs its heap in (time, seq) order, and an arrival's seq is built
+// from the model alone — conduit ID and send index, in the lower half of
+// the seq space (see Engine.push) — so at one picosecond every arrival runs
+// before every locally scheduled event and arrivals among themselves run in
+// (conduit ID, send index) order. None of it depends on where a window
+// ended, on shard stepping order or on what other shards had pending: any
+// lookahead up to the true minimum latency gives the same schedule,
+// provided every cross-shard link has positive latency.
 //
 // Zero lookahead degenerates gracefully: windows shrink to a single
-// picosecond instant, rounds crawl one timestamp at a time, and messages
-// sent at time t arrive at t in the next round at the same instant. Slow,
-// but still correct and still deterministic. (The run-ahead extension is
+// picosecond instant and rounds crawl one timestamp at a time. Slow, but
+// still correct and still deterministic. (The run-ahead extension is
 // disabled at zero lookahead: a message sent at t can be answered at t,
-// and the answer must not land behind a shard that ran past t.)
+// and the answer must not land behind a shard that ran past t. Over a
+// zero-latency link a message sent at t runs at t — this round if the
+// destination is stepped after the sender, the next otherwise.)
 //
 // During a round, shard events must not touch group state or another
 // shard (the windows are only sound if every cross-shard influence rides a
-// conduit); Control actions run at barriers and may touch everything.
+// conduit); Control actions run between rounds and may touch everything.
 type Group struct {
 	engines   []*Engine
 	conduits  []*Conduit
@@ -55,11 +59,6 @@ type Group struct {
 
 	controls []control
 	ctlSeq   uint64
-
-	// Barrier scratch, reused across rounds so the steady state does not
-	// allocate.
-	dirty []*Conduit // conduits with buffered messages, gathered per barrier
-	mh    []*Conduit // k-way merge heap over the dirty conduits
 
 	// inRound is true while shard events execute, guarding the Conduit
 	// lookahead check: only sends from shard events must respect the
@@ -73,9 +72,10 @@ type Group struct {
 // GroupStats are scheduler-observability counters, cumulative over the
 // group's lifetime, and a pure function of the scenario.
 type GroupStats struct {
-	// Rounds counts barrier rounds executed.
+	// Rounds counts rounds executed.
 	Rounds int64
-	// Merged counts cross-shard messages injected at barriers.
+	// Merged counts cross-shard messages handed to their destination
+	// engine (the name predates the barrier merge's removal).
 	Merged int64
 	// ShardRounds counts, per shard index, the rounds that shard was
 	// active in (had events inside its window). A quiescent shard's
@@ -181,21 +181,18 @@ func (g *Group) Control(t Time, fn func()) {
 	g.controls = append(g.controls, control{at: t, seq: g.ctlSeq, fn: fn})
 }
 
-// Pending reports the total number of scheduled events across all shards,
-// pending conduit messages, and pending controls.
+// Pending reports the total number of scheduled events across all shards
+// (in-flight conduit messages among them) and pending controls.
 func (g *Group) Pending() int {
 	n := len(g.controls)
 	for _, e := range g.engines {
 		n += e.Pending()
 	}
-	for _, c := range g.conduits {
-		n += len(c.out)
-	}
 	return n
 }
 
-// Run executes events until every shard's queue drains and no conduit
-// messages or controls remain.
+// Run executes events until every shard's queue drains and no controls
+// remain.
 func (g *Group) Run() {
 	g.run(0, true)
 	// Leave every clock at the global end time so post-run inspection
@@ -216,10 +213,6 @@ func (g *Group) RunUntil(deadline Time) {
 
 // run is the round loop shared by Run and RunUntil.
 func (g *Group) run(deadline Time, drain bool) {
-	// Construction and controls from a previous run may have left
-	// messages in conduit outboxes; the scans below must see them in
-	// engine heaps.
-	g.flushAll()
 	for {
 		tNext, min2, haveE := g.nextEventTimes()
 		cAt, haveC := g.nextControlTime()
@@ -235,9 +228,6 @@ func (g *Group) run(deadline Time, drain bool) {
 				g.now = cAt
 			}
 			g.runControlsAt(cAt)
-			// Controls may send on any conduit, not just ones the last
-			// round's shards own — gather from the whole topology.
-			g.flushAll()
 			continue
 		}
 		if !haveE {
@@ -258,8 +248,7 @@ func (g *Group) run(deadline Time, drain bool) {
 		// straight to the control/deadline bound.
 		base := tNext + g.lookahead
 		if base <= tNext {
-			// Zero lookahead: degenerate to lockstep single-instant
-			// rounds. Messages sent at tNext arrive at tNext next round.
+			// Zero lookahead: lockstep single-instant rounds.
 			base = tNext + 1
 		}
 		ownerEnd := maxTime
@@ -371,20 +360,19 @@ func (g *Group) advanceAll(t Time) {
 }
 
 // round runs, in index order, every shard with work before its window end
-// — ownerEnd for shards holding the global minimum min1, base for the rest
-// — then merges what they sent. An idle shard costs one heap peek. Only a
-// shard that ran can have buffered cross-shard sends, so gathering each
-// one's dirty conduits as it finishes keeps the merge cost proportional to
-// the traffic that actually crossed, not to the topology. A shard's run
-// never changes another's heap — sends wait in outboxes — so deciding each
-// window as the pass reaches it is the same as deciding them all up front;
-// and the shard holding min1 always runs (run keeps every bound above
-// min1), so every call is a round.
+// — ownerEnd for shards holding the global minimum min1, base for the rest.
+// An idle shard costs one heap peek. A shard's run can add to another's
+// heap, but only at or after that shard's window end (a send lands a
+// lookahead or more after the sender's clock: min1 or later, min2 or later
+// when the destination holds min1), so it changes neither whether that
+// shard holds min1 nor whether it has work inside its window: deciding each
+// window as the pass reaches it is the same as deciding them all up front.
+// The shard holding min1 always runs (run keeps every bound above min1), so
+// every call is a round.
 func (g *Group) round(base, ownerEnd, min1 Time) {
 	for len(g.stats.ShardRounds) < len(g.engines) {
 		g.stats.ShardRounds = append(g.stats.ShardRounds, 0)
 	}
-	d := g.dirty[:0]
 	g.inRound = true
 	for _, e := range g.engines {
 		if len(e.events) == 0 {
@@ -402,27 +390,12 @@ func (g *Group) round(base, ownerEnd, min1 Time) {
 		}
 		g.stats.ShardRounds[e.shard]++
 		e.runBefore(end)
-		for _, c := range e.dirty {
-			c.inDirty = false
-			if len(c.out) > 0 {
-				d = append(d, c)
-			}
-		}
-		e.dirty = e.dirty[:0]
 	}
 	g.inRound = false
 	g.stats.Rounds++
-	g.dirty = d
-	g.merge()
 }
 
 // --- Conduits ------------------------------------------------------------
-
-// cmsg is one buffered cross-shard message: a frame and its arrival time.
-type cmsg struct {
-	at    Time
-	frame []byte
-}
 
 // dnode carries a delivery through the destination engine's event heap and
 // is recycled on a per-conduit freelist, so steady-state crossings do not
@@ -447,32 +420,24 @@ func conduitDeliver(a any) {
 }
 
 // Conduit is a one-directional cross-shard message channel — the model's
-// link seam. The source shard buffers sends during a round; the barrier
-// merge injects them into the destination engine in (arrival time, conduit
-// ID, send index) order. Handlers run on the destination shard at the
-// arrival time and read the frame only; a frame handed to Send must not be
-// mutated afterwards (the destination reads it a lookahead or more later).
+// link seam. A send is one insert into the destination engine's heap, under
+// a sequence number the conduit builds itself: among events of one
+// picosecond on the destination, arrivals run first, in (conduit ID, send
+// index) order (see Engine.push). Handlers run on the destination shard at
+// the arrival time and read the frame only; a frame handed to Send must not
+// be mutated afterwards (the destination reads it a lookahead or more on).
 //
 // A conduit whose endpoints are the same engine (a co-located pair, or a
-// model built on one standalone engine) degenerates to a direct schedule
-// on that engine — same semantics, no barrier involvement.
+// model built on one standalone engine) degenerates to a plain local
+// schedule on that engine, ordered like any other local event.
 type Conduit struct {
 	g       *Group
 	id      int
 	src     *Engine
 	dst     *Engine
 	deliver func(frame []byte)
-	out     []cmsg
 	freeD   *dnode
-
-	// sorted tracks whether out was appended in non-decreasing arrival
-	// order (the overwhelmingly common case: a shard's clock only moves
-	// forward and most links add a fixed latency), letting the barrier
-	// merge treat it as a ready-sorted run. inDirty dedups registration
-	// on the source engine's dirty list; head is the merge cursor.
-	sorted  bool
-	inDirty bool
-	head    int
+	sent    uint64 // cross-shard sends so far: the next send index
 }
 
 // NewConduit wires a one-directional channel from src to dst. deliver runs
@@ -486,6 +451,9 @@ func NewConduit(src, dst *Engine, deliver func(frame []byte)) *Conduit {
 		}
 		c.g = src.group
 		c.id = len(c.g.conduits)
+		if c.id >= 1<<arrivalIDBits {
+			panic("sim: too many cross-shard conduits for the arrival seq space")
+		}
 		c.g.conduits = append(c.g.conduits, c)
 	}
 	return c
@@ -498,28 +466,24 @@ func (c *Conduit) Src() *Engine { return c.src }
 // source shard (or from a control action). From a shard event the arrival
 // must respect the group's lookahead — at least one lookahead after the
 // sender's clock — which holds by construction when the lookahead is the
-// minimum cross-shard link latency; the per-shard run-ahead windows lean
-// on that bound, so violating it panics rather than corrupting causality.
+// minimum cross-shard link latency; the per-shard windows lean on that
+// bound, so violating it panics rather than corrupting causality.
 func (c *Conduit) Send(at Time, frame []byte) {
 	if c.src == c.dst {
-		d := c.get(frame)
-		c.src.push(at, conduitDeliver, d)
+		c.src.push(at, conduitDeliver, c.get(frame))
 		return
 	}
-	if g := c.g; g.inRound && at < c.src.now+g.lookahead {
+	g := c.g
+	if g.inRound && at < c.src.now+g.lookahead {
 		panic(fmt.Sprintf("sim: conduit message at %v violates lookahead %v from shard time %v",
 			at, g.lookahead, c.src.now))
 	}
-	if n := len(c.out); n == 0 {
-		c.sorted = true
-	} else if at < c.out[n-1].at {
-		c.sorted = false
+	if c.sent >= 1<<arrivalIndexBits {
+		panic("sim: conduit send index overflows the arrival seq space")
 	}
-	c.out = append(c.out, cmsg{at: at, frame: frame})
-	if !c.inDirty {
-		c.inDirty = true
-		c.src.dirty = append(c.src.dirty, c)
-	}
+	c.dst.insert(at, uint64(c.id)<<arrivalIndexBits|c.sent, conduitDeliver, c.get(frame))
+	c.sent++
+	g.stats.Merged++
 }
 
 // get pops a delivery node off the freelist.
@@ -533,135 +497,4 @@ func (c *Conduit) get(frame []byte) *dnode {
 	}
 	d.frame = frame
 	return d
-}
-
-// sortRun restores arrival order within one conduit's buffered run. The
-// common case is a no-op; a retrograde append (variable extra delay from
-// a fault plan, say) falls back to a stable insertion sort, preserving
-// send order among equal arrival times so the merged order stays the
-// documented (arrival time, conduit ID, send index).
-func (c *Conduit) sortRun() {
-	if c.sorted {
-		return
-	}
-	out := c.out
-	for i := 1; i < len(out); i++ {
-		m := out[i]
-		j := i - 1
-		for j >= 0 && out[j].at > m.at {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = m
-	}
-	c.sorted = true
-}
-
-// flushAll gathers every conduit with buffered messages and merges them
-// into the destination engines. Used at run start and after control
-// actions — contexts that may send on conduits whose source shard did not
-// run in the last round. Also resets every engine's dirty list, so round's
-// incremental bookkeeping restarts clean.
-func (g *Group) flushAll() {
-	for _, e := range g.engines {
-		e.dirty = e.dirty[:0]
-	}
-	d := g.dirty[:0]
-	for _, c := range g.conduits {
-		c.inDirty = false
-		if len(c.out) > 0 {
-			d = append(d, c)
-		}
-	}
-	g.dirty = d
-	g.merge()
-}
-
-// cless orders the merge heap by (head arrival time, conduit ID).
-func cless(a, b *Conduit) bool {
-	aa, ba := a.out[a.head].at, b.out[b.head].at
-	return aa < ba || (aa == ba && a.id < b.id)
-}
-
-func siftUpC(h []*Conduit, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if cless(h[p], h[i]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func siftDownC(h []*Conduit, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && cless(h[r], h[l]) {
-			m = r
-		}
-		if cless(h[i], h[m]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// merge injects every buffered message on the gathered dirty conduits
-// into the destination engines in (arrival time, conduit ID, send index)
-// order: a pure function of what the shards produced, and so are the
-// injected sequence numbers and every subsequent tie-break. Each conduit's
-// outbox is a (nearly always pre-sorted) run, so the merge is a k-way
-// heap walk over per-conduit cursors: no per-message scratch records, no
-// global sort, and all scratch is reused, so steady state does not
-// allocate.
-func (g *Group) merge() {
-	d := g.dirty
-	switch len(d) {
-	case 0:
-		return
-	case 1:
-		c := d[0]
-		c.sortRun()
-		for i := range c.out {
-			m := &c.out[i]
-			c.dst.push(m.at, conduitDeliver, c.get(m.frame))
-			m.frame = nil
-		}
-		g.stats.Merged += int64(len(c.out))
-		c.out = c.out[:0]
-		return
-	}
-	h := g.mh[:0]
-	for _, c := range d {
-		c.sortRun()
-		c.head = 0
-		h = append(h, c)
-		siftUpC(h, len(h)-1)
-	}
-	for len(h) > 0 {
-		c := h[0]
-		m := &c.out[c.head]
-		c.dst.push(m.at, conduitDeliver, c.get(m.frame))
-		m.frame = nil
-		g.stats.Merged++
-		c.head++
-		if c.head == len(c.out) {
-			c.out = c.out[:0]
-			n := len(h) - 1
-			h[0] = h[n]
-			h[n] = nil
-			h = h[:n]
-		}
-		if len(h) > 0 {
-			siftDownC(h, 0)
-		}
-	}
-	g.mh = h[:0]
 }

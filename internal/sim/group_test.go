@@ -8,8 +8,8 @@ import (
 // ringWorld is a synthetic sharded model used by the scheduler tests:
 // nShards engines in a ring, each forwarding jittered messages to its
 // neighbor through a conduit. Every delivery appends an order-sensitive
-// record to the shard's trace, so any difference in cross-shard merge
-// order — or in which round an event ran — changes the combined trace.
+// record to the shard's trace, so any difference in the order a shard ran
+// its arrivals in changes the combined trace.
 type ringWorld struct {
 	g      *Group
 	eng    []*Engine
@@ -184,19 +184,32 @@ func TestConduitSameEngineDegenerate(t *testing.T) {
 }
 
 func TestGroupSteadyStateAllocs(t *testing.T) {
-	// After warm-up, rounds must not allocate: conduit delivery nodes
-	// and the merge scratch all come from reused storage.
-	w := newRingWorld(4, 9, 500*Nanosecond, 1<<30)
-	w.quiet = true
-	for i := range w.eng {
-		w.send(i)
-	}
-	w.g.RunUntil(100 * Microsecond) // warm freelists and scratch
-	avg := testing.AllocsPerRun(10, func() {
-		w.g.RunUntil(w.g.Now() + 200*Microsecond)
-	})
-	if avg > 0.5 {
-		t.Fatalf("steady-state run allocates %.1f/op", avg)
+	// After warm-up, rounds must not allocate: a cross-shard send takes its
+	// delivery node from the conduit's freelist and the event heaps have
+	// reached their high-water capacity. The second row is the high fan-in
+	// case: 16 shards, two frames each in flight, every shard forwarding
+	// every round (its freelists take a few milliseconds to fill).
+	for _, tc := range []struct {
+		shards, seed, inFlight int
+		warm                   Duration
+	}{
+		{4, 9, 1, 100 * Microsecond},
+		{16, 13, 2, 4 * Millisecond},
+	} {
+		w := newRingWorld(tc.shards, tc.seed, 500*Nanosecond, 1<<30)
+		w.quiet = true
+		for i := range w.eng {
+			for k := 0; k < tc.inFlight; k++ {
+				w.send(i)
+			}
+		}
+		w.g.RunUntil(tc.warm)
+		avg := testing.AllocsPerRun(10, func() {
+			w.g.RunUntil(w.g.Now() + 200*Microsecond)
+		})
+		if avg > 0.5 {
+			t.Errorf("%d shards: steady-state run allocates %.1f/op", tc.shards, avg)
+		}
 	}
 }
 
@@ -234,30 +247,47 @@ func TestGroupIdleShardSkip(t *testing.T) {
 			st.ShardRounds[2])
 	}
 	if st.Merged == 0 {
-		t.Fatalf("no cross-shard messages merged; the workload is wrong")
+		t.Fatalf("no cross-shard messages delivered; the workload is wrong")
 	}
 }
 
-// TestGroupBarrierMergeAllocs pins the barrier merge at high fan-in to
-// zero steady-state allocations: 16 shards all forwarding every round,
-// so every barrier gathers and k-way-merges 16 dirty conduits. Before
-// the per-conduit batched merge this path re-grew scratch slices every
-// round.
-func TestGroupBarrierMergeAllocs(t *testing.T) {
-	w := newRingWorld(16, 13, 500*Nanosecond, 1<<30)
-	w.quiet = true
-	for i := range w.eng {
-		w.send(i)
-		w.send(i)
-	}
-	// Warm until every freelist, per-conduit run, merge-heap and event-
-	// heap array has reached its high-water capacity (the first few
-	// hundred microseconds still grow them).
-	w.g.RunUntil(2 * Millisecond)
-	avg := testing.AllocsPerRun(10, func() {
-		w.g.RunUntil(w.g.Now() + 200*Microsecond)
-	})
-	if avg > 0.5 {
-		t.Fatalf("high fan-in barrier merge allocates %.1f/op at steady state", avg)
+// TestGroupTieOrder pins the order of same-picosecond events on one shard:
+// every arrival runs before every locally scheduled event, whichever was
+// scheduled first and wherever a window ended. The world is two ties on
+// shard B. At 1000 ns: A sends at 390 ns a frame that arrives then, and B
+// at 400 ns schedules a local event for then — send first. At 2000 ns: B
+// schedules the local event at 380 ns and A sends at 390 ns — local first.
+// The lookahead, and no-op events on a third shard, move the window bounds
+// around both; the order must not move.
+func TestGroupTieOrder(t *testing.T) {
+	const want = "[arrival@1000 local@1000 arrival@2000 local@2000]"
+	for _, la := range []Duration{0, 5 * Nanosecond, 100 * Nanosecond, 500 * Nanosecond} {
+		for _, third := range []bool{false, true} {
+			g := NewGroup()
+			g.SetLookahead(la)
+			a, b := g.NewEngine(), g.NewEngine()
+			var order []string
+			note := func(what string) {
+				order = append(order, fmt.Sprintf("%s@%d", what, b.Now()/Nanosecond))
+			}
+			local := func() { note("local") }
+			ab := NewConduit(a, b, func([]byte) { note("arrival") })
+			b.At(380*Nanosecond, func() { b.At(2000*Nanosecond, local) })
+			a.At(390*Nanosecond, func() {
+				ab.Send(1000*Nanosecond, nil)
+				ab.Send(2000*Nanosecond, nil)
+			})
+			b.At(400*Nanosecond, func() { b.At(1000*Nanosecond, local) })
+			if third {
+				c := g.NewEngine()
+				for at := 300 * Nanosecond; at <= 2000*Nanosecond; at += 300 * Nanosecond {
+					c.At(at, func() {})
+				}
+			}
+			g.Run()
+			if got := fmt.Sprint(order); got != want {
+				t.Errorf("lookahead %v, third shard %v: order %s, want %s", la, third, got, want)
+			}
+		}
 	}
 }

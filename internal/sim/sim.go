@@ -9,8 +9,9 @@
 // A single Engine is single-threaded. For cluster-scale models, several
 // engines — one per node — can be joined into a Group (see group.go),
 // which steps them in index order on the same goroutine: each shard runs
-// its own heap inside a lookahead window and cross-shard messages ride
-// Conduits merged in a fixed order at barriers.
+// its own heap inside a lookahead window, and a cross-shard message rides a
+// Conduit straight into the destination's heap under a sequence number of
+// its own, ahead of that instant's locally scheduled events.
 package sim
 
 import "fmt"
@@ -72,7 +73,7 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // below are allocation-free.
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker: FIFO among same-time events
+	seq uint64 // tie-breaker among same-time events; see Engine.push
 	afn func(any)
 	arg any
 }
@@ -99,11 +100,6 @@ type Engine struct {
 	ids     map[string]int
 	group   *Group // non-nil when the engine is one shard of a Group
 	shard   int    // index within the group (creation order)
-
-	// dirty lists the conduits this shard buffered messages on since
-	// the last barrier, so the barrier merge visits only conduits that
-	// actually carry traffic instead of scanning the whole topology.
-	dirty []*Conduit
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -164,22 +160,44 @@ func (e *Engine) AfterArg(d Duration, fn func(any), arg any) {
 	e.push(e.now+d, fn, arg)
 }
 
-// push inserts a new event into the heap, assigning its sequence number.
+// The seq space has two classes. A locally scheduled event draws
+// localSeq|counter, so local events of one picosecond run in scheduling
+// order. A cross-shard arrival (Conduit.Send) brings its own seq, conduit
+// ID << arrivalIndexBits | the conduit's send index, with the top bit
+// clear: at one picosecond every arrival runs before every local event, and
+// arrivals among themselves in (conduit ID, send index) order — a function
+// of the model alone, whenever and from whichever shard they were inserted.
+// The budget is 23 bits of conduit ID and 40 of send index; NewConduit and
+// Send guard both.
+const (
+	localSeq         = 1 << 63
+	arrivalIndexBits = 40
+	arrivalIDBits    = 63 - arrivalIndexBits
+)
+
+// push schedules a local event: the next local seq, then the shared insert.
 func (e *Engine) push(at Time, afn func(any), arg any) {
+	e.seq++
+	e.insert(at, localSeq|e.seq, afn, arg)
+}
+
+// insert puts an event with a caller-chosen seq into the heap.
+func (e *Engine) insert(at Time, seq uint64, afn func(any), arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	e.seq++
 	h := e.events
 	i := len(h)
 	if i < cap(h) {
 		h = h[:i+1]
-		h[i] = event{at: at, seq: e.seq, afn: afn, arg: arg}
+		h[i] = event{at: at, seq: seq, afn: afn, arg: arg}
 	} else {
-		h = append(h, event{at: at, seq: e.seq, afn: afn, arg: arg})
+		h = append(h, event{at: at, seq: seq, afn: afn, arg: arg})
 	}
-	// Sift up: parent of i is (i-1)/4. A new event never moves above an
-	// equal-time parent (its seq is the largest yet), preserving FIFO.
+	// Sift up: parent of i is (i-1)/4. The comparison is the full
+	// (time, seq) order, so a local event stays below an equal-time parent
+	// (its seq is the largest yet) and an arrival climbs past equal-time
+	// locals.
 	for i > 0 {
 		p := (i - 1) / 4
 		if h[p].at < h[i].at || (h[p].at == h[i].at && h[p].seq < h[i].seq) {
@@ -294,8 +312,9 @@ func (e *Engine) RunUntil(deadline Time) {
 // the shard workhorse of the group's window scheduler: within a
 // window [T, T+lookahead) no cross-shard message can arrive, so every shard
 // may run its own events for the window without coordination. The strict
-// inequality matters — an event exactly at the window end may race a
-// cross-shard arrival at the same instant and belongs to the next round.
+// inequality matters — an arrival may still be inserted exactly at the
+// window end, and it must run before the local events of that instant, so
+// they all belong to a later round.
 func (e *Engine) runBefore(limit Time) {
 	for len(e.events) > 0 {
 		if e.events[0].at >= limit {
