@@ -202,10 +202,15 @@ func (s *stream) flapDown() bool {
 	return eng.Now()%s.p.Cfg.FlapEvery < s.p.Cfg.FlapFor
 }
 
-// hit draws one Bernoulli decision; the draw is skipped entirely when
-// prob is zero so disabled fault classes don't consume random numbers.
-func (s *stream) hit(prob float64) bool {
-	return prob > 0 && s.active() && s.rng.Float64() < prob
+// inject draws one Bernoulli decision and records a hit in tally; the
+// draw is skipped entirely when prob is zero so disabled fault classes
+// don't consume random numbers.
+func (s *stream) inject(prob float64, tally *int64) bool {
+	hit := prob > 0 && s.active() && s.rng.Float64() < prob
+	if hit {
+		s.p.note(tally)
+	}
+	return hit
 }
 
 // note records one injection. Atomic: one plan may serve clusters that
@@ -374,18 +379,10 @@ func (p *Plan) AttachFabric(f *pcie.Fabric) {
 	s := p.newStream(f.Engine())
 	f.SetFaults(&pcie.FaultHooks{
 		Drop: func(_ *pcie.Port, _ telemetry.TLPType) bool {
-			if s.hit(c.PCIeDrop) {
-				p.note(&p.Injected.PCIeDrops)
-				return true
-			}
-			return false
+			return s.inject(c.PCIeDrop, &p.Injected.PCIeDrops)
 		},
 		Corrupt: func(_ *pcie.Port, _ telemetry.TLPType) bool {
-			if s.hit(c.PCIeCorrupt) {
-				p.note(&p.Injected.PCIeCorrupts)
-				return true
-			}
-			return false
+			return s.inject(c.PCIeCorrupt, &p.Injected.PCIeCorrupts)
 		},
 		Down: func(_ *pcie.Port) bool {
 			if s.flapDown() {
@@ -408,25 +405,13 @@ func (p *Plan) AttachNIC(n *nic.NIC) {
 	s := p.newStream(n.Engine())
 	n.SetFaults(&nic.FaultHooks{
 		DropDoorbell: func(_ *nic.NIC) bool {
-			if s.hit(c.DoorbellLoss) {
-				p.note(&p.Injected.DoorbellLosses)
-				return true
-			}
-			return false
+			return s.inject(c.DoorbellLoss, &p.Injected.DoorbellLosses)
 		},
 		FailWQEFetch: func(_ *nic.SQ) bool {
-			if s.hit(c.WQEFetchFail) {
-				p.note(&p.Injected.WQEFetchFails)
-				return true
-			}
-			return false
+			return s.inject(c.WQEFetchFail, &p.Injected.WQEFetchFails)
 		},
 		CQEError: func(_ *nic.CQ) bool {
-			if s.hit(c.CQEErr) {
-				p.note(&p.Injected.CQEErrors)
-				return true
-			}
-			return false
+			return s.inject(c.CQEErr, &p.Injected.CQEErrors)
 		},
 	})
 }
@@ -440,11 +425,7 @@ func (p *Plan) AttachFLD(f *fld.FLD) {
 	s := p.newStream(f.Engine())
 	f.SetFaults(&fld.FaultHooks{
 		AccelStall: func(_ *fld.FLD) bool {
-			if s.hit(c.AccelStall) {
-				p.note(&p.Injected.AccelStalls)
-				return true
-			}
-			return false
+			return s.inject(c.AccelStall, &p.Injected.AccelStalls)
 		},
 	})
 }
@@ -525,28 +506,19 @@ func (p *Plan) AttachLink(l *nic.Link, eng0, eng1 *sim.Engine) {
 				return true
 			}
 		}
-		if ss[dir].hit(c.WireLoss) {
-			p.note(&p.Injected.WireLosses)
-			return true
-		}
-		return false
+		return ss[dir].inject(c.WireLoss, &p.Injected.WireLosses)
 	}
 	l.Dup = func(dir int, _ []byte) bool {
 		if !p.dirMatch(dir) {
 			return false
 		}
-		if ss[dir].hit(c.WireDup) {
-			p.note(&p.Injected.WireDups)
-			return true
-		}
-		return false
+		return ss[dir].inject(c.WireDup, &p.Injected.WireDups)
 	}
 	l.Delay = func(dir int, _ []byte) sim.Duration {
 		if !p.dirMatch(dir) {
 			return 0
 		}
-		if ss[dir].hit(c.WireDelay) {
-			p.note(&p.Injected.WireDelays)
+		if ss[dir].inject(c.WireDelay, &p.Injected.WireDelays) {
 			return c.WireDelayBy
 		}
 		return 0

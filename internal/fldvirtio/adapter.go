@@ -14,10 +14,10 @@
 package fldvirtio
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"flexdriver/internal/fld"
+	"flexdriver/internal/hostmem"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/virtio"
@@ -43,32 +43,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Adapter is the FLD-for-virtio module.
+// Adapter is the FLD-for-virtio module. Its BAR is one memory holding the
+// two virtqueues; the device's DMA is plain loads and stores on it, and
+// only a store to a used ring's index does more: it drains that ring.
 type Adapter struct {
 	cfg Config
 	eng *sim.Engine
 	fab *pcie.Fabric
 	prt *pcie.Port
+	bar *hostmem.Memory
 
-	dev    *virtio.NetDevice
-	devBar uint64
-
-	// BAR layout offsets.
-	txDescOff, txAvailOff, txUsedOff uint64
-	rxDescOff, rxAvailOff, rxUsedOff uint64
-	txBufOff, rxBufOff               uint64
-	barSize                          uint64
-
-	// Ring and buffer SRAM (the adapter's on-die memory).
-	txDesc, txAvail, txUsed []byte
-	rxDesc, rxAvail, rxUsed []byte
-	txBufs, rxBufs          []byte
-
-	txAvailIdx, txUsedSeen uint16
-	rxAvailIdx, rxUsedSeen uint16
-	txFree                 []uint16
+	devBar uint64 // the device's notify registers
+	tx, rx *virtio.DriverQueue
 
 	txPipe, rxPipe *sim.Resource
+	freeOp         *pipeOp
 	handler        fld.Handler
 	onCredits      func()
 
@@ -82,70 +71,28 @@ func New(eng *sim.Engine, cfg Config) *Adapter {
 	if cfg.QueueSize&(cfg.QueueSize-1) != 0 {
 		panic(fmt.Sprintf("fldvirtio: queue size %d not a power of two", cfg.QueueSize))
 	}
-	a := &Adapter{cfg: cfg, eng: eng,
+	// hostmem's allocator hands out offsets from 0x1000 up.
+	size := 0x1000 + 2*virtio.DriverQueueBytes(cfg.QueueSize, cfg.BufBytes)
+	return &Adapter{cfg: cfg, eng: eng, bar: hostmem.New("fld-virtio", size),
 		txPipe: sim.NewResource(eng), rxPipe: sim.NewResource(eng)}
-	q := cfg.QueueSize
-	a.txDesc = make([]byte, q*virtio.DescSize)
-	a.txAvail = make([]byte, virtio.AvailBytes(q))
-	a.txUsed = make([]byte, virtio.UsedBytes(q))
-	a.rxDesc = make([]byte, q*virtio.DescSize)
-	a.rxAvail = make([]byte, virtio.AvailBytes(q))
-	a.rxUsed = make([]byte, virtio.UsedBytes(q))
-	a.txBufs = make([]byte, q*cfg.BufBytes)
-	a.rxBufs = make([]byte, q*cfg.BufBytes)
-
-	off := uint64(0)
-	place := func(n int) uint64 {
-		o := off
-		off += uint64(n)
-		// Keep regions 64-byte aligned.
-		off = (off + 63) &^ 63
-		return o
-	}
-	a.txDescOff = place(len(a.txDesc))
-	a.txAvailOff = place(len(a.txAvail))
-	a.txUsedOff = place(len(a.txUsed))
-	a.rxDescOff = place(len(a.rxDesc))
-	a.rxAvailOff = place(len(a.rxAvail))
-	a.rxUsedOff = place(len(a.rxUsed))
-	a.txBufOff = place(len(a.txBufs))
-	a.rxBufOff = place(len(a.rxBufs))
-	a.barSize = off
-
-	for i := 0; i < q; i++ {
-		a.txFree = append(a.txFree, uint16(i))
-	}
-	return a
 }
 
-// AttachPCIe connects the adapter to the fabric.
+// AttachPCIe connects the adapter to the fabric and lays the virtqueues
+// out in its BAR, every receive buffer posted.
 func (a *Adapter) AttachPCIe(fab *pcie.Fabric, cfg pcie.LinkConfig) *pcie.Port {
 	a.fab = fab
 	a.prt = fab.Attach(a, cfg)
+	a.tx = virtio.NewDriverQueue(a.bar, a.prt.Base(), a.cfg.QueueSize, a.cfg.BufBytes, false)
+	a.rx = virtio.NewDriverQueue(a.bar, a.prt.Base(), a.cfg.QueueSize, a.cfg.BufBytes, true)
 	return a.prt
 }
 
 // BindDevice programs the virtio device's queues to live in the adapter's
-// BAR and posts every receive buffer.
+// BAR and tells it the receive buffers are there.
 func (a *Adapter) BindDevice(dev *virtio.NetDevice) {
-	a.dev = dev
 	a.devBar = a.fab.PortOf(dev).Base()
-	base := a.prt.Base()
-	dev.ConfigureQueue(virtio.RxQueue, a.cfg.QueueSize,
-		base+a.rxDescOff, base+a.rxAvailOff, base+a.rxUsedOff)
-	dev.ConfigureQueue(virtio.TxQueue, a.cfg.QueueSize,
-		base+a.txDescOff, base+a.txAvailOff, base+a.txUsedOff)
-
-	// Post all rx buffers: writable single-descriptor chains.
-	for i := 0; i < a.cfg.QueueSize; i++ {
-		d := virtio.Desc{
-			Addr:  base + a.rxBufOff + uint64(i*a.cfg.BufBytes),
-			Len:   uint32(a.cfg.BufBytes),
-			Flags: virtio.DescFlagWrite,
-		}
-		copy(a.rxDesc[i*virtio.DescSize:], d.Marshal())
-		a.pushAvail(a.rxAvail, &a.rxAvailIdx, uint16(i))
-	}
+	a.rx.Attach(dev, virtio.RxQueue)
+	a.tx.Attach(dev, virtio.TxQueue)
 	a.notify(virtio.RxQueue)
 }
 
@@ -157,15 +104,7 @@ func (a *Adapter) SetHandler(h fld.Handler) { a.handler = h }
 func (a *Adapter) SetOnCredits(fn func()) { a.onCredits = fn }
 
 // Credits reports free transmit descriptors.
-func (a *Adapter) Credits() int { return len(a.txFree) }
-
-// pushAvail appends a head to an avail ring held in adapter SRAM.
-func (a *Adapter) pushAvail(ring []byte, idx *uint16, head uint16) {
-	slot := int(*idx % uint16(a.cfg.QueueSize))
-	binary.LittleEndian.PutUint16(ring[4+slot*2:], head)
-	*idx++
-	binary.LittleEndian.PutUint16(ring[2:], *idx)
-}
+func (a *Adapter) Credits() int { return a.tx.Credits() }
 
 // notify rings the device doorbell over PCIe (timed).
 func (a *Adapter) notify(q int) {
@@ -177,121 +116,96 @@ func (a *Adapter) Send(data []byte, md fld.Metadata) error {
 	if len(data) > a.cfg.BufBytes {
 		return fmt.Errorf("fldvirtio: frame %d exceeds buffer %d", len(data), a.cfg.BufBytes)
 	}
-	if len(a.txFree) == 0 {
+	head, ok := a.tx.Take()
+	if !ok {
 		a.CreditStalls++
 		return fld.ErrNoCredits
 	}
-	head := a.txFree[0]
-	a.txFree = a.txFree[1:]
-	copy(a.txBufs[int(head)*a.cfg.BufBytes:], data)
-	d := virtio.Desc{
-		Addr: a.prt.Base() + a.txBufOff + uint64(int(head)*a.cfg.BufBytes),
-		Len:  uint32(len(data)),
-	}
-	copy(a.txDesc[int(head)*virtio.DescSize:], d.Marshal())
+	a.tx.Fill(head, data)
 	a.TxPackets++
-	a.txPipe.Acquire(a.cfg.PacketInterval, func() {
-		a.eng.After(a.cfg.PipelineDelay, func() {
-			a.pushAvail(a.txAvail, &a.txAvailIdx, head)
-			a.notify(virtio.TxQueue)
-		})
-	})
+	a.cross(a.txPipe, txPublish, head, nil)
 	return nil
+}
+
+// pipeOp carries one packet across a streaming pipeline (II pacing, then
+// the fixed pipeline latency): a filled transmit descriptor on its way to
+// the avail ring, or a received frame on its way to the accelerator.
+// Records are recycled through a per-adapter freelist, as in fld.
+type pipeOp struct {
+	a     *Adapter
+	head  uint16
+	frame []byte
+	next  *pipeOp
+}
+
+// cross paces one packet through pipe and schedules step at the far end:
+// one event, at the end of the pacing slot plus the pipeline latency.
+func (a *Adapter) cross(pipe *sim.Resource, step func(any), head uint16, frame []byte) {
+	x := a.freeOp
+	if x == nil {
+		x = &pipeOp{a: a}
+	}
+	a.freeOp = x.next
+	x.head, x.frame, x.next = head, frame, nil
+	end := pipe.AcquireArg(a.cfg.PacketInterval, nil, nil)
+	a.eng.AtArg(end+a.cfg.PipelineDelay, step, x)
+}
+
+func (a *Adapter) putOp(x *pipeOp) {
+	*x = pipeOp{a: a, next: a.freeOp}
+	a.freeOp = x
+}
+
+// txPublish: the descriptor crossed the transmit pipeline; show it to the
+// device.
+func txPublish(arg any) {
+	x := arg.(*pipeOp)
+	a, head := x.a, x.head
+	a.putOp(x)
+	a.tx.Publish(head)
+	a.notify(virtio.TxQueue)
+}
+
+// rxStream: the frame crossed the receive pipeline; stream it to the AFU.
+func rxStream(arg any) {
+	x := arg.(*pipeOp)
+	a, frame := x.a, x.frame
+	a.putOp(x)
+	if a.handler != nil {
+		a.handler.Receive(frame, fld.Metadata{Last: true, ChecksumOK: true})
+	}
 }
 
 // --- pcie.Device -----------------------------------------------------------
 
 // PCIeName implements pcie.Device.
-func (a *Adapter) PCIeName() string { return "fld-virtio" }
+func (a *Adapter) PCIeName() string { return a.bar.PCIeName() }
 
 // BARSize implements pcie.Device.
-func (a *Adapter) BARSize() uint64 { return a.barSize }
-
-// region locates the SRAM slice an offset falls into.
-func (a *Adapter) region(offset uint64) ([]byte, uint64) {
-	switch {
-	case offset >= a.rxBufOff:
-		return a.rxBufs, offset - a.rxBufOff
-	case offset >= a.txBufOff:
-		return a.txBufs, offset - a.txBufOff
-	case offset >= a.rxUsedOff:
-		return a.rxUsed, offset - a.rxUsedOff
-	case offset >= a.rxAvailOff:
-		return a.rxAvail, offset - a.rxAvailOff
-	case offset >= a.rxDescOff:
-		return a.rxDesc, offset - a.rxDescOff
-	case offset >= a.txUsedOff:
-		return a.txUsed, offset - a.txUsedOff
-	case offset >= a.txAvailOff:
-		return a.txAvail, offset - a.txAvailOff
-	default:
-		return a.txDesc, offset - a.txDescOff
-	}
-}
+func (a *Adapter) BARSize() uint64 { return a.bar.BARSize() }
 
 // MMIORead implements pcie.Device: the device fetching rings and buffers.
-func (a *Adapter) MMIORead(offset uint64, size int) []byte {
-	reg, o := a.region(offset)
-	out := make([]byte, size)
-	if int(o) < len(reg) {
-		copy(out, reg[o:])
-	}
-	return out
-}
+func (a *Adapter) MMIORead(offset uint64, size int) []byte { return a.bar.ReadAt(offset, size) }
 
 // MMIOWrite implements pcie.Device: the device writing rx data and used
-// rings.
+// rings. A used-index update triggers completion processing.
 func (a *Adapter) MMIOWrite(offset uint64, data []byte) {
-	reg, o := a.region(offset)
-	if int(o)+len(data) <= len(reg) {
-		copy(reg[o:], data)
-	}
-	// Used-index updates trigger completion processing.
+	a.bar.WriteAt(offset, data)
 	switch {
-	case offset >= a.txUsedOff && offset < a.txUsedOff+4:
-		a.drainTxUsed()
-	case offset >= a.rxUsedOff && offset < a.rxUsedOff+4:
-		a.drainRxUsed()
-	}
-}
-
-// drainTxUsed releases retired transmit descriptors.
-func (a *Adapter) drainTxUsed() {
-	idx := binary.LittleEndian.Uint16(a.txUsed[2:])
-	released := false
-	for a.txUsedSeen != idx {
-		slot := int(a.txUsedSeen % uint16(a.cfg.QueueSize))
-		e, _ := virtio.ParseUsedElem(a.txUsed[4+slot*8:])
-		a.txUsedSeen++
-		a.txFree = append(a.txFree, uint16(e.ID))
-		released = true
-	}
-	if released && a.onCredits != nil {
-		a.onCredits()
-	}
-}
-
-// drainRxUsed streams received frames to the accelerator and recycles the
-// buffers.
-func (a *Adapter) drainRxUsed() {
-	idx := binary.LittleEndian.Uint16(a.rxUsed[2:])
-	for a.rxUsedSeen != idx {
-		slot := int(a.rxUsedSeen % uint16(a.cfg.QueueSize))
-		e, _ := virtio.ParseUsedElem(a.rxUsed[4+slot*8:])
-		a.rxUsedSeen++
-		head := uint16(e.ID)
-		frame := make([]byte, e.Len)
-		copy(frame, a.rxBufs[int(head)*a.cfg.BufBytes:])
-		a.RxPackets++
-		a.rxPipe.Acquire(a.cfg.PacketInterval, func() {
-			a.eng.After(a.cfg.PipelineDelay, func() {
-				if a.handler != nil {
-					a.handler.Receive(frame, fld.Metadata{Last: true, ChecksumOK: true})
-				}
-			})
+	case a.tx.UsedHeader(offset):
+		before := a.tx.Credits()
+		a.tx.Drain(func(head uint16, _ []byte) { a.tx.Release(head) })
+		if a.tx.Credits() > before && a.onCredits != nil {
+			a.onCredits()
+		}
+	case a.rx.UsedHeader(offset):
+		// Stream received frames to the accelerator and recycle the
+		// buffers in order, like the ConnectX-flavored module.
+		a.rx.Drain(func(head uint16, frame []byte) {
+			a.RxPackets++
+			a.cross(a.rxPipe, rxStream, 0, frame)
+			a.rx.Publish(head)
 		})
-		// In-order recycling, like the ConnectX-flavored module.
-		a.pushAvail(a.rxAvail, &a.rxAvailIdx, head)
+		a.notify(virtio.RxQueue)
 	}
-	a.notify(virtio.RxQueue)
 }

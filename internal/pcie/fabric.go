@@ -306,30 +306,42 @@ func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aar
 	o.p, o.q, o.addr, o.data, o.owned = p, q, addr, data, owned
 	o.done, o.adone, o.aarg = done, adone, aarg
 	o.poisoned = p.fab.corruptTLP(p, telemetry.MemWr)
-	wire := p.cfg.WriteWireBytes(len(data))
-	p.UpBytes += int64(wire)
-	d1 := p.cfg.EffectiveRate().Serialize(wire)
-	end1 := p.up.AcquireArg(d1, nil, nil)
-	p.fab.eng.AtArg(end1+p.cfg.PropDelay, writeAtSwitch, o)
-	if p.tlm != nil {
-		p.observe(telemetry.Up, telemetry.MemWr, addr, len(data),
-			wire, writeSegs(p.cfg, len(data)), end1, d1)
+	p.fab.eng.AtArg(p.cross(telemetry.Up, telemetry.MemWr, addr, len(data)), writeAtSwitch, o)
+}
+
+// cross puts one logical transaction — the TLPs of an n-byte write, of
+// the requests for an n-byte read, or of an n-byte completion stream — on
+// one direction of the port's link: its wire bytes are charged, the link's
+// serializer is occupied behind whatever is queued, and the crossing is
+// observed if the fabric is instrumented. It returns the instant the last
+// byte reaches the far end.
+func (p *Port) cross(dir telemetry.Dir, typ telemetry.TLPType, addr uint64, n int) sim.Time {
+	var wire int
+	switch typ {
+	case telemetry.MemWr:
+		wire = p.cfg.WriteWireBytes(n)
+	case telemetry.MemRd:
+		wire = p.cfg.ReadReqWireBytes(n)
+	case telemetry.CplD:
+		wire = p.cfg.CompletionWireBytes(n)
 	}
+	link, bytes := p.up, &p.UpBytes
+	if dir == telemetry.Down {
+		link, bytes = p.down, &p.DownBytes
+	}
+	*bytes += int64(wire)
+	d := p.cfg.EffectiveRate().Serialize(wire)
+	end := link.AcquireArg(d, nil, nil)
+	if p.tlm != nil {
+		p.observe(dir, typ, addr, n, wire, end, d)
+	}
+	return end + p.cfg.PropDelay
 }
 
 // writeAtSwitch: the TLP reached the switch; cross the target's down link.
 func writeAtSwitch(a any) {
 	o := a.(*writeOp)
-	q := o.q
-	wire2 := q.cfg.WriteWireBytes(len(o.data))
-	q.DownBytes += int64(wire2)
-	d2 := q.cfg.EffectiveRate().Serialize(wire2)
-	end2 := q.down.AcquireArg(d2, nil, nil)
-	q.fab.eng.AtArg(end2+q.cfg.PropDelay, writeDeliver, o)
-	if q.tlm != nil {
-		q.observe(telemetry.Down, telemetry.MemWr, o.addr, len(o.data),
-			wire2, writeSegs(q.cfg, len(o.data)), end2, d2)
-	}
+	o.p.fab.eng.AtArg(o.q.cross(telemetry.Down, telemetry.MemWr, o.addr, len(o.data)), writeDeliver, o)
 }
 
 // writeDeliver: the last byte arrived; deliver to the device (or discard a
@@ -393,15 +405,7 @@ func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 		o.expire()
 		return
 	}
-	reqWire := p.cfg.ReadReqWireBytes(size)
-	p.UpBytes += int64(reqWire)
-	d1 := p.cfg.EffectiveRate().Serialize(reqWire)
-	end1 := p.up.AcquireArg(d1, nil, nil)
-	o.cross(end1+p.cfg.PropDelay, readReqAtSwitch)
-	if p.tlm != nil {
-		p.observe(telemetry.Up, telemetry.MemRd, addr, 0,
-			reqWire, readReqSegs(p.cfg, size), end1, d1)
-	}
+	o.step(p.cross(telemetry.Up, telemetry.MemRd, addr, size), readReqAtSwitch)
 }
 
 // readOp is the state of one non-posted read in flight, stepped through
@@ -441,16 +445,16 @@ func (o *readOp) expire() {
 	}
 }
 
-// cross schedules the transaction's next step at instant t, the far end of
+// step schedules the transaction's next step at instant t, the far end of
 // a link crossing. A crossing that ends at or past the deadline loses to
 // the timeout, scheduled first so it wins the tie against this read's own
 // crossing (only that: unrelated events already queued for the deadline
 // instant run before it). The TLP still travels on, charging every link.
-func (o *readOp) cross(t sim.Time, step func(any)) {
+func (o *readOp) step(t sim.Time, next func(any)) {
 	if t >= o.deadline {
 		o.expire()
 	}
-	o.p.fab.eng.AtArg(t, step, o)
+	o.p.fab.eng.AtArg(t, next, o)
 }
 
 // readTimeout fires at the deadline of a read that could not settle in
@@ -479,15 +483,7 @@ func readReqAtSwitch(a any) {
 		o.expire()
 		return
 	}
-	reqWire2 := q.cfg.ReadReqWireBytes(o.size)
-	q.DownBytes += int64(reqWire2)
-	d2 := q.cfg.EffectiveRate().Serialize(reqWire2)
-	end2 := q.down.AcquireArg(d2, nil, nil)
-	o.cross(end2+q.cfg.PropDelay, readAtDevice)
-	if q.tlm != nil {
-		q.observe(telemetry.Down, telemetry.MemRd, o.addr, 0,
-			reqWire2, readReqSegs(q.cfg, o.size), end2, d2)
-	}
+	o.step(q.cross(telemetry.Down, telemetry.MemRd, o.addr, o.size), readAtDevice)
 }
 
 // readAtDevice: the completer executes MMIORead and streams the completion
@@ -512,15 +508,7 @@ func readAtDevice(a any) {
 		o.status = CplPoisoned
 	}
 	o.data = data
-	cplWire := q.cfg.CompletionWireBytes(len(data))
-	q.UpBytes += int64(cplWire)
-	d3 := q.cfg.EffectiveRate().Serialize(cplWire)
-	end3 := q.up.AcquireArg(d3, nil, nil)
-	o.cross(end3+q.cfg.PropDelay, readCplAtSwitch)
-	if q.tlm != nil {
-		q.observe(telemetry.Up, telemetry.CplD, o.addr, len(data),
-			cplWire, cplSegs(q.cfg, len(data)), end3, d3)
-	}
+	o.step(q.cross(telemetry.Up, telemetry.CplD, o.addr, len(data)), readCplAtSwitch)
 }
 
 // readCplAtSwitch: the completion reached the switch; a poisoned payload
@@ -536,17 +524,8 @@ func readCplAtSwitch(a any) {
 // completeRead sends the completion stream (or a dataless error
 // completion) over the requester's down link to settle the read.
 func (o *readOp) completeRead(data []byte, status CplStatus) {
-	p := o.p
 	o.data, o.status = data, status
-	cplWire := p.cfg.CompletionWireBytes(len(data))
-	p.DownBytes += int64(cplWire)
-	d := p.cfg.EffectiveRate().Serialize(cplWire)
-	end := p.down.AcquireArg(d, nil, nil)
-	o.cross(end+p.cfg.PropDelay, readSettle)
-	if p.tlm != nil {
-		p.observe(telemetry.Down, telemetry.CplD, o.addr, len(data),
-			cplWire, cplSegs(p.cfg, len(data)), end, d)
-	}
+	o.step(o.p.cross(telemetry.Down, telemetry.CplD, o.addr, len(data)), readSettle)
 }
 
 // readSettle delivers the completion to the caller, unless the timeout

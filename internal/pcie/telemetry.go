@@ -57,12 +57,22 @@ func (p *Port) instrument(sc *telemetry.Scope) {
 	p.tlm = t
 }
 
-// observe charges one logical transaction — segs TLP segments, wire
-// total wire bytes — to the port's counters and the flight recorder.
-// end is the link-resource completion time returned by Acquire, so
-// serialization began at end-dur.
+// observe charges one logical transaction — the TLP segments an n-byte
+// write, read request or completion splits into, wire total wire bytes —
+// to the port's counters and the flight recorder. end is the
+// link-resource completion time returned by Acquire, so serialization
+// began at end-dur.
 func (p *Port) observe(dir telemetry.Dir, typ telemetry.TLPType,
-	addr uint64, payload, wire, segs int, end sim.Time, dur sim.Duration) {
+	addr uint64, n, wire int, end sim.Time, dur sim.Duration) {
+	segs, payload := 0, n
+	switch typ {
+	case telemetry.MemWr:
+		segs = writeSegs(p.cfg, n)
+	case telemetry.MemRd:
+		segs, payload = readReqSegs(p.cfg, n), 0 // requests carry no data
+	case telemetry.CplD:
+		segs = cplSegs(p.cfg, n)
+	}
 	t := p.tlm
 	t.tlps[dir].Add(int64(segs))
 	t.bytes[dir].Add(int64(wire))

@@ -40,17 +40,10 @@ func NewResource(eng *Engine) *Resource { return &Resource{eng: eng} }
 // Acquire enqueues a work item with the given service time and schedules
 // done (which may be nil) at its completion. It returns the completion time.
 func (r *Resource) Acquire(service Duration, done func()) Time {
-	start := r.eng.Now()
-	if r.busyUntil > start {
-		start = r.busyUntil
+	if done == nil {
+		return r.AcquireArg(service, nil, nil)
 	}
-	end := start + service
-	r.busyUntil = end
-	r.Busy += service
-	if done != nil {
-		r.eng.At(end, done)
-	}
-	return end
+	return r.AcquireArg(service, runClosure, done)
 }
 
 // AcquireArg is Acquire's allocation-free form: done(arg) is scheduled at

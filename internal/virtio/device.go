@@ -28,8 +28,8 @@ type queueState struct {
 	repump    bool // a notify arrived while pumping
 
 	// rx: prefetched free chains (head ids) the device may fill.
-	freeHeads []uint16
-	backlog   [][]byte // frames waiting for free rx chains
+	freeHeads sim.FIFO[uint16]
+	backlog   sim.FIFO[[]byte] // frames waiting for free rx chains
 }
 
 // NetDeviceParams model the device's processing costs.
@@ -55,7 +55,6 @@ type NetDevice struct {
 	Prm  NetDeviceParams
 
 	eng    *sim.Engine
-	fab    *pcie.Fabric
 	port   *pcie.Port
 	queues [2]*queueState
 	engine *sim.Resource
@@ -84,7 +83,6 @@ func NewNetDevice(name string, eng *sim.Engine, prm NetDeviceParams) *NetDevice 
 
 // AttachPCIe connects the device to a fabric.
 func (d *NetDevice) AttachPCIe(fab *pcie.Fabric, cfg pcie.LinkConfig) *pcie.Port {
-	d.fab = fab
 	d.port = fab.Attach(d, cfg)
 	return d.port
 }
@@ -129,14 +127,24 @@ func (d *NetDevice) pump(q int) {
 	}
 	st.pumping = true
 	// Read the avail header to learn the driver's producer index.
-	d.port.Read(st.availBase, 4, func(c pcie.Completion) {
-		if !c.OK() {
-			d.Drops["dma-error"]++
+	d.read(st.availBase, 4, func(hdr []byte) {
+		if hdr == nil {
 			st.pumping = false
 			return
 		}
-		idx := binary.LittleEndian.Uint16(c.Data[2:])
-		d.consumeAvail(q, idx)
+		d.consumeAvail(q, binary.LittleEndian.Uint16(hdr[2:]))
+	})
+}
+
+// read fetches n bytes at addr for fn; a read that failed counts a
+// dma-error and hands fn nil.
+func (d *NetDevice) read(addr uint64, n int, fn func(data []byte)) {
+	d.port.Read(addr, n, func(c pcie.Completion) {
+		if !c.OK() {
+			d.Drops["dma-error"]++
+			c.Data = nil
+		}
+		fn(c.Data)
 	})
 }
 
@@ -164,74 +172,69 @@ func (d *NetDevice) consumeAvail(q int, idx uint16) {
 	if slot+n > st.size {
 		n = st.size - slot // don't wrap within one read
 	}
-	st.lastAvail += uint16(n)
-	d.port.Read(st.availBase+4+uint64(slot)*2, n*2, func(c pcie.Completion) {
-		if !c.OK() {
-			d.Drops["dma-error"]++
+	d.read(st.availBase+4+uint64(slot)*2, n*2, func(heads []byte) {
+		if heads == nil {
+			// Nothing was consumed: the next notify reads these entries again.
 			st.pumping = false
 			return
 		}
+		st.lastAvail += uint16(n)
 		for i := 0; i < n; i++ {
-			head := binary.LittleEndian.Uint16(c.Data[i*2:])
-			if q == TxQueue {
-				h := head
-				d.readChain(st, h, nil, 0, func(frame []byte) {
-					d.transmit(st, h, frame)
-				})
+			head := binary.LittleEndian.Uint16(heads[i*2:])
+			if q == RxQueue {
+				st.freeHeads.Push(head)
 				continue
 			}
-			st.freeHeads = append(st.freeHeads, head)
+			d.readChain(st, head, nil, 0, func(frame []byte, ok bool) { d.transmit(head, frame, ok) })
 		}
 		d.consumeAvail(q, idx)
 	})
 }
 
-// readChain gathers a descriptor chain's buffers into one frame.
-func (d *NetDevice) readChain(st *queueState, idx uint16, acc []byte, hops int, done func([]byte)) {
+// readChain gathers a descriptor chain's buffers into one frame; ok is
+// false when the chain could not be read to its end.
+func (d *NetDevice) readChain(st *queueState, idx uint16, acc []byte, hops int, done func(frame []byte, ok bool)) {
 	if hops > 16 {
 		d.Drops["chain-too-long"]++
-		done(acc)
+		done(nil, false)
 		return
 	}
-	d.port.Read(st.descBase+uint64(idx)*DescSize, DescSize, func(c pcie.Completion) {
-		if !c.OK() {
-			d.Drops["dma-error"]++
-			done(acc)
+	d.read(st.descBase+uint64(idx)*DescSize, DescSize, func(b []byte) {
+		if b == nil {
+			done(nil, false)
 			return
 		}
-		desc, err := ParseDesc(c.Data)
-		if err != nil {
-			done(acc)
-			return
-		}
-		d.port.Read(desc.Addr, int(desc.Len), func(c pcie.Completion) {
-			if !c.OK() {
-				d.Drops["dma-error"]++
-				done(acc)
-				return
+		desc, _ := ParseDesc(b) // a whole descriptor was read
+		d.read(desc.Addr, int(desc.Len), func(buf []byte) {
+			switch {
+			case buf == nil:
+				done(nil, false)
+			case desc.Flags&DescFlagNext != 0:
+				d.readChain(st, desc.Next, append(acc, buf...), hops+1, done)
+			default:
+				done(append(acc, buf...), true)
 			}
-			acc = append(acc, c.Data...)
-			if desc.Flags&DescFlagNext != 0 {
-				d.readChain(st, desc.Next, acc, hops+1, done)
-				return
-			}
-			done(acc)
 		})
 	})
 }
 
-// transmit puts a gathered frame on the link and retires the chain.
-func (d *NetDevice) transmit(st *queueState, head uint16, frame []byte) {
-	d.engine.Acquire(d.Prm.PerPacket, func() {
-		d.eng.After(d.Prm.PipelineDelay, func() {
-			d.TxPackets++
-			if d.link != nil {
-				d.link.Send(frame, nil)
-			} else {
-				d.Drops["no-link"]++
-			}
-			d.publishUsed(TxQueue, UsedElem{ID: uint32(head), Len: 0})
-		})
+// transmit puts a gathered frame on the link and retires the chain: one
+// event, at the end of the engine's slot plus the pipeline latency. A
+// chain that could not be read is retired unsent.
+func (d *NetDevice) transmit(head uint16, frame []byte, ok bool) {
+	if !ok {
+		d.publishUsed(TxQueue, UsedElem{ID: uint32(head)})
+		return
+	}
+	end := d.engine.AcquireArg(d.Prm.PerPacket, nil, nil)
+	d.eng.At(end+d.Prm.PipelineDelay, func() {
+		d.TxPackets++
+		if d.link != nil {
+			d.link.Send(frame, nil)
+		} else {
+			d.Drops["no-link"]++
+		}
+		d.publishUsed(TxQueue, UsedElem{ID: uint32(head)})
 	})
 }
 
@@ -242,57 +245,47 @@ func (d *NetDevice) deliver(frame []byte) {
 		d.Drops["rx-unconfigured"]++
 		return
 	}
-	d.engine.Acquire(d.Prm.PerPacket, func() {
-		d.eng.After(d.Prm.PipelineDelay, func() {
-			if len(st.backlog) >= 256 {
-				d.Drops["rx-overflow"]++
-				return
-			}
-			st.backlog = append(st.backlog, frame)
-			d.drainRxBacklog()
-			if len(st.backlog) > 0 && !st.pumping {
-				d.pump(RxQueue) // look for freshly posted chains
-			}
-		})
+	end := d.engine.AcquireArg(d.Prm.PerPacket, nil, nil)
+	d.eng.At(end+d.Prm.PipelineDelay, func() {
+		if st.backlog.Len() >= 256 {
+			d.Drops["rx-overflow"]++
+			return
+		}
+		st.backlog.Push(frame)
+		d.drainRxBacklog()
+		if st.backlog.Len() > 0 && !st.pumping {
+			d.pump(RxQueue) // look for freshly posted chains
+		}
 	})
 }
 
 // drainRxBacklog fills free rx chains with backlogged frames.
 func (d *NetDevice) drainRxBacklog() {
 	st := d.queues[RxQueue]
-	for len(st.backlog) > 0 && len(st.freeHeads) > 0 {
-		frame := st.backlog[0]
-		st.backlog = st.backlog[1:]
-		head := st.freeHeads[0]
-		st.freeHeads = st.freeHeads[1:]
-		d.fillChain(st, head, frame)
+	for st.backlog.Len() > 0 && st.freeHeads.Len() > 0 {
+		d.fillChain(st, st.freeHeads.Pop(), st.backlog.Pop())
 	}
 }
 
 // fillChain scatters a frame into a writable descriptor chain and
 // publishes the used entry.
 func (d *NetDevice) fillChain(st *queueState, head uint16, frame []byte) {
-	total := len(frame)
 	var step func(idx uint16, remaining []byte, hops int)
 	step = func(idx uint16, remaining []byte, hops int) {
 		if hops > 16 {
 			d.Drops["chain-too-long"]++
 			return
 		}
-		d.port.Read(st.descBase+uint64(idx)*DescSize, DescSize, func(c pcie.Completion) {
-			if !c.OK() {
-				d.Drops["dma-error"]++
+		d.read(st.descBase+uint64(idx)*DescSize, DescSize, func(b []byte) {
+			if b == nil {
 				return
 			}
-			desc, err := ParseDesc(c.Data)
-			if err != nil || desc.Flags&DescFlagWrite == 0 {
+			desc, _ := ParseDesc(b) // a whole descriptor was read
+			if desc.Flags&DescFlagWrite == 0 {
 				d.Drops["rx-bad-chain"]++
 				return
 			}
-			n := len(remaining)
-			if n > int(desc.Len) {
-				n = int(desc.Len)
-			}
+			n := min(len(remaining), int(desc.Len))
 			d.port.Write(desc.Addr, remaining[:n], func() {
 				remaining = remaining[n:]
 				if len(remaining) > 0 && desc.Flags&DescFlagNext != 0 {
@@ -303,7 +296,7 @@ func (d *NetDevice) fillChain(st *queueState, head uint16, frame []byte) {
 					d.Drops["rx-truncated"]++
 				}
 				d.RxPackets++
-				d.publishUsed(RxQueue, UsedElem{ID: uint32(head), Len: uint32(total - len(remaining))})
+				d.publishUsed(RxQueue, UsedElem{ID: uint32(head), Len: uint32(len(frame) - len(remaining))})
 			})
 		})
 	}

@@ -1,8 +1,6 @@
 package virtio
 
 import (
-	"encoding/binary"
-
 	"flexdriver/internal/hostmem"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
@@ -12,85 +10,30 @@ import (
 // in host memory, notifications over MMIO — the standard-compliant
 // counterpart the FLD adapter must interoperate with.
 type SoftDriver struct {
-	eng  *sim.Engine
-	fab  *pcie.Fabric
-	mem  *hostmem.Memory
 	host *pcie.Port
-	dev  *NetDevice
-	bar  uint64
+	bar  uint64 // the device's notify registers
 
-	qsize int
-
-	// tx state
-	txDesc, txAvail, txUsed uint64 // offsets in host memory
-	txBufs                  uint64
-	txBufSz                 int
-	txAvailIdx              uint16
-	txUsedSeen              uint16
-	txFree                  []uint16
-
-	// rx state
-	rxDesc, rxAvail, rxUsed uint64
-	rxBufs                  uint64
-	rxBufSz                 int
-	rxAvailIdx              uint16
-	rxUsedSeen              uint16
+	tx, rx *DriverQueue
 
 	// OnReceive delivers received frames.
 	OnReceive func(frame []byte)
 	// OnSendComplete fires per retired tx chain.
 	OnSendComplete func()
 
-	queued [][]byte // tx frames waiting for a free descriptor
+	queued sim.FIFO[[]byte] // tx frames waiting for a free descriptor
 }
 
 // NewSoftDriver builds rings in host memory and programs the device.
 func NewSoftDriver(eng *sim.Engine, fab *pcie.Fabric, mem *hostmem.Memory, dev *NetDevice, qsize, bufBytes int) *SoftDriver {
-	d := &SoftDriver{
-		eng: eng, fab: fab, mem: mem, host: fab.PortOf(mem), dev: dev,
-		bar:   fab.PortOf(dev).Base(),
-		qsize: qsize, txBufSz: bufBytes, rxBufSz: bufBytes,
-	}
-	alloc := func(n int) uint64 { return mem.Alloc(uint64(n), 64) }
-	d.txDesc = alloc(qsize * DescSize)
-	d.txAvail = alloc(AvailBytes(qsize))
-	d.txUsed = alloc(UsedBytes(qsize))
-	d.txBufs = alloc(qsize * bufBytes)
-	d.rxDesc = alloc(qsize * DescSize)
-	d.rxAvail = alloc(AvailBytes(qsize))
-	d.rxUsed = alloc(UsedBytes(qsize))
-	d.rxBufs = alloc(qsize * bufBytes)
-
-	addr := func(off uint64) uint64 { return fab.AddrOf(mem, off) }
-	dev.ConfigureQueue(RxQueue, qsize, addr(d.rxDesc), addr(d.rxAvail), addr(d.rxUsed))
-	dev.ConfigureQueue(TxQueue, qsize, addr(d.txDesc), addr(d.txAvail), addr(d.txUsed))
+	d := &SoftDriver{host: fab.PortOf(mem), bar: fab.PortOf(dev).Base()}
+	base := fab.AddrOf(mem, 0)
+	d.tx = NewDriverQueue(mem, base, qsize, bufBytes, false)
+	d.rx = NewDriverQueue(mem, base, qsize, bufBytes, true)
+	d.rx.Attach(dev, RxQueue)
+	d.tx.Attach(dev, TxQueue)
 	dev.Interrupt = d.interrupt
-
-	for i := 0; i < qsize; i++ {
-		d.txFree = append(d.txFree, uint16(i))
-		// Post every rx buffer as a single writable descriptor.
-		desc := Desc{Addr: addr(d.rxBufs + uint64(i*bufBytes)), Len: uint32(bufBytes), Flags: DescFlagWrite}
-		mem.WriteAt(d.rxDesc+uint64(i)*DescSize, desc.Marshal())
-		d.postAvail(true, uint16(i))
-	}
 	d.notify(RxQueue)
 	return d
-}
-
-// postAvail appends a head index to a ring's avail entries (local memory
-// writes; the device sees them via DMA after notify).
-func (d *SoftDriver) postAvail(rx bool, head uint16) {
-	base, idx := d.txAvail, &d.txAvailIdx
-	if rx {
-		base, idx = d.rxAvail, &d.rxAvailIdx
-	}
-	slot := uint64(*idx % uint16(d.qsize))
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], head)
-	d.mem.WriteAt(base+4+slot*2, b[:])
-	*idx++
-	binary.LittleEndian.PutUint16(b[:], *idx)
-	d.mem.WriteAt(base+2, b[:])
 }
 
 // notify rings the device's queue doorbell (timed MMIO).
@@ -100,51 +43,35 @@ func (d *SoftDriver) notify(q int) {
 
 // Send transmits one frame (queued in software when descriptors are out).
 func (d *SoftDriver) Send(frame []byte) {
-	if len(d.txFree) == 0 {
-		d.queued = append(d.queued, frame)
+	head, ok := d.tx.Take()
+	if !ok {
+		d.queued.Push(frame)
 		return
 	}
-	head := d.txFree[0]
-	d.txFree = d.txFree[1:]
-	bufOff := d.txBufs + uint64(int(head)*d.txBufSz)
-	d.mem.WriteAt(bufOff, frame)
-	desc := Desc{Addr: d.fab.AddrOf(d.mem, bufOff), Len: uint32(len(frame))}
-	d.mem.WriteAt(d.txDesc+uint64(head)*DescSize, desc.Marshal())
-	d.postAvail(false, head)
+	d.tx.Fill(head, frame)
+	d.tx.Publish(head)
 	d.notify(TxQueue)
 }
 
 // interrupt handles used-ring updates from the device.
 func (d *SoftDriver) interrupt(q int) {
 	if q == TxQueue {
-		idx := binary.LittleEndian.Uint16(d.mem.ReadAt(d.txUsed+2, 2))
-		for d.txUsedSeen != idx {
-			slot := uint64(d.txUsedSeen % uint16(d.qsize))
-			e, _ := ParseUsedElem(d.mem.ReadAt(d.txUsed+4+slot*8, 8))
-			d.txUsedSeen++
-			d.txFree = append(d.txFree, uint16(e.ID))
+		d.tx.Drain(func(head uint16, _ []byte) {
+			d.tx.Release(head)
 			if d.OnSendComplete != nil {
 				d.OnSendComplete()
 			}
-		}
-		for len(d.queued) > 0 && len(d.txFree) > 0 {
-			f := d.queued[0]
-			d.queued = d.queued[1:]
-			d.Send(f)
+		})
+		for d.queued.Len() > 0 && d.tx.Credits() > 0 {
+			d.Send(d.queued.Pop())
 		}
 		return
 	}
-	idx := binary.LittleEndian.Uint16(d.mem.ReadAt(d.rxUsed+2, 2))
-	for d.rxUsedSeen != idx {
-		slot := uint64(d.rxUsedSeen % uint16(d.qsize))
-		e, _ := ParseUsedElem(d.mem.ReadAt(d.rxUsed+4+slot*8, 8))
-		d.rxUsedSeen++
-		frame := d.mem.ReadAt(d.rxBufs+uint64(int(e.ID)*d.rxBufSz), int(e.Len))
+	d.rx.Drain(func(head uint16, frame []byte) {
 		if d.OnReceive != nil {
 			d.OnReceive(frame)
 		}
-		// Recycle the buffer: the descriptor is unchanged, repost it.
-		d.postAvail(true, uint16(e.ID))
-	}
+		d.rx.Publish(head) // the descriptor is unchanged: offer the buffer again
+	})
 	d.notify(RxQueue)
 }
