@@ -134,6 +134,14 @@ func run(args []string, out io.Writer) int {
 	if err != nil {
 		return fail(2, "-clients: %v", err)
 	}
+	switch {
+	case *count < 1:
+		return fail(2, "-count: %d scenarios, want at least 1", *count)
+	case *hosts < 0:
+		return fail(2, "-hosts: %d, want 0 (one host per client) or more", *hosts)
+	case *samples < 0:
+		return fail(2, "-samples: %d, want 0 (the default) or more", *samples)
+	}
 
 	fractions := []float64{0.1, 0.3, 0.5, 0.7, 0.82, 0.95, 1.03}
 

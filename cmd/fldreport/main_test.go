@@ -50,6 +50,8 @@ func TestCSVAndFlagErrors(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-csv", "fig9"}, {"-sizes", "64,x"}, {"-clients", "0"}, {"-exp", "nope"}, {"-workers", "2"},
+		{"-exp", "scenario", "-count", "0"}, {"-exp", "scenario", "-count", "-3"},
+		{"-exp", "cluster", "-hosts", "-1", "-clients", "2"}, {"-exp", "table6", "-samples", "-5"},
 	} {
 		var out bytes.Buffer
 		if status := run(args, &out); status != 2 || out.Len() != 0 {

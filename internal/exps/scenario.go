@@ -9,10 +9,10 @@ import (
 // Scenario drives the randomized scenario fuzzer (internal/scenario) as
 // a reportable experiment. Two modes:
 //
-//   - sweep (spec == ""): run `count` generated scenarios starting at
-//     `seed`, each to quiescence and twice (the replay-determinism
-//     invariant compares the two telemetry hashes). This is the CI
-//     smoke: `fldreport -exp scenario -seed 1 -count 300`.
+//   - sweep (spec == ""): run `count` (at least one) generated scenarios
+//     starting at `seed`, each to quiescence and twice (the
+//     replay-determinism invariant compares the two telemetry hashes).
+//     This is the CI smoke: `fldreport -exp scenario -seed 1 -count 300`.
 //   - replay (spec != ""): parse and run that exact spec — the path the
 //     shrinker's one-line repro command takes, so a shrunk violation
 //     reproduces outside the test harness.
@@ -34,9 +34,6 @@ func Scenario(seed int64, count int, spec string) *Result {
 		}
 		specs = []scenario.Spec{s}
 	} else {
-		if count < 1 {
-			count = 1
-		}
 		r.Title = fmt.Sprintf("randomized scenario sweep (seeds %d..%d)", seed, seed+int64(count)-1)
 		for i := int64(0); i < int64(count); i++ {
 			specs = append(specs, scenario.Generate(seed+i))

@@ -107,9 +107,9 @@ type FLD struct {
 	rxCurBuf     int32 // ring index of the buffer the NIC is filling (-1: none)
 	rxCurStrides int   // strides consumed in that buffer
 
-	txPipe  *sim.Resource // II pacing for the transmit pipeline
-	rxPipe  *sim.Resource // II pacing for the receive pipeline
-	freeOp  *pipeOp       // freelist of pipeline transit records
+	txPipe  *sim.Resource             // II pacing for the transmit pipeline
+	rxPipe  *sim.Resource             // II pacing for the receive pipeline
+	ops     sim.Pool[pipeOp, *pipeOp] // pipeline transit records
 	handler Handler
 
 	onCredits func()
@@ -365,8 +365,8 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 
 	// Pace the hardware pipeline, cross it, then notify the NIC: one
 	// event, at the end of the pacing slot plus the pipeline latency.
-	x := f.getPipeOp()
-	x.q, x.idx = q, idx
+	x := f.ops.Get()
+	*x = pipeOp{f: f, q: q, idx: idx}
 	end := f.txPipe.AcquireArg(f.cfg.PacketInterval(), nil, nil)
 	f.eng.AtArg(end+f.cfg.PipelineDelay, txNotify, x)
 	return nil
@@ -375,29 +375,14 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 // pipeOp carries one packet across a streaming pipeline (II pacing, then
 // the fixed pipeline latency): a transmit's queue and ring index on the
 // way to its doorbell, or a received packet on the way to the AFU.
-// Records are recycled through a per-FLD freelist.
+// Records are recycled through a per-FLD pool.
 type pipeOp struct {
+	sim.Link[pipeOp]
 	f    *FLD
 	q    int    // tx: FLD queue
 	idx  uint32 // tx: ring index of the descriptor
 	data []byte // rx: packet copied out of receive SRAM
 	md   Metadata
-	next *pipeOp
-}
-
-func (f *FLD) getPipeOp() *pipeOp {
-	x := f.freeOp
-	if x != nil {
-		f.freeOp = x.next
-		x.next = nil
-		return x
-	}
-	return &pipeOp{f: f}
-}
-
-func (f *FLD) putPipeOp(x *pipeOp) {
-	*x = pipeOp{f: f, next: f.freeOp}
-	f.freeOp = x
 }
 
 // txNotify: the packet crossed the transmit pipeline; ring the NIC's
@@ -405,7 +390,7 @@ func (f *FLD) putPipeOp(x *pipeOp) {
 func txNotify(a any) {
 	x := a.(*pipeOp)
 	f, q, idx := x.f, x.q, x.idx
-	f.putPipeOp(x)
+	f.ops.Put(x)
 	tq := f.queues[q]
 	if f.cfg.WQEByMMIO {
 		wqe := f.eng.Bufs().Get(nic.SendWQESize)
@@ -731,8 +716,8 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 		Last:       rec.Last,
 		ChecksumOK: rec.ChecksumOK,
 	}
-	x := f.getPipeOp()
-	x.data, x.md = data, md
+	x := f.ops.Get()
+	*x = pipeOp{f: f, data: data, md: md}
 	paced := f.rxPipe.AcquireArg(f.cfg.PacketInterval(), nil, nil)
 	f.eng.AtArg(paced+f.cfg.PipelineDelay, rxStream, x)
 }
@@ -741,7 +726,8 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 func rxStream(a any) {
 	x := a.(*pipeOp)
 	f, data, md := x.f, x.data, x.md
-	f.putPipeOp(x)
+	x.data = nil
+	f.ops.Put(x)
 	if f.downN > 0 {
 		// The function crashed while the packet was in the streaming
 		// pipeline: it dies with the SRAM.

@@ -57,7 +57,7 @@ type Adapter struct {
 	tx, rx *virtio.DriverQueue
 
 	txPipe, rxPipe *sim.Resource
-	freeOp         *pipeOp
+	ops            sim.Pool[pipeOp, *pipeOp]
 	handler        fld.Handler
 	onCredits      func()
 
@@ -130,30 +130,21 @@ func (a *Adapter) Send(data []byte, md fld.Metadata) error {
 // pipeOp carries one packet across a streaming pipeline (II pacing, then
 // the fixed pipeline latency): a filled transmit descriptor on its way to
 // the avail ring, or a received frame on its way to the accelerator.
-// Records are recycled through a per-adapter freelist, as in fld.
+// Records are recycled through a per-adapter pool, as in fld.
 type pipeOp struct {
+	sim.Link[pipeOp]
 	a     *Adapter
 	head  uint16
 	frame []byte
-	next  *pipeOp
 }
 
 // cross paces one packet through pipe and schedules step at the far end:
 // one event, at the end of the pacing slot plus the pipeline latency.
 func (a *Adapter) cross(pipe *sim.Resource, step func(any), head uint16, frame []byte) {
-	x := a.freeOp
-	if x == nil {
-		x = &pipeOp{a: a}
-	}
-	a.freeOp = x.next
-	x.head, x.frame, x.next = head, frame, nil
+	x := a.ops.Get()
+	x.a, x.head, x.frame = a, head, frame
 	end := pipe.AcquireArg(a.cfg.PacketInterval, nil, nil)
 	a.eng.AtArg(end+a.cfg.PipelineDelay, step, x)
-}
-
-func (a *Adapter) putOp(x *pipeOp) {
-	*x = pipeOp{a: a, next: a.freeOp}
-	a.freeOp = x
 }
 
 // txPublish: the descriptor crossed the transmit pipeline; show it to the
@@ -161,7 +152,7 @@ func (a *Adapter) putOp(x *pipeOp) {
 func txPublish(arg any) {
 	x := arg.(*pipeOp)
 	a, head := x.a, x.head
-	a.putOp(x)
+	a.ops.Put(x)
 	a.tx.Publish(head)
 	a.notify(virtio.TxQueue)
 }
@@ -170,7 +161,8 @@ func txPublish(arg any) {
 func rxStream(arg any) {
 	x := arg.(*pipeOp)
 	a, frame := x.a, x.frame
-	a.putOp(x)
+	x.frame = nil
+	a.ops.Put(x)
 	if a.handler != nil {
 		a.handler.Receive(frame, fld.Metadata{Last: true, ChecksumOK: true})
 	}

@@ -223,7 +223,7 @@ func TestRQFetchInOrderZeroAlloc(t *testing.T) {
 }
 
 // TestGatherRecordSurvivesQueueReset: the record that carries a descriptor
-// through its payload gather is out of the freelist until the gather's
+// through its payload gather is out of the pool until the gather's
 // completion, however late. A queue reset in that window must neither let
 // the stale completion retire into the new epoch nor hand the in-flight
 // record to the next descriptor (here one pushed by MMIO, which takes its
@@ -240,10 +240,11 @@ func TestGatherRecordSurvivesQueueReset(t *testing.T) {
 	dsq.post(wqe)
 	dsq.doorbell()
 	eng.Run()
-	rec := a.nic.freeExec
-	if rec == nil || rec.next != nil || rec.sq != nil {
-		t.Fatalf("after one send the freelist should hold its one cleared record: %+v", rec)
+	pooled := pooledExecs(a.nic)
+	if len(pooled) != 1 || pooled[0].sq != nil {
+		t.Fatalf("after one send the pool should hold its one cleared record: %+v", pooled)
 	}
+	rec := pooled[0]
 
 	dsq.post(wqe)
 	dsq.doorbell()
@@ -257,8 +258,8 @@ func TestGatherRecordSurvivesQueueReset(t *testing.T) {
 	dsq.sq.enterError(SynQueueErr)
 	dsq.sq.Reset()
 	a.fab.Write(a.bar+SQDoorbellOffset(dsq.sq.ID), wqe.Marshal()) // WQE-by-MMIO in the new epoch
-	if a.nic.freeExec != nil || rec.sq != dsq.sq || rec.ep != oldEpoch || rec.idx != 1 {
-		t.Fatalf("the in-flight gather's record was reused: on freelist=%v ep=%d (was %d) idx=%d", a.nic.freeExec != nil, rec.ep, oldEpoch, rec.idx)
+	if n := len(pooledExecs(a.nic)); n != 0 || rec.sq != dsq.sq || rec.ep != oldEpoch || rec.idx != 1 {
+		t.Fatalf("the in-flight gather's record was reused: %d pooled, ep=%d (was %d) idx=%d", n, rec.ep, oldEpoch, rec.idx)
 	}
 	eng.Run()
 
@@ -268,14 +269,35 @@ func TestGatherRecordSurvivesQueueReset(t *testing.T) {
 	if got := a.nic.Stats.TxPackets; got != 2 {
 		t.Errorf("%d frames transmitted, want 2 (the reset discarded the middle one)", got)
 	}
-	seen, total := 0, 0
-	for x := a.nic.freeExec; x != nil && total < 10; x = x.next {
-		total++
+	pooled, seen := pooledExecs(a.nic), 0
+	for _, x := range pooled {
 		if x == rec {
 			seen++
 		}
 	}
-	if seen != 1 || total != 2 {
-		t.Errorf("freelist holds the gather's record %d times among %d records, want once among 2", seen, total)
+	if seen != 1 || len(pooled) != 2 {
+		t.Errorf("the pool holds the gather's record %d times among %d records, want once among 2", seen, len(pooled))
 	}
+}
+
+// pooledExecs lists the NIC's idle sqExec records, most recently returned
+// first (at most ten), and leaves the pool as it found it. New is stubbed
+// to mark the bottom of the list; the bound turns a record returned twice
+// (a cycle) into repeats instead of a hang.
+func pooledExecs(n *NIC) []*sqExec {
+	p, mk := &n.execs, n.execs.New
+	p.New = func() *sqExec { return nil }
+	var out []*sqExec
+	for len(out) < 10 {
+		x := p.Get()
+		if x == nil {
+			break
+		}
+		out = append(out, x)
+	}
+	for i := len(out) - 1; i >= 0; i-- {
+		p.Put(out[i])
+	}
+	p.New = mk
+	return out
 }

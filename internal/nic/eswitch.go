@@ -57,9 +57,10 @@ type pktHdrs struct {
 // pktView is one packet's traversal of the match-action pipeline: the
 // header caches rules match on, plus everything that rides along from
 // entry (egress, Ingress) to the terminal disposition. Views are recycled
-// through a per-NIC freelist and stepped by the static trampolines below,
+// through a per-NIC pool and stepped by the static trampolines below,
 // so a traversal allocates nothing.
 type pktView struct {
+	sim.Link[pktView]
 	frame   []byte
 	flowTag uint32
 	// domain is the forwarding domain the packet entered the pipeline
@@ -79,22 +80,12 @@ type pktView struct {
 	rq     *RQ    // receive queue the disposition chose
 	rss    uint32 // RSS hash of frame, computed at most once per form
 	rssOK  bool
-	next   *pktView
 }
 
-func (n *NIC) getView() *pktView {
-	v := n.freeView
-	if v != nil {
-		n.freeView = v.next
-		v.next = nil
-		return v
-	}
-	return &pktView{n: n}
-}
-
+// putView clears a finished traversal and returns its view to the pool.
 func (n *NIC) putView(v *pktView) {
-	*v = pktView{n: n, next: n.freeView}
-	n.freeView = v
+	*v = pktView{}
+	n.views.Put(v)
 }
 
 // parse points the view at frame and derives its header caches; the
@@ -506,9 +497,9 @@ func (n *NIC) egress(vp *VPort, frame []byte, flowTag uint32, onSent func()) {
 	}
 	n.Stats.TxPackets++
 	n.Stats.TxBytes += int64(len(frame))
-	v := n.getView()
+	v := n.views.Get()
 	v.parse(frame, flowTag)
-	v.domain, v.vp, v.onWire = vp.Domain, vp, onSent
+	v.n, v.domain, v.vp, v.onWire = n, vp.Domain, vp, onSent
 	n.eng.AfterArg(n.Prm.PipelineDelay, viewEgress, v)
 }
 
@@ -540,8 +531,8 @@ func (n *NIC) Ingress(frame []byte) {
 		n.drop(DropDeviceDown)
 		return
 	}
-	v := n.getView()
-	v.frame = frame
+	v := n.views.Get()
+	v.n, v.frame = n, frame
 	served := n.rxEngine.AcquireArg(n.Prm.RxPerPkt, nil, nil)
 	n.eng.AtArg(served+n.Prm.PipelineDelay, viewIngress, v)
 }

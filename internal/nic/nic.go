@@ -120,14 +120,14 @@ type NIC struct {
 	rxEngine *sim.Resource
 	ets      *etsScheduler // lazily created when a weighted SQ sends
 
-	// Freelists of pooled steady-state records (see pool.go).
-	freeFetch   *sqFetch
-	freeExec    *sqExec
-	freeTx      *txSend
-	freeCQW     *cqWrite
-	freeRQFetch *rqFetch
-	freeRx      *rxDone
-	freeView    *pktView
+	// Pools of steady-state records (see pool.go).
+	fetches   sim.Pool[sqFetch, *sqFetch]
+	execs     sim.Pool[sqExec, *sqExec]
+	sends     sim.Pool[txSend, *txSend]
+	cqws      sim.Pool[cqWrite, *cqWrite]
+	rqFetches sim.Pool[rqFetch, *rqFetch]
+	rxDones   sim.Pool[rxDone, *rxDone]
+	views     sim.Pool[pktView, *pktView]
 
 	nextQN uint32
 
@@ -160,6 +160,7 @@ func New(name string, eng *sim.Engine, prm Params) *NIC {
 		cqs:  make(map[uint32]*CQ),
 		qps:  make(map[uint32]*QP),
 	}
+	n.fetches.New, n.execs.New, n.sends.New, n.rqFetches.New = newSQFetch, newSQExec, newTxSend, newRQFetch
 	n.esw = newESwitch(n)
 	n.txEngine = sim.NewResource(eng)
 	n.rxEngine = sim.NewResource(eng)
@@ -413,7 +414,7 @@ func (sq *SQ) pushWQE(b []byte) {
 	sq.tWQEMMIO.Inc()
 	// The MMIO write's buffer dies with the write; the descriptor waits
 	// for its txEngine slot inside the pooled record that will carry it.
-	x := sq.n.getSQExec()
+	x := sq.n.execs.Get()
 	x.raw = x.pushed[:copy(x.pushed[:], b)]
 	sq.mmio[sq.pi] = x
 	sq.pi++
@@ -463,7 +464,7 @@ func (sq *SQ) kick() {
 		sq.tFetchReads.Inc()
 		sq.tFetchedWQEs.Add(int64(n))
 		sq.tFetchBatch.Observe(int64(n))
-		x := sq.n.getSQFetch()
+		x := sq.n.fetches.Get()
 		x.sq, x.ep, x.first, x.count = sq, ep, idx, n
 		sq.n.port.Read(sq.Ring+uint64(slot)*SendWQESize, n*SendWQESize, x.done)
 	}
@@ -507,7 +508,7 @@ func (sq *SQ) dispatch(ep uint32, idx uint32, wqe SendWQE, data []byte) {
 	// Raw Ethernet: the payload is a complete frame. The transmit state
 	// rides in a pooled record from dispatch through the shaper delay to
 	// the egress-complete retire (see pool.go).
-	x := sq.n.getTxSend()
+	x := sq.n.sends.Get()
 	x.sq, x.ep, x.idx = sq, ep, idx
 	x.frame, x.flowTag, x.signal = data, wqe.FlowTag, wqe.Signal
 	if sq.Shaper != nil {
@@ -650,7 +651,7 @@ func (rq *RQ) prefetch() {
 		rq.inflight++
 		rq.tFetchReads.Inc()
 		rq.tFetchedDescs.Add(int64(n))
-		x := rq.n.getRQFetch()
+		x := rq.n.rqFetches.Get()
 		x.rq, x.ep, x.seq, x.n = rq, ep, seq, n
 		rq.n.port.Read(rq.Ring+uint64(slot)*RecvWQESize, n*RecvWQESize, x.done)
 	}
@@ -794,7 +795,7 @@ func (rq *RQ) place(p *pendingRx) bool {
 	rq.n.Stats.RxBytes += int64(n)
 	rq.tPlaced.Inc()
 	rq.tPlacedBytes.Add(int64(n))
-	r := rq.n.getRxDone()
+	r := rq.n.rxDones.Get()
 	r.rq, r.ep, r.cqe = rq, rq.epoch, cqe
 	rq.n.port.WriteArg(addr, p.data, rqPlaceDone, r)
 	return true
@@ -842,7 +843,7 @@ func (cq *CQ) Push(c CQE) {
 	addr := cq.Ring + slot*CQESize
 	b := cq.n.eng.Bufs().Get(CQESize)
 	c.MarshalInto(b)
-	w := cq.n.getCQWrite()
+	w := cq.n.cqws.Get()
 	w.cq, w.c = cq, c
 	cq.n.port.WriteOwnedArg(addr, b, cqPushDone, w)
 }

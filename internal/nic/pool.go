@@ -1,41 +1,39 @@
 package nic
 
-import "flexdriver/internal/pcie"
+import (
+	"flexdriver/internal/pcie"
+	"flexdriver/internal/sim"
+)
 
 // Pooled steady-state records. The NIC's per-packet paths (WQE execution,
 // transmit dispatch, CQE writes, receive placement) used to allocate a
 // closure per event; each path now carries its state in one of these
-// records, recycled through per-NIC freelists and dispatched by the static
+// records, recycled through per-NIC sim.Pools and dispatched by the static
 // trampolines below via the engine's arg-form scheduling. The NIC is
-// single-threaded on its engine, so the freelists need no locking.
+// single-threaded on its engine, so the pools need no locking.
 //
 // A record whose completion never fires (a fault-injected drop of the
 // underlying PCIe write, a queue reset) is simply abandoned to the garbage
 // collector — correctness never depends on a record returning to its
-// freelist.
+// pool.
 
 // sqFetch carries one batched descriptor read from SQ.kick to its
 // completion. Like txSend.onSent below, done is bound to the record once,
-// when the record is first made, so handing it to pcie.Port.Read costs no
-// closure. A read's completion fires exactly once — with data, an error
-// status or a timeout — and that is where the record is recycled.
+// when the pool first makes it (newSQFetch), so handing it to
+// pcie.Port.Read costs no closure. A read's completion fires exactly once —
+// with data, an error status or a timeout — and that is where the record
+// is recycled.
 type sqFetch struct {
+	sim.Link[sqFetch]
 	sq    *SQ
 	ep    uint32
 	first uint32
 	count int
 	done  func(pcie.Completion)
-	next  *sqFetch
 }
 
-func (n *NIC) getSQFetch() *sqFetch {
-	x := n.freeFetch
-	if x != nil {
-		n.freeFetch = x.next
-		x.next = nil
-		return x
-	}
-	x = &sqFetch{}
+func newSQFetch() *sqFetch {
+	x := &sqFetch{}
 	x.done = func(c pcie.Completion) { sqFetchDone(x, c) }
 	return x
 }
@@ -45,8 +43,8 @@ func (n *NIC) getSQFetch() *sqFetch {
 // fetch was in flight.
 func sqFetchDone(x *sqFetch, c pcie.Completion) {
 	sq, ep, first, count := x.sq, x.ep, x.first, x.count
-	x.sq, x.next = nil, sq.n.freeFetch
-	sq.n.freeFetch = x
+	x.sq = nil
+	sq.n.fetches.Put(x)
 	if sq.epoch != ep {
 		return
 	}
@@ -55,7 +53,7 @@ func sqFetchDone(x *sqFetch, c pcie.Completion) {
 		return
 	}
 	for i := 0; i < count; i++ {
-		e := sq.n.getSQExec()
+		e := sq.n.execs.Get()
 		e.sq, e.ep = sq, ep
 		e.idx = first + uint32(i)
 		e.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
@@ -69,6 +67,7 @@ func sqFetchDone(x *sqFetch, c pcie.Completion) {
 // that arrived by MMIO; wqe is the parsed descriptor the gather completion
 // dispatches. gathered is bound once, like sqFetch.done.
 type sqExec struct {
+	sim.Link[sqExec]
 	sq       *SQ
 	ep       uint32
 	idx      uint32
@@ -76,25 +75,17 @@ type sqExec struct {
 	pushed   [SendWQEMMIOSize]byte
 	wqe      SendWQE
 	gathered func(pcie.Completion)
-	next     *sqExec
 }
 
-func (n *NIC) getSQExec() *sqExec {
-	x := n.freeExec
-	if x != nil {
-		n.freeExec = x.next
-		x.next = nil
-		return x
-	}
-	x = &sqExec{}
+func newSQExec() *sqExec {
+	x := &sqExec{}
 	x.gathered = func(c pcie.Completion) { sqExecGathered(x, c) }
 	return x
 }
 
 func (n *NIC) putSQExec(x *sqExec) {
 	x.sq, x.raw, x.wqe = nil, nil, SendWQE{}
-	x.next = n.freeExec
-	n.freeExec = x
+	n.execs.Put(x)
 }
 
 // sqExecRun is the txEngine completion: run the descriptor unless the
@@ -127,9 +118,10 @@ func sqExecGathered(x *sqExec, c pcie.Completion) {
 
 // txSend carries a raw-Ethernet transmit from dispatch (optionally through
 // a shaper delay) to the egress-complete retire. onSent is bound to the
-// record once, when the record is first allocated, so re-arming it costs
-// nothing; the eSwitch fires it exactly once on every terminal path.
+// record once, by newTxSend, so re-arming it costs nothing; the eSwitch
+// fires it exactly once on every terminal path.
 type txSend struct {
+	sim.Link[txSend]
 	sq      *SQ
 	ep      uint32
 	idx     uint32
@@ -137,25 +129,12 @@ type txSend struct {
 	flowTag uint32
 	signal  bool
 	onSent  func()
-	next    *txSend
 }
 
-func (n *NIC) getTxSend() *txSend {
-	x := n.freeTx
-	if x != nil {
-		n.freeTx = x.next
-		x.next = nil
-		return x
-	}
-	x = &txSend{}
+func newTxSend() *txSend {
+	x := &txSend{}
 	x.onSent = func() { txSendSent(x) }
 	return x
-}
-
-func (n *NIC) putTxSend(x *txSend) {
-	x.sq, x.frame = nil, nil
-	x.next = n.freeTx
-	n.freeTx = x
 }
 
 // txSendFire runs after any shaper delay: hand the frame to ETS or the
@@ -176,7 +155,8 @@ func txSendFire(a any) {
 // txSendSent is the egress completion: retire the WQE.
 func txSendSent(x *txSend) {
 	sq, ep, idx, frame, flowTag, signal := x.sq, x.ep, x.idx, x.frame, x.flowTag, x.signal
-	sq.n.putTxSend(x)
+	x.sq, x.frame = nil, nil
+	sq.n.sends.Put(x)
 	sq.retire(ep, idx, CQE{
 		Opcode: CQESend, Index: uint16(idx), Queue: sq.ID,
 		ByteCount: uint32(len(frame)), FlowTag: flowTag, Last: true,
@@ -187,31 +167,17 @@ func txSendSent(x *txSend) {
 // buffer itself comes from the engine's BufPool and is owned (and
 // recycled) by the fabric.
 type cqWrite struct {
-	cq   *CQ
-	c    CQE
-	next *cqWrite
-}
-
-func (n *NIC) getCQWrite() *cqWrite {
-	x := n.freeCQW
-	if x != nil {
-		n.freeCQW = x.next
-		x.next = nil
-		return x
-	}
-	return &cqWrite{}
-}
-
-func (n *NIC) putCQWrite(x *cqWrite) {
-	*x = cqWrite{next: n.freeCQW}
-	n.freeCQW = x
+	sim.Link[cqWrite]
+	cq *CQ
+	c  CQE
 }
 
 // cqPushDone fires when the CQE landed in the ring: notify the consumer.
 func cqPushDone(a any) {
 	x := a.(*cqWrite)
 	cq, c := x.cq, x.c
-	cq.n.putCQWrite(x)
+	*x = cqWrite{}
+	cq.n.cqws.Put(x)
 	if cq.onCQE != nil {
 		cq.onCQE(c)
 	}
@@ -220,22 +186,16 @@ func cqPushDone(a any) {
 // rqFetch carries one batched receive-descriptor read from RQ.prefetch to
 // its completion; done is bound once, like sqFetch.done.
 type rqFetch struct {
+	sim.Link[rqFetch]
 	rq   *RQ
 	ep   uint32
 	seq  uint64
 	n    int
 	done func(pcie.Completion)
-	next *rqFetch
 }
 
-func (n *NIC) getRQFetch() *rqFetch {
-	x := n.freeRQFetch
-	if x != nil {
-		n.freeRQFetch = x.next
-		x.next = nil
-		return x
-	}
-	x = &rqFetch{}
+func newRQFetch() *rqFetch {
+	x := &rqFetch{}
 	x.done = func(c pcie.Completion) { rqFetchDone(x, c) }
 	return x
 }
@@ -244,8 +204,8 @@ func (n *NIC) getRQFetch() *rqFetch {
 // then hand the batch to the queue unless it was reset meanwhile.
 func rqFetchDone(x *rqFetch, c pcie.Completion) {
 	rq, ep, seq, n := x.rq, x.ep, x.seq, x.n
-	x.rq, x.next = nil, rq.n.freeRQFetch
-	rq.n.freeRQFetch = x
+	x.rq = nil
+	rq.n.rqFetches.Put(x)
 	if rq.epoch == ep {
 		rq.fetchDone(seq, n, c)
 	}
@@ -254,25 +214,10 @@ func rqFetchDone(x *rqFetch, c pcie.Completion) {
 // rxDone carries a placed packet's metadata through its payload DMA write
 // to the receive-CQE push.
 type rxDone struct {
-	rq   *RQ
-	ep   uint32
-	cqe  CQE
-	next *rxDone
-}
-
-func (n *NIC) getRxDone() *rxDone {
-	x := n.freeRx
-	if x != nil {
-		n.freeRx = x.next
-		x.next = nil
-		return x
-	}
-	return &rxDone{}
-}
-
-func (n *NIC) putRxDone(x *rxDone) {
-	*x = rxDone{next: n.freeRx}
-	n.freeRx = x
+	sim.Link[rxDone]
+	rq  *RQ
+	ep  uint32
+	cqe CQE
 }
 
 // rqPlaceDone fires when the packet payload landed in the host buffer:
@@ -280,7 +225,8 @@ func (n *NIC) putRxDone(x *rxDone) {
 func rqPlaceDone(a any) {
 	x := a.(*rxDone)
 	rq, ep, cqe := x.rq, x.ep, x.cqe
-	rq.n.putRxDone(x)
+	*x = rxDone{}
+	rq.n.rxDones.Put(x)
 	if rq.epoch == ep && rq.CQ != nil {
 		rq.CQ.Push(cqe)
 	}

@@ -260,8 +260,8 @@ func (qp *QP) transmit(frame []byte) {
 	qp.n.Stats.TxBytes += int64(len(frame))
 	if qp.remoteNIC == qp.n {
 		n := qp.n
-		v := n.getView()
-		v.frame = frame
+		v := n.views.Get()
+		v.n, v.frame = n, frame
 		n.esw.loopback.AcquireArg(n.esw.LoopbackRate.Serialize(len(frame)), rdmaHairpinDone, v)
 		return
 	}

@@ -28,23 +28,23 @@ type Segment struct {
 	rate    *sim.BitRate
 	latency *sim.Duration
 
-	ser  sim.Resource // the sender's serializer
-	c    *sim.Conduit // a direct schedule when both ends share an engine
-	free *transit
+	ser      sim.Resource // the sender's serializer
+	c        *sim.Conduit // a direct schedule when both ends share an engine
+	transits sim.Pool[transit, *transit]
 
 	// onLost, when set, tells the owner a frame fell to the Loss hook.
 	onLost func()
 }
 
-// transit is one frame's record through the serializer, recycled on a
-// per-segment freelist and scheduled through the engine's arg-form
+// transit is one frame's record through the serializer, recycled through
+// its segment's pool and scheduled through the engine's arg-form
 // callbacks, so steady-state forwarding allocates nothing per frame.
 type transit struct {
+	sim.Link[transit]
 	seg    *Segment
 	frame  []byte
 	onSent func()
 	d      sim.Duration // serialization time (dup spacing)
-	next   *transit
 }
 
 // Init wires direction dir of link l from src to dst. deliver runs on
@@ -63,13 +63,8 @@ func (s *Segment) Utilization() float64 { return s.ser.Utilization() }
 // latency.
 func (s *Segment) Send(frame []byte, onSent func()) {
 	s.link.Sent[s.dir]++
-	x := s.free
-	if x != nil {
-		s.free = x.next
-	} else {
-		x = &transit{seg: s}
-	}
-	x.frame, x.onSent = frame, onSent
+	x := s.transits.Get()
+	x.seg, x.frame, x.onSent = s, frame, onSent
 	x.d = s.rate.Serialize(len(frame) + EthWireOverhead)
 	s.ser.AcquireArg(x.d, segmentSent, x)
 }
@@ -81,8 +76,7 @@ func segmentSent(a any) {
 	x := a.(*transit)
 	s, frame, onSent, d := x.seg, x.frame, x.onSent, x.d
 	x.frame, x.onSent = nil, nil
-	x.next = s.free
-	s.free = x
+	s.transits.Put(x)
 	if onSent != nil {
 		onSent()
 	}

@@ -17,9 +17,9 @@ import (
 type Fabric struct {
 	eng   *sim.Engine
 	ports []*Port
-	next  uint64   // next free BAR base
-	freeW *writeOp // freelist of posted-write state records
-	freeR *readOp  // freelist of read state records that settled in time
+	next  uint64                      // next free BAR base
+	wops  sim.Pool[writeOp, *writeOp] // posted-write state records
+	rops  sim.Pool[readOp, *readOp]   // read state records that settled in time
 
 	// Telemetry (optional; see SetTelemetry).
 	tel        *telemetry.Scope
@@ -255,9 +255,10 @@ func (p *Port) WriteOwnedArg(addr uint64, data []byte, done func(any), arg any) 
 }
 
 // writeOp is the state of one posted write in flight. Records are recycled
-// through the fabric's freelist and stepped through the static trampolines
+// through the fabric's pool and stepped through the static trampolines
 // below, so the steady-state DMA-write path allocates nothing per TLP.
 type writeOp struct {
+	sim.Link[writeOp]
 	p, q     *Port
 	addr     uint64
 	data     []byte
@@ -266,24 +267,16 @@ type writeOp struct {
 	aarg     any
 	poisoned bool
 	owned    bool // return data to the engine's BufPool on resolution
-	next     *writeOp
 }
 
-func (f *Fabric) getWriteOp() *writeOp {
-	if o := f.freeW; o != nil {
-		f.freeW = o.next
-		o.next = nil
-		return o
-	}
-	return &writeOp{}
-}
-
+// putWriteOp recycles a resolved write, handing an owned payload back to
+// the engine's BufPool.
 func (f *Fabric) putWriteOp(o *writeOp) {
 	if o.owned {
 		f.eng.Bufs().Put(o.data)
 	}
-	*o = writeOp{next: f.freeW}
-	f.freeW = o
+	*o = writeOp{}
+	f.wops.Put(o)
 }
 
 func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aarg any, owned bool) {
@@ -302,7 +295,7 @@ func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aar
 		}
 		return
 	}
-	o := p.fab.getWriteOp()
+	o := p.fab.wops.Get()
 	o.p, o.q, o.addr, o.data, o.owned = p, q, addr, data, owned
 	o.done, o.adone, o.aarg = done, adone, aarg
 	o.poisoned = p.fab.corruptTLP(p, telemetry.MemWr)
@@ -387,7 +380,7 @@ func writeDeliver(a any) {
 // request or completion is lost, and at a link crossing that ends at or
 // past it — so a read that settles in time leaves nothing on the heap.
 func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
-	o := p.fab.getReadOp()
+	o := p.fab.rops.Get()
 	o.p, o.addr, o.size, o.done = p, addr, size, done
 	o.q, o.hasTarget = p.fab.target(addr, size)
 	// The timeout budget scales with the transfer: real completers
@@ -410,11 +403,12 @@ func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 
 // readOp is the state of one non-posted read in flight, stepped through
 // the static trampolines below. A read that settles in time holds the
-// only reference to its record, which returns to the fabric's freelist; a
+// only reference to its record, which returns to the fabric's pool; a
 // record whose timeout was scheduled may still be riding a late
 // completion when the timeout fires (or the reverse), so it is left to
 // the garbage collector instead.
 type readOp struct {
+	sim.Link[readOp]
 	p, q      *Port
 	addr      uint64
 	size      int
@@ -424,16 +418,6 @@ type readOp struct {
 	deadline  sim.Time
 	expired   bool // the timeout is scheduled and owns the resolution
 	hasTarget bool
-	next      *readOp
-}
-
-func (f *Fabric) getReadOp() *readOp {
-	if o := f.freeR; o != nil {
-		f.freeR = o.next
-		o.next = nil
-		return o
-	}
-	return &readOp{}
 }
 
 // expire hands the read's resolution to the completion timeout: from here
@@ -536,8 +520,8 @@ func readSettle(a any) {
 		return
 	}
 	fab, done, c := o.p.fab, o.done, Completion{Data: o.data, Status: o.status}
-	*o = readOp{next: fab.freeR}
-	fab.freeR = o
+	*o = readOp{}
+	fab.rops.Put(o)
 	done(c)
 }
 

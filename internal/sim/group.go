@@ -398,12 +398,12 @@ func (g *Group) round(base, ownerEnd, min1 Time) {
 // --- Conduits ------------------------------------------------------------
 
 // dnode carries a delivery through the destination engine's event heap and
-// is recycled on a per-conduit freelist, so steady-state crossings do not
+// is recycled through its conduit's pool, so steady-state crossings do not
 // allocate.
 type dnode struct {
+	Link[dnode]
 	c     *Conduit
 	frame []byte
-	next  *dnode
 }
 
 // conduitDeliver is the static dispatch trampoline for conduit arrivals.
@@ -414,8 +414,7 @@ func conduitDeliver(a any) {
 	c := d.c
 	f := d.frame
 	d.frame = nil
-	d.next = c.freeD
-	c.freeD = d
+	c.nodes.Put(d)
 	c.deliver(f)
 }
 
@@ -436,7 +435,7 @@ type Conduit struct {
 	src     *Engine
 	dst     *Engine
 	deliver func(frame []byte)
-	freeD   *dnode
+	nodes   Pool[dnode, *dnode]
 	sent    uint64 // cross-shard sends so far: the next send index
 }
 
@@ -486,15 +485,9 @@ func (c *Conduit) Send(at Time, frame []byte) {
 	g.stats.Merged++
 }
 
-// get pops a delivery node off the freelist.
+// get takes a delivery node for frame.
 func (c *Conduit) get(frame []byte) *dnode {
-	d := c.freeD
-	if d == nil {
-		d = &dnode{c: c}
-	} else {
-		c.freeD = d.next
-		d.next = nil
-	}
-	d.frame = frame
+	d := c.nodes.Get()
+	d.c, d.frame = c, frame
 	return d
 }

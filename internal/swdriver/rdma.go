@@ -147,7 +147,7 @@ func (e *RDMAEndpoint) Send(data []byte) {
 		e.drv.DownTxDrops++
 		return
 	}
-	x := e.drv.getTxPost()
+	x := e.drv.txPosts.Get()
 	x.e, x.frame = e, data
 	e.drv.cpuWorkArg(e.drv.Prm.TxCost, rdmaPostRun, x)
 }
@@ -157,7 +157,8 @@ func (e *RDMAEndpoint) Send(data []byte) {
 func rdmaPostRun(a any) {
 	x := a.(*txPost)
 	e, data := x.e, x.frame
-	e.drv.putTxPost(x)
+	*x = txPost{}
+	e.drv.txPosts.Put(x)
 	if int(e.pi-e.ci) >= e.sqSize {
 		e.queued.Push(data)
 		return
@@ -244,7 +245,7 @@ func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
 	if e.recycle != nil {
 		e.recycle(c)
 	}
-	x := e.drv.getRxWork()
+	x := e.drv.rxWorks.Get()
 	x.e, x.c = e, c
 	e.drv.cpuWorkArg(e.drv.Prm.RxCost, rdmaRxRun, x)
 }
@@ -255,7 +256,8 @@ func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
 func rdmaRxRun(a any) {
 	x := a.(*rxWork)
 	e, c := x.e, x.c
-	e.drv.putRxWork(x)
+	*x = rxWork{}
+	e.drv.rxWorks.Put(x)
 	if e.cur == nil {
 		e.cur = make([]byte, 0, e.txBufSz) // MaxMsgBytes
 	}

@@ -66,11 +66,11 @@ type Driver struct {
 	cpu *sim.Resource
 	rng *sim.Rand
 
-	// Freelists of pooled per-packet work records (single-threaded, like
-	// the engine). A record abandoned mid-flight by a queue reset is
+	// Pools of per-packet work records (single-threaded, like the
+	// engine). A record abandoned mid-flight by a queue reset is
 	// garbage-collected; correctness never depends on recycling.
-	freeTxP *txPost
-	freeRxW *rxWork
+	txPosts sim.Pool[txPost, *txPost]
+	rxWorks sim.Pool[rxWork, *rxWork]
 
 	// Every port and endpoint the driver built, in creation order — the
 	// crash–restart reattach and the supervision ladder walk these.
@@ -177,31 +177,17 @@ func (d *Driver) cpuCost(cost sim.Duration) sim.Duration {
 // txPost carries one frame (or, with e set, one RDMA message) through the
 // TX CPU cost to its ring post.
 type txPost struct {
+	sim.Link[txPost]
 	p     *EthPort
 	e     *RDMAEndpoint
 	frame []byte
-	next  *txPost
-}
-
-func (d *Driver) getTxPost() *txPost {
-	x := d.freeTxP
-	if x != nil {
-		d.freeTxP = x.next
-		x.next = nil
-		return x
-	}
-	return &txPost{}
-}
-
-func (d *Driver) putTxPost(x *txPost) {
-	*x = txPost{next: d.freeTxP}
-	d.freeTxP = x
 }
 
 func txPostRun(a any) {
 	x := a.(*txPost)
 	p, frame := x.p, x.frame
-	p.drv.putTxPost(x)
+	*x = txPost{}
+	p.drv.txPosts.Put(x)
 	if int(p.pi-p.ci) >= p.sqSize {
 		p.tTxSwQueued.Inc()
 		p.txQueued.Push(frame)
@@ -213,31 +199,17 @@ func txPostRun(a any) {
 // rxWork carries one receive completion through the RX CPU cost to frame
 // delivery and buffer recycling (or, with e set, to message reassembly).
 type rxWork struct {
-	p    *EthPort
-	e    *RDMAEndpoint
-	c    nic.CQE
-	next *rxWork
-}
-
-func (d *Driver) getRxWork() *rxWork {
-	x := d.freeRxW
-	if x != nil {
-		d.freeRxW = x.next
-		x.next = nil
-		return x
-	}
-	return &rxWork{}
-}
-
-func (d *Driver) putRxWork(x *rxWork) {
-	*x = rxWork{next: d.freeRxW}
-	d.freeRxW = x
+	sim.Link[rxWork]
+	p *EthPort
+	e *RDMAEndpoint
+	c nic.CQE
 }
 
 func rxWorkRun(a any) {
 	x := a.(*rxWork)
 	p, c := x.p, x.c
-	p.drv.putRxWork(x)
+	*x = rxWork{}
+	p.drv.rxWorks.Put(x)
 	p.drv.RxPackets++
 	p.tRxPackets.Inc()
 	base := p.drv.fab.PortOf(p.drv.mem).Base()
@@ -397,7 +369,7 @@ func (p *EthPort) Send(frame []byte) {
 		p.drv.TxErrors++
 		return
 	}
-	x := p.drv.getTxPost()
+	x := p.drv.txPosts.Get()
 	x.p, x.frame = p, frame
 	p.drv.cpuWorkArg(p.drv.Prm.TxCost, txPostRun, x)
 }
@@ -551,7 +523,7 @@ func (p *EthPort) rxComplete(c nic.CQE) {
 		}
 		return
 	}
-	x := p.drv.getRxWork()
+	x := p.drv.rxWorks.Get()
 	x.p, x.c = p, c
 	p.drv.cpuWorkArg(p.drv.Prm.RxCost, rxWorkRun, x)
 }
