@@ -129,7 +129,7 @@ func (c *Cluster) Now() Time { return c.group.Now() }
 
 // Control schedules fn at cluster time t: every shard is quiesced past t
 // and advanced to t before fn runs, so fn may read or mutate any node.
-// Controls are the cluster-wide analogue of Engine.At; per-node work
+// Controls are the cluster-wide analogue of Engine.After; per-node work
 // belongs on the node's own engine.
 func (c *Cluster) Control(t Time, fn func()) { c.group.Control(t, fn) }
 

@@ -2,9 +2,12 @@ package flexdriver
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"flexdriver/internal/nic"
+	"flexdriver/internal/sim"
 	"flexdriver/internal/swdriver"
 )
 
@@ -60,7 +63,7 @@ func runIncastCluster(t *testing.T, lookahead Duration, noops bool) (string, int
 	idle := cl.AddHost("idle").Engine()
 	if noops {
 		for at := 130 * Nanosecond; at < bursts*period; at += 130 * Nanosecond {
-			idle.At(at, func() {})
+			idle.After(at, func() {})
 		}
 	}
 	cl.Run()
@@ -93,6 +96,68 @@ func TestClusterZeroLookahead(t *testing.T) {
 				}
 				if hash != ref {
 					t.Errorf("telemetry diverged from the 500ns run:\n got  %s\n want %s", hash, ref)
+				}
+			})
+		}
+	}
+}
+
+// TestRunUntilFarDeadline pins that RunUntil returns for a deadline at the
+// largest representable instant — "forever" — and one below it, on a lone
+// engine, on a two-shard group with a conduit, and on the cluster facade:
+// the one pending event runs and every clock lands on the deadline. A
+// deadline+1 that wraps would leave the scheduler spinning on empty rounds,
+// so the call runs on its own goroutine and the test fails after 5 s rather
+// than at go test's timeout.
+func TestRunUntilFarDeadline(t *testing.T) {
+	type world struct {
+		eng      *Engine     // where the event is scheduled
+		runUntil func(Time)  // the call under test
+		now      func() Time // the clock it must advance
+	}
+	builds := []struct {
+		name  string
+		build func() world
+	}{
+		{"engine", func() world {
+			e := sim.NewEngine()
+			return world{e, e.RunUntil, e.Now}
+		}},
+		{"group", func() world {
+			g := sim.NewGroup()
+			a, b := g.NewEngine(), g.NewEngine()
+			g.SetLookahead(100 * Nanosecond)
+			sim.NewConduit(a, b, func([]byte) {})
+			return world{a, g.RunUntil, g.Now}
+		}},
+		{"cluster", func() world {
+			cl := NewCluster()
+			h := cl.AddHost("a")
+			cl.AddHost("b")
+			return world{h.Engine(), cl.RunUntil, cl.Now}
+		}},
+	}
+	for _, b := range builds {
+		for _, deadline := range []Time{math.MaxInt64, math.MaxInt64 - 1} {
+			t.Run(fmt.Sprintf("%s/%d", b.name, deadline), func(t *testing.T) {
+				w := b.build()
+				ran := false
+				w.eng.After(Microsecond, func() { ran = true })
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					w.runUntil(deadline)
+				}()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("RunUntil(%d) did not return within 5s", deadline)
+				}
+				if !ran {
+					t.Errorf("the pending event did not run")
+				}
+				if now := w.now(); now != deadline {
+					t.Errorf("Now() = %d, want %d", now, deadline)
 				}
 			})
 		}

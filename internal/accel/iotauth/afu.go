@@ -74,7 +74,7 @@ func (a *AFU) Receive(data []byte, md fld.Metadata) {
 		a.Overflow++
 		return
 	}
-	pu.Acquire(a.PerPacket, func() {
+	a.eng.After(pu.Acquire(a.PerPacket)-a.eng.Now(), func() {
 		if !a.validate(data, md.Tag) {
 			return
 		}

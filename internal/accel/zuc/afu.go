@@ -116,6 +116,8 @@ type AFU struct {
 	// register keys once and reference them by slot).
 	keyStore map[uint16][16]byte
 
+	jobs sim.Pool[laneJob, *laneJob]
+
 	// Stats.
 	Requests, Responses, Dropped, Bad int64
 	// KeysStored counts OpSetKey registrations.
@@ -127,6 +129,18 @@ type AFU struct {
 type batchCtx struct {
 	remaining int
 	responses [][]byte
+}
+
+// laneJob carries one request through its lane's service time, recycled
+// through the AFU's pool, so a request schedules no closure.
+type laneJob struct {
+	sim.Link[laneJob]
+	a       *AFU
+	req     Request
+	short   bool
+	keySlot uint16 // the compact response header's slot, when short
+	tag     uint32
+	batch   *batchCtx
 }
 
 // NewAFU installs an n-lane ZUC accelerator on the FLD instance.
@@ -187,29 +201,6 @@ func (a *AFU) dispatchMessage(buf []byte, tag uint32) {
 // handleOne decodes a single request, runs it on a lane, and routes the
 // response — directly, or into its batch.
 func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
-	// Responses are single-owner scratch from the engine's BufPool: send
-	// copies them into FLD's transmit pages, after which they are dead.
-	bufs := a.f.Engine().Bufs()
-	finish := func(resp []byte) {
-		if batch == nil {
-			if resp != nil {
-				a.send(tag, resp)
-				bufs.Put(resp)
-			}
-			return
-		}
-		if resp != nil {
-			batch.responses = append(batch.responses, resp)
-		}
-		batch.remaining--
-		if batch.remaining == 0 && len(batch.responses) > 0 {
-			a.send(tag, MarshalBatch(batch.responses))
-			for _, r := range batch.responses {
-				bufs.Put(r)
-			}
-		}
-	}
-
 	var req Request
 	short := false
 	switch {
@@ -217,13 +208,13 @@ func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
 		sr, err := ParseShortRequest(buf)
 		if err != nil {
 			a.Bad++
-			finish(nil)
+			a.finish(tag, batch, nil)
 			return
 		}
 		key, ok := a.keyStore[sr.KeySlot]
 		if !ok {
 			a.Bad++
-			finish(nil)
+			a.finish(tag, batch, nil)
 			return
 		}
 		req = Request{Op: sr.Op, Bearer: sr.Bearer, Direction: sr.Direction,
@@ -233,14 +224,14 @@ func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
 		r, err := ParseRequest(buf)
 		if err != nil {
 			a.Bad++
-			finish(nil)
+			a.finish(tag, batch, nil)
 			return
 		}
 		if r.Op == OpSetKey {
 			// On-FPGA key storage: the slot rides in the count field.
 			a.keyStore[uint16(r.Count)] = r.Key
 			a.KeysStored++
-			finish(nil)
+			a.finish(tag, batch, nil)
 			return
 		}
 		req = r
@@ -254,28 +245,64 @@ func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
 		// Recover the slot for the compact response header.
 		keySlot = binary.BigEndian.Uint16(buf[4:])
 	}
-	lane.Acquire(service, func() {
-		// The response is one buffer: its header, then the cipher's
-		// output written straight behind it (compute fills every byte).
-		bitLen := resultBits(req)
-		hdrBytes := HeaderBytes
-		if short {
-			hdrBytes = ShortHeaderBytes
+	j := a.jobs.Get()
+	*j = laneJob{a: a, req: req, short: short, keySlot: keySlot, tag: tag, batch: batch}
+	a.eng.AtArg(lane.Acquire(service), laneDone, j)
+}
+
+// laneDone runs when a request leaves its lane: it builds the response in
+// one buffer — its header, then the cipher's output written straight
+// behind it (compute fills every byte) — and routes it.
+func laneDone(x any) {
+	j := x.(*laneJob)
+	a, req := j.a, j.req
+	bitLen := resultBits(req)
+	hdrBytes := HeaderBytes
+	if j.short {
+		hdrBytes = ShortHeaderBytes
+	}
+	resp := a.f.Engine().Bufs().Get(hdrBytes + (bitLen+7)/8)
+	clear(resp[:hdrBytes])
+	if j.short {
+		ShortRequest{Op: req.Op | respFlag, Bearer: req.Bearer,
+			Direction: req.Direction, KeySlot: j.keySlot, Count: req.Count,
+			ID: req.ID, BitLen: bitLen}.putHeader(resp)
+	} else {
+		hdr := req
+		hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
+		hdr.putHeader(resp)
+	}
+	compute(resp[hdrBytes:], req)
+	tag, batch := j.tag, j.batch
+	j.req, j.batch = Request{}, nil // hold no message buffer while pooled
+	a.jobs.Put(j)
+	a.finish(tag, batch, resp)
+}
+
+// finish routes one request's response (nil when the request produced
+// none) — straight back on the QP, or into its batch, which returns as one
+// message once its last request finishes. Responses are single-owner
+// scratch from the engine's BufPool: send copies them into FLD's transmit
+// pages, after which they are dead.
+func (a *AFU) finish(tag uint32, batch *batchCtx, resp []byte) {
+	bufs := a.f.Engine().Bufs()
+	if batch == nil {
+		if resp != nil {
+			a.send(tag, resp)
+			bufs.Put(resp)
 		}
-		resp := bufs.Get(hdrBytes + (bitLen+7)/8)
-		clear(resp[:hdrBytes])
-		if short {
-			ShortRequest{Op: req.Op | respFlag, Bearer: req.Bearer,
-				Direction: req.Direction, KeySlot: keySlot, Count: req.Count,
-				ID: req.ID, BitLen: bitLen}.putHeader(resp)
-		} else {
-			hdr := req
-			hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
-			hdr.putHeader(resp)
+		return
+	}
+	if resp != nil {
+		batch.responses = append(batch.responses, resp)
+	}
+	batch.remaining--
+	if batch.remaining == 0 && len(batch.responses) > 0 {
+		a.send(tag, MarshalBatch(batch.responses))
+		for _, r := range batch.responses {
+			bufs.Put(r)
 		}
-		compute(resp[hdrBytes:], req)
-		finish(resp)
-	})
+	}
 }
 
 // send transmits a response message on the FLD queue bound to the QP.

@@ -159,7 +159,7 @@ func NewSoftCryptodev(eng *sim.Engine) *SoftCryptodev {
 func (s *SoftCryptodev) Enqueue(op *Op) {
 	op.SubmittedAt = s.eng.Now()
 	cost := s.PerMessage + sim.Duration(len(op.Data))*s.PerByte
-	s.cpu.Acquire(cost, func() {
+	s.eng.After(s.cpu.Acquire(cost)-s.eng.Now(), func() {
 		switch op.Op {
 		case OpEncrypt, OpDecrypt:
 			op.Result = EEA3(op.Key, op.Count, op.Bearer, op.Direction, op.Data, len(op.Data)*8)

@@ -158,7 +158,7 @@ func (r *Reconciler) Kick() {
 	r.active = true
 	r.attempts = 0
 	r.startedAt = r.eng.Now()
-	r.eng.At(r.eng.Now(), r.attempt)
+	r.eng.After(0, r.attempt)
 }
 
 // Active reports whether a convergence episode is open.

@@ -75,7 +75,7 @@ func (k *kernelCores) onPacket(core int, c nic.CQE) {
 
 	base := k.nodes.Fab.PortOf(k.nodes.Mem).Base()
 	frame := k.nodes.Mem.ReadAt(c.Addr-base, int(c.ByteCount))
-	k.cores[core].Acquire(k.perPkt, func() {
+	k.eng.After(k.cores[core].Acquire(k.perPkt)-k.eng.Now(), func() {
 		k.Packets++
 		if k.reasm[core] != nil {
 			full, done := k.reasm[core].Add(frame, k.eng.Now())

@@ -319,13 +319,13 @@ func (p *Plan) attachCrash(eng *sim.Engine, every, dur sim.Duration, note func()
 		if ep.at < now {
 			continue
 		}
-		eng.At(ep.at, func() {
+		eng.After(ep.at-now, func() {
 			for _, c := range comps {
 				note()
 				c.Crash()
 			}
 		})
-		eng.At(ep.until, func() {
+		eng.After(ep.until-now, func() {
 			for _, c := range comps {
 				c.Restart()
 			}

@@ -65,12 +65,12 @@ func TestWindowGatesInjection(t *testing.T) {
 	if w.Loss(0, frame) {
 		t.Fatal("injected before the window opened")
 	}
-	eng.At(15*sim.Microsecond, func() {
+	eng.After(15*sim.Microsecond, func() {
 		if !w.Loss(0, frame) {
 			t.Error("no injection inside the window despite probability 1")
 		}
 	})
-	eng.At(25*sim.Microsecond, func() {
+	eng.After(25*sim.Microsecond, func() {
 		if w.Loss(0, frame) {
 			t.Error("injected after the window closed")
 		}

@@ -367,7 +367,7 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	// event, at the end of the pacing slot plus the pipeline latency.
 	x := f.ops.Get()
 	*x = pipeOp{f: f, q: q, idx: idx}
-	end := f.txPipe.AcquireArg(f.cfg.PacketInterval(), nil, nil)
+	end := f.txPipe.Acquire(f.cfg.PacketInterval())
 	f.eng.AtArg(end+f.cfg.PipelineDelay, txNotify, x)
 	return nil
 }
@@ -718,7 +718,7 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	}
 	x := f.ops.Get()
 	*x = pipeOp{f: f, data: data, md: md}
-	paced := f.rxPipe.AcquireArg(f.cfg.PacketInterval(), nil, nil)
+	paced := f.rxPipe.Acquire(f.cfg.PacketInterval())
 	f.eng.AtArg(paced+f.cfg.PipelineDelay, rxStream, x)
 }
 

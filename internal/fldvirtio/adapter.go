@@ -143,7 +143,7 @@ type pipeOp struct {
 func (a *Adapter) cross(pipe *sim.Resource, step func(any), head uint16, frame []byte) {
 	x := a.ops.Get()
 	x.a, x.head, x.frame = a, head, frame
-	end := pipe.AcquireArg(a.cfg.PacketInterval, nil, nil)
+	end := pipe.Acquire(a.cfg.PacketInterval)
 	a.eng.AtArg(end+a.cfg.PipelineDelay, step, x)
 }
 

@@ -256,7 +256,7 @@ func TestGatherRecordSurvivesQueueReset(t *testing.T) {
 	}
 	oldEpoch := rec.ep
 	dsq.sq.enterError(SynQueueErr)
-	dsq.sq.Reset()
+	dsq.sq.ResetTo(dsq.sq.PI(), dsq.sq.PI())
 	a.fab.Write(a.bar+SQDoorbellOffset(dsq.sq.ID), wqe.Marshal()) // WQE-by-MMIO in the new epoch
 	if n := len(pooledExecs(a.nic)); n != 0 || rec.sq != dsq.sq || rec.ep != oldEpoch || rec.idx != 1 {
 		t.Fatalf("the in-flight gather's record was reused: %d pooled, ep=%d (was %d) idx=%d", n, rec.ep, oldEpoch, rec.idx)

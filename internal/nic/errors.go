@@ -5,7 +5,7 @@ package nic
 // SynRetryExceeded, SynInjected) consume their slot: the consumer may
 // release resources up to and including CQE.Index. SynQueueErr is
 // queue-fatal: nothing was completed, the queue is in the Error state,
-// and the driver must reset it (SQ.Reset/ResetTo, RQ.Reset) before any
+// and the driver must reset it (SQ.ResetTo, RQ.Reset) before any
 // further work executes; CQE.Index is meaningless for it.
 const (
 	SynBadWQE        = 1 // descriptor failed to parse or had an invalid opcode
@@ -72,30 +72,16 @@ func (sq *SQ) enterError(syndrome uint8) {
 	}
 }
 
-// Reset returns an Error-state SQ to Ready by flushing: every posted but
-// incomplete descriptor is discarded (ci jumps to pi). This is the host
-// software model — the driver tracks its own in-flight work and reposts
-// what it wants retried.
+// ResetTo returns an Error-state SQ to Ready at an explicit ci/pi. The
+// host driver flushes with ResetTo(pi, pi): every posted but incomplete
+// descriptor is discarded, and the driver, which tracks its own in-flight
+// work, reposts what it wants retried. FLD replays: the accelerator
+// rewinds to the last completion it saw and the NIC re-fetches
+// descriptors from the ring, which the FLD still serves from its
+// descriptor pools.
 // A reset is a no-op while the device is crashed: the modify-queue
 // command cannot reach dead hardware, so the queue stays in Error and
 // the driver's watchdog retries after the device restarts.
-func (sq *SQ) Reset() {
-	if sq.n.downN > 0 {
-		return
-	}
-	sq.epoch++
-	sq.ci = sq.pi
-	sq.inflight = 0
-	clear(sq.mmio)
-	sq.state = QueueReady
-	sq.n.Stats.QueueRecoveries++
-}
-
-// ResetTo returns an Error-state SQ to Ready at an explicit ci/pi — the
-// replay model used by FLD: the accelerator rewinds to the last
-// completion it saw and the NIC re-fetches descriptors from the ring,
-// which the FLD still serves from its descriptor pools.
-// Like Reset, a no-op while the device is crashed.
 func (sq *SQ) ResetTo(ci, pi uint32) {
 	if sq.n.downN > 0 {
 		return
@@ -134,7 +120,7 @@ func (rq *RQ) enterError(syndrome uint8) {
 // pipeline rewinds to the consumer index and re-fetches from the ring —
 // posted buffers between ci and pi are preserved, so no receive capacity
 // is lost across the reset.
-// Like SQ.Reset, a no-op while the device is crashed.
+// Like SQ.ResetTo, a no-op while the device is crashed.
 func (rq *RQ) Reset() {
 	if rq.n.downN > 0 {
 		return

@@ -407,7 +407,7 @@ func viewToWire(a any) {
 func viewHairpin(a any) {
 	v := a.(*pktView)
 	e := v.n.esw
-	e.loopback.AcquireArg(e.LoopbackRate.Serialize(len(v.frame)), viewHairpinDone, v)
+	v.n.eng.AtArg(e.loopback.Acquire(e.LoopbackRate.Serialize(len(v.frame))), viewHairpinDone, v)
 }
 
 // viewHairpinDone: the frame left the sender; continue at the target
@@ -533,7 +533,7 @@ func (n *NIC) Ingress(frame []byte) {
 	}
 	v := n.views.Get()
 	v.n, v.frame = n, frame
-	served := n.rxEngine.AcquireArg(n.Prm.RxPerPkt, nil, nil)
+	served := n.rxEngine.Acquire(n.Prm.RxPerPkt)
 	n.eng.AtArg(served+n.Prm.PipelineDelay, viewIngress, v)
 }
 

@@ -440,7 +440,7 @@ func (sq *SQ) kick() {
 			delete(sq.mmio, idx)
 			sq.inflight++
 			x.sq, x.ep, x.idx = sq, ep, idx
-			sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, x)
+			sq.n.eng.AtArg(sq.n.txEngine.Acquire(sq.n.Prm.TxPerWQE), sqExecRun, x)
 			continue
 		}
 		// Batch consecutive ring descriptors into one read, stopping at

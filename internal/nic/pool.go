@@ -57,7 +57,7 @@ func sqFetchDone(x *sqFetch, c pcie.Completion) {
 		e.sq, e.ep = sq, ep
 		e.idx = first + uint32(i)
 		e.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
-		sq.n.txEngine.AcquireArg(sq.n.Prm.TxPerWQE, sqExecRun, e)
+		sq.n.eng.AtArg(sq.n.txEngine.Acquire(sq.n.Prm.TxPerWQE), sqExecRun, e)
 	}
 }
 

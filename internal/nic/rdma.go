@@ -262,7 +262,7 @@ func (qp *QP) transmit(frame []byte) {
 		n := qp.n
 		v := n.views.Get()
 		v.n, v.frame = n, frame
-		n.esw.loopback.AcquireArg(n.esw.LoopbackRate.Serialize(len(frame)), rdmaHairpinDone, v)
+		n.eng.AtArg(n.esw.loopback.Acquire(n.esw.LoopbackRate.Serialize(len(frame))), rdmaHairpinDone, v)
 		return
 	}
 	qp.n.transmitWire(frame, nil)

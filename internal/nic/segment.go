@@ -66,7 +66,7 @@ func (s *Segment) Send(frame []byte, onSent func()) {
 	x := s.transits.Get()
 	x.seg, x.frame, x.onSent = s, frame, onSent
 	x.d = s.rate.Serialize(len(frame) + EthWireOverhead)
-	s.ser.AcquireArg(x.d, segmentSent, x)
+	s.c.Src().AtArg(s.ser.Acquire(x.d), segmentSent, x)
 }
 
 // segmentSent runs when the frame has fully left the sender. Loss, delay

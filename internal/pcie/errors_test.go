@@ -274,7 +274,7 @@ func TestReadTimeoutOnlyWhereItCanFire(t *testing.T) {
 			var calls int
 			var got Completion
 			var at sim.Time
-			eng.At(t0, func() {
+			eng.After(t0, func() {
 				ps.Read(target.Base(), 64, func(c Completion) { calls++; got, at = c, eng.Now() })
 			})
 			eng.Run()
@@ -317,7 +317,7 @@ func TestTimeoutAmongSameInstantEvents(t *testing.T) {
 	var order []string
 	var at sim.Time
 	mark := func(s string) func() { return func() { order = append(order, s) } }
-	eng.At(t0, func() {
+	eng.After(t0, func() {
 		ps.Read(target.Base(), 64, func(c Completion) {
 			if c.Status != CplTimedOut {
 				t.Errorf("completion = %+v, want CplTimedOut", c)
@@ -325,13 +325,13 @@ func TestTimeoutAmongSameInstantEvents(t *testing.T) {
 			at = eng.Now()
 			mark("timeout")()
 		})
-		eng.At(deadline, mark("queued before the loss"))
+		eng.After(deadline-eng.Now(), mark("queued before the loss"))
 	})
-	eng.At(t0+sim.Microsecond, func() {
+	eng.After(t0+sim.Microsecond, func() {
 		if fab.Errs.DroppedTLPs != 1 {
 			t.Errorf("completion not yet dropped 1 us in: %+v", fab.Errs)
 		}
-		eng.At(deadline, mark("queued after the loss"))
+		eng.After(deadline-eng.Now(), mark("queued after the loss"))
 	})
 	eng.Run()
 

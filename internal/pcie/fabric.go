@@ -214,7 +214,7 @@ func (f *Fabric) Write(addr uint64, data []byte) {
 // fixed propagation delay. Only the far end of that crossing decides
 // anything, so each crossing is one event at end-of-serialization plus
 // propagation — the serializer's completion time is known the moment the
-// TLP is queued (sim.Resource.AcquireArg returns it).
+// TLP is queued (sim.Resource.Acquire returns it).
 
 // Write posts an n-byte memory write from this port to addr. The write is
 // posted: done (optional) fires when the last byte reaches the target
@@ -324,7 +324,7 @@ func (p *Port) cross(dir telemetry.Dir, typ telemetry.TLPType, addr uint64, n in
 	}
 	*bytes += int64(wire)
 	d := p.cfg.EffectiveRate().Serialize(wire)
-	end := link.AcquireArg(d, nil, nil)
+	end := link.Acquire(d)
 	if p.tlm != nil {
 		p.observe(dir, typ, addr, n, wire, end, d)
 	}

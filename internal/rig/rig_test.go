@@ -214,7 +214,7 @@ func TestWindowFlag(t *testing.T) {
 	measuring := false
 	var seen []bool
 	for _, at := range []sim.Time{5, 10, 15, 20, 25} {
-		eng.At(at*sim.Microsecond, func() { seen = append(seen, measuring) })
+		eng.After(at*sim.Microsecond, func() { seen = append(seen, measuring) })
 	}
 	Window(eng, 8*sim.Microsecond, 10*sim.Microsecond, 3*sim.Microsecond, &measuring)
 	if fmt.Sprint(seen) != "[false true true false]" || measuring || eng.Now() != 21*sim.Microsecond {

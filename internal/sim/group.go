@@ -276,8 +276,8 @@ func (g *Group) run(deadline Time, drain bool) {
 		if haveC && cAt < bound {
 			bound = cAt
 		}
-		if !drain && deadline+1 < bound {
-			bound = deadline + 1
+		if !drain && deadline < bound-1 {
+			bound = deadline + 1 // cannot wrap: deadline < maxTime-1
 		}
 		if base > bound {
 			base = bound
@@ -389,7 +389,10 @@ func (g *Group) round(base, ownerEnd, min1 Time) {
 			continue
 		}
 		g.stats.ShardRounds[e.shard]++
-		e.runBefore(end)
+		// The window end itself is excluded: an arrival may still be
+		// inserted exactly at end, and it must run before that instant's
+		// local events, so they all belong to a later round.
+		e.runThrough(end - 1)
 	}
 	g.inRound = false
 	g.stats.Rounds++

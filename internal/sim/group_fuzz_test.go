@@ -51,7 +51,7 @@ func newTieWorld(seed int64, shards int, lookahead Duration) *tieWorld {
 	for i := 0; i < shards; i++ {
 		for k := 0; k < 3; k++ {
 			f := []byte{byte(i*3 + k), 12}
-			w.eng[i].At(Duration(build.Intn(4))*tieStep, func() { w.work(i, f) })
+			w.eng[i].After(Duration(build.Intn(4))*tieStep, func() { w.work(i, f) })
 		}
 	}
 	return w

@@ -119,9 +119,9 @@ func TestGroupRunUntil(t *testing.T) {
 	a, b := g.NewEngine(), g.NewEngine()
 	g.SetLookahead(100 * Nanosecond)
 	var fired []string
-	a.At(1*Microsecond, func() { fired = append(fired, "a1") })
-	a.At(2*Microsecond, func() { fired = append(fired, "a2") })
-	b.At(1500*Nanosecond, func() { fired = append(fired, "b") })
+	a.After(1*Microsecond, func() { fired = append(fired, "a1") })
+	a.After(2*Microsecond, func() { fired = append(fired, "a2") })
+	b.After(1500*Nanosecond, func() { fired = append(fired, "b") })
 	g.RunUntil(1500 * Nanosecond) // inclusive boundary
 	if want := "a1,b"; fmt.Sprint(fired) != fmt.Sprint([]string{"a1", "b"}) {
 		t.Fatalf("RunUntil fired %v, want %s", fired, want)
@@ -140,8 +140,8 @@ func TestGroupControls(t *testing.T) {
 	a, b := g.NewEngine(), g.NewEngine()
 	g.SetLookahead(100 * Nanosecond)
 	var order []string
-	a.At(900*Nanosecond, func() { order = append(order, "ev-a") })
-	b.At(1100*Nanosecond, func() { order = append(order, "ev-b") })
+	a.After(900*Nanosecond, func() { order = append(order, "ev-a") })
+	b.After(1100*Nanosecond, func() { order = append(order, "ev-b") })
 	g.Control(1*Microsecond, func() {
 		// Both shards must be quiesced through 1us and advanced to it.
 		if a.Now() != 1*Microsecond || b.Now() != 1*Microsecond {
@@ -272,16 +272,16 @@ func TestGroupTieOrder(t *testing.T) {
 			}
 			local := func() { note("local") }
 			ab := NewConduit(a, b, func([]byte) { note("arrival") })
-			b.At(380*Nanosecond, func() { b.At(2000*Nanosecond, local) })
-			a.At(390*Nanosecond, func() {
+			b.After(380*Nanosecond, func() { b.After(2000*Nanosecond-b.Now(), local) })
+			a.After(390*Nanosecond, func() {
 				ab.Send(1000*Nanosecond, nil)
 				ab.Send(2000*Nanosecond, nil)
 			})
-			b.At(400*Nanosecond, func() { b.At(1000*Nanosecond, local) })
+			b.After(400*Nanosecond, func() { b.After(1000*Nanosecond-b.Now(), local) })
 			if third {
 				c := g.NewEngine()
 				for at := 300 * Nanosecond; at <= 2000*Nanosecond; at += 300 * Nanosecond {
-					c.At(at, func() {})
+					c.After(at, func() {})
 				}
 			}
 			g.Run()

@@ -24,8 +24,9 @@ func (r BitRate) Gigabits() float64 { return float64(r) / 1e9 }
 
 // Resource models a single FIFO server (a link direction, a CPU core, an
 // accelerator lane): work items occupy it back to back, each for its own
-// service time. Acquire never blocks the caller — it schedules the
-// completion callback at the time the item finishes service.
+// service time. A Resource only reserves: Acquire books the server and
+// returns the completion instant, and the caller schedules whatever runs
+// then on the engine.
 type Resource struct {
 	eng       *Engine
 	busyUntil Time
@@ -37,19 +38,9 @@ type Resource struct {
 // NewResource returns an idle resource bound to eng.
 func NewResource(eng *Engine) *Resource { return &Resource{eng: eng} }
 
-// Acquire enqueues a work item with the given service time and schedules
-// done (which may be nil) at its completion. It returns the completion time.
-func (r *Resource) Acquire(service Duration, done func()) Time {
-	if done == nil {
-		return r.AcquireArg(service, nil, nil)
-	}
-	return r.AcquireArg(service, runClosure, done)
-}
-
-// AcquireArg is Acquire's allocation-free form: done(arg) is scheduled at
-// completion through Engine.AtArg, so per-packet steady-state callers can
-// pass a preallocated state object instead of building a closure.
-func (r *Resource) AcquireArg(service Duration, done func(any), arg any) Time {
+// Acquire enqueues a work item with the given service time and returns its
+// completion time. It schedules nothing.
+func (r *Resource) Acquire(service Duration) Time {
 	start := r.eng.Now()
 	if r.busyUntil > start {
 		start = r.busyUntil
@@ -57,9 +48,6 @@ func (r *Resource) AcquireArg(service Duration, done func(any), arg any) Time {
 	end := start + service
 	r.busyUntil = end
 	r.Busy += service
-	if done != nil {
-		r.eng.AtArg(end, done, arg)
-	}
 	return end
 }
 

@@ -64,7 +64,7 @@ func (t Time) String() string {
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // event is one scheduled callback: afn(arg) runs at time at. All scheduling
-// forms reduce to this one shape — At wraps its closure in arg behind a
+// forms reduce to this one shape — After wraps its closure in arg behind a
 // static trampoline, Timers pass themselves as arg — so dispatch is a
 // single indirect call with no branching, and the struct stays at 40 bytes
 // (copies and GC write barriers on heap moves are the hot path's main
@@ -78,8 +78,7 @@ type event struct {
 	arg any
 }
 
-// runClosure is the dispatch trampoline for the closure-based At/After
-// forms.
+// runClosure is the dispatch trampoline for After's closures.
 func runClosure(a any) { a.(func())() }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -91,15 +90,14 @@ func runClosure(a any) { a.(func())() }
 // implementation avoids container/heap's interface{} boxing, so scheduling
 // an event never allocates.
 type Engine struct {
-	now     Time
-	seq     uint64
-	nrun    uint64 // events dispatched since creation
-	events  []event
-	stopped bool
-	bufs    *BufPool
-	ids     map[string]int
-	group   *Group // non-nil when the engine is one shard of a Group
-	shard   int    // index within the group (creation order)
+	now    Time
+	seq    uint64
+	nrun   uint64 // events dispatched since creation
+	events []event
+	bufs   *BufPool
+	ids    map[string]int
+	group  *Group // non-nil when the engine is one shard of a Group
+	shard  int    // index within the group (creation order)
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -140,16 +138,16 @@ func (e *Engine) Bufs() *BufPool {
 	return e.bufs
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a model bug, and silently reordering events would make
-// results nondeterministic in confusing ways.
-func (e *Engine) At(t Time, fn func()) { e.push(t, runClosure, fn) }
-
-// After schedules fn to run d after the current time.
+// After schedules fn to run d after the current time. It is the only
+// closure form, for set-up, control loops, recovery and experiment drivers;
+// per-frame work uses AtArg/AfterArg on a pooled record instead.
+// Scheduling in the past panics: it always indicates a model bug, and
+// silently reordering events would make results nondeterministic in
+// confusing ways.
 func (e *Engine) After(d Duration, fn func()) { e.push(e.now+d, runClosure, fn) }
 
-// AtArg schedules fn(arg) at absolute time t. Unlike At, the callback takes
-// its state as an explicit argument, so steady-state schedulers can pass a
+// AtArg schedules fn(arg) at absolute time t. The callback takes its state
+// as an explicit argument, so steady-state schedulers can pass a
 // preallocated state object to a package-level function instead of
 // capturing it in a fresh closure per event. Passing a pointer (or any
 // pointer-shaped value) in arg does not allocate.
@@ -275,51 +273,22 @@ func (e *Engine) Pending() int { return len(e.events) }
 // speed of the machine running the simulation.
 func (e *Engine) Dispatched() uint64 { return e.nrun }
 
-// Stop makes the current Run/RunUntil call return after the in-flight event
-// completes. Subsequent Run calls clear the flag and continue.
-func (e *Engine) Stop() { e.stopped = true }
+// Run executes events until the queue drains.
+func (e *Engine) Run() { e.runThrough(maxTime) }
 
-// Run executes events until the queue drains or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		ev := e.pop()
-		e.now = ev.at
-		e.nrun++
-		ev.afn(ev.arg)
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline (or until Stop),
-// then advances the clock to the deadline.
+// RunUntil executes events with timestamps <= deadline, then advances the
+// clock to the deadline.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.at
-		e.nrun++
-		ev.afn(ev.arg)
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
+	e.runThrough(deadline)
+	e.AdvanceTo(deadline)
 }
 
-// runBefore executes events with timestamps strictly less than limit. It is
-// the shard workhorse of the group's window scheduler: within a
-// window [T, T+lookahead) no cross-shard message can arrive, so every shard
-// may run its own events for the window without coordination. The strict
-// inequality matters — an arrival may still be inserted exactly at the
-// window end, and it must run before the local events of that instant, so
-// they all belong to a later round.
-func (e *Engine) runBefore(limit Time) {
-	for len(e.events) > 0 {
-		if e.events[0].at >= limit {
-			return
-		}
+// runThrough is the dispatch loop: it executes events with timestamps <=
+// last. Run, RunUntil and the group's window scheduler all step through it;
+// taking an inclusive bound keeps every caller clear of deadline+1, which
+// wraps at maxTime.
+func (e *Engine) runThrough(last Time) {
+	for len(e.events) > 0 && e.events[0].at <= last {
 		ev := e.pop()
 		e.now = ev.at
 		e.nrun++

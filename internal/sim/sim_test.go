@@ -9,9 +9,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30*Nanosecond, func() { got = append(got, 3) })
-	e.At(10*Nanosecond, func() { got = append(got, 1) })
-	e.At(20*Nanosecond, func() { got = append(got, 2) })
+	e.After(30*Nanosecond, func() { got = append(got, 3) })
+	e.After(10*Nanosecond, func() { got = append(got, 1) })
+	e.After(20*Nanosecond, func() { got = append(got, 2) })
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
@@ -26,7 +26,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5*Nanosecond, func() { got = append(got, i) })
+		e.After(5*Nanosecond, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -39,7 +39,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.At(Nanosecond, func() {
+	e.After(Nanosecond, func() {
 		fired = append(fired, e.Now())
 		e.After(2*Nanosecond, func() { fired = append(fired, e.Now()) })
 	})
@@ -51,13 +51,13 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10*Nanosecond, func() {
+	e.After(10*Nanosecond, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5*Nanosecond, func() {})
+		e.After(5*Nanosecond-e.Now(), func() {})
 	})
 	e.Run()
 }
@@ -66,7 +66,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Microsecond, func() { count++ })
+		e.After(Time(i)*Microsecond, func() { count++ })
 	}
 	e.RunUntil(5 * Microsecond)
 	if count != 5 {
@@ -78,26 +78,6 @@ func TestRunUntil(t *testing.T) {
 	e.Run()
 	if count != 10 {
 		t.Fatalf("count after drain = %d, want 10", count)
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Microsecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
 	}
 }
 
@@ -123,14 +103,16 @@ func TestResourceFIFO(t *testing.T) {
 	var done []Time
 	// Three items of 10ns each submitted at t=0 finish at 10, 20, 30 ns.
 	for i := 0; i < 3; i++ {
-		r.Acquire(10*Nanosecond, func() { done = append(done, e.Now()) })
+		done = append(done, r.Acquire(10*Nanosecond))
 	}
-	e.Run()
 	want := []Time{10 * Nanosecond, 20 * Nanosecond, 30 * Nanosecond}
 	for i := range want {
 		if done[i] != want[i] {
 			t.Fatalf("completion %d at %v, want %v", i, done[i], want[i])
 		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Acquire scheduled %d events, want none", e.Pending())
 	}
 }
 
@@ -138,10 +120,8 @@ func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
 	var second Time
-	r.Acquire(10*Nanosecond, nil)
-	e.At(50*Nanosecond, func() {
-		r.Acquire(5*Nanosecond, func() { second = e.Now() })
-	})
+	r.Acquire(10 * Nanosecond)
+	e.After(50*Nanosecond, func() { second = r.Acquire(5 * Nanosecond) })
 	e.Run()
 	if second != 55*Nanosecond {
 		t.Fatalf("second completion at %v, want 55ns", second)
@@ -151,8 +131,8 @@ func TestResourceIdleGap(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
-	r.Acquire(30*Nanosecond, nil)
-	e.At(100*Nanosecond, func() {})
+	r.Acquire(30 * Nanosecond)
+	e.After(100*Nanosecond, func() {})
 	e.Run()
 	if u := r.Utilization(); math.Abs(u-0.3) > 1e-9 {
 		t.Fatalf("utilization = %v, want 0.3", u)
@@ -169,7 +149,7 @@ func TestTokenBucket(t *testing.T) {
 		t.Fatal("empty bucket should reject")
 	}
 	// After 500 ns at 1 GB/s, 500 bytes are available.
-	e.At(500*Nanosecond, func() {
+	e.After(500*Nanosecond, func() {
 		if !tb.Admit(500) {
 			t.Error("bucket should have refilled 500 B")
 		}
@@ -183,7 +163,7 @@ func TestTokenBucket(t *testing.T) {
 func TestTokenBucketCapsAtBurst(t *testing.T) {
 	e := NewEngine()
 	tb := NewTokenBucket(e, 8*Gbps, 100)
-	e.At(Millisecond, func() {
+	e.After(Millisecond, func() {
 		if tb.Admit(101) {
 			t.Error("bucket must not exceed burst depth")
 		}
@@ -263,9 +243,8 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	e := NewEngine()
 	r := NewResource(e)
 	for i := 0; i < b.N; i++ {
-		r.Acquire(Nanosecond, nil)
+		r.Acquire(Nanosecond)
 	}
-	e.Run()
 }
 
 // TestBackoffDrawsOncePerCall pins the retry pacing the supervision

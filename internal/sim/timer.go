@@ -46,13 +46,10 @@ func timerExpire(a any) {
 
 // Reset (re)arms the timer to expire d from now, superseding any earlier
 // deadline.
-func (t *Timer) Reset(d Duration) { t.ResetAt(t.eng.now + d) }
-
-// ResetAt (re)arms the timer to expire at absolute time at.
-func (t *Timer) ResetAt(at Time) {
+func (t *Timer) Reset(d Duration) {
 	t.armed = true
-	t.when = at
-	t.eng.push(at, timerExpire, t)
+	t.when = t.eng.now + d
+	t.eng.push(t.when, timerExpire, t)
 }
 
 // Stop disarms the timer and reports whether it was armed. Stopping never

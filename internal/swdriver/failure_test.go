@@ -34,10 +34,10 @@ func TestDriverCrashRestart(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tx.Send(f)
 	}
-	eng.At(10*sim.Microsecond, a.drv.Crash)
-	eng.At(12*sim.Microsecond, func() { tx.Send(f) }) // lost: process is down
-	eng.At(14*sim.Microsecond, a.drv.Restart)
-	eng.At(20*sim.Microsecond, func() {
+	eng.After(10*sim.Microsecond, a.drv.Crash)
+	eng.After(12*sim.Microsecond, func() { tx.Send(f) }) // lost: process is down
+	eng.After(14*sim.Microsecond, a.drv.Restart)
+	eng.After(20*sim.Microsecond, func() {
 		for i := 0; i < 5; i++ {
 			tx.Send(f)
 		}
@@ -71,10 +71,10 @@ func TestSupervisorRecoversNICCrash(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tx.Send(f)
 	}
-	eng.At(10*sim.Microsecond, a.nic.Crash)
-	eng.At(14*sim.Microsecond, a.nic.Restart)
-	eng.At(16*sim.Microsecond, sup.Kick)
-	eng.At(40*sim.Microsecond, func() {
+	eng.After(10*sim.Microsecond, a.nic.Crash)
+	eng.After(14*sim.Microsecond, a.nic.Restart)
+	eng.After(16*sim.Microsecond, sup.Kick)
+	eng.After(40*sim.Microsecond, func() {
 		if !sup.Healthy() {
 			t.Error("driver not healthy 24us after the restart")
 		}
@@ -134,12 +134,12 @@ func TestSupervisorCrashDuringEpisode(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tx.Send(f)
 	}
-	eng.At(10*sim.Microsecond, a.nic.Crash)
+	eng.After(10*sim.Microsecond, a.nic.Crash)
 	// Kick arrives while the device is still down: every rung's reset is
 	// refused until the restart 25us later.
-	eng.At(11*sim.Microsecond, sup.Kick)
-	eng.At(36*sim.Microsecond, a.nic.Restart)
-	eng.At(60*sim.Microsecond, func() {
+	eng.After(11*sim.Microsecond, sup.Kick)
+	eng.After(36*sim.Microsecond, a.nic.Restart)
+	eng.After(60*sim.Microsecond, func() {
 		if !sup.Healthy() {
 			t.Error("not healthy after device returned")
 		}

@@ -149,7 +149,7 @@ func (e *RDMAEndpoint) Send(data []byte) {
 	}
 	x := e.drv.txPosts.Get()
 	x.e, x.frame = e, data
-	e.drv.cpuWorkArg(e.drv.Prm.TxCost, rdmaPostRun, x)
+	e.drv.cpuWork(e.drv.Prm.TxCost, rdmaPostRun, x)
 }
 
 // rdmaPostRun: the TX CPU cost is paid; post the message, or queue it in
@@ -247,7 +247,7 @@ func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
 	}
 	x := e.drv.rxWorks.Get()
 	x.e, x.c = e, c
-	e.drv.cpuWorkArg(e.drv.Prm.RxCost, rdmaRxRun, x)
+	e.drv.cpuWork(e.drv.Prm.RxCost, rdmaRxRun, x)
 }
 
 // rdmaRxRun: the RX CPU cost is paid; read the fragment out of its

@@ -131,7 +131,7 @@ func (s *Supervisor) Kick() {
 	s.rung, s.tries, s.attempts = 0, 0, 0
 	s.tDetects.Inc()
 	s.tRungs[0].Inc()
-	s.eng.At(s.eng.Now(), s.attempt)
+	s.eng.After(0, s.attempt)
 }
 
 // attempt runs one rung action, then either closes the episode

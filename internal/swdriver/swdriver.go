@@ -149,15 +149,10 @@ func (d *Driver) flushSQ(sq *nic.SQ, pi uint32, ci *uint32) {
 }
 
 // cpuWork charges one CPU operation, with occasional OS jitter, then runs
-// fn.
-func (d *Driver) cpuWork(cost sim.Duration, fn func()) {
-	d.cpu.Acquire(d.cpuCost(cost), fn)
-}
-
-// cpuWorkArg is cpuWork with an arg-form continuation, for the per-packet
-// paths that keep their state in a pooled record instead of a closure.
-func (d *Driver) cpuWorkArg(cost sim.Duration, fn func(any), arg any) {
-	d.cpu.AcquireArg(d.cpuCost(cost), fn, arg)
+// fn(arg): the per-packet paths keep their state in a pooled record
+// instead of a closure.
+func (d *Driver) cpuWork(cost sim.Duration, fn func(any), arg any) {
+	d.eng.AtArg(d.cpu.Acquire(d.cpuCost(cost)), fn, arg)
 }
 
 func (d *Driver) cpuCost(cost sim.Duration) sim.Duration {
@@ -371,7 +366,7 @@ func (p *EthPort) Send(frame []byte) {
 	}
 	x := p.drv.txPosts.Get()
 	x.p, x.frame = p, frame
-	p.drv.cpuWorkArg(p.drv.Prm.TxCost, txPostRun, x)
+	p.drv.cpuWork(p.drv.Prm.TxCost, txPostRun, x)
 }
 
 func (p *EthPort) post(frame []byte) {
@@ -525,5 +520,5 @@ func (p *EthPort) rxComplete(c nic.CQE) {
 	}
 	x := p.drv.rxWorks.Get()
 	x.p, x.c = p, c
-	p.drv.cpuWorkArg(p.drv.Prm.RxCost, rxWorkRun, x)
+	p.drv.cpuWork(p.drv.Prm.RxCost, rxWorkRun, x)
 }

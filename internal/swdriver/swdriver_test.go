@@ -182,9 +182,9 @@ func TestJitterInflatesTail(t *testing.T) {
 	var deltas []sim.Time
 	for i := 0; i < 2000; i++ {
 		start := eng.Now()
-		a.drv.cpuWork(100*sim.Nanosecond, func() {
+		a.drv.cpuWork(100*sim.Nanosecond, func(any) {
 			deltas = append(deltas, eng.Now()-start)
-		})
+		}, nil)
 		eng.Run()
 	}
 	jittered := 0

@@ -83,7 +83,8 @@ func (e *TCPEndpoint) Send(data []byte) {
 		e.drv.DownTxDrops++
 		return
 	}
-	e.drv.cpuWork(e.drv.Prm.TxCost, func() {
+	d := e.drv
+	d.eng.After(d.cpu.Acquire(d.cpuCost(d.Prm.TxCost))-d.eng.Now(), func() {
 		if e.Conn.Send(data) != nil {
 			e.SendFails++
 		}

@@ -209,8 +209,9 @@ type Conn struct {
 	stalled        bool // inside a zero-window stall episode
 	gen            uint32
 	probeGen       uint32
-	timerLive      bool // an RTO timer event is outstanding
-	probeLive      bool // a persist-probe timer event is outstanding
+	rto, probe     *sim.Timer
+	rtoGen, rtoUna uint32 // gen and sndUna when the RTO was armed
+	probeArmGen    uint32 // probeGen when the persist probe was armed
 
 	// Receiver half.
 	rcvNxt   uint32
@@ -224,7 +225,10 @@ type Conn struct {
 // New builds one endpoint. Pair it with Connect before sending.
 func New(eng *sim.Engine, cfg Config) *Conn {
 	cfg.fill()
-	return &Conn{eng: eng, cfg: cfg, state: StateClosed}
+	c := &Conn{eng: eng, cfg: cfg, state: StateClosed}
+	c.rto = eng.NewTimer(rtoFire, c)
+	c.probe = eng.NewTimer(probeFire, c)
+	return c
 }
 
 // Config returns the (defaults-filled) configuration.
@@ -405,57 +409,57 @@ func (c *Conn) sendAck() {
 }
 
 // armTimer guards the oldest unacked byte with the RTO. At most one
-// timer event is outstanding (repeated pumps never push the deadline
-// out, so a silent peer cannot be out-waited by a busy sender); the
-// generation guard mirrors the QP's — a reset bumps gen and the stale
-// event turns into a no-op. A fire that finds the window already
-// advanced re-arms for the new oldest byte instead of retrying.
+// deadline is armed (repeated pumps never push it out, so a silent peer
+// cannot be out-waited by a busy sender). The generation guard mirrors the
+// QP's: a fire that finds gen bumped by a reset, or the window advanced
+// since it was armed, re-arms for the new oldest byte instead of retrying.
 func (c *Conn) armTimer() {
-	if c.timerLive {
+	if c.rto.Armed() {
 		return
 	}
-	c.timerLive = true
-	gen := c.gen
-	una := c.sndUna
-	c.eng.After(c.cfg.RTO, func() {
-		c.timerLive = false
-		if c.state != StateEstablished && c.state != StateFinWait {
-			return
-		}
-		if c.sndUna == c.sndNxt {
-			return // all acked: nothing to guard
-		}
-		if len(c.txq) == 0 || !c.txq[0].sent {
-			// Queued but nothing actually in flight (the window holds
-			// the whole queue): the persist machinery owns escalation;
-			// keep guarding quietly without burning the retry budget.
-			c.armTimer()
-			return
-		}
-		if c.gen != gen || c.sndUna != una {
-			c.armTimer() // new incarnation or progress: guard the new window
-			return
-		}
-		c.retries++
-		if c.retries > c.cfg.MaxRetries {
-			c.enterError()
-			return
-		}
-		// Go-back-N: resend every in-flight segment from the oldest
-		// unacked, window permitting.
-		for i := range c.txq {
-			t := &c.txq[i]
-			if !t.sent {
-				break
-			}
-			if c.peerWnd > 0 && int(t.seq+uint32(len(t.payload))-c.sndUna) > c.peerWnd {
-				break
-			}
-			c.Stats.Retransmits++
-			c.emit(*t)
-		}
+	c.rtoGen, c.rtoUna = c.gen, c.sndUna
+	c.rto.Reset(c.cfg.RTO)
+}
+
+// rtoFire is the RTO timer's callback.
+func rtoFire(a any) {
+	c := a.(*Conn)
+	if c.state != StateEstablished && c.state != StateFinWait {
+		return
+	}
+	if c.sndUna == c.sndNxt {
+		return // all acked: nothing to guard
+	}
+	if len(c.txq) == 0 || !c.txq[0].sent {
+		// Queued but nothing actually in flight (the window holds
+		// the whole queue): the persist machinery owns escalation;
+		// keep guarding quietly without burning the retry budget.
 		c.armTimer()
-	})
+		return
+	}
+	if c.gen != c.rtoGen || c.sndUna != c.rtoUna {
+		c.armTimer() // new incarnation or progress: guard the new window
+		return
+	}
+	c.retries++
+	if c.retries > c.cfg.MaxRetries {
+		c.enterError()
+		return
+	}
+	// Go-back-N: resend every in-flight segment from the oldest
+	// unacked, window permitting.
+	for i := range c.txq {
+		t := &c.txq[i]
+		if !t.sent {
+			break
+		}
+		if c.peerWnd > 0 && int(t.seq+uint32(len(t.payload))-c.sndUna) > c.peerWnd {
+			break
+		}
+		c.Stats.Retransmits++
+		c.emit(*t)
+	}
+	c.armTimer()
 }
 
 // armProbe starts the zero-window persist timer: a bare Psh segment
@@ -463,40 +467,42 @@ func (c *Conn) armTimer() {
 // retry budget as retransmissions, so a dead peer still escalates to
 // Error instead of probing forever.
 func (c *Conn) armProbe() {
-	if c.probeLive {
+	if c.probe.Armed() {
 		return
 	}
-	c.probeLive = true
-	gen := c.probeGen
-	c.eng.After(c.cfg.RTO, func() {
-		c.probeLive = false
-		if c.state != StateEstablished && c.state != StateFinWait {
-			return
-		}
-		next := c.firstUnsent()
-		if next < 0 {
-			return
-		}
-		if c.probeGen != gen {
-			c.armProbe() // new incarnation, still stalled: keep probing
-			return
-		}
-		// The window opened enough for the next segment while the probe
-		// was armed: resume the pump instead of probing.
-		if t := c.txq[next]; int(t.seq+uint32(len(t.payload))-c.sndUna) <= c.peerWnd &&
-			(c.peerWnd > 0 || len(t.payload) == 0) {
-			c.pump()
-			return
-		}
-		c.retries++
-		if c.retries > c.cfg.MaxRetries {
-			c.enterError()
-			return
-		}
-		c.Stats.Probes++
-		c.send(Segment{Seq: c.sndNxt, Flags: FlagAck | FlagPsh}, nil)
-		c.armProbe()
-	})
+	c.probeArmGen = c.probeGen
+	c.probe.Reset(c.cfg.RTO)
+}
+
+// probeFire is the persist timer's callback.
+func probeFire(a any) {
+	c := a.(*Conn)
+	if c.state != StateEstablished && c.state != StateFinWait {
+		return
+	}
+	next := c.firstUnsent()
+	if next < 0 {
+		return
+	}
+	if c.probeGen != c.probeArmGen {
+		c.armProbe() // new incarnation, still stalled: keep probing
+		return
+	}
+	// The window opened enough for the next segment while the probe
+	// was armed: resume the pump instead of probing.
+	if t := c.txq[next]; int(t.seq+uint32(len(t.payload))-c.sndUna) <= c.peerWnd &&
+		(c.peerWnd > 0 || len(t.payload) == 0) {
+		c.pump()
+		return
+	}
+	c.retries++
+	if c.retries > c.cfg.MaxRetries {
+		c.enterError()
+		return
+	}
+	c.Stats.Probes++
+	c.send(Segment{Seq: c.sndNxt, Flags: FlagAck | FlagPsh}, nil)
+	c.armProbe()
 }
 
 func (c *Conn) firstUnsent() int {

@@ -225,14 +225,41 @@ func TestAckBeyondSndNxtIgnored(t *testing.T) {
 	}
 	c := w.a
 	una, queued := c.sndUna, len(c.txq)
-	if una == c.sndNxt || queued == 0 || !c.timerLive {
+	if una == c.sndNxt || queued == 0 || !c.rto.Armed() {
 		t.Fatalf("nothing in flight to mis-acknowledge: una=%d nxt=%d txq=%d timer=%v",
-			una, c.sndNxt, queued, c.timerLive)
+			una, c.sndNxt, queued, c.rto.Armed())
 	}
 	c.Ingress(Segment{SrcPort: 2, DstPort: 1, Ack: c.sndNxt + 1, Flags: FlagAck,
 		Window: 65535, Epoch: c.epoch}, nil)
-	if c.sndUna != una || len(c.txq) != queued || !c.timerLive || c.Stats.AckedBytes != 0 {
+	if c.sndUna != una || len(c.txq) != queued || !c.rto.Armed() || c.Stats.AckedBytes != 0 {
 		t.Fatalf("ACK beyond sndNxt accepted: sndUna %d -> %d, retransmit queue %d -> %d, RTO armed %v, %d bytes counted acked",
-			una, c.sndUna, queued, len(c.txq), c.timerLive, c.Stats.AckedBytes)
+			una, c.sndUna, queued, len(c.txq), c.rto.Armed(), c.Stats.AckedBytes)
+	}
+}
+
+// TestAllocsPerTCPSend pins a warm Send+Run on a connected pair wired
+// back to back: the segment's payload copy and the send queue's
+// bookkeeping allocate, the RTO does not — it is a sim.Timer, where a
+// closure per arm cost one more allocation per send.
+func TestAllocsPerTCPSend(t *testing.T) {
+	eng := sim.NewEngine()
+	a := New(eng, Config{SrcPort: 1, DstPort: 2})
+	b := New(eng, Config{SrcPort: 2, DstPort: 1})
+	a.Transmit = func(s Segment, p []byte) { b.Ingress(s, p) }
+	b.Transmit = func(s Segment, p []byte) { a.Ingress(s, p) }
+	b.OnDeliver = func(p []byte) { b.Consume(len(p)) }
+	Connect(a, b)
+	msg := make([]byte, 512)
+	send := func() {
+		if a.Send(msg) != nil {
+			t.Fatal("connection left Established")
+		}
+		eng.Run()
+	}
+	send()
+	avg := testing.AllocsPerRun(100, send)
+	t.Logf("%.2f allocations per TCP send round trip", avg)
+	if avg > 3 {
+		t.Fatalf("%.2f allocations per send round trip, want <= 3", avg)
 	}
 }

@@ -226,8 +226,8 @@ func (d *NetDevice) transmit(head uint16, frame []byte, ok bool) {
 		d.publishUsed(TxQueue, UsedElem{ID: uint32(head)})
 		return
 	}
-	end := d.engine.AcquireArg(d.Prm.PerPacket, nil, nil)
-	d.eng.At(end+d.Prm.PipelineDelay, func() {
+	end := d.engine.Acquire(d.Prm.PerPacket)
+	d.eng.After(end+d.Prm.PipelineDelay-d.eng.Now(), func() {
 		d.TxPackets++
 		if d.link != nil {
 			d.link.Send(frame, nil)
@@ -245,8 +245,8 @@ func (d *NetDevice) deliver(frame []byte) {
 		d.Drops["rx-unconfigured"]++
 		return
 	}
-	end := d.engine.AcquireArg(d.Prm.PerPacket, nil, nil)
-	d.eng.At(end+d.Prm.PipelineDelay, func() {
+	end := d.engine.Acquire(d.Prm.PerPacket)
+	d.eng.After(end+d.Prm.PipelineDelay-d.eng.Now(), func() {
 		if st.backlog.Len() >= 256 {
 			d.Drops["rx-overflow"]++
 			return

@@ -1,8 +1,6 @@
 package flexdriver
 
 import (
-	"fmt"
-
 	"flexdriver/internal/ctrlplane"
 	"flexdriver/internal/fld"
 	"flexdriver/internal/fldsw"
@@ -274,28 +272,14 @@ func (tm *TenantManager) teardown(name string) {
 }
 
 // takeCore reuses a released core or instantiates a fresh one on the
-// node's FPGA — AddFLD's wiring minus the PF runtime, since tenant cores
-// get their runtimes through a VF.
+// node's FPGA.
 func (tm *TenantManager) takeCore() *fld.FLD {
 	if n := len(tm.free); n > 0 {
 		f := tm.free[0]
 		tm.free = tm.free[1:]
 		return f
 	}
-	inn := tm.inn
-	f := fld.New(inn.eng, inn.FLD.Config())
-	f.SetPCIeName(fmt.Sprintf("fld%d", inn.numFLDs))
-	f.AttachPCIe(inn.Fab, inn.link)
-	if inn.tel != nil {
-		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(fmt.Sprintf("fld%d", inn.numFLDs)))
-	}
-	inn.numFLDs++
-	inn.flds = append(inn.flds, f)
-	if inn.faults != nil {
-		inn.faults.AttachFLD(f)
-		inn.faults.AttachFLDReset(inn.eng, f)
-	}
-	return f
+	return tm.inn.newCore(tm.inn.FLD.Config())
 }
 
 // perVFRate splits a tenant's aggregate rate cap evenly across its VFs.

@@ -352,15 +352,23 @@ func newInnova(eng *Engine, name string, o Options) *Innova {
 // multiple FLD 'cores' within the accelerator, combined with NIC RSS
 // offloads to balance the load on these cores".
 func (inn *Innova) AddFLD(cfg FLDConfig) (*FLD, *Runtime) {
+	f := inn.newCore(cfg)
+	return f, fldsw.NewRuntime(inn.eng, inn.Fab, inn.Mem, inn.NIC, f)
+}
+
+// newCore instantiates core number NumFLDs on the node's FPGA: attached
+// to PCIe under a distinct device name, which keeps its link telemetry
+// separate (matching its fld<N> scope) so per-port byte accounting still
+// reconciles, instrumented, counted, and joined to the node's fault
+// classes. It wires no runtime: AddFLD adds the PF's, tenant cores get
+// theirs through a VF.
+func (inn *Innova) newCore(cfg FLDConfig) *FLD {
+	name := fmt.Sprintf("fld%d", inn.numFLDs)
 	f := fld.New(inn.eng, cfg)
-	// A distinct device name keeps the extra core's PCIe-link telemetry
-	// separate (matching its fld<N> scope) so per-port byte accounting
-	// still reconciles.
-	f.SetPCIeName(fmt.Sprintf("fld%d", inn.numFLDs))
+	f.SetPCIeName(name)
 	f.AttachPCIe(inn.Fab, inn.link)
-	rt := fldsw.NewRuntime(inn.eng, inn.Fab, inn.Mem, inn.NIC, f)
 	if inn.tel != nil {
-		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(fmt.Sprintf("fld%d", inn.numFLDs)))
+		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(name))
 	}
 	inn.numFLDs++
 	inn.flds = append(inn.flds, f)
@@ -368,7 +376,7 @@ func (inn *Innova) AddFLD(cfg FLDConfig) (*FLD, *Runtime) {
 		inn.faults.AttachFLD(f)
 		inn.faults.AttachFLDReset(inn.eng, f)
 	}
-	return f, rt
+	return f
 }
 
 // ConnectWire cables two NICs back to back.
