@@ -18,9 +18,11 @@
 //	                           # Chrome trace_event JSON (load the file in
 //	                           # chrome://tracing or Perfetto)
 //	fldreport -exp chaos -seed 7 -faults heavy
-//	                           # replay one deterministic fault storm
+//	                           # replay one deterministic fault storm: a
+//	                           # named scenario, so a violation prints its
+//	                           # shrunk -exp scenario repro line
 //	fldreport -exp scenario -seed 1 -count 300
-//	                           # sweep 200 generated scenarios (CI smoke)
+//	                           # sweep 300 generated scenarios (CI smoke)
 //	fldreport -exp scenario -seed 42 -spec "seed=42 clients=1 ..."
 //	                           # replay one exact (possibly shrunk) scenario
 package main

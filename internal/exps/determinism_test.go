@@ -3,6 +3,7 @@ package exps
 import (
 	"testing"
 
+	"flexdriver/internal/scenario"
 	"flexdriver/internal/sim"
 )
 
@@ -110,13 +111,27 @@ func TestChaosScenarioTelemetryStable(t *testing.T) {
 // the nineteen */util funcs (busy time over the clock: same numerators,
 // shorter denominator) and in nothing else — every counter, gauge and
 // histogram is identical.
-const goldenChaosExpHash = "bdd6cb3ecaaf3137e05f1529229953f5bc42aa9a8169214c76bdc96c981b4e8e"
+//
+// Recaptured when the experiment became a named scenario (ChaosSpec)
+// judged by internal/scenario: Poisson arrivals instead of a fixed
+// interval, the scenario phasing's 20 µs warmup and 60 µs drain instead
+// of 150 and 250, a pinned FDB, and the per-frame judge in place of the
+// experiment's own checks. The pinned run still closes a supervision
+// episode, which the test asserts.
+const goldenChaosExpHash = "f5e7062441636cb7740cca91b5981971c2da29e86e6c5123f260f027d37eec71"
 
 func TestChaosExpTelemetryGolden(t *testing.T) {
 	got := ChaosTelemetryHash(7, "crash", 200*sim.Microsecond)
 	if got != goldenChaosExpHash {
 		t.Fatalf("fixed-seed chaos telemetry diverged from golden snapshot:\n got  %s\n want %s",
 			got, goldenChaosExpHash)
+	}
+	s, err := ChaosSpec(7, "crash", 200*sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := scenario.Run(s); res.SupEpisodes < 1 {
+		t.Fatalf("pinned crash storm closed %d supervision episodes, want at least one", res.SupEpisodes)
 	}
 }
 

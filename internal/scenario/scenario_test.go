@@ -84,9 +84,26 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"reconfig=1",                      // nothing to reconfigure without tenants
 		"plantleak=5",                     // a leak needs a foreign tenant to leak into
 		"tenants=2 plantleak=-1",
+		"frames=2049:2049",            // above the client port's buffer
+		"frames=1999:1999 path=vxlan", // ...once the envelope is added
 	} {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("Parse(%q) accepted a bad spec", text)
+		}
+	}
+}
+
+// TestLargestFramesAreClean runs each path at the largest frame Parse
+// accepts: it fits the client port's buffer, so no frame is lost as a
+// transmit error the conservation budget cannot see.
+func TestLargestFramesAreClean(t *testing.T) {
+	for _, text := range []string{"seed=1 frames=2048:2048", "seed=1 frames=1998:1998 path=vxlan"} {
+		s, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", text, err)
+		}
+		if res := Run(s); len(res.Violations) > 0 || res.Sent == 0 {
+			t.Errorf("%s: %d sent, violations %v", text, res.Sent, res.Violations)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"flexdriver/internal/faults"
 	"flexdriver/internal/kvspec"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/swdriver"
 )
 
 // Spec is one fully expanded scenario. All fields are plain values so a
@@ -308,7 +309,8 @@ var specKeys = kvspec.Schema[Spec]{Name: "scenario", Sep: ' ', Fields: []kvspec.
 	{Key: "faults", Ptr: func(s *Spec) any { return (*faultSpec)(&s.Faults) }},
 }}
 
-// frameRange is the frames=min:max value.
+// frameRange is the frames=min:max value; a frame fills at most one
+// client-port buffer.
 type frameRange struct{ min, max *int }
 
 func (r frameRange) Set(val string) (err error) {
@@ -316,10 +318,10 @@ func (r frameRange) Set(val string) (err error) {
 	if !ok {
 		return fmt.Errorf("want min:max")
 	}
-	if *r.min, err = kvspec.Int(lo, 64, 9000); err != nil {
+	if *r.min, err = kvspec.Int(lo, 64, swdriver.DefaultBufBytes); err != nil {
 		return err
 	}
-	if *r.max, err = kvspec.Int(hi, 64, 9000); err != nil {
+	if *r.max, err = kvspec.Int(hi, 64, swdriver.DefaultBufBytes); err != nil {
 		return err
 	}
 	if *r.max < *r.min {
@@ -373,6 +375,11 @@ func Parse(text string) (Spec, error) {
 	// judged once all are in).
 	if s.Tenants > 0 && s.Path == "vxlan" {
 		return s, fmt.Errorf("scenario: tenants and vxlan both steer via the server NIC's table 0; use path=eth")
+	}
+	// A client port drops a frame beyond its buffer as a transmit error no
+	// budget excuses; frameRange.Set bounds frames, and vxlan wraps them.
+	if s.Path == "vxlan" && s.FrameMax+vxlanOuter > swdriver.DefaultBufBytes {
+		return s, fmt.Errorf("scenario: path=vxlan frames above %d B overflow the %d B client buffer", swdriver.DefaultBufBytes-vxlanOuter, swdriver.DefaultBufBytes)
 	}
 	if s.Reconfig && s.Tenants == 0 {
 		return s, fmt.Errorf("scenario: reconfig=1 needs tenants")

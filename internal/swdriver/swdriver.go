@@ -266,11 +266,15 @@ type EthPort struct {
 	tDBBatch, tCplBatch              *telemetry.Histogram
 }
 
+// DefaultBufBytes is an EthPort's per-buffer size when its config names
+// none: the largest frame such a port sends or receives.
+const DefaultBufBytes = 2048
+
 // EthPortConfig sizes an EthPort.
 type EthPortConfig struct {
 	TxEntries int // power of two
 	RxEntries int // power of two
-	BufBytes  int // per-buffer size, tx and rx
+	BufBytes  int // per-buffer size, tx and rx; 0 means DefaultBufBytes
 	VPort     *nic.VPort
 	// Shaper optionally rate-limits the TX queue.
 	Shaper *sim.TokenBucket
@@ -293,7 +297,7 @@ func (d *Driver) NewClientPort(cfg EthPortConfig) *EthPort {
 // default to-wire egress rule.
 func (d *Driver) NewEthPort(cfg EthPortConfig) *EthPort {
 	if cfg.BufBytes == 0 {
-		cfg.BufBytes = 2048
+		cfg.BufBytes = DefaultBufBytes
 	}
 	if cfg.VPort == nil {
 		cfg.VPort = d.nic.ESwitch().AddVPort()

@@ -36,13 +36,15 @@ func echo16(opts ...flexdriver.Option) (hash string, replies, extra int) {
 
 // TestWorkersKnobsAreNoOps holds the three names kept for bench/ to what
 // their Deprecated lines say: any worker count gives the default run's
-// telemetry and starts no goroutine.
+// telemetry and starts no goroutine. Each goroutine comparison is
+// one-sided: a started pool can only raise the count, while a goroutine
+// of another test that exits mid-run lowers it.
 func TestWorkersKnobsAreNoOps(t *testing.T) {
 	ref, replies, extra := echo16()
-	if replies == 0 || extra != 0 {
+	if replies == 0 || extra > 0 {
 		t.Fatalf("default run: %d replies, %d extra goroutines", replies, extra)
 	}
-	if hash, _, extra := echo16(flexdriver.WithWorkers(8)); hash != ref || extra != 0 {
+	if hash, _, extra := echo16(flexdriver.WithWorkers(8)); hash != ref || extra > 0 {
 		t.Errorf("WithWorkers(8): hash %.12s… vs default %.12s…, %d extra goroutines", hash, ref, extra)
 	}
 
@@ -50,7 +52,7 @@ func TestWorkersKnobsAreNoOps(t *testing.T) {
 	s := scenario.Generate(2)
 	want := scenario.Run(s).Hash
 	s.Workers = 8
-	if got := scenario.Run(s).Hash; got != want || runtime.NumGoroutine() != before {
+	if got := scenario.Run(s).Hash; got != want || runtime.NumGoroutine() > before {
 		t.Errorf("Spec.Workers=8: hash %.12s… vs default %.12s…, goroutines %d -> %d",
 			got, want, before, runtime.NumGoroutine())
 	}
@@ -62,7 +64,7 @@ func TestWorkersKnobsAreNoOps(t *testing.T) {
 		g.NewEngine().After(sim.Microsecond, func() { during = runtime.NumGoroutine() })
 	}
 	g.Run()
-	if during != before {
+	if during > before {
 		t.Errorf("SetWorkers(8): goroutines %d -> %d inside a two-shard round", before, during)
 	}
 }
