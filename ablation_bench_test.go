@@ -107,10 +107,10 @@ func BenchmarkAblationAckCoalescing(b *testing.B) {
 
 func fldrGoodputWithAckCoalesce(b *testing.B, coalesce int) float64 {
 	b.Helper()
-	nicPrm := flexdriver.DefaultNICParams()
-	nicPrm.AckCoalesce = coalesce
-	pts := exps.EchoBandwidthWithNIC(exps.FLDRRemote, []int{256},
-		200*flexdriver.Microsecond, nicPrm)
+	p := flexdriver.DefaultNICParams()
+	p.AckCoalesce = coalesce
+	pts := exps.EchoBandwidth(exps.FLDRRemote, []int{256},
+		200*flexdriver.Microsecond, flexdriver.WithNIC(p))
 	return pts[0].AchievedGbps
 }
 

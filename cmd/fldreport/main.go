@@ -163,22 +163,22 @@ func run(args []string, out io.Writer) int {
 		about string // one-liner for -list: what it measures + extra flags it honors
 		run   func() *exps.Result
 	}{
-		{"table1", "driver resource footprint vs the paper's Table 1", exps.Table1},
-		{"table2", "FLD FPGA area budget vs Table 2", exps.Table2},
-		{"table3", "per-queue-type doorbell/CQE costs vs Table 3", exps.Table3},
-		{"table4", "PCIe TLP round-trip accounting vs Table 4", exps.Table4},
-		{"table5", "ZUC accelerator throughput vs Table 5", exps.Table5},
-		{"fig4", "doorbell batching sweep vs Figure 4", exps.Fig4},
-		{"fig7a", "single-core packet-rate ceiling vs Figure 7a", exps.Fig7a},
+		{"table1", "FPGA networking architectures: published survey plus this FLD vs Table 1", exps.Table1},
+		{"table2", "NIC driver memory analysis parameters vs Table 2a", exps.Table2},
+		{"table3", "driver memory, software vs FLD, vs Table 3", exps.Table3},
+		{"table4", "software components: the paper's LoC vs this repo's analogues (Table 4)", exps.Table4},
+		{"table5", "FLD area modeled from its configuration vs Table 5", exps.Table5},
+		{"fig4", "driver memory scaling against the XCKU15P budget vs Figure 4", exps.Fig4},
+		{"fig7a", "performance model: FLD vs raw Ethernet vs Figure 7a", exps.Fig7a},
 		{"fig7b", "throughput by frame size vs Figure 7b; honors -sizes", func() *exps.Result { return exps.Fig7b(sizes, window) }},
 		{"fig7c", "latency under load vs Figure 7c", func() *exps.Result { return exps.Fig7c(fractions, loadSamples) }},
 		{"table6", "round-trip latency percentiles vs Table 6; honors -samples", func() *exps.Result { return exps.Table6(latSamples) }},
-		{"mixed-trace", "mixed ZUC/plain traffic trace replay", func() *exps.Result { return exps.MixedTrace(window) }},
-		{"fig8a", "IP-defrag throughput by fragment size vs Figure 8a", func() *exps.Result { return exps.Fig8a([]int{64, 128, 256, 512, 1024, 2048, 4096}, window) }},
-		{"fig8b", "IP-defrag throughput by fragmented fraction vs Figure 8b", func() *exps.Result { return exps.Fig8b([]float64{0.1, 0.3, 0.5, 0.7, 0.9}, loadSamples) }},
+		{"mixed-trace", "IMC-2010 mixed-size forwarding, FLD-E vs one CPU core (§8.1.1)", func() *exps.Result { return exps.MixedTrace(window) }},
+		{"fig8a", "disaggregated ZUC throughput by request size vs Figure 8a", func() *exps.Result { return exps.Fig8a([]int{64, 128, 256, 512, 1024, 2048, 4096}, window) }},
+		{"fig8b", "ZUC latency under load, 512 B requests, vs Figure 8b", func() *exps.Result { return exps.Fig8b([]float64{0.1, 0.3, 0.5, 0.7, 0.9}, loadSamples) }},
 		{"defrag", "IP defragmentation accelerator end-to-end", func() *exps.Result { return exps.Defrag(window) }},
 		{"iot-linerate", "IoT token authentication at line rate", func() *exps.Result { return exps.IotLineRate(window) }},
-		{"iot-isolation", "IoT accelerator isolation from host traffic", func() *exps.Result { return exps.IotIsolation(window) }},
+		{"iot-isolation", "IoT offload tenant isolation: Gbps admitted with and without NIC policers", func() *exps.Result { return exps.IotIsolation(window) }},
 		{"iot-security", "invalid IoT tokens dropped in hardware", func() *exps.Result { return exps.IotInvalidTokensDropped(window) }},
 		{"ext-virtio", "portability: FLD behind a virtio-style NIC", func() *exps.Result { return exps.Portability(window) }},
 		{"telemetry", "telemetry/flight-recorder self-check; honors -trace", runTelemetry},

@@ -66,6 +66,31 @@ func TestCSVAndFlagErrors(t *testing.T) {
 	}
 }
 
+// TestListNamesEachExperiment holds -list to what each experiment's
+// Result.Title says it measures: every id maps to one word of its title,
+// which its one-liner must carry.
+func TestListNamesEachExperiment(t *testing.T) {
+	var out bytes.Buffer
+	if status := run([]string{"-list"}, &out); status != 0 {
+		t.Fatalf("-list: status %d", status)
+	}
+	about := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 {
+			about[f[0]] = strings.Join(f[1:], " ")
+		}
+	}
+	for id, word := range map[string]string{
+		"table1": "architectures", "table2": "memory", "table3": "memory", "table4": "LoC",
+		"table5": "area", "fig4": "memory", "fig7a": "model", "fig8a": "ZUC", "fig8b": "ZUC",
+		"mixed-trace": "forwarding", "iot-isolation": "tenant",
+	} {
+		if !strings.Contains(about[id], word) {
+			t.Errorf("-list describes %s as %q; its title is about %q", id, about[id], word)
+		}
+	}
+}
+
 // TestCISmokeCommandsExitZero runs the -quick command lines ci.yml
 // smokes, so a check that cannot pass on one of them (a saturation
 // comparison on a one-point sweep, say) fails here and not only in CI.

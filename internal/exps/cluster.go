@@ -163,7 +163,7 @@ type servedTotals struct {
 // contribute one RTT observation, so preallocate generously to keep Add
 // off the slice growth path at cluster scale.
 func (pt *servedPoint) measure(warmup, window, drain flexdriver.Duration) servedTotals {
-	rig.Window(pt, warmup, window, drain, &pt.measuring)
+	rig.Window(pt, warmup, window, drain, func(open bool) { pt.measuring = open })
 	pt.Run()
 	t := servedTotals{lat: stats.NewSample(1 << 16), pending: pt.Pending(), tailDrops: pt.TailDrops()}
 	for _, h := range pt.hosts {
@@ -196,8 +196,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 	pt.srv.Steer(flexdriver.Rule{})
 
 	stop := p.Warmup + p.Window
-	mean := flexdriver.Duration(float64(p.FrameSize*8) /
-		(p.PerClientGbps * 1e9) * float64(flexdriver.Second))
+	mean := period(float64(p.FrameSize), p.PerClientGbps)
 	flows := func(h *flexdriver.Host, gi int) [][]byte {
 		return balancedFlows(h.NIC, pt.srv.NIC, p.FlowsPerClient, p.FLDCores, p.FrameSize, uint16(4000+gi*97))
 	}
@@ -226,7 +225,7 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 	cp := clusterPoint{
 		clients:      n,
 		offeredGbps:  float64(n) * p.PerClientGbps,
-		achievedGbps: float64(t.rxB) * 8 / p.Window.Seconds() / 1e9,
+		achievedGbps: gbps(t.rxB, p.Window),
 		p50us:        t.lat.Median(),
 		p99us:        t.lat.Percentile(99),
 		servedTotals: t,

@@ -7,7 +7,6 @@ import (
 	"flexdriver/internal/accel/defrag"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/nic"
-	"flexdriver/internal/rig"
 	"flexdriver/internal/sim"
 	"flexdriver/internal/swdriver"
 )
@@ -239,20 +238,11 @@ func defragThroughput(cfg DefragConfig, flows int, window flexdriver.Duration) f
 	for _, f := range frames {
 		wireBytes += len(f) + 20
 	}
-	interval := flexdriver.Duration(float64(wireBytes*8) / float64(len(frames)) / 26.5e9 * float64(flexdriver.Second))
 	idx := 0
-	warmup := 200 * flexdriver.Microsecond
-	deadline := warmup + window + 200*flexdriver.Microsecond
-	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() {
+	return goodput(rp.Engine(), 200*flexdriver.Microsecond, window, float64(wireBytes)/float64(len(frames)), 26.5, func() {
 		port.Send(frames[idx%len(frames)])
 		idx++
-	})
-	rp.RunUntil(warmup)
-	start := cores.AppBytes
-	rp.RunUntil(warmup + window)
-	delivered := cores.AppBytes - start
-	rp.RunUntil(deadline)
-	return float64(delivered) * 8 / window.Seconds() / 1e9
+	}, func() int64 { return cores.AppBytes })
 }
 
 func intp(v int) *int    { return &v }

@@ -24,9 +24,16 @@ func genDriverParams() flexdriver.DriverParams {
 	}
 }
 
+// withGen puts the load-generator driver model under opts.
+func withGen(opts []flexdriver.Option) []flexdriver.Option {
+	return append([]flexdriver.Option{flexdriver.WithDriver(genDriverParams())}, opts...)
+}
+
 // latencyDriverParams models a single pinned testpmd core measuring
 // round trips: realistic per-op cost, immediate doorbells, light OS
-// jitter on the measurement host.
+// jitter on the measurement host. It and serverCPUParams replace a built
+// driver's Prm, so they carry no seed: the jitter draws from the stream
+// the driver was built with, genDriverParams' seed 0.
 func latencyDriverParams() flexdriver.DriverParams {
 	return flexdriver.DriverParams{
 		RxCost: 55 * flexdriver.Nanosecond, TxCost: 45 * flexdriver.Nanosecond,
@@ -36,7 +43,6 @@ func latencyDriverParams() flexdriver.DriverParams {
 		JitterMin:     1 * flexdriver.Microsecond,
 		JitterMax:     3 * flexdriver.Microsecond,
 		JitterAlpha:   2.0,
-		Seed:          11,
 	}
 }
 
@@ -72,7 +78,6 @@ func serverCPUParams() flexdriver.DriverParams {
 		JitterMin:     4 * flexdriver.Microsecond,
 		JitterMax:     60 * flexdriver.Microsecond,
 		JitterAlpha:   2.2,
-		Seed:          23,
 	}
 }
 
@@ -86,26 +91,25 @@ func buildFrame(size int, sport, dport uint16) []byte {
 }
 
 // fldeRemoteBed wires the remote FLD-E echo topology and returns the
-// client port plus the server's AFU. Extra options (e.g. WithTelemetry)
-// are applied on top of the load-generator driver model.
-func fldeRemoteBed(extra ...flexdriver.Option) (*flexdriver.RemotePair, *swdriver.EthPort, *echo.AFU) {
-	opts := append([]flexdriver.Option{flexdriver.WithDriver(genDriverParams())}, extra...)
-	rp := flexdriver.NewRemotePair(opts...)
+// client port. opts (e.g. WithTelemetry) apply on top of the
+// load-generator driver model.
+func fldeRemoteBed(opts ...flexdriver.Option) (*flexdriver.RemotePair, *swdriver.EthPort) {
+	rp := flexdriver.NewRemotePair(withGen(opts)...)
 	srv := rp.Server
 	srv.RT.StartEth()
 	srv.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srv.RT.RQ()}})
-	afu := echo.New(srv.FLD)
+	echo.New(srv.FLD)
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	rp.Client.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: port.RQ()}})
-	return rp, port, afu
+	return rp, port
 }
 
 // fldeLocalBed wires the single-node (hairpin) FLD-E topology.
-func fldeLocalBed(drv flexdriver.DriverParams) (*flexdriver.Innova, *swdriver.EthPort, *echo.AFU) {
-	inn := flexdriver.NewLocalInnova(flexdriver.WithDriver(drv))
+func fldeLocalBed(opts ...flexdriver.Option) (*flexdriver.Innova, *swdriver.EthPort) {
+	inn := flexdriver.NewLocalInnova(withGen(opts)...)
 	inn.RT.CreateEthTxQueue(0, nil)
-	afu := echo.New(inn.FLD)
+	echo.New(inn.FLD)
 	port := inn.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	esw := inn.NIC.ESwitch()
 	fldVP, hostVP := inn.RT.VPort(), port.VPort()
@@ -115,13 +119,13 @@ func fldeLocalBed(drv flexdriver.DriverParams) (*flexdriver.Innova, *swdriver.Et
 	esw.AddRule(fldVP.EgressTable, flexdriver.Rule{Action: flexdriver.Action{ToVPort: &hostVP.ID}})
 	esw.AddRule(hostVP.IngressTable, flexdriver.Rule{Action: flexdriver.Action{ToRQ: port.RQ()}})
 	inn.RT.Start()
-	return inn, port, afu
+	return inn, port
 }
 
 // cpuRemoteBed wires a remote echo served by the *CPU* driver on the
 // server (the Fig. 7b / Table 6 baseline).
-func cpuRemoteBed(serverDrv flexdriver.DriverParams) (*flexdriver.RemotePair, *swdriver.EthPort) {
-	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()))
+func cpuRemoteBed(serverDrv flexdriver.DriverParams, opts ...flexdriver.Option) (*flexdriver.RemotePair, *swdriver.EthPort) {
+	rp := flexdriver.NewRemotePair(withGen(opts)...)
 	// Replace server driver cost model.
 	rp.Server.Drv.Prm = serverDrv
 	srvPort := rp.Server.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
@@ -133,13 +137,28 @@ func cpuRemoteBed(serverDrv flexdriver.DriverParams) (*flexdriver.RemotePair, *s
 	return rp, port
 }
 
-// openLoopWindow is the phasing of every open-loop echo run: send fires
-// every interval from time zero, *measuring is true for window after a
-// 150 us warm-up, and the source stops 100 us of drain later.
-func openLoopWindow(eng *flexdriver.Engine, interval, window flexdriver.Duration, measuring *bool, send func()) {
-	const warmup, drain = 150 * flexdriver.Microsecond, 100 * flexdriver.Microsecond
-	rig.OpenLoop(eng, 0, warmup+window+drain, 1, rig.Every(interval), send)
-	rig.Window(eng, warmup, window, drain, measuring)
+// The back-to-back goodput points' phasing: 150 µs of warm-up (defrag
+// takes 200 µs, the CPU cipher 20 µs), then the window, then 100 µs of
+// drain, which the telemetry experiment's snapshot reads.
+const pointWarmup, pointDrain = 150 * flexdriver.Microsecond, 100 * flexdriver.Microsecond
+
+// period is the send interval of size-byte frames offered at rate Gbit/s.
+func period(size, rate float64) flexdriver.Duration {
+	return flexdriver.Duration(size * 8 / (rate * 1e9) * float64(flexdriver.Second))
+}
+
+// gbps is bytes over d in Gbit/s.
+func gbps(bytes int64, d flexdriver.Duration) float64 { return float64(bytes) * 8 / d.Seconds() / 1e9 }
+
+// goodput offers send open-loop on eng from t = 0, one call per size
+// bytes at offeredGbps, phases the run through rig.Window (the source
+// stops when the drain ends) and returns the Gbit/s by which tally, a
+// running byte count, advanced inside the window.
+func goodput(eng *flexdriver.Engine, warmup, window flexdriver.Duration, size, offeredGbps float64, send func(), tally func() int64) float64 {
+	rig.OpenLoop(eng, 0, warmup+window+pointDrain, 1, rig.Every(period(size, offeredGbps)), send)
+	var in int64
+	rig.Window(eng, warmup, window, pointDrain, func(bool) { in = tally() - in })
+	return gbps(in, window)
 }
 
 // measureEcho offers an offered-rate stream of size-byte frames to the
@@ -147,16 +166,10 @@ func openLoopWindow(eng *flexdriver.Engine, interval, window flexdriver.Duration
 // goodput in Gbit/s.
 func measureEcho(eng *flexdriver.Engine, port *swdriver.EthPort, size int, offeredGbps float64, window flexdriver.Duration) float64 {
 	frame := buildFrame(size, 4000, 7777)
-	interval := flexdriver.Duration(float64(len(frame)*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
 	var rxBytes int64
-	measuring := false
-	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
-		if measuring {
-			rxBytes += int64(len(fr))
-		}
-	}
-	openLoopWindow(eng, interval, window, &measuring, func() { port.Send(frame) })
-	return float64(rxBytes) * 8 / window.Seconds() / 1e9
+	port.OnReceive = func(fr []byte, _ swdriver.RxMeta) { rxBytes += int64(len(fr)) }
+	return goodput(eng, pointWarmup, window, float64(len(frame)), offeredGbps,
+		func() { port.Send(frame) }, func() int64 { return rxBytes })
 }
 
 // BWPoint is one Figure 7b sample.
@@ -222,14 +235,9 @@ func echoModelFor(mode EchoMode, size int) float64 {
 	return 0
 }
 
-// EchoBandwidth reproduces one Figure 7b series.
-func EchoBandwidth(mode EchoMode, sizes []int, window flexdriver.Duration) []BWPoint {
-	return EchoBandwidthWithNIC(mode, sizes, window, flexdriver.DefaultNICParams())
-}
-
-// EchoBandwidthWithNIC is EchoBandwidth with explicit NIC parameters,
-// used by the ablation benchmarks (e.g. ACK coalescing on/off).
-func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration, nicPrm flexdriver.NICParams) []BWPoint {
+// EchoBandwidth reproduces one Figure 7b series. opts (WithNIC,
+// WithTelemetry, …) apply to every mode's bed on top of its driver model.
+func EchoBandwidth(mode EchoMode, sizes []int, window flexdriver.Duration, opts ...flexdriver.Option) []BWPoint {
 	var out []BWPoint
 	for _, size := range sizes {
 		offered := 26.5 // just above the 25G line
@@ -243,15 +251,15 @@ func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration
 		var achieved float64
 		switch mode {
 		case FLDERemote:
-			rp, port, _ := fldeRemoteBed()
+			rp, port := fldeRemoteBed(opts...)
 			achieved = measureEcho(rp.Engine(), port, size, offered, window)
 		case FLDELocal:
-			inn, port, _ := fldeLocalBed(genDriverParams())
+			inn, port := fldeLocalBed(opts...)
 			achieved = measureEcho(inn.Engine(), port, size, offered, window)
 		case FLDRRemote:
-			achieved = fldrRemoteBandwidth(size, offered, window, nicPrm)
+			achieved = fldrRemoteBandwidth(size, offered, window, opts)
 		case CPURemote:
-			rp, port := cpuRemoteBed(ioFwdParams())
+			rp, port := cpuRemoteBed(ioFwdParams(), opts...)
 			achieved = measureEcho(rp.Engine(), port, size, offered, window)
 		}
 		model := echoModelFor(mode, size)
@@ -266,20 +274,14 @@ func EchoBandwidthWithNIC(mode EchoMode, sizes []int, window flexdriver.Duration
 }
 
 // fldrRemoteBandwidth runs the FLD-R echo at one message size.
-func fldrRemoteBandwidth(size int, offeredGbps float64, window flexdriver.Duration, nicPrm flexdriver.NICParams) float64 {
-	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()), flexdriver.WithNIC(nicPrm))
+func fldrRemoteBandwidth(size int, offeredGbps float64, window flexdriver.Duration, opts []flexdriver.Option) float64 {
+	rp := flexdriver.NewRemotePair(withGen(opts)...)
 	ep := fldrEchoBed(rp.Server, rp.Client.Drv, 512, 128)
 	var rxBytes int64
-	measuring := false
-	ep.OnMessage = func(data []byte) {
-		if measuring {
-			rxBytes += int64(len(data))
-		}
-	}
+	ep.OnMessage = func(data []byte) { rxBytes += int64(len(data)) }
 	msg := make([]byte, size)
-	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	openLoopWindow(rp.Engine(), interval, window, &measuring, func() { ep.Send(msg) })
-	return float64(rxBytes) * 8 / window.Seconds() / 1e9
+	return goodput(rp.Engine(), pointWarmup, window, float64(size), offeredGbps,
+		func() { ep.Send(msg) }, func() int64 { return rxBytes })
 }
 
 // fldrEchoBed starts an FLD-R "echo" service on srv — a per-QP
@@ -351,28 +353,24 @@ func MixedTrace(window flexdriver.Duration) *Result {
 	r.Columns = []string{"engine", "Mpps", "Gbps"}
 	dist := trace.IMC2010()
 
-	run := func(rp *flexdriver.RemotePair, port *swdriver.EthPort) (mpps, gbps float64) {
+	run := func(rp *flexdriver.RemotePair, port *swdriver.EthPort) (float64, float64) {
 		// Offer slightly above line rate of mixed traffic.
 		rng := sim.NewRand(77)
-		var rxPkts, rxBytes int64
-		measuring := false
+		var rxPkts, rxBytes, pkts int64
 		port.OnReceive = func(fr []byte, _ swdriver.RxMeta) {
-			if measuring {
-				rxPkts++
-				rxBytes += int64(len(fr))
-			}
+			rxPkts++
+			rxBytes += int64(len(fr))
 		}
-		mean := dist.Mean()
-		interval := flexdriver.Duration(mean * 8 / 26.5e9 * float64(flexdriver.Second))
-		openLoopWindow(rp.Engine(), interval, window, &measuring, func() {
-			port.Send(buildFrame(dist.Sample(rng), 4000, 7777))
-		})
-		return float64(rxPkts) / window.Seconds() / 1e6,
-			float64(rxBytes) * 8 / window.Seconds() / 1e9
+		g := goodput(rp.Engine(), pointWarmup, window, dist.Mean(), 26.5,
+			func() { port.Send(buildFrame(dist.Sample(rng), 4000, 7777)) },
+			func() int64 {
+				pkts = rxPkts - pkts // the window's count once both edges read it
+				return rxBytes
+			})
+		return float64(pkts) / window.Seconds() / 1e6, g
 	}
 
-	rp, port, _ := fldeRemoteBed()
-	fldMpps, fldGbps := run(rp, port)
+	fldMpps, fldGbps := run(fldeRemoteBed())
 	cpuMpps, cpuGbps := run(cpuRemoteBed(fwdCoreParams()))
 	r.AddRow("FLD-E", f2(fldMpps), f2(fldGbps))
 	r.AddRow("CPU core", f2(cpuMpps), f2(cpuGbps))
@@ -387,7 +385,7 @@ func Table6(samples int) *Result {
 	r := &Result{ID: "table6", Title: "64 B echo RTT percentiles (us)"}
 	r.Columns = []string{"path", "mean", "median", "p99", "p99.9"}
 
-	rp, port, _ := fldeRemoteBed()
+	rp, port := fldeRemoteBed()
 	flde := closedLoopRTT(rp, port, samples)
 	rp, port = cpuRemoteBed(serverCPUParams())
 	cpu := closedLoopRTT(rp, port, samples)
@@ -407,39 +405,13 @@ func Table6(samples int) *Result {
 
 // closedLoopRTT runs a one-in-flight 64 B echo from the pair's client
 // port, driven by the latency-measurement core model, and summarizes
-// RTTs in us.
+// RTTs in us past 200 warm-up round trips.
 func closedLoopRTT(rp *flexdriver.RemotePair, port *swdriver.EthPort, samples int) stats.Summary {
 	rp.Client.Drv.Prm = latencyDriverParams()
-	eng := rp.Engine()
 	frame := buildFrame(64, 5000, 6000)
-	var s stats.Sample
-	var sentAt flexdriver.Time
-	n := 0
-	const warmupSamples = 200
-	fire := func() {
-		sentAt = eng.Now()
-		port.Send(frame)
-	}
-	port.OnReceive = func([]byte, swdriver.RxMeta) {
-		rtt := eng.Now() - sentAt
-		if n >= warmupSamples {
-			s.Add(rtt.Microseconds())
-		}
-		n++
-		if n < samples+warmupSamples {
-			fire()
-		}
-	}
-	fire()
-	eng.Run()
-	return s.Summarize()
-}
-
-// LatencyPoint is one Figure 7c sample.
-type LatencyPoint struct {
-	OfferedGbps   float64
-	AchievedGbps  float64
-	MedianUs, P99 float64
+	pp := &rig.PingPong{Eng: rp.Engine(), Warm: 200, N: samples, Send: func() { port.Send(frame) }}
+	port.OnReceive = func([]byte, swdriver.RxMeta) { pp.Reply() }
+	return pp.Run().Summarize()
 }
 
 // Fig7c measures FLD-R 1 KiB message latency under increasing load
@@ -450,17 +422,22 @@ func Fig7c(fractions []float64, perPoint int) *Result {
 	const size = 1024
 	capacity := echoModelFor(FLDRRemote, size)
 
-	var pts []LatencyPoint
+	var meds []float64
+	peak, mono := 0.0, true
 	for _, frac := range fractions {
 		offered := frac * capacity
 		med, p99, achieved := fldrLatencyAtLoad(size, offered, perPoint)
-		pts = append(pts, LatencyPoint{OfferedGbps: offered, AchievedGbps: achieved, MedianUs: med, P99: p99})
 		r.AddRow(f2(offered), f2(achieved), f2(med), f2(p99))
+		if n := len(meds); n > 0 && med < meds[n-1]-0.3 {
+			mono = false
+		}
+		meds = append(meds, med)
+		peak = max(peak, achieved)
 	}
 	// The simulated base RTT is lower than the published 10.6 us (the
 	// prototype's FPGA clock-domain crossings and PCIe switch internals
 	// are not modeled); the claims under test are the curve's shape.
-	base := pts[0].MedianUs
+	base := meds[0]
 	r.Check("low-load median RTT", 10.6, base, "us", base > 3 && base < 12,
 		"absolute base depends on unmodeled FPGA internals")
 	// The paper also reports the local topology's low-load latency
@@ -469,67 +446,45 @@ func Fig7c(fractions []float64, perPoint int) *Result {
 	r.AddRow("(local, low load)", "-", f2(localMed), "-")
 	r.Check("local < remote at low load", 9.4/10.6, localMed/base,
 		"ratio", localMed < base, "no wire hop on the local path")
-	mono := true
-	for i := 1; i < len(pts); i++ {
-		if pts[i].MedianUs < pts[i-1].MedianUs-0.3 {
-			mono = false
-		}
-	}
 	r.Check("latency grows with load", 1, b2f(mono), "", mono, "")
 	// Knee: the overloaded point's median is several times the base.
-	last := pts[len(pts)-1].MedianUs
+	last := meds[len(meds)-1]
 	r.Check("queueing knee near saturation", 3, last/base, "x", last/base > 2, "")
 	// Throughput saturates below the model's expectation, like the
 	// paper's ~82% bottleneck observation.
-	peak := 0.0
-	for _, p := range pts {
-		if p.AchievedGbps > peak {
-			peak = p.AchievedGbps
-		}
-	}
 	sat := peak / capacity
 	r.Check("saturation fraction of expected BW", 0.82, sat, "", sat > 0.75 && sat <= 1.0, "")
 	return r
 }
 
+// underLoad offers n size-byte requests on rp as a Poisson stream at
+// offeredGbps drawn from seed, the first now, runs rp until idle and
+// returns lat's median and p99 with the Gbit/s bytes tallied over the
+// whole run.
+func underLoad(rp *flexdriver.RemotePair, seed int64, size int, offeredGbps float64, n int,
+	send func(), lat *stats.Sample, bytes *int64) (medianUs, p99Us, achievedGbps float64) {
+	t0 := rp.Engine().Now()
+	rig.OpenLoopN(rp.Engine(), n, rig.Poisson(sim.NewRand(seed), period(float64(size), offeredGbps)), send)
+	rp.Run()
+	return lat.Median(), lat.Percentile(99), gbps(*bytes, max(rp.Engine().Now()-t0, 1))
+}
+
 func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99Us, achievedGbps float64) {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()))
 	ep := fldrEchoBed(rp.Server, rp.Client.Drv, 512, 128)
-
 	var lat stats.Sample
 	var sendTimes []flexdriver.Time
 	var rxBytes int64
-	var t0 flexdriver.Time
-	recv := 0
 	ep.OnMessage = func(data []byte) {
 		// Echoes return in order: match FIFO.
-		rtt := rp.Engine().Now() - sendTimes[recv]
-		recv++
-		lat.Add(rtt.Microseconds())
+		lat.Add((rp.Engine().Now() - sendTimes[lat.N()]).Microseconds())
 		rxBytes += int64(len(data))
 	}
 	msg := make([]byte, size)
-	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := sim.NewRand(5)
-	sent := 0
-	var tick func()
-	tick = func() {
-		if sent >= samples {
-			return
-		}
-		sent++
+	return underLoad(rp, 5, size, offeredGbps, samples, func() {
 		sendTimes = append(sendTimes, rp.Engine().Now())
 		ep.Send(msg)
-		rp.Engine().After(rng.Exp(mean), tick)
-	}
-	t0 = rp.Engine().Now()
-	tick()
-	rp.Run()
-	dur := rp.Engine().Now() - t0
-	if dur <= 0 {
-		dur = 1
-	}
-	return lat.Median(), lat.Percentile(99), float64(rxBytes) * 8 / dur.Seconds() / 1e9
+	}, &lat, &rxBytes)
 }
 
 // fldrLocalLowLoadLatency measures the single-node FLD-R echo RTT: the
@@ -538,23 +493,8 @@ func fldrLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p9
 func fldrLocalLowLoadLatency(size, samples int) float64 {
 	inn := flexdriver.NewLocalInnova(flexdriver.WithDriver(genDriverParams()))
 	ep := fldrEchoBed(inn, inn.Drv, 64, 64)
-	var lat stats.Sample
-	var sentAt flexdriver.Time
 	msg := make([]byte, size)
-	n := 0
-	var fire func()
-	ep.OnMessage = func([]byte) {
-		lat.Add((inn.Engine().Now() - sentAt).Microseconds())
-		n++
-		if n < samples {
-			fire()
-		}
-	}
-	fire = func() {
-		sentAt = inn.Engine().Now()
-		ep.Send(msg)
-	}
-	fire()
-	inn.Run()
-	return lat.Median()
+	pp := &rig.PingPong{Eng: inn.Engine(), N: samples, Send: func() { ep.Send(msg) }}
+	ep.OnMessage = func([]byte) { pp.Reply() }
+	return pp.Run().Median()
 }

@@ -64,6 +64,25 @@ func TestIotSecurity(t *testing.T) {
 	requirePassed(t, IotInvalidTokensDropped(250*flexdriver.Microsecond))
 }
 
+// TestEchoBandwidthAppliesOptions passes a registry through WithTelemetry
+// to each mode: every node of every bed must report nonzero counters into
+// it, so no bed drops the caller's options.
+func TestEchoBandwidthAppliesOptions(t *testing.T) {
+	for mode, nodes := range map[EchoMode][]string{
+		FLDERemote: {"client", "server"}, FLDELocal: {"innova"},
+		FLDRRemote: {"client", "server"}, CPURemote: {"client", "server"},
+	} {
+		reg := flexdriver.NewRegistry()
+		EchoBandwidth(mode, []int{256}, 20*flexdriver.Microsecond, flexdriver.WithTelemetry(reg))
+		snap := reg.Snapshot()
+		for _, node := range nodes {
+			if snap.Sum(node+"/", "") == 0 {
+				t.Errorf("%v: no nonzero counter under %s/", mode, node)
+			}
+		}
+	}
+}
+
 // TestEchoBandwidthPointsSane: every measured point is positive and never
 // meaningfully exceeds its model (conservation sanity).
 func TestEchoBandwidthPointsSane(t *testing.T) {

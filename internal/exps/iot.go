@@ -83,15 +83,8 @@ func IotLineRate(window flexdriver.Duration) *Result {
 	for _, size := range []int{256, 512, 1024} {
 		rp, afu, port := iotBed(1, 0)
 		frame := iotFrame(size, 100, 10000, key, "dev0")
-		interval := flexdriver.Duration(float64(len(frame)*8) / 26.5e9 * float64(flexdriver.Second))
-		warmup := 150 * flexdriver.Microsecond
-		deadline := warmup + window + 100*flexdriver.Microsecond
-		rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() { port.Send(frame) })
-		rp.RunUntil(warmup)
-		start := afu.ValidBytes[1]
-		rp.RunUntil(warmup + window)
-		validated := float64(afu.ValidBytes[1]-start) * 8 / window.Seconds() / 1e9
-		rp.RunUntil(deadline)
+		validated := goodput(rp.Engine(), pointWarmup, window, float64(len(frame)), 26.5,
+			func() { port.Send(frame) }, func() int64 { return afu.ValidBytes[1] })
 		line := perfmodel.EthernetGoodput(25, size)
 		meets := validated >= 0.90*line
 		if !meets {
@@ -111,8 +104,7 @@ func IotInvalidTokensDropped(window flexdriver.Duration) *Result {
 	good := iotFrame(512, 100, 10000, []byte("tenant-0-secret"), "dev0")
 	forged := iotFrame(512, 100, 10001, []byte("attacker-key"), "dev0")
 	n := 0
-	deadline := window
-	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(2*flexdriver.Microsecond), func() {
+	rig.OpenLoop(rp.Engine(), 0, window, 1, rig.Every(2*flexdriver.Microsecond), func() {
 		if n%2 == 0 {
 			port.Send(good)
 		} else {
@@ -138,26 +130,21 @@ func IotIsolation(window flexdriver.Duration) *Result {
 	r := &Result{ID: "iot-isolation", Title: "IoT offload tenant isolation (Gbps admitted)"}
 	r.Columns = []string{"shaping", "tenant A (8G offered)", "tenant B (16G offered)"}
 
-	run := func(policerGbps float64) (a, b float64) {
+	run := func(policerGbps float64) (float64, float64) {
 		rp, afu, port := iotBed(2, policerGbps)
 		// Re-tune the AFU to a 12 Gbps capacity at this packet size.
 		size := 1024
 		afu.PerPacket = flexdriver.Duration(float64(8*size*8) / 12e9 * float64(flexdriver.Second))
 		frameA := iotFrame(size, 100, 10000, []byte("tenant-0-secret"), "devA")
 		frameB := iotFrame(size, 101, 20000, []byte("tenant-1-secret"), "devB")
-		intervalA := flexdriver.Duration(float64(size*8) / 8e9 * float64(flexdriver.Second))
-		intervalB := flexdriver.Duration(float64(size*8) / 16e9 * float64(flexdriver.Second))
-		warmup := 150 * flexdriver.Microsecond
-		deadline := warmup + window + 100*flexdriver.Microsecond
-		rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(intervalA), func() { port.Send(frameA) })
-		rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(intervalB), func() { port.Send(frameB) })
-		rp.RunUntil(warmup)
-		a0, b0 := afu.ValidBytes[1], afu.ValidBytes[2]
-		rp.RunUntil(warmup + window)
-		a = float64(afu.ValidBytes[1]-a0) * 8 / window.Seconds() / 1e9
-		b = float64(afu.ValidBytes[2]-b0) * 8 / window.Seconds() / 1e9
-		rp.RunUntil(deadline)
-		return a, b
+		stop := pointWarmup + window + pointDrain
+		rig.OpenLoop(rp.Engine(), 0, stop, 1, rig.Every(period(float64(size), 8)), func() { port.Send(frameA) })
+		rig.OpenLoop(rp.Engine(), 0, stop, 1, rig.Every(period(float64(size), 16)), func() { port.Send(frameB) })
+		var inA, inB int64
+		rig.Window(rp.Engine(), pointWarmup, window, pointDrain, func(bool) {
+			inA, inB = afu.ValidBytes[1]-inA, afu.ValidBytes[2]-inB
+		})
+		return gbps(inA, window), gbps(inB, window)
 	}
 
 	ua, ub := run(0)

@@ -45,7 +45,7 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 
 	reg := flexdriver.NewRegistry()
 	rec := reg.EnableRecorder(0) // default capacity
-	rp, port, _ := fldeRemoteBed(flexdriver.WithTelemetry(reg))
+	rp, port := fldeRemoteBed(flexdriver.WithTelemetry(reg))
 
 	achieved := measureEcho(rp.Engine(), port, 1024, 24, window)
 

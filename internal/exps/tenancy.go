@@ -184,8 +184,7 @@ func runTenancyPoint(seed int64, window flexdriver.Duration) tenancyPoint {
 		if tenants[i] == "C" {
 			startAt = reconfigAt
 		}
-		rig.OpenLoop(eng, startAt, stopSend, 1,
-			rig.Every(flexdriver.Duration(float64(size*8)/5e9*float64(flexdriver.Second))), c.Send)
+		rig.OpenLoop(eng, startAt, stopSend, 1, rig.Every(period(float64(size), 5)), c.Send)
 	}
 
 	// Pin every MAC so nothing floods: a flooded reply reaching the wrong
@@ -201,11 +200,9 @@ func runTenancyPoint(seed int64, window flexdriver.Duration) tenancyPoint {
 	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, srv.Recover)
 	cl.Quiesce(deadline, srv.Recover)
 
-	phase1 := (reconfigAt - warmup).Seconds()
-	phase2 := (stopSend - reconfigAt - settle).Seconds()
 	pt := tenancyPoint{
-		aGbps1:    float64(clients[0].rx1B) * 8 / phase1 / 1e9,
-		aGbps2:    float64(clients[0].rx2B) * 8 / phase2 / 1e9,
+		aGbps1:    gbps(clients[0].rx1B, reconfigAt-warmup),
+		aGbps2:    gbps(clients[0].rx2B, stopSend-reconfigAt-settle),
 		bRx1:      clients[1].rx1,
 		bRx2:      clients[1].rx2,
 		cRx:       clients[2].rx2,

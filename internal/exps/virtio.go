@@ -6,7 +6,6 @@ import (
 	"flexdriver/internal/fldvirtio"
 	"flexdriver/internal/hostmem"
 	"flexdriver/internal/pcie"
-	"flexdriver/internal/rig"
 	"flexdriver/internal/virtio"
 )
 
@@ -38,19 +37,10 @@ func VirtioEchoGoodput(size int, offeredGbps float64, window flexdriver.Duration
 	virtio.ConnectLink(devA, devB, 25*flexdriver.Gbps, 500*flexdriver.Nanosecond)
 
 	var rxBytes int64
-	measuring := false
-	client.OnReceive = func(f []byte) {
-		if measuring {
-			rxBytes += int64(len(f))
-		}
-	}
+	client.OnReceive = func(f []byte) { rxBytes += int64(len(f)) }
 	frame := make([]byte, size)
-	interval := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	warmup := 150 * flexdriver.Microsecond
-	deadline := warmup + window + 100*flexdriver.Microsecond
-	rig.OpenLoop(eng, 0, deadline, 1, rig.Every(interval), func() { client.Send(frame) })
-	rig.Window(eng, warmup, window, deadline-warmup-window, &measuring)
-	return float64(rxBytes) * 8 / window.Seconds() / 1e9
+	return goodput(eng, pointWarmup, window, float64(size), offeredGbps,
+		func() { client.Send(frame) }, func() int64 { return rxBytes })
 }
 
 // Portability compares the same echo AFU over the two NIC contracts: the

@@ -7,13 +7,12 @@ import (
 	"flexdriver/internal/accel/zuc"
 	"flexdriver/internal/perfmodel"
 	"flexdriver/internal/rig"
-	"flexdriver/internal/sim"
 	"flexdriver/internal/stats"
 )
 
 // zucBed builds the §7 disaggregated-cipher topology: client cryptodev
 // driver over FLD-R to an 8-lane ZUC AFU.
-func zucBed() (*flexdriver.RemotePair, *zuc.AFU, *zuc.Cryptodev) {
+func zucBed() (*flexdriver.RemotePair, *zuc.Cryptodev) {
 	rp := flexdriver.NewRemotePair(flexdriver.WithDriver(genDriverParams()))
 	rsrv := flexdriver.NewRServer(rp.Server.RT)
 	rsrv.Listen("zuc")
@@ -25,7 +24,7 @@ func zucBed() (*flexdriver.RemotePair, *zuc.AFU, *zuc.Cryptodev) {
 	if err != nil {
 		panic(err)
 	}
-	return rp, afu, zuc.NewCryptodev(rp.Engine(), ep)
+	return rp, zuc.NewCryptodev(rp.Engine(), ep)
 }
 
 // softBaseline returns the CPU cryptodev calibrated to the paper's
@@ -37,39 +36,20 @@ func softBaseline(eng *flexdriver.Engine) *zuc.SoftCryptodev {
 	return sc
 }
 
-// ZucPoint is one Figure 8a sample.
-type ZucPoint struct {
-	Size                        int
-	FLDGbps, CPUGbps, ModelGbps float64
-}
-
 // zucThroughputAt measures the remote accelerator's encryption goodput at
 // one request size.
 func zucThroughputAt(size int, window flexdriver.Duration) float64 {
-	rp, _, cd := zucBed()
+	rp, cd := zucBed()
 	key := [16]byte{1, 2, 3}
 	data := make([]byte, size)
-
-	model := perfmodel.DefaultZucModel().Goodput(size)
-	offered := 1.05 * model
-	interval := flexdriver.Duration(float64(size*8) / (offered * 1e9) * float64(flexdriver.Second))
-
 	var doneBytes int64
-	measuring := false
+	done := func(*zuc.Op) { doneBytes += int64(size) }
 	count := uint32(0)
-	warmup := 150 * flexdriver.Microsecond
-	deadline := warmup + window + 150*flexdriver.Microsecond
-	rig.OpenLoop(rp.Engine(), 0, deadline, 1, rig.Every(interval), func() {
+	offered := 1.05 * perfmodel.DefaultZucModel().Goodput(size)
+	return goodput(rp.Engine(), pointWarmup, window, float64(size), offered, func() {
 		count++
-		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: count, Data: data,
-			Done: func(o *zuc.Op) {
-				if measuring {
-					doneBytes += int64(size)
-				}
-			}})
-	})
-	rig.Window(rp, warmup, window, deadline-warmup-window, &measuring)
-	return float64(doneBytes) * 8 / window.Seconds() / 1e9
+		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: count, Data: data, Done: done})
+	}, func() int64 { return doneBytes })
 }
 
 // zucCPUThroughputAt measures the local software driver at one size.
@@ -92,53 +72,36 @@ func zucCPUThroughputAt(size int, window flexdriver.Duration) float64 {
 					if measuring {
 						doneBytes += int64(size)
 					}
-					if eng.Now() < 2*window {
-						submit()
-					}
+					submit()
 				}})
 		}
 	}
 	submit()
-	warmup := 20 * flexdriver.Microsecond
-	eng.RunUntil(warmup)
-	measuring = true
-	eng.RunUntil(warmup + window)
-	measuring = false
-	eng.Run()
-	return float64(doneBytes) * 8 / window.Seconds() / 1e9
+	rig.Window(eng, 20*flexdriver.Microsecond, window, pointDrain, func(open bool) { measuring = open })
+	return gbps(doneBytes, window)
 }
 
 // Fig8a reproduces the ZUC encryption throughput comparison.
 func Fig8a(sizes []int, window flexdriver.Duration) *Result {
 	r := &Result{ID: "fig8a", Title: "Disaggregated ZUC throughput vs request size"}
 	r.Columns = []string{"size", "model Gbps", "FLD Gbps", "CPU Gbps", "FLD/CPU"}
-	var pts []ZucPoint
+	var at512 []float64
 	for _, s := range sizes {
-		p := ZucPoint{
-			Size:      s,
-			ModelGbps: perfmodel.DefaultZucModel().Goodput(s),
-			FLDGbps:   zucThroughputAt(s, window),
-			CPUGbps:   zucCPUThroughputAt(s, window),
+		model := perfmodel.DefaultZucModel().Goodput(s)
+		fld, cpu := zucThroughputAt(s, window), zucCPUThroughputAt(s, window)
+		r.AddRow(d0(s), f2(model), f2(fld), f2(cpu), f2(fld/cpu))
+		// Paper: >= 512 B requests reach 17.6 Gbps = 89% of the model's
+		// expectation and 4x the CPU.
+		if s >= 512 {
+			r.Check(fmt.Sprintf("FLD fraction of model @%dB", s), 0.89, fld/model, "", fld/model > 0.80, "")
+			r.Check(fmt.Sprintf("FLD/CPU speedup @%dB", s), 4, fld/cpu, "x", fld/cpu > 3 && fld/cpu < 6, "")
 		}
-		pts = append(pts, p)
-		r.AddRow(d0(p.Size), f2(p.ModelGbps), f2(p.FLDGbps), f2(p.CPUGbps), f2(p.FLDGbps/p.CPUGbps))
+		if s == 512 {
+			at512 = append(at512, fld)
+		}
 	}
-	// Paper: >= 512 B requests reach 17.6 Gbps = 89% of the model's
-	// expectation and 4x the CPU.
-	for _, p := range pts {
-		if p.Size < 512 {
-			continue
-		}
-		frac := p.FLDGbps / p.ModelGbps
-		r.Check(fmt.Sprintf("FLD fraction of model @%dB", p.Size), 0.89, frac, "", frac > 0.80, "")
-		speedup := p.FLDGbps / p.CPUGbps
-		r.Check(fmt.Sprintf("FLD/CPU speedup @%dB", p.Size), 4, speedup, "x", speedup > 3 && speedup < 6, "")
-	}
-	// 512 B absolute throughput.
-	for _, p := range pts {
-		if p.Size == 512 {
-			r.Check("FLD throughput @512B", 17.6, p.FLDGbps, "Gbps", within(p.FLDGbps, 17.6, 0.15), "")
-		}
+	for _, fld := range at512 {
+		r.Check("FLD throughput @512B", 17.6, fld, "Gbps", within(fld, 17.6, 0.15), "")
 	}
 	return r
 }
@@ -169,47 +132,35 @@ func Fig8b(fractions []float64, perPoint int) *Result {
 }
 
 func zucLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99Us, achievedGbps float64) {
-	rp, _, cd := zucBed()
+	rp, cd := zucBed()
 	key := [16]byte{9}
 	data := make([]byte, size)
 	var lat stats.Sample
 	var bytes int64
-	mean := flexdriver.Duration(float64(size*8) / (offeredGbps * 1e9) * float64(flexdriver.Second))
-	rng := sim.NewRand(3)
-	sent := 0
-	t0 := rp.Engine().Now()
-	var tick func()
-	tick = func() {
-		if sent >= samples {
-			return
-		}
+	sent := uint32(0)
+	return underLoad(rp, 3, size, offeredGbps, samples, func() {
 		sent++
-		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: uint32(sent), Data: data,
+		cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: sent, Data: data,
 			Done: func(o *zuc.Op) {
 				lat.Add((o.DoneAt - o.SubmittedAt).Microseconds())
 				bytes += int64(size)
 			}})
-		rp.Engine().After(rng.Exp(mean), tick)
-	}
-	tick()
-	rp.Run()
-	dur := rp.Engine().Now() - t0
-	if dur <= 0 {
-		dur = 1
-	}
-	return lat.Median(), lat.Percentile(99), float64(bytes) * 8 / dur.Seconds() / 1e9
+	}, &lat, &bytes)
 }
 
+// zucCPULatency is the software cipher's op latency, one op in flight:
+// the ping-pong's round trip is the op's DoneAt − SubmittedAt.
 func zucCPULatency(size int, samples int) float64 {
 	eng := flexdriver.NewEngine()
 	sc := softBaseline(eng)
 	key := [16]byte{9}
 	data := make([]byte, size)
-	var lat stats.Sample
-	for i := 0; i < samples; i++ {
-		sc.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: uint32(i), Data: data,
-			Done: func(o *zuc.Op) { lat.Add((o.DoneAt - o.SubmittedAt).Microseconds()) }})
-		eng.Run()
+	pp := &rig.PingPong{Eng: eng, N: samples}
+	count := uint32(0)
+	pp.Send = func() {
+		sc.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: count, Data: data,
+			Done: func(*zuc.Op) { pp.Reply() }})
+		count++
 	}
-	return lat.Median()
+	return pp.Run().Median()
 }

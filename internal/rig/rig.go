@@ -1,10 +1,12 @@
-// Package rig is the one place that knows how a cluster run is assembled
-// and phased. Every switched experiment — the scenario fuzzer's generated
-// runs and the exps cluster, chaos, failover, tenancy and kvserve
-// reproductions — is the same five stages:
+// Package rig is the one place that knows how a run is assembled, phased
+// and sampled. Every experiment — the scenario fuzzer's generated runs,
+// the exps cluster, chaos, failover, tenancy and kvserve reproductions,
+// and the paper's back-to-back ones on a facade pair or node — is drawn
+// from the same five stages:
 //
 //	rack      New, AddServer / ManageTenants, AddClient / AddAggregatedClient, PinFDB
-//	load      OpenLoop over Client.Send (or the aggregated source's own clock)
+//	load      OpenLoop (OpenLoopN ends on a count) over Client.Send or any send;
+//	          PingPong keeps one request in flight
 //	supervise Supervise: a watchdog Control sweeping every recovery loop
 //	quiesce   Quiesce (or Window for measured, fault-free points)
 //	judge     Ledger.Tally, Reconcile, the caller's own checks
@@ -289,18 +291,6 @@ func (r *Rig) Quiesce(deadline sim.Time, sweep func()) {
 	r.Run()
 	r.pass(sweep)
 	r.Run()
-}
-
-// Window is the measured run's phasing on anything that advances
-// simulated time (an engine, a node, a cluster): *measuring is true
-// exactly during [warmup, warmup+window), then the drain. The flag flips
-// between RunUntil calls, when nothing is executing.
-func Window(r interface{ RunUntil(sim.Time) }, warmup, window, drain sim.Duration, measuring *bool) {
-	r.RunUntil(warmup)
-	*measuring = true
-	r.RunUntil(warmup + window)
-	*measuring = false
-	r.RunUntil(warmup + window + drain)
 }
 
 // TailDrops sums the switch's output-queue tail drops over every port.

@@ -64,12 +64,15 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// TestOpenLoopMatchesClosures pins the source against the hand-rolled
-// senders it replaced, in workload_test.go's equivalence style: the same
+// TestOpenLoopMatchesClosures pins the sources against the hand-rolled
+// senders they replaced, in workload_test.go's equivalence style: the same
 // seed must yield the same send instants in the same order, because the
 // fixed-seed goldens hash everything downstream of them. The reference
 // closures are the pre-rig code verbatim: burst draw before the first
-// gap, sends before the reschedule draw.
+// gap, sends before the reschedule draw; the count-ended one (the latency
+// sweeps' loop) sent its first frame synchronously and stopped after n.
+// Both sides must also leave their stream at the same draw and their
+// engine idle at the same instant.
 func TestOpenLoopMatchesClosures(t *testing.T) {
 	const stop = 40 * sim.Microsecond
 	mean := 700 * sim.Nanosecond
@@ -81,9 +84,15 @@ func TestOpenLoopMatchesClosures(t *testing.T) {
 		name   string
 		bursty bool
 		fixed  bool
-	}{{"poisson", false, false}, {"bursty", true, false}, {"fixed", false, true}} {
+		count  int
+	}{{"poisson", false, false, 0}, {"bursty", true, false, 0}, {"fixed", false, true, 0}, {"count", false, false, 57}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := func() (out []sent) {
+			type run struct {
+				out  []sent
+				end  sim.Time
+				next sim.Duration
+			}
+			ref := func() (r run) {
 				eng := sim.NewEngine()
 				rng := sim.NewRand(99)
 				burst := 1
@@ -99,19 +108,31 @@ func TestOpenLoopMatchesClosures(t *testing.T) {
 				}
 				n := 0
 				var tick func()
-				tick = func() {
-					if eng.Now() >= stop {
-						return
-					}
-					for b := 0; b < burst; b++ {
-						out = append(out, sent{eng.Now(), n})
+				if tc.count > 0 {
+					tick = func() {
+						if n >= tc.count {
+							return
+						}
+						r.out = append(r.out, sent{eng.Now(), n})
 						n++
+						eng.After(rng.Exp(mean), tick)
+					}
+					tick()
+				} else {
+					tick = func() {
+						if eng.Now() >= stop {
+							return
+						}
+						for b := 0; b < burst; b++ {
+							r.out = append(r.out, sent{eng.Now(), n})
+							n++
+						}
+						eng.After(next(), tick)
 					}
 					eng.After(next(), tick)
 				}
-				eng.After(next(), tick)
 				eng.Run()
-				return out
+				return run{r.out, eng.Now(), next()}
 			}()
 
 			var got []sent
@@ -126,22 +147,28 @@ func TestOpenLoopMatchesClosures(t *testing.T) {
 				gap = Every(mean)
 			}
 			n := 0
-			OpenLoop(eng, gap(), stop, burst, gap, func() {
+			send := func() {
 				got = append(got, sent{eng.Now(), n})
 				n++
-			})
+			}
+			if tc.count > 0 {
+				OpenLoopN(eng, tc.count, gap, send)
+			} else {
+				OpenLoop(eng, gap(), stop, burst, gap, send)
+			}
 			eng.Run()
 
-			if len(got) != len(ref) || len(ref) < 20 {
-				t.Fatalf("source sent %d frames, closures %d", len(got), len(ref))
+			if len(got) != len(ref.out) || len(ref.out) < 20 || (tc.count > 0 && len(got) != tc.count) {
+				t.Fatalf("source sent %d frames, closures %d", len(got), len(ref.out))
 			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("send %d: source %+v, closures %+v", i, got[i], ref[i])
+			for i := range ref.out {
+				if got[i] != ref.out[i] {
+					t.Fatalf("send %d: source %+v, closures %+v", i, got[i], ref.out[i])
 				}
 			}
-			if eng.Pending() != 0 {
-				t.Fatal("source left events behind after its stop line")
+			if eng.Pending() != 0 || eng.Now() != ref.end || gap() != ref.next {
+				t.Fatalf("source ended at %v with %d pending, closures at %v; next draw differs: %v",
+					eng.Now(), eng.Pending(), ref.end, gap() != ref.next)
 			}
 		})
 	}
@@ -209,16 +236,60 @@ func TestEchoRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWindowFlag(t *testing.T) {
-	eng := sim.NewEngine()
-	measuring := false
-	var seen []bool
-	for _, at := range []sim.Time{5, 10, 15, 20, 25} {
-		eng.After(at*sim.Microsecond, func() { seen = append(seen, measuring) })
+// TestWindowEdges phases one run for a flag reader and one for a counter
+// reader: both must see the edges at warmup and warmup+window, the same
+// two of the five events inside, and the run end after the drain.
+func TestWindowEdges(t *testing.T) {
+	for _, flag := range []bool{true, false} {
+		eng := sim.NewEngine()
+		measuring := false
+		var fired, inside int64
+		for _, at := range []sim.Time{5, 10, 15, 20, 25} {
+			eng.After(at*sim.Microsecond, func() {
+				fired++
+				if measuring {
+					inside++
+				}
+			})
+		}
+		var edges []sim.Time
+		Window(eng, 8*sim.Microsecond, 10*sim.Microsecond, 3*sim.Microsecond, func(open bool) {
+			edges = append(edges, eng.Now())
+			if flag {
+				measuring = open
+			} else {
+				inside = fired - inside
+			}
+		})
+		if inside != 2 || fired != 4 || measuring || eng.Now() != 21*sim.Microsecond ||
+			fmt.Sprint(edges) != fmt.Sprint([]sim.Time{8 * sim.Microsecond, 18 * sim.Microsecond}) {
+			t.Fatalf("flag=%v: inside=%d fired=%d measuring=%v now=%v edges=%v", flag, inside, fired, measuring, eng.Now(), edges)
+		}
 	}
-	Window(eng, 8*sim.Microsecond, 10*sim.Microsecond, 3*sim.Microsecond, &measuring)
-	if fmt.Sprint(seen) != "[false true true false]" || measuring || eng.Now() != 21*sim.Microsecond {
-		t.Fatalf("seen=%v measuring=%v now=%v", seen, measuring, eng.Now())
+}
+
+// TestPingPong drives the probe against a server that answers after a
+// growing delay: the first warm round trips are dropped, exactly n are
+// recorded, and a request is never sent while one is in flight.
+func TestPingPong(t *testing.T) {
+	eng := sim.NewEngine()
+	const warm, n = 3, 7
+	inFlight, maxInFlight, sends := 0, 0, 0
+	pp := &PingPong{Eng: eng, Warm: warm, N: n}
+	pp.Send = func() {
+		sends++
+		inFlight++
+		maxInFlight = max(maxInFlight, inFlight)
+		eng.After(sim.Duration(sends)*sim.Microsecond, func() {
+			inFlight--
+			pp.Reply()
+		})
+	}
+	rtts := pp.Run()
+	want := []float64{4, 5, 6, 7, 8, 9, 10} // µs: the warm-up took 1, 2 and 3
+	if sends != warm+n || maxInFlight != 1 || fmt.Sprint(rtts.Values()) != fmt.Sprint(want) || eng.Pending() != 0 {
+		t.Fatalf("sends=%d max in flight=%d rtts=%v pending=%d; want %d, 1, %v, 0",
+			sends, maxInFlight, rtts.Values(), eng.Pending(), warm+n, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package rig
 import (
 	"flexdriver/internal/faults"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/stats"
 )
 
 // Poisson draws i.i.d. exponential gaps of the given mean off rng.
@@ -15,6 +16,31 @@ func Every(d sim.Duration) func() sim.Duration {
 	return func() sim.Duration { return d }
 }
 
+// source is one open-loop arrival process; OpenLoop and OpenLoopN differ
+// only in what ends it.
+type source struct {
+	eng   *sim.Engine
+	stop  sim.Time // a tick at or after stop sends nothing
+	ticks int      // ticks left to send on; negative for no count
+	burst int
+	gap   func() sim.Duration
+	send  func()
+}
+
+// tick calls send burst times back to back and only then draws the gap
+// to the next tick, unless the source has ended.
+func tick(arg any) {
+	s := arg.(*source)
+	if s.eng.Now() >= s.stop || s.ticks == 0 {
+		return
+	}
+	s.ticks--
+	for b := 0; b < s.burst; b++ {
+		s.send()
+	}
+	s.eng.AfterArg(s.gap(), tick, s)
+}
+
 // OpenLoop drives send from an open-loop arrival process on eng: the
 // first tick fires `first` from now; every tick calls send burst times
 // back to back and only then draws the gap to the next; a tick at or
@@ -23,17 +49,62 @@ func Every(d sim.Duration) func() sim.Duration {
 // draw (a burst length) the stream owes first, so a given seed keeps its
 // arrival instants.
 func OpenLoop(eng *sim.Engine, first sim.Duration, stop sim.Time, burst int, gap func() sim.Duration, send func()) {
-	var tick func()
-	tick = func() {
-		if eng.Now() >= stop {
-			return
-		}
-		for b := 0; b < burst; b++ {
-			send()
-		}
-		eng.After(gap(), tick)
+	eng.AfterArg(first, tick, &source{eng: eng, stop: stop, ticks: -1, burst: burst, gap: gap, send: send})
+}
+
+// OpenLoopN is OpenLoop ended by a count instead of a deadline: n sends,
+// the first now, each followed by its gap draw (the tick after the last
+// sends nothing), so n sends cost n draws.
+func OpenLoopN(eng *sim.Engine, n int, gap func() sim.Duration, send func()) {
+	eng.AfterArg(0, tick, &source{eng: eng, stop: 1<<63 - 1, ticks: n, burst: 1, gap: gap, send: send})
+}
+
+// Window is the measured run's phasing on anything that advances
+// simulated time (an engine, a node, a cluster): run to warmup, edge(true),
+// run to warmup+window, edge(false), then the drain. The edges fire
+// between RunUntil calls, when nothing is executing, so a flag reader
+// (measuring = open) and a counter reader (in = count − in, which leaves
+// in holding the count's advance) see the same events inside the window.
+func Window(r interface{ RunUntil(sim.Time) }, warmup, window, drain sim.Duration, edge func(open bool)) {
+	r.RunUntil(warmup)
+	edge(true)
+	r.RunUntil(warmup + window)
+	edge(false)
+	r.RunUntil(warmup + window + drain)
+}
+
+// PingPong is the closed-loop latency probe on Eng: Send issues one
+// request, and the caller's reply handler calls Reply, which closes the
+// round trip in flight and fires the next, until N are recorded past the
+// first Warm.
+type PingPong struct {
+	Eng     *sim.Engine
+	Warm, N int
+	Send    func()
+	sentAt  sim.Time
+	seen    int
+	rtts    stats.Sample
+}
+
+// Reply closes the round trip in flight; the caller's reply handler calls
+// it.
+func (p *PingPong) Reply() {
+	if p.seen++; p.seen > p.Warm {
+		p.rtts.Add((p.Eng.Now() - p.sentAt).Microseconds())
 	}
-	eng.After(first, tick)
+	if p.rtts.N() < p.N {
+		p.sentAt = p.Eng.Now()
+		p.Send()
+	}
+}
+
+// Run fires the first request, runs Eng until the loop ends and returns
+// the recorded round trips in µs.
+func (p *PingPong) Run() *stats.Sample {
+	p.sentAt = p.Eng.Now()
+	p.Send()
+	p.Eng.Run()
+	return &p.rtts
 }
 
 // Span is one host's share of a population split: N members starting at
