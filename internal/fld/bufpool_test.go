@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"flexdriver/internal/nic"
 )
 
 func TestPagePoolAllocRead(t *testing.T) {
@@ -109,51 +111,49 @@ func TestPagePoolChurnNeverLosesPages(t *testing.T) {
 	}
 }
 
-// TestSRAMMatchesFlatSlice drives the lazy store and the flat slice it
-// replaced with the same accesses: unwritten bytes read as zero, an access
-// straddling a granule boundary round-trips, an access past the end clips
-// exactly as copy does (the tail of dst stays untouched), and only written
-// granules exist.
+// TestSRAMMatchesFlatSlice drives the receive SRAM from both of its
+// sides, the NIC's placements into the BAR and the CQE path's copy-out,
+// against a flat slice of the same size: a placement straddling a granule
+// round-trips with zeros on either side, one running off the end of the
+// buffer clips as copy does, and a CQE whose address lies outside the
+// buffer streams zeros where it used to panic. hostmem's FuzzStore is the
+// store's own oracle.
 func TestSRAMMatchesFlatSlice(t *testing.T) {
-	const size = 2*sramGranule + 1000 // partial last granule
-	s, flat := newSRAM(size), make([]byte, size)
-	check := func(off, n int) {
-		t.Helper()
-		got, want := bytes.Repeat([]byte{0xAA}, n), bytes.Repeat([]byte{0xAA}, n)
-		s.read(got, off)
-		copy(want, flat[off:])
-		if !bytes.Equal(got, want) {
-			t.Fatalf("read(%d, %d) differs from the flat slice", off, n)
-		}
-	}
-	write := func(off int, data []byte) {
-		s.write(off, data)
+	eng, _, f := newFLD(t, DefaultConfig())
+	f.ConfigureRx(2, f.RxBufCount())
+	var got []byte
+	f.SetHandler(HandlerFunc(func(data []byte, _ Metadata) { got = data }))
+	size := f.cfg.RxBufBytes
+	flat := make([]byte, size)
+	place := func(off int, data []byte) {
+		f.MMIOWrite(f.rxBufBase+uint64(off), data)
 		copy(flat[off:], data)
 	}
-
-	check(0, size) // nothing written: all zero
-	for _, g := range s.granules {
-		if g != nil {
-			t.Fatal("a read materialised a granule")
+	check := func(off uint64, n int) {
+		t.Helper()
+		cqe := nic.CQE{Opcode: nic.CQERecv, Last: true, Queue: 2, ByteCount: uint32(n),
+			Addr: f.port.Base() + f.rxBufBase + off}
+		f.MMIOWrite(f.rxCQBase, cqe.Marshal())
+		eng.Run()
+		want := make([]byte, n)
+		if off < uint64(size) {
+			copy(want, flat[off:])
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("copy-out of %d bytes at %d differs from the flat slice", n, off)
 		}
 	}
 
+	check(0, 1500) // nothing placed: all zero
 	pat := make([]byte, 3000)
 	for i := range pat {
 		pat[i] = byte(i*7 + 1)
 	}
-	write(sramGranule-1500, pat) // straddles granules 0 and 1
-	check(sramGranule-1500, len(pat))
-	check(sramGranule-2000, 4000) // zero bytes on both sides
-	if s.granules[0] == nil || s.granules[1] == nil || s.granules[2] != nil {
-		t.Fatal("granules 0 and 1 should exist, 2 should not")
-	}
-
-	write(size-100, pat) // clips at the end
-	check(size-200, 500)
-	check(size, 10) // empty read at the very end
-	check(0, size)
-	if len(s.granules[2]) != 1000 {
-		t.Fatalf("last granule holds %d bytes, want 1000", len(s.granules[2]))
-	}
+	place(1024-700, pat) // straddles three granules
+	check(1024-700, len(pat))
+	check(100, 4000)     // zero bytes on both sides
+	place(size-100, pat) // clips at the end
+	check(uint64(size)-200, 500)
+	check(uint64(size)+10, 64) // starts past the end
+	check(^uint64(0)-63, 64)   // below the buffer: the offset wraps
 }

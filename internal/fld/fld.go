@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"flexdriver/internal/cuckoo"
+	"flexdriver/internal/hostmem"
 	"flexdriver/internal/nic"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
@@ -100,7 +101,7 @@ type FLD struct {
 	queues   []*txQueue
 
 	// Receive state.
-	rxMem        sram
+	rxMem        hostmem.Store
 	rxRQN        uint32
 	rxEntries    int
 	rxPI         uint32
@@ -187,7 +188,7 @@ func New(eng *sim.Engine, cfg Config) *FLD {
 	for i := 0; i < cfg.NumTxQueues; i++ {
 		f.queues = append(f.queues, &txQueue{})
 	}
-	f.rxMem = newSRAM(cfg.RxBufBytes)
+	f.rxMem = hostmem.NewStore(uint64(cfg.RxBufBytes))
 	f.txPipe = sim.NewResource(eng)
 	f.rxPipe = sim.NewResource(eng)
 	return f
@@ -550,7 +551,7 @@ func (f *FLD) MMIOWrite(offset uint64, data []byte) {
 	}
 	switch {
 	case offset >= f.rxBufBase && offset < f.rxBufBase+uint64(f.cfg.RxBufBytes):
-		f.rxMem.write(int(offset-f.rxBufBase), data)
+		f.rxMem.Write(offset-f.rxBufBase, data)
 	case offset >= f.txCQBase && offset < f.txCQBase+uint64(f.cfg.CQEntries)*nic.CQESize:
 		if c, err := nic.ParseCQE(data); err == nil {
 			f.handleTxCQE(c)
@@ -709,7 +710,7 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	// through the paced pipeline.
 	off := c.Addr - (f.port.Base() + f.rxBufBase)
 	data := make([]byte, rec.ByteCount)
-	f.rxMem.read(data, int(off))
+	f.rxMem.Read(data, off)
 	md := Metadata{
 		Queue:      int(rec.Queue),
 		Tag:        rec.FlowTag,

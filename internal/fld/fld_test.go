@@ -183,7 +183,7 @@ func TestRxBufferWriteLandsInSRAM(t *testing.T) {
 	data := []byte{9, 8, 7, 6, 5}
 	f.MMIOWrite(f.rxBufBase+100, data)
 	got := make([]byte, len(data))
-	f.rxMem.read(got, 100)
+	f.rxMem.Read(got, 100)
 	if !bytes.Equal(got, data) {
 		t.Fatal("rx SRAM write misrouted")
 	}

@@ -32,39 +32,41 @@ func TestZeroFill(t *testing.T) {
 func TestReadsDoNotMaterialisePages(t *testing.T) {
 	m := New("host", 1<<24)
 	m.WriteAt(10, []byte{1, 2, 3})
-	pages := len(m.pages)
-	// Untouched pages, and a span from the written page into untouched ones.
-	got := m.ReadAt(5*pageSize-8, 2*pageSize)
-	got = append(got, m.MMIORead(8, 3*pageSize)...)
+	if got := m.mem.materialised(); got != granule {
+		t.Fatalf("a 3-byte write materialised %d bytes, want one granule", got)
+	}
+	// Untouched windows, and a span from the written granule into untouched ones.
+	got := m.ReadAt(5*window-8, 2*window)
+	got = append(got, m.MMIORead(8, 3*window)...)
 	dst := bytes.Repeat([]byte{0xee}, 64)
-	m.ReadInto(9*pageSize+1, dst)
+	m.ReadInto(9*window+1, dst)
 	got = append(got, dst...)
 	for i, b := range got {
-		if want := map[int]byte{2*pageSize + 2: 1, 2*pageSize + 3: 2, 2*pageSize + 4: 3}[i]; b != want {
+		if want := map[int]byte{2*window + 2: 1, 2*window + 3: 2, 2*window + 4: 3}[i]; b != want {
 			t.Fatalf("byte %d reads %#x, want %#x", i, b, want)
 		}
 	}
-	if len(m.pages) != pages {
-		t.Fatalf("reads grew the backing store from %d to %d pages", pages, len(m.pages))
+	if got := m.mem.materialised(); got != granule {
+		t.Fatalf("reads grew the backing store from %d to %d bytes", granule, got)
 	}
-	if avg := testing.AllocsPerRun(100, func() { m.ReadAt(3*pageSize-100, 4096) }); avg > 1 {
+	if avg := testing.AllocsPerRun(100, func() { m.ReadAt(3*window-100, 4096) }); avg > 1 {
 		t.Fatalf("ReadAt: %.1f allocations, want at most 1 (the result)", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { m.ReadInto(3*pageSize-100, dst) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { m.ReadInto(3*window-100, dst) }); avg != 0 {
 		t.Fatalf("ReadInto: %.1f allocations, want 0", avg)
 	}
 }
 
 func TestCrossPageAccess(t *testing.T) {
 	m := New("host", 1<<20)
-	data := make([]byte, 3*pageSize/2)
+	data := make([]byte, 3*window/2)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	off := uint64(pageSize - 100)
+	off := uint64(window - 100)
 	m.WriteAt(off, data)
 	if got := m.ReadAt(off, len(data)); !bytes.Equal(got, data) {
-		t.Fatal("cross-page round trip failed")
+		t.Fatal("cross-window round trip failed")
 	}
 }
 
@@ -111,8 +113,8 @@ func TestWrappingSpanPanics(t *testing.T) {
 			}()
 			tc.f()
 		}()
-		if len(m.pages) != 0 || m.Used() != 0x1000 {
-			t.Fatalf("%s: left %d pages and cursor %#x behind", tc.msg, len(m.pages), m.Used())
+		if m.mem.materialised() != 0 || m.Used() != 0x1000 {
+			t.Fatalf("%s: left %d bytes and cursor %#x behind", tc.msg, m.mem.materialised(), m.Used())
 		}
 	}
 }
