@@ -126,7 +126,7 @@ func failoverRun(window flexdriver.Duration) (*Result, string) {
 	// (a crashed device cannot DMA the CQE that would announce them).
 	sweep := func() {
 		for _, srv := range servers {
-			srv.Recover()
+			srv.Kick()
 		}
 	}
 	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, sweep)

@@ -197,8 +197,8 @@ func runTenancyPoint(seed int64, window flexdriver.Duration) tenancyPoint {
 			panic(err)
 		}
 	})
-	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, srv.Recover)
-	cl.Quiesce(deadline, srv.Recover)
+	cl.Supervise(warmup, 20*flexdriver.Microsecond, deadline, srv.Kick)
+	cl.Quiesce(deadline, srv.Kick)
 
 	pt := tenancyPoint{
 		aGbps1:    gbps(clients[0].rx1B, reconfigAt-warmup),

@@ -87,10 +87,13 @@ func (f *FLD) Restart() {
 // posted is how many buffers the NIC currently holds (rq.Posted());
 // buffers the NIC consumed while the FLD was down were completed with
 // CQEs nobody saw, so the FLD reposts the difference to return the
-// ring to full capacity.
+// ring to full capacity. A ring Start never armed has none to restore.
 func (f *FLD) ResyncRx(posted int) {
 	f.rxCurBuf = -1
 	f.rxCurStrides = 0
+	if !f.rxArmed {
+		return
+	}
 	if missing := f.RxBufCount() - posted; missing > 0 {
 		f.rxPI += uint32(missing)
 	}

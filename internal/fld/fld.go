@@ -105,6 +105,7 @@ type FLD struct {
 	rxRQN        uint32
 	rxEntries    int
 	rxPI         uint32
+	rxArmed      bool  // Start has posted the ring
 	rxCurBuf     int32 // ring index of the buffer the NIC is filling (-1: none)
 	rxCurStrides int   // strides consumed in that buffer
 
@@ -266,6 +267,7 @@ func (f *FLD) ConfigureRx(nicRQN uint32, rxEntries int) {
 // every buffer.
 func (f *FLD) Start() {
 	f.rxPI = uint32(f.RxBufCount())
+	f.rxArmed = true
 	f.writeRQDoorbell()
 }
 

@@ -133,6 +133,9 @@ func (vf *VF) VPort() *VPort { return vf.vport }
 // Weight returns the VF's ETS share.
 func (vf *VF) Weight() int { return vf.weight }
 
+// Destroyed reports whether DestroyVF has torn the function down.
+func (vf *VF) Destroyed() bool { return vf.destroyed }
+
 // SetWeight re-slices the VF's ETS share live; frames already queued
 // keep their accumulated deficit, new rounds accrue at the new weight.
 func (vf *VF) SetWeight(w int) {

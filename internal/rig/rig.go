@@ -24,12 +24,10 @@ import (
 	"flexdriver/internal/swdriver"
 )
 
-// Rig is a switched testbed under construction or running: the cluster,
-// the telemetry registry every node reports into, and the supervision
-// ladders the watchdog kicks.
+// Rig is a switched testbed under construction or running: the cluster
+// and the telemetry registry every node reports into.
 type Rig struct {
 	*flexdriver.Cluster
-	sups []*flexdriver.Supervisor
 }
 
 // New starts an empty rig with a fresh telemetry registry (Telemetry
@@ -84,11 +82,13 @@ func (s *Server) Steer(rule flexdriver.Rule) {
 	s.NIC.ESwitch().AddRule(0, rule)
 }
 
-// Recover scans every core for silently errored queues (a crashed device
-// cannot DMA the CQE that would announce them).
-func (s *Server) Recover() {
+// Kick is the watchdog edge of every core's recovery ladder: a core with
+// a silently errored queue (a crashed device cannot DMA the CQE that
+// would announce it), or a crash it has not resynchronised from, opens an
+// episode.
+func (s *Server) Kick() {
 	for _, rt := range s.RTs {
-		rt.Recover()
+		rt.Kick()
 	}
 }
 
@@ -152,12 +152,12 @@ func (t *Tenants) EachRuntime(visit func(tenant string, i int, rt *flexdriver.Ru
 	}
 }
 
-// Recover scans the PF's and every tenant's runtime for silently errored
-// queues and re-kicks the reconciler in case an episode was abandoned
+// Kick is the node's watchdog edge: the PF's and every tenant's runtime
+// ladder, then the reconciler's, in case an episode was abandoned
 // mid-storm.
-func (t *Tenants) Recover() {
-	t.RT.Recover()
-	t.EachRuntime(func(_ string, _ int, rt *flexdriver.Runtime) { rt.Recover() })
+func (t *Tenants) Kick() {
+	t.RT.Kick()
+	t.EachRuntime(func(_ string, _ int, rt *flexdriver.Runtime) { rt.Kick() })
 	t.TM.Reconciler().Kick()
 }
 
@@ -232,12 +232,12 @@ func (c *Client) Deliver(fr []byte) (rtt sim.Duration, ok bool) {
 }
 
 // AddSupervisor gives a host driver its crash-recovery ladder, reporting
-// under <host>/supervisor and kicked by every Supervise/Quiesce sweep.
-// The seed feeds only backoff jitter, so it never perturbs traffic draws.
-func (r *Rig) AddSupervisor(h *flexdriver.Host, seed int64) {
+// under <host>/supervisor, for the caller's sweep to kick. The seed feeds
+// only backoff jitter, so it never perturbs traffic draws.
+func (r *Rig) AddSupervisor(h *flexdriver.Host, seed int64) *flexdriver.Supervisor {
 	sup := flexdriver.NewSupervisor(h.Drv, seed)
 	sup.SetTelemetry(r.Telemetry().Scope(h.Name()).Scope("supervisor"))
-	r.sups = append(r.sups, sup)
+	return sup
 }
 
 // EachNode visits every racked node, Innovas first, in racking order.
@@ -259,23 +259,16 @@ func (r *Rig) PinFDB() {
 	})
 }
 
-// pass is one watchdog pass: the ladders, then the caller's sweep.
-func (r *Rig) pass(sweep func()) {
-	for _, sup := range r.sups {
-		sup.Kick()
-	}
-	sweep()
-}
-
 // Supervise runs the watchdog: from `from`, every `every` until `until`,
-// kick every supervision ladder and call sweep — the poll-mode drivers'
-// and FLD runtimes' scans for Error-state queues whose announcing CQE was
-// itself lost. The pass may touch every node, so it runs as a cluster
-// Control: all shards quiesced and advanced to the tick first.
+// call sweep — the pass that kicks every recovery ladder (host
+// supervisors, FLD runtimes, reconcilers), catching the Error-state
+// queues whose announcing CQE was itself lost, and reconnects transports
+// that take both ends. The pass may touch every node, so it runs as a
+// cluster Control: all shards quiesced and advanced to the tick first.
 func (r *Rig) Supervise(from sim.Time, every sim.Duration, until sim.Time, sweep func()) {
 	var tick func()
 	tick = func() {
-		r.pass(sweep)
+		sweep()
 		if r.Now() < until {
 			r.Control(r.Now()+every, tick)
 		}
@@ -289,7 +282,7 @@ func (r *Rig) Supervise(from sim.Time, every sim.Duration, until sim.Time, sweep
 func (r *Rig) Quiesce(deadline sim.Time, sweep func()) {
 	r.RunUntil(deadline)
 	r.Run()
-	r.pass(sweep)
+	sweep()
 	r.Run()
 }
 

@@ -205,7 +205,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	stray := UDPFrame(cs[1].Host.NIC, r.AddHost("bystander").NIC, 9, 9, 128)
 	cs[1].Host.Engine().After(0, func() { cs[1].Port.Send(stray) })
 	swept := 0
-	sweep := func() { swept++; srv.Recover() }
+	sweep := func() { swept++; srv.Kick() }
 	r.Supervise(5*sim.Microsecond, 10*sim.Microsecond, stop, sweep)
 	r.Quiesce(stop+20*sim.Microsecond, sweep)
 

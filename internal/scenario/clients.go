@@ -45,8 +45,9 @@ type server interface {
 // Every request carries a send ordinal, so conservation is judged per
 // frame, not from aggregate counts.
 type echoClients struct {
-	srv server
-	cs  []*echoClient
+	srv  server
+	cs   []*echoClient
+	sups []*flexdriver.Supervisor // one per client host
 	// frng is flows' scratch stream, re-seeded per client: construction
 	// is sequential, and a source per modelled client is ~5 KB.
 	frng *sim.Rand
@@ -147,7 +148,7 @@ func (p *echoClients) build(rn *run) {
 	// The ladder is what turns a device/node crash (rings errored,
 	// process restarted, device FLRed) back into Ready queues.
 	for ci, c := range p.cs {
-		rn.AddSupervisor(c.Host, s.Seed*8191+int64(ci))
+		p.sups = append(p.sups, rn.AddSupervisor(c.Host, s.Seed*8191+int64(ci)))
 	}
 }
 
@@ -170,9 +171,11 @@ func (p *echoClients) start(rn *run) {
 	}
 }
 
+// sweep kicks each client host's supervisor, whose first rung polls the
+// port.
 func (p *echoClients) sweep() {
-	for _, c := range p.cs {
-		c.Port.Poll()
+	for _, sup := range p.sups {
+		sup.Kick()
 	}
 }
 

@@ -70,9 +70,10 @@ type part interface {
 	build(rn *run)
 	// start schedules the part's open-loop load and timed controls.
 	start(rn *run)
-	// sweep is the part's share of one watchdog pass: polls and queue
-	// scans for errors whose announcing CQE was itself lost. It runs
-	// inside a cluster Control, so it may touch any node.
+	// sweep is the part's share of one watchdog pass: kicks of its
+	// recovery ladders, which find errors whose announcing CQE was itself
+	// lost, and the reconnects that need both ends. It runs inside a
+	// cluster Control, so it may touch any node.
 	sweep()
 	// gather folds the part's tallies into the result and excuses the
 	// losses and duplicates it can give a reason for.

@@ -128,7 +128,7 @@ func (p *flatServer) build(rn *run) {
 }
 
 func (p *flatServer) start(*run) {}
-func (p *flatServer) sweep()     { p.srv.Recover() }
+func (p *flatServer) sweep()     { p.srv.Kick() }
 
 func (p *flatServer) gather(_ *run, j *judgement) {
 	var n int64

@@ -99,7 +99,7 @@ func (p *tenantServer) start(rn *run) {
 	}
 }
 
-func (p *tenantServer) sweep() { p.t.Recover() }
+func (p *tenantServer) sweep() { p.t.Kick() }
 
 func (p *tenantServer) gather(_ *run, j *judgement) {
 	var echoFails int64

@@ -20,6 +20,7 @@ import (
 type tcpSidecar struct {
 	stream
 	a, b *swdriver.TCPEndpoint
+	sups [2]*flexdriver.Supervisor
 	eng  *flexdriver.Engine // tcp0's shard
 	dec  rpc.Decoder
 }
@@ -42,8 +43,8 @@ func (p *tcpSidecar) build(rn *run) {
 	// drop its partial frame or it would splice bytes across epochs.
 	p.b.OnReconnect = p.dec.Reset
 	swdriver.ConnectTCPEndpoints(p.a, p.b)
-	rn.AddSupervisor(ha, rn.spec.Seed*8191+102)
-	rn.AddSupervisor(hb, rn.spec.Seed*8191+103)
+	p.sups = [2]*flexdriver.Supervisor{rn.AddSupervisor(ha, rn.spec.Seed*8191+102),
+		rn.AddSupervisor(hb, rn.spec.Seed*8191+103)}
 }
 
 func (p *tcpSidecar) start(rn *run) {
@@ -56,10 +57,11 @@ func (p *tcpSidecar) start(rn *run) {
 	})
 }
 
-// sweep reconnects a connection that burned its retry budget.
+// sweep kicks both hosts' supervisors and reconnects a connection that
+// burned its retry budget.
 func (p *tcpSidecar) sweep() {
-	p.a.Poll()
-	p.b.Poll()
+	p.sups[0].Kick()
+	p.sups[1].Kick()
 	if p.a.Conn.State() == tcp.StateError || p.b.Conn.State() == tcp.StateError {
 		swdriver.ReconnectTCPEndpoints(p.a, p.b)
 	}

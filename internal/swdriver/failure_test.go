@@ -192,3 +192,46 @@ func TestDriverLedgerIsPublishedWhole(t *testing.T) {
 		"DownTxDrops": "down/tx_drops", "DownCQEs": "down/cqes",
 	}, "RxPackets", "TxPackets")
 }
+
+// TestErrorCompletionRecyclesInOrder: a receive completion the fault
+// plane rewrites into an error still frees its buffer, after the CPU work
+// of the good completions ahead of it. Recycling it at once reposted a
+// buffer a good packet still waiting for the CPU occupied, and frames
+// reached the application twice.
+func TestErrorCompletionRecyclesInOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	a := newHost(eng, noJitter())
+	// A receiver whose CPU takes longer per frame than the NIC takes to
+	// fetch a descriptor keeps good completions queued while errors
+	// arrive.
+	slow := noJitter()
+	slow.RxCost = 2 * sim.Microsecond
+	b := newHost(eng, slow)
+	nic.ConnectWire(a.nic, b.nic, 100*sim.Gbps, 500*sim.Nanosecond)
+	tx := a.drv.NewEthPort(EthPortConfig{TxEntries: 64, RxEntries: 64})
+	rx := b.drv.NewEthPort(EthPortConfig{TxEntries: 64, RxEntries: 8})
+	b.nic.ESwitch().AddRule(0, nic.Rule{Action: nic.Action{ToRQ: rx.RQ()}})
+	pushes := 0
+	b.nic.SetFaults(&nic.FaultHooks{CQEError: func(*nic.CQ) bool {
+		pushes++
+		return pushes%5 == 0
+	}})
+	seen := map[uint16]int{}
+	rx.OnReceive = func(f []byte, _ RxMeta) { seen[uint16(f[34])<<8|uint16(f[35])]++ }
+	for i := 0; i < 300; i++ {
+		tx.Send(frame(64, uint16(i)))
+	}
+	eng.Run()
+
+	if len(seen) == 0 || b.drv.CQEErrors == 0 {
+		t.Fatalf("%d frames delivered, %d error completions: the test exercised nothing", len(seen), b.drv.CQEErrors)
+	}
+	for sport, n := range seen {
+		if n > 1 {
+			t.Fatalf("frame %d delivered %d times", sport, n)
+		}
+	}
+	if got := int64(len(seen)); got != b.drv.RxPackets {
+		t.Fatalf("%d distinct frames delivered, RxPackets %d", got, b.drv.RxPackets)
+	}
+}

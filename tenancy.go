@@ -212,10 +212,6 @@ func (tm *TenantManager) Reconfigure(name string, t TenantSpec) error {
 			tm.teardown(name)
 			return err
 		}
-		// Managed cores crash-restart under the fault plan; a tenant's
-		// supervision must resync after a crash even when the window was
-		// too short for any queue to trip into Error.
-		rt.CrashResync = true
 		a.rts = append(a.rts, rt)
 	}
 	a.shape = ctrlplane.TenantState{VFs: t.VFs, Cores: t.Cores,
