@@ -111,7 +111,7 @@ type (
 	// RDMAConfig sizes an RDMAEndpoint.
 	RDMAConfig = swdriver.RDMAConfig
 	// Supervisor is the driver's crash-recovery escalation ladder
-	// (poll → queue reset → reconnect → FLR → reattach) with seeded
+	// (poll → queue reset → FLR → reattach) with seeded
 	// backoff and MTTR telemetry; build one with NewSupervisor.
 	Supervisor = swdriver.Supervisor
 
