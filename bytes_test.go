@@ -206,11 +206,12 @@ func TestAllocsPerKVRequest(t *testing.T) {
 // bench/echo.go's set-up with the generator left out. Records, freelists
 // and BufPool classes are made on first use by the run, never here: a
 // constructor that starts pre-filling one shows up in these two numbers.
-// The byte budget sits 4 % over the 275 168 B measured under go1.24 once
-// host DRAM became a store of 1 KiB granules (389 544 B with 64 KiB pages,
+// The byte budget sits 4 % over the 59 680 B measured under go1.24 once the
+// FLD's descriptor pool and translation banks were made on first Send and
+// first placement (275 168 B before; 389 544 B with 64 KiB host pages,
 // where each host's posted receive descriptors zero-filled a whole page).
 func TestRemotePairFootprint(t *testing.T) {
-	const n, maxObjects, maxBytes = 200, 610, 286_000
+	const n, maxObjects, maxBytes = 200, 610, 62_100
 	build := func() {
 		reg := NewRegistry()
 		rp := NewRemotePair(WithDriver(genDriver), WithTelemetry(reg))

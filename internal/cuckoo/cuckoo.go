@@ -34,8 +34,9 @@ type entry struct {
 // Table is a fixed-size 4-bank cuckoo hash table mapping uint64 keys to
 // uint32 values. Create with New.
 type Table struct {
-	banks    [Banks][]entry
-	stash    []entry
+	banks    [Banks][]entry // a bank is made on its first placement
+	stash    [StashSize]entry
+	stashN   int
 	bankSize int
 	count    int
 	seeds    [Banks]uint64
@@ -47,17 +48,13 @@ type Table struct {
 
 // New returns a table guaranteed to hold capacity entries. Per the paper
 // the physical table is sized at twice the capacity (load factor 1/2),
-// rounded up so each bank is a power of two.
+// rounded up so each bank is a power of two. Slots prices all of it; a
+// bank is allocated on its first placement, bank 0 first.
 func New(capacity int) *Table {
-	t := &Table{bankSize: bankSizeFor(capacity)}
-	for i := range t.banks {
-		t.banks[i] = make([]entry, t.bankSize)
-	}
-	// Distinct odd multipliers per bank (splitmix-style constants).
-	t.seeds = [Banks]uint64{
+	return &Table{bankSize: bankSizeFor(capacity), seeds: [Banks]uint64{
+		// Distinct odd multipliers per bank (splitmix-style constants).
 		0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb, 0xd6e8feb86659fd93,
-	}
-	return t
+	}}
 }
 
 // bankSizeFor is one bank's slots for capacity entries at load factor
@@ -87,20 +84,29 @@ func (t *Table) bucket(bank int, key uint64) int {
 	return int(h) & (t.bankSize - 1)
 }
 
-// Lookup returns the value stored for key. It probes the four banks and
-// the stash — constant time, as in hardware where all probes happen in the
-// same cycle.
-func (t *Table) Lookup(key uint64) (uint32, bool) {
-	for b := 0; b < Banks; b++ {
-		e := &t.banks[b][t.bucket(b, key)]
-		if e.used && e.key == key {
-			return e.val, true
+// find returns key's slot (nil: absent) and its stash index (-1: in a
+// bank). It probes the four banks and the stash — constant time, as in
+// hardware where all probes happen in the same cycle. An unmade bank has
+// length 0, so the bounds test skips it.
+func (t *Table) find(key uint64) (*entry, int) {
+	for b := range t.banks {
+		bank := t.banks[b]
+		if i := t.bucket(b, key); i < len(bank) && bank[i].used && bank[i].key == key {
+			return &bank[i], -1
 		}
 	}
-	for i := range t.stash {
+	for i := range t.stashN {
 		if t.stash[i].key == key {
-			return t.stash[i].val, true
+			return &t.stash[i], i
 		}
+	}
+	return nil, -1
+}
+
+// Lookup returns the value stored for key.
+func (t *Table) Lookup(key uint64) (uint32, bool) {
+	if e, _ := t.find(key); e != nil {
+		return e.val, true
 	}
 	return 0, false
 }
@@ -110,21 +116,10 @@ func (t *Table) Lookup(key uint64) (uint32, bool) {
 // indicates the caller exceeded the table's guaranteed capacity. Inserting
 // an existing key updates its value.
 func (t *Table) Insert(key uint64, val uint32) bool {
-	// Update in place if present.
-	for b := 0; b < Banks; b++ {
-		e := &t.banks[b][t.bucket(b, key)]
-		if e.used && e.key == key {
-			e.val = val
-			return true
-		}
+	if e, _ := t.find(key); e != nil {
+		e.val = val
+		return true
 	}
-	for i := range t.stash {
-		if t.stash[i].key == key {
-			t.stash[i].val = val
-			return true
-		}
-	}
-
 	if !t.place(entry{key: key, val: val, from: -1}) {
 		return false
 	}
@@ -137,77 +132,73 @@ func (t *Table) Insert(key uint64, val uint32) bool {
 // room. It fails only when every bank slot is taken and the stash is full.
 func (t *Table) place(e entry) bool {
 	for b := 0; b < Banks; b++ {
-		if b == int(e.from) {
-			continue // prefer a different bank than the one we came from
-		}
-		slot := &t.banks[b][t.bucket(b, e.key)]
-		if !slot.used {
-			*slot = entry{key: e.key, val: e.val, used: true}
+		// Prefer a different bank than the one we came from.
+		if b != int(e.from) && t.put(b, e) {
 			return true
 		}
 	}
-	if from := int(e.from); from >= 0 {
-		// Allow returning to the origin bank as a last resort.
-		slot := &t.banks[from][t.bucket(from, e.key)]
-		if !slot.used {
-			*slot = entry{key: e.key, val: e.val, used: true}
-			return true
-		}
+	// Allow returning to the origin bank as a last resort.
+	if from := int(e.from); from >= 0 && t.put(from, e) {
+		return true
 	}
-	if len(t.stash) >= StashSize {
+	if t.stashN >= StashSize {
 		return false
 	}
-	// Evict the occupant of a rotating bank into the stash.
+	// Evict the occupant of a rotating bank (every bank is made by now).
 	b := t.victim % Banks
 	t.victim++
 	slot := &t.banks[b][t.bucket(b, e.key)]
-	victim := *slot
-	victim.from = int8(b)
+	t.stash[t.stashN] = *slot
+	t.stash[t.stashN].from = int8(b)
+	t.stashN++
+	t.MaxStashDepth = max(t.MaxStashDepth, t.stashN)
 	*slot = entry{key: e.key, val: e.val, used: true}
-	t.stash = append(t.stash, victim)
-	if len(t.stash) > t.MaxStashDepth {
-		t.MaxStashDepth = len(t.stash)
-	}
 	return true
 }
 
-// drainStash retries stashed entries until the stash empties or no
-// progress is possible this round (hardware runs this continuously in the
+// put stores e in bank b if its slot there is free.
+func (t *Table) put(b int, e entry) bool {
+	if t.banks[b] == nil {
+		t.banks[b] = make([]entry, t.bankSize)
+	}
+	slot := &t.banks[b][t.bucket(b, e.key)]
+	if slot.used {
+		return false
+	}
+	*slot = entry{key: e.key, val: e.val, used: true}
+	return true
+}
+
+// drainStash retries stashed entries, oldest first, until the stash
+// empties or 64 retries pass (hardware runs this continuously in the
 // background; bounding work per operation keeps the model deterministic).
 func (t *Table) drainStash() {
-	for iter := 0; iter < 64 && len(t.stash) > 0; iter++ {
+	for iter := 0; iter < 64 && t.stashN > 0; iter++ {
 		e := t.stash[0]
-		t.stash = t.stash[1:]
-		if !t.place(e) {
-			// Stash was full again; put it back and stop.
-			t.stash = append(t.stash, e)
-			return
-		}
+		t.stashN--
+		copy(t.stash[:], t.stash[1:t.stashN+1])
+		t.place(e) // cannot stall: e's stash slot is free
 	}
 }
 
-// Delete removes key, returning whether it was present. Freeing a slot
-// lets the stash drain, mirroring the hardware's "stall until some entry
-// is released" recovery.
+// Delete removes key, returning whether it was present. Freeing a bank
+// slot lets the stash drain, mirroring the hardware's "stall until some
+// entry is released" recovery.
 func (t *Table) Delete(key uint64) bool {
-	for b := 0; b < Banks; b++ {
-		e := &t.banks[b][t.bucket(b, key)]
-		if e.used && e.key == key {
-			*e = entry{}
-			t.count--
-			t.drainStash()
-			return true
-		}
+	e, i := t.find(key)
+	switch {
+	case e == nil:
+		return false
+	case i >= 0:
+		t.stashN--
+		copy(t.stash[i:], t.stash[i+1:t.stashN+1])
+	default:
+		*e = entry{}
+		t.drainStash()
 	}
-	for i := range t.stash {
-		if t.stash[i].key == key {
-			t.stash = append(t.stash[:i], t.stash[i+1:]...)
-			t.count--
-			return true
-		}
-	}
-	return false
+	t.count--
+	return true
 }
 
 // StashLen returns the current stash occupancy.
-func (t *Table) StashLen() int { return len(t.stash) }
+func (t *Table) StashLen() int { return t.stashN }

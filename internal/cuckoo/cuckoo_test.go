@@ -254,3 +254,58 @@ func BenchmarkInsertDeleteChurn(b *testing.B) {
 		tbl.Insert(k&4095, uint32(k))
 	}
 }
+
+// FuzzTableMatchesEager drives Table and the eager table it replaced
+// (eager_oracle_test.go) through one sequence of inserts, lookups and
+// deletes. Each op byte is a key from a 64-key space and an action, so a
+// table of capacity 1 or 8 (8 or 20 slots) is pushed through evictions,
+// stash drains and stalls. Every result, Len, StashLen and MaxStashDepth
+// must agree with the eager table, and a map checks the contents.
+func FuzzTableMatchesEager(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, capacity := range []uint8{1, 8, 8, 32} {
+		ops := make([]byte, 600)
+		r.Read(ops)
+		f.Add(capacity, ops)
+	}
+	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
+		got, want := New(int(capacity%64)), newEager(int(capacity%64))
+		ref := make(map[uint64]uint32)
+		for i, op := range ops {
+			key := uint64(op >> 2)
+			switch op & 3 {
+			case 0, 1:
+				g, w := got.Insert(key, uint32(i)), want.Insert(key, uint32(i))
+				if g != w {
+					t.Fatalf("op %d: Insert(%d) = %v, eager %v", i, key, g, w)
+				}
+				if g {
+					ref[key] = uint32(i)
+				}
+			case 2:
+				g, gok := got.Lookup(key)
+				w, wok := want.Lookup(key)
+				m, mok := ref[key]
+				if g != w || gok != wok || g != m || gok != mok {
+					t.Fatalf("op %d: Lookup(%d) = %d,%v, eager %d,%v, map %d,%v", i, key, g, gok, w, wok, m, mok)
+				}
+			case 3:
+				g, w := got.Delete(key), want.Delete(key)
+				if _, in := ref[key]; g != w || g != in {
+					t.Fatalf("op %d: Delete(%d) = %v, eager %v, map %v", i, key, g, w, in)
+				}
+				delete(ref, key)
+			}
+			if got.Len() != want.Len() || got.Len() != len(ref) || got.StashLen() != want.StashLen() ||
+				got.MaxStashDepth != want.MaxStashDepth {
+				t.Fatalf("op %d: Len %d StashLen %d MaxStashDepth %d, eager %d %d %d, map %d", i,
+					got.Len(), got.StashLen(), got.MaxStashDepth, want.Len(), want.StashLen(), want.MaxStashDepth, len(ref))
+			}
+		}
+		for k, v := range ref {
+			if g, ok := got.Lookup(k); !ok || g != v {
+				t.Fatalf("key %d = %d,%v, want %d", k, g, ok, v)
+			}
+		}
+	})
+}

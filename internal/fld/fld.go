@@ -93,8 +93,9 @@ type FLD struct {
 	windowPages int // virtual data pages per queue window
 
 	// Transmit state.
-	descPool []txDesc
-	descFree []uint16
+	descPool []txDesc      // made on the first Send
+	descFree []uint16      // released slots, reused last-in first-out
+	descNext int           // slots below this have been handed out
 	descXlt  *cuckoo.Table // (queue, ring index) -> pool slot
 	dataXlt  *cuckoo.Table // global vpage -> physical page
 	txPool   *pagePool
@@ -178,11 +179,6 @@ func New(eng *sim.Engine, cfg Config) *FLD {
 	f.rxCQBase = f.txCQBase + uint64(cfg.CQEntries)*nic.CQESize
 	f.barSize = f.rxCQBase + uint64(cfg.CQEntries)*nic.CQESize
 
-	f.descPool = make([]txDesc, cfg.TxDescPool)
-	f.descFree = make([]uint16, 0, cfg.TxDescPool)
-	for i := cfg.TxDescPool - 1; i >= 0; i-- {
-		f.descFree = append(f.descFree, uint16(i))
-	}
 	f.descXlt = cuckoo.New(cfg.TxDescPool)
 	f.dataXlt = cuckoo.New(cfg.TxBufBytes / cfg.TxPageBytes)
 	f.txPool = newPagePool(cfg.TxBufBytes, cfg.TxPageBytes)
@@ -288,12 +284,11 @@ func (f *FLD) writeRQDoorbell() {
 func (f *FLD) Credits(q int) (descSlots, bufBytes int) {
 	tq := f.queues[q]
 	ringSpace := f.cfg.TxRingEntries - int(tq.pi-tq.released)
-	pool := len(f.descFree)
-	if pool < ringSpace {
-		ringSpace = pool
-	}
-	return ringSpace, f.txPool.freeBytes()
+	return min(ringSpace, f.descAvail()), f.txPool.freeBytes()
 }
+
+// descAvail is the descriptor-pool slots not in flight.
+func (f *FLD) descAvail() int { return f.cfg.TxDescPool - f.descNext + len(f.descFree) }
 
 // Send transmits one packet (FLD-E: a complete Ethernet frame; FLD-R: a
 // message for the bound QP) on queue q. The data is copied into FLD's
@@ -317,8 +312,16 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 		f.Stats.CreditStalls++
 		return ErrNoCredits
 	}
-	slot := f.descFree[len(f.descFree)-1]
-	f.descFree = f.descFree[:len(f.descFree)-1]
+	if f.descPool == nil {
+		f.descPool = make([]txDesc, f.cfg.TxDescPool)
+		f.descFree = make([]uint16, 0, f.cfg.TxDescPool)
+	}
+	slot := uint16(f.descNext)
+	if n := len(f.descFree); n > 0 {
+		slot, f.descFree = f.descFree[n-1], f.descFree[:n-1]
+	} else {
+		f.descNext++
+	}
 
 	// Map the pages at consecutive virtual addresses in q's window.
 	vstart := tq.cursor
@@ -339,7 +342,7 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	// deadlock behind a run of unsignaled descriptors (with a small pool
 	// every in-flight descriptor could otherwise be unsignaled, and no
 	// completion would ever arrive to free them).
-	if !signal && (len(f.descFree) < f.cfg.SignalEvery ||
+	if !signal && (f.descAvail() < f.cfg.SignalEvery ||
 		f.txPool.freePages() < 2*len(pages)+f.cfg.SignalEvery) {
 		signal = true
 	}

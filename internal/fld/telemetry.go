@@ -74,5 +74,5 @@ func (f *FLD) noteOccupancy() {
 	}
 	total := f.cfg.TxBufBytes / f.cfg.TxPageBytes
 	t.poolPages.Set(int64(total - f.txPool.freePages()))
-	t.descSlots.Set(int64(f.cfg.TxDescPool - len(f.descFree)))
+	t.descSlots.Set(int64(f.cfg.TxDescPool - f.descAvail()))
 }

@@ -16,13 +16,14 @@ const (
 //
 //	x[21+3i]<<40 ^ x[22+3i]<<20 ^ x[23+3i] ^ cooked[i],  x[k] = 48271^k·x[0],
 //
-// so Seed only stores x[0] and a draw computes the words it is first to
-// read: three table multiplications each, no division, no chain. A source
-// that draws a handful of values pays for a handful of words.
+// so Seed only stores x[0]. Draws 1..273 read no word an earlier draw fed:
+// each computes its two (three table multiplications apiece, no division,
+// no chain) and stores nothing. Draw 274 builds the 607-word state once and
+// replays them, so most sources never store a word.
 type alfg struct {
-	vec             [alfgLen]uint64
-	x0              uint64 // folded seed, in [1, 2^31-2]
-	tap, feed, cold int    // cold: draws left that read words not yet computed
+	vec       *[alfgLen]uint64 // nil until draw 274
+	x0        uint64           // folded seed, in [1, 2^31-2]
+	tap, feed int
 }
 
 // alfgPow[i][j] = 48271^(21+3i+j) mod (2^31-1); alfgCooked is math/rand's
@@ -36,11 +37,6 @@ func mulmod31(a, b uint64) uint64 {
 	p := a * b
 	p = p&m31 + p>>31
 	return p&m31 + p>>31
-}
-
-// alfgWord returns the state word, before cooking, whose alfgPow row is p.
-func alfgWord(x0 uint64, p *[3]uint32) uint64 {
-	return mulmod31(x0, uint64(p[0]))<<40 ^ mulmod31(x0, uint64(p[1]))<<20 ^ mulmod31(x0, uint64(p[2]))
 }
 
 // alfgTables builds the power table and recovers the additive table from
@@ -70,7 +66,7 @@ func alfgTables() (pow [alfgLen][3]uint32, cooked [alfgLen]uint64) {
 		cooked[alfgCold-k] = o[k] - cooked[alfgLen-k]
 	}
 	for i := range cooked {
-		cooked[i] ^= alfgWord(1, &pow[i])
+		cooked[i] ^= uint64(pow[i][0])<<40 ^ uint64(pow[i][1])<<20 ^ uint64(pow[i][2]) // seed 1's word
 	}
 	return pow, cooked
 }
@@ -85,14 +81,18 @@ func (g *alfg) Seed(seed int64) {
 		seed = 89482311
 	}
 	g.x0 = uint64(seed)
-	g.tap, g.feed, g.cold = 0, alfgCold, alfgCold
+	g.vec, g.tap, g.feed = nil, 0, alfgCold
 }
 
 func (g *alfg) Int63() int64 { return int64(g.Uint64() &^ (1 << 63)) }
 
-// Uint64 is math/rand's step. While cold, draw k reads words 334-k and
-// 607-k for the first time; past k = 273 the tap word is one an earlier
-// draw fed, and after draw 334 every word has been written.
+// word returns state word i as Seed leaves it.
+func (g *alfg) word(i int) uint64 {
+	p := &alfgPow[i]
+	return mulmod31(g.x0, uint64(p[0]))<<40 ^ mulmod31(g.x0, uint64(p[1]))<<20 ^ mulmod31(g.x0, uint64(p[2])) ^ alfgCooked[i]
+}
+
+// Uint64 is math/rand's step.
 func (g *alfg) Uint64() uint64 {
 	if g.tap--; g.tap < 0 {
 		g.tap += alfgLen
@@ -100,12 +100,17 @@ func (g *alfg) Uint64() uint64 {
 	if g.feed--; g.feed < 0 {
 		g.feed += alfgLen
 	}
-	if g.cold > 0 {
-		g.vec[g.feed] = alfgWord(g.x0, &alfgPow[g.feed]) ^ alfgCooked[g.feed]
-		if g.cold > alfgCold-alfgTap {
-			g.vec[g.tap] = alfgWord(g.x0, &alfgPow[g.tap]) ^ alfgCooked[g.tap]
+	if g.vec == nil {
+		if g.tap >= alfgCold { // draws 1..273: the tap word was never fed
+			return g.word(g.feed) + g.word(g.tap)
 		}
-		g.cold--
+		g.vec = new([alfgLen]uint64)
+		for i := range g.vec {
+			g.vec[i] = g.word(i)
+		}
+		for k := 1; k <= alfgTap; k++ { // replay draws 1..273
+			g.vec[alfgCold-k] += g.vec[alfgLen-k]
+		}
 	}
 	x := g.vec[g.feed] + g.vec[g.tap]
 	g.vec[g.feed] = x

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -98,19 +99,52 @@ func TestALFGMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestALFGSizeClass: the source costs the allocator no more than
-// math/rand's rngSource did (4 872 B, which rounds to the 5 376 B class).
-func TestALFGSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(alfg{}); n > 5376 {
-		t.Fatalf("alfg is %d bytes, past the 5376 B size class", n)
+// TestALFGPromotion pins what a source costs: until its 274th draw it
+// holds the folded seed and two cursors and allocates nothing, and that
+// draw builds the 607-word state in exactly one 4 864 B allocation (the
+// 4 856 B array in its size class), as often as a re-seed drops it.
+func TestALFGPromotion(t *testing.T) {
+	if n := unsafe.Sizeof(alfg{}); n > 64 {
+		t.Fatalf("an unpromoted alfg is %d bytes, want <= 64", n)
+	}
+	var g alfg
+	draw := func(n int) func() {
+		return func() {
+			g.Seed(7)
+			for i := 0; i < n; i++ {
+				g.Uint64()
+			}
+		}
+	}
+	cold, promote := draw(alfgTap), draw(alfgTap+1)
+	if a := testing.AllocsPerRun(100, cold); a != 0 {
+		t.Errorf("%d draws allocate %.1f times, want 0", alfgTap, a)
+	}
+	if a := testing.AllocsPerRun(100, promote); a != 1 {
+		t.Errorf("%d draws allocate %.1f times, want 1", alfgTap+1, a)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		promote()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b != 4864 {
+		t.Errorf("promotion allocates %d B, want 4864", b)
 	}
 }
 
 // FuzzALFGMatchesMathRand lets the fuzzer pick the seed, the stream
-// length and where a re-seed lands.
+// length and where a re-seed lands. The corpus also stops on either side
+// of the promotion draw (274) and re-seeds just before, at and after it.
 func FuzzALFGMatchesMathRand(f *testing.F) {
 	for i, s := range alfgEdgeSeeds {
 		f.Add(s, uint16(700+i), uint16(20*i))
+	}
+	for n := uint16(alfgTap - 1); n <= alfgTap+2; n++ {
+		f.Add(int64(n), n, uint16(math.MaxUint16))
+		f.Add(-int64(n), 2*n, n)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, draws, reseedAt uint16) {
 		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
