@@ -114,9 +114,6 @@ func (qp *QP) fail() {
 		return
 	}
 	qp.state = QueueError
-	qp.rto.Stop()
 	qp.n.Stats.QueueErrors++
-	for ; qp.sent.Len() > 0; qp.sent.Pop() {
-		qp.n.drop(DropDeviceDown)
-	}
+	qp.snd.Flush(func(*txPkt) { qp.n.drop(DropDeviceDown) })
 }

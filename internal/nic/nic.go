@@ -26,7 +26,7 @@ type Params struct {
 	RetransmitTimeout sim.Duration
 	// MaxRetransmits bounds consecutive no-progress retransmissions
 	// before the QP transitions to the Error state (IB retry_cnt
-	// analogue). Zero selects the default.
+	// analogue).
 	MaxRetransmits int
 	// AckCoalesce acknowledges once per this many completed messages;
 	// AckDelay bounds how long an ACK may be withheld.

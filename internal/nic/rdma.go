@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"flexdriver/internal/arq"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/sim"
 )
@@ -84,7 +85,7 @@ func parseRoCE(frame []byte) (BTH, []byte, bool) {
 // SQ whose descriptors carry whole messages; the NIC segments them into
 // MTU-sized RoCE packets, tracks PSNs, and recovers from loss with
 // go-back-N, exactly the transport offload FlexDriver borrows from the NIC
-// (paper §5, FLD-R).
+// (paper §5, FLD-R). The sender is an arq.Sender, one unit per PSN.
 type QP struct {
 	n   *NIC
 	QPN uint32
@@ -103,18 +104,7 @@ type QP struct {
 	state     QueueState
 	connEpoch uint8
 
-	// Sender state.
-	sndPSN  uint32 // next PSN to assign
-	una     uint32 // oldest unacknowledged PSN
-	sent    sim.FIFO[txPkt]
-	retries int // consecutive no-progress retransmissions
-	// rto is the retransmission timer, stopped whenever the connection
-	// dies or restarts; rtoUna is una as it stood when the timer was
-	// armed, so expiry can tell progress from none.
-	rto        *sim.Timer
-	rtoUna     uint32
-	lastAckAt  sim.Time
-	nakPending bool
+	snd arq.Sender[txPkt] // PSNs, retransmission queue and timer, retries
 
 	// Receiver state.
 	expPSN    uint32
@@ -127,13 +117,11 @@ type QP struct {
 }
 
 type txPkt struct {
-	psn     uint32
-	frame   []byte
-	last    bool // last packet of its message
-	wqeIdx  uint16
-	signal  bool
-	msgLen  uint32
-	started bool // transmitted at least once
+	frame  []byte
+	last   bool // last packet of its message
+	wqeIdx uint16
+	signal bool
+	msgLen uint32
 }
 
 // QPConfig configures a queue pair.
@@ -149,7 +137,7 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 	if qp.MTU == 0 {
 		qp.MTU = n.Prm.RoCEMTU
 	}
-	qp.rto = n.eng.NewTimer(qpRTOExpired, qp)
+	qp.snd.Init(n.eng.NewTimer(qpRTOExpired, qp), n.Prm.RetransmitTimeout)
 	qp.ackTimer = n.eng.NewTimer(qpAckDelayExpired, qp)
 	if cfg.SQ != nil {
 		cfg.SQ.QP = qp
@@ -203,11 +191,8 @@ func (qp *QP) send(idx uint32, wqe SendWQE, data []byte) {
 		default:
 			op = btSendMiddle
 		}
-		psn := qp.sndPSN
-		qp.sndPSN++
-		frame := qp.buildPacket(op, psn, data[lo:hi])
-		qp.sent.Push(txPkt{
-			psn: psn, frame: frame, last: i == nseg-1,
+		qp.snd.Push(1, txPkt{
+			frame: qp.buildPacket(op, qp.snd.Nxt, data[lo:hi]), last: i == nseg-1,
 			wqeIdx: uint16(idx), signal: wqe.Signal, msgLen: total,
 		})
 	}
@@ -236,21 +221,19 @@ func (qp *QP) frame(srcPort uint16, op uint8, psn uint32, payload []byte) []byte
 	return append(b, 0, 0, 0, 0) // ICRC placeholder
 }
 
-// pump transmits packets allowed by the window.
+// pump transmits packets allowed by the window and guards them with the
+// retransmission timer.
 func (qp *QP) pump() {
-	for i := 0; i < qp.sent.Len(); i++ {
-		p := qp.sent.Peek(i)
-		if p.started {
-			continue
-		}
-		if int32(p.psn-qp.una) >= defaultQPWindow {
-			break
-		}
-		p.started = true
-		qp.transmit(p.frame)
-	}
-	qp.armTimer()
+	qp.snd.Pump(qp.inWindow, qp.emit)
+	qp.snd.Arm()
 }
+
+// inWindow admits PSNs less than a window ahead of the oldest unacked.
+func (qp *QP) inWindow(psn uint32, _ *txPkt) bool {
+	return int32(psn-qp.snd.Una) < defaultQPWindow
+}
+
+func (qp *QP) emit(_ uint32, p *txPkt) { qp.transmit(p.frame) }
 
 // transmit emits a RoCE frame toward the remote NIC — over the wire, or
 // through the eSwitch hairpin when both QPs share one NIC (the paper's
@@ -285,41 +268,21 @@ func rdmaHairpinIngress(a any) {
 	}
 }
 
-func (qp *QP) armTimer() {
-	if qp.rto.Armed() || qp.sent.Len() == 0 || qp.state != QueueReady {
-		return
-	}
-	qp.rtoUna = qp.una
-	qp.rto.Reset(qp.n.Prm.RetransmitTimeout)
-}
-
-// qpRTOExpired fires one retransmission timeout after the timer was armed.
+// qpRTOExpired fires one retransmission timeout after the timer was
+// armed: with no progress since, go back N, bounded by the retry budget
+// (IB retry_cnt analogue). Error and reset stop the timer.
 func qpRTOExpired(a any) {
 	qp := a.(*QP)
-	if qp.sent.Len() == 0 || qp.state != QueueReady {
-		return
-	}
-	if qp.una == qp.rtoUna {
-		// No progress: go-back-N from the oldest unacked packet,
-		// bounded by the retry budget (IB retry_cnt analogue).
+	switch qp.snd.Timeout(qp.n.Prm.MaxRetransmits) {
+	case arq.Exhausted:
 		qp.n.drop(DropRDMATimeout)
-		qp.retries++
-		if qp.retries > qp.maxRetransmits() {
-			qp.enterError(SynRetryExceeded)
-			return
-		}
-		qp.retransmit()
+		qp.enterError(SynRetryExceeded)
+		return
+	case arq.Resend:
+		qp.n.drop(DropRDMATimeout)
+		qp.resend()
 	}
-	qp.armTimer()
-}
-
-// maxRetransmits returns the bounded retry budget (Params.MaxRetransmits,
-// defaulted when the NIC was built with a zero value).
-func (qp *QP) maxRetransmits() int {
-	if qp.n.Prm.MaxRetransmits > 0 {
-		return qp.n.Prm.MaxRetransmits
-	}
-	return 8
+	qp.snd.Arm()
 }
 
 // State reports the QP's operational state.
@@ -333,17 +296,16 @@ func (qp *QP) enterError(syndrome uint8) {
 		return
 	}
 	qp.state = QueueError
-	qp.rto.Stop()
 	qp.n.Stats.QueueErrors++
-	for qp.sent.Len() > 0 {
-		p := qp.sent.Pop()
-		if p.last && qp.SQ != nil && qp.SQ.CQ != nil {
-			qp.SQ.CQ.Push(CQE{
-				Opcode: CQEError, Syndrome: syndrome, Last: true,
-				Index: p.wqeIdx, Queue: qp.SQ.ID, ByteCount: p.msgLen,
-				RemoteQPN: qp.QPN,
-			})
-		}
+	qp.snd.Flush(func(p *txPkt) { qp.cqe(CQEError, syndrome, p) })
+}
+
+// cqe writes the send-side completion of the message p is the last
+// packet of.
+func (qp *QP) cqe(op, syndrome uint8, p *txPkt) {
+	if p.last && qp.SQ != nil && qp.SQ.CQ != nil {
+		qp.SQ.CQ.Push(CQE{Opcode: op, Syndrome: syndrome, Last: true, Index: p.wqeIdx,
+			Queue: qp.SQ.ID, ByteCount: p.msgLen, RemoteQPN: qp.QPN})
 	}
 }
 
@@ -356,11 +318,7 @@ func (qp *QP) reset() {
 	}
 	qp.state = QueueReady
 	qp.connEpoch++
-	qp.sndPSN, qp.una = 0, 0
-	qp.sent.Reset()
-	qp.retries = 0
-	qp.rto.Stop()
-	qp.nakPending = false
+	qp.snd.Flush(nil)
 	qp.expPSN = 0
 	qp.rxMsgLen = 0
 	qp.nakedOnce = false
@@ -377,16 +335,11 @@ func ReconnectQPs(a, b *QP) {
 	ConnectQPs(a, b)
 }
 
-// retransmit resends every unacknowledged packet in order.
-func (qp *QP) retransmit() {
-	for i := 0; i < qp.sent.Len(); i++ {
-		p := qp.sent.Peek(i)
-		if int32(p.psn-qp.una) >= defaultQPWindow {
-			break
-		}
-		p.started = true
-		qp.transmit(p.frame)
-	}
+// resend goes back N: every unacknowledged packet the window holds, in
+// order.
+func (qp *QP) resend() {
+	qp.snd.Resend(qp.inWindow, qp.emit)
+	qp.snd.Pump(qp.inWindow, qp.emit)
 }
 
 // rdmaIngress dispatches a transport packet to its destination QP.
@@ -496,47 +449,28 @@ func (qp *QP) sendCtl(op uint8, psn uint32) {
 	qp.transmit(qp.frame(0xC000, op, psn, nil))
 }
 
-// handleAck releases acknowledged packets and writes send completions for
-// finished, signaled messages.
+// handleAck releases the packets up to psn and writes send completions
+// for finished, signaled messages. An ACK for a PSN never sent is ignored.
 func (qp *QP) handleAck(psn uint32) {
-	if int32(psn-qp.una) < 0 {
-		return
+	if qp.snd.Ack(psn+1, qp.acked) {
+		qp.pump()
 	}
-	qp.una = psn + 1
-	qp.retries = 0 // forward progress refills the retry budget
-	for qp.sent.Len() > 0 && int32(qp.sent.Peek(0).psn-psn) <= 0 {
-		p := qp.sent.Pop()
-		if p.last && p.signal && qp.SQ != nil && qp.SQ.CQ != nil {
-			qp.SQ.CQ.Push(CQE{
-				Opcode: CQESend, Last: true, Index: p.wqeIdx,
-				Queue: qp.SQ.ID, ByteCount: p.msgLen, RemoteQPN: qp.QPN,
-			})
-		}
-	}
-	qp.pump()
 }
 
-// handleNak rewinds to the receiver's expected PSN (go-back-N).
+// acked completes one acknowledged packet.
+func (qp *QP) acked(p *txPkt) {
+	if p.signal {
+		qp.cqe(CQESend, 0, p)
+	}
+}
+
+// handleNak acknowledges the packets before the receiver's expected PSN
+// and goes back N from it.
 func (qp *QP) handleNak(psn uint32) {
-	if int32(psn-qp.una) < 0 {
-		return
+	if psn == qp.snd.Una || qp.snd.Ack(psn, qp.acked) {
+		qp.resend()
 	}
-	if int32(psn-qp.una) > 0 {
-		qp.retries = 0 // the NAK cumulatively acknowledged progress
-	}
-	qp.una = psn
-	// Drop delivery state of acked packets (< psn) and retransmit the rest.
-	for qp.sent.Len() > 0 && int32(qp.sent.Peek(0).psn-psn) < 0 {
-		p := qp.sent.Pop()
-		if p.last && p.signal && qp.SQ != nil && qp.SQ.CQ != nil {
-			qp.SQ.CQ.Push(CQE{
-				Opcode: CQESend, Last: true, Index: p.wqeIdx,
-				Queue: qp.SQ.ID, ByteCount: p.msgLen, RemoteQPN: qp.QPN,
-			})
-		}
-	}
-	qp.retransmit()
 }
 
 // Outstanding reports unacknowledged packets (tests).
-func (qp *QP) Outstanding() int { return qp.sent.Len() }
+func (qp *QP) Outstanding() int { return int(qp.snd.Nxt - qp.snd.Una) }

@@ -255,9 +255,12 @@ func TestTCPEdgeCases(t *testing.T) {
 			cl.Control(10*sim.Microsecond, watchdog)
 
 			cl.RunUntil(deadline)
-			cl.Run()
-			recover()
-			cl.Run()
+			// Drain to quiescence, bounded in simulated time: a timer
+			// loop that never settles fails here by name, not by hanging.
+			cl.RunUntil(deadline + 50*sim.Millisecond)
+			if n := cl.Pending(); n > 0 {
+				t.Fatalf("liveness: %d events still pending 50 ms after the deadline", n)
+			}
 
 			r.decBad = dec.Bad
 			r.statsA, r.statsB = epA.Conn.Stats, epB.Conn.Stats

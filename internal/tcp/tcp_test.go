@@ -38,6 +38,19 @@ func newLoopback(eng *sim.Engine, cfgA, cfgB Config) *loopback {
 	return w
 }
 
+// runBounded runs the engine until it drains, failing the test if that
+// takes more than budget events: a liveness bug shows as a named failure
+// in simulated work, not as go test's timeout.
+func runBounded(t *testing.T, eng *sim.Engine, budget uint64) {
+	t.Helper()
+	for limit := eng.Dispatched() + budget; eng.Pending() > 0; {
+		eng.RunUntil(eng.Now() + 100*sim.Microsecond)
+		if eng.Dispatched() > limit {
+			t.Fatalf("liveness: the connection did not quiesce within %d events", budget)
+		}
+	}
+}
+
 func TestSegmentCodecRoundTrip(t *testing.T) {
 	for _, seg := range []Segment{
 		{},
@@ -86,7 +99,7 @@ func TestRetransmitAfterLoss(t *testing.T) {
 	if err := w.a.Send(msg); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runBounded(t, eng, 100_000)
 	if !bytes.Equal(delivered, msg) {
 		t.Fatalf("delivered %d bytes, want %d", len(delivered), len(msg))
 	}
@@ -113,7 +126,7 @@ func TestFastRetransmit(t *testing.T) {
 	if err := w.a.Send(make([]byte, 6*256)); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runBounded(t, eng, 100_000)
 	if delivered != 6*256 {
 		t.Fatalf("delivered %d of %d bytes", delivered, 6*256)
 	}
@@ -146,7 +159,7 @@ func TestErrorEscalationAndReconnect(t *testing.T) {
 	if err := w.a.Send(make([]byte, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runBounded(t, eng, 100_000)
 	if st := w.a.State().String(); st != "Error" || !errored {
 		t.Fatalf("blackholed sender in %s after drain (OnError ran: %v), want Error", st, errored)
 	}
@@ -163,7 +176,7 @@ func TestErrorEscalationAndReconnect(t *testing.T) {
 	// epoch check must discard it without touching the new sequence
 	// space.
 	eng.After(100*sim.Nanosecond, func() { w.b.Ingress(stale, make([]byte, 1000)) })
-	eng.Run()
+	runBounded(t, eng, 100_000)
 	if delivered != 500 {
 		t.Fatalf("fresh incarnation delivered %d bytes, want 500", delivered)
 	}
@@ -200,7 +213,7 @@ func TestSmallWindowNoDeadlock(t *testing.T) {
 	if err := w.a.Send(make([]byte, 3*512)); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runBounded(t, eng, 100_000)
 	if delivered != 3*512 {
 		t.Fatalf("delivered %d of %d bytes", delivered, 3*512)
 	}
@@ -213,9 +226,10 @@ func TestSmallWindowNoDeadlock(t *testing.T) {
 }
 
 // TestAckBeyondSndNxtIgnored delivers a pure ACK for a byte the sender
-// never sent (Ack = sndNxt+1) to a connection with data in flight. A
+// never sent (Ack = snd.Nxt+1) to a connection with data in flight. A
 // sender that takes it cumulatively frees segments the peer has not
-// received; the ACK must change nothing.
+// received; the ACK must change nothing. (arq.TestAckBounds holds the
+// sender's timer to the same rule.)
 func TestAckBeyondSndNxtIgnored(t *testing.T) {
 	eng := sim.NewEngine()
 	w := newLoopback(eng, Config{SrcPort: 1, DstPort: 2}, Config{SrcPort: 2, DstPort: 1})
@@ -224,23 +238,28 @@ func TestAckBeyondSndNxtIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := w.a
-	una, queued := c.sndUna, len(c.txq)
-	if una == c.sndNxt || queued == 0 || !c.rto.Armed() {
-		t.Fatalf("nothing in flight to mis-acknowledge: una=%d nxt=%d txq=%d timer=%v",
-			una, c.sndNxt, queued, c.rto.Armed())
+	una, nxt := c.snd.Una, c.snd.Nxt
+	if una == nxt {
+		t.Fatalf("nothing in flight to mis-acknowledge: una=%d nxt=%d", una, nxt)
 	}
-	c.Ingress(Segment{SrcPort: 2, DstPort: 1, Ack: c.sndNxt + 1, Flags: FlagAck,
+	c.Ingress(Segment{SrcPort: 2, DstPort: 1, Ack: nxt + 1, Flags: FlagAck,
 		Window: 65535, Epoch: c.epoch}, nil)
-	if c.sndUna != una || len(c.txq) != queued || !c.rto.Armed() || c.Stats.AckedBytes != 0 {
-		t.Fatalf("ACK beyond sndNxt accepted: sndUna %d -> %d, retransmit queue %d -> %d, RTO armed %v, %d bytes counted acked",
-			una, c.sndUna, queued, len(c.txq), c.rto.Armed(), c.Stats.AckedBytes)
+	if c.snd.Una != una || c.snd.Nxt != nxt || c.Stats.AckedBytes != 0 {
+		t.Fatalf("ACK beyond snd.Nxt accepted: Una %d -> %d, Nxt %d -> %d, %d bytes counted acked",
+			una, c.snd.Una, nxt, c.snd.Nxt, c.Stats.AckedBytes)
+	}
+	runBounded(t, eng, 100_000)
+	if c.Stats.Retransmits == 0 || c.State() != StateError {
+		t.Fatalf("after the bogus ACK the RTO no longer guards the queue: %d retransmits, state %s",
+			c.Stats.Retransmits, c.State())
 	}
 }
 
 // TestAllocsPerTCPSend pins a warm Send+Run on a connected pair wired
-// back to back: the segment's payload copy and the send queue's
-// bookkeeping allocate, the RTO does not — it is a sim.Timer, where a
-// closure per arm cost one more allocation per send.
+// back to back: the segment's payload copy and its delivered copy
+// allocate. The send queue does not — arq's sim.FIFO rewinds onto its
+// array, where the old slice walk reallocated — and neither does the RTO,
+// a sim.Timer, where a closure per arm cost one more allocation per send.
 func TestAllocsPerTCPSend(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, Config{SrcPort: 1, DstPort: 2})
@@ -259,7 +278,7 @@ func TestAllocsPerTCPSend(t *testing.T) {
 	send()
 	avg := testing.AllocsPerRun(100, send)
 	t.Logf("%.2f allocations per TCP send round trip", avg)
-	if avg > 3 {
-		t.Fatalf("%.2f allocations per send round trip, want <= 3", avg)
+	if avg > 2 {
+		t.Fatalf("%.2f allocations per send round trip, want <= 2", avg)
 	}
 }
