@@ -2,6 +2,7 @@ package flexdriver
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"flexdriver/internal/sim"
@@ -144,4 +145,83 @@ func TestAggregatedClientsTelemetry(t *testing.T) {
 		t.Errorf("agg/clients/bytes undercounts: %d for %d frames",
 			snap.Get("agg/clients/bytes"), src.TotalSent())
 	}
+}
+
+// quantSource is a rand.Source whose every draw makes ExpFloat64 accept
+// on the ziggurat's first step with one of three values, so sim.Rand.Exp
+// returns one of three durations and clients' next ticks collide often.
+type quantSource struct{ s uint64 }
+
+func (q *quantSource) Int63() int64 {
+	q.s = q.s*6364136223846793005 + 1442695040888963407
+	return int64(1+q.s>>60%3) << 55
+}
+
+func (q *quantSource) Seed(int64) {}
+
+func quantRand(seed int64) *sim.Rand {
+	return &sim.Rand{Rand: rand.New(&quantSource{s: uint64(seed)})}
+}
+
+// TestAggregatedTieOrder pins the source's firing order where it is
+// hardest: on arrival streams quantised so that many clients are due at
+// the same instant. Every tick must fire the (next, index) minimum of a
+// brute-force scan over a shadow copy of each client's stream, and when
+// the source stops every shadow client must be at or past the stop line.
+func TestAggregatedTieOrder(t *testing.T) {
+	const K = 21
+	const seedBase int64 = 99
+	stop := 100 * Microsecond
+	mean := 20 * Microsecond
+	cl := NewCluster()
+	sink := cl.AddHost("sink")
+	next := make([]Time, K)
+	shadow := make([]*sim.Rand, K)
+	for ci := range shadow {
+		shadow[ci] = quantRand(seedBase + int64(ci))
+		next[ci] = shadow[ci].Exp(mean)
+	}
+	var src *AggregatedClients
+	fired, ties := 0, 0
+	src = cl.AddAggregatedClients("agg", AggregatedClientsConfig{
+		Clients:    K,
+		StreamSeed: seedBase,
+		Stop:       stop,
+		Rand:       quantRand,
+		Setup: func(h *Host, ci int, _ *sim.Rand) ClientSetup {
+			return ClientSetup{
+				Flows: [][]byte{clusterUDPFrame(h.NIC, sink.NIC, uint16(5000+ci), 7777, 64)},
+				Mean:  mean,
+			}
+		},
+		OnSend: func(ci int, _ []byte) {
+			now := src.Host.Engine().Now()
+			m := 0
+			for i := range next {
+				if next[i] < next[m] {
+					m = i
+				}
+			}
+			for i := range next {
+				if i != m && next[i] == next[m] {
+					ties++
+				}
+			}
+			if ci != m || now != next[m] {
+				t.Fatalf("fire %d: client %d at %v, want client %d at %v", fired, ci, now, m, next[m])
+			}
+			fired++
+			next[ci] = now + shadow[ci].Exp(mean)
+		},
+	})
+	cl.Run()
+	for ci, at := range next {
+		if at < stop {
+			t.Fatalf("client %d was due at %v, before the stop line %v, and never fired", ci, at, stop)
+		}
+	}
+	if fired != int(src.TotalSent()) || ties == 0 {
+		t.Fatalf("%d fires, %d frames sent, %d ties: want equal counts and some ties", fired, src.TotalSent(), ties)
+	}
+	t.Logf("%d fires, %d tied clients seen at fire time", fired, ties)
 }
