@@ -2,6 +2,8 @@ package netpkt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -175,7 +177,7 @@ func TestToeplitzVectors(t *testing.T) {
 		{IP{153, 39, 163, 191}, IP{202, 188, 127, 2}, 44251, 1303, 0x10e828a2},
 	}
 	for _, c := range cases {
-		got := Toeplitz(DefaultToeplitzKey, FlowKey(c.src, c.dst, c.srcPort, c.dstPort))
+		got := Toeplitz(FlowKey(c.src, c.dst, c.srcPort, c.dstPort))
 		if got != c.want {
 			t.Errorf("Toeplitz(%v:%d -> %v:%d) = %#x, want %#x",
 				c.src, c.srcPort, c.dst, c.dstPort, got, c.want)
@@ -197,7 +199,7 @@ func TestToeplitz2TupleVectors(t *testing.T) {
 	}
 	for _, c := range cases {
 		in := append(append([]byte{}, c.src[:]...), c.dst[:]...)
-		if got := Toeplitz(DefaultToeplitzKey, in); got != c.want {
+		if got := Toeplitz(in); got != c.want {
 			t.Errorf("Toeplitz2(%v -> %v) = %#x, want %#x", c.src, c.dst, got, c.want)
 		}
 	}
@@ -294,13 +296,82 @@ func TestMACIPStrings(t *testing.T) {
 	}
 }
 
+// toeplitzBits is the bit-serial Toeplitz hash, the definition the table
+// in Toeplitz is checked against: for every set input bit, XOR in the 32
+// key bits starting at that bit's position, key bits past the end reading
+// as zero.
+func toeplitzBits(key [40]byte, input []byte) uint32 {
+	var hash uint32
+	// kw holds the next 64 key bits; the high 32 bits are the window
+	// XORed into the hash whenever the current input bit is set. The
+	// window slides one bit per input bit, refilled a byte at a time.
+	kw := binary.BigEndian.Uint64(key[0:8])
+	next := 8 // next key byte to shift in
+	for _, b := range input {
+		for bit := 0; bit < 8; bit++ {
+			if b&0x80 != 0 {
+				hash ^= uint32(kw >> 32)
+			}
+			b <<= 1
+			kw <<= 1
+		}
+		if next < len(key) {
+			kw |= uint64(key[next])
+			next++
+		}
+	}
+	return hash
+}
+
+// FuzzToeplitzTable checks the table-driven hash against the bit-serial
+// definition, for every input length the key spans (0–36 bytes) and past
+// it, where the key runs out.
+func FuzzToeplitzTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(FlowKey(IPFrom(1), IPFrom(2), 1000, 2000))
+	f.Add(bytes.Repeat([]byte{0xff}, 36))
+	f.Add(bytes.Repeat([]byte{0x81}, 44))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if got, want := Toeplitz(in), toeplitzBits(DefaultToeplitzKey, in); got != want {
+			t.Fatalf("Toeplitz(% x) = %#x, bit-serial %#x", in, got, want)
+		}
+	})
+}
+
+// BenchmarkToeplitzFlowKey hashes one fixed tuple, which is what the
+// benchmark's probe does. With the bit-serial hash a fixed input trained
+// the branch predictor and hid most of the cost; see
+// BenchmarkToeplitzRandomFlows.
 func BenchmarkToeplitzFlowKey(b *testing.B) {
 	in := FlowKey(IPFrom(1), IPFrom(2), 1000, 2000)
 	b.SetBytes(int64(len(in)))
+	var sink uint32
 	for i := 0; i < b.N; i++ {
-		Toeplitz(DefaultToeplitzKey, in)
+		sink ^= Toeplitz(in)
 	}
+	toeplitzSink = sink
 }
+
+// BenchmarkToeplitzRandomFlows hashes 4 096 random tuples in turn, as a
+// NIC hashing many flows does.
+func BenchmarkToeplitzRandomFlows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ins := make([][]byte, 4096)
+	for i := range ins {
+		ins[i] = make([]byte, 12)
+		rng.Read(ins[i])
+	}
+	b.SetBytes(12)
+	b.ResetTimer()
+	var sink uint32
+	for i := 0; i < b.N; i++ {
+		sink ^= Toeplitz(ins[i%len(ins)])
+	}
+	toeplitzSink = sink
+}
+
+// toeplitzSink keeps the benchmarks' hashes live.
+var toeplitzSink uint32
 
 func BenchmarkChecksum1500(b *testing.B) {
 	buf := make([]byte, 1500)

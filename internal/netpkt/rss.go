@@ -1,15 +1,14 @@
 package netpkt
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
-// ToeplitzKey is the RSS hash key. Microsoft's canonical verification key
-// is the default, so the implementation can be checked against published
-// test vectors.
-type ToeplitzKey [40]byte
-
-// DefaultToeplitzKey is the key from the Microsoft RSS verification suite,
-// used by essentially every NIC vendor's documentation.
-var DefaultToeplitzKey = ToeplitzKey{
+// DefaultToeplitzKey is the RSS hash key: the key from the Microsoft RSS
+// verification suite, used by essentially every NIC vendor's
+// documentation, so the hash can be checked against published vectors.
+var DefaultToeplitzKey = [40]byte{
 	0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2,
 	0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,
 	0xd0, 0xca, 0x2b, 0xcb, 0xae, 0x7b, 0x30, 0xb4,
@@ -17,27 +16,38 @@ var DefaultToeplitzKey = ToeplitzKey{
 	0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 }
 
-// Toeplitz computes the Toeplitz hash of input under key, as used for RSS
-// queue selection (paper §2.1).
-func Toeplitz(key ToeplitzKey, input []byte) uint32 {
+// toeplitzTab[i][b] is the hash of byte b at input offset i. The Toeplitz
+// hash XORs, for every set input bit p (counted from the most significant
+// bit of byte 0), the 32-bit key window that starts at key bit p, so it is
+// linear over the input bytes. Key bits past the key's end read as zero: a
+// byte at offset 40 or beyond adds nothing.
+var toeplitzTab [len(DefaultToeplitzKey)][256]uint32
+
+func init() {
+	var key [len(DefaultToeplitzKey) + 8]byte
+	copy(key[:], DefaultToeplitzKey[:])
+	for i := range toeplitzTab {
+		kw := binary.BigEndian.Uint64(key[i:]) // key bits 8i..8i+63
+		for b := 1; b < 256; b++ {
+			// Bit 1<<low of the byte is input bit 8i+7-low: its window
+			// is kw shifted left by 7-low, top 32 bits.
+			low := bits.TrailingZeros8(uint8(b))
+			toeplitzTab[i][b] = toeplitzTab[i][b&(b-1)] ^ uint32(kw<<(7-low)>>32)
+		}
+	}
+}
+
+// Toeplitz computes the Toeplitz hash of input under DefaultToeplitzKey,
+// as used for RSS queue selection (paper §2.1): one table load per input
+// byte, where the bit-serial definition takes a data-dependent branch per
+// input bit.
+func Toeplitz(input []byte) uint32 {
 	var hash uint32
-	// kw holds the next 64 key bits; the high 32 bits are the window
-	// XORed into the hash whenever the current input bit is set. The
-	// window slides one bit per input bit, refilled a byte at a time.
-	kw := binary.BigEndian.Uint64(key[0:8])
-	next := 8 // next key byte to shift in
-	for _, b := range input {
-		for bit := 0; bit < 8; bit++ {
-			if b&0x80 != 0 {
-				hash ^= uint32(kw >> 32)
-			}
-			b <<= 1
-			kw <<= 1
+	for i, b := range input {
+		if i == len(toeplitzTab) {
+			break
 		}
-		if next < len(key) {
-			kw |= uint64(key[next])
-			next++
-		}
+		hash ^= toeplitzTab[i][b]
 	}
 	return hash
 }
@@ -71,16 +81,16 @@ func RSSHash(frame []byte) uint32 {
 		switch h.Proto {
 		case ProtoTCP:
 			if t, _, err := ParseTCP(payload); err == nil {
-				return Toeplitz(DefaultToeplitzKey, FlowKey(h.Src, h.Dst, t.SrcPort, t.DstPort))
+				return Toeplitz(FlowKey(h.Src, h.Dst, t.SrcPort, t.DstPort))
 			}
 		case ProtoUDP:
 			if u, _, err := ParseUDP(payload); err == nil {
-				return Toeplitz(DefaultToeplitzKey, FlowKey(h.Src, h.Dst, u.SrcPort, u.DstPort))
+				return Toeplitz(FlowKey(h.Src, h.Dst, u.SrcPort, u.DstPort))
 			}
 		}
 	}
 	b := make([]byte, 0, 8)
 	b = append(b, h.Src[:]...)
 	b = append(b, h.Dst[:]...)
-	return Toeplitz(DefaultToeplitzKey, b)
+	return Toeplitz(b)
 }

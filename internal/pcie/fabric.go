@@ -103,6 +103,7 @@ type Port struct {
 	fab  *Fabric
 	dev  Device
 	cfg  LinkConfig
+	rate sim.BitRate // cfg.EffectiveRate(), which every TLP reads
 	base uint64
 	size uint64
 	up   *sim.Resource
@@ -141,6 +142,7 @@ func (f *Fabric) Attach(dev Device, cfg LinkConfig) *Port {
 		fab:  f,
 		dev:  dev,
 		cfg:  cfg,
+		rate: cfg.EffectiveRate(),
 		base: base,
 		size: size,
 		up:   sim.NewResource(f.eng),
@@ -323,7 +325,7 @@ func (p *Port) cross(dir telemetry.Dir, typ telemetry.TLPType, addr uint64, n in
 		link, bytes = p.down, &p.DownBytes
 	}
 	*bytes += int64(wire)
-	d := p.cfg.EffectiveRate().Serialize(wire)
+	d := p.rate.Serialize(wire)
 	end := link.Acquire(d)
 	if p.tlm != nil {
 		p.observe(dir, typ, addr, n, wire, end, d)
@@ -389,7 +391,7 @@ func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 	// timeout plus one full round trip — request and completion each
 	// serialize on two links and cross two propagation hops.
 	o.deadline = p.fab.eng.Now() + p.cfg.CplTimeout +
-		2*p.cfg.EffectiveRate().Serialize(p.cfg.ReadReqWireBytes(size)+p.cfg.CompletionWireBytes(size)) +
+		2*p.rate.Serialize(p.cfg.ReadReqWireBytes(size)+p.cfg.CompletionWireBytes(size)) +
 		4*p.cfg.PropDelay
 
 	if p.fab.linkDown(p) || p.fab.dropTLP(p, telemetry.MemRd) {

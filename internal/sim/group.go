@@ -57,7 +57,7 @@ type Group struct {
 	now       Time
 	ids       map[string]int
 
-	controls []control
+	controls Heap[func()] // barrier actions, by (time, scheduling order)
 	ctlSeq   uint64
 
 	// inRound is true while shard events execute, guarding the Conduit
@@ -99,16 +99,6 @@ func (g *Group) Stats() GroupStats {
 
 // maxTime is the largest representable instant, used as "no bound".
 const maxTime = Time(1<<63 - 1)
-
-// control is a barrier action: fn runs at time at with every shard
-// quiesced and advanced to at. Controls are the sharded replacement for
-// "global" events — watchdogs that poll every node, recovery passes,
-// phase changes.
-type control struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
 
 // NewGroup returns an empty group with lookahead 0.
 func NewGroup() *Group {
@@ -168,8 +158,10 @@ func (g *Group) NextID(name string) int {
 	return g.ids[name]
 }
 
-// Control schedules fn to run at absolute time t with all shards quiesced
-// up to t and their clocks advanced to t. Controls at the same instant run
+// Control schedules fn, a barrier action, to run at absolute time t with
+// all shards quiesced up to t and their clocks advanced to t. Controls are
+// the sharded replacement for "global" events — watchdogs that poll every
+// node, recovery passes, phase changes. Controls at the same instant run
 // in scheduling order, before any shard event at t. Call it at
 // construction time or from within another control action — never from a
 // shard event, whose shard may already have run past t.
@@ -178,13 +170,13 @@ func (g *Group) Control(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling control at %v before now %v", t, g.now))
 	}
 	g.ctlSeq++
-	g.controls = append(g.controls, control{at: t, seq: g.ctlSeq, fn: fn})
+	g.controls.Push(t, g.ctlSeq, fn)
 }
 
 // Pending reports the total number of scheduled events across all shards
 // (in-flight conduit messages among them) and pending controls.
 func (g *Group) Pending() int {
-	n := len(g.controls)
+	n := g.controls.Len()
 	for _, e := range g.engines {
 		n += e.Pending()
 	}
@@ -296,11 +288,11 @@ func (g *Group) run(deadline Time, drain bool) {
 func (g *Group) nextEventTimes() (min1, min2 Time, have bool) {
 	min1, min2 = maxTime, maxTime
 	for _, e := range g.engines {
-		if len(e.events) == 0 {
+		if e.events.Len() == 0 {
 			continue
 		}
 		have = true
-		t := e.events[0].at
+		t := e.events.Min().At
 		if t < min1 {
 			min2 = min1
 			min1 = t
@@ -313,42 +305,17 @@ func (g *Group) nextEventTimes() (min1, min2 Time, have bool) {
 
 // nextControlTime reports the earliest pending control.
 func (g *Group) nextControlTime() (Time, bool) {
-	var best Time
-	var seq uint64
-	have := false
-	for i := range g.controls {
-		c := &g.controls[i]
-		if !have || c.at < best || (c.at == best && c.seq < seq) {
-			best, seq, have = c.at, c.seq, true
-		}
+	if g.controls.Len() == 0 {
+		return 0, false
 	}
-	return best, have
+	return g.controls.Min().At, true
 }
 
 // runControlsAt executes all controls due at instant t in scheduling
 // order, including ones a control schedules at the same instant.
 func (g *Group) runControlsAt(t Time) {
-	for {
-		mi := -1
-		var seq uint64
-		for i := range g.controls {
-			c := &g.controls[i]
-			if c.at != t {
-				continue
-			}
-			if mi < 0 || c.seq < seq {
-				mi, seq = i, c.seq
-			}
-		}
-		if mi < 0 {
-			return
-		}
-		fn := g.controls[mi].fn
-		last := len(g.controls) - 1
-		g.controls[mi] = g.controls[last]
-		g.controls[last] = control{}
-		g.controls = g.controls[:last]
-		fn()
+	for g.controls.Len() > 0 && g.controls.Min().At == t {
+		g.controls.Pop().V()
 	}
 }
 
@@ -375,10 +342,10 @@ func (g *Group) round(base, ownerEnd, min1 Time) {
 	}
 	g.inRound = true
 	for _, e := range g.engines {
-		if len(e.events) == 0 {
+		if e.events.Len() == 0 {
 			continue
 		}
-		t := e.events[0].at
+		t := e.events.Min().At
 		end := base
 		if t == min1 {
 			// Ties all see min2 == min1, so ownerEnd == base and the

@@ -2,77 +2,6 @@ package sim
 
 import "testing"
 
-// nopArg is a no-op arg-form callback for heap bookkeeping tests.
-func nopArg(any) {}
-
-// TestHeapPopClearsVacatedSlot pins the fix for the popped-event leak:
-// pop must zero the vacated tail slot so the backing array does not keep
-// the dispatched callback (and everything its closure or arg references)
-// reachable until the slot is overwritten by a later push.
-func TestHeapPopClearsVacatedSlot(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 8; i++ {
-		e.AtArg(Time(i), nopArg, &struct{}{})
-	}
-	for len(e.events) > 0 {
-		e.pop()
-		full := e.events[:cap(e.events)]
-		vacated := full[len(e.events)]
-		if vacated.afn != nil || vacated.arg != nil {
-			t.Fatalf("slot %d still holds afn/arg (%v) after pop",
-				len(e.events), vacated.arg)
-		}
-	}
-}
-
-// TestHeapShrinkQuarterFull pins the shrink policy: once a drained queue
-// falls to a quarter of its backing capacity, pop reallocates at half
-// capacity, and it never bothers below shrinkCapMin. A burst therefore
-// cannot pin its high-water footprint for the rest of a run.
-func TestHeapShrinkQuarterFull(t *testing.T) {
-	e := NewEngine()
-	const n = 1 << 12
-	// Deterministic scramble (LCG) so the drain exercises real sift-downs
-	// across the shrink reallocations, not just an already-sorted array.
-	x := uint64(1)
-	for i := 0; i < n; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		e.AtArg(Time(x%100_000), nopArg, nil)
-	}
-	grown := cap(e.events)
-	if grown < n {
-		t.Fatalf("cap after %d pushes = %d, want >= %d", n, grown, n)
-	}
-
-	shrunk := false
-	prev := Time(-1)
-	prevCap := grown
-	for len(e.events) > 0 {
-		ev := e.pop()
-		if ev.at < prev {
-			t.Fatalf("pop order broken across shrink: %v after %v", ev.at, prev)
-		}
-		prev = ev.at
-		if c := cap(e.events); c < prevCap {
-			shrunk = true
-			if c != prevCap/2 {
-				t.Fatalf("shrink went %d -> %d, want halving to %d", prevCap, c, prevCap/2)
-			}
-			if len(e.events) > prevCap/4 {
-				t.Fatalf("shrank at len %d with cap %d, policy is <= cap/4", len(e.events), prevCap)
-			}
-			prevCap = c
-		}
-	}
-	if !shrunk {
-		t.Fatalf("queue drained from cap %d without ever shrinking", grown)
-	}
-	if c := cap(e.events); c >= 2*shrinkCapMin {
-		t.Fatalf("final cap %d, want < %d (shrink runs until cap drops below %d)",
-			c, 2*shrinkCapMin, shrinkCapMin)
-	}
-}
-
 // tickState is the preallocated state for the steady-state alloc tests: a
 // self-rescheduling event that re-arms via AfterArg instead of capturing
 // anything in a fresh closure.

@@ -63,19 +63,19 @@ func (t Time) String() string {
 // FromSeconds converts seconds to virtual Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// event is one scheduled callback: afn(arg) runs at time at. All scheduling
-// forms reduce to this one shape — After wraps its closure in arg behind a
-// static trampoline, Timers pass themselves as arg — so dispatch is a
-// single indirect call with no branching, and the struct stays at 40 bytes
+// call is one scheduled callback: Fn(Arg). All scheduling forms reduce to
+// this one shape — After wraps its closure in Arg behind a static
+// trampoline, Timers pass themselves as Arg — so dispatch is a single
+// indirect call with no branching, and a heap entry stays at 40 bytes
 // (copies and GC write barriers on heap moves are the hot path's main
 // cost). Events are stored by value; scheduling never boxes or allocates:
 // func values and pointers are pointer-shaped, so the any conversions
-// below are allocation-free.
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker among same-time events; see Engine.push
-	afn func(any)
-	arg any
+// below are allocation-free. The fields are exported only so that the
+// name of the heap code instantiated for call, as profiles print it,
+// carries no package path that would attribute it outside this package.
+type call struct {
+	Fn  func(any)
+	Arg any
 }
 
 // runClosure is the dispatch trampoline for After's closures.
@@ -84,16 +84,13 @@ func runClosure(a any) { a.(func())() }
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create one with NewEngine.
 //
-// The pending-event queue is a typed 4-ary min-heap ordered by
-// (time, insertion sequence). The 4-ary layout halves the tree depth of a
-// binary heap (fewer cache lines touched per operation), and the typed
-// implementation avoids container/heap's interface{} boxing, so scheduling
-// an event never allocates.
+// The pending events are a Heap ordered by (time, insertion sequence), so
+// scheduling an event never allocates.
 type Engine struct {
 	now    Time
-	seq    uint64
+	seq    uint64 // tie-breaker among same-time events; see Engine.push
 	nrun   uint64 // events dispatched since creation
-	events []event
+	events Heap[call]
 	bufs   *BufPool
 	ids    map[string]int
 	group  *Group // non-nil when the engine is one shard of a Group
@@ -184,80 +181,7 @@ func (e *Engine) insert(at Time, seq uint64, afn func(any), arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	h := e.events
-	i := len(h)
-	if i < cap(h) {
-		h = h[:i+1]
-		h[i] = event{at: at, seq: seq, afn: afn, arg: arg}
-	} else {
-		h = append(h, event{at: at, seq: seq, afn: afn, arg: arg})
-	}
-	// Sift up: parent of i is (i-1)/4. The comparison is the full
-	// (time, seq) order, so a local event stays below an equal-time parent
-	// (its seq is the largest yet) and an arrival climbs past equal-time
-	// locals.
-	for i > 0 {
-		p := (i - 1) / 4
-		if h[p].at < h[i].at || (h[p].at == h[i].at && h[p].seq < h[i].seq) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	e.events = h
-}
-
-// shrinkCapMin is the smallest backing-array capacity the shrink policy
-// considers; below it the memory at stake is noise.
-const shrinkCapMin = 64
-
-// pop removes and returns the earliest event. The vacated tail slot is
-// cleared so the backing array does not retain the callback (and whatever
-// its closure or arg references) after dispatch, and the array is
-// reallocated at half capacity once the queue drains to a quarter of it,
-// so a burst (e.g. an overload point of the cluster sweep) does not pin
-// its high-water footprint for the rest of a long run.
-func (e *Engine) pop() event {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // clear: do not retain fn/arg through the backing array
-	h = h[:n]
-	if n > 0 {
-		// Sift the former tail down from the root, moving a hole instead
-		// of swapping (one 40 B store per level, not three).
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-					m = j
-				}
-			}
-			if last.at < h[m].at || (last.at == h[m].at && last.seq < h[m].seq) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	if c := cap(h); c >= shrinkCapMin && n <= c/4 {
-		s := make([]event, n, c/2)
-		copy(s, h)
-		h = s
-	}
-	e.events = h
-	return top
+	e.events.Push(at, seq, call{afn, arg})
 }
 
 // Pending reports the number of scheduled events (including not-yet-expired
@@ -265,7 +189,7 @@ func (e *Engine) pop() event {
 // that settled leaves nothing behind — its completion timeout is only
 // scheduled once the read can no longer settle in time — so a quiesced
 // fault-free datapath reads zero.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.events.Len() }
 
 // Dispatched reports how many events the engine has executed since it was
 // created. The count is a function of the model and the seed alone, so
@@ -288,11 +212,11 @@ func (e *Engine) RunUntil(deadline Time) {
 // taking an inclusive bound keeps every caller clear of deadline+1, which
 // wraps at maxTime.
 func (e *Engine) runThrough(last Time) {
-	for len(e.events) > 0 && e.events[0].at <= last {
-		ev := e.pop()
-		e.now = ev.at
+	for e.events.Len() > 0 && e.events.Min().At <= last {
+		ev := e.events.Pop()
+		e.now = ev.At
 		e.nrun++
-		ev.afn(ev.arg)
+		ev.V.Fn(ev.V.Arg)
 	}
 }
 

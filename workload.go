@@ -73,15 +73,15 @@ type AggregatedClients struct {
 	cfg  AggregatedClientsConfig
 	eng  *sim.Engine
 	cs   []aggClient
-	heap []int32 // client indices ordered by (next tick, index)
+	next sim.Heap[struct{}] // next ticks, the client index in Seq
 	stop Time
 
 	frames, bytes *telemetry.Counter // nil without telemetry
 }
 
-// aggClient is one modeled client's arrival state.
+// aggClient is one modeled client's arrival state; its next tick is its
+// entry in the source's heap.
 type aggClient struct {
-	next  Time
 	gap   Duration
 	rng   *sim.Rand
 	flows [][]byte
@@ -124,7 +124,7 @@ func AttachAggregatedClients(h *Host, cfg AggregatedClientsConfig) *AggregatedCl
 	s := &AggregatedClients{
 		Host: h, Port: port, cfg: cfg, eng: h.Engine(), stop: cfg.Stop,
 		cs:   make([]aggClient, 0, cfg.Clients),
-		heap: make([]int32, 0, cfg.Clients),
+		next: sim.NewHeap[struct{}](cfg.Clients),
 	}
 	if reg := h.Telemetry(); reg != nil {
 		sc := reg.Scope(h.Name()).Scope("clients")
@@ -148,13 +148,10 @@ func AttachAggregatedClients(h *Host, cfg AggregatedClientsConfig) *AggregatedCl
 			burst = 1
 		}
 		gap := set.Mean * Duration(burst)
-		cl := aggClient{rng: rng, flows: set.Flows, burst: burst, gap: gap}
-		cl.next = now + rng.Exp(gap)
-		s.cs = append(s.cs, cl)
-		s.heap = append(s.heap, int32(ci))
-		s.siftUp(ci)
+		s.cs = append(s.cs, aggClient{rng: rng, flows: set.Flows, burst: burst, gap: gap})
+		s.next.Push(now+rng.Exp(gap), uint64(ci), struct{}{})
 	}
-	s.eng.AtArg(s.cs[s.heap[0]].next, aggFire, s)
+	s.eng.AtArg(s.next.Min().At, aggFire, s)
 	return s
 }
 
@@ -185,13 +182,14 @@ func aggFire(a any) {
 	if now >= s.stop {
 		return
 	}
-	ci := s.heap[0]
+	m := s.next.Min()
+	ci := int(m.Seq)
 	c := &s.cs[ci]
 	for b := 0; b < c.burst; b++ {
 		f := append([]byte(nil), c.flows[int(c.fi)%len(c.flows)]...)
 		c.fi++
 		if s.cfg.OnSend != nil {
-			s.cfg.OnSend(int(ci), f)
+			s.cfg.OnSend(ci, f)
 		}
 		if s.frames != nil {
 			s.frames.Inc()
@@ -199,46 +197,7 @@ func aggFire(a any) {
 		}
 		s.Port.Send(f)
 	}
-	c.next = now + c.rng.Exp(c.gap)
-	s.siftDown(0)
-	s.eng.AtArg(s.cs[s.heap[0]].next, aggFire, s)
-}
-
-// aggLess orders heap slots by (next tick, client index) — the index
-// tie-break makes same-instant ticks fire in client order, keeping the
-// superposition deterministic.
-func (s *AggregatedClients) aggLess(a, b int32) bool {
-	ca, cb := &s.cs[a], &s.cs[b]
-	return ca.next < cb.next || (ca.next == cb.next && a < b)
-}
-
-func (s *AggregatedClients) siftUp(i int) {
-	h := s.heap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.aggLess(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (s *AggregatedClients) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && s.aggLess(h[c+1], h[c]) {
-			c++
-		}
-		if !s.aggLess(h[c], h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
+	m.At = now + c.rng.Exp(c.gap)
+	s.next.FixMin()
+	s.eng.AtArg(s.next.Min().At, aggFire, s)
 }
