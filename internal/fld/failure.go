@@ -35,8 +35,7 @@ func (f *FLD) Crash() {
 func (f *FLD) ResetFunction() {
 	f.flushFunction(false)
 	for _, tq := range f.queues {
-		tq.pi = 0
-		tq.released = 0
+		tq.ring.PI = 0
 		tq.cursor = 0
 		tq.sinceSig = 0
 	}
@@ -50,25 +49,16 @@ func (f *FLD) flushFunction(crashed bool) {
 	// The transmit pools are on-die SRAM: every pending descriptor, its
 	// payload pages and its translation entries die with the function.
 	for qi, tq := range f.queues {
-		for tq.pending.Len() > 0 {
-			p := tq.pending.Pop()
-			f.txPool.release(p.pages)
-			for i := 0; i < p.npages; i++ {
-				vp := (p.vstart + i) % f.windowPages
-				f.dataXlt.Delete(uint64(qi)<<32 | uint64(vp))
-			}
-			f.descXlt.Delete(uint64(qi)<<32 | uint64(p.idx%uint32(f.cfg.TxRingEntries)))
-			f.descFree = append(f.descFree, p.slot)
-			if crashed {
-				f.Stats.CrashDrops++
-			}
+		if crashed {
+			f.Stats.CrashDrops += int64(tq.ring.Len())
 		}
-		tq.released = tq.pi
+		for tq.ring.Len() > 0 {
+			f.releaseTx(qi)
+		}
 	}
 	// Abandon the receive buffer the NIC was mid-fill on; ResyncRx
 	// reposts lost capacity once the driver ladder reaches the FLD.
-	f.rxCurBuf = -1
-	f.rxCurStrides = 0
+	f.rx.Abandon()
 	f.noteOccupancy()
 }
 
@@ -89,13 +79,10 @@ func (f *FLD) Restart() {
 // CQEs nobody saw, so the FLD reposts the difference to return the
 // ring to full capacity. A ring Start never armed has none to restore.
 func (f *FLD) ResyncRx(posted int) {
-	f.rxCurBuf = -1
-	f.rxCurStrides = 0
+	f.rx.Abandon()
 	if !f.rxArmed {
 		return
 	}
-	if missing := f.RxBufCount() - posted; missing > 0 {
-		f.rxPI += uint32(missing)
-	}
-	f.writeRQDoorbell()
+	f.rx.TopUp(posted)
+	f.writeRQDoorbell(f.rx.PI)
 }

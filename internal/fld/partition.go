@@ -85,7 +85,7 @@ func (f *FLD) Quiesced() bool {
 		return false
 	}
 	for _, tq := range f.queues {
-		if tq.pending.Len() > 0 {
+		if tq.ring.Len() > 0 {
 			return false
 		}
 	}
@@ -98,4 +98,4 @@ func (f *FLD) Quiesced() bool {
 // up to this index, any descriptor the FLD still tracks is finished
 // work whose completion report was unsignaled or lost, not work in
 // flight.
-func (f *FLD) TxPosted(q int) uint32 { return f.queues[q].pi }
+func (f *FLD) TxPosted(q int) uint32 { return f.queues[q].ring.PI }

@@ -1,7 +1,5 @@
 package swdriver
 
-import "flexdriver/internal/nic"
-
 // Failure domains: host driver crash–restart. While down the driver
 // process is gone — application sends are dropped and counted, and
 // completions land in rings nobody polls (the NIC keeps DMA-ing; the
@@ -32,15 +30,13 @@ func (d *Driver) Crash() {
 // process's memory (software queue, pending doorbell, half-reassembled
 // message) is gone.
 func (p *EthPort) crash() {
-	p.drv.TxErrors += int64(p.txQueued.Len())
-	p.txQueued.Reset()
+	p.tx.crash()
 	p.dbTimer.Stop()
 	p.sincedb = 0
 }
 
 func (e *RDMAEndpoint) crash() {
-	e.drv.TxErrors += int64(e.queued.Len())
-	e.queued.Reset()
+	e.tx.crash()
 	e.cur = e.cur[:0]
 }
 
@@ -67,15 +63,8 @@ func (d *Driver) Restart() {
 // supervision ladder retries until they stick.
 func (p *EthPort) reattach() {
 	p.flushTx()
-	if p.rq.State() == nic.QueueError {
-		p.rq.Reset()
-		p.drv.Recoveries++
-	}
-	if missing := p.rqSize - p.rq.Posted(); missing > 0 {
-		p.rqPI += uint32(missing)
-	}
 	p.rqSinceDB = 0
-	p.ringRQDoorbell()
+	p.rx.reattach()
 }
 
 // reattach re-initializes one RDMA endpoint after a crash–restart: the
@@ -84,13 +73,6 @@ func (p *EthPort) reattach() {
 // stays with ReconnectEndpoints.
 func (e *RDMAEndpoint) reattach() {
 	e.cur = nil
-	e.drv.flushSQ(e.QP.SQ, e.pi, &e.ci)
-	if e.QP.RQ.State() == nic.QueueError {
-		e.QP.RQ.Reset()
-		e.drv.Recoveries++
-	}
-	if missing := e.rqEntries - e.QP.RQ.Posted(); missing > 0 {
-		e.rqPI += uint32(missing)
-	}
-	e.ringRQDoorbell()
+	e.tx.flush()
+	e.rx.reattach()
 }

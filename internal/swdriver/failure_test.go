@@ -166,7 +166,7 @@ func TestOversizeSendIsDroppedAndCounted(t *testing.T) {
 	reg := telemetry.New()
 	a.drv.SetTelemetry(reg.Scope("drv"))
 
-	tx.Send(make([]byte, tx.txBufSz+1))
+	tx.Send(make([]byte, tx.tx.bufSz+1))
 	tx.Send(frame(256, 7))
 	eng.Run()
 

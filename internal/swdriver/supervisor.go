@@ -61,7 +61,7 @@ func (s *Supervisor) Healthy() bool {
 		return false
 	}
 	for _, q := range d.queues {
-		if sq, rq := q.rings(); sq.State() != nic.QueueReady || rq.State() != nic.QueueReady {
+		if tx, rx := q.rings(); tx.sq.State() != nic.QueueReady || rx.rq.State() != nic.QueueReady {
 			return false
 		}
 	}
@@ -80,7 +80,8 @@ func (s *Supervisor) apply(rung int) {
 		case RungQueueReset, RungReattach:
 			q.reattach()
 		case RungFLR:
-			q.ringRQDoorbell()
+			_, rx := q.rings()
+			rx.doorbell(rx.PI)
 		}
 	}
 }

@@ -119,14 +119,14 @@ func New(eng *sim.Engine, fab *pcie.Fabric, mem *hostmem.Memory, n *nic.NIC, prm
 	}
 }
 
-// queueSet is what crash–restart and the supervision ladder need of an
-// EthPort or an RDMAEndpoint.
+// queueSet is what crash–restart, the supervision ladder and a send ring
+// need of an EthPort or an RDMAEndpoint.
 type queueSet interface {
 	Poll() bool
-	rings() (*nic.SQ, *nic.RQ)
+	rings() (*sendRing, *recvRing)
 	crash()
 	reattach()
-	ringRQDoorbell()
+	post(data []byte)
 }
 
 // doorbell rings a producer-index doorbell register.
@@ -134,18 +134,6 @@ func (d *Driver) doorbell(offset uint64, pi uint32) {
 	b := d.eng.Bufs().Get(4)
 	binary.BigEndian.PutUint32(b, pi)
 	d.host.WriteOwned(d.bar+offset, b, nil)
-}
-
-// flushSQ is the host flush recovery of a send ring: in-flight work is
-// counted lost and the ring restarts empty. The NIC is reset to the
-// driver's own producer count (not the last-doorbell value) so it never
-// re-fetches discarded slots — stale completions from those would wrap
-// the ci advance in the completion handler.
-func (d *Driver) flushSQ(sq *nic.SQ, pi uint32, ci *uint32) {
-	d.TxErrors += int64(pi - *ci)
-	*ci = pi
-	sq.ResetTo(pi, pi)
-	d.Recoveries++
 }
 
 // cpuWork charges one CPU operation, with occasional OS jitter, then runs
@@ -167,28 +155,6 @@ func (d *Driver) cpuCost(cost sim.Duration) sim.Duration {
 		}
 	}
 	return cost
-}
-
-// txPost carries one frame (or, with e set, one RDMA message) through the
-// TX CPU cost to its ring post.
-type txPost struct {
-	sim.Link[txPost]
-	p     *EthPort
-	e     *RDMAEndpoint
-	frame []byte
-}
-
-func txPostRun(a any) {
-	x := a.(*txPost)
-	p, frame := x.p, x.frame
-	*x = txPost{}
-	p.drv.txPosts.Put(x)
-	if int(p.pi-p.ci) >= p.sqSize {
-		p.tTxSwQueued.Inc()
-		p.txQueued.Push(frame)
-		return
-	}
-	p.post(frame)
 }
 
 // rxWork carries one receive completion through the RX CPU cost to frame
@@ -216,11 +182,11 @@ func rxWorkRun(a any) {
 		}
 	}
 	// Recycle the buffer (in-order repost, batched doorbells).
-	p.rqPI++
+	p.rx.PI++
 	p.rqSinceDB++
-	if p.rqSinceDB >= p.drv.Prm.DoorbellBatch || p.rq.Posted() < p.rqSize/2 {
+	if p.rqSinceDB >= p.drv.Prm.DoorbellBatch || p.rx.rq.Posted() < p.rx.Size/2 {
 		p.rqSinceDB = 0
-		p.ringRQDoorbell()
+		p.rx.doorbell(p.rx.PI)
 	}
 }
 
@@ -236,26 +202,12 @@ type RxMeta struct {
 type EthPort struct {
 	drv   *Driver
 	vport *nic.VPort
-	sq    *nic.SQ
-	rq    *nic.RQ
+	tx    sendRing
+	rx    recvRing
 
-	sqRing   uint64
-	txBufs   uint64
-	txBufSz  int
-	sqSize   int
-	pi       uint32
-	ci       uint32
-	sincedb  int
-	txQueued sim.FIFO[[]byte] // frames waiting for ring space
-	dbTimer  *sim.Timer
-	scratch  [nic.SendWQESize]byte // ring-descriptor marshal buffer
-
-	rqRing    uint64
-	rxBufs    uint64
-	rxBufSz   int
-	rqSize    int
-	rqPI      uint32
-	rqSinceDB int
+	sincedb   int // posts since the last SQ doorbell
+	dbTimer   *sim.Timer
+	rqSinceDB int // reposts since the last RQ doorbell
 
 	// OnReceive delivers received frames to the application.
 	OnReceive func(frame []byte, md RxMeta)
@@ -263,10 +215,9 @@ type EthPort struct {
 	OnSendComplete func(n int)
 
 	// Telemetry handles (nil-safe; see instrument).
-	tTxPosts, tTxInline, tTxSwQueued *telemetry.Counter
-	tSQDoorbells, tRQDoorbells       *telemetry.Counter
-	tRxPackets                       *telemetry.Counter
-	tDBBatch, tCplBatch              *telemetry.Histogram
+	tTxPosts, tTxInline      *telemetry.Counter
+	tSQDoorbells, tRxPackets *telemetry.Counter
+	tDBBatch, tCplBatch      *telemetry.Histogram
 }
 
 // DefaultBufBytes is an EthPort's per-buffer size when its config names
@@ -306,74 +257,42 @@ func (d *Driver) NewEthPort(cfg EthPortConfig) *EthPort {
 		cfg.VPort = d.nic.ESwitch().AddVPort()
 		d.nic.ESwitch().AddRule(cfg.VPort.EgressTable, nic.Rule{Action: nic.Action{ToWire: true}})
 	}
-	p := &EthPort{drv: d, vport: cfg.VPort, sqSize: cfg.TxEntries, rqSize: cfg.RxEntries,
-		txBufSz: cfg.BufBytes, rxBufSz: cfg.BufBytes}
+	p := &EthPort{drv: d, vport: cfg.VPort}
 	// Lazy-doorbell timer: rearmed on every non-batch post instead of
 	// allocating a check closure per post.
 	p.dbTimer = d.eng.NewTimer(dbTimerFire, p)
-
-	scqRing := d.mem.Alloc(uint64(cfg.TxEntries)*nic.CQESize, 64)
-	scq := d.nic.CreateCQ(nic.CQConfig{Ring: d.fab.AddrOf(d.mem, scqRing), Size: cfg.TxEntries,
-		OnCQE: func(c nic.CQE) { p.txComplete(c) }})
-	p.sqRing = d.mem.Alloc(uint64(cfg.TxEntries)*nic.SendWQESize, 64)
-	p.txBufs = d.mem.Alloc(uint64(cfg.TxEntries)*uint64(cfg.BufBytes), 4096)
-	p.sq = d.nic.CreateSQ(nic.SQConfig{Ring: d.fab.AddrOf(d.mem, p.sqRing),
-		Size: cfg.TxEntries, CQ: scq, VPort: cfg.VPort, Shaper: cfg.Shaper})
-
-	rcqRing := d.mem.Alloc(uint64(cfg.RxEntries)*nic.CQESize, 64)
-	rcq := d.nic.CreateCQ(nic.CQConfig{Ring: d.fab.AddrOf(d.mem, rcqRing), Size: cfg.RxEntries,
-		OnCQE: func(c nic.CQE) { p.rxComplete(c) }})
-	p.rqRing = d.mem.Alloc(uint64(cfg.RxEntries)*nic.RecvWQESize, 64)
-	p.rxBufs = d.mem.Alloc(uint64(cfg.RxEntries)*uint64(cfg.BufBytes), 4096)
-	p.rq = d.nic.CreateRQ(nic.RQConfig{Ring: d.fab.AddrOf(d.mem, p.rqRing),
-		Size: cfg.RxEntries, CQ: rcq})
-
-	// Post every RX buffer.
-	for i := 0; i < cfg.RxEntries; i++ {
-		addr := d.fab.AddrOf(d.mem, p.rxBufs+uint64(i*cfg.BufBytes))
-		w := nic.RecvWQE{Addr: addr, Len: uint32(cfg.BufBytes)}
-		d.mem.WriteAt(p.rqRing+uint64(i)*nic.RecvWQESize, w.Marshal())
-	}
+	p.tx = d.newSendRing(p, nic.SQConfig{Size: cfg.TxEntries, VPort: cfg.VPort, Shaper: cfg.Shaper},
+		cfg.BufBytes, func(c nic.CQE) { p.txComplete(c) })
+	p.rx = d.newRecvRing(cfg.RxEntries, cfg.RxEntries, cfg.BufBytes, 0,
+		func(c nic.CQE) { p.rxComplete(c) })
 	if d.tlm != nil {
 		p.instrument(d.tlm.scope)
 	}
-	p.rqPI = uint32(cfg.RxEntries)
-	p.ringRQDoorbell()
+	p.rx.doorbell(p.rx.PI)
 	d.queues = append(d.queues, p)
 	return p
 }
 
 // RQ returns the port's receive queue (for steering rules).
-func (p *EthPort) RQ() *nic.RQ { return p.rq }
+func (p *EthPort) RQ() *nic.RQ { return p.rx.rq }
 
 // VPort returns the port's eSwitch vport.
 func (p *EthPort) VPort() *nic.VPort { return p.vport }
 
 // SQ returns the port's send queue.
-func (p *EthPort) SQ() *nic.SQ { return p.sq }
+func (p *EthPort) SQ() *nic.SQ { return p.tx.sq }
 
-func (p *EthPort) rings() (*nic.SQ, *nic.RQ) { return p.sq, p.rq }
-
-func (p *EthPort) ringRQDoorbell() {
-	p.tRQDoorbells.Inc()
-	p.drv.doorbell(nic.RQDoorbellOffset(p.rq.ID), p.rqPI)
-}
+func (p *EthPort) rings() (*sendRing, *recvRing) { return &p.tx, &p.rx }
 
 // Send transmits one frame, charging CPU cost; frames beyond the ring
 // capacity queue in software.
 func (p *EthPort) Send(frame []byte) {
-	if p.drv.downN > 0 {
-		p.drv.DownTxDrops++
-		return
-	}
-	if len(frame) > p.txBufSz {
+	if p.drv.downN == 0 && len(frame) > p.tx.bufSz {
 		// No transmit buffer can hold it: lost like any other transmit.
 		p.drv.TxErrors++
 		return
 	}
-	x := p.drv.txPosts.Get()
-	x.p, x.frame = p, frame
-	p.drv.cpuWork(p.drv.Prm.TxCost, txPostRun, x)
+	p.tx.send(frame)
 }
 
 func (p *EthPort) post(frame []byte) {
@@ -381,30 +300,20 @@ func (p *EthPort) post(frame []byte) {
 	// the doorbell page (WQE-by-MMIO / BlueFlame), skipping both the
 	// descriptor fetch and the payload DMA read.
 	if p.drv.Prm.DoorbellBatch == 1 && len(frame) <= 96 {
-		w := nic.SendWQE{Opcode: nic.OpSendInl, Index: uint16(p.pi), Signal: true,
+		w := nic.SendWQE{Opcode: nic.OpSendInl, Index: uint16(p.tx.ring.PI), Signal: true,
 			Inline: frame}
-		p.pi++
+		p.tx.ring.Post(struct{}{})
 		p.drv.TxPackets++
 		p.tTxPosts.Inc()
 		p.tTxInline.Inc()
 		b := p.drv.eng.Bufs().Get(w.WireSize())
 		w.MarshalInto(b)
-		p.drv.host.WriteOwned(p.drv.bar+nic.SQDoorbellOffset(p.sq.ID), b, nil)
+		p.drv.host.WriteOwned(p.drv.bar+nic.SQDoorbellOffset(p.tx.sq.ID), b, nil)
 		return
 	}
-	slot := uint64(p.pi) % uint64(p.sqSize)
-	bufOff := p.txBufs + slot*uint64(p.txBufSz)
-	p.drv.mem.WriteAt(bufOff, frame)
-	signal := p.drv.Prm.SignalEvery == 1 || p.pi%uint32(p.drv.Prm.SignalEvery) == uint32(p.drv.Prm.SignalEvery-1)
-	w := nic.SendWQE{Opcode: nic.OpSend, Index: uint16(p.pi), Signal: signal,
-		Addr: p.drv.fab.AddrOf(p.drv.mem, bufOff), Len: uint32(len(frame))}
-	// WriteAt copies synchronously, so the descriptor marshals into a
-	// per-port scratch buffer instead of a fresh slice.
-	w.MarshalInto(p.scratch[:])
-	p.drv.mem.WriteAt(p.sqRing+slot*nic.SendWQESize, p.scratch[:])
-	p.pi++
+	every := uint32(p.drv.Prm.SignalEvery)
+	p.tx.write(frame, every == 1 || p.tx.ring.PI%every == every-1)
 	p.sincedb++
-	p.drv.TxPackets++
 	p.tTxPosts.Inc()
 	if p.sincedb >= p.drv.Prm.DoorbellBatch {
 		p.flushDoorbell()
@@ -429,7 +338,7 @@ func (p *EthPort) flushDoorbell() {
 	p.tSQDoorbells.Inc()
 	p.sincedb = 0
 	p.dbTimer.Stop()
-	p.drv.doorbell(nic.SQDoorbellOffset(p.sq.ID), p.pi)
+	p.drv.doorbell(nic.SQDoorbellOffset(p.tx.sq.ID), p.tx.ring.PI)
 }
 
 // Poll is the poll-mode driver's queue-health check: a PMD core notices
@@ -439,31 +348,22 @@ func (p *EthPort) flushDoorbell() {
 // reports whether anything needed recovering.
 func (p *EthPort) Poll() bool {
 	recovered := false
-	if p.sq.State() == nic.QueueError {
+	if p.tx.sq.State() == nic.QueueError {
 		p.flushTx()
 		recovered = true
 	}
-	if p.rq.State() == nic.QueueError {
-		p.rq.Reset()
-		p.drv.Recoveries++
-		p.ringRQDoorbell()
+	if p.rx.rq.State() == nic.QueueError {
+		p.rx.reset()
 		recovered = true
 	}
 	return recovered
 }
 
-// flushTx flushes the send ring and refills it from the software queue.
+// flushTx flushes the send ring, whose refill starts a fresh doorbell
+// batch.
 func (p *EthPort) flushTx() {
-	p.drv.flushSQ(p.sq, p.pi, &p.ci)
 	p.sincedb = 0
-	p.drainQueued()
-}
-
-// drainQueued posts software-queued frames into freed ring slots.
-func (p *EthPort) drainQueued() {
-	for p.txQueued.Len() > 0 && int(p.pi-p.ci) < p.sqSize {
-		p.post(p.txQueued.Pop())
-	}
+	p.tx.flush()
 }
 
 func (p *EthPort) txComplete(c nic.CQE) {
@@ -484,19 +384,20 @@ func (p *EthPort) txComplete(c nic.CQE) {
 		// ci exactly like a successful completion.
 		p.drv.TxErrors++
 	}
-	// A signaled completion covers its unsignaled predecessors.
-	adv := uint32(uint16(c.Index)-uint16(p.ci)) & 0xffff
-	if adv+1 > p.pi-p.ci {
+	n := p.tx.ring.Complete(c.Index)
+	if n == 0 {
 		// Stale completion from work discarded by a flush reset; the
 		// flush already accounted for those frames.
 		return
 	}
-	p.ci += adv + 1
-	p.tCplBatch.Observe(int64(adv) + 1)
-	if p.OnSendComplete != nil {
-		p.OnSendComplete(int(adv) + 1)
+	for range n {
+		p.tx.ring.Pop()
 	}
-	p.drainQueued()
+	p.tCplBatch.Observe(int64(n))
+	if p.OnSendComplete != nil {
+		p.OnSendComplete(n)
+	}
+	p.tx.drain()
 }
 
 func (p *EthPort) rxComplete(c nic.CQE) {
@@ -507,12 +408,7 @@ func (p *EthPort) rxComplete(c nic.CQE) {
 	if c.Opcode == nic.CQEError {
 		p.drv.CQEErrors++
 		if c.Syndrome == nic.SynQueueErr {
-			// RQ.Reset preserves the posted descriptors between ci and
-			// pi, so re-ringing the current producer index fully re-arms
-			// the receive pipeline.
-			p.rq.Reset()
-			p.drv.Recoveries++
-			p.ringRQDoorbell()
+			p.rx.reset()
 			return
 		}
 	}

@@ -40,12 +40,12 @@ func (d *Driver) SetTelemetry(sc *telemetry.Scope) {
 }
 
 func (p *EthPort) instrument(sc *telemetry.Scope) {
-	s := sc.Scope(fmt.Sprintf("port%d", p.sq.ID))
+	s := sc.Scope(fmt.Sprintf("port%d", p.tx.sq.ID))
 	p.tTxPosts = s.Counter("tx/posts")
 	p.tTxInline = s.Counter("tx/inline")
-	p.tTxSwQueued = s.Counter("tx/sw_queued")
+	p.tx.queued = s.Counter("tx/sw_queued")
 	p.tSQDoorbells = s.Counter("tx/doorbells")
-	p.tRQDoorbells = s.Counter("rx/doorbells")
+	p.rx.doorbells = s.Counter("rx/doorbells")
 	p.tRxPackets = s.Counter("rx/packets")
 	p.tDBBatch = s.Histogram("tx/doorbell_batch")
 	p.tCplBatch = s.Histogram("tx/completion_batch")
