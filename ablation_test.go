@@ -129,21 +129,20 @@ func TestOnCreditsNotification(t *testing.T) {
 // the prototype sizing.
 func TestTinyFLDConfigStillWorks(t *testing.T) {
 	cfg := FLDConfig{
-		NumTxQueues:         1,
-		TxRingEntries:       64,
-		TxDescPool:          64,
-		TxBufBytes:          32 << 10,
-		RxBufBytes:          32 << 10,
-		TxPageBytes:         512,
-		RxStrideBytes:       256,
-		RxWQEBytes:          8 << 10,
-		CQEntries:           256,
-		SignalEvery:         4,
-		WQEByMMIO:           true,
-		CompressDescriptors: true,
-		ClockMHz:            250,
-		PipelineII:          8,
-		PipelineDelay:       150 * Nanosecond,
+		NumTxQueues:   1,
+		TxRingEntries: 64,
+		TxDescPool:    64,
+		TxBufBytes:    32 << 10,
+		RxBufBytes:    32 << 10,
+		TxPageBytes:   512,
+		RxStrideBytes: 256,
+		RxWQEBytes:    8 << 10,
+		CQEntries:     256,
+		SignalEvery:   4,
+		WQEByMMIO:     true,
+		ClockMHz:      250,
+		PipelineII:    8,
+		PipelineDelay: 150 * Nanosecond,
 	}
 	rp, port, afu := remoteEchoBed(t, cfg)
 	got := 0
@@ -233,21 +232,20 @@ func TestRandomFLDConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 12; trial++ {
 		cfg := FLDConfig{
-			NumTxQueues:         1 + rng.Intn(4),
-			TxRingEntries:       64 << rng.Intn(4),
-			TxDescPool:          256 << rng.Intn(3),
-			TxBufBytes:          (32 << rng.Intn(4)) << 10,
-			RxBufBytes:          (64 << rng.Intn(3)) << 10,
-			TxPageBytes:         256 << rng.Intn(2),
-			RxStrideBytes:       128 << rng.Intn(2),
-			RxWQEBytes:          (8 << rng.Intn(3)) << 10,
-			CQEntries:           512 << rng.Intn(3),
-			SignalEvery:         1 + rng.Intn(16),
-			WQEByMMIO:           rng.Intn(2) == 0,
-			CompressDescriptors: true,
-			ClockMHz:            250,
-			PipelineII:          2 + rng.Intn(8),
-			PipelineDelay:       Duration(rng.Intn(300)) * Nanosecond,
+			NumTxQueues:   1 + rng.Intn(4),
+			TxRingEntries: 64 << rng.Intn(4),
+			TxDescPool:    256 << rng.Intn(3),
+			TxBufBytes:    (32 << rng.Intn(4)) << 10,
+			RxBufBytes:    (64 << rng.Intn(3)) << 10,
+			TxPageBytes:   256 << rng.Intn(2),
+			RxStrideBytes: 128 << rng.Intn(2),
+			RxWQEBytes:    (8 << rng.Intn(3)) << 10,
+			CQEntries:     512 << rng.Intn(3),
+			SignalEvery:   1 + rng.Intn(16),
+			WQEByMMIO:     rng.Intn(2) == 0,
+			ClockMHz:      250,
+			PipelineII:    2 + rng.Intn(8),
+			PipelineDelay: Duration(rng.Intn(300)) * Nanosecond,
 		}
 		rp, port, afu := remoteEchoBed(t, cfg)
 		got := 0

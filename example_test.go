@@ -5,6 +5,7 @@ import (
 
 	"flexdriver"
 	"flexdriver/internal/accel/echo"
+	"flexdriver/internal/fld"
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/swdriver"
 )
@@ -47,8 +48,8 @@ func Example() {
 func ExampleFLDConfig_Memory() {
 	cfg := flexdriver.DefaultFLDConfig()
 	m := cfg.Memory()
-	fmt.Printf("descriptor pool: %d B (8 B each)\n", m.TxDescPoolBytes)
-	fmt.Printf("buffers: %d KiB tx + %d KiB rx\n", m.TxDataBytes>>10, m.RxDataBytes>>10)
+	fmt.Printf("descriptor pool: %d B (8 B each)\n", cfg.TxDescPool*fld.CompressedDescBytes)
+	fmt.Printf("buffers: %d KiB tx + %d KiB rx\n", cfg.TxBufBytes>>10, m.RxBuffers>>10)
 	fmt.Printf("total fits on-die: %v\n", m.Total() < 10<<20)
 	// Output:
 	// descriptor pool: 32768 B (8 B each)

@@ -19,7 +19,7 @@ func main() {
 	rsrv := flexdriver.NewRServer(rp.Server.RT)
 	rsrv.Listen("zuc")
 	rp.Server.RT.Start()
-	afu := zuc.NewAFU(rp.Server.FLD, rp.Engine(), 8, zuc.DefaultLaneParams())
+	afu := zuc.NewAFU(rp.Server.FLD, rp.Engine(), zuc.Lanes, zuc.DefaultLaneParams())
 	afu.QueueFor = rsrv.QueueFor
 
 	// Client: connect and wrap the endpoint in the cryptodev driver.

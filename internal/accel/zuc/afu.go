@@ -96,6 +96,9 @@ func DefaultLaneParams() LaneParams {
 	}
 }
 
+// Lanes is the prototype AFU's lane count (§7: eight ZUC modules).
+const Lanes = 8
+
 // AFU is the disaggregated ZUC accelerator (paper §7): a front-end load
 // balancer over 8 ZUC lanes, exposed to the network through FLD-R.
 type AFU struct {

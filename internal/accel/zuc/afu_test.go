@@ -124,7 +124,7 @@ func TestSoftCryptodevBaseline(t *testing.T) {
 	if want := zuc.EEA3(key, 3, 0, 0, data, 8192); !bytes.Equal(got, want) {
 		t.Fatal("software baseline result mismatch")
 	}
-	// 1024 B at ~4.4 Gbps + overhead: about 2.1 us of CPU time.
+	// 1024 B at 80 ns + 1.636 ns/B: about 1.8 us of CPU time.
 	if eng.Now() < flexdriver.Microsecond || eng.Now() > 4*flexdriver.Microsecond {
 		t.Fatalf("unexpected software cipher time %v", eng.Now())
 	}

@@ -136,29 +136,25 @@ type SoftCryptodev struct {
 	eng *sim.Engine
 	cpu *sim.Resource
 
-	// PerMessage / PerByte are the software cipher cost model
-	// (defaults calibrated so large requests run at ~4.4 Gbps, the
-	// paper's 1/4x of FLD's 17.6 Gbps).
-	PerMessage sim.Duration
-	PerByte    sim.Duration
-
 	Completed int64
 }
 
+// The software cipher's cost, calibrated to the paper's software ZUC
+// driver: ~4.4 Gbps at 512 B requests, a quarter of FLD's 17.6 Gbps.
+const (
+	softPerMessage = 80 * sim.Nanosecond
+	softPerByte    = 1636 * sim.Picosecond
+)
+
 // NewSoftCryptodev builds the software baseline on its own core.
 func NewSoftCryptodev(eng *sim.Engine) *SoftCryptodev {
-	return &SoftCryptodev{
-		eng:        eng,
-		cpu:        sim.NewResource(eng),
-		PerMessage: 250 * sim.Nanosecond,
-		PerByte:    1818 * sim.Picosecond, // ~4.4 Gbps asymptotic
-	}
+	return &SoftCryptodev{eng: eng, cpu: sim.NewResource(eng)}
 }
 
 // Enqueue runs the op on the CPU model.
 func (s *SoftCryptodev) Enqueue(op *Op) {
 	op.SubmittedAt = s.eng.Now()
-	cost := s.PerMessage + sim.Duration(len(op.Data))*s.PerByte
+	cost := softPerMessage + sim.Duration(len(op.Data))*softPerByte
 	s.eng.After(s.cpu.Acquire(cost)-s.eng.Now(), func() {
 		switch op.Op {
 		case OpEncrypt, OpDecrypt:

@@ -6,6 +6,7 @@ import (
 	"flexdriver"
 	"flexdriver/internal/accel/echo"
 	"flexdriver/internal/netpkt"
+	"flexdriver/internal/nic"
 	"flexdriver/internal/perfmodel"
 	"flexdriver/internal/rig"
 	"flexdriver/internal/sim"
@@ -208,29 +209,24 @@ func (m EchoMode) String() string {
 // echoModelFor returns the analytic expectation for the mode.
 func echoModelFor(mode EchoMode, size int) float64 {
 	switch mode {
-	case FLDERemote:
+	case FLDERemote, FLDELocal:
 		m := perfmodel.DefaultEchoModel(25)
-		m.PpsCap = 31.25e6
-		return m.Goodput(size)
-	case FLDELocal:
-		// No Ethernet segment: bounded by the Gen3 x8 PCIe links alone
-		// (the paper's "50 Gbps PCIe" line in Figure 7a).
-		m := perfmodel.DefaultEchoModel(50)
-		m.EthRateGbps = 1000 // disable the Ethernet term
-		m.PpsCap = 31.25e6
+		m.PpsCap = float64(sim.Second) / float64(m.FLD.PacketInterval())
+		if mode == FLDELocal {
+			// No Ethernet segment: bounded by the Gen3 x8 PCIe links
+			// alone (the paper's "50 Gbps PCIe" line in Figure 7a).
+			m.EthRateGbps = 1000
+		}
 		return m.Goodput(size)
 	case FLDRRemote:
 		// RoCE framing on the 25G wire, plus the coalesced ACK share.
-		pkts := (size + 1023) / 1024
-		wire := size + pkts*78 + 78/4
+		np, frame := nic.DefaultParams(), nic.RoCEOverhead+nic.EthWireOverhead
+		wire := size + (size+np.RoCEMTU-1)/np.RoCEMTU*frame + frame/np.AckCoalesce
 		return 25 * float64(size) / float64(wire)
 	case CPURemote:
-		eth := perfmodel.EthernetGoodput(25, size)
-		cpu := 22.7e6 * float64(size) * 8 / 1e9 // io-forward-class core
-		if cpu < eth {
-			return cpu
-		}
-		return eth
+		p := ioFwdParams()
+		cpu := float64(sim.Second) / float64(p.RxCost+p.TxCost) * float64(size) * 8 / 1e9
+		return min(cpu, perfmodel.EthernetGoodput(25, size))
 	}
 	return 0
 }

@@ -17,7 +17,7 @@ func zucBed() (*flexdriver.RemotePair, *zuc.Cryptodev) {
 	rsrv := flexdriver.NewRServer(rp.Server.RT)
 	rsrv.Listen("zuc")
 	rp.Server.RT.Start()
-	afu := zuc.NewAFU(rp.Server.FLD, rp.Engine(), 8, zuc.DefaultLaneParams())
+	afu := zuc.NewAFU(rp.Server.FLD, rp.Engine(), zuc.Lanes, zuc.DefaultLaneParams())
 	afu.QueueFor = rsrv.QueueFor
 	ep, err := flexdriver.ConnectRDMA(rp.Client.Drv, rsrv, "zuc",
 		flexdriver.RDMAConfig{SendEntries: 512, RecvEntries: 128})
@@ -25,15 +25,6 @@ func zucBed() (*flexdriver.RemotePair, *zuc.Cryptodev) {
 		panic(err)
 	}
 	return rp, zuc.NewCryptodev(rp.Engine(), ep)
-}
-
-// softBaseline returns the CPU cryptodev calibrated to the paper's
-// software ZUC driver (~4.4 Gbps at 512 B requests).
-func softBaseline(eng *flexdriver.Engine) *zuc.SoftCryptodev {
-	sc := zuc.NewSoftCryptodev(eng)
-	sc.PerMessage = 80 * flexdriver.Nanosecond
-	sc.PerByte = 1636 * 1 // ps
-	return sc
 }
 
 // zucThroughputAt measures the remote accelerator's encryption goodput at
@@ -55,7 +46,7 @@ func zucThroughputAt(size int, window flexdriver.Duration) float64 {
 // zucCPUThroughputAt measures the local software driver at one size.
 func zucCPUThroughputAt(size int, window flexdriver.Duration) float64 {
 	eng := flexdriver.NewEngine()
-	sc := softBaseline(eng)
+	sc := zuc.NewSoftCryptodev(eng)
 	key := [16]byte{1, 2, 3}
 	data := make([]byte, size)
 	var doneBytes int64
@@ -152,7 +143,7 @@ func zucLatencyAtLoad(size int, offeredGbps float64, samples int) (medianUs, p99
 // the ping-pong's round trip is the op's DoneAt − SubmittedAt.
 func zucCPULatency(size int, samples int) float64 {
 	eng := flexdriver.NewEngine()
-	sc := softBaseline(eng)
+	sc := zuc.NewSoftCryptodev(eng)
 	key := [16]byte{9}
 	data := make([]byte, size)
 	pp := &rig.PingPong{Eng: eng, N: samples}

@@ -51,9 +51,6 @@ type Config struct {
 	// WQEByMMIO pushes descriptors to the NIC doorbell page instead of
 	// letting the NIC read them (§6 PCIe optimizations).
 	WQEByMMIO bool
-	// CompressDescriptors is the §5.2 compression optimization; turning
-	// it off (ablation) stores full 64 B descriptors and 64 B CQEs.
-	CompressDescriptors bool
 
 	// ClockMHz and PipelineII give the module's packet-rate ceiling:
 	// one packet per II cycles.
@@ -66,37 +63,36 @@ type Config struct {
 // DefaultConfig returns the Innova-2 prototype configuration.
 func DefaultConfig() Config {
 	return Config{
-		NumTxQueues:         2,
-		TxRingEntries:       2048,
-		TxDescPool:          4096,
-		TxBufBytes:          256 << 10,
-		RxBufBytes:          256 << 10,
-		TxPageBytes:         512,
-		RxStrideBytes:       256,
-		RxWQEBytes:          32 << 10,
-		CQEntries:           4096,
-		SignalEvery:         16,
-		WQEByMMIO:           true,
-		CompressDescriptors: true,
-		ClockMHz:            250,
-		PipelineII:          8, // ~31 Mpps per direction at 250 MHz
-		PipelineDelay:       150 * sim.Nanosecond,
+		NumTxQueues:   2,
+		TxRingEntries: 2048,
+		TxDescPool:    4096,
+		TxBufBytes:    256 << 10,
+		RxBufBytes:    256 << 10,
+		TxPageBytes:   512,
+		RxStrideBytes: 256,
+		RxWQEBytes:    32 << 10,
+		CQEntries:     4096,
+		SignalEvery:   16,
+		WQEByMMIO:     true,
+		ClockMHz:      250,
+		PipelineII:    8, // ~31 Mpps per direction at 250 MHz
+		PipelineDelay: 150 * sim.Nanosecond,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.NumTxQueues < 1:
-		return fmt.Errorf("fld: need at least one tx queue")
-	case c.TxRingEntries&(c.TxRingEntries-1) != 0:
-		return fmt.Errorf("fld: TxRingEntries must be a power of two")
-	case c.TxPageBytes < 1 || c.TxPageBytes&(c.TxPageBytes-1) != 0:
-		return fmt.Errorf("fld: TxPageBytes must be a power of two")
+	case c.NumTxQueues < 1 || c.TxDescPool < 1 || c.CQEntries < 1:
+		return fmt.Errorf("fld: need at least one tx queue, pool descriptor and CQ entry")
+	case c.TxRingEntries < 1 || c.TxRingEntries&(c.TxRingEntries-1) != 0:
+		return fmt.Errorf("fld: TxRingEntries must be a positive power of two")
+	case c.TxPageBytes < 1 || c.TxPageBytes&(c.TxPageBytes-1) != 0 || c.TxBufBytes < c.TxPageBytes:
+		return fmt.Errorf("fld: TxPageBytes must be a power of two no larger than TxBufBytes")
 	case c.RxStrideBytes < 1 || c.RxWQEBytes < 1 || c.RxWQEBytes%c.RxStrideBytes != 0:
 		return fmt.Errorf("fld: RxWQEBytes must be a positive multiple of the stride")
-	case c.RxBufBytes%c.RxWQEBytes != 0:
-		return fmt.Errorf("fld: RxBufBytes must be a multiple of RxWQEBytes")
+	case c.RxBufBytes < c.RxWQEBytes || c.RxBufBytes%c.RxWQEBytes != 0:
+		return fmt.Errorf("fld: RxBufBytes must be a positive multiple of RxWQEBytes")
 	case c.SignalEvery < 1:
 		return fmt.Errorf("fld: SignalEvery must be >= 1")
 	case c.TxDescPool > 1<<16 || 2*c.TxBufBytes/c.TxPageBytes > 1<<16:
@@ -123,51 +119,39 @@ const (
 	ProducerIndexBytes  = 4
 )
 
-// MemoryBreakdown itemizes FLD's on-die memory, mirroring Table 3.
+// MemoryBreakdown itemizes on-die memory by Table 3's rows, in bytes.
 type MemoryBreakdown struct {
-	TxDescPoolBytes int // shared descriptor pool (compressed)
-	TxXltBytes      int // descriptor-ring translation table
-	TxDataBytes     int // transmit buffer SRAM
-	TxDataXltBytes  int // data translation table
-	RxDataBytes     int // receive buffer SRAM
-	CQBytes         int // compressed completion storage
-	PIBytes         int // producer indices
+	TxRings   int // S_txq: descriptors and their translation table
+	TxBuffers int // S_txdata: transmit buffers and their translation table
+	RxBuffers int // S_rxdata
+	CQ        int // S_cq
+	RxRing    int // S_srq (0 for FLD: it lives in host memory, §5.2)
+	PI        int // S_pitot
 }
 
 // Total sums the breakdown.
 func (m MemoryBreakdown) Total() int {
-	return m.TxDescPoolBytes + m.TxXltBytes + m.TxDataBytes + m.TxDataXltBytes +
-		m.RxDataBytes + m.CQBytes + m.PIBytes
+	return m.TxRings + m.TxBuffers + m.RxBuffers + m.CQ + m.RxRing + m.PI
 }
 
-// xltEntryBytes is the storage per translation entry: key tag plus the
-// physical index, padded to 4 bytes like the RTL's table word.
-const xltEntryBytes = 4
+// xltBytes sizes a 4-bank cuckoo translation table for n live entries:
+// key tag plus the physical index, padded to 4 bytes like the RTL's
+// table word.
+func xltBytes(n int) int { return cuckoo.SlotsFor(n) * 4 }
 
-// Memory computes the on-die bytes this configuration needs. With
-// CompressDescriptors disabled it reflects the naive design that stores
-// per-queue rings and full-size records (the paper's "Software" column),
-// which is what the Figure 4 ablation compares against.
+// Memory computes the on-die bytes this configuration needs (Table 3's
+// FLD column): the shared compressed descriptor pool and the transmit
+// pages, each behind its translation table, the receive buffers,
+// compressed completions and one producer index per queue plus the
+// receive ring's.
 func (c Config) Memory() MemoryBreakdown {
-	var m MemoryBreakdown
-	descBytes, cqeBytes := CompressedDescBytes, CompressedCQEBytes
-	if !c.CompressDescriptors {
-		descBytes, cqeBytes = 64, 64
+	return MemoryBreakdown{
+		TxRings:   c.TxDescPool*CompressedDescBytes + xltBytes(c.TxDescPool),
+		TxBuffers: c.TxBufBytes + xltBytes(c.TxBufBytes/c.TxPageBytes),
+		RxBuffers: c.RxBufBytes,
+		CQ:        c.CQEntries * CompressedCQEBytes,
+		PI:        (c.NumTxQueues + 1) * ProducerIndexBytes,
 	}
-	if c.CompressDescriptors {
-		// Shared pool + cuckoo translation sized for the pool.
-		m.TxDescPoolBytes = c.TxDescPool * descBytes
-		m.TxXltBytes = cuckoo.SlotsFor(c.TxDescPool) * xltEntryBytes
-		m.TxDataXltBytes = cuckoo.SlotsFor(c.TxBufBytes/c.TxPageBytes) * xltEntryBytes
-	} else {
-		// One full ring per queue, no sharing.
-		m.TxDescPoolBytes = c.NumTxQueues * c.TxRingEntries * descBytes
-	}
-	m.TxDataBytes = c.TxBufBytes
-	m.RxDataBytes = c.RxBufBytes
-	m.CQBytes = c.CQEntries * cqeBytes
-	m.PIBytes = (c.NumTxQueues + 1) * ProducerIndexBytes
-	return m
 }
 
 // Area is a first-order FPGA resource estimate for Table 5-style
@@ -182,15 +166,14 @@ type Area struct {
 // are anchored to the prototype's published totals (50K LUT / 66K FF at
 // the default configuration, Table 5).
 func (c Config) Area() Area {
-	m := c.Memory()
 	const (
 		baseLUT = 46000 // ring managers, interface layer, PCIe glue
 		baseFF  = 60000
 		lutPerQ = 120 // per-queue credit/state logic
 		ffPerQ  = 260
 	)
-	bramBits := 8 * (m.TxDescPoolBytes + m.TxXltBytes + m.TxDataXltBytes + m.CQBytes + m.PIBytes)
-	uramBits := 8 * (m.TxDataBytes + m.RxDataBytes)
+	uramBits := 8 * (c.TxBufBytes + c.RxBufBytes)
+	bramBits := 8*c.Memory().Total() - uramBits
 	return Area{
 		LUT:  baseLUT + lutPerQ*c.NumTxQueues,
 		FF:   baseFF + ffPerQ*c.NumTxQueues,

@@ -9,6 +9,8 @@ import (
 	"math"
 
 	"flexdriver/internal/cuckoo"
+	"flexdriver/internal/fld"
+	"flexdriver/internal/nic"
 )
 
 // Params are the analysis inputs (Table 2a).
@@ -34,19 +36,6 @@ func PaperParams() Params {
 	}
 }
 
-// Record sizes (Table 2b).
-const (
-	SwTxDesc  = 64
-	SwRxDesc  = 16
-	SwCQE     = 64
-	FldTxDesc = 8
-	FldCQE    = 15
-	PIBytes   = 4
-
-	ethOverhead = 20 // wire overhead per packet used in the rate model
-	xltEntry    = 4  // bytes per translation-table entry
-)
-
 // Derived holds the intermediate quantities of Table 2a.
 type Derived struct {
 	PacketRateMpps float64 // R
@@ -59,7 +48,7 @@ type Derived struct {
 // Derive computes Table 2a's derived rows.
 func (p Params) Derive() Derived {
 	bps := p.BandwidthGbps * 1e9
-	r := bps / (float64(p.MinPacket+ethOverhead) * 8)
+	r := bps / (float64(p.MinPacket+nic.EthWireOverhead) * 8)
 	return Derived{
 		PacketRateMpps: r / 1e6,
 		TxDescriptors:  int(math.Ceil(r * p.TxLifetimeUs / 1e6)),
@@ -86,37 +75,19 @@ func bits(v uint) uint {
 	return n
 }
 
-// Breakdown itemizes driver memory (Table 3 rows), in bytes.
-type Breakdown struct {
-	TxRings   int // S_txq
-	TxBuffers int // S_txdata
-	RxBuffers int // S_rxdata
-	CQ        int // S_cq
-	RxRing    int // S_srq (0 for FLD: lives in host memory)
-	PI        int // S_pitot
-}
-
-// Total sums the breakdown.
-func (b Breakdown) Total() int {
-	return b.TxRings + b.TxBuffers + b.RxBuffers + b.CQ + b.RxRing + b.PI
-}
-
-// Software computes the conventional-driver column of Table 3.
-func (p Params) Software() Breakdown {
+// Software computes the conventional-driver column of Table 3: a full
+// ring of the NIC's own descriptors per queue, max-size buffers per
+// descriptor, full-size completions and an on-die receive ring.
+func (p Params) Software() fld.MemoryBreakdown {
 	d := p.Derive()
-	return Breakdown{
-		TxRings:   p.TxQueues * F(d.TxDescriptors) * SwTxDesc,
+	return fld.MemoryBreakdown{
+		TxRings:   p.TxQueues * F(d.TxDescriptors) * nic.SendWQESize,
 		TxBuffers: p.MaxPacket * d.TxDescriptors,
 		RxBuffers: p.MaxPacket * d.RxDescriptors,
-		CQ:        (F(d.TxDescriptors) + F(d.RxDescriptors)) * SwCQE,
-		RxRing:    F(d.RxDescriptors) * SwRxDesc,
-		PI:        (p.TxQueues + 1) * PIBytes,
+		CQ:        (F(d.TxDescriptors) + F(d.RxDescriptors)) * nic.CQESize,
+		RxRing:    F(d.RxDescriptors) * nic.RecvWQESize,
+		PI:        (p.TxQueues + 1) * fld.ProducerIndexBytes,
 	}
-}
-
-// xltBytes sizes a 4-bank cuckoo translation table for n live entries.
-func xltBytes(n int) int {
-	return cuckoo.SlotsFor(n) * xltEntry
 }
 
 // ConnEntryBytes is the packed per-connection state of the TCP-offload
@@ -142,23 +113,24 @@ func (p Params) ConnTableFits(n int) (total int, ok bool) {
 	return total, total <= XCKU15PBytes
 }
 
-// FLD computes the FlexDriver column of Table 3: a shared compressed
-// descriptor pool behind address translation, buffer pools sized at twice
-// the bandwidth-delay product with page-granular translation, compressed
-// completions, and no on-die receive ring.
-func (p Params) FLD() Breakdown {
+// FLDConfig is the FLD configuration Table 2a provisions: a shared
+// descriptor pool of F(N_txdesc), buffer pools at twice the
+// bandwidth-delay product in 512 B pages, and a CQ of
+// F(N_txdesc)+F(N_rxdesc) entries. It prices Table 3's FLD column and is
+// not a configuration to run: fld.Config.Validate rejects it, since its
+// receive pool is not a whole number of receive buffers.
+func (p Params) FLDConfig() fld.Config {
 	d := p.Derive()
-	const pageBytes = 512
-	dataPages := 2 * d.TxBDPBytes / pageBytes
-	return Breakdown{
-		TxRings:   F(d.TxDescriptors)*FldTxDesc + xltBytes(d.TxDescriptors),
-		TxBuffers: 2*d.TxBDPBytes + xltBytes(dataPages),
-		RxBuffers: 2 * d.RxBDPBytes,
-		CQ:        (F(d.TxDescriptors) + F(d.RxDescriptors)) * FldCQE,
-		RxRing:    0, // recycled in-order in host memory (§5.2)
-		PI:        (p.TxQueues + 1) * PIBytes,
-	}
+	c := fld.DefaultConfig()
+	c.NumTxQueues, c.TxDescPool, c.TxPageBytes = p.TxQueues, F(d.TxDescriptors), 512
+	c.TxBufBytes, c.RxBufBytes = 2*d.TxBDPBytes, 2*d.RxBDPBytes
+	c.CQEntries = F(d.TxDescriptors) + F(d.RxDescriptors)
+	return c
 }
+
+// FLD computes the FlexDriver column of Table 3 from the memory
+// accounting of FLDConfig.
+func (p Params) FLD() fld.MemoryBreakdown { return p.FLDConfig().Memory() }
 
 // Shrink reports the software/FLD ratio for each row and the total
 // (Table 3's rightmost column).

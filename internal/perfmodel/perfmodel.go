@@ -5,6 +5,8 @@
 package perfmodel
 
 import (
+	"flexdriver/internal/accel/zuc"
+	"flexdriver/internal/fld"
 	"flexdriver/internal/nic"
 	"flexdriver/internal/pcie"
 	"flexdriver/internal/sim"
@@ -19,15 +21,12 @@ type EchoModel struct {
 	Link pcie.LinkConfig
 	// EthRateGbps is the network-facing line rate.
 	EthRateGbps float64
-	// SignalEvery amortizes transmit completions (selective completion
-	// signalling, §6).
-	SignalEvery int
-	// WQEByMMIO selects pushed descriptors (one 64 B MMIO write per
-	// packet) instead of NIC descriptor reads (request + completion).
-	WQEByMMIO bool
-	// RxRecyclePackets amortizes the receive producer-index doorbell
-	// over the packets a multi-packet buffer holds.
-	RxRecyclePackets int
+	// FLD is the module's configuration. Its SignalEvery amortizes
+	// transmit completions (§6), WQEByMMIO pushes each 64 B descriptor
+	// instead of letting the NIC read it (request + completion), and its
+	// RxWQEBytes buffer amortizes the receive producer-index doorbell
+	// over the full-size frames it holds.
+	FLD fld.Config
 	// PpsCap bounds packet rate (the FLD pipeline's clock ceiling);
 	// zero means unbounded.
 	PpsCap float64
@@ -43,14 +42,7 @@ func DefaultEchoModel(ethGbps float64) EchoModel {
 	if ethGbps > 50 {
 		link.Gen = 4
 	}
-	return EchoModel{
-		Link:             link,
-		EthRateGbps:      ethGbps,
-		SignalEvery:      16,
-		WQEByMMIO:        true,
-		RxRecyclePackets: 21, // 32 KiB MPRQ buffer / ~1.5 KiB packets
-		PpsCap:           0,
-	}
+	return EchoModel{Link: link, EthRateGbps: ethGbps, FLD: fld.DefaultConfig()}
 }
 
 // EthernetGoodput returns the payload throughput (Gbit/s) of a raw
@@ -61,27 +53,29 @@ func EthernetGoodput(rateGbps float64, size int) float64 {
 
 // PerPacketBytes returns the wire bytes one echoed packet of the given
 // size costs on each direction of the NIC-FPGA link.
-func (m EchoModel) PerPacketBytes(size int) (toFPGA, toNIC int) {
-	l := m.Link
-	// NIC -> FPGA: received packet data, its receive CQE, the MRd
-	// requests for the transmit data, and the (amortized) transmit CQE.
-	toFPGA = l.WriteWireBytes(size) // packet into the MPRQ buffer
-	toFPGA += l.WriteWireBytes(nic.CQESize)
-	toFPGA += l.ReadReqWireBytes(size)
-	toFPGA += l.WriteWireBytes(nic.CQESize) / m.SignalEvery
+func (m EchoModel) PerPacketBytes(size int) (toFPGA, toNIC int) { return m.perOp(size, size) }
+
+// perOp returns the wire bytes a req-byte frame answered by a resp-byte
+// frame costs on each direction of the NIC-FPGA link.
+func (m EchoModel) perOp(req, resp int) (toFPGA, toNIC int) {
+	l, c := m.Link, m.FLD
+	// NIC -> FPGA: the received frame into the MPRQ buffer, its receive
+	// CQE, the MRd requests for the transmit data, and the amortized
+	// transmit CQE.
+	toFPGA = l.WriteWireBytes(req) + l.WriteWireBytes(nic.CQESize) + l.ReadReqWireBytes(resp) +
+		l.WriteWireBytes(nic.CQESize)/c.SignalEvery
 	// FPGA -> NIC: transmit data as read completions, the pushed WQE
-	// (or a 4 B doorbell when the NIC reads descriptors, in which case
-	// the descriptor read's completion also flows here), and the
-	// amortized receive-ring producer index.
-	toNIC = l.CompletionWireBytes(size)
-	if m.WQEByMMIO {
+	// (or a doorbell when the NIC reads descriptors, in which case the
+	// descriptor read's completion also flows here), and the amortized
+	// receive-ring producer index (one per buffer of ~1.5 KiB frames).
+	toNIC = l.CompletionWireBytes(resp)
+	if c.WQEByMMIO {
 		toNIC += l.WriteWireBytes(nic.SendWQESize)
 	} else {
-		toNIC += l.WriteWireBytes(4)
-		toNIC += l.CompletionWireBytes(nic.SendWQESize)
+		toNIC += l.WriteWireBytes(fld.ProducerIndexBytes) + l.CompletionWireBytes(nic.SendWQESize)
 		toFPGA += l.ReadReqWireBytes(nic.SendWQESize)
 	}
-	toNIC += l.WriteWireBytes(4) / m.RxRecyclePackets
+	toNIC += l.WriteWireBytes(fld.ProducerIndexBytes) / max(c.RxWQEBytes/1536, 1)
 	return toFPGA, toNIC
 }
 
@@ -162,25 +156,10 @@ func DefaultKVServeModel(ethGbps float64, reqBytes, respBytes int) KVServeModel 
 }
 
 // PerRequestBytes returns the NIC-FPGA wire bytes one served request
-// costs in each direction: the request in (plus its receive CQE and the
-// read requests fetching the response), the response out (plus its
-// descriptor and the amortized control writes).
+// costs in each direction: the echo's cost structure with the request in
+// and the response out.
 func (m KVServeModel) PerRequestBytes() (toFPGA, toNIC int) {
-	l := m.Echo.Link
-	toFPGA = l.WriteWireBytes(m.ReqBytes)
-	toFPGA += l.WriteWireBytes(nic.CQESize)
-	toFPGA += l.ReadReqWireBytes(m.RespBytes)
-	toFPGA += l.WriteWireBytes(nic.CQESize) / m.Echo.SignalEvery
-	toNIC = l.CompletionWireBytes(m.RespBytes)
-	if m.Echo.WQEByMMIO {
-		toNIC += l.WriteWireBytes(nic.SendWQESize)
-	} else {
-		toNIC += l.WriteWireBytes(4)
-		toNIC += l.CompletionWireBytes(nic.SendWQESize)
-		toFPGA += l.ReadReqWireBytes(nic.SendWQESize)
-	}
-	toNIC += l.WriteWireBytes(4) / m.Echo.RxRecyclePackets
-	return toFPGA, toNIC
+	return m.Echo.perOp(m.ReqBytes, m.RespBytes)
 }
 
 // RequestRate returns the served-requests-per-second upper bound: the
@@ -246,28 +225,21 @@ func (m KVServeModel) P999BoundUs(rho float64) float64 {
 }
 
 // ZucModel is the Figure 8a upper bound: the 25 GbE link carrying RoCE
-// framing plus the 64 B application header per request/response.
+// framing plus the application header per request/response, and the
+// AFU's lanes.
 type ZucModel struct {
 	LinkGbps  float64
 	MTU       int
 	AppHeader int
-	// LaneGbps / Lanes bound the accelerator itself (8 x ~4.76 Gbps at
-	// 512 B in the prototype).
-	LanePerMessage sim.Duration
-	LanePerByte    sim.Duration
-	Lanes          int
+	Lane      zuc.LaneParams
+	Lanes     int
 }
 
-// DefaultZucModel matches the prototype.
+// DefaultZucModel matches the prototype: the NIC's RoCE MTU, the cipher's
+// request header and the AFU's lanes.
 func DefaultZucModel() ZucModel {
-	return ZucModel{
-		LinkGbps:       25,
-		MTU:            1024,
-		AppHeader:      64,
-		LanePerMessage: 92 * sim.Nanosecond,
-		LanePerByte:    1500 * sim.Picosecond,
-		Lanes:          8,
-	}
+	return ZucModel{LinkGbps: 25, MTU: nic.DefaultParams().RoCEMTU, AppHeader: zuc.HeaderBytes,
+		Lane: zuc.DefaultLaneParams(), Lanes: zuc.Lanes}
 }
 
 // Goodput returns the expected request-payload throughput (Gbit/s) for
@@ -278,7 +250,7 @@ func (m ZucModel) Goodput(size int) float64 {
 	wire := msg + pkts*(nic.RoCEOverhead+nic.EthWireOverhead)
 	link := m.LinkGbps * float64(size) / float64(wire)
 	// Accelerator bound: lanes x bytes per service time.
-	svc := float64(m.LanePerMessage+sim.Duration(msg)*m.LanePerByte) / float64(sim.Second)
+	svc := float64(m.Lane.PerMessage+sim.Duration(msg)*m.Lane.PerByte) / float64(sim.Second)
 	accel := float64(m.Lanes) * float64(size) * 8 / svc / 1e9
 	if accel < link {
 		return accel

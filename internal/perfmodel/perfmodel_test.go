@@ -63,7 +63,7 @@ func TestFig7aMonotone(t *testing.T) {
 func TestWQEByMMIOHelpsSmallPackets(t *testing.T) {
 	withMMIO := DefaultEchoModel(100)
 	without := withMMIO
-	without.WQEByMMIO = false
+	without.FLD.WQEByMMIO = false
 	if withMMIO.PCIeGoodput(64) <= without.PCIeGoodput(64) {
 		t.Fatal("WQE-by-MMIO should improve small-packet goodput")
 	}
@@ -72,7 +72,7 @@ func TestWQEByMMIOHelpsSmallPackets(t *testing.T) {
 func TestSelectiveSignallingHelps(t *testing.T) {
 	m := DefaultEchoModel(100)
 	noSig := m
-	noSig.SignalEvery = 1
+	noSig.FLD.SignalEvery = 1
 	if m.PCIeGoodput(64) <= noSig.PCIeGoodput(64) {
 		t.Fatal("selective completion signalling should improve goodput")
 	}

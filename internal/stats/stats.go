@@ -147,23 +147,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f median=%.2f p99=%.2f p99.9=%.2f",
 		s.N, s.Mean, s.Median, s.P99, s.P999)
 }
-
-// Ratio returns a/b, or +Inf when b is zero and a nonzero, or 1 when both
-// are zero. Used when comparing measured to paper-reported values.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return a / b
-}
-
-// Within reports whether got is within frac (e.g. 0.1 for ±10%) of want.
-func Within(got, want, frac float64) bool {
-	if want == 0 {
-		return math.Abs(got) <= frac
-	}
-	return math.Abs(got-want) <= frac*math.Abs(want)
-}

@@ -128,23 +128,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
-
-func TestRatio(t *testing.T) {
-	approx(t, Ratio(10, 5), 2, 0, "ratio")
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Fatal("ratio x/0 should be +Inf")
-	}
-	approx(t, Ratio(0, 0), 1, 0, "0/0")
-}
-
-func TestWithin(t *testing.T) {
-	if !Within(95, 100, 0.10) {
-		t.Fatal("95 should be within 10% of 100")
-	}
-	if Within(80, 100, 0.10) {
-		t.Fatal("80 should not be within 10% of 100")
-	}
-	if !Within(0.05, 0, 0.10) {
-		t.Fatal("near-zero should be within abs tolerance of 0")
-	}
-}
