@@ -39,10 +39,8 @@ type Cluster struct {
 	ports  map[*NIC]*ethswitch.Port
 	shared *sim.Engine // the single engine under WithColocated
 
-	// Tenancy control plane: per-node managers plus the cluster's
-	// current desired-state spec (see tenancy.go).
-	tms     []*TenantManager
-	tenancy TenancySpec
+	// Tenancy control plane: the per-node managers (see tenancy.go).
+	tms []*TenantManager
 }
 
 // NewCluster starts an empty topology; add nodes with AddHost/AddInnova.

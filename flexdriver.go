@@ -88,17 +88,13 @@ type (
 	VFQuota  = nic.VFQuota
 
 	// TenancySpec is the versioned desired state of a node's tenants;
-	// TenantSpec is one tenant's slice of it. Parse either encoding with
-	// ParseTenancySpec, apply with Cluster.Apply or TenantManager.Apply.
+	// TenantSpec is one tenant's slice of it. Apply with Cluster.Apply
+	// or TenantManager.Apply.
 	TenancySpec = ctrlplane.Spec
 	TenantSpec  = ctrlplane.Tenant
-	// TenantState is the actuated counterpart of a TenantSpec.
-	TenantState = ctrlplane.TenantState
 	// Reconciler converges one node onto a TenancySpec via drain →
 	// reconfigure → undrain steps with seeded backoff.
 	Reconciler = ctrlplane.Reconciler
-	// CorePartition is the FLD core→tenant assignment ledger.
-	CorePartition = fld.Partition
 
 	// DriverParams tune the CPU software-driver baseline.
 	DriverParams = swdriver.Params
@@ -196,11 +192,6 @@ func NewRServer(rt *Runtime) *RServer { return fldsw.NewRServer(rt) }
 func ConnectRDMA(client *Driver, server *RServer, service string, cfg RDMAConfig) (*RDMAEndpoint, error) {
 	return fldsw.Connect(client, server, service, cfg)
 }
-
-// ParseTenancySpec parses a desired-state tenancy spec in either of its
-// encodings: JSON or the one-line text form
-// ("version=2 tenant=A,vfs=1,cores=2,sqs=4,rqs=1,cqs=2,weight=3,rate=10").
-func ParseTenancySpec(in string) (TenancySpec, error) { return ctrlplane.ParseSpec(in) }
 
 // NewTokenBucket builds a rate limiter for policing/shaping rules.
 func NewTokenBucket(eng *Engine, rate BitRate, burstBytes int) *sim.TokenBucket {

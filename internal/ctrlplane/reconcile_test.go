@@ -8,11 +8,11 @@ import (
 	"flexdriver/internal/telemetry"
 )
 
-// fakeActuator is an in-memory node: tenants exist as TenantState
-// entries, draining takes a configurable number of Drain calls, and
+// fakeActuator is an in-memory node: tenants exist as the Tenant
+// entries last reconfigured, draining takes a configurable number of Drain calls, and
 // every mutation is journaled for order assertions.
 type fakeActuator struct {
-	state      map[string]TenantState
+	state      map[string]Tenant
 	drainCalls map[string]int
 	drainAfter int // Drain returns true after this many calls per tenant
 	failReconf bool
@@ -21,14 +21,14 @@ type fakeActuator struct {
 
 func newFakeActuator() *fakeActuator {
 	return &fakeActuator{
-		state:      make(map[string]TenantState),
+		state:      make(map[string]Tenant),
 		drainCalls: make(map[string]int),
 		drainAfter: 2,
 	}
 }
 
-func (a *fakeActuator) Observed() map[string]TenantState {
-	out := make(map[string]TenantState, len(a.state))
+func (a *fakeActuator) Observed() map[string]Tenant {
+	out := make(map[string]Tenant, len(a.state))
 	for k, v := range a.state {
 		out[k] = v
 	}
@@ -49,8 +49,7 @@ func (a *fakeActuator) Reconfigure(name string, t Tenant) error {
 		return fmt.Errorf("injected reconfigure failure")
 	}
 	a.journal = append(a.journal, "reconfigure:"+name)
-	a.state[name] = TenantState{VFs: t.VFs, Cores: t.Cores,
-		SQs: t.SQs, RQs: t.RQs, CQs: t.CQs, Weight: t.Weight, RateGbps: t.RateGbps}
+	a.state[name] = t
 	return nil
 }
 

@@ -12,6 +12,31 @@ package fld
 // Down reports whether the FLD is currently crashed.
 func (f *FLD) Down() bool { return f.downN > 0 }
 
+// Quiesced reports whether the FLD has no transmit work in flight: every
+// descriptor it posted has been completed (or crash-flushed) and its
+// resources released. Drain gates on this before reconfiguring a tenant,
+// so a reconfigure never strands replay credits mid-window. A crashed
+// core is not quiesced — its recovery replay is still owed.
+func (f *FLD) Quiesced() bool {
+	if f.downN > 0 {
+		return false
+	}
+	for _, tq := range f.queues {
+		if tq.ring.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TxPosted returns the producer index of transmit queue q — how many
+// descriptors the FLD has ever posted to it. Drain logic compares this
+// against the NIC send queue's own indices: when the NIC has executed
+// up to this index, any descriptor the FLD still tracks is finished
+// work whose completion report was unsignaled or lost, not work in
+// flight.
+func (f *FLD) TxPosted(q int) uint32 { return f.queues[q].ring.PI }
+
 // Crash takes the FLD down. Crashes nest like nic.Crash: the function
 // responds again only when every crash window has lifted.
 func (f *FLD) Crash() {

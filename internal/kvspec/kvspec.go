@@ -3,10 +3,10 @@
 // are the only places a key=value token is read or written, so a rule
 // enforced here — no unknown key, no key given twice, no NaN, no
 // out-of-range number, no negative duration, no bool but 0/1/true/false —
-// holds for the scenario spec, the fault spec and the tenancy spec at
-// once. Format writes fields in table order and omits a field at its
-// zero value unless it is marked Always, so Parse(Format(v)) == v for
-// every v that Parse can produce.
+// holds for the scenario spec and the fault spec at once. Format writes
+// fields in table order and omits a field at its zero value unless it is
+// marked Always, so Parse(Format(v)) == v for every v that Parse can
+// produce.
 package kvspec
 
 import (
@@ -28,15 +28,6 @@ type Value interface {
 	String() string
 }
 
-// List is a key that repeats: every occurrence adds one element, and
-// Format writes one token per element. It is the only kind of field the
-// given-twice rule does not apply to.
-type List interface {
-	Add(val string) error
-	Len() int
-	Elem(i int) string
-}
-
 // Field is one key of a schema. The type Ptr returns picks the value
 // syntax:
 //
@@ -46,7 +37,7 @@ type List interface {
 //	*string        verbatim, one of Enum when Enum is set
 //	*sim.Duration  Go syntax ("200us"), never negative
 //	*[]int64       semicolon-separated ("1;5;9"), each within [Min, Max]
-//	Value, List    whatever Set or Add accepts
+//	Value          whatever Set accepts
 //
 // Min and Max are inclusive; both zero means the type's whole range.
 type Field[T any] struct {
@@ -96,15 +87,12 @@ func (s *Schema[T]) Parse(text string, v *T) error {
 		if i == len(s.Fields) {
 			return fmt.Errorf("%s: unknown key %q", s.Name, key)
 		}
-		f := &s.Fields[i]
-		p := f.Ptr(v)
-		if _, repeats := p.(List); !repeats {
-			if seen&(1<<i) != 0 {
-				return fmt.Errorf("%s: key %s given twice", s.Name, key)
-			}
-			seen |= 1 << i
+		if seen&(1<<i) != 0 {
+			return fmt.Errorf("%s: key %s given twice", s.Name, key)
 		}
-		if err := f.set(p, val); err != nil {
+		seen |= 1 << i
+		f := &s.Fields[i]
+		if err := f.set(f.Ptr(v), val); err != nil {
 			return fmt.Errorf("%s: bad value for %s: %w", s.Name, key, err)
 		}
 	}
@@ -116,16 +104,9 @@ func (s *Schema[T]) Format(v *T) string {
 	b := make([]byte, 0, 128) // most specs fit: one allocation, the string
 	for i := range s.Fields {
 		f := &s.Fields[i]
-		p := f.Ptr(v)
-		if l, ok := p.(List); ok {
-			for j := 0; j < l.Len(); j++ {
-				b = append(s.key(b, f.Key), l.Elem(j)...)
-			}
-			continue
-		}
 		n := len(b)
 		var zero bool
-		if b, zero = appendValue(s.key(b, f.Key), p); zero && !f.Always {
+		if b, zero = appendValue(s.key(b, f.Key), f.Ptr(v)); zero && !f.Always {
 			b = b[:n]
 		}
 	}
@@ -216,8 +197,6 @@ func (f *Field[T]) set(p any, val string) (err error) {
 		}
 	case Value:
 		err = p.Set(val)
-	case List:
-		err = p.Add(val)
 	default:
 		panic("kvspec: unsupported field type")
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"flexdriver/internal/ctrlplane"
 	"flexdriver/internal/faults"
 	"flexdriver/internal/kvspec"
 	"flexdriver/internal/scenario"
@@ -16,16 +15,15 @@ import (
 
 // toy has one field of every kind the codec knows.
 type toy struct {
-	N     int
-	On    bool
-	Big   int64
-	F     float64
-	Mode  string
-	Wait  sim.Duration
-	Ords  []int64
-	Lo    int
-	Hi    int
-	Items []string
+	N    int
+	On   bool
+	Big  int64
+	F    float64
+	Mode string
+	Wait sim.Duration
+	Ords []int64
+	Lo   int
+	Hi   int
 }
 
 // span is a Value: lo-hi.
@@ -47,13 +45,6 @@ func (s span) String() string {
 	return fmt.Sprintf("%d-%d", *s.lo, *s.hi)
 }
 
-// items is a List: the key repeats, one element each time.
-type items []string
-
-func (l *items) Add(val string) error { *l = append(*l, val); return nil }
-func (l *items) Len() int             { return len(*l) }
-func (l *items) Elem(i int) string    { return (*l)[i] }
-
 func toySchema(sep byte) *kvspec.Schema[toy] {
 	return &kvspec.Schema[toy]{Name: "toy", Sep: sep, Fields: []kvspec.Field[toy]{
 		{Key: "n", Ptr: func(t *toy) any { return &t.N }, Min: 1, Max: 8, Always: true},
@@ -64,20 +55,19 @@ func toySchema(sep byte) *kvspec.Schema[toy] {
 		{Key: "wait", Ptr: func(t *toy) any { return &t.Wait }},
 		{Key: "ords", Ptr: func(t *toy) any { return &t.Ords }, Min: 1, Max: math.Inf(1)},
 		{Key: "span", Ptr: func(t *toy) any { return span{&t.Lo, &t.Hi} }},
-		{Key: "item", Ptr: func(t *toy) any { return (*items)(&t.Items) }},
 	}}
 }
 
 // TestFormatParse: Format writes table order whatever order Parse read,
-// omits zero values except Always keys, repeats a List key per element,
-// and Parse∘Format is the identity.
+// omits zero values except Always keys, and Parse∘Format is the
+// identity.
 func TestFormatParse(t *testing.T) {
 	for _, tc := range []struct {
 		sep      byte
 		in, want string
 	}{
 		{' ', "", "n=1"},
-		{' ', "item=x  wait=1500ns\tbig=-7 on=true n=3 item=y", "n=3 on=1 big=-7 wait=1.5µs item=x item=y"},
+		{' ', "wait=1500ns\tbig=-7  on=true n=3", "n=3 on=1 big=-7 wait=1.5µs"},
 		{' ', "mode=b f=0.25 ords=1;5;9 span=2-4 on=0", "n=1 f=0.25 mode=b ords=1;5;9 span=2-4"},
 		{',', " n = 2 ,, f=1e-300 , ords= 3 ; 4,", "n=2,f=1e-300,ords=3;4"},
 	} {
@@ -139,14 +129,13 @@ func TestRejects(t *testing.T) {
 	}
 }
 
-// TestClosedHoles is the regression table of what the three hand-written
+// TestClosedHoles is the regression table of what the hand-written
 // parsers let through: each rejected row parsed without an error before
 // they became tables over this package, and the message names the key.
 func TestClosedHoles(t *testing.T) {
 	parsers := map[string]func(string) error{
 		"scenario": func(in string) error { _, err := scenario.Parse(in); return err },
 		"faults":   func(in string) error { _, err := faults.ParseSpec(in); return err },
-		"tenancy":  func(in string) error { _, err := ctrlplane.ParseSpec(in); return err },
 	}
 	for _, tc := range []struct {
 		schema, in string
@@ -160,24 +149,17 @@ func TestClosedHoles(t *testing.T) {
 		{"faults", "wire.dropn=1;2,wire.dropn=3", "faults: key wire.dropn given twice"},
 		{"faults", "wire.dropn=0", "faults: bad value for wire.dropn: 0 outside [1,+Inf]"},
 		{"faults", "start=10000000s", "faults: bad value for start: duration "},
-		{"tenancy", "version=1 version=2", "ctrlplane: key version given twice"},
-		{"tenancy", "version=1 tenant=A,vfs=1,vfs=2", "ctrlplane: key vfs given twice"},
-		{"tenancy", "version=1 tenant=A,vfs=1,rate=NaN", "ctrlplane: bad value for rate: NaN outside [0,"},
-		{"tenancy", "version=1 tenant=A,vfs=1,rate=+Inf", "ctrlplane: bad value for rate: +Inf outside [0,"},
 
 		// Rejected before and still.
 		{"scenario", "zzz=1", `scenario: unknown key "zzz"`},
 		{"faults", "zzz=1", `faults: unknown key "zzz"`},
-		{"tenancy", "version=1 zzz=1", `ctrlplane: unknown key "zzz"`},
 		{"scenario", "frames=64:64:64", "scenario: bad value for frames: "},
 		{"scenario", "gbps=NaN", "scenario: bad value for gbps: NaN outside "},
 		{"scenario", "gbps=0", "scenario: bad value for gbps: 0 outside "},
 		{"faults", "wire.loss=NaN", "faults: bad value for wire.loss: NaN outside [0,1]"},
-		{"tenancy", "tenant=A,vfs=1", "version must be positive"},
 
 		// A preset is a starting point, not a first giving of its keys.
 		{"faults", "light,wire.loss=0.1", ""},
-		{"tenancy", "version=1 tenant=A,vfs=1 tenant=B,vfs=1", ""},
 	} {
 		err := parsers[tc.schema](tc.in)
 		switch {

@@ -286,11 +286,10 @@ type Innova struct {
 	RT  *Runtime
 	Drv *Driver
 
-	tel     *telemetry.Registry
-	faults  *faults.Plan
-	link    LinkConfig // the node's configured PCIe link, reused by AddFLD
-	numFLDs int
-	flds    []*FLD // every core, for whole-node crash–restart
+	tel    *telemetry.Registry
+	faults *faults.Plan
+	link   LinkConfig // the node's configured PCIe link, reused by AddFLD
+	flds   []*FLD     // every core, for whole-node crash–restart
 }
 
 // Crash takes the whole Innova down — NIC, every FLD core, and the host
@@ -319,7 +318,7 @@ func (inn *Innova) Restart() {
 
 // NumFLDs returns how many FLD cores the node carries (1 plus AddFLD
 // calls).
-func (inn *Innova) NumFLDs() int { return inn.numFLDs }
+func (inn *Innova) NumFLDs() int { return len(inn.flds) }
 
 // Telemetry returns the registry the node was built with, or nil when
 // telemetry is disabled.
@@ -344,7 +343,7 @@ func newInnova(eng *Engine, name string, o Options) *Innova {
 	wireTelemetry(o.Telemetry, eng, name, fab, n, f, drv)
 	wireFaults(o, eng, fab, n, f, drv)
 	return &Innova{Node: Node{eng: eng, name: name}, Fab: fab, Mem: mem, NIC: n, FLD: f, RT: rt, Drv: drv,
-		tel: o.Telemetry, faults: o.Faults, link: o.Link, numFLDs: 1, flds: []*FLD{f}}
+		tel: o.Telemetry, faults: o.Faults, link: o.Link, flds: []*FLD{f}}
 }
 
 // AddFLD instantiates an additional FlexDriver core on the node's FPGA
@@ -363,14 +362,13 @@ func (inn *Innova) AddFLD(cfg FLDConfig) (*FLD, *Runtime) {
 // classes. It wires no runtime: AddFLD adds the PF's, tenant cores get
 // theirs through a VF.
 func (inn *Innova) newCore(cfg FLDConfig) *FLD {
-	name := fmt.Sprintf("fld%d", inn.numFLDs)
+	name := fmt.Sprintf("fld%d", len(inn.flds))
 	f := fld.New(inn.eng, cfg)
 	f.SetPCIeName(name)
 	f.AttachPCIe(inn.Fab, inn.link)
 	if inn.tel != nil {
 		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(name))
 	}
-	inn.numFLDs++
 	inn.flds = append(inn.flds, f)
 	if inn.faults != nil {
 		inn.faults.AttachFLD(f)
