@@ -109,7 +109,7 @@ func BenchmarkAblationAckCoalescing(b *testing.B) {
 
 func fldrGoodputWithAckCoalesce(b *testing.B, coalesce int) float64 {
 	b.Helper()
-	p := flexdriver.DefaultNICParams()
+	p := nic.DefaultParams()
 	p.AckCoalesce = coalesce
 	pts := exps.EchoBandwidth(exps.FLDRRemote, []int{256},
 		200*flexdriver.Microsecond, flexdriver.WithNIC(p))

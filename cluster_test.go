@@ -7,6 +7,7 @@ import (
 
 	"flexdriver/internal/netpkt"
 	"flexdriver/internal/nic"
+	"flexdriver/internal/pcie"
 	"flexdriver/internal/swdriver"
 )
 
@@ -132,17 +133,27 @@ func TestClusterEchoSmoke(t *testing.T) {
 // extra cores with the hardcoded Gen3x8 default instead of the node's
 // configured PCIe link.
 func TestAddFLDUsesConfiguredLink(t *testing.T) {
-	link := Gen3x8()
+	link := pcie.Gen3x8()
 	link.Lanes = 16
 	inn := NewLocalInnova(WithLink(link))
 	f2, _ := inn.AddFLD(inn.FLD.Config())
 
-	if got := inn.Fab.PortOf(inn.FLD).Config(); got.Lanes != link.Lanes {
-		t.Fatalf("built-in core link has %d lanes, want %d", got.Lanes, link.Lanes)
+	// A 4 KiB write into host memory serializes on the writing core's
+	// link, so an added core on the node's link takes exactly as long as
+	// the built-in core, and a core on the default 8 lanes does not.
+	writeTime := func(inn *Innova, core *FLD) Duration {
+		eng := inn.Engine()
+		start, end := eng.Now(), Time(0)
+		inn.Fab.PortOf(core).Write(inn.Fab.AddrOf(inn.Mem, 0), make([]byte, 4096), func() { end = eng.Now() })
+		inn.Run()
+		return end - start
 	}
-	if got := inn.Fab.PortOf(f2).Config(); got != inn.Fab.PortOf(inn.FLD).Config() {
-		t.Fatalf("AddFLD link %+v differs from the node's configured link %+v",
-			got, inn.Fab.PortOf(inn.FLD).Config())
+	builtIn := writeTime(inn, inn.FLD)
+	if narrow := NewLocalInnova(); writeTime(narrow, narrow.FLD) == builtIn {
+		t.Fatalf("a %d-lane core writes as fast as an 8-lane one: the link is not in effect", link.Lanes)
+	}
+	if added := writeTime(inn, f2); added != builtIn {
+		t.Fatalf("AddFLD core writes 4 KiB in %v, the built-in core in %v: not the node's configured link", added, builtIn)
 	}
 }
 

@@ -161,17 +161,11 @@ func NewRegistry() *Registry { return telemetry.New() }
 // DefaultFLDConfig is the Innova-2 prototype configuration (paper §6).
 func DefaultFLDConfig() FLDConfig { return fld.DefaultConfig() }
 
-// DefaultNICParams returns ConnectX-5-calibrated NIC constants.
-func DefaultNICParams() NICParams { return nic.DefaultParams() }
-
 // NewSupervisor builds the recovery escalation ladder for a driver; the
 // seed feeds only the retry-backoff jitter stream. Kick it from a
 // watchdog (for clusters, a Control sweep) whenever health should be
 // checked.
 func NewSupervisor(d *Driver, seed int64) *Supervisor { return swdriver.NewSupervisor(d, seed) }
-
-// Gen3x8 is the Innova-2's internal PCIe link configuration.
-func Gen3x8() LinkConfig { return pcie.Gen3x8() }
 
 // NewFaultPlan builds a fault-injection plan whose every probabilistic
 // decision derives from seed — identical runs replay identical faults.

@@ -196,9 +196,6 @@ func (r *Reassembler) evictOldest() {
 	}
 }
 
-// Pending reports in-progress datagrams.
-func (r *Reassembler) Pending() int { return len(r.table) }
-
 // AFU is the FLD-E defragmentation accelerator: fragments detour through
 // it, reassembled packets return to the NIC pipeline tagged for the next
 // match-action table.

@@ -71,8 +71,8 @@ func TestReassembleInOrder(t *testing.T) {
 	if !bytes.Equal(payloadOf(t, out), payloadOf(t, orig)) {
 		t.Fatal("payload corrupted")
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("pending = %d", r.Pending())
+	if len(r.table) != 0 {
+		t.Fatalf("pending = %d", len(r.table))
 	}
 }
 
@@ -147,7 +147,7 @@ func TestTimeoutExpiresStaleDatagrams(t *testing.T) {
 	orig := buildFrame(5, 1, 2, 10, 20, 3000)
 	frags := fragments(t, orig, 1500)
 	r.Add(frags[0], 0)
-	if r.Pending() != 1 {
+	if len(r.table) != 1 {
 		t.Fatal("datagram not pending")
 	}
 	// The rest arrives too late.
@@ -165,8 +165,8 @@ func TestCapacityEviction(t *testing.T) {
 		frags := fragments(t, buildFrame(id, 1, 2, 10, 20, 3000), 1500)
 		r.Add(frags[0], 0)
 	}
-	if r.Pending() != 2 || r.Evicted != 1 {
-		t.Fatalf("pending=%d evicted=%d", r.Pending(), r.Evicted)
+	if len(r.table) != 2 || r.Evicted != 1 {
+		t.Fatalf("pending=%d evicted=%d", len(r.table), r.Evicted)
 	}
 }
 

@@ -67,9 +67,6 @@ func New(f *fld.FLD) *AFU {
 // ConnCount returns the live connection-table population.
 func (a *AFU) ConnCount() int { return len(a.conns) }
 
-// Entries returns the store population.
-func (a *AFU) Entries() int { return len(a.store) }
-
 // connKey folds the peer's identity (its IPv4 address and the port
 // pair) into the table key — the 4-tuple as the cuckoo tables hash it.
 func connKey(info tcp.FrameInfo) uint64 {

@@ -115,43 +115,24 @@ type AFU struct {
 	// buffer on first use and reused for every later message.
 	reasm map[uint32][]byte
 
-	// keyStore is the on-FPGA key table (§8.2.1 future work: clients
-	// register keys once and reference them by slot).
-	keyStore map[uint16][16]byte
-
 	jobs sim.Pool[laneJob, *laneJob]
 
 	// Stats.
 	Requests, Responses, Dropped, Bad int64
-	// KeysStored counts OpSetKey registrations.
-	KeysStored int64
-}
-
-// batchCtx collects the responses of one batched request message so they
-// return to the client as one batched RDMA message.
-type batchCtx struct {
-	remaining int
-	responses [][]byte
 }
 
 // laneJob carries one request through its lane's service time, recycled
 // through the AFU's pool, so a request schedules no closure.
 type laneJob struct {
 	sim.Link[laneJob]
-	a       *AFU
-	req     Request
-	short   bool
-	keySlot uint16 // the compact response header's slot, when short
-	tag     uint32
-	batch   *batchCtx
+	a   *AFU
+	req Request
+	tag uint32
 }
 
 // NewAFU installs an n-lane ZUC accelerator on the FLD instance.
 func NewAFU(f *fld.FLD, eng *sim.Engine, nLanes int, prm LaneParams) *AFU {
-	a := &AFU{f: f, eng: eng, prm: prm,
-		reasm:    make(map[uint32][]byte),
-		keyStore: make(map[uint16][16]byte),
-	}
+	a := &AFU{f: f, eng: eng, prm: prm, reasm: make(map[uint32][]byte)}
 	for i := 0; i < nLanes; i++ {
 		a.lanes = append(a.lanes, sim.NewResource(eng))
 	}
@@ -160,17 +141,16 @@ func NewAFU(f *fld.FLD, eng *sim.Engine, nLanes int, prm LaneParams) *AFU {
 }
 
 // Receive implements fld.Handler: reassemble the RDMA message, then
-// dispatch its request(s) to the least-loaded lanes (the front-end
-// load-balancing unit). Messages may be single full-header requests,
-// compact stored-key requests, key registrations, or batches.
+// dispatch its request to the least-loaded lane (the front-end
+// load-balancing unit).
 //
 // Fragments collect in the QP's scratch; a complete message leaves it as
-// one exact-length copy, because its requests alias it until their lanes
-// fire and by then the scratch is taking the QP's next message.
+// one exact-length copy, because its request aliases it until its lane
+// fires and by then the scratch is taking the QP's next message.
 func (a *AFU) Receive(data []byte, md fld.Metadata) {
 	buf, ok := a.reasm[md.Tag]
 	if md.Last && len(buf) == 0 {
-		a.dispatchMessage(slices.Clone(data), md.Tag)
+		a.handle(slices.Clone(data), md.Tag)
 		return
 	}
 	if !ok {
@@ -182,130 +162,44 @@ func (a *AFU) Receive(data []byte, md fld.Metadata) {
 		return
 	}
 	a.reasm[md.Tag] = buf[:0]
-	a.dispatchMessage(slices.Clone(buf), md.Tag)
+	a.handle(slices.Clone(buf), md.Tag)
 }
 
-func (a *AFU) dispatchMessage(buf []byte, tag uint32) {
-	if len(buf) >= 2 && buf[0] == 'Z' && buf[1] == magicBatch {
-		entries, err := ParseBatch(buf)
-		if err != nil {
-			a.Bad++
-			return
-		}
-		ctx := &batchCtx{remaining: len(entries)}
-		for _, e := range entries {
-			a.handleOne(e, tag, ctx)
-		}
+// handle decodes one request and runs it on a lane.
+func (a *AFU) handle(buf []byte, tag uint32) {
+	req, err := ParseRequest(buf)
+	if err != nil {
+		a.Bad++
 		return
 	}
-	a.handleOne(buf, tag, nil)
-}
-
-// handleOne decodes a single request, runs it on a lane, and routes the
-// response — directly, or into its batch.
-func (a *AFU) handleOne(buf []byte, tag uint32, batch *batchCtx) {
-	var req Request
-	short := false
-	switch {
-	case len(buf) >= 2 && buf[0] == 'Z' && buf[1] == magicShort:
-		sr, err := ParseShortRequest(buf)
-		if err != nil {
-			a.Bad++
-			a.finish(tag, batch, nil)
-			return
-		}
-		key, ok := a.keyStore[sr.KeySlot]
-		if !ok {
-			a.Bad++
-			a.finish(tag, batch, nil)
-			return
-		}
-		req = Request{Op: sr.Op, Bearer: sr.Bearer, Direction: sr.Direction,
-			Count: sr.Count, Key: key, ID: sr.ID, BitLen: sr.BitLen, Payload: sr.Payload}
-		short = true
-	default:
-		r, err := ParseRequest(buf)
-		if err != nil {
-			a.Bad++
-			a.finish(tag, batch, nil)
-			return
-		}
-		if r.Op == OpSetKey {
-			// On-FPGA key storage: the slot rides in the count field.
-			a.keyStore[uint16(r.Count)] = r.Key
-			a.KeysStored++
-			a.finish(tag, batch, nil)
-			return
-		}
-		req = r
-	}
-
 	a.Requests++
 	lane := a.pickLane()
 	service := a.prm.PerMessage + sim.Duration(len(req.Payload))*a.prm.PerByte
-	keySlot := uint16(0)
-	if short {
-		// Recover the slot for the compact response header.
-		keySlot = binary.BigEndian.Uint16(buf[4:])
-	}
 	j := a.jobs.Get()
-	*j = laneJob{a: a, req: req, short: short, keySlot: keySlot, tag: tag, batch: batch}
+	*j = laneJob{a: a, req: req, tag: tag}
 	a.eng.AtArg(lane.Acquire(service), laneDone, j)
 }
 
 // laneDone runs when a request leaves its lane: it builds the response in
 // one buffer — its header, then the cipher's output written straight
-// behind it (compute fills every byte) — and routes it.
+// behind it (compute fills every byte) — and sends it back on the QP. The
+// response is single-owner scratch from the engine's BufPool: send copies
+// it into FLD's transmit pages, after which it is dead.
 func laneDone(x any) {
 	j := x.(*laneJob)
-	a, req := j.a, j.req
+	a, req, tag := j.a, j.req, j.tag
 	bitLen := resultBits(req)
-	hdrBytes := HeaderBytes
-	if j.short {
-		hdrBytes = ShortHeaderBytes
-	}
-	resp := a.f.Engine().Bufs().Get(hdrBytes + (bitLen+7)/8)
-	clear(resp[:hdrBytes])
-	if j.short {
-		ShortRequest{Op: req.Op | respFlag, Bearer: req.Bearer,
-			Direction: req.Direction, KeySlot: j.keySlot, Count: req.Count,
-			ID: req.ID, BitLen: bitLen}.putHeader(resp)
-	} else {
-		hdr := req
-		hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
-		hdr.putHeader(resp)
-	}
-	compute(resp[hdrBytes:], req)
-	tag, batch := j.tag, j.batch
-	j.req, j.batch = Request{}, nil // hold no message buffer while pooled
-	a.jobs.Put(j)
-	a.finish(tag, batch, resp)
-}
-
-// finish routes one request's response (nil when the request produced
-// none) — straight back on the QP, or into its batch, which returns as one
-// message once its last request finishes. Responses are single-owner
-// scratch from the engine's BufPool: send copies them into FLD's transmit
-// pages, after which they are dead.
-func (a *AFU) finish(tag uint32, batch *batchCtx, resp []byte) {
 	bufs := a.f.Engine().Bufs()
-	if batch == nil {
-		if resp != nil {
-			a.send(tag, resp)
-			bufs.Put(resp)
-		}
-		return
-	}
-	if resp != nil {
-		batch.responses = append(batch.responses, resp)
-	}
-	batch.remaining--
-	if batch.remaining == 0 && len(batch.responses) > 0 {
-		a.send(tag, MarshalBatch(batch.responses))
-		for _, r := range batch.responses {
-			bufs.Put(r)
-		}
-	}
+	resp := bufs.Get(HeaderBytes + (bitLen+7)/8)
+	clear(resp[:HeaderBytes])
+	hdr := req
+	hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
+	hdr.putHeader(resp)
+	compute(resp[HeaderBytes:], req)
+	j.req = Request{} // hold no message buffer while pooled
+	a.jobs.Put(j)
+	a.send(tag, resp)
+	bufs.Put(resp)
 }
 
 // send transmits a response message on the FLD queue bound to the QP.

@@ -71,57 +71,26 @@ func (c *Cryptodev) Enqueue(op *Op) {
 	c.ep.Send(req.Marshal())
 }
 
-// Inflight reports outstanding operations.
-func (c *Cryptodev) Inflight() int { return len(c.inflight) }
-
 func (c *Cryptodev) onResponse(msg []byte) {
-	if len(msg) >= 2 && msg[0] == 'Z' && msg[1] == magicBatch {
-		entries, err := ParseBatch(msg)
-		if err != nil {
-			c.BadResponses++
-			return
-		}
-		for _, e := range entries {
-			c.handleResponse(e)
-		}
+	resp, err := ParseRequest(msg)
+	if err != nil {
+		c.BadResponses++
 		return
 	}
-	c.handleResponse(msg)
-}
-
-func (c *Cryptodev) handleResponse(msg []byte) {
-	var id uint32
-	var op8 uint8
-	var payload []byte
-	if len(msg) >= 2 && msg[0] == 'Z' && msg[1] == magicShort {
-		sr, err := ParseShortRequest(msg)
-		if err != nil {
-			c.BadResponses++
-			return
-		}
-		id, op8, payload = sr.ID, sr.Op, sr.Payload
-	} else {
-		resp, err := ParseRequest(msg)
-		if err != nil {
-			c.BadResponses++
-			return
-		}
-		id, op8, payload = resp.ID, resp.Op, resp.Payload
-	}
-	if op8 == OpAuth && len(payload) < 4 {
+	if resp.Op == OpAuth && len(resp.Payload) < 4 {
 		c.BadResponses++ // no room for the MAC
 		return
 	}
-	op := c.inflight[id]
+	op := c.inflight[resp.ID]
 	if op == nil {
 		return
 	}
-	delete(c.inflight, id)
+	delete(c.inflight, resp.ID)
 	op.DoneAt = c.eng.Now()
-	if op8 == OpAuth {
-		op.MAC = binary.BigEndian.Uint32(payload)
+	if resp.Op == OpAuth {
+		op.MAC = binary.BigEndian.Uint32(resp.Payload)
 	} else {
-		op.Result = payload
+		op.Result = resp.Payload
 	}
 	c.Completed++
 	if op.Done != nil {

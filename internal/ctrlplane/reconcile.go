@@ -203,12 +203,24 @@ func (r *Reconciler) pass(int) {
 					r.tActErrors.Inc()
 					continue
 				}
-				delete(r.draining, name)
-				r.tUndrains.Inc()
-				r.act.Undrain(name)
+				r.undrain(name)
+			}
+		default:
+			// The running shape is the desired one, but an abandoned
+			// drain from an earlier spec may still hold the tenant:
+			// nothing is left to reconfigure, so resume it.
+			if _, open := r.draining[name]; open {
+				r.undrain(name)
 			}
 		}
 	}
+}
+
+// undrain closes a tenant's drain entry and resumes it.
+func (r *Reconciler) undrain(name string) {
+	delete(r.draining, name)
+	r.tUndrains.Inc()
+	r.act.Undrain(name)
 }
 
 // drainStep advances one tenant's drain: returns true once quiesced,

@@ -243,3 +243,40 @@ func TestReconcilerDeterministicSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonedDrainClosesWhenShapeRestored: a reshape whose drain never
+// quiesces is abandoned with the tenant drained; a later spec that asks
+// for the shape the tenant still has leaves nothing to reconfigure, and
+// the reconciler must undrain the tenant and converge rather than hold
+// the drain open for good.
+func TestAbandonedDrainClosesWhenShapeRestored(t *testing.T) {
+	eng, act, rec, reg := testRig()
+	alpha := Tenant{Name: "alpha", VFs: 1, Cores: 1, SQs: 2, RQs: 1, CQs: 2, Weight: 1}
+	if err := rec.Apply(Spec{Version: 1, Tenants: []Tenant{alpha}}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+
+	act.drainAfter = 1 << 30 // alpha's in-flight work never quiesces
+	wider := alpha
+	wider.CQs = 4
+	if err := rec.Apply(Spec{Version: 2, Tenants: []Tenant{wider}}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got := reg.Snapshot().Get("node/ctrlplane/abandoned"); got != 1 || rec.Converged() {
+		t.Fatalf("v2: %d episodes abandoned, converged %v; want the reshape abandoned", got, rec.Converged())
+	}
+
+	act.journal = nil
+	if err := rec.Apply(Spec{Version: 3, Tenants: []Tenant{alpha}}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if !rec.Converged() || rec.Active() {
+		t.Fatalf("v3 restores alpha's running shape: converged %v, active %v; want converged", rec.Converged(), rec.Active())
+	}
+	if len(act.journal) != 1 || act.journal[0] != "undrain:alpha" {
+		t.Fatalf("v3 journal %v, want alpha undrained and nothing else", act.journal)
+	}
+}

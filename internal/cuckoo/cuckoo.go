@@ -63,18 +63,9 @@ func bankSizeFor(capacity int) int {
 	return 1 << bits.Len(uint((2*max(capacity, 1)+Banks-1)/Banks-1))
 }
 
-// SlotsFor returns New(capacity).Slots() without building the table.
+// SlotsFor returns the physical slots (for memory accounting) that
+// New(capacity) provisions, without building the table.
 func SlotsFor(capacity int) int { return bankSizeFor(capacity)*Banks + StashSize }
-
-// Capacity returns the number of entries the table guarantees to hold
-// (half the physical slots).
-func (t *Table) Capacity() int { return t.bankSize * Banks / 2 }
-
-// Len returns the number of stored entries, including stashed ones.
-func (t *Table) Len() int { return t.count }
-
-// Slots returns the number of physical slots (for memory accounting).
-func (t *Table) Slots() int { return t.bankSize*Banks + StashSize }
 
 func (t *Table) bucket(bank int, key uint64) int {
 	h := key * t.seeds[bank]

@@ -18,8 +18,8 @@ func TestEntryIs16Bytes(t *testing.T) {
 
 func TestSlotsForMatchesNew(t *testing.T) {
 	for c := -1; c <= 10000; c++ {
-		if got, want := SlotsFor(c), New(c).Slots(); got != want {
-			t.Fatalf("SlotsFor(%d) = %d, New(%d).Slots() = %d", c, got, c, want)
+		if got, want := SlotsFor(c), New(c).bankSize*Banks+StashSize; got != want {
+			t.Fatalf("SlotsFor(%d) = %d, New(%d) has = %d", c, got, c, want)
 		}
 	}
 }
@@ -31,8 +31,8 @@ func TestInsertLookup(t *testing.T) {
 			t.Fatalf("insert %d stalled below capacity", i)
 		}
 	}
-	if tbl.Len() != 100 {
-		t.Fatalf("len = %d", tbl.Len())
+	if tbl.count != 100 {
+		t.Fatalf("len = %d", tbl.count)
 	}
 	for i := uint64(0); i < 100; i++ {
 		v, ok := tbl.Lookup(i)
@@ -52,8 +52,8 @@ func TestInsertUpdatesValue(t *testing.T) {
 	if v, _ := tbl.Lookup(5); v != 2 {
 		t.Fatalf("update failed: %d", v)
 	}
-	if tbl.Len() != 1 {
-		t.Fatalf("duplicate insert changed count: %d", tbl.Len())
+	if tbl.count != 1 {
+		t.Fatalf("duplicate insert changed count: %d", tbl.count)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("key %d present=%v want %v", i, ok, want)
 		}
 	}
-	if tbl.Len() != 25 {
-		t.Fatalf("len = %d", tbl.Len())
+	if tbl.count != 25 {
+		t.Fatalf("len = %d", tbl.count)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestChurn(t *testing.T) {
 		}
 		next++
 	}
-	if tbl.Len() != capacity {
-		t.Fatalf("len = %d, want %d", tbl.Len(), capacity)
+	if tbl.count != capacity {
+		t.Fatalf("len = %d, want %d", tbl.count, capacity)
 	}
 	for _, k := range live {
 		if v, ok := tbl.Lookup(k); !ok || v != uint32(k) {
@@ -172,7 +172,7 @@ func TestNoLostEntriesProperty(t *testing.T) {
 				delete(ref, k)
 			}
 		}
-		if tbl.Len() != len(ref) {
+		if tbl.count != len(ref) {
 			return false
 		}
 		for k, v := range ref {
@@ -220,12 +220,12 @@ func TestOverCapacityStallsThenRecovers(t *testing.T) {
 
 func TestSlotsAccounting(t *testing.T) {
 	tbl := New(1133) // the paper's N_txdesc
-	if tbl.Capacity() < 1133 {
-		t.Fatalf("capacity %d < 1133", tbl.Capacity())
+	if c := tbl.bankSize * Banks / 2; c < 1133 {
+		t.Fatalf("capacity %d < 1133", c)
 	}
 	// 2x provisioning: between 2x and 4x (power-of-two rounding) + stash.
-	if tbl.Slots() < 2*1133 || tbl.Slots() > 4*1133+StashSize {
-		t.Fatalf("slots = %d", tbl.Slots())
+	if s := SlotsFor(1133); s < 2*1133 || s > 4*1133+StashSize {
+		t.Fatalf("slots = %d", s)
 	}
 }
 
@@ -296,10 +296,10 @@ func FuzzTableMatchesEager(f *testing.F) {
 				}
 				delete(ref, key)
 			}
-			if got.Len() != want.Len() || got.Len() != len(ref) || got.StashLen() != want.StashLen() ||
+			if got.count != want.Len() || got.count != len(ref) || got.StashLen() != want.StashLen() ||
 				got.MaxStashDepth != want.MaxStashDepth {
 				t.Fatalf("op %d: Len %d StashLen %d MaxStashDepth %d, eager %d %d %d, map %d", i,
-					got.Len(), got.StashLen(), got.MaxStashDepth, want.Len(), want.StashLen(), want.MaxStashDepth, len(ref))
+					got.count, got.StashLen(), got.MaxStashDepth, want.Len(), want.StashLen(), want.MaxStashDepth, len(ref))
 			}
 		}
 		for k, v := range ref {

@@ -92,8 +92,8 @@ func TestFloodIntoFullOutputQueues(t *testing.T) {
 			t.Fatalf("port %d: delivered %d + dropped %d != offered %d",
 				i, got, p.Counters.TailDrops, offered)
 		}
-		if p.QueueDepth() != 0 {
-			t.Fatalf("port %d: queue not drained after run (depth %d)", i, p.QueueDepth())
+		if p.queued != 0 {
+			t.Fatalf("port %d: queue not drained after run (depth %d)", i, p.queued)
 		}
 	}
 	// No sender may hear its own broadcasts back (no hairpin on floods):

@@ -111,16 +111,10 @@ func (s *Switch) Restart() {
 	s.downN--
 }
 
-// Down reports whether the switch is currently rebooting.
-func (s *Switch) Down() bool { return s.downN > 0 }
-
 // New builds a switch; zero Config fields take defaults.
 func New(eng *sim.Engine, cfg Config) *Switch {
 	return &Switch{eng: eng, cfg: cfg.withDefaults(), fdb: make(map[netpkt.MAC]*Port)}
 }
-
-// Rate returns the per-port line rate.
-func (s *Switch) Rate() sim.BitRate { return s.cfg.Rate }
 
 // Engine returns the engine the switch fabric schedules on.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
@@ -235,10 +229,6 @@ func (p *Port) Link() *nic.Link { return &p.link }
 // EndpointEngine returns the engine the port's NIC-side half runs on
 // (dir-0 hooks fire there; dir-1 hooks fire on the switch engine).
 func (p *Port) EndpointEngine() *sim.Engine { return p.ep.Engine() }
-
-// QueueDepth returns the instantaneous output-queue occupancy,
-// including the frame in service.
-func (p *Port) QueueDepth() int { return p.queued }
 
 func (p *Port) count(frames, bytes *int64, n int) {
 	*frames++

@@ -95,7 +95,7 @@ func TestStoreAndForwardTiming(t *testing.T) {
 	if len(eps[1].got) != 1 {
 		t.Fatalf("delivered %d frames", len(eps[1].got))
 	}
-	ser := sw.Rate().Serialize(len(f) + nic.EthWireOverhead)
+	ser := sw.cfg.Rate.Serialize(len(f) + nic.EthWireOverhead)
 	want := 2*ser + 2*500*sim.Nanosecond
 	if eps[1].at[0] != want {
 		t.Fatalf("delivery at %v, want %v", eps[1].at[0], want)
@@ -336,7 +336,7 @@ func TestNestedRebootWindows(t *testing.T) {
 	sw.Crash()
 	sw.Crash()
 	sw.Restart()
-	if !sw.Down() {
+	if sw.downN == 0 {
 		t.Fatal("switch came up with one of two crash windows still open")
 	}
 	eps[0].port.Send(frameBetween(mac(0), mac(1), 100), nil)
@@ -345,8 +345,8 @@ func TestNestedRebootWindows(t *testing.T) {
 		t.Fatal("nested-down switch forwarded a frame")
 	}
 	sw.Restart()
-	if sw.Down() || sw.Stats.Reboots != 1 {
-		t.Fatalf("after final restart: down=%v reboots=%d", sw.Down(), sw.Stats.Reboots)
+	if sw.downN > 0 || sw.Stats.Reboots != 1 {
+		t.Fatalf("after final restart: downN=%d reboots=%d", sw.downN, sw.Stats.Reboots)
 	}
 }
 

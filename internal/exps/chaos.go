@@ -16,16 +16,6 @@ func Chaos(seed int64, faults string, window flexdriver.Duration) *Result {
 	return judge("chaos", fmt.Sprintf("FLD-E cluster echo under fault injection (seed=%d, faults=%q)", seed, cmp.Or(s.Faults, faults)), err, s)
 }
 
-// ChaosTelemetryHash runs the storm once and returns the SHA-256 of its
-// final telemetry snapshot, the determinism tests' replay pin.
-func ChaosTelemetryHash(seed int64, faults string, window flexdriver.Duration) string {
-	s, err := ChaosSpec(seed, faults, window)
-	if err != nil {
-		return ""
-	}
-	return scenario.Run(s).Hash
-}
-
 // ChaosSpec is the chaos scenario: one Poisson client offering 10 Gbps of
 // 256 B frames to a one-core echo server, faults active for window and
 // drawn from seed. faults is a faults.ParseSpec spec, "heavy" when empty;

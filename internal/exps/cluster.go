@@ -154,8 +154,8 @@ type servedTotals struct {
 	fldRx          []int64
 	tailDrops      int64
 	pcieMismatches int
-	pending        int    // engine events left after quiesce
-	hash           string // SHA-256 of the final telemetry snapshot
+	pending        int                 // engine events left after quiesce
+	snap           flexdriver.Snapshot // the final telemetry snapshot
 }
 
 // measure runs the window and merges the per-shard accumulators now that
@@ -177,9 +177,8 @@ func (pt *servedPoint) measure(warmup, window, drain flexdriver.Duration) served
 	for _, rt := range pt.srv.RTs {
 		t.fldRx = append(t.fldRx, rt.FLD().Stats.RxPackets)
 	}
-	snap := pt.Telemetry().Snapshot()
-	t.hash = snap.Hash()
-	t.pcieMismatches = pt.Reconcile(snap)
+	t.snap = pt.Telemetry().Snapshot()
+	t.pcieMismatches = pt.Reconcile(t.snap)
 	return t
 }
 
@@ -239,19 +238,6 @@ func runClusterPoint(n int, p ClusterParams) clusterPoint {
 		cp.imbalance = max(cp.imbalance, math.Abs(float64(rx)-coreMean)/coreMean)
 	}
 	return cp
-}
-
-// ClusterTelemetryHash runs one fixed-seed cluster sweep point (n clients
-// against the multi-FLD server) and returns the SHA-256 of the final
-// telemetry snapshot dump. Because the engine is deterministic, the hash
-// is a compact fingerprint of the entire run: every counter, byte total
-// and histogram bucket on every node must match for two runs to agree.
-//
-// The determinism regression test pins this hash to a golden value so
-// event-queue or scheduling refactors that reorder same-time events are
-// caught immediately.
-func ClusterTelemetryHash(n int, p ClusterParams) string {
-	return runClusterPoint(n, p).hash
 }
 
 // Cluster sweeps N clients against one multi-FLD server behind a ToR

@@ -1,10 +1,20 @@
 package exps
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"flexdriver/internal/scenario"
 	"flexdriver/internal/sim"
+	"flexdriver/internal/telemetry"
 )
 
 // goldenClusterHash is the SHA-256 of the full telemetry snapshot of a
@@ -28,11 +38,7 @@ const goldenClusterHash = "2583e9b697ba0b85437b90fff1f6a2107fd388dee68d0d152ab99
 
 func TestClusterTelemetryGolden(t *testing.T) {
 	p := DefaultClusterParams(100 * sim.Microsecond)
-	got := ClusterTelemetryHash(2, p)
-	if got != goldenClusterHash {
-		t.Fatalf("fixed-seed cluster telemetry diverged from golden snapshot:\n got  %s\n want %s",
-			got, goldenClusterHash)
-	}
+	checkGolden(t, "cluster", runClusterPoint(2, p).snap)
 }
 
 // TestClusterTelemetryStable runs the same experiment twice in one process
@@ -40,8 +46,8 @@ func TestClusterTelemetryGolden(t *testing.T) {
 // shrink policy may never leak state across runs into results.
 func TestClusterTelemetryStable(t *testing.T) {
 	p := DefaultClusterParams(100 * sim.Microsecond)
-	a := ClusterTelemetryHash(2, p)
-	b := ClusterTelemetryHash(2, p)
+	a := runClusterPoint(2, p).snap.Hash()
+	b := runClusterPoint(2, p).snap.Hash()
 	if a != b {
 		t.Fatalf("back-to-back fixed-seed runs diverged: %s vs %s", a, b)
 	}
@@ -85,19 +91,15 @@ func TestClusterTelemetryStable(t *testing.T) {
 const goldenChaosScenarioHash = "bb1cc1d1afba6bcb3fd29142409b6e12396e8915219a175e6f72fdc5abeb986c"
 
 func TestChaosScenarioTelemetryGolden(t *testing.T) {
-	got := ScenarioTelemetryHash(2)
-	if got != goldenChaosScenarioHash {
-		t.Fatalf("chaos-fault scenario telemetry diverged from golden snapshot:\n got  %s\n want %s",
-			got, goldenChaosScenarioHash)
-	}
+	checkGolden(t, "chaos-scenario", scenario.Run(scenario.Generate(2)).Snapshot)
 }
 
 // TestChaosScenarioTelemetryStable is the in-process double-run variant
 // under fault injection: the plan's Bernoulli stream, the flap schedule
 // and every recovery path must be as replayable as the clean fast path.
 func TestChaosScenarioTelemetryStable(t *testing.T) {
-	a := ScenarioTelemetryHash(2)
-	b := ScenarioTelemetryHash(2)
+	a := scenario.Run(scenario.Generate(2)).Hash
+	b := scenario.Run(scenario.Generate(2)).Hash
 	if a != b {
 		t.Fatalf("back-to-back chaos scenario runs diverged: %s vs %s", a, b)
 	}
@@ -139,16 +141,13 @@ func TestChaosScenarioTelemetryStable(t *testing.T) {
 const goldenChaosExpHash = "8c3bc3ba9c5e83920e62556a11ee68bcef63e9b15f4a10cae28aa1465067246a"
 
 func TestChaosExpTelemetryGolden(t *testing.T) {
-	got := ChaosTelemetryHash(7, "crash", 200*sim.Microsecond)
-	if got != goldenChaosExpHash {
-		t.Fatalf("fixed-seed chaos telemetry diverged from golden snapshot:\n got  %s\n want %s",
-			got, goldenChaosExpHash)
-	}
 	s, err := ChaosSpec(7, "crash", 200*sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := scenario.Run(s); res.SupEpisodes < 1 {
+	res := scenario.Run(s)
+	checkGolden(t, "chaos", res.Snapshot)
+	if res.SupEpisodes < 1 {
 		t.Fatalf("pinned crash storm closed %d supervision episodes, want at least one", res.SupEpisodes)
 	}
 }
@@ -166,7 +165,7 @@ func TestCluster128TelemetryStable(t *testing.T) {
 	p.Drain = 60 * sim.Microsecond
 	p.Hosts = 128
 	p.PerClientGbps = 0.4
-	if a, b := ClusterTelemetryHash(256, p), ClusterTelemetryHash(256, p); a != b {
+	if a, b := runClusterPoint(256, p).snap.Hash(), runClusterPoint(256, p).snap.Hash(); a != b {
 		t.Fatalf("back-to-back 128-host runs diverged:\n %s\n %s", a, b)
 	}
 }
@@ -195,22 +194,171 @@ const (
 func TestKVServeTelemetryGolden(t *testing.T) {
 	p := DefaultKVServeParams(150 * sim.Microsecond)
 	p.Connections, p.Hosts = 5000, 4
-	if got := KVServeTelemetryHash(p); got != goldenKVServeHash {
-		t.Fatalf("fixed-seed kvserve telemetry diverged from golden snapshot:\n got  %s\n want %s",
-			got, goldenKVServeHash)
-	}
+	checkGolden(t, "kvserve", runKVServePoint(p).snap)
 }
 
 func TestTenancyTelemetryGolden(t *testing.T) {
-	if got := runTenancyPoint(3, 300*sim.Microsecond).telemHash; got != goldenTenancyHash {
-		t.Fatalf("fixed-seed tenancy telemetry diverged from golden snapshot:\n got  %s\n want %s",
-			got, goldenTenancyHash)
-	}
+	checkGolden(t, "tenancy", runTenancyPoint(3, 300*sim.Microsecond).snap)
 }
 
 func TestFailoverTelemetryGolden(t *testing.T) {
-	if _, got := failoverRun(300 * sim.Microsecond); got != goldenFailoverHash {
-		t.Fatalf("fixed-seed failover telemetry diverged from golden snapshot:\n got  %s\n want %s",
-			got, goldenFailoverHash)
+	_, snap := failoverRun(300 * sim.Microsecond)
+	checkGolden(t, "failover", snap)
+}
+
+// goldens maps each golden's name to its hash. The snapshot text the
+// hash is the SHA-256 of is checked in as testdata/golden-<name>.txt.
+var goldens = map[string]string{
+	"cluster":        goldenClusterHash,
+	"chaos-scenario": goldenChaosScenarioHash,
+	"chaos":          goldenChaosExpHash,
+	"kvserve":        goldenKVServeHash,
+	"tenancy":        goldenTenancyHash,
+	"failover":       goldenFailoverHash,
+}
+
+// updateGolden rewrites the snapshot texts from the runs. Recapture a
+// hash and its text together, and say why in the commit message.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden-*.txt from the golden runs")
+
+func goldenPath(name string) string { return filepath.Join("testdata", "golden-"+name+".txt") }
+
+// checkGolden compares a run's final telemetry snapshot with its golden
+// hash. On a mismatch it names the metric paths that moved, against the
+// snapshot text checked in beside the hash.
+func checkGolden(t *testing.T, name string, snap telemetry.Snapshot) {
+	t.Helper()
+	want := goldens[name]
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath(name), []byte(snap.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := snap.Hash(); got != want {
+		t.Fatalf("%s telemetry diverged from golden snapshot:\n got  %s\n want %s\n%s",
+			name, got, want, goldenDiff(name, snap))
+	}
+}
+
+// goldenDiff lists the paths whose values differ between snap and the
+// golden text: counter and histogram-count deltas through Snapshot.Diff,
+// changed gauges and funcs, and paths only one side has.
+func goldenDiff(name string, snap telemetry.Snapshot) string {
+	text, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		return err.Error()
+	}
+	golden := parseSnapshot(string(text))
+	d := snap.Diff(golden)
+	var lines []string
+	for p, v := range d.Counters {
+		if _, ok := golden.Counters[p]; !ok {
+			lines = append(lines, fmt.Sprintf("  + %s = %d", p, snap.Counters[p]))
+		} else if v != 0 {
+			lines = append(lines, fmt.Sprintf("    %s %d -> %d (%+d)", p, golden.Counters[p], snap.Counters[p], v))
+		}
+	}
+	for p, h := range d.Hists {
+		if _, ok := golden.Hists[p]; !ok {
+			lines = append(lines, fmt.Sprintf("  + %s n=%d", p, snap.Hists[p].Count))
+		} else if h.Count != 0 || strconv.FormatFloat(h.Mean, 'f', 2, 64) != strconv.FormatFloat(golden.Hists[p].Mean, 'f', 2, 64) {
+			lines = append(lines, fmt.Sprintf("    %s %+v -> %+v", p, golden.Hists[p], snap.Hists[p]))
+		}
+	}
+	for p, g := range snap.Gauges {
+		if old, ok := golden.Gauges[p]; !ok || old != g {
+			lines = append(lines, fmt.Sprintf("    %s %+v -> %+v", p, old, g))
+		}
+	}
+	for p, f := range snap.Funcs {
+		if old, ok := golden.Funcs[p]; !ok || strconv.FormatFloat(old, 'f', 4, 64) != strconv.FormatFloat(f, 'f', 4, 64) {
+			lines = append(lines, fmt.Sprintf("    %s %.4f -> %.4f", p, old, f))
+		}
+	}
+	has := func(s telemetry.Snapshot, p string) bool {
+		_, c := s.Counters[p]
+		_, g := s.Gauges[p]
+		_, h := s.Hists[p]
+		_, f := s.Funcs[p]
+		return c || g || h || f
+	}
+	gone := func(p string) {
+		if !has(snap, p) {
+			lines = append(lines, "  - "+p)
+		}
+	}
+	for p := range golden.Counters {
+		gone(p)
+	}
+	for p := range golden.Gauges {
+		gone(p)
+	}
+	for p := range golden.Hists {
+		gone(p)
+	}
+	for p := range golden.Funcs {
+		gone(p)
+	}
+	slices.Sort(lines)
+	const max = 60
+	if len(lines) > max {
+		lines = append(lines[:max], fmt.Sprintf("  ... %d more", len(lines)-max))
+	}
+	return fmt.Sprintf("%d paths moved against %s:\n%s", len(lines), goldenPath(name), strings.Join(lines, "\n"))
+}
+
+// parseSnapshot reads a snapshot back from its String dump: a counter is
+// an integer, a gauge "v (high h)", a histogram "n=c mean=m" and a func
+// a float. The "# snapshot at" header is skipped. Parse errors are
+// dropped: TestGoldenSnapshotTexts holds every golden text to parsing
+// back to itself.
+func parseSnapshot(text string) telemetry.Snapshot {
+	s := telemetry.Snapshot{Counters: map[string]int64{}, Gauges: map[string]telemetry.GaugeValue{},
+		Hists: map[string]telemetry.HistValue{}, Funcs: map[string]float64{}}
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[0] == "#" {
+			continue
+		}
+		p := f[0]
+		switch {
+		case strings.HasPrefix(f[1], "n=") && len(f) == 3:
+			n, _ := strconv.ParseInt(f[1][len("n="):], 10, 64)
+			m, _ := strconv.ParseFloat(strings.TrimPrefix(f[2], "mean="), 64)
+			s.Hists[p] = telemetry.HistValue{Count: n, Mean: m}
+		case len(f) == 4:
+			v, _ := strconv.ParseInt(f[1], 10, 64)
+			h, _ := strconv.ParseInt(strings.TrimSuffix(f[3], ")"), 10, 64)
+			s.Gauges[p] = telemetry.GaugeValue{Value: v, High: h}
+		default:
+			if v, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+				s.Counters[p] = v
+			} else {
+				s.Funcs[p], _ = strconv.ParseFloat(f[1], 64)
+			}
+		}
+	}
+	return s
+}
+
+// TestGoldenSnapshotTexts: each checked-in snapshot text hashes to its
+// golden constant, and parses back to the same dump, so a mismatch's
+// path list is read against the very run the hash pins.
+func TestGoldenSnapshotTexts(t *testing.T) {
+	for name, want := range goldens {
+		text, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(text); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s: text hashes to %x, want %s", goldenPath(name), sum, want)
+		}
+		body := string(text)
+		if strings.HasPrefix(body, "#") {
+			body = body[strings.IndexByte(body, '\n')+1:]
+		}
+		if got := parseSnapshot(body).String(); got != body {
+			t.Errorf("%s does not parse back to its own dump", goldenPath(name))
+		}
 	}
 }

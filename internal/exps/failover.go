@@ -34,7 +34,7 @@ func Failover(window flexdriver.Duration) *Result {
 	return r
 }
 
-func failoverRun(window flexdriver.Duration) (*Result, string) {
+func failoverRun(window flexdriver.Duration) (*Result, flexdriver.Snapshot) {
 	r := &Result{ID: "failover",
 		Title: "Node crash failover: 4 clients vs 2 Innova echo servers, one crash-restarts"}
 	r.Columns = []string{"client", "primary", "failover us", "rejoin us", "replies", "loss"}
@@ -133,7 +133,7 @@ func failoverRun(window flexdriver.Duration) (*Result, string) {
 	cl.Quiesce(deadline, sweep)
 
 	failoverReport(r, clients, crashed, survivor, cl.Pending())
-	return r, cl.Telemetry().Snapshot().Hash()
+	return r, cl.Telemetry().Snapshot()
 }
 
 // The failure-domain timeline and its SLOs: detection is the loss

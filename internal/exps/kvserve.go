@@ -179,12 +179,6 @@ func runKVServePoint(p KVServeParams) kvPoint {
 	return kp
 }
 
-// KVServeTelemetryHash runs the serving point and returns the final
-// telemetry snapshot hash (the determinism tests' subject).
-func KVServeTelemetryHash(p KVServeParams) string {
-	return runKVServePoint(p).hash
-}
-
 // KVServe runs the TCP-offload key-value serving experiment: 10^5
 // flow-level connections issue Zipf GET/PUT requests through the TCP +
 // RPC framing layers against the per-core kv AFUs, and the measurement
@@ -250,9 +244,10 @@ func KVServe(p KVServeParams) *Result {
 	r.Check("no credit-stall response drops", 0, float64(pt.dropped), "frames",
 		pt.dropped == 0, "")
 
-	replayOK := runKVServePoint(p).hash == pt.hash
+	hash := pt.snap.Hash()
+	replayOK := runKVServePoint(p).snap.Hash() == hash
 	r.Check("telemetry hash identical on replay", 1, b2f(replayOK), "",
-		replayOK, fmt.Sprintf("two runs, hash %s...", pt.hash[:12]))
+		replayOK, fmt.Sprintf("two runs, hash %s...", hash[:12]))
 	r.Check("PCIe byte counters reconcile on every node", 0, float64(pt.pcieMismatches),
 		"mismatches", pt.pcieMismatches == 0, "telemetry vs Port.{Up,Down}Bytes, all nodes")
 	r.Check("sim engine quiesced", 0, float64(pt.pending), "events", pt.pending == 0, "")

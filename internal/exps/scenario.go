@@ -94,12 +94,3 @@ func judge(id, title string, err error, specs ...scenario.Spec) *Result {
 	r.Check("sweep exercised traffic", 1, b2f(sent > 0), "", sent > 0, "")
 	return r
 }
-
-// ScenarioTelemetryHash runs one generated scenario once and returns the
-// SHA-256 of its final telemetry snapshot — the whole run's deterministic
-// fingerprint, golden-pinned by the determinism regression tests
-// (including a chaos-fault scenario, so fault-plan random streams are
-// covered too).
-func ScenarioTelemetryHash(seed int64) string {
-	return scenario.Run(scenario.Generate(seed)).Hash
-}

@@ -46,7 +46,7 @@ func Tenancy(seed int64, window flexdriver.Duration) *Result {
 	r.AddRow("cross-domain drops at the eSwitch", d64(pt.crossDomainDrops), "", "", "", "")
 	r.AddRow("drain episodes (max us)", fmt.Sprintf("%d (%.1f)", pt.drains, pt.drainMaxUs), "", "", "", "")
 	r.AddRow("FLD crash-restarts injected", d64(pt.fldResets), "", "", "", "")
-	r.AddRow("telemetry hash", pt.telemHash[:16]+"...", "", "", "", "")
+	r.AddRow("telemetry hash", pt.snap.Hash()[:16]+"...", "", "", "", "")
 
 	r.Check("zero cross-tenant frame leakage", 0, float64(pt.leaks), "frames",
 		pt.leaks == 0, "every reply tagged with the receiving client's tenant")
@@ -88,7 +88,7 @@ type tenancyPoint struct {
 	version          int64
 	queuesReady      bool
 	pending          int
-	telemHash        string
+	snap             flexdriver.Snapshot // the final telemetry snapshot
 }
 
 // tenancySpecV1/V2 are the experiment's desired states. Quotas cover the
@@ -223,6 +223,6 @@ func runTenancyPoint(seed int64, window flexdriver.Duration) tenancyPoint {
 	pt.drains = snap.Get("server/ctrlplane/drains")
 	pt.drainMaxUs = float64(snap.Gauges["server/ctrlplane/drain_max"].High) / 1e6
 	pt.abandoned = snap.Get("server/ctrlplane/abandoned")
-	pt.telemHash = snap.Hash()
+	pt.snap = snap
 	return pt
 }

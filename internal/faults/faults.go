@@ -442,12 +442,6 @@ func (p *Plan) dirMatch(dir int) bool {
 	}
 }
 
-// AttachWire installs the wire fault hooks (loss, duplication,
-// delay-induced reordering, deterministic Nth-frame drops) on a cable.
-// Both directions of a cable run on one engine. No-op when no wire
-// class is enabled.
-func (p *Plan) AttachWire(w *nic.Wire) { p.AttachLink(&w.Link, w.Engine(), w.Engine()) }
-
 // AttachLink installs the wire fault hooks on any Ethernet link — a
 // point-to-point cable or one switch port's segment. eng0 and eng1 name
 // the engines that evaluate direction 0 (A transmits) and direction 1

@@ -25,7 +25,7 @@ func rdmaBed(t *testing.T, nicPrm flexdriver.NICParams, msgBytes int) (
 	eng := flexdriver.NewEngine()
 	a := flexdriver.NewHost(eng, "a", flexdriver.WithNIC(nicPrm))
 	b := flexdriver.NewHost(eng, "b", flexdriver.WithNIC(nicPrm))
-	w := flexdriver.ConnectWire(a.NIC, b.NIC, 25*flexdriver.Gbps, 500*flexdriver.Nanosecond)
+	w := nic.ConnectWire(a.NIC, b.NIC, 25*flexdriver.Gbps, 500*flexdriver.Nanosecond)
 	cfg := swdriver.RDMAConfig{SendEntries: 64, RecvEntries: 64, MaxMsgBytes: msgBytes, MTU: 1024}
 	epA := a.Drv.NewRDMAEndpoint(cfg)
 	epB := b.Drv.NewRDMAEndpoint(cfg)
@@ -47,10 +47,10 @@ func patterned(n int) []byte {
 // nakedOnce rule — NAKs the gap exactly once, and the sender recovers
 // by NAK-triggered go-back-N without ever hitting the retransmit timer.
 func TestGoBackNNaksOncePerLossEvent(t *testing.T) {
-	eng, w, a, b, epA, epB := rdmaBed(t, flexdriver.DefaultNICParams(), 16<<10)
+	eng, w, a, b, epA, epB := rdmaBed(t, nic.DefaultParams(), 16<<10)
 
 	plan := faults.NewPlan(7, faults.Config{WireDropNth: []int64{3}, WireDir: 1})
-	plan.AttachWire(w)
+	plan.AttachLink(&w.Link, eng, eng)
 
 	var msgs [][]byte
 	epB.OnMessage = func(data []byte) { msgs = append(msgs, append([]byte(nil), data...)) }
@@ -77,10 +77,10 @@ func TestGoBackNNaksOncePerLossEvent(t *testing.T) {
 // at exactly defaultQPWindow (128) packets in flight and hold there
 // until the retransmit timer fires.
 func TestWindowClampsUnderAckBlackhole(t *testing.T) {
-	eng, w, a, _, epA, _ := rdmaBed(t, flexdriver.DefaultNICParams(), 256<<10)
+	eng, w, a, _, epA, _ := rdmaBed(t, nic.DefaultParams(), 256<<10)
 
 	plan := faults.NewPlan(7, faults.Config{WireLoss: 1, WireDir: 2})
-	plan.AttachWire(w)
+	plan.AttachLink(&w.Link, eng, eng)
 
 	epA.Send(patterned(160 << 10)) // 160 packets, well past the window
 	// Default RetransmitTimeout is 100us after the first transmission;
@@ -105,12 +105,12 @@ func TestWindowClampsUnderAckBlackhole(t *testing.T) {
 // in-flight message with an error CQE, and — once the fault lifts and
 // the driver runs ReconnectQPs — deliver new traffic again.
 func TestBoundedRetryEntersErrorAndReconnects(t *testing.T) {
-	prm := flexdriver.DefaultNICParams()
+	prm := nic.DefaultParams()
 	prm.MaxRetransmits = 3
 	eng, w, a, _, epA, epB := rdmaBed(t, prm, 16<<10)
 
 	plan := faults.NewPlan(7, faults.Config{WireLoss: 1, WireDir: 2})
-	plan.AttachWire(w)
+	plan.AttachLink(&w.Link, eng, eng)
 
 	// Note the blackhole only kills B->A frames: the data itself still
 	// reaches B and is delivered; it is the *sender* that, unable to see

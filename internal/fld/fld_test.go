@@ -68,10 +68,14 @@ func TestBARLayoutNonOverlapping(t *testing.T) {
 // by the first Send and the first placements, not here. The budget sits
 // 4 % over the 2 376 B measured under go1.24 (11 objects, pinned exactly);
 // before the pool and banks went lazy the same build cost 207 158 B in
-// 21 objects.
+// 21 objects. It measures the way testing.AllocsPerRun does: one build
+// first, so one-time initialisation stays out of the window, and one P
+// during it, so no other goroutine's allocations land in the totals.
 func TestNewFootprint(t *testing.T) {
 	const n, maxBytes, maxObjects = 100, 2_472, 11
 	eng := sim.NewEngine()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	New(eng, DefaultConfig())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {

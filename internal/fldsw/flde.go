@@ -102,9 +102,6 @@ func (e *EControlPlane) InstallTenantRule(tenantCtx uint32, allowedTables map[in
 	if a.ToVPort != nil {
 		return &TenantRuleError{Reason: "vport forwarding is hypervisor-only"}
 	}
-	if a.ESPDecrypt != nil {
-		return &TenantRuleError{Reason: "IPSec SAs are hypervisor-only"}
-	}
 	if a.ToRQ == e.rt.rq {
 		// Steering into the accelerator must carry the tenant's tag so
 		// the AFU bills the right key/quota.

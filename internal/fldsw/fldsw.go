@@ -170,9 +170,6 @@ func (r *Runtime) createRQ(cfg nic.RQConfig) (*nic.RQ, error) {
 	return r.nic.CreateRQ(cfg), nil
 }
 
-// VF returns the runtime's virtual function (nil on the PF).
-func (r *Runtime) VF() *nic.VF { return r.vf }
-
 // VPort returns the eSwitch vport representing the accelerator.
 func (r *Runtime) VPort() *nic.VPort { return r.vport }
 
@@ -181,9 +178,6 @@ func (r *Runtime) RQ() *nic.RQ { return r.rq }
 
 // FLD returns the bound hardware module.
 func (r *Runtime) FLD() *fld.FLD { return r.fld }
-
-// NIC returns the bound adapter.
-func (r *Runtime) NIC() *nic.NIC { return r.nic }
 
 // CreateEthTxQueue binds FLD transmit queue q to a new raw-Ethernet NIC
 // send queue on the accelerator's vport.

@@ -61,7 +61,7 @@ func udpFrame(srcID int, sport, dport uint16, n int) []byte {
 func TestRuntimeWiring(t *testing.T) {
 	inn := newInnova(t)
 	rt := inn.rt
-	if rt.RQ() == nil || rt.VPort() == nil || rt.FLD() != inn.fld || rt.NIC() != inn.nic {
+	if rt.RQ() == nil || rt.VPort() == nil || rt.FLD() != inn.fld || rt.nic != inn.nic {
 		t.Fatal("accessors broken")
 	}
 	// The first receive descriptor must point into FLD's BAR.
@@ -386,7 +386,6 @@ func TestTenantRuleValidation(t *testing.T) {
 		{"jump out", 70, nic.Rule{Action: nic.Action{ToTable: tbl(0)}}, "jump to foreign table"},
 		{"vport", 70, nic.Rule{Action: nic.Action{ToVPort: tbl(1)}}, "vport forwarding is hypervisor-only"},
 		{"untagged accel steering", 70, nic.Rule{Action: nic.Action{ToRQ: inn.rt.RQ()}}, "must tag the tenant context"},
-		{"ipsec", 70, nic.Rule{Action: nic.Action{ESPDecrypt: &netpkt.ESPSA{}, Drop: true}}, "IPSec SAs are hypervisor-only"},
 	}
 	for _, c := range bad {
 		err := ecp.InstallTenantRule(tenantCtx, owned, c.table, c.r)

@@ -153,6 +153,3 @@ func (m *Memory) Alloc(size uint64, align uint64) uint64 {
 	m.next = off + size
 	return off
 }
-
-// Used returns the number of bytes handed out by Alloc.
-func (m *Memory) Used() uint64 { return m.next }

@@ -113,8 +113,8 @@ func TestWrappingSpanPanics(t *testing.T) {
 			}()
 			tc.f()
 		}()
-		if m.mem.materialised() != 0 || m.Used() != 0x1000 {
-			t.Fatalf("%s: left %d bytes and cursor %#x behind", tc.msg, m.mem.materialised(), m.Used())
+		if m.mem.materialised() != 0 || m.next != 0x1000 {
+			t.Fatalf("%s: left %d bytes and cursor %#x behind", tc.msg, m.mem.materialised(), m.next)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func TestAllocAlignment(t *testing.T) {
 	if b < a+10 {
 		t.Fatal("allocations overlap")
 	}
-	if m.Used() < b+100 {
+	if m.next < b+100 {
 		t.Fatal("Used under-reports")
 	}
 }

@@ -44,7 +44,6 @@ const (
 	DropESwitchMiss      DropReason = "eswitch-miss"
 	DropPolicer          DropReason = "policer"
 	DropDecapFailed      DropReason = "decap-failed"
-	DropESPAuthFailed    DropReason = "esp-auth-failed"
 	DropRuleDrop         DropReason = "rule-drop"
 	DropNoSuchVPort      DropReason = "no-such-vport"
 	DropCrossDomain      DropReason = "cross-domain"
@@ -63,7 +62,7 @@ var AllDropReasons = []DropReason{
 	DropSQError, DropDeviceDown,
 	DropQPNotConnected, DropRDMATimeout, DropRDMAUnknownQPN,
 	DropRDMAOutOfOrder, DropRDMAStaleEpoch, DropQPError,
-	DropESwitchMiss, DropPolicer, DropDecapFailed, DropESPAuthFailed,
+	DropESwitchMiss, DropPolicer, DropDecapFailed,
 	DropRuleDrop, DropNoSuchVPort, DropCrossDomain, DropNoDisposition,
 	DropTableLoop, DropNoWire, DropWireInjectedLoss,
 }

@@ -190,11 +190,6 @@ type Action struct {
 	// Decap strips the outer Ethernet+IPv4+UDP+VXLAN encapsulation,
 	// exposing the inner frame (the NIC's tunnel offload).
 	Decap bool
-	// ESPDecrypt authenticates and decrypts an IPSec ESP packet with the
-	// given security association, exposing the inner IPv4 packet — the
-	// paper's example of an area-demanding offload FLD accelerators use
-	// transparently instead of reimplementing (§7).
-	ESPDecrypt *netpkt.ESPSA
 	// Encap prepends a pre-built outer header blob to the frame.
 	Encap []byte
 	// SetFlowTag stamps the packet's metadata tag (the context ID used
@@ -325,10 +320,6 @@ func (e *ESwitch) process(v *pktView) {
 		}
 		if a.Decap && !e.decap(v) {
 			e.drop(v, DropDecapFailed)
-			return
-		}
-		if a.ESPDecrypt != nil && !e.espDecrypt(v, a.ESPDecrypt) {
-			e.drop(v, DropESPAuthFailed)
 			return
 		}
 		if a.Encap != nil {
@@ -466,23 +457,6 @@ func (e *ESwitch) decap(v *pktView) bool {
 		return false
 	}
 	v.parse(payload, v.flowTag)
-	return true
-}
-
-// espDecrypt runs the NIC's inline IPSec offload: authenticate, decrypt,
-// and swap the frame for the inner packet.
-func (e *ESwitch) espDecrypt(v *pktView, sa *netpkt.ESPSA) bool {
-	eth, ipb, err := netpkt.ParseEth(v.frame)
-	if err != nil || eth.EtherType != netpkt.EtherTypeIPv4 {
-		return false
-	}
-	inner, err := netpkt.DecryptESP(sa, ipb)
-	if err != nil {
-		return false
-	}
-	nf := eth.Marshal(make([]byte, 0, netpkt.EthHeaderLen+len(inner)))
-	nf = append(nf, inner...)
-	v.parse(nf, v.flowTag)
 	return true
 }
 

@@ -395,7 +395,7 @@ func TestWireLossCounters(t *testing.T) {
 	if len(*cqes) != 4 {
 		t.Fatalf("delivered frames = %d, want 4", len(*cqes))
 	}
-	if w.Rate() != 25*sim.Gbps {
-		t.Fatalf("wire rate = %v", w.Rate())
+	if w.rate != 25*sim.Gbps {
+		t.Fatalf("wire rate = %v", w.rate)
 	}
 }

@@ -848,9 +848,6 @@ func (cq *CQ) Push(c CQE) {
 	cq.n.port.WriteOwnedArg(addr, b, cqPushDone, w)
 }
 
-// PI returns the number of completions ever pushed.
-func (cq *CQ) PI() uint32 { return cq.pi }
-
 // ConnectX6DxParams returns the timing profile of the newer-generation
 // adapter the paper reports porting FlexDriver to with minimal changes
 // (§6: "we have successfully tested our ConnectX-5-based design against

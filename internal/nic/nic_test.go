@@ -174,7 +174,7 @@ func TestTxCompletionSignaling(t *testing.T) {
 	}
 	dsq.doorbell()
 	eng.Run()
-	txCQEs = int(dsq.sq.CQ.PI())
+	txCQEs = int(dsq.sq.CQ.pi)
 	if txCQEs != 2 {
 		t.Fatalf("tx CQEs = %d, want 2 (selective signalling)", txCQEs)
 	}

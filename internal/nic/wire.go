@@ -37,9 +37,3 @@ func ConnectWire(a, b *NIC, rate sim.BitRate, latency sim.Duration) *Wire {
 	}
 	return w
 }
-
-// Rate returns the line rate.
-func (w *Wire) Rate() sim.BitRate { return w.rate }
-
-// Engine returns the engine both cable ends schedule on.
-func (w *Wire) Engine() *sim.Engine { return w.segs[0].c.Src() }

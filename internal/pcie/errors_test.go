@@ -42,7 +42,7 @@ func TestReadFromDeadDeviceTimesOut(t *testing.T) {
 	if got.Status != CplTimedOut || got.Data != nil {
 		t.Fatalf("completion = %+v, want CplTimedOut with no data", *got)
 	}
-	want := readBudget(ps.Config(), 64)
+	want := readBudget(ps.cfg, 64)
 	if at != want {
 		t.Fatalf("timed out at %v, want %v", at, want)
 	}
@@ -67,15 +67,15 @@ func TestReadUnmappedAddressUR(t *testing.T) {
 	if got == nil {
 		t.Fatal("read never completed")
 	}
-	if st := got.Status.String(); st != "unsupported-request" {
-		t.Fatalf("status = %s, want unsupported-request", st)
+	if got.Status != CplUR {
+		t.Fatalf("status = %d, want unsupported-request", got.Status)
 	}
 	if fab.Errs.UR != 1 {
 		t.Fatalf("UR count = %d, want 1", fab.Errs.UR)
 	}
 	// The UR resolved well before the completion timeout.
-	if at >= sim.Time(ps.Config().CplTimeout) {
-		t.Fatalf("UR took %v, should beat the %v timeout", at, ps.Config().CplTimeout)
+	if at >= sim.Time(ps.cfg.CplTimeout) {
+		t.Fatalf("UR took %v, should beat the %v timeout", at, ps.cfg.CplTimeout)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestReadTimeoutOnlyWhereItCanFire(t *testing.T) {
 			if got.Status != CplTimedOut || got.Data != nil {
 				t.Fatalf("completion = %+v, want CplTimedOut with no data", got)
 			}
-			if want := t0 + readBudget(ps.Config(), 64); at != want {
+			if want := t0 + readBudget(ps.cfg, 64); at != want {
 				t.Fatalf("timed out at %v, want %v", at, want)
 			}
 			if fab.Errs.CplTimeouts != 1 || fab.Errs.DroppedTLPs != c.drops {
@@ -312,7 +312,7 @@ func TestTimeoutAmongSameInstantEvents(t *testing.T) {
 	ps := fab.Attach(hostmem.New("src", 1<<20), Gen3x8())
 	target := fab.Attach(hostmem.New("dst", 1<<20), Gen3x8())
 	fab.SetFaults(&FaultHooks{Drop: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.CplD }})
-	deadline := t0 + readBudget(ps.Config(), 64)
+	deadline := t0 + readBudget(ps.cfg, 64)
 
 	var order []string
 	var at sim.Time
@@ -412,7 +412,7 @@ func TestSettledReadLeavesNoResidue(t *testing.T) {
 	if pending != 0 {
 		t.Fatalf("%d events pending when the read settled, want 0", pending)
 	}
-	if fab.Errs.Total() != 0 {
+	if fab.Errs != (FabricErrors{}) {
 		t.Fatalf("fault-free read counted errors: %+v", fab.Errs)
 	}
 }

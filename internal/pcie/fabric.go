@@ -23,7 +23,6 @@ type Fabric struct {
 
 	// Telemetry (optional; see SetTelemetry).
 	tel        *telemetry.Scope
-	ctrlReads  *telemetry.Counter
 	ctrlWrites *telemetry.Counter
 
 	// Fault injection (optional; see SetFaults).
@@ -48,11 +47,6 @@ type FabricErrors struct {
 	CplTimeouts int64
 	DroppedTLPs int64
 	Poisoned    int64
-}
-
-// Total returns the sum of all error classes.
-func (e FabricErrors) Total() int64 {
-	return e.UR + e.CplTimeouts + e.DroppedTLPs + e.Poisoned
 }
 
 // FaultHooks lets a fault-injection plane intercept data-plane
@@ -159,9 +153,6 @@ func (f *Fabric) Attach(dev Device, cfg LinkConfig) *Port {
 // Base returns the BAR base address assigned to the port's device.
 func (p *Port) Base() uint64 { return p.base }
 
-// Config returns the port's link configuration.
-func (p *Port) Config() LinkConfig { return p.cfg }
-
 // Device returns the attached device.
 func (p *Port) Device() Device { return p.dev }
 
@@ -194,14 +185,6 @@ func (f *Fabric) mustTarget(addr uint64, n int) *Port {
 }
 
 // --- Untimed (control-plane) access ------------------------------------
-
-// Read performs an immediate, untimed read. Control-plane software setup
-// uses this; data-plane engines must use Port.Read for timing fidelity.
-func (f *Fabric) Read(addr uint64, size int) []byte {
-	p := f.mustTarget(addr, size)
-	f.ctrlReads.Inc()
-	return p.dev.MMIORead(addr-p.base, size)
-}
 
 // Write performs an immediate, untimed write.
 func (f *Fabric) Write(addr uint64, data []byte) {

@@ -87,20 +87,6 @@ const (
 	CplPoisoned
 )
 
-func (s CplStatus) String() string {
-	switch s {
-	case CplSuccess:
-		return "success"
-	case CplUR:
-		return "unsupported-request"
-	case CplTimedOut:
-		return "timeout"
-	case CplPoisoned:
-		return "poisoned"
-	}
-	return fmt.Sprintf("cpl-status-%d", uint8(s))
-}
-
 // Completion is the result of a timed Port.Read. Data is valid only
 // when OK() reports true.
 type Completion struct {
@@ -125,15 +111,6 @@ func Gen3x8() LinkConfig {
 		DLLPEfficiency: 0.98,
 		PropDelay:      60 * sim.Nanosecond,
 	}
-}
-
-// Gen4x16 returns a 400 Gbps-class fabric configuration used by the
-// scalability analyses.
-func Gen4x16() LinkConfig {
-	c := Gen3x8()
-	c.Gen = 4
-	c.Lanes = 16
-	return c
 }
 
 // perLaneGbps returns the raw per-lane signalling rate in Gbit/s.

@@ -29,7 +29,7 @@ func (f *Fabric) SetTelemetry(sc *telemetry.Scope) {
 		return
 	}
 	f.tel = sc
-	f.ctrlReads = sc.Counter("ctrl/reads")
+	sc.Counter("ctrl/reads") // no untimed read exists; the golden snapshots carry the path (ROADMAP 9)
 	f.ctrlWrites = sc.Counter("ctrl/writes")
 	f.errUR = sc.Counter("errors/ur")
 	f.errTimeout = sc.Counter("errors/cpl_timeout")

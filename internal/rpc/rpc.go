@@ -158,9 +158,6 @@ func (d *Decoder) Feed(p []byte) []Frame {
 	}
 }
 
-// Buffered returns the bytes held mid-frame.
-func (d *Decoder) Buffered() int { return len(d.buf) }
-
 // Reset discards buffered bytes — required when the carrying transport
 // reconnects, since the rest of a half-received frame died with the old
 // incarnation and splicing the next incarnation's bytes onto it would

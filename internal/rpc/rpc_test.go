@@ -21,8 +21,8 @@ func TestDecoderFeed(t *testing.T) {
 
 	var d Decoder
 	got := d.Feed(stream)
-	if len(got) != 2 || d.Bad != 64<<10 || d.Buffered() != HeaderLen+1 {
-		t.Fatalf("%d frames, %d bytes skipped, %d buffered; want 2, %d, %d", len(got), d.Bad, d.Buffered(), 64<<10, HeaderLen+1)
+	if len(got) != 2 || d.Bad != 64<<10 || len(d.buf) != HeaderLen+1 {
+		t.Fatalf("%d frames, %d bytes skipped, %d buffered; want 2, %d, %d", len(got), d.Bad, len(d.buf), 64<<10, HeaderLen+1)
 	}
 	for i := range stream {
 		stream[i] = 0xee

@@ -33,9 +33,10 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 type Result struct {
 	Spec       Spec
 	Violations []Violation
-	// Hash is the SHA-256 of the final telemetry snapshot — the whole
-	// run's deterministic fingerprint.
-	Hash string
+	// Snapshot is the final telemetry snapshot, and Hash its SHA-256 —
+	// the whole run's deterministic fingerprint.
+	Snapshot flexdriver.Snapshot
+	Hash     string
 
 	Sent, Lost, Dups        int64
 	RDMASent, RDMADelivered int64
@@ -179,7 +180,8 @@ func Run(s Spec) *Result {
 	rn.Supervise(warmup, watchdogEvery, deadline, sweep)
 	rn.Quiesce(deadline, sweep)
 
-	j := &judgement{res: res, snap: rn.Telemetry().Snapshot()}
+	res.Snapshot = rn.Telemetry().Snapshot()
+	j := &judgement{res: res, snap: res.Snapshot}
 	res.Hash = j.snap.Hash()
 	if plan != nil {
 		res.Injected = plan.Injected

@@ -150,7 +150,7 @@ func TestPlantedViolationIsCaughtAndShrunk(t *testing.T) {
 
 // TestTenancyGeneration pins the multi-tenancy draw. The tenancy stream
 // is separate from the main field stream precisely so the golden-pinned
-// seeds stay single-tenant (seed 2 feeds ScenarioTelemetryHash, seeds 7
+// seeds stay single-tenant (seed 2 feeds the chaos-scenario golden, seeds 7
 // and 27 feed the planted-loss and crash-class regression tests); the
 // nearby band must still produce multi-tenant and reconfiguring
 // scenarios or the tier-1 sweeps stop exercising the control plane.

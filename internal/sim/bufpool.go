@@ -96,18 +96,3 @@ func (p *BufPool) Put(b []byte) {
 // callers. A quiesced simulation should read zero; anything else is a leak
 // (an owner that dropped its buffer without Put).
 func (p *BufPool) Outstanding() int64 { return int64(p.gets) - int64(p.puts) }
-
-// BufPoolStats is a snapshot of the pool's counters.
-type BufPoolStats struct {
-	Gets     uint64 // buffers handed out
-	Puts     uint64 // buffers returned
-	Misses   uint64 // Gets that had to allocate
-	Foreign  uint64 // Puts whose capacity matched no class (not recycled)
-	Overflow uint64 // Puts dropped because the class freelist was full
-}
-
-// Stats returns the pool's counters.
-func (p *BufPool) Stats() BufPoolStats {
-	return BufPoolStats{Gets: p.gets, Puts: p.puts, Misses: p.misses,
-		Foreign: p.foreign, Overflow: p.overflow}
-}

@@ -130,9 +130,6 @@ func (g *Group) SetLookahead(d Duration) {
 	g.lookahead = d
 }
 
-// Lookahead returns the configured lookahead.
-func (g *Group) Lookahead() Duration { return g.lookahead }
-
 // SetWorkers does nothing: shards run in index order on the caller.
 //
 // Deprecated: bench/ is the only caller; ROADMAP 1(a)'s benchmark-only PR deletes it.

@@ -63,7 +63,7 @@ func (w *ringWorld) send(shard int) {
 	w.nsent[shard]++
 	e := w.eng[shard]
 	// Arrival = now + lookahead + jitter, the conservative contract.
-	at := e.Now() + w.g.Lookahead() + w.rng[shard].Exp(200*Nanosecond)
+	at := e.Now() + w.g.lookahead + w.rng[shard].Exp(200*Nanosecond)
 	f := w.frames[shard]
 	if !w.quiet {
 		f = []byte{byte(shard), byte(w.nsent[shard])}

@@ -76,9 +76,8 @@ func TestBufPoolRoundTripZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("warm Get/Put round trip: %.1f allocs, want 0", avg)
 	}
-	st := p.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("Misses = %d after one cold Get, want 1", st.Misses)
+	if p.misses != 1 {
+		t.Fatalf("misses = %d after one cold Get, want 1", p.misses)
 	}
 	if got := p.Outstanding(); got != 0 {
 		t.Fatalf("Outstanding = %d after balanced round trips, want 0", got)

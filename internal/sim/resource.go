@@ -19,9 +19,6 @@ func (r BitRate) Serialize(n int) Duration {
 	return Time(float64(n)*8/float64(r)*float64(Second) + 0.5)
 }
 
-// Gigabits returns the rate in Gbit/s.
-func (r BitRate) Gigabits() float64 { return float64(r) / 1e9 }
-
 // Resource models a single FIFO server (a link direction, a CPU core, an
 // accelerator lane): work items occupy it back to back, each for its own
 // service time. A Resource only reserves: Acquire books the server and

@@ -41,9 +41,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Microseconds returns t expressed in microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
-// Nanoseconds returns t expressed in nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {
@@ -54,14 +51,11 @@ func (t Time) String() string {
 	case t >= Microsecond:
 		return fmt.Sprintf("%.3fus", t.Microseconds())
 	case t >= Nanosecond:
-		return fmt.Sprintf("%.3fns", t.Nanoseconds())
+		return fmt.Sprintf("%.3fns", float64(t)/float64(Nanosecond))
 	default:
 		return fmt.Sprintf("%dps", int64(t))
 	}
 }
-
-// FromSeconds converts seconds to virtual Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // call is one scheduled callback: Fn(Arg). All scheduling forms reduce to
 // this one shape — After wraps its closure in Arg behind a static

@@ -219,12 +219,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestFromSeconds(t *testing.T) {
-	if FromSeconds(1e-6) != Microsecond {
-		t.Fatalf("FromSeconds(1e-6) = %v", FromSeconds(1e-6))
-	}
-}
-
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	e := NewEngine()
 	n := 0

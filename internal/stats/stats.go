@@ -4,13 +4,12 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Sample accumulates float64 observations in insertion order. Order
-// statistics (Min, Max, Percentile) work on a lazily maintained sorted
+// statistics (Percentile, Median) work on a lazily maintained sorted
 // copy, so querying them never reorders the observations themselves —
 // callers may interleave percentile reads with order-sensitive walks of
 // the series.
@@ -54,38 +53,6 @@ func (s *Sample) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.vals))
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.ensureSorted()[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	v := s.ensureSorted()
-	return v[len(v)-1]
 }
 
 func (s *Sample) ensureSorted() []float64 {
@@ -140,10 +107,4 @@ func (s *Sample) Summarize() Summary {
 		P99:    s.Percentile(99),
 		P999:   s.Percentile(99.9),
 	}
-}
-
-// String formats a Summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f median=%.2f p99=%.2f p99.9=%.2f",
-		s.N, s.Mean, s.Median, s.P99, s.P999)
 }

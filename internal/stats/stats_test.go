@@ -16,7 +16,7 @@ func approx(t *testing.T, got, want, tol float64, what string) {
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Median() != 0 || s.Percentile(99) != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Median() != 0 || s.Percentile(99) != 0 || s.Percentile(0) != 0 || s.Percentile(100) != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }
@@ -28,8 +28,8 @@ func TestMeanMedian(t *testing.T) {
 	}
 	approx(t, s.Mean(), 3, 1e-12, "mean")
 	approx(t, s.Median(), 3, 1e-12, "median")
-	approx(t, s.Min(), 1, 0, "min")
-	approx(t, s.Max(), 5, 0, "max")
+	approx(t, s.Percentile(0), 1, 0, "min")
+	approx(t, s.Percentile(100), 5, 0, "max")
 }
 
 func TestPercentileInterpolation(t *testing.T) {
@@ -75,7 +75,7 @@ func TestAddAfterPercentile(t *testing.T) {
 }
 
 // TestOrderStatisticsPreserveInsertionOrder is the regression test for
-// a bug where Min/Max/Percentile sorted the backing slice in place:
+// a bug where Percentile sorted the backing slice in place:
 // callers that walked the series in arrival order (e.g. matching RTT
 // samples to send timestamps) silently got sorted data after the first
 // percentile query.
@@ -85,8 +85,8 @@ func TestOrderStatisticsPreserveInsertionOrder(t *testing.T) {
 	for _, v := range in {
 		s.Add(v)
 	}
-	_ = s.Min()
-	_ = s.Max()
+	_ = s.Percentile(0)
+	_ = s.Percentile(100)
 	_ = s.Percentile(90)
 	_ = s.Median()
 	got := s.Values()
@@ -99,17 +99,9 @@ func TestOrderStatisticsPreserveInsertionOrder(t *testing.T) {
 		}
 	}
 	// The order statistics themselves must still be right.
-	approx(t, s.Min(), 1, 0, "min")
-	approx(t, s.Max(), 5, 0, "max")
+	approx(t, s.Percentile(0), 1, 0, "min")
+	approx(t, s.Percentile(100), 5, 0, "max")
 	approx(t, s.Median(), 3, 1e-12, "median")
-}
-
-func TestStddev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	approx(t, s.Stddev(), 2, 1e-12, "stddev")
 }
 
 func TestSummarize(t *testing.T) {
@@ -124,7 +116,4 @@ func TestSummarize(t *testing.T) {
 	approx(t, sum.Mean, 500.5, 1e-9, "mean")
 	approx(t, sum.P99, 990.01, 0.2, "p99")
 	approx(t, sum.P999, 999.002, 0.2, "p99.9")
-	if sum.String() == "" {
-		t.Fatal("empty String()")
-	}
 }

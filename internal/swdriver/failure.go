@@ -9,9 +9,6 @@ package swdriver
 // in-flight transmit work is flushed and counted lost, receive rings
 // are reset and topped back up to full capacity.
 
-// Down reports whether the driver process is currently crashed.
-func (d *Driver) Down() bool { return d.downN > 0 }
-
 // Crash kills the driver process. The software queues die with its
 // address space: queued-but-unposted frames are counted lost
 // immediately. Crashes nest like nic.Crash.

@@ -50,7 +50,7 @@ func TestDriverCrashRestart(t *testing.T) {
 	if a.drv.Crashes != 1 || a.drv.DownTxDrops != 1 {
 		t.Fatalf("Crashes=%d DownTxDrops=%d, want 1 and 1", a.drv.Crashes, a.drv.DownTxDrops)
 	}
-	if a.drv.Down() {
+	if a.drv.downN > 0 {
 		t.Fatal("driver still down after Restart")
 	}
 }

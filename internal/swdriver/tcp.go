@@ -91,11 +91,6 @@ func (e *TCPEndpoint) Send(data []byte) {
 	})
 }
 
-// Poll recovers errored port rings (the watchdog hook). Like
-// RDMAEndpoint.Poll it repairs this end's rings only; a connection pair
-// in Error additionally needs ReconnectTCPEndpoints, which takes both.
-func (e *TCPEndpoint) Poll() bool { return e.port.Poll() }
-
 // ConnectTCPEndpoints learns both ends' addressing and establishes the
 // connection. Call before traffic, from setup or a control barrier.
 func ConnectTCPEndpoints(a, b *TCPEndpoint) {

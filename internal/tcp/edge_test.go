@@ -238,8 +238,6 @@ func TestTCPEdgeCases(t *testing.T) {
 			recover := func() {
 				supA.Kick()
 				supB.Kick()
-				epA.Poll()
-				epB.Poll()
 				if epA.Conn.State() == tcp.StateError || epB.Conn.State() == tcp.StateError {
 					swdriver.ReconnectTCPEndpoints(epA, epB)
 					r.reconnects++

@@ -19,7 +19,6 @@ package tcp
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"flexdriver/internal/arq"
 	"flexdriver/internal/netpkt"
@@ -577,10 +576,4 @@ func ParseFrame(frame []byte) (FrameInfo, []byte, bool) {
 	}
 	info.Eth, info.IP, info.Seg = eth, ip, seg
 	return info, payload, true
-}
-
-// String renders a segment for test failure messages.
-func (s Segment) String() string {
-	return fmt.Sprintf("tcp %d>%d seq=%d ack=%d flags=%#x wnd=%d epoch=%d",
-		s.SrcPort, s.DstPort, s.Seq, s.Ack, s.Flags, s.Window, s.Epoch)
 }

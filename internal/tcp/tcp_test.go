@@ -66,10 +66,6 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %v: got %v ok=%v payload %q", seg, got, ok, pl)
 		}
 	}
-	seg := Segment{SrcPort: 9100, DstPort: 9101, Seq: 42, Ack: 7, Flags: FlagAck, Window: 8192, Epoch: 1}
-	if got, want := seg.String(), "tcp 9100>9101 seq=42 ack=7 flags=0x10 wnd=8192 epoch=1"; got != want {
-		t.Errorf("a segment prints as %q in failure messages, want %q", got, want)
-	}
 	for _, b := range [][]byte{nil, make([]byte, HeaderLen-1), {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0, 0, 0, 0, 0, 0, 0}} {
 		if _, _, ok := ParseSegment(b); ok {
 			t.Errorf("ParseSegment accepted %d bytes with bad layout", len(b))

@@ -116,14 +116,6 @@ func (r *Recorder) Len() int {
 	return len(r.buf)
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return cap(r.buf)
-}
-
 // Total returns how many events were ever recorded (retained or
 // overwritten).
 func (r *Recorder) Total() uint64 {

@@ -83,14 +83,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the level by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.Set(g.v + delta)
-}
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -144,27 +136,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.n)
-}
-
-// Buckets returns the non-empty (bucket lower bound, count) pairs in
-// ascending order; bucket 0 holds zeros, bucket 2^(i-1) holds values in
-// [2^(i-1), 2^i).
-func (h *Histogram) Buckets() (bounds []int64, counts []int64) {
-	if h == nil {
-		return nil, nil
-	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		var bound int64
-		if i > 0 {
-			bound = int64(1) << (i - 1)
-		}
-		bounds = append(bounds, bound)
-		counts = append(counts, c)
-	}
-	return bounds, counts
 }
 
 // Registry is the root of the metric hierarchy. The zero value is not
@@ -456,13 +427,10 @@ func (s Snapshot) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Interval returns the virtual time spanned since prev.
-func (s Snapshot) Interval(prev Snapshot) sim.Duration { return s.At - prev.At }
-
 // Diff returns a snapshot holding the counter and histogram-count
 // deltas since prev (gauges and funcs keep their current values — they
-// are levels, not totals). At is this snapshot's time; use
-// Interval(prev) for the span.
+// are levels, not totals). At is this snapshot's time; At - prev.At is
+// the span.
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d := Snapshot{
 		At:       s.At,
@@ -478,16 +446,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 		d.Hists[p] = HistValue{Count: v.Count - prev.Hists[p].Count, Mean: v.Mean}
 	}
 	return d
-}
-
-// Rate returns the counter at path expressed as events per second over
-// the interval since prev, or 0 when the interval is empty.
-func (s Snapshot) Rate(path string, prev Snapshot) float64 {
-	iv := s.Interval(prev)
-	if iv <= 0 {
-		return 0
-	}
-	return float64(s.Counters[path]-prev.Counters[path]) / iv.Seconds()
 }
 
 // String renders the snapshot as a sorted, aligned dump, one metric per

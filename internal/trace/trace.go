@@ -29,11 +29,6 @@ func NewSizeDist(sizes []int, weights []float64) *SizeDist {
 	return d
 }
 
-// Fixed returns a degenerate single-size distribution.
-func Fixed(size int) *SizeDist {
-	return NewSizeDist([]int{size}, []float64{1})
-}
-
 // IMC2010 approximates the bimodal data-center packet-size distribution
 // of the IMC 2010 study: most packets are small (ACK/control-dominated,
 // under 200 B) with a secondary mode at full MTU. Mean ~= 246 B.
@@ -64,6 +59,3 @@ func (d *SizeDist) Mean() float64 {
 	}
 	return sum / wsum
 }
-
-// Sizes exposes the support of the distribution.
-func (d *SizeDist) Sizes() []int { return d.sizes }

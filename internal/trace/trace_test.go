@@ -8,7 +8,7 @@ import (
 )
 
 func TestFixed(t *testing.T) {
-	d := Fixed(512)
+	d := NewSizeDist([]int{512}, []float64{1})
 	r := sim.NewRand(1)
 	for i := 0; i < 100; i++ {
 		if d.Sample(r) != 512 {
@@ -87,9 +87,9 @@ func TestEmpiricalMeanMatchesAnalytic(t *testing.T) {
 // support is one size, its mean is that size, and sampling never leaves
 // it even at the cumulative boundary u == 1.
 func TestFixedEdge(t *testing.T) {
-	d := Fixed(1500)
-	if sz := d.Sizes(); len(sz) != 1 || sz[0] != 1500 {
-		t.Fatalf("Sizes() = %v, want [1500]", sz)
+	d := NewSizeDist([]int{1500}, []float64{1})
+	if sz := d.sizes; len(sz) != 1 || sz[0] != 1500 {
+		t.Fatalf("sizes = %v, want [1500]", sz)
 	}
 	if d.Mean() != 1500 {
 		t.Fatalf("mean = %v", d.Mean())

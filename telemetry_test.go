@@ -50,7 +50,7 @@ func TestTelemetryEchoReconciliation(t *testing.T) {
 	reg := NewRegistry()
 	rp, port := telemetryEchoBed(t, reg)
 
-	if rp.Client.Telemetry() != reg || rp.Server.Telemetry() != reg {
+	if rp.Client.Telemetry() != reg || rp.Server.tel != reg {
 		t.Fatal("Telemetry() accessor does not return the registry the testbed was built with")
 	}
 
@@ -116,7 +116,7 @@ func TestTelemetryEchoReconciliation(t *testing.T) {
 
 	// Diff semantics: the second batch's delta, and a positive interval.
 	d := snap2.Diff(snap1)
-	if iv := snap2.Interval(snap1); iv <= 0 {
+	if iv := snap2.At - snap1.At; iv <= 0 {
 		t.Errorf("snapshot interval = %v, want > 0", iv)
 	}
 	rx1 := snap1.Counters["server/fld/rx/packets"]
@@ -213,7 +213,7 @@ func TestTelemetryChromeTrace(t *testing.T) {
 // return nil and the data path is untouched.
 func TestTelemetryDisabled(t *testing.T) {
 	rp := NewRemotePair()
-	if rp.Client.Telemetry() != nil || rp.Server.Telemetry() != nil {
+	if rp.Client.Telemetry() != nil || rp.Server.tel != nil {
 		t.Fatal("Telemetry() must be nil when built without WithTelemetry")
 	}
 	var reg *Registry

@@ -31,7 +31,8 @@ func TestTenantManagerConverges(t *testing.T) {
 	}
 	// beta's two runtimes round-robin across its two VFs.
 	rts := tm.Runtimes("beta")
-	if rts[0].VF() == rts[1].VF() {
+	// Each VF owns one vport, so distinct vports are distinct VFs.
+	if rts[0].VPort() == rts[1].VPort() {
 		t.Fatal("beta's runtimes share a VF; want round-robin placement")
 	}
 	// The record Observed reports agrees with the actuation.
@@ -139,7 +140,7 @@ func TestTenantManagerLiveReshapeAndRemove(t *testing.T) {
 	if !reused {
 		t.Fatal("gamma did not reuse a released core")
 	}
-	if n := inn.NumFLDs(); n != 4 {
+	if n := len(inn.flds); n != 4 {
 		// 1 PF core + alpha's 1 + beta's peak of 2; gamma reuses.
 		t.Fatalf("node carries %d FLD cores, want 4", n)
 	}

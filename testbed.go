@@ -316,14 +316,6 @@ func (inn *Innova) Restart() {
 	inn.Drv.Restart()
 }
 
-// NumFLDs returns how many FLD cores the node carries (1 plus AddFLD
-// calls).
-func (inn *Innova) NumFLDs() int { return len(inn.flds) }
-
-// Telemetry returns the registry the node was built with, or nil when
-// telemetry is disabled.
-func (inn *Innova) Telemetry() *Registry { return inn.tel }
-
 // NewInnova builds an Innova node on the engine.
 func NewInnova(eng *Engine, name string, opts ...Option) *Innova {
 	return newInnova(eng, name, buildOptions(opts))
@@ -355,7 +347,7 @@ func (inn *Innova) AddFLD(cfg FLDConfig) (*FLD, *Runtime) {
 	return f, fldsw.NewRuntime(inn.eng, inn.Fab, inn.Mem, inn.NIC, f)
 }
 
-// newCore instantiates core number NumFLDs on the node's FPGA: attached
+// newCore instantiates core number len(inn.flds) on the node's FPGA: attached
 // to PCIe under a distinct device name, which keeps its link telemetry
 // separate (matching its fld<N> scope) so per-port byte accounting still
 // reconciles, instrumented, counted, and joined to the node's fault
@@ -375,11 +367,6 @@ func (inn *Innova) newCore(cfg FLDConfig) *FLD {
 		inn.faults.AttachFLDReset(inn.eng, f)
 	}
 	return f
-}
-
-// ConnectWire cables two NICs back to back.
-func ConnectWire(a, b *NIC, rate BitRate, latency Duration) *Wire {
-	return nic.ConnectWire(a, b, rate, latency)
 }
 
 // RemotePair is the paper's remote testbed: a client host with a
@@ -405,7 +392,7 @@ func NewRemotePair(opts ...Option) *RemotePair {
 	server := c.buildInnovaOn(eng, "server")
 	w := nic.ConnectWire(client.NIC, server.NIC, 25*Gbps, 500*Nanosecond)
 	if c.o.Faults != nil {
-		c.o.Faults.AttachWire(w)
+		c.o.Faults.AttachLink(&w.Link, eng, eng)
 	}
 	return &RemotePair{Node: Node{eng: eng, cl: c, name: "pair"}, Client: client, Server: server, Wire: w}
 }

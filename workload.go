@@ -158,9 +158,6 @@ func AttachAggregatedClients(h *Host, cfg AggregatedClientsConfig) *AggregatedCl
 // Clients returns K, the number of modeled clients.
 func (s *AggregatedClients) Clients() int { return len(s.cs) }
 
-// Sent returns the number of frames client ci has sent so far.
-func (s *AggregatedClients) Sent(ci int) int64 { return s.cs[ci].fi }
-
 // TotalSent returns the frames sent across all modeled clients.
 func (s *AggregatedClients) TotalSent() int64 {
 	var n int64

@@ -103,11 +103,11 @@ func TestAggregatedEquivalence(t *testing.T) {
 							ci, i, got[ci][i], want[ci][i])
 					}
 				}
-				if src.Sent(ci) != int64(len(want[ci])) {
+				if src.cs[ci].fi != int64(len(want[ci])) {
 					t.Fatalf("source counts %d frames for client %d, bookkeeping saw %d",
-						src.Sent(ci), ci, len(want[ci]))
+						src.cs[ci].fi, ci, len(want[ci]))
 				}
-				total += src.Sent(ci)
+				total += src.cs[ci].fi
 			}
 			if src.TotalSent() != total {
 				t.Fatalf("TotalSent %d != sum of per-client counts %d", src.TotalSent(), total)
