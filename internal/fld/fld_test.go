@@ -65,8 +65,9 @@ func TestBARLayoutNonOverlapping(t *testing.T) {
 // configuration costs the host allocator before any traffic: the
 // descriptor pool, its free stack and the translation banks are the
 // modelled SRAM (Config.Memory prices all of them) and are allocated
-// by the first Send and the first placements, not here. The budget sits
-// 4 % over the 2 376 B measured under go1.24 (11 objects, pinned exactly);
+// by the first Send and the first placements, not here. The budget was
+// set 4 % over the 2 376 B first measured under go1.24; the build reads
+// 2 440 B today (11 objects, pinned exactly);
 // before the pool and banks went lazy the same build cost 207 158 B in
 // 21 objects. It measures the way testing.AllocsPerRun does: one build
 // first, so one-time initialisation stays out of the window, and one P
