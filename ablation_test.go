@@ -33,7 +33,7 @@ func TestWQEByMMIODisabled(t *testing.T) {
 	rp, port, afu := remoteEchoBed(t, cfg)
 
 	var received [][]byte
-	port.OnReceive = func(frame []byte, md swdriver.RxMeta) { received = append(received, frame) }
+	port.OnReceive = func(frame []byte, md swdriver.RxMeta) { received = append(received, bytes.Clone(frame)) }
 	frame := buildUDPFrame(1, 2, 4000, 7777, 700)
 	const n = 50
 	for i := 0; i < n; i++ {

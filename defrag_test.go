@@ -1,6 +1,7 @@
 package flexdriver
 
 import (
+	"bytes"
 	"testing"
 
 	"flexdriver/internal/accel/defrag"
@@ -34,7 +35,7 @@ func TestDefragThenResumeSteering(t *testing.T) {
 	app := srv.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 128, RxEntries: 128})
 	esw.AddRule(appTable, Rule{Action: Action{ToRQ: app.RQ()}})
 	var delivered [][]byte
-	app.OnReceive = func(frame []byte, md swdriver.RxMeta) { delivered = append(delivered, frame) }
+	app.OnReceive = func(frame []byte, md swdriver.RxMeta) { delivered = append(delivered, bytes.Clone(frame)) }
 
 	// 20 packets of 1 400 B, each sent as two fragments, then one whole;
 	// the whole one skips the detour, so it may arrive first.

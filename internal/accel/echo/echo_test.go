@@ -29,14 +29,21 @@ func TestReceiveSendsBackOnTheArrivalQueue(t *testing.T) {
 	if a.Echoed != 1 || a.Dropped != 0 {
 		t.Fatalf("echoed=%d dropped=%d, want 1 and 0", a.Echoed, a.Dropped)
 	}
-	w, err := nic.ParseSendWQE(f.MMIORead(f.TxRingAddr(1)-base, nic.SendWQESize))
+	w, err := nic.ParseSendWQE(mmioRead(f, f.TxRingAddr(1)-base, nic.SendWQESize))
 	if err != nil || w.Opcode != nic.OpSend || w.FlowTag != 9 {
 		t.Fatalf("queue 1 descriptor: %+v, %v", w, err)
 	}
-	if got := f.MMIORead(w.Addr-base, int(w.Len)); !bytes.Equal(got, pkt) {
+	if got := mmioRead(f, w.Addr-base, int(w.Len)); !bytes.Equal(got, pkt) {
 		t.Fatalf("queue 1 carries %d bytes that differ from the %d received", len(got), len(pkt))
 	}
-	if other := f.MMIORead(f.TxRingAddr(0)-base, nic.SendWQESize); other[0] != 0xff {
+	if other := mmioRead(f, f.TxRingAddr(0)-base, nic.SendWQESize); other[0] != 0xff {
 		t.Fatalf("queue 0 has a descriptor too (opcode %#x)", other[0])
 	}
+}
+
+// mmioRead reads n bytes of the FLD's BAR into a fresh buffer.
+func mmioRead(f *fld.FLD, off uint64, n int) []byte {
+	b := make([]byte, n)
+	f.MMIORead(off, b)
+	return b
 }

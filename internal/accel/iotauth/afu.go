@@ -62,7 +62,8 @@ func (a *AFU) SetKey(tag uint32, key []byte) {
 	a.keys[tag] = key
 }
 
-// Receive implements fld.Handler: validate and forward or drop.
+// Receive implements fld.Handler: validate and forward or drop. The packet
+// waits for its processing unit, so it leaves the borrowed buffer.
 func (a *AFU) Receive(data []byte, md fld.Metadata) {
 	pu := a.pus[0]
 	for _, p := range a.pus[1:] {
@@ -74,6 +75,7 @@ func (a *AFU) Receive(data []byte, md fld.Metadata) {
 		a.Overflow++
 		return
 	}
+	data = append([]byte(nil), data...)
 	a.eng.After(pu.Acquire(a.PerPacket)-a.eng.Now(), func() {
 		if !a.validate(data, md.Tag) {
 			return

@@ -1,6 +1,7 @@
 package exps
 
 import (
+	"bytes"
 	"fmt"
 
 	"flexdriver"
@@ -131,7 +132,7 @@ func cpuRemoteBed(serverDrv flexdriver.DriverParams, opts ...flexdriver.Option) 
 	rp.Server.Drv.Prm = serverDrv
 	srvPort := rp.Server.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	rp.Server.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: srvPort.RQ()}})
-	srvPort.OnReceive = func(frame []byte, md swdriver.RxMeta) { srvPort.Send(frame) }
+	srvPort.OnReceive = func(frame []byte, md swdriver.RxMeta) { srvPort.Send(bytes.Clone(frame)) }
 
 	port := rp.Client.Drv.NewEthPort(swdriver.EthPortConfig{TxEntries: 512, RxEntries: 512})
 	rp.Client.NIC.ESwitch().AddRule(0, flexdriver.Rule{Action: flexdriver.Action{ToRQ: port.RQ()}})

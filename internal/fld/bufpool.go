@@ -30,28 +30,13 @@ func (p *pagePool) pages(n int) int {
 // freePages reports currently available pages.
 func (p *pagePool) freePages() int { return len(p.free) }
 
-// freeBytes reports available capacity in bytes.
-func (p *pagePool) freeBytes() int { return len(p.free) * p.pageBytes }
-
-// alloc reserves pages(n) pages and copies data into them, returning the
-// page list. It returns nil when the pool cannot satisfy the request —
-// the caller must have checked credits first.
-func (p *pagePool) alloc(data []byte) []uint16 {
-	need := p.pages(len(data))
-	if need == 0 {
-		need = 1
-	}
-	if need > len(p.free) {
-		return nil
-	}
-	pages := make([]uint16, need)
-	for i := range pages {
-		pages[i] = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		lo := i * p.pageBytes
-		p.mem.Write(uint64(pages[i])*uint64(p.pageBytes), data[lo:min(lo+p.pageBytes, len(data))])
-	}
-	return pages
+// alloc takes a free page and copies data (at most a page) into it; the
+// caller must have checked freePages first.
+func (p *pagePool) alloc(data []byte) uint16 {
+	pg := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	p.mem.Write(uint64(pg)*uint64(p.pageBytes), data)
+	return pg
 }
 
 // read copies len(dst) bytes starting at the given offset within a page
@@ -60,7 +45,5 @@ func (p *pagePool) read(dst []byte, page uint16, offset int) {
 	p.mem.Read(dst, uint64(int(page)*p.pageBytes+offset))
 }
 
-// release returns pages to the free list.
-func (p *pagePool) release(pages []uint16) {
-	p.free = append(p.free, pages...)
-}
+// release returns a page to the free list.
+func (p *pagePool) release(page uint16) { p.free = append(p.free, page) }

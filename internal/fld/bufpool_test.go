@@ -8,6 +8,25 @@ import (
 	"flexdriver/internal/nic"
 )
 
+// allocPages takes a page for each page-sized chunk of data, as Send does,
+// or none when the pool is short.
+func allocPages(p *pagePool, data []byte) []uint16 {
+	if p.pages(len(data)) > p.freePages() {
+		return nil
+	}
+	var pages []uint16
+	for lo := 0; lo < len(data); lo += p.pageBytes {
+		pages = append(pages, p.alloc(data[lo:min(lo+p.pageBytes, len(data))]))
+	}
+	return pages
+}
+
+func releasePages(p *pagePool, pages []uint16) {
+	for _, pg := range pages {
+		p.release(pg)
+	}
+}
+
 func TestPagePoolAllocRead(t *testing.T) {
 	p := newPagePool(8192, 512)
 	if p.freePages() != 16 {
@@ -17,7 +36,7 @@ func TestPagePoolAllocRead(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	pages := p.alloc(data)
+	pages := allocPages(p, data)
 	if len(pages) != 3 {
 		t.Fatalf("pages = %d", len(pages))
 	}
@@ -32,7 +51,7 @@ func TestPagePoolAllocRead(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("page contents corrupted")
 	}
-	p.release(pages)
+	releasePages(p, pages)
 	if p.freePages() != 16 {
 		t.Fatalf("free after release = %d", p.freePages())
 	}
@@ -40,24 +59,76 @@ func TestPagePoolAllocRead(t *testing.T) {
 
 func TestPagePoolExhaustion(t *testing.T) {
 	p := newPagePool(2048, 512)
-	a := p.alloc(make([]byte, 1024))
-	b := p.alloc(make([]byte, 1024))
-	if a == nil || b == nil {
-		t.Fatal("pool should satisfy both")
+	a := allocPages(p, make([]byte, 1024))
+	b := allocPages(p, make([]byte, 1024))
+	if a == nil || b == nil || p.freePages() != 0 {
+		t.Fatalf("pool should satisfy both, leaving none (%d free)", p.freePages())
 	}
-	if c := p.alloc([]byte{1}); c != nil {
+	if c := allocPages(p, []byte{1}); c != nil {
 		t.Fatal("exhausted pool allocated")
 	}
-	p.release(a)
-	if c := p.alloc(make([]byte, 700)); c == nil {
+	releasePages(p, a)
+	if c := allocPages(p, make([]byte, 700)); c == nil {
 		t.Fatal("pool did not recover after release")
 	}
 }
 
+// TestPagePoolZeroLengthTakesOnePage: a zero-length Send still holds a
+// page, so its descriptor has a data address to point at.
 func TestPagePoolZeroLengthTakesOnePage(t *testing.T) {
-	p := newPagePool(1024, 512)
-	if got := p.alloc(nil); len(got) != 1 {
-		t.Fatalf("zero-length alloc = %d pages", len(got))
+	_, _, f := newFLD(t, DefaultConfig())
+	free := f.txPool.freePages()
+	if err := f.Send(0, nil, Metadata{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := free - f.txPool.freePages(); got != 1 {
+		t.Fatalf("zero-length send took %d pages, want 1", got)
+	}
+}
+
+// TestSendPagesLiveInTheTranslationTable: a packet's pages are recorded
+// only in the data translation table. Retiring descriptors returns their
+// pages to the free list in the order the packets held them, so the next
+// Send reuses the same pages in the reverse order of a LIFO list.
+func TestSendPagesLiveInTheTranslationTable(t *testing.T) {
+	eng, _, f := newFLD(t, DefaultConfig())
+	free := f.txPool.freePages()
+	if err := f.Send(0, nil, Metadata{}); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]byte, 3*f.cfg.TxPageBytes+1) // 4 pages
+	if err := f.Send(0, big, Metadata{}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	held := func(vstart, n int) (pages []uint32) {
+		for i := range n {
+			pg, ok := f.dataXlt.Lookup(uint64((vstart + i) % f.windowPages))
+			if !ok {
+				t.Fatalf("virtual page %d unmapped", vstart+i)
+			}
+			pages = append(pages, pg)
+		}
+		return pages
+	}
+	before := held(1, 4)
+	f.MMIOWrite(f.txCQBase, nic.CQE{Opcode: nic.CQESend, Index: 1, Queue: 1}.Marshal())
+	if f.txPool.freePages() != free {
+		t.Fatalf("after retiring both: %d free pages, want %d", f.txPool.freePages(), free)
+	}
+	for vp := range 5 {
+		if _, ok := f.dataXlt.Lookup(uint64(vp)); ok {
+			t.Fatalf("virtual page %d still mapped after its descriptor retired", vp)
+		}
+	}
+	if err := f.Send(0, big, Metadata{}); err != nil {
+		t.Fatal(err)
+	}
+	after := held(5, 4)
+	for i := range before {
+		if before[i] != after[3-i] {
+			t.Fatalf("pages %v came back as %v, want the reverse (a LIFO free list refilled in order)", before, after)
+		}
 	}
 }
 
@@ -77,7 +148,7 @@ func TestPagePoolChurnNeverLosesPages(t *testing.T) {
 			n := 1 + r.Intn(2000)
 			data := make([]byte, n)
 			r.Read(data)
-			if pages := p.alloc(data); pages != nil {
+			if pages := allocPages(p, data); pages != nil {
 				allocs = append(allocs, live{pages, data})
 			}
 		} else if len(allocs) > 0 {
@@ -98,7 +169,7 @@ func TestPagePoolChurnNeverLosesPages(t *testing.T) {
 			if !bytes.Equal(got, a.data) {
 				t.Fatalf("round %d: allocation corrupted", round)
 			}
-			p.release(a.pages)
+			releasePages(p, a.pages)
 			allocs = append(allocs[:i], allocs[i+1:]...)
 		}
 	}
@@ -122,7 +193,7 @@ func TestSRAMMatchesFlatSlice(t *testing.T) {
 	eng, _, f := newFLD(t, DefaultConfig())
 	f.ConfigureRx(2, f.RxBufCount())
 	var got []byte
-	f.SetHandler(HandlerFunc(func(data []byte, _ Metadata) { got = data }))
+	f.SetHandler(HandlerFunc(func(data []byte, _ Metadata) { got = bytes.Clone(data) }))
 	size := f.cfg.RxBufBytes
 	flat := make([]byte, size)
 	place := func(off int, data []byte) {

@@ -32,6 +32,8 @@ type Metadata struct {
 // accelerator function units (AFUs). Receive must not block: the AXI-Stream
 // contract forbids accelerator backpressure toward FLD (§5.5) — an AFU
 // that cannot keep up must drop or flow-control at the application layer.
+// data is a pooled buffer lent for the call: an AFU that keeps the bytes
+// past Receive (across a delay, in a queue) copies them.
 type Handler interface {
 	Receive(data []byte, md Metadata)
 }
@@ -145,9 +147,9 @@ type txQueue struct {
 
 // txPending is what a posted descriptor holds until it retires.
 type txPending struct {
-	slot   uint16   // descriptor pool slot
-	pages  []uint16 // physical pages
-	vstart int      // first virtual page (in-queue)
+	slot   uint16 // descriptor pool slot
+	pages  uint16 // page count; dataXlt maps them from vstart on
+	vstart int    // first virtual page (in-queue)
 }
 
 // New builds an FLD instance; call AttachPCIe and BindNIC before use.
@@ -275,7 +277,7 @@ func (f *FLD) writeRQDoorbell(pi uint32) {
 // slots and buffer bytes (paper §5.5: "per-queue backpressure to the
 // accelerator in the form of a credit interface").
 func (f *FLD) Credits(q int) (descSlots, bufBytes int) {
-	return min(f.queues[q].ring.Space(), f.descAvail()), f.txPool.freeBytes()
+	return min(f.queues[q].ring.Space(), f.descAvail()), f.txPool.freePages() * f.cfg.TxPageBytes
 }
 
 // descAvail is the descriptor-pool slots not in flight.
@@ -298,8 +300,8 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 		return ErrNoCredits
 	}
 
-	pages := f.txPool.alloc(data)
-	if pages == nil {
+	pages := max(f.txPool.pages(len(data)), 1)
+	if pages > f.txPool.freePages() {
 		f.Stats.CreditStalls++
 		return ErrNoCredits
 	}
@@ -314,16 +316,18 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 		f.descNext++
 	}
 
-	// Map the pages at consecutive virtual addresses in q's window.
+	// Copy the data into pages mapped at consecutive virtual addresses in
+	// q's window; dataXlt is the only record of which pages it holds.
 	vstart := tq.cursor
-	for i, pg := range pages {
+	for i := range pages {
 		vp := (vstart + i) % f.windowPages
 		key := uint64(q)<<32 | uint64(vp)
-		if !f.dataXlt.Insert(key, uint32(pg)) {
+		lo := i * f.cfg.TxPageBytes
+		if !f.dataXlt.Insert(key, uint32(f.txPool.alloc(data[lo:min(lo+f.cfg.TxPageBytes, len(data))]))) {
 			panic("fld: data translation table overflow (sizing bug)")
 		}
 	}
-	tq.cursor = (vstart + len(pages)) % f.windowPages
+	tq.cursor = (vstart + pages) % f.windowPages
 
 	idx := tq.ring.PI
 	tq.sinceSig++
@@ -333,7 +337,7 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	// every in-flight descriptor could otherwise be unsignaled, and no
 	// completion would ever arrive to free them).
 	if !signal && (f.descAvail() < f.cfg.SignalEvery ||
-		f.txPool.freePages() < 2*len(pages)+f.cfg.SignalEvery) {
+		f.txPool.freePages() < 2*pages+f.cfg.SignalEvery) {
 		signal = true
 	}
 	if signal {
@@ -351,7 +355,7 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	if !f.descXlt.Insert(ringKey, uint32(slot)) {
 		panic("fld: descriptor translation table overflow (sizing bug)")
 	}
-	tq.ring.Post(txPending{slot: slot, pages: pages, vstart: vstart})
+	tq.ring.Post(txPending{slot: slot, pages: uint16(pages), vstart: vstart})
 
 	f.Stats.TxPackets++
 	f.Stats.TxBytes += int64(len(data))
@@ -375,7 +379,7 @@ type pipeOp struct {
 	f    *FLD
 	q    int    // tx: FLD queue
 	idx  uint32 // tx: ring index of the descriptor
-	data []byte // rx: packet copied out of receive SRAM
+	data []byte // rx: packet copied out of receive SRAM, pooled
 	md   Metadata
 }
 
@@ -458,30 +462,30 @@ func (f *FLD) SetPCIeName(name string) { f.pcieName = name }
 func (f *FLD) BARSize() uint64 { return f.barSize }
 
 // MMIORead implements pcie.Device: the NIC reading descriptors or packet
-// data out of FLD's virtual windows. A crashed function does not
-// respond: nil elicits no completion, so the NIC's fetch times out and
-// the queue enters Error organically.
-func (f *FLD) MMIORead(offset uint64, size int) []byte {
+// data out of FLD's virtual windows, generated straight into the
+// completion. A crashed function does not respond: no completion, so the
+// NIC's fetch times out and the queue enters Error organically.
+func (f *FLD) MMIORead(offset uint64, dst []byte) bool {
 	if f.downN > 0 {
-		return nil
+		return false
 	}
 	switch {
 	case offset >= f.txDescBase && offset < f.txDescBase+f.txDescSize:
-		return f.readDescRegion(offset-f.txDescBase, size)
+		f.readDescRegion(offset-f.txDescBase, dst)
 	case offset >= f.txDataBase && offset < f.txDataBase+f.txDataSize:
-		return f.readDataRegion(offset-f.txDataBase, size)
+		f.readDataRegion(offset-f.txDataBase, dst)
 	default:
-		return make([]byte, size)
+		clear(dst)
 	}
+	return true
 }
 
 // readDescRegion serves NIC descriptor-ring reads by generating WQEs on
 // the fly (used when WQEByMMIO is off), each straight into its place in
-// the completion.
-func (f *FLD) readDescRegion(off uint64, size int) []byte {
+// out.
+func (f *FLD) readDescRegion(off uint64, out []byte) {
 	ringBytes := uint64(f.cfg.TxRingEntries) * nic.SendWQESize
-	out := make([]byte, size)
-	for n := 0; n < size; {
+	for n, size := 0, len(out); n < size; {
 		q := int(off / ringBytes)
 		idx := uint32((off % ringBytes) / nic.SendWQESize)
 		within := int(off % nic.SendWQESize)
@@ -498,16 +502,14 @@ func (f *FLD) readDescRegion(off uint64, size int) []byte {
 		n += take
 		off += uint64(take)
 	}
-	return out
 }
 
 // readDataRegion translates virtual data addresses through the data
 // translation table and copies the bytes from the shared buffer pool into
-// the completion, page by page.
-func (f *FLD) readDataRegion(off uint64, size int) []byte {
+// out, page by page; unmapped pages read as zero.
+func (f *FLD) readDataRegion(off uint64, out []byte) {
 	window := uint64(f.windowPages * f.cfg.TxPageBytes)
-	out := make([]byte, size) // unmapped pages stay zero
-	for n := 0; n < size; {
+	for n, size := 0, len(out); n < size; {
 		q := int(off / window)
 		within := off % window
 		vp := int(within) / f.cfg.TxPageBytes
@@ -517,6 +519,8 @@ func (f *FLD) readDataRegion(off uint64, size int) []byte {
 		phys, ok := f.dataXlt.Lookup(key)
 		if ok {
 			f.txPool.read(out[n:n+take], uint16(phys), pageOff)
+		} else {
+			clear(out[n : n+take])
 		}
 		if t := f.tlm; t != nil {
 			if ok {
@@ -528,7 +532,6 @@ func (f *FLD) readDataRegion(off uint64, size int) []byte {
 		n += take
 		off += uint64(take)
 	}
-	return out
 }
 
 // MMIOWrite implements pcie.Device: the NIC writing received packets and
@@ -604,10 +607,11 @@ func (f *FLD) releaseTx(qi int) {
 	ring := &f.queues[qi].ring
 	idx := ring.CI()
 	p := ring.Pop()
-	f.txPool.release(p.pages)
-	for i := range p.pages {
-		vp := (p.vstart + i) % f.windowPages
-		f.dataXlt.Delete(uint64(qi)<<32 | uint64(vp))
+	for i := range int(p.pages) {
+		key := uint64(qi)<<32 | uint64((p.vstart+i)%f.windowPages)
+		phys, _ := f.dataXlt.Lookup(key)
+		f.txPool.release(uint16(phys))
+		f.dataXlt.Delete(key)
 	}
 	f.descXlt.Delete(uint64(qi)<<32 | uint64(idx%uint32(f.cfg.TxRingEntries)))
 	f.descFree = append(f.descFree, p.slot)
@@ -683,10 +687,11 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 		return
 	}
 
-	// Copy the packet out of receive SRAM and stream it to the AFU
-	// through the paced pipeline.
+	// Copy the packet out of receive SRAM into a pooled buffer and stream
+	// it to the AFU through the paced pipeline.
 	off := c.Addr - (f.port.Base() + f.rxBufBase)
-	data := make([]byte, rec.ByteCount)
+	data := f.eng.Bufs().Get(int(rec.ByteCount))
+	clear(data) // what runs past the SRAM reads as zero
 	f.rxMem.Read(data, off)
 	md := Metadata{
 		Queue:      int(rec.Queue),
@@ -700,7 +705,7 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	f.eng.AtArg(paced+f.cfg.PipelineDelay, rxStream, x)
 }
 
-// rxStream: the packet crossed the receive pipeline; hand it to the AFU.
+// rxStream: the packet crossed the receive pipeline; lend it to the AFU.
 func rxStream(a any) {
 	x := a.(*pipeOp)
 	f, data, md := x.f, x.data, x.md
@@ -710,9 +715,8 @@ func rxStream(a any) {
 		// The function crashed while the packet was in the streaming
 		// pipeline: it dies with the SRAM.
 		f.Stats.CrashDrops++
-		return
-	}
-	if f.handler != nil {
+	} else if f.handler != nil {
 		f.handler.Receive(data, md)
 	}
+	f.eng.Bufs().Put(data)
 }

@@ -54,10 +54,10 @@ func TestRetiredDescriptorReadsInvalid(t *testing.T) {
 	eng.Run()
 	c := nic.CQE{Opcode: nic.CQESend, Index: 0, Queue: 1}
 	f.MMIOWrite(f.txCQBase, c.Marshal())
-	if op := f.MMIORead(f.txDescBase, nic.SendWQESize)[0]; op != 0xff {
+	if op := mmioRead(f, f.txDescBase, nic.SendWQESize)[0]; op != 0xff {
 		t.Fatalf("retired descriptor 0 reads opcode %#x, want invalid", op)
 	}
-	if op := f.MMIORead(f.txDescBase+nic.SendWQESize, nic.SendWQESize)[0]; op != nic.OpSend {
+	if op := mmioRead(f, f.txDescBase+nic.SendWQESize, nic.SendWQESize)[0]; op != nic.OpSend {
 		t.Fatalf("posted descriptor 1 reads opcode %#x, want a send", op)
 	}
 }

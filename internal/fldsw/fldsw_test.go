@@ -99,7 +99,7 @@ func TestAcceleratePipeline(t *testing.T) {
 	inn.nic.ESwitch().AddRule(50, nic.Rule{Action: nic.Action{ToRQ: app.RQ()}})
 	var gotTag uint32
 	var gotFrame []byte
-	app.OnReceive = func(f []byte, md swdriver.RxMeta) { gotFrame, gotTag = f, md.FlowTag }
+	app.OnReceive = func(f []byte, md swdriver.RxMeta) { gotFrame, gotTag = bytes.Clone(f), md.FlowTag }
 
 	dport := uint16(7777)
 	ecp.InstallAccelerate(AccelerateSpec{

@@ -177,7 +177,7 @@ func (a *Adapter) PCIeName() string { return a.bar.PCIeName() }
 func (a *Adapter) BARSize() uint64 { return a.bar.BARSize() }
 
 // MMIORead implements pcie.Device: the device fetching rings and buffers.
-func (a *Adapter) MMIORead(offset uint64, size int) []byte { return a.bar.ReadAt(offset, size) }
+func (a *Adapter) MMIORead(offset uint64, dst []byte) bool { return a.bar.MMIORead(offset, dst) }
 
 // MMIOWrite implements pcie.Device: the device writing rx data and used
 // rings. A used-index update triggers completion processing.

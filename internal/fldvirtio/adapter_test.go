@@ -165,7 +165,7 @@ func TestAdapterBARRegions(t *testing.T) {
 	}
 	posted, tx := 0, virtio.Desc{}
 	for off := uint64(0); off+virtio.DescSize <= ad.BARSize(); off += virtio.DescSize {
-		d, _ := virtio.ParseDesc(ad.MMIORead(off, virtio.DescSize))
+		d, _ := virtio.ParseDesc(mmioRead(ad, off, virtio.DescSize))
 		inBAR := d.Addr >= base && d.Addr+uint64(d.Len) <= base+ad.BARSize()
 		switch {
 		case inBAR && d.Flags == virtio.DescFlagWrite && d.Len == uint32(DefaultConfig().BufBytes):
@@ -177,11 +177,11 @@ func TestAdapterBARRegions(t *testing.T) {
 	if posted != DefaultConfig().QueueSize {
 		t.Fatalf("%d posted receive descriptors in the BAR, want %d", posted, DefaultConfig().QueueSize)
 	}
-	if got := ad.MMIORead(tx.Addr-base, 2); !bytes.Equal(got, []byte{0xAB, 0xCD}) {
+	if got := mmioRead(ad, tx.Addr-base, 2); !bytes.Equal(got, []byte{0xAB, 0xCD}) {
 		t.Fatalf("transmit descriptor %+v points at %x, want abcd", tx, got)
 	}
 	ad.MMIOWrite(ad.BARSize()-1, []byte{0x5A})
-	if got := ad.MMIORead(ad.BARSize()-1, 1); got[0] != 0x5A {
+	if got := mmioRead(ad, ad.BARSize()-1, 1); got[0] != 0x5A {
 		t.Fatalf("last BAR byte reads %x after a store of 5a", got)
 	}
 }
@@ -283,4 +283,11 @@ func TestAdapterRefusesBadSizes(t *testing.T) {
 		}
 	}()
 	New(eng, Config{QueueSize: 48, BufBytes: 2048})
+}
+
+// mmioRead reads n bytes of the adapter's BAR into a fresh buffer.
+func mmioRead(ad *Adapter, off uint64, n int) []byte {
+	b := make([]byte, n)
+	ad.MMIORead(off, b)
+	return b
 }

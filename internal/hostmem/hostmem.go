@@ -108,7 +108,10 @@ func (m *Memory) BARSize() uint64 { return m.mem.size }
 func (m *Memory) MMIOWrite(offset uint64, data []byte) { m.WriteAt(offset, data) }
 
 // MMIORead implements pcie.Device: DMA out of host memory.
-func (m *Memory) MMIORead(offset uint64, size int) []byte { return m.ReadAt(offset, size) }
+func (m *Memory) MMIORead(offset uint64, dst []byte) bool {
+	m.ReadInto(offset, dst)
+	return true
+}
 
 // WriteAt stores data at the given offset.
 func (m *Memory) WriteAt(offset uint64, data []byte) {

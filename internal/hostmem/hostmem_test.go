@@ -37,7 +37,9 @@ func TestReadsDoNotMaterialisePages(t *testing.T) {
 	}
 	// Untouched windows, and a span from the written granule into untouched ones.
 	got := m.ReadAt(5*window-8, 2*window)
-	got = append(got, m.MMIORead(8, 3*window)...)
+	mmio := bytes.Repeat([]byte{0xee}, 3*window)
+	m.MMIORead(8, mmio)
+	got = append(got, mmio...)
 	dst := bytes.Repeat([]byte{0xee}, 64)
 	m.ReadInto(9*window+1, dst)
 	got = append(got, dst...)
@@ -175,7 +177,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestMMIOInterface(t *testing.T) {
 	m := New("host", 1<<16)
 	m.MMIOWrite(0x10, []byte{1, 2, 3})
-	if got := m.MMIORead(0x10, 3); !bytes.Equal(got, []byte{1, 2, 3}) {
+	if got := make([]byte, 3); !m.MMIORead(0x10, got) || !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("MMIO round trip: %v", got)
 	}
 	if m.PCIeName() != "host" || m.BARSize() != 1<<16 {

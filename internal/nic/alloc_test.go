@@ -121,11 +121,11 @@ func TestRQPlacementZeroAlloc(t *testing.T) {
 
 // TestAllocsPerRingSend pins a ring-posted send on a
 // warm queue — doorbell, descriptor fetch, txEngine slot, payload gather,
-// egress, lost at the cable's far edge — at two allocations: the fetch's
-// and the gather's completion buffers, which host memory makes (one buffer
-// per hop that makes one). The state of both reads rides in pooled
-// records whose completion callbacks were bound when the records were
-// made, so neither read costs a closure.
+// egress, lost at the cable's far edge — at one allocation: the frame the
+// gathered payload is copied into, which outlives the gather on the wire.
+// Both reads' completion buffers are borrowed from the engine's BufPool,
+// and their state rides in pooled records whose completion callbacks were
+// bound when the records were made, so neither read costs a closure.
 func TestAllocsPerRingSend(t *testing.T) {
 	eng, a, b, w := twoNodes(t)
 	instrumented(a, b)
@@ -146,11 +146,42 @@ func TestAllocsPerRingSend(t *testing.T) {
 		eng.Run()
 	}
 	send() // warm: pooled records, host-memory pages, wire transit record
-	if avg := testing.AllocsPerRun(200, send); avg != 2 {
-		t.Errorf("ring-posted send: %.2f allocations, want 2 (fetch and gather completion buffers)", avg)
+	if avg := testing.AllocsPerRun(200, send); avg != 1 {
+		t.Errorf("ring-posted send: %.2f allocations, want 1 (the frame)", avg)
 	}
 	if got := a.nic.Stats.TxPackets; got != 202 || dsq.sq.CI() != pi {
 		t.Errorf("sent %d frames with ci=%d pi=%d, want 202 and a drained queue", got, dsq.sq.CI(), pi)
+	}
+}
+
+// TestSQFetchCopiesDescriptors: a descriptor read's completion is the
+// fabric's pooled buffer, recycled (and, under the pooldebug tag,
+// poisoned) the moment the callback returns, while each fetched
+// descriptor still waits for its txEngine slot. sqFetchDone must copy the
+// descriptors out: scribbling over the completion after it returns must
+// not change what the queue executes.
+func TestSQFetchCopiesDescriptors(t *testing.T) {
+	eng, a, b, _ := twoNodes(t)
+	dsq, _, _, _ := setupEthTxRx(t, a, b, 0)
+	frame := buildFrame(1, 2, 1000, 2000, 64)
+	fbuf := a.mem.Alloc(2048, 64)
+	a.mem.WriteAt(fbuf, frame)
+	const n = 4
+	var data []byte
+	for i := range n {
+		data = append(data, SendWQE{Opcode: OpSend, Index: uint16(i), Addr: a.fab.AddrOf(a.mem, fbuf), Len: uint32(len(frame))}.Marshal()...)
+	}
+	sq := dsq.sq
+	sq.pi, sq.inflight = n, n // as kick leaves them with this fetch in flight
+	x := a.nic.fetches.Get()
+	x.sq, x.ep, x.first, x.count = sq, sq.epoch, 0, n
+	sqFetchDone(x, pcie.Completion{Data: data})
+	for i := range data {
+		data[i] = 0xA5
+	}
+	eng.Run()
+	if got := a.nic.Stats.TxPackets; got != n || sq.CI() != n {
+		t.Fatalf("sent %d of %d fetched descriptors (ci=%d) after their completion was reused", got, n, sq.CI())
 	}
 }
 

@@ -128,13 +128,12 @@ func ParseSendWQE(b []byte) (SendWQE, error) {
 		if int(n) > len(b)-32 || n > maxInlineMMIO {
 			return SendWQE{}, fmt.Errorf("nic: inline length %d out of range", n)
 		}
-		// Inline must come back non-nil even for a zero-length payload:
-		// the flag bit, not the slice length, selects the inline path, and
-		// Marshal keys on Inline != nil. append(nil, empty...) would
-		// return nil and silently flip the descriptor to the Addr/Len
-		// form. Found by FuzzParseSendWQE.
-		w.Inline = make([]byte, n)
-		copy(w.Inline, b[32:32+n])
+		// Inline aliases b, like every borrowed read: a caller that keeps
+		// the payload past b's life copies it. It is non-nil even for a
+		// zero-length payload: the flag bit, not the slice length, selects
+		// the inline path, and Marshal keys on Inline != nil. Found by
+		// FuzzParseSendWQE.
+		w.Inline = b[32 : 32+n : 32+n]
 	} else {
 		w.Addr = binary.BigEndian.Uint64(b[16:])
 		w.Len = binary.BigEndian.Uint32(b[24:])

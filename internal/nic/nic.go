@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"bytes"
 	"fmt"
 
 	"flexdriver/internal/netpkt"
@@ -161,6 +162,7 @@ func New(name string, eng *sim.Engine, prm Params) *NIC {
 		qps:  make(map[uint32]*QP),
 	}
 	n.fetches.New, n.execs.New, n.sends.New, n.rqFetches.New = newSQFetch, newSQExec, newTxSend, newRQFetch
+	n.cqws.New, n.rxDones.New = newCQWrite, newRxDone
 	n.esw = newESwitch(n)
 	n.txEngine = sim.NewResource(eng)
 	n.rxEngine = sim.NewResource(eng)
@@ -189,13 +191,11 @@ func (n *NIC) BARSize() uint64 { return barSize }
 
 // MMIORead implements pcie.Device. The NIC BAR is write-only in this model
 // (doorbells); reads return zeros like reserved registers. A crashed
-// device does not respond at all: nil elicits no completion, so the
-// requester sees a completion timeout.
-func (n *NIC) MMIORead(offset uint64, size int) []byte {
-	if n.downN > 0 {
-		return nil
-	}
-	return make([]byte, size)
+// device does not respond at all: no completion, so the requester sees a
+// completion timeout.
+func (n *NIC) MMIORead(offset uint64, dst []byte) bool {
+	clear(dst)
+	return n.downN == 0
 }
 
 // MMIOWrite implements pcie.Device: doorbell decoding. Writes to a
@@ -415,7 +415,7 @@ func (sq *SQ) pushWQE(b []byte) {
 	// The MMIO write's buffer dies with the write; the descriptor waits
 	// for its txEngine slot inside the pooled record that will carry it.
 	x := sq.n.execs.Get()
-	x.raw = x.pushed[:copy(x.pushed[:], b)]
+	x.raw = x.desc[:copy(x.desc[:], b)]
 	sq.mmio[sq.pi] = x
 	sq.pi++
 	sq.kick()
@@ -495,8 +495,8 @@ func (sq *SQ) execute(x *sqExec) (gathering bool) {
 	return true
 }
 
-// dispatch hands the gathered payload to the QP transport or the Ethernet
-// egress path.
+// dispatch hands the borrowed payload to the QP transport, which frames
+// it, or to the Ethernet egress path, which copies it.
 func (sq *SQ) dispatch(ep uint32, idx uint32, wqe SendWQE, data []byte) {
 	if sq.QP != nil {
 		sq.QP.send(idx, wqe, data)
@@ -505,12 +505,13 @@ func (sq *SQ) dispatch(ep uint32, idx uint32, wqe SendWQE, data []byte) {
 		sq.complete(idx)
 		return
 	}
-	// Raw Ethernet: the payload is a complete frame. The transmit state
-	// rides in a pooled record from dispatch through the shaper delay to
-	// the egress-complete retire (see pool.go).
+	// Raw Ethernet: the payload is a complete frame, and it outlives the
+	// borrowed completion or descriptor it came in, so it is copied. The
+	// transmit state rides in a pooled record from dispatch through the
+	// shaper delay to the egress-complete retire (see pool.go).
 	x := sq.n.sends.Get()
 	x.sq, x.ep, x.idx = sq, ep, idx
-	x.frame, x.flowTag, x.signal = data, wqe.FlowTag, wqe.Signal
+	x.frame, x.flowTag, x.signal = bytes.Clone(data), wqe.FlowTag, wqe.Signal
 	if sq.Shaper != nil {
 		if d := sq.Shaper.Reserve(len(data)); d > 0 {
 			sq.tShaped.Inc()
@@ -797,7 +798,7 @@ func (rq *RQ) place(p *pendingRx) bool {
 	rq.tPlacedBytes.Add(int64(n))
 	r := rq.n.rxDones.Get()
 	r.rq, r.ep, r.cqe = rq, rq.epoch, cqe
-	rq.n.port.WriteArg(addr, p.data, rqPlaceDone, r)
+	rq.n.port.Write(addr, p.data, r.done)
 	return true
 }
 
@@ -845,7 +846,7 @@ func (cq *CQ) Push(c CQE) {
 	c.MarshalInto(b)
 	w := cq.n.cqws.Get()
 	w.cq, w.c = cq, c
-	cq.n.port.WriteOwnedArg(addr, b, cqPushDone, w)
+	cq.n.port.WriteOwned(addr, b, w.done)
 }
 
 // ConnectX6DxParams returns the timing profile of the newer-generation

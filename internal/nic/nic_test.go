@@ -208,7 +208,7 @@ func TestRegisterRead(t *testing.T) {
 	nd := newNode(t, eng)
 	var got pcie.Completion
 	read := func() {
-		nd.host.Read(nd.bar+SQDoorbellOffset(0), 8, func(c pcie.Completion) { got = c })
+		nd.host.Read(nd.bar+SQDoorbellOffset(0), 8, func(c pcie.Completion) { got, got.Data = c, bytes.Clone(c.Data) })
 		eng.Run()
 	}
 	if read(); !got.OK() || !bytes.Equal(got.Data, make([]byte, 8)) {

@@ -5,24 +5,17 @@ import (
 	"flexdriver/internal/sim"
 )
 
-// Pooled steady-state records. The NIC's per-packet paths (WQE execution,
-// transmit dispatch, CQE writes, receive placement) used to allocate a
-// closure per event; each path now carries its state in one of these
-// records, recycled through per-NIC sim.Pools and dispatched by the static
-// trampolines below via the engine's arg-form scheduling. The NIC is
-// single-threaded on its engine, so the pools need no locking.
-//
-// A record whose completion never fires (a fault-injected drop of the
-// underlying PCIe write, a queue reset) is simply abandoned to the garbage
-// collector — correctness never depends on a record returning to its
-// pool.
+// Pooled steady-state records: each per-packet path of the NIC (WQE
+// execution, transmit dispatch, CQE writes, receive placement) carries its
+// state in one, recycled through a per-NIC sim.Pool and stepped by static
+// trampolines or by a completion bound to the record once. A record whose
+// completion never fires (a dropped PCIe write, a queue reset) is left to
+// the garbage collector: correctness never depends on recycling.
 
 // sqFetch carries one batched descriptor read from SQ.kick to its
-// completion. Like txSend.onSent below, done is bound to the record once,
-// when the pool first makes it (newSQFetch), so handing it to
-// pcie.Port.Read costs no closure. A read's completion fires exactly once —
-// with data, an error status or a timeout — and that is where the record
-// is recycled.
+// completion. done is bound to the record once, when the pool makes it
+// (newSQFetch), so handing it to pcie.Port.Read costs no closure. A read's
+// completion fires exactly once, and that is where the record is recycled.
 type sqFetch struct {
 	sim.Link[sqFetch]
 	sq    *SQ
@@ -40,7 +33,8 @@ func newSQFetch() *sqFetch {
 
 // sqFetchDone is the descriptor read's completion: queue each fetched
 // descriptor for its txEngine slot, unless the queue was reset while the
-// fetch was in flight.
+// fetch was in flight. The completion is borrowed, and a descriptor waits
+// out its slot, so each is copied into its own record.
 func sqFetchDone(x *sqFetch, c pcie.Completion) {
 	sq, ep, first, count := x.sq, x.ep, x.first, x.count
 	x.sq = nil
@@ -56,23 +50,23 @@ func sqFetchDone(x *sqFetch, c pcie.Completion) {
 		e := sq.n.execs.Get()
 		e.sq, e.ep = sq, ep
 		e.idx = first + uint32(i)
-		e.raw = c.Data[i*SendWQESize : (i+1)*SendWQESize]
+		e.raw = e.desc[:copy(e.desc[:], c.Data[i*SendWQESize:(i+1)*SendWQESize])]
 		sq.n.eng.AtArg(sq.n.txEngine.Acquire(sq.n.Prm.TxPerWQE), sqExecRun, e)
 	}
 }
 
 // sqExec carries one descriptor through the txEngine service delay and,
-// when its payload lives in memory, on through the gather read. raw
-// aliases the fetch completion for a ring descriptor, or pushed for one
-// that arrived by MMIO; wqe is the parsed descriptor the gather completion
-// dispatches. gathered is bound once, like sqFetch.done.
+// when its payload lives in memory, on through the gather read. raw is
+// the descriptor, copied into desc from the fetch completion or the MMIO
+// write; wqe is the parsed descriptor the gather completion dispatches.
+// gathered is bound once, like sqFetch.done.
 type sqExec struct {
 	sim.Link[sqExec]
 	sq       *SQ
 	ep       uint32
 	idx      uint32
 	raw      []byte
-	pushed   [SendWQEMMIOSize]byte
+	desc     [SendWQEMMIOSize]byte
 	wqe      SendWQE
 	gathered func(pcie.Completion)
 }
@@ -165,18 +159,24 @@ func txSendSent(x *txSend) {
 
 // cqWrite carries one completion through its DMA write; the CQE payload
 // buffer itself comes from the engine's BufPool and is owned (and
-// recycled) by the fabric.
+// recycled) by the fabric. done is bound once, like sqFetch.done.
 type cqWrite struct {
 	sim.Link[cqWrite]
-	cq *CQ
-	c  CQE
+	cq   *CQ
+	c    CQE
+	done func()
+}
+
+func newCQWrite() *cqWrite {
+	x := &cqWrite{}
+	x.done = func() { cqPushDone(x) }
+	return x
 }
 
 // cqPushDone fires when the CQE landed in the ring: notify the consumer.
-func cqPushDone(a any) {
-	x := a.(*cqWrite)
+func cqPushDone(x *cqWrite) {
 	cq, c := x.cq, x.c
-	*x = cqWrite{}
+	x.cq = nil
 	cq.n.cqws.Put(x)
 	if cq.onCQE != nil {
 		cq.onCQE(c)
@@ -212,20 +212,26 @@ func rqFetchDone(x *rqFetch, c pcie.Completion) {
 }
 
 // rxDone carries a placed packet's metadata through its payload DMA write
-// to the receive-CQE push.
+// to the receive-CQE push. done is bound once, like sqFetch.done.
 type rxDone struct {
 	sim.Link[rxDone]
-	rq  *RQ
-	ep  uint32
-	cqe CQE
+	rq   *RQ
+	ep   uint32
+	cqe  CQE
+	done func()
+}
+
+func newRxDone() *rxDone {
+	x := &rxDone{}
+	x.done = func() { rqPlaceDone(x) }
+	return x
 }
 
 // rqPlaceDone fires when the packet payload landed in the host buffer:
 // push the receive completion unless the queue was reset meanwhile.
-func rqPlaceDone(a any) {
-	x := a.(*rxDone)
+func rqPlaceDone(x *rxDone) {
 	rq, ep, cqe := x.rq, x.ep, x.cqe
-	*x = rxDone{}
+	x.rq = nil
 	rq.n.rxDones.Put(x)
 	if rq.epoch == ep && rq.CQ != nil {
 		rq.CQ.Push(cqe)

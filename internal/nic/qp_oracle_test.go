@@ -23,6 +23,14 @@ type qpPair struct {
 	fate  byte
 	clean bool
 
+	// lossRun counts the frames the tape lost since the sender's Una last
+	// moved (runUna) or the incarnation began: an Error must follow a run
+	// of at least MaxRetransmits, one per no-progress retransmission. The
+	// Error's flush zeroes Una, which is no progress.
+	lossRun int
+	runUna  uint32
+	judged  bool // this incarnation's Error has been explained
+
 	msgs     [][]byte // every message posted, by post order (= WQE index)
 	signaled []bool
 	cqes     []int  // CQEs each message has received
@@ -61,13 +69,19 @@ func startPSNs(a, b *QP, psn uint32) {
 }
 
 func newQPPair(t *testing.T, mtu int, start uint32, tape []byte) *qpPair {
-	p := &qpPair{t: t, h: newRDMAHarness(t, mtu), start: start, tape: tape, lastRx: -1, lastSend: -1}
+	p := &qpPair{t: t, h: newRDMAHarness(t, mtu), start: start, tape: tape, lastRx: -1, lastSend: -1, runUna: start}
 	startPSNs(p.h.qpA, p.h.qpB, start)
 	w := p.h.wire
 	w.Loss = func(int, []byte) bool {
 		p.fate = 0xff
 		if !p.clean && len(p.tape) > 0 {
 			p.fate, p.tape = p.tape[0], p.tape[1:]
+		}
+		if una := p.h.qpA.snd.Una; una != p.runUna && p.h.qpA.State() == QueueReady {
+			p.runUna, p.lossRun = una, 0
+		}
+		if p.fate%8 == 0 {
+			p.lossRun++
 		}
 		return p.fate%8 == 0
 	}
@@ -99,8 +113,18 @@ func (p *qpPair) post(n int, signal bool) {
 }
 
 // observe folds every completion and delivery since the last call into the
-// oracle and checks the per-event properties.
+// oracle and checks the per-event properties: in-order, intact, at-most-once
+// delivery, one CQE per message, and an Error only behind a run of losses
+// that spent the retry budget. Each retransmission after the last progress
+// needs a loss of its own (the link's delays are far shorter than the
+// timeout), so a shorter run means the QP gave up on a healthy path.
 func (p *qpPair) observe() {
+	if p.h.qpA.State() == QueueError && !p.judged {
+		p.judged = true
+		if budget := p.h.a.nic.Prm.MaxRetransmits; p.lossRun < budget {
+			p.t.Fatalf("retry budget: the QP entered Error after %d losses since its last progress, fewer than its budget of %d", p.lossRun, budget)
+		}
+	}
 	for ; p.rxSeen < len(*p.h.msgs); p.rxSeen++ {
 		m := (*p.h.msgs)[p.rxSeen]
 		if len(m) < 4 {
@@ -151,6 +175,7 @@ func (p *qpPair) reconnect() {
 	ReconnectQPs(p.h.qpA, p.h.qpB)
 	startPSNs(p.h.qpA, p.h.qpB, p.start)
 	p.incFirst, p.incErrors = len(p.msgs), p.h.a.nic.Stats.QueueErrors
+	p.lossRun, p.runUna, p.judged = 0, p.start, false
 }
 
 // settle runs until the engine is empty. Liveness is judged in simulated
@@ -234,7 +259,8 @@ func (p *qpPair) run(prog []byte) {
 // signaled and unsignaled messages, advances time through retransmission
 // timeouts and reconnects (ReconnectQPs, a new epoch) with stale packets
 // in flight. Throughout, messages arrive in order, intact and at most
-// once, and no message gets two CQEs or a send CQE it did not ask for.
+// once, no message gets two CQEs or a send CQE it did not ask for, and the
+// QP enters Error only behind a run of losses as long as its retry budget.
 // At the end the tape is spent, the pair must fall quiet within an event
 // budget, every message of a healthy incarnation has arrived and every
 // signaled one has exactly one send CQE — and after a final reconnect a
@@ -251,6 +277,10 @@ func FuzzQPPair(f *testing.F) {
 	// Reconnect with delayed packets of the old epoch still in flight.
 	f.Add(uint8(0), uint8(1), []byte{0xfa, 0xfa, 0xfa, 0xfa, 3, 3, 0xfa, 0xfa},
 		[]byte{0, 250, 0, 250, 4, 3, 7, 0, 0, 40, 4, 250})
+	// Six losses, fewer than the retry budget of eight: a retransmission
+	// gets through and the QP stays Ready. Kill row R8 halves the budget,
+	// and the QP's Error then has no run of losses to explain it.
+	f.Add(uint8(0), uint8(5), bytes.Repeat([]byte{0}, 6), []byte{0, 1, 6, 7})
 	f.Fuzz(func(t *testing.T, mtuSel, below uint8, tape, prog []byte) {
 		p := newQPPair(t, 256<<(mtuSel%3), ^uint32(0)-uint32(below), tape)
 		p.run(prog)

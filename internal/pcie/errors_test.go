@@ -15,7 +15,7 @@ type deadDevice struct{}
 
 func (deadDevice) PCIeName() string                  { return "dead" }
 func (deadDevice) BARSize() uint64                   { return 1 << 12 }
-func (deadDevice) MMIORead(uint64, int) []byte       { return nil }
+func (deadDevice) MMIORead(uint64, []byte) bool      { return false }
 func (deadDevice) MMIOWrite(offset uint64, d []byte) {}
 
 // TestReadFromDeadDeviceTimesOut is the regression test for the latent
@@ -418,16 +418,16 @@ func TestSettledReadLeavesNoResidue(t *testing.T) {
 }
 
 // TestTimedTransactionAllocs pins the fabric's own steady-state cost: a
-// posted write allocates nothing, and a read allocates only the buffer the
-// completer returns its data in — both ride pooled records through static
-// trampolines.
+// posted write and a settled 4 KiB read allocate nothing — both ride
+// pooled records through static trampolines, and the read's completion
+// buffer comes from the engine's BufPool and goes back to it.
 func TestTimedTransactionAllocs(t *testing.T) {
 	eng, fab, _, pa, b, _ := newTestFabric(t)
 	addr := fab.AddrOf(b, 0x80)
 	data := make([]byte, 64)
 	done := func(Completion) {}
 	pa.Write(addr, data, nil) // warm: hostmem page, freelists
-	pa.Read(addr, 64, done)
+	pa.Read(addr, 4096, done)
 	eng.Run()
 
 	if avg := testing.AllocsPerRun(100, func() {
@@ -437,9 +437,70 @@ func TestTimedTransactionAllocs(t *testing.T) {
 		t.Errorf("timed Write: %.1f allocs, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		pa.Read(addr, 64, done)
+		pa.Read(addr, 4096, done)
 		eng.Run()
-	}); avg != 1 {
-		t.Errorf("timed Read: %.1f allocs, want 1 (the completer's data buffer)", avg)
+	}); avg != 0 {
+		t.Errorf("timed 4 KiB Read: %.1f allocs, want 0", avg)
+	}
+}
+
+// TestReadBuffersReturnToPool: the completion buffer a read takes from the
+// engine's BufPool goes back exactly once on every way a read can end —
+// settled, unsupported, unanswered, dropped either way, poisoned, or late
+// behind its own timeout — and done runs exactly once. A missing Put
+// leaves a buffer outstanding; a second Put drives the count below zero.
+func TestReadBuffersReturnToPool(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(fab *Fabric, pa, pb, pd *Port, done func(Completion))
+		want CplStatus
+	}{
+		{"settled", func(_ *Fabric, pa, pb, _ *Port, done func(Completion)) {
+			pa.Read(pb.Base(), 4096, done)
+		}, CplSuccess},
+		{"unmapped", func(_ *Fabric, pa, _, _ *Port, done func(Completion)) {
+			pa.Read(0x10, 64, done)
+		}, CplUR},
+		{"unanswered", func(_ *Fabric, pa, _, pd *Port, done func(Completion)) {
+			pa.Read(pd.Base(), 64, done)
+		}, CplTimedOut},
+		{"request dropped", func(fab *Fabric, pa, pb, _ *Port, done func(Completion)) {
+			fab.SetFaults(&FaultHooks{Drop: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.MemRd }})
+			pa.Read(pb.Base(), 64, done)
+		}, CplTimedOut},
+		{"completion dropped", func(fab *Fabric, pa, pb, _ *Port, done func(Completion)) {
+			fab.SetFaults(&FaultHooks{Drop: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.CplD }})
+			pa.Read(pb.Base(), 64, done)
+		}, CplTimedOut},
+		{"poisoned", func(fab *Fabric, pa, pb, _ *Port, done func(Completion)) {
+			fab.SetFaults(&FaultHooks{Corrupt: func(_ *Port, typ telemetry.TLPType) bool { return typ == telemetry.CplD }})
+			pa.Read(pb.Base(), 64, done)
+		}, CplPoisoned},
+		{"late", func(_ *Fabric, pa, pb, _ *Port, done func(Completion)) {
+			// 32 KiB of writes hold pa's down link past the read's budget,
+			// as in TestLateCompletionLosesToTimeout.
+			for i := range 8 {
+				pb.Write(pa.Base()+uint64(i)*4096, make([]byte, 4096), nil)
+			}
+			pa.Read(pb.Base(), 64, done)
+		}, CplTimedOut},
+	} {
+		eng := sim.NewEngine()
+		fab := NewFabric(eng)
+		cfg := Gen3x8()
+		cfg.CplTimeout = sim.Microsecond
+		pa := fab.Attach(hostmem.New("a", 1<<20), cfg)
+		pb := fab.Attach(hostmem.New("b", 1<<20), cfg)
+		pd := fab.Attach(deadDevice{}, cfg)
+		var calls int
+		var got Completion
+		tc.run(fab, pa, pb, pd, func(c Completion) { calls++; got = c })
+		eng.Run()
+		if calls != 1 || got.Status != tc.want {
+			t.Errorf("%s: done ran %d times, last with status %d, want once with %d", tc.name, calls, got.Status, tc.want)
+		}
+		if n := eng.Bufs().Outstanding(); n != 0 {
+			t.Errorf("%s: %d completion buffers outstanding after the read resolved, want 0", tc.name, n)
+		}
 	}
 }

@@ -214,7 +214,7 @@ func (f *Fabric) Write(addr uint64, data []byte) {
 // poisoned writes (bytes charged on both links, but the completer discards
 // the payload and done never fires).
 func (p *Port) Write(addr uint64, data []byte, done func()) {
-	p.write(addr, data, done, nil, nil, false)
+	p.write(addr, data, done, false)
 }
 
 // WriteOwned is Write with payload-buffer ownership transfer: data must
@@ -223,20 +223,7 @@ func (p *Port) Write(addr uint64, data []byte, done func()) {
 // consumed it, or immediately on UR/drop/poison. The caller must not touch
 // data after the call.
 func (p *Port) WriteOwned(addr uint64, data []byte, done func()) {
-	p.write(addr, data, done, nil, nil, true)
-}
-
-// WriteArg is Write with an arg-form completion callback, for callers that
-// keep their post-write state in a preallocated record instead of a
-// closure. done may be nil.
-func (p *Port) WriteArg(addr uint64, data []byte, done func(any), arg any) {
-	p.write(addr, data, nil, done, arg, false)
-}
-
-// WriteOwnedArg combines WriteOwned's payload ownership transfer with
-// WriteArg's closure-free completion.
-func (p *Port) WriteOwnedArg(addr uint64, data []byte, done func(any), arg any) {
-	p.write(addr, data, nil, done, arg, true)
+	p.write(addr, data, done, true)
 }
 
 // writeOp is the state of one posted write in flight. Records are recycled
@@ -248,8 +235,6 @@ type writeOp struct {
 	addr     uint64
 	data     []byte
 	done     func()
-	adone    func(any) // arg-form completion (WriteArg); at most one of done/adone set
-	aarg     any
 	poisoned bool
 	owned    bool // return data to the engine's BufPool on resolution
 }
@@ -264,7 +249,7 @@ func (f *Fabric) putWriteOp(o *writeOp) {
 	f.wops.Put(o)
 }
 
-func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aarg any, owned bool) {
+func (p *Port) write(addr uint64, data []byte, done func(), owned bool) {
 	q, ok := p.fab.target(addr, len(data))
 	if !ok {
 		p.fab.noteUR()
@@ -281,8 +266,7 @@ func (p *Port) write(addr uint64, data []byte, done func(), adone func(any), aar
 		return
 	}
 	o := p.fab.wops.Get()
-	o.p, o.q, o.addr, o.data, o.owned = p, q, addr, data, owned
-	o.done, o.adone, o.aarg = done, adone, aarg
+	o.p, o.q, o.addr, o.data, o.done, o.owned = p, q, addr, data, done, owned
 	o.poisoned = p.fab.corruptTLP(p, telemetry.MemWr)
 	p.fab.eng.AtArg(p.cross(telemetry.Up, telemetry.MemWr, addr, len(data)), writeAtSwitch, o)
 }
@@ -333,27 +317,24 @@ func writeDeliver(a any) {
 		return
 	}
 	o.q.dev.MMIOWrite(o.addr-o.q.base, o.data)
-	done, adone, aarg := o.done, o.adone, o.aarg
+	done := o.done
 	fab.putWriteOp(o)
 	if done != nil {
 		done()
-	}
-	if adone != nil {
-		adone(aarg)
 	}
 }
 
 // Read fetches size bytes at addr. The request TLPs traverse initiator-up
 // and target-down; the target's MMIORead executes; the completion stream
 // returns over target-up and initiator-down. done receives a Completion:
-// data on success, or an error status.
+// data on success (borrowed until done returns), or an error status.
 //
 // Error semantics (all surfaced through done, never by hanging):
 //
 //   - unmapped address, or a span that runs past the end of its target's
 //     BAR → the switch answers with an Unsupported-Request completion
 //     (CplUR) after the request serializes;
-//   - non-responding device (MMIORead returns nil), a dropped request or
+//   - non-responding device (MMIORead returns false), a dropped request or
 //     completion, or a link-flap window → the requester's completion
 //     timeout (LinkConfig.CplTimeout) fires and done gets CplTimedOut;
 //   - corrupted completion payload → full wire traversal, then
@@ -455,19 +436,21 @@ func readReqAtSwitch(a any) {
 	o.step(q.cross(telemetry.Down, telemetry.MemRd, o.addr, o.size), readAtDevice)
 }
 
-// readAtDevice: the completer executes MMIORead and streams the completion
-// back over its up link.
+// readAtDevice: the completer executes MMIORead into a pooled buffer and
+// streams the completion back over its up link.
 func readAtDevice(a any) {
 	o := a.(*readOp)
 	q, fab := o.q, o.p.fab
-	data := q.dev.MMIORead(o.addr-q.base, o.size)
-	if data == nil {
+	data := fab.eng.Bufs().Get(o.size)
+	if !q.dev.MMIORead(o.addr-q.base, data) {
 		// Non-responding completer: no completion is ever generated.
+		fab.eng.Bufs().Put(data)
 		o.expire()
 		return
 	}
 	if fab.linkDown(q) || fab.dropTLP(q, telemetry.CplD) {
 		fab.noteDrop()
+		fab.eng.Bufs().Put(data)
 		o.expire()
 		return
 	}
@@ -485,6 +468,7 @@ func readAtDevice(a any) {
 func readCplAtSwitch(a any) {
 	o := a.(*readOp)
 	if o.status == CplPoisoned {
+		o.p.fab.eng.Bufs().Put(o.data)
 		o.data = nil
 	}
 	o.completeRead(o.data, o.status)
@@ -497,17 +481,21 @@ func (o *readOp) completeRead(data []byte, status CplStatus) {
 	o.step(o.p.cross(telemetry.Down, telemetry.CplD, o.addr, len(data)), readSettle)
 }
 
-// readSettle delivers the completion to the caller, unless the timeout
-// already has (or is about to): late data is discarded.
+// readSettle lends the completion to the caller, unless the timeout
+// already has (or is about to): late data is discarded. Either way the
+// buffer goes back to the pool.
 func readSettle(a any) {
 	o := a.(*readOp)
-	if o.expired {
-		return
+	fab, data := o.p.fab, o.data
+	if !o.expired {
+		done, c := o.done, Completion{Data: data, Status: o.status}
+		*o = readOp{}
+		fab.rops.Put(o)
+		done(c)
 	}
-	fab, done, c := o.p.fab, o.done, Completion{Data: o.data, Status: o.status}
-	*o = readOp{}
-	fab.rops.Put(o)
-	done(c)
+	if data != nil {
+		fab.eng.Bufs().Put(data)
+	}
 }
 
 // AddrOf returns the fabric address corresponding to an offset within the

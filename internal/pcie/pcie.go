@@ -24,8 +24,9 @@ type Device interface {
 	PCIeName() string
 	// BARSize returns the size in bytes of the device's BAR window.
 	BARSize() uint64
-	// MMIORead returns size bytes starting at offset into the BAR.
-	MMIORead(offset uint64, size int) []byte
+	// MMIORead fills dst with the bytes at offset into the BAR; false
+	// means the completer does not respond.
+	MMIORead(offset uint64, dst []byte) bool
 	// MMIOWrite stores data at offset into the BAR.
 	MMIOWrite(offset uint64, data []byte)
 }
@@ -87,8 +88,9 @@ const (
 	CplPoisoned
 )
 
-// Completion is the result of a timed Port.Read. Data is valid only
-// when OK() reports true.
+// Completion is the result of a timed Port.Read. Data is valid only when
+// OK() reports true, and only during the callback, which borrows it from
+// the engine's BufPool: a reader that keeps the bytes copies them.
 type Completion struct {
 	Data   []byte
 	Status CplStatus

@@ -133,7 +133,7 @@ func TestTimedReadRoundTrip(t *testing.T) {
 		if !c.OK() {
 			t.Errorf("read completion status = %v", c.Status)
 		}
-		got, doneAt = c.Data, eng.Now()
+		got, doneAt = bytes.Clone(c.Data), eng.Now()
 	})
 	eng.Run()
 	if !bytes.Equal(got, []byte{9, 8, 7, 6}) {

@@ -12,21 +12,22 @@ package sim
 // from Get has exactly one owner at a time. Whoever holds it either passes
 // ownership onward (e.g. a posted-write payload handed to the PCIe fabric)
 // or calls Put exactly once when the buffer goes dead — "free on delivery".
-// Shared frames (wire duplication, flooding, retransmission queues) must
-// NOT come from the pool. Put clears nothing; callers must not retain
-// aliases.
+// A callee it is lent to (a read completion's callback, an AFU's Receive)
+// borrows it for the call, and copies what it keeps. Shared frames (wire
+// duplication, flooding, retransmission queues) must NOT come from the
+// pool. Put clears nothing (under the pooldebug tag it poisons).
 //
-// Outstanding (Gets − Puts) is the leak counter: in a quiesced run it
-// returns to zero, and telemetry surfaces it (telemetry.RegisterBufPool)
-// so leaks show up in snapshots instead of as silent heap growth.
+// Outstanding (Gets − Puts) is the leak counter: scenario.Check's
+// bufpool-leak invariant and the benchmark's bufpool_balanced check want
+// it back at zero once a run quiesces.
 type BufPool struct {
 	free [bufClasses][][]byte
 
 	gets, puts uint64
 	misses     uint64 // Get found its class empty and allocated
-	foreign    uint64 // Put of a buffer whose capacity matches no class
-	overflow   uint64 // Put dropped because the class freelist was full
 }
+
+var poisonOnPut bool // Put fills a buffer with 0xA5: set by the pooldebug tag
 
 const (
 	bufMinClass   = 64    // smallest class, bytes
@@ -80,16 +81,15 @@ func (p *BufPool) Get(n int) []byte {
 // the Outstanding leak counter balances.
 func (p *BufPool) Put(b []byte) {
 	p.puts++
+	if poisonOnPut {
+		for i, all := 0, b[:cap(b)]; i < len(all); i++ {
+			all[i] = 0xA5
+		}
+	}
 	c := bufClass(cap(b))
-	if c < 0 || bufMinClass<<c != cap(b) {
-		p.foreign++
-		return
+	if c >= 0 && bufMinClass<<c == cap(b) && len(p.free[c]) < bufClassDepth {
+		p.free[c] = append(p.free[c], b[:0])
 	}
-	if len(p.free[c]) >= bufClassDepth {
-		p.overflow++
-		return
-	}
-	p.free[c] = append(p.free[c], b[:0])
 }
 
 // Outstanding returns Gets − Puts: the number of buffers currently owned by

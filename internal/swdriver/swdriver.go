@@ -175,10 +175,11 @@ func rxWorkRun(a any) {
 	if c.Opcode != nic.CQEError {
 		p.drv.RxPackets++
 		p.tRxPackets.Inc()
-		base := p.drv.fab.PortOf(p.drv.mem).Base()
-		frame := p.drv.mem.ReadAt(c.Addr-base, int(c.ByteCount))
 		if p.OnReceive != nil {
+			frame := p.drv.eng.Bufs().Get(int(c.ByteCount))
+			p.drv.mem.ReadInto(c.Addr-p.drv.fab.PortOf(p.drv.mem).Base(), frame)
 			p.OnReceive(frame, RxMeta{FlowTag: c.FlowTag, RSSHash: c.RSSHash, ChecksumOK: c.ChecksumOK})
+			p.drv.eng.Bufs().Put(frame)
 		}
 	}
 	// Recycle the buffer (in-order repost, batched doorbells).
@@ -209,7 +210,9 @@ type EthPort struct {
 	dbTimer   *sim.Timer
 	rqSinceDB int // reposts since the last RQ doorbell
 
-	// OnReceive delivers received frames to the application.
+	// OnReceive delivers received frames to the application. frame is a
+	// pooled buffer lent for the call: a handler that keeps the bytes
+	// copies them.
 	OnReceive func(frame []byte, md RxMeta)
 	// OnSendComplete fires per transmit completion batch.
 	OnSendComplete func(n int)

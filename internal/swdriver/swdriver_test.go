@@ -60,7 +60,7 @@ func TestEthPortEndToEnd(t *testing.T) {
 	b.nic.ESwitch().AddRule(0, nic.Rule{Action: nic.Action{ToRQ: rx.RQ()}})
 
 	var got [][]byte
-	rx.OnReceive = func(f []byte, md RxMeta) { got = append(got, f) }
+	rx.OnReceive = func(f []byte, md RxMeta) { got = append(got, bytes.Clone(f)) }
 
 	want := frame(700, 42)
 	for i := 0; i < 10; i++ {
@@ -162,7 +162,7 @@ func TestInlineMMIOPushPath(t *testing.T) {
 	rx := b.drv.NewEthPort(EthPortConfig{TxEntries: 64, RxEntries: 64})
 	b.nic.ESwitch().AddRule(0, nic.Rule{Action: nic.Action{ToRQ: rx.RQ()}})
 	var got []byte
-	rx.OnReceive = func(f []byte, md RxMeta) { got = f }
+	rx.OnReceive = func(f []byte, md RxMeta) { got = bytes.Clone(f) }
 	small := frame(50, 4) // 92 B frame <= 96 B inline capacity
 	if len(small) > 96 {
 		t.Fatalf("test frame too big: %d", len(small))

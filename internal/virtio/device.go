@@ -105,8 +105,11 @@ func (d *NetDevice) BARSize() uint64 { return 0x1000 }
 // NotifyOffset returns the BAR offset of a queue's notify register.
 func NotifyOffset(q int) uint64 { return uint64(q) * 4 }
 
-// MMIORead implements pcie.Device.
-func (d *NetDevice) MMIORead(offset uint64, size int) []byte { return make([]byte, size) }
+// MMIORead implements pcie.Device: the notify registers read as zero.
+func (d *NetDevice) MMIORead(offset uint64, dst []byte) bool {
+	clear(dst)
+	return true
+}
 
 // MMIOWrite implements pcie.Device: queue notifications.
 func (d *NetDevice) MMIOWrite(offset uint64, data []byte) {

@@ -80,7 +80,7 @@ func TestVirtioEndToEnd(t *testing.T) {
 	// The notify registers are write-only: a read completes, with zeros.
 	var reg []byte
 	a.fab.PortOf(a.mem).Read(a.fab.PortOf(a.dev).Base()+NotifyOffset(TxQueue), 4,
-		func(c pcie.Completion) { reg = c.Data })
+		func(c pcie.Completion) { reg = bytes.Clone(c.Data) })
 	eng.Run()
 	if !bytes.Equal(reg, make([]byte, 4)) {
 		t.Fatalf("notify register read %x, want four zero bytes", reg)

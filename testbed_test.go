@@ -45,7 +45,7 @@ func TestFLDERemoteEcho(t *testing.T) {
 
 	var received [][]byte
 	port.OnReceive = func(frame []byte, md swdriver.RxMeta) {
-		received = append(received, frame)
+		received = append(received, bytes.Clone(frame))
 	}
 
 	const n = 100
