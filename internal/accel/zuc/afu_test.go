@@ -134,7 +134,7 @@ func TestRequestCodecRejectsGarbage(t *testing.T) {
 	if _, err := zuc.ParseRequest([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short request accepted")
 	}
-	bad := zuc.Request{Op: zuc.OpEncrypt, BitLen: 9999, Payload: []byte{1}}.Marshal()
+	bad := zuc.Request{Op: zuc.OpEncrypt, BitLen: 9999, Payload: []byte{1}}.Marshal(nil)
 	if _, err := zuc.ParseRequest(bad); err == nil {
 		t.Fatal("oversized bit length accepted")
 	}
@@ -155,7 +155,7 @@ func TestCryptodevDropsMalformedResponses(t *testing.T) {
 	// The op above has ID 1; the simulation never runs, so every response
 	// it sees is one of these.
 	authResp := func(payload []byte) []byte {
-		return zuc.Request{Op: zuc.OpAuth | 0x80, ID: 1, Payload: payload}.Marshal()
+		return zuc.Request{Op: zuc.OpAuth | 0x80, ID: 1, Payload: payload}.Marshal(nil)
 	}
 	bad := []struct {
 		name string

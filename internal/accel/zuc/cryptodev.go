@@ -68,7 +68,9 @@ func (c *Cryptodev) Enqueue(op *Op) {
 		Count: op.Count, Key: op.Key, ID: op.id,
 		BitLen: len(op.Data) * 8, Payload: op.Data,
 	}
-	c.ep.Send(req.Marshal())
+	b := req.Marshal(c.eng.Bufs().Get(HeaderBytes + len(op.Data)))
+	c.ep.Send(b)
+	c.eng.Bufs().Put(b)
 }
 
 func (c *Cryptodev) onResponse(msg []byte) {

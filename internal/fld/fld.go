@@ -396,7 +396,7 @@ func txNotify(a any) {
 		if t := f.tlm; t != nil {
 			t.wqeMMIO.Inc()
 		}
-		f.port.WriteOwned(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, nil)
+		f.port.WriteOwned(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, wqe, nil)
 		return
 	}
 	var b [4]byte

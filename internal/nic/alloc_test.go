@@ -64,25 +64,37 @@ func TestESwitchTraversalZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRoCEFramingOneAllocPerFrame pins the transport's framing at one
-// allocation per frame — the frame itself, exactly sized — for data
-// packets and for ACK/NAKs. The control frame is measured all the way
-// through transmit and across the cable (dropped at its far edge by
-// injected loss), so the ACK path adds nothing of its own.
-func TestRoCEFramingOneAllocPerFrame(t *testing.T) {
+// TestRoCEFramingZeroAlloc pins the transport's framing at zero
+// allocations per frame once the pools are warm, for data packets and for
+// ACK/NAKs. A data packet is framed into a pooled buffer the
+// retransmission queue keeps, emitted as a pooled copy and released as an
+// ACK would release it; each frame is measured all the way through
+// transmit and across the cable, dropped at its far edge by injected
+// loss, which puts it back.
+func TestRoCEFramingZeroAlloc(t *testing.T) {
 	h := newRDMAHarness(t, 1024)
 	h.wire.Loss = func(int, []byte) bool { return true }
 	payload := make([]byte, 1024)
-	if avg := testing.AllocsPerRun(100, func() { h.qpA.buildPacket(btSendMiddle, 7, payload) }); avg != 1 {
-		t.Errorf("buildPacket: %.1f allocations per frame, want 1", avg)
+	data := func() {
+		p := txPkt{frame: h.qpA.buildPacket(btSendMiddle, 7, payload)}
+		h.qpA.emit(7, &p)
+		h.qpA.release(&p)
+		h.eng.Run()
 	}
 	ack := func() {
 		h.qpB.sendCtl(btAck, 7)
 		h.eng.Run()
 	}
-	ack() // warm: wire transit record, drop-reason counter
-	if avg := testing.AllocsPerRun(100, ack); avg != 1 {
-		t.Errorf("sendCtl: %.1f allocations per ACK, want 1", avg)
+	data() // warm: buffer classes, wire transit record, drop-reason counter
+	ack()
+	if avg := testing.AllocsPerRun(100, data); avg != 0 {
+		t.Errorf("data frame: %.1f allocations per frame, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, ack); avg != 0 {
+		t.Errorf("sendCtl: %.1f allocations per ACK, want 0", avg)
+	}
+	if n := h.eng.Bufs().Outstanding(); n != 0 {
+		t.Errorf("%d frames outstanding after every frame was lost on the cable, want 0", n)
 	}
 }
 
@@ -105,9 +117,9 @@ func TestRQPlacementZeroAlloc(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		drq.post(b.fab.AddrOf(b.mem, bufBase+uint64(i)*32768), 32768, 8)
 	}
-	pkt := make([]byte, 200)
 	rx := func() {
-		rq.deliver(pkt, CQE{Opcode: CQERecv, Last: true})
+		pkt := eng.Bufs().Get(200)
+		rq.deliver(pkt, pkt, CQE{Opcode: CQERecv, Last: true})
 		eng.Run()
 	}
 	rx() // warm: descriptor fetch, host-memory page, pooled records
@@ -119,13 +131,13 @@ func TestRQPlacementZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAllocsPerRingSend pins a ring-posted send on a
-// warm queue — doorbell, descriptor fetch, txEngine slot, payload gather,
-// egress, lost at the cable's far edge — at one allocation: the frame the
-// gathered payload is copied into, which outlives the gather on the wire.
-// Both reads' completion buffers are borrowed from the engine's BufPool,
-// and their state rides in pooled records whose completion callbacks were
-// bound when the records were made, so neither read costs a closure.
+// TestAllocsPerRingSend pins a ring-posted send on a warm queue —
+// doorbell, descriptor fetch, txEngine slot, payload gather, egress, lost
+// at the cable's far edge — at zero allocations. Both reads' completion
+// buffers are borrowed from the engine's BufPool, and so is the frame the
+// gathered payload is copied into, which the cable puts back when it
+// loses it; the state rides in pooled records whose completion callbacks
+// were bound when the records were made, so neither read costs a closure.
 func TestAllocsPerRingSend(t *testing.T) {
 	eng, a, b, w := twoNodes(t)
 	instrumented(a, b)
@@ -146,8 +158,8 @@ func TestAllocsPerRingSend(t *testing.T) {
 		eng.Run()
 	}
 	send() // warm: pooled records, host-memory pages, wire transit record
-	if avg := testing.AllocsPerRun(200, send); avg != 1 {
-		t.Errorf("ring-posted send: %.2f allocations, want 1 (the frame)", avg)
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Errorf("ring-posted send: %.2f allocations, want 0", avg)
 	}
 	if got := a.nic.Stats.TxPackets; got != 202 || dsq.sq.CI() != pi {
 		t.Errorf("sent %d frames with ci=%d pi=%d, want 202 and a drained queue", got, dsq.sq.CI(), pi)

@@ -131,7 +131,9 @@ func (rq *RQ) Reset() {
 	rq.fetchSeq, rq.drainSeq = 0, 0
 	rq.fetched = nil
 	rq.ready.Reset()
-	rq.backlog.Reset()
+	for rq.backlog.Len() > 0 {
+		rq.n.eng.Bufs().Put(rq.backlog.Pop().buf)
+	}
 	rq.haveCur = false
 	rq.state = QueueReady
 	rq.n.Stats.QueueRecoveries++

@@ -101,8 +101,8 @@ func (rq *RQ) fail() {
 	rq.state = QueueError
 	rq.epoch++
 	rq.n.Stats.QueueErrors++
-	for ; rq.backlog.Len() > 0; rq.backlog.Pop() {
-		rq.n.drop(DropDeviceDown)
+	for rq.backlog.Len() > 0 {
+		rq.n.dropFrame(DropDeviceDown, rq.backlog.Pop().buf)
 	}
 }
 
@@ -115,5 +115,5 @@ func (qp *QP) fail() {
 	}
 	qp.state = QueueError
 	qp.n.Stats.QueueErrors++
-	qp.snd.Flush(func(*txPkt) { qp.n.drop(DropDeviceDown) })
+	qp.snd.Flush(func(p *txPkt) { qp.n.dropFrame(DropDeviceDown, p.frame) })
 }

