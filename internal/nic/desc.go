@@ -91,9 +91,7 @@ func (w SendWQE) WireSize() int {
 // recycled buffer (e.g. from a sim.BufPool or a per-ring scratch array).
 func (w SendWQE) MarshalInto(b []byte) {
 	b = b[:w.WireSize()]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 	b[0] = w.Opcode
 	binary.BigEndian.PutUint16(b[2:], w.Index)
 	binary.BigEndian.PutUint32(b[4:], w.QPN)
@@ -233,9 +231,7 @@ func (c CQE) Marshal() []byte {
 // every byte so recycled buffers are safe.
 func (c CQE) MarshalInto(b []byte) {
 	b = b[:CQESize]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 	b[0] = c.Opcode
 	if c.ChecksumOK {
 		b[1] |= 1

@@ -60,9 +60,7 @@ func (s *etsScheduler) dispatch(sq *SQ, frame []byte, flowTag uint32, onSent fun
 	key, w, _ := sq.etsKey()
 	q := s.queues[key]
 	if q == nil {
-		if w < 1 {
-			w = 1
-		}
+		w = max(w, 1)
 		q = &etsQueue{weight: w}
 		s.queues[key] = q
 	}
@@ -81,9 +79,7 @@ func (s *etsScheduler) dispatch(sq *SQ, frame []byte, flowTag uint32, onSent fun
 // dispatch; frames already queued keep their accumulated deficit.
 func (s *etsScheduler) setWeight(key uint32, w int) {
 	if q := s.queues[key]; q != nil {
-		if w < 1 {
-			w = 1
-		}
+		w = max(w, 1)
 		q.weight = w
 	}
 }

@@ -167,9 +167,7 @@ func tcpFrame(src, dst *flexdriver.NIC, sport, dport uint16, payload []byte) []b
 // ops (hits once the PUT landed, misses before). The send ordinal goes
 // into the correlation ID at rpcStampOff.
 func rpcReqFrame(src, dst *flexdriver.NIC, sport, dport uint16, size, fi int) []byte {
-	if size < rpcFrameMin {
-		size = rpcFrameMin
-	}
+	size = max(size, rpcFrameMin)
 	op, keyFlow := uint8(rpc.OpPut), fi
 	if fi%2 == 1 {
 		op, keyFlow = rpc.OpGet, fi-1

@@ -115,9 +115,7 @@ func candidates(s Spec) []Spec {
 		if s.AggClients > 2 {
 			c2 := s
 			c2.AggClients = s.AggClients / 2
-			if c2.AggClients < c2.AggHosts {
-				c2.AggClients = c2.AggHosts
-			}
+			c2.AggClients = max(c2.AggClients, c2.AggHosts)
 			add(c2)
 		}
 		if s.AggHosts > 1 {

@@ -192,9 +192,7 @@ func Generate(seed int64) Spec {
 	if s.Tenants == 0 && arng.Intn(4) == 0 {
 		s.AggHosts = []int{2, 4, 8, 16, 32, 64}[arng.Intn(6)]
 		s.AggClients = s.AggHosts * []int{2, 4, 8, 16, 32}[arng.Intn(5)]
-		if s.AggClients > 2048 {
-			s.AggClients = 2048
-		}
+		s.AggClients = min(s.AggClients, 2048)
 		per := s.PerClientGbps * float64(s.Clients) / float64(s.AggClients)
 		s.PerClientGbps = float64(int(per*1e5)) / 1e5
 		if s.PerClientGbps < 1e-5 {

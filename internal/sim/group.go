@@ -124,9 +124,7 @@ func (g *Group) Engines() []*Engine { return g.engines }
 // inside the sender's lookahead horizon); too small only costs barrier
 // rounds.
 func (g *Group) SetLookahead(d Duration) {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	g.lookahead = d
 }
 
@@ -195,9 +193,7 @@ func (g *Group) Run() {
 func (g *Group) RunUntil(deadline Time) {
 	g.run(deadline, false)
 	g.advanceAll(deadline)
-	if g.now < deadline {
-		g.now = deadline
-	}
+	g.now = max(g.now, deadline)
 }
 
 // run is the round loop shared by Run and RunUntil.
@@ -213,9 +209,7 @@ func (g *Group) run(deadline Time, drain bool) {
 			// Every event before cAt is done (tNext >= cAt), so the
 			// barrier action sees a fully quiesced world at cAt.
 			g.advanceAll(cAt)
-			if g.now < cAt {
-				g.now = cAt
-			}
+			g.now = max(g.now, cAt)
 			g.runControlsAt(cAt)
 			continue
 		}
@@ -257,9 +251,7 @@ func (g *Group) run(deadline Time, drain bool) {
 				// run-ahead.
 				ownerEnd = base
 			}
-			if ownerEnd < base {
-				ownerEnd = base
-			}
+			ownerEnd = max(ownerEnd, base)
 		}
 		bound := maxTime
 		if haveC && cAt < bound {
@@ -268,12 +260,8 @@ func (g *Group) run(deadline Time, drain bool) {
 		if !drain && deadline < bound-1 {
 			bound = deadline + 1 // cannot wrap: deadline < maxTime-1
 		}
-		if base > bound {
-			base = bound
-		}
-		if ownerEnd > bound {
-			ownerEnd = bound
-		}
+		base = min(base, bound)
+		ownerEnd = min(ownerEnd, bound)
 		g.round(base, ownerEnd, tNext)
 	}
 }

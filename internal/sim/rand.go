@@ -59,9 +59,7 @@ func (r *Rand) Zipf(s, v float64, imax uint64) func() uint64 {
 // used for Poisson (open-loop) arrival processes.
 func (r *Rand) Exp(mean Duration) Duration {
 	d := Time(r.ExpFloat64() * float64(mean))
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	return d
 }
 

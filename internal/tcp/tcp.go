@@ -139,9 +139,7 @@ func (c *Config) fill() {
 	if c.Window == 0 {
 		c.Window = 16 << 10
 	}
-	if c.Window > 0xffff {
-		c.Window = 0xffff
-	}
+	c.Window = min(c.Window, 0xffff)
 }
 
 // Stats counts a connection's transport events.
@@ -267,9 +265,7 @@ func (c *Conn) Send(data []byte) error {
 	}
 	for len(data) > 0 {
 		n := len(data)
-		if n > c.cfg.MTU {
-			n = c.cfg.MTU
-		}
+		n = min(n, c.cfg.MTU)
 		c.snd.Push(uint32(n), append([]byte(nil), data[:n]...))
 		data = data[n:]
 	}
@@ -296,9 +292,7 @@ func (c *Conn) Close() error {
 func (c *Conn) Consume(n int) {
 	wasClosed := c.window() == 0
 	c.buffered -= n
-	if c.buffered < 0 {
-		c.buffered = 0
-	}
+	c.buffered = max(c.buffered, 0)
 	if wasClosed && c.window() > 0 && (c.state == StateEstablished || c.state == StateFinWait) {
 		c.sendAck() // window update: un-stall the peer
 	}
@@ -307,9 +301,7 @@ func (c *Conn) Consume(n int) {
 // window returns the current advertised receive window.
 func (c *Conn) window() int {
 	w := c.cfg.Window - c.buffered
-	if w < 0 {
-		w = 0
-	}
+	w = max(w, 0)
 	return w
 }
 

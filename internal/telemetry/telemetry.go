@@ -114,9 +114,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
+	v = max(v, 0)
 	h.counts[bits.Len64(uint64(v))]++
 	h.n++
 	h.sum += v
