@@ -83,3 +83,19 @@ func TestBufPoolRoundTripZeroAlloc(t *testing.T) {
 		t.Fatalf("Outstanding = %d after balanced round trips, want 0", got)
 	}
 }
+
+// TestBufPoolTakesNextClassUp: a Get whose class is empty takes a buffer
+// of the next class up, so an engine that receives 256 B frames and sends
+// 128 B ones recycles instead of allocating; two classes up it allocates,
+// so a descriptor never pins a frame-sized buffer.
+func TestBufPoolTakesNextClassUp(t *testing.T) {
+	p := NewBufPool()
+	p.Put(make([]byte, 0, 256))
+	if b := p.Get(100); cap(b) != 256 || len(b) != 100 || p.misses != 0 {
+		t.Fatalf("Get(100) over a spare 256 B buffer: len %d cap %d, %d misses; want 100, 256, 0", len(b), cap(b), p.misses)
+	}
+	p.Put(make([]byte, 0, 256))
+	if b := p.Get(64); cap(b) != 64 || p.misses != 1 {
+		t.Fatalf("Get(64) with only a 256 B buffer spare: cap %d, %d misses; want a new 64 B buffer", cap(b), p.misses)
+	}
+}
