@@ -34,13 +34,14 @@ func main() {
 		0x7a, 0x60, 0x04, 0x94, 0x70, 0xf0, 0x0a, 0x29}
 	plain := []byte("user-plane traffic headed for the eNodeB, protected with 128-EEA3")
 
-	// Encrypt remotely, then decrypt remotely, and verify round trip.
+	// Encrypt remotely, then decrypt remotely, and verify round trip. A
+	// result is borrowed until Done returns: keeping it takes a copy.
 	var cipher, back []byte
 	cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: 0x66035492, Bearer: 0xf, Data: plain,
 		Done: func(enc *zuc.Op) {
-			cipher = enc.Result
+			cipher = bytes.Clone(enc.Result)
 			cd.Enqueue(&zuc.Op{Op: zuc.OpDecrypt, Key: key, Count: 0x66035492, Bearer: 0xf, Data: cipher,
-				Done: func(dec *zuc.Op) { back = dec.Result }})
+				Done: func(dec *zuc.Op) { back = bytes.Clone(dec.Result) }})
 		}})
 
 	// Also compute an integrity tag remotely.

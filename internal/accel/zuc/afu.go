@@ -122,12 +122,13 @@ type AFU struct {
 	Requests, Responses, Dropped, Bad int64
 }
 
-// laneJob carries one request through its lane's service time, recycled
-// through the AFU's pool, so a request schedules no closure.
+// laneJob carries one request, and buf, the pooled message it aliases,
+// through its lane's service time, recycled through the AFU's pool.
 type laneJob struct {
 	sim.Link[laneJob]
 	a   *AFU
 	req Request
+	buf []byte
 	tag uint32
 }
 
@@ -141,43 +142,41 @@ func NewAFU(f *fld.FLD, eng *sim.Engine, nLanes int, prm LaneParams) *AFU {
 	return a
 }
 
-// Receive implements fld.Handler: reassemble the RDMA message, then
-// dispatch its request to the least-loaded lane (the front-end
-// load-balancing unit).
-//
-// Fragments collect in the QP's scratch; a complete message leaves it as
-// one exact-length copy, because its request aliases it until its lane
-// fires and by then the scratch is taking the QP's next message.
+// Receive implements fld.Handler: reassemble the RDMA message in the QP's
+// scratch, then dispatch its request to the least-loaded lane (the
+// front-end load-balancing unit).
 func (a *AFU) Receive(data []byte, md fld.Metadata) {
-	buf, ok := a.reasm[md.Tag]
+	buf := a.reasm[md.Tag]
 	if md.Last && len(buf) == 0 {
-		a.handle(slices.Clone(data), md.Tag)
+		a.handle(data, md.Tag)
 		return
 	}
-	if !ok {
+	if buf == nil {
 		buf = make([]byte, 0, a.f.Config().RxWQEBytes)
 	}
 	buf = append(buf, data...)
-	if !md.Last {
-		a.reasm[md.Tag] = buf
-		return
+	if md.Last {
+		a.handle(buf, md.Tag)
+		buf = buf[:0]
 	}
-	a.reasm[md.Tag] = buf[:0]
-	a.handle(slices.Clone(buf), md.Tag)
+	a.reasm[md.Tag] = buf
 }
 
-// handle decodes one request and runs it on a lane.
-func (a *AFU) handle(buf []byte, tag uint32) {
-	req, err := ParseRequest(buf)
+// handle decodes a borrowed request and gives its lane a pooled copy: the
+// QP's scratch takes the next message while the lane runs.
+func (a *AFU) handle(msg []byte, tag uint32) {
+	req, err := ParseRequest(msg)
 	if err != nil {
 		a.Bad++
 		return
 	}
+	buf := a.f.Engine().Bufs().Clone(msg)
+	req.Payload = buf[HeaderBytes:]
 	a.Requests++
 	lane := a.pickLane()
 	service := a.prm.PerMessage + sim.Duration(len(req.Payload))*a.prm.PerByte
 	j := a.jobs.Get()
-	*j = laneJob{a: a, req: req, tag: tag}
+	*j = laneJob{a: a, req: req, buf: buf, tag: tag}
 	a.eng.AtArg(lane.Acquire(service), laneDone, j)
 }
 
@@ -197,7 +196,8 @@ func laneDone(x any) {
 	hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
 	hdr.putHeader(resp)
 	compute(resp[HeaderBytes:], req)
-	j.req = Request{} // hold no message buffer while pooled
+	bufs.Put(j.buf)
+	j.req, j.buf = Request{}, nil // hold no message buffer while pooled
 	a.jobs.Put(j)
 	a.send(tag, resp)
 	bufs.Put(resp)

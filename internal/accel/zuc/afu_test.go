@@ -3,6 +3,7 @@ package zuc_test
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"flexdriver"
 	"flexdriver/internal/accel/zuc"
@@ -48,15 +49,16 @@ func TestDisaggregatedEncryptMatchesLocal(t *testing.T) {
 		plain[i] = byte(i * 31)
 	}
 	var done *zuc.Op
+	var result []byte
 	cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: 0x66035492, Bearer: 0xf,
-		Data: plain, Done: func(o *zuc.Op) { done = o }})
+		Data: plain, Done: func(o *zuc.Op) { done, result = o, bytes.Clone(o.Result) }}) // Result is borrowed
 	rp.Run()
 
 	if done == nil {
 		t.Fatalf("op never completed (afu: %+v)", afu)
 	}
 	want := zuc.EEA3(key, 0x66035492, 0xf, 0, plain, len(plain)*8)
-	if !bytes.Equal(done.Result, want) {
+	if !bytes.Equal(result, want) {
 		t.Fatal("remote ciphertext differs from local EEA3")
 	}
 	if done.DoneAt <= done.SubmittedAt {
@@ -73,7 +75,7 @@ func TestDisaggregatedEncryptDecryptRoundTrip(t *testing.T) {
 	cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: key, Count: 1, Data: plain,
 		Done: func(enc *zuc.Op) {
 			cd.Enqueue(&zuc.Op{Op: zuc.OpDecrypt, Key: key, Count: 1, Data: enc.Result,
-				Done: func(dec *zuc.Op) { final = dec.Result }})
+				Done: func(dec *zuc.Op) { final = bytes.Clone(dec.Result) }})
 		}})
 	rp.Run()
 
@@ -179,5 +181,60 @@ func TestCryptodevDropsMalformedResponses(t *testing.T) {
 	// The op was still in flight: the well-formed response completes it.
 	if completed != 1 || mac != 0xdeadbeef || cd.BadResponses != int64(len(bad)) {
 		t.Fatalf("well-formed response: completed=%d mac=%08x bad=%d", completed, mac, cd.BadResponses)
+	}
+}
+
+// TestAFURequestsReturnToPool: the AFU copies each complete request into a
+// buffer from the engine's BufPool, which its lane job owns; laneDone puts
+// it back once the cipher has read it, and a request that does not parse
+// goes back at once. A single-fragment request, a multi-fragment one and
+// an unparsable one each leave the pool balanced at quiescence, with no
+// buffer put back twice.
+func TestAFURequestsReturnToPool(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size int // payload bytes; the RoCE MTU is 1 KiB
+		bad  bool
+	}{
+		{"single fragment", 512, false},
+		{"multi fragment", 4096, false},
+		{"unparsable", 512, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rp, afu, cd, ep := newZucTestbedEndpoint(t)
+			completed := 0
+			if tc.bad {
+				ep.Send(make([]byte, zuc.HeaderBytes+tc.size)) // no request magic
+			} else {
+				cd.Enqueue(&zuc.Op{Op: zuc.OpEncrypt, Key: [16]byte{5}, Data: make([]byte, tc.size),
+					Done: func(*zuc.Op) { completed++ }})
+			}
+			rp.Run()
+			if tc.bad && afu.Bad != 1 || !tc.bad && (completed != 1 || afu.Requests != 1) {
+				t.Fatalf("completed %d, afu requests %d, bad %d", completed, afu.Requests, afu.Bad)
+			}
+			bufs := rp.Engine().Bufs()
+			if n := bufs.Outstanding(); n != 0 {
+				t.Errorf("%d buffers outstanding at quiescence: a request message was not put back", n)
+			}
+			// Draining every class hands each pooled buffer out once; a
+			// repeated address was put back twice.
+			seen := map[*byte]bool{}
+			var held [][]byte
+			for size := 64; size <= 16384; size *= 2 {
+				for range 64 {
+					b := bufs.Get(size)
+					if p := unsafe.SliceData(b); seen[p] {
+						t.Errorf("buffer %p handed out twice: it was put back twice", p)
+					} else {
+						seen[p] = true
+					}
+					held = append(held, b)
+				}
+			}
+			for _, b := range held {
+				bufs.Put(b)
+			}
+		})
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // Op is one asynchronous cipher operation, in the style of a DPDK
-// cryptodev op. Submit with Cryptodev.Enqueue; OnComplete (or the op's
-// Done callback) fires with the result.
+// cryptodev op. Submit with Cryptodev.Enqueue; Done fires with the result.
 type Op struct {
 	Op        uint8
 	Key       [16]byte
@@ -19,7 +18,8 @@ type Op struct {
 	Data      []byte
 
 	// Result holds the processed payload (ciphertext/plaintext) or, for
-	// OpAuth, is empty with MAC set.
+	// OpAuth, is empty with MAC set. Cryptodev's is borrowed until Done
+	// returns (nil after): a Done that keeps the bytes copies them.
 	Result []byte
 	MAC    uint32
 
@@ -98,6 +98,7 @@ func (c *Cryptodev) onResponse(msg []byte) {
 	if op.Done != nil {
 		op.Done(op)
 	}
+	op.Result = nil
 }
 
 // SoftCryptodev is the CPU baseline: DPDK's software ZUC driver (backed

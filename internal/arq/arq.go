@@ -9,10 +9,9 @@ package arq
 
 import "flexdriver/internal/sim"
 
-// unit is n sequence numbers from seq; sent units are a queue prefix.
+// unit is n sequence numbers from seq.
 type unit[T any] struct {
 	seq, n uint32
-	sent   bool
 	v      T
 }
 
@@ -21,6 +20,7 @@ type Sender[T any] struct {
 	Una, Nxt uint32
 
 	q        sim.FIFO[unit[T]]
+	sent     int // sent units are a queue prefix: its length
 	rto      *sim.Timer
 	d        sim.Duration
 	armedUna uint32 // Una when the timer was armed
@@ -39,27 +39,23 @@ func (s *Sender[T]) Push(n uint32, v T) {
 // Unsent returns the oldest unit not yet transmitted; v is nil when every
 // queued unit was sent.
 func (s *Sender[T]) Unsent() (seq uint32, v *T) {
-	for i := 0; i < s.q.Len(); i++ {
-		if u := s.q.Peek(i); !u.sent {
-			return u.seq, &u.v
-		}
+	if s.sent == s.q.Len() {
+		return 0, nil
 	}
-	return 0, nil
+	u := s.q.Peek(s.sent)
+	return u.seq, &u.v
 }
 
 // Pump transmits unsent units in order while fits admits them and
 // returns the first one it refused (v nil if none). It does not arm the
 // timer: the owner may have more to do at this instant first.
 func (s *Sender[T]) Pump(fits func(seq uint32, v *T) bool, emit func(seq uint32, v *T)) (seq uint32, v *T) {
-	for i := 0; i < s.q.Len(); i++ {
-		u := s.q.Peek(i)
-		if u.sent {
-			continue
-		}
+	for s.sent < s.q.Len() {
+		u := s.q.Peek(s.sent)
 		if !fits(u.seq, &u.v) {
 			return u.seq, &u.v
 		}
-		u.sent = true
+		s.sent++
 		emit(u.seq, &u.v)
 	}
 	return 0, nil
@@ -69,9 +65,9 @@ func (s *Sender[T]) Pump(fits func(seq uint32, v *T) bool, emit func(seq uint32,
 // and returns how many units it resent. Resend then Pump under one
 // predicate resends all the window holds.
 func (s *Sender[T]) Resend(fits func(seq uint32, v *T) bool, emit func(seq uint32, v *T)) (n int) {
-	for ; n < s.q.Len(); n++ {
+	for ; n < s.sent; n++ {
 		u := s.q.Peek(n)
-		if !u.sent || !fits(u.seq, &u.v) {
+		if !fits(u.seq, &u.v) {
 			break
 		}
 		emit(u.seq, &u.v)
@@ -94,6 +90,7 @@ func (s *Sender[T]) Ack(to uint32, done func(v *T)) bool {
 			done(&s.q.Peek(0).v)
 		}
 		s.q.Pop()
+		s.sent = max(s.sent-1, 0)
 	}
 	return true
 }
@@ -122,7 +119,7 @@ const (
 // Timeout judges an expiry: it spends a retry only if Una has not moved
 // since Arm and the head was sent.
 func (s *Sender[T]) Timeout(budget int) Verdict {
-	if s.q.Len() == 0 || !s.q.Peek(0).sent || s.Una != s.armedUna {
+	if s.sent == 0 || s.Una != s.armedUna {
 		return Rearm
 	}
 	if s.Retry(budget) {
@@ -147,6 +144,6 @@ func (s *Sender[T]) Flush(done func(v *T)) {
 		}
 	}
 	s.q.Reset()
-	s.Una, s.Nxt, s.retries = 0, 0, 0
+	s.Una, s.Nxt, s.sent, s.retries = 0, 0, 0, 0
 	s.rto.Stop()
 }

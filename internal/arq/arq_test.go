@@ -163,6 +163,36 @@ func TestPumpAndResend(t *testing.T) {
 	}
 }
 
+// TestPumpStartsAtFirstUnsent: the sent units are a queue prefix whose
+// length the sender keeps, so Pump and Unsent start at the first unsent
+// unit. An Ack that pops sent units shortens the prefix, and a Flush
+// empties it: a fresh unit after either is the next one sent.
+func TestPumpStartsAtFirstUnsent(t *testing.T) {
+	h := newHarness()
+	for _, l := range []string{"a", "b", "c", "d"} {
+		h.s.Push(1, l)
+	}
+	var out []string
+	emit := func(_ uint32, v *string) { out = append(out, *v) }
+	h.s.Pump(func(seq uint32, _ *string) bool { return seq < 2 }, emit)
+	h.s.Ack(1, nil)
+	if s, v := h.s.Unsent(); v == nil || *v != "c" || s != 2 {
+		t.Fatalf("after acking a of the sent prefix a b: Unsent = %d %v, want c at 2", s, v)
+	}
+	out = nil
+	h.s.Pump(all, emit)
+	if !slices.Equal(out, []string{"c", "d"}) {
+		t.Fatalf("Pump after the ack emitted %v, want c d", out)
+	}
+	h.s.Flush(nil)
+	h.s.Push(1, "x")
+	out = nil
+	h.s.Pump(all, emit)
+	if !slices.Equal(out, []string{"x"}) {
+		t.Fatalf("Pump after Flush emitted %v, want x", out)
+	}
+}
+
 // TestFlushOrder: Flush hands every unit to done oldest first, then
 // zeroes both sequence numbers, refills the budget and stops the timer.
 func TestFlushOrder(t *testing.T) {

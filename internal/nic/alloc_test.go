@@ -66,17 +66,17 @@ func TestESwitchTraversalZeroAlloc(t *testing.T) {
 
 // TestRoCEFramingZeroAlloc pins the transport's framing at zero
 // allocations per frame once the pools are warm, for data packets and for
-// ACK/NAKs. A data packet is framed into a pooled buffer the
-// retransmission queue keeps, emitted as a pooled copy and released as an
-// ACK would release it; each frame is measured all the way through
-// transmit and across the cable, dropped at its far edge by injected
-// loss, which puts it back.
+// ACK/NAKs. A data packet's message is a pooled copy, as send makes it;
+// emit frames the packet from it into a pooled buffer, and the message is
+// released as an ACK would release it; each frame is measured all the way
+// through transmit and across the cable, dropped at its far edge by
+// injected loss, which puts it back.
 func TestRoCEFramingZeroAlloc(t *testing.T) {
 	h := newRDMAHarness(t, 1024)
 	h.wire.Loss = func(int, []byte) bool { return true }
 	payload := make([]byte, 1024)
 	data := func() {
-		p := txPkt{frame: h.qpA.buildPacket(btSendMiddle, 7, payload)}
+		p := txPkt{msg: h.eng.Bufs().Clone(payload), n: 1024, op: btSendOnly, last: true}
 		h.qpA.emit(7, &p)
 		h.qpA.release(&p)
 		h.eng.Run()

@@ -115,5 +115,5 @@ func (qp *QP) fail() {
 	}
 	qp.state = QueueError
 	qp.n.Stats.QueueErrors++
-	qp.snd.Flush(func(p *txPkt) { qp.n.dropFrame(DropDeviceDown, p.frame) })
+	qp.snd.Flush(func(p *txPkt) { qp.n.drop(DropDeviceDown); qp.release(p) })
 }

@@ -144,9 +144,31 @@ func TestFrameEndsReturnToPool(t *testing.T) {
 // and ACKs placed and consumed, the retransmission queue released by ACKs,
 // by go-back-N across losses and by its three flushes (retry exhaustion,
 // reconnect, device crash), and a receiver's drops (unknown QPN, a QP in
-// error, a stale epoch, out of order, duplicates).
+// error, a stale epoch, out of order, duplicates). The queue's pooled
+// copy of each message goes back once, with its last packet: the flushes
+// run on whole queues and on queues whose head message was acked in part.
 func TestRoCEFrameEndsReturnToPool(t *testing.T) {
-	msg := make([]byte, 3000)
+	msg := make([]byte, 3000) // three packets
+	// ackedInPart queues two messages and loses the second packet of the
+	// first and every packet from the fourth on: the third arrives out of
+	// order, its NAK acks the first, and the rest of both messages stays
+	// queued.
+	ackedInPart := func(t *testing.T, h *rdmaHarness) {
+		n := 0
+		h.wire.Loss = func(dir int, _ []byte) bool {
+			if dir != 0 {
+				return false
+			}
+			n++
+			return n == 2 || n >= 4
+		}
+		h.sendMessage(msg, true)
+		h.sendMessage(msg, true)
+		h.eng.RunUntil(h.eng.Now() + 10*sim.Microsecond)
+		if h.qpA.snd.Una != 1 || h.qpA.Outstanding() != 5 {
+			t.Fatalf("una %d, %d packets queued; want the first packet acked and 5 queued", h.qpA.snd.Una, h.qpA.Outstanding())
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		run  func(t *testing.T, h *rdmaHarness)
@@ -189,6 +211,25 @@ func TestRoCEFrameEndsReturnToPool(t *testing.T) {
 			h.sendMessage(msg, true)
 			h.eng.RunUntil(h.eng.Now() + 10*sim.Microsecond)
 			h.a.nic.Crash()
+		}, DropDeviceDown},
+		{"acked in part, then retries exhausted", func(t *testing.T, h *rdmaHarness) {
+			ackedInPart(t, h)
+			h.eng.Run()
+			if h.qpA.State() != QueueError {
+				t.Errorf("QP state %v after the retries ran out, want Error", h.qpA.State())
+			}
+		}, DropRDMATimeout},
+		{"acked in part, then reconnect", func(t *testing.T, h *rdmaHarness) {
+			ackedInPart(t, h)
+			ReconnectQPs(h.qpA, h.qpB)
+		}, DropRDMAOutOfOrder},
+		{"acked in part, then crash", func(t *testing.T, h *rdmaHarness) {
+			ackedInPart(t, h)
+			drops := h.a.nic.Stats.Drops[DropDeviceDown]
+			h.a.nic.Crash()
+			if got := h.a.nic.Stats.Drops[DropDeviceDown] - drops; got != 5 {
+				t.Errorf("crash counted %d packets lost, want the 5 queued", got)
+			}
 		}, DropDeviceDown},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -116,13 +116,17 @@ type QP struct {
 	ackTimer    *sim.Timer
 }
 
-// txPkt is one packet in the retransmission queue, which owns frame.
+// txPkt is one packet in the retransmission queue: n bytes at off of its
+// message, framed afresh by each emit. msg is the QP's pooled copy of the
+// whole message, shared by its packets; the queue owns it, and the last
+// packet puts it back on leaving (acks are cumulative and in order, so
+// that packet leaves last).
 type txPkt struct {
-	frame  []byte
-	last   bool // last packet of its message
-	wqeIdx uint16
-	signal bool
-	msgLen uint32
+	msg          []byte
+	off, n       uint32
+	op           uint8
+	last, signal bool // last packet of its message; signaled message
+	wqeIdx       uint16
 }
 
 // QPConfig configures a queue pair.
@@ -157,8 +161,8 @@ func ConnectQPs(a, b *QP) {
 	b.connEpoch = a.connEpoch
 }
 
-// send accepts one message from the SQ and segments it into the
-// retransmission queue.
+// send accepts one message from the SQ, borrowed, and segments one pooled
+// copy of it into the retransmission queue.
 func (qp *QP) send(idx uint32, wqe SendWQE, data []byte) {
 	if qp.remoteNIC == nil {
 		qp.n.drop(DropQPNotConnected)
@@ -168,37 +172,22 @@ func (qp *QP) send(idx uint32, wqe SendWQE, data []byte) {
 		qp.n.drop(DropQPError)
 		return
 	}
-	total := uint32(len(data))
-	nseg := (len(data) + qp.MTU - 1) / qp.MTU
-	if nseg == 0 {
-		nseg = 1
-	}
-	for i := 0; i < nseg; i++ {
-		lo := i * qp.MTU
-		hi := lo + qp.MTU
-		hi = min(hi, len(data))
-		var op uint8
+	msg := qp.n.eng.Bufs().Clone(data)
+	for lo := 0; lo == 0 || lo < len(data); lo += qp.MTU {
+		hi := min(lo+qp.MTU, len(data))
+		op := uint8(btSendMiddle)
 		switch {
-		case nseg == 1:
+		case lo == 0 && hi == len(data):
 			op = btSendOnly
-		case i == 0:
+		case lo == 0:
 			op = btSendFirst
-		case i == nseg-1:
+		case hi == len(data):
 			op = btSendLast
-		default:
-			op = btSendMiddle
 		}
-		qp.snd.Push(1, txPkt{
-			frame: qp.buildPacket(op, qp.snd.Nxt, data[lo:hi]), last: i == nseg-1,
-			wqeIdx: uint16(idx), signal: wqe.Signal, msgLen: total,
-		})
+		qp.snd.Push(1, txPkt{msg: msg, off: uint32(lo), n: uint32(hi - lo), op: op,
+			last: hi == len(data), signal: wqe.Signal, wqeIdx: uint16(idx)})
 	}
 	qp.pump()
-}
-
-// buildPacket wraps a payload segment in RoCE v2 framing.
-func (qp *QP) buildPacket(op uint8, psn uint32, payload []byte) []byte {
-	return qp.frame(0xC000|uint16(qp.QPN&0x3fff), op, psn, payload)
 }
 
 // frame marshals Eth + IPv4 + UDP + BTH + payload + ICRC placeholder front
@@ -227,11 +216,18 @@ func (qp *QP) inWindow(psn uint32, _ *txPkt) bool {
 	return int32(psn-qp.snd.Una) < defaultQPWindow
 }
 
-// emit hands the wire a copy of the packet the queue keeps.
-func (qp *QP) emit(_ uint32, p *txPkt) { qp.transmit(qp.n.eng.Bufs().Clone(p.frame)) }
+// emit frames the packet for the wire, which owns the frame: every
+// transmission and retransmission is framed afresh from the message.
+func (qp *QP) emit(psn uint32, p *txPkt) {
+	qp.transmit(qp.frame(0xC000|uint16(qp.QPN&0x3fff), p.op, psn, p.msg[p.off:p.off+p.n]))
+}
 
-// release puts back the frame of a packet leaving the retransmission queue.
-func (qp *QP) release(p *txPkt) { qp.n.eng.Bufs().Put(p.frame) }
+// release puts back the message once its last packet leaves the queue.
+func (qp *QP) release(p *txPkt) {
+	if p.last {
+		qp.n.eng.Bufs().Put(p.msg)
+	}
+}
 
 // transmit emits a RoCE frame toward the remote NIC — over the wire, or
 // through the eSwitch hairpin when both QPs share one NIC (the paper's
@@ -305,7 +301,7 @@ func (qp *QP) enterError(syndrome uint8) {
 func (qp *QP) cqe(op, syndrome uint8, p *txPkt) {
 	if p.last && qp.SQ != nil && qp.SQ.CQ != nil {
 		qp.SQ.CQ.Push(CQE{Opcode: op, Syndrome: syndrome, Last: true, Index: p.wqeIdx,
-			Queue: qp.SQ.ID, ByteCount: p.msgLen, RemoteQPN: qp.QPN})
+			Queue: qp.SQ.ID, ByteCount: uint32(len(p.msg)), RemoteQPN: qp.QPN})
 	}
 }
 

@@ -25,7 +25,8 @@ func refRoCEFrame(qp *QP, srcPort uint16, op uint8, psn uint32, payload []byte) 
 	return append(eth.Marshal(nil), l2p...)
 }
 
-// TestRoCEFramingMatchesLayeredReference: data packets and ACK/NAKs are
+// TestRoCEFramingMatchesLayeredReference: data packets, as emit frames
+// them from a slice of their message, and ACK/NAKs reach the wire
 // byte-identical to the layer-by-layer assembly and round-trip through
 // parseRoCE, at the payload lengths where an off-by-one would show and in
 // both connection epochs.
@@ -46,7 +47,17 @@ func TestRoCEFramingMatchesLayeredReference(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, h.qpA.MTU - 1, h.qpA.MTU} {
 			psn := uint32(0xabc000 + n)
-			got := h.qpA.buildPacket(btSendMiddle, psn, payload[:n])
+			// The packet is the second segment of a message that
+			// starts with 3 bytes of something else.
+			pkt := txPkt{msg: h.eng.Bufs().Clone(append([]byte{9, 9, 9}, payload[:n]...)), off: 3, n: uint32(n), op: btSendMiddle}
+			onWire = onWire[:0]
+			h.qpA.emit(psn, &pkt)
+			h.eng.Bufs().Put(pkt.msg)
+			h.eng.Run()
+			if len(onWire) != 1 {
+				t.Fatalf("emit put %d frames on the wire, want 1", len(onWire))
+			}
+			got := onWire[0]
 			want := refRoCEFrame(h.qpA, 0xC000|uint16(h.qpA.QPN&0x3fff), btSendMiddle, psn, payload[:n])
 			if !bytes.Equal(got, want) {
 				t.Fatalf("epoch %d, %d-byte payload: frame differs from the layered reference\n got %x\nwant %x", epoch, n, got, want)

@@ -15,9 +15,8 @@ package sim
 // goes dead — "free on delivery", into the pool of the engine it dies on.
 // A callee it is lent to (a read completion's callback, an AFU's Receive)
 // borrows it for the call, and copies what it keeps. Where a frame would
-// be shared (wire duplication, flooding, the retransmission queue) each
-// holder gets its own copy. Put clears nothing (under the pooldebug tag it
-// poisons).
+// be shared (wire duplication, flooding) each holder gets its own copy.
+// Put clears nothing (under the pooldebug tag it poisons).
 //
 // Outstanding (Gets − Puts) is the leak counter: scenario.Check's
 // bufpool-leak invariant and the benchmark's bufpool_balanced check want
@@ -95,14 +94,18 @@ func (p *BufPool) Put(b []byte) {
 		return
 	}
 	p.puts++
-	if poisonOnPut {
-		for i, all := 0, b[:cap(b)]; i < len(all); i++ {
-			all[i] = 0xA5
-		}
-	}
+	Poison(b[:cap(b)])
 	c := bufClass(cap(b))
 	if c >= 0 && bufMinClass<<c == cap(b) && len(p.free[c]) < bufClassDepth {
 		p.free[c] = append(p.free[c], b[:0])
+	}
+}
+
+// Poison fills b with 0xA5 under the pooldebug tag, as Put does: an owner
+// that lends a buffer of its own poisons it when the loan ends.
+func Poison(b []byte) {
+	for i := 0; poisonOnPut && i < len(b); i++ {
+		b[i] = 0xA5
 	}
 }
 

@@ -106,6 +106,60 @@ func TestSupervisorRecoversNICCrash(t *testing.T) {
 	}
 }
 
+// TestSupervisorHealsAnErroredSendRingAtPoll: one failed descriptor fetch
+// leaves only an RDMA endpoint's send ring in Error (the endpoint, unlike
+// an Ethernet port, waits for a poll to flush it). The supervisor must see
+// it (a health check that skipped send rings would report a stuck driver
+// healthy), and its lowest rung, the poll, must reset it: the episode
+// closes without entering the queue-reset rung, and messages flow again.
+func TestSupervisorHealsAnErroredSendRingAtPoll(t *testing.T) {
+	eng := sim.NewEngine()
+	a := newHost(eng, noJitter())
+	b := newHost(eng, noJitter())
+	nic.ConnectWire(a.nic, b.nic, 25*sim.Gbps, 500*sim.Nanosecond)
+	ea := a.drv.NewRDMAEndpoint(RDMAConfig{SendEntries: 8, RecvEntries: 64})
+	eb := b.drv.NewRDMAEndpoint(RDMAConfig{SendEntries: 8, RecvEntries: 64})
+	nic.ConnectQPs(ea.QP, eb.QP)
+	got := 0
+	eb.OnMessage = func([]byte) { got++ }
+	reg := telemetry.New()
+	reg.Bind(eng.Now)
+	sup := NewSupervisor(a.drv, 3)
+	sup.SetTelemetry(reg.Scope("drv/supervisor"))
+
+	failed := false
+	a.nic.SetFaults(&nic.FaultHooks{FailWQEFetch: func(*nic.SQ) bool {
+		first := !failed
+		failed = true
+		return first
+	}})
+	msg := make([]byte, 700)
+	ea.Send(msg)
+	eng.Run()
+	if ea.tx.sq.State() != nic.QueueError {
+		t.Fatalf("send ring %v after the failed fetch, want error", ea.tx.sq.State())
+	}
+	if sup.Healthy() {
+		t.Fatal("supervisor reports a driver with its send ring in Error healthy")
+	}
+	sup.Kick()
+	eng.Run()
+	snap := reg.Snapshot()
+	if !sup.Healthy() || snap.Counters["drv/supervisor/episodes"] != 1 {
+		t.Fatalf("healthy=%v after %d episodes, want one episode that healed", sup.Healthy(), snap.Counters["drv/supervisor/episodes"])
+	}
+	if n := snap.Counters["drv/supervisor/rung/queue_reset"]; n != 0 {
+		t.Errorf("the episode entered the queue-reset rung %d times: the poll rung did not reset the errored ring", n)
+	}
+	for range 3 {
+		ea.Send(msg)
+	}
+	eng.Run()
+	if got != 3 {
+		t.Fatalf("received %d messages after the recovery, want 3", got)
+	}
+}
+
 // TestSupervisorIdleWhenHealthy: kicking a healthy driver opens no
 // episode and schedules no events (the engine must quiesce untouched).
 func TestSupervisorIdleWhenHealthy(t *testing.T) {

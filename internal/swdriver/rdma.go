@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"flexdriver/internal/nic"
+	"flexdriver/internal/sim"
 )
 
 // RDMAEndpoint is a verbs-style software endpoint: a QP with host-memory
@@ -18,10 +19,12 @@ type RDMAEndpoint struct {
 	// cur reassembles the incoming message (SRQ delivers per-packet
 	// CQEs): fragments are read out of the receive buffers into this
 	// one scratch, sized for the largest message when the first fragment
-	// arrives, and a complete message leaves as one exact-length copy.
+	// arrives, and a complete message is lent from it to OnMessage.
 	cur []byte
 
-	// OnMessage delivers fully reassembled incoming messages.
+	// OnMessage delivers each fully reassembled incoming message, lent
+	// for the call from the reassembly scratch: a handler that keeps the
+	// bytes copies them.
 	OnMessage func(data []byte)
 	// OnSendComplete fires when a sent message is acknowledged.
 	OnSendComplete func()
@@ -176,9 +179,7 @@ func rdmaRxRun(a any) {
 	if !c.Last {
 		return
 	}
-	// The application may keep the message; the scratch is about to take
-	// the next one.
-	msg := slices.Clone(e.cur)
+	msg := e.cur // lent to OnMessage; the scratch takes the next one after
 	e.cur = e.cur[:0]
 	// Integrity check (the model's ICRC stand-in): the CQE's flow tag
 	// carries the transport's byte count for the whole message. A shorter
@@ -193,5 +194,6 @@ func rdmaRxRun(a any) {
 	e.drv.RxPackets++
 	if e.OnMessage != nil {
 		e.OnMessage(msg)
+		sim.Poison(msg)
 	}
 }

@@ -212,9 +212,9 @@ func TestRDMAEndpointPairExchangesMessages(t *testing.T) {
 	nic.ConnectQPs(ea.QP, eb.QP)
 
 	var atB [][]byte
-	eb.OnMessage = func(m []byte) { atB = append(atB, m) }
+	eb.OnMessage = func(m []byte) { atB = append(atB, bytes.Clone(m)) } // borrowed
 	var atA [][]byte
-	ea.OnMessage = func(m []byte) { atA = append(atA, m) }
+	ea.OnMessage = func(m []byte) { atA = append(atA, bytes.Clone(m)) }
 
 	big := bytes.Repeat([]byte{7}, 5000) // > MTU: segmented
 	ea.Send([]byte("hello"))

@@ -147,7 +147,7 @@ func TestFLDRRemoteEcho(t *testing.T) {
 	}
 
 	var got [][]byte
-	ep.OnMessage = func(data []byte) { got = append(got, data) }
+	ep.OnMessage = func(data []byte) { got = append(got, bytes.Clone(data)) } // borrowed
 
 	msgs := [][]byte{
 		bytes.Repeat([]byte{0xA1}, 100),
