@@ -337,7 +337,7 @@ func writeDeliver(a any) {
 // never deadlock the simulation. The timeout event itself is scheduled
 // only once the read can no longer settle before the deadline — where the
 // request or completion is lost, and at a link crossing that ends at or
-// past it — so a read that settles in time leaves nothing on the heap.
+// past it — so a read that settles in time leaves nothing queued.
 func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 	o := p.fab.rops.Get()
 	o.p, o.addr, o.size, o.done = p, addr, size, done

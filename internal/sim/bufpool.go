@@ -1,26 +1,18 @@
 package sim
 
-// BufPool recycles packet-payload buffers across the per-packet copy sites
-// of the simulator (PCIe completions, NIC CQE writes, descriptor fetches).
-// It is size-classed in powers of two from 64 B to 16 KiB, and — like the
-// Engine it hangs off — deliberately single-threaded: plain freelists beat
-// sync.Pool here because Put([]byte) through an interface boxes the slice
-// header (one allocation per recycle, defeating the point) and sync.Pool's
-// GC-driven drops would perturb allocation determinism between runs.
+// BufPool recycles packet-payload buffers, size-classed in powers of two
+// from 64 B to 16 KiB. Like its Engine it is single-threaded: plain
+// freelists, because sync.Pool boxes a slice header per Put and drops
+// buffers at GC, which would perturb allocation determinism.
 //
-// Ownership discipline (see DESIGN.md "Simulator performance"): a buffer
-// from Get has exactly one owner at a time. Whoever holds it either passes
-// ownership onward (e.g. a posted-write payload handed to the PCIe fabric,
-// a frame handed to the wire) or calls Put exactly once when the buffer
-// goes dead — "free on delivery", into the pool of the engine it dies on.
-// A callee it is lent to (a read completion's callback, an AFU's Receive)
-// borrows it for the call, and copies what it keeps. Where a frame would
-// be shared (wire duplication, flooding) each holder gets its own copy.
-// Put clears nothing (under the pooldebug tag it poisons).
-//
-// Outstanding (Gets − Puts) is the leak counter: scenario.Check's
-// bufpool-leak invariant and the benchmark's bufpool_balanced check want
-// it back at zero once a run quiesces.
+// Ownership (DESIGN.md "Simulator performance"): a buffer from Get has one
+// owner at a time, who passes it onward (a posted-write payload to the
+// fabric, a frame to the wire) or calls Put once when it goes dead, into
+// the pool of the engine it dies on. A callee it is lent to (a read
+// completion's callback, an AFU's Receive) borrows it for the call and
+// copies what it keeps; a shared frame (duplication, flooding) is copied
+// per holder. Put clears nothing (under the pooldebug tag it poisons).
+// Outstanding (Gets − Puts) is the leak counter, zero once a run quiesces.
 type BufPool struct {
 	free [bufClasses][][]byte
 

@@ -1,18 +1,11 @@
 package sim
 
 // FIFO is the queue between two hops of a model: Push at the tail, Pop at
-// the head, backed by one slice and a head index. The `q = q[1:]` +
-// `append` idiom it replaces walks its backing array forward and
-// reallocates every time the walk reaches the end — one allocation per
-// handful of packets on a queue that is nearly always one deep. Here a
-// drained queue rewinds onto the same array, and a queue that never drains
-// slides its live tail down once the dead prefix is at least half of a
-// full array, so steady-state traffic allocates nothing and the footprint
-// stays within a small factor of the high-water occupancy.
-//
-// Pop and Reset zero what they vacate, so a drained queue does not keep
-// frames reachable. The zero value is an empty queue; like everything on
-// an Engine it is single-threaded.
+// the head, over one slice and a head index. A drained queue rewinds onto
+// the same array, and one that never drains slides its live tail down once
+// the dead prefix is half a full array, so steady traffic allocates
+// nothing. Pop and Reset zero what they vacate, so a drained queue keeps
+// no frame reachable. The zero value is an empty queue.
 type FIFO[T any] struct {
 	items []T
 	head  int

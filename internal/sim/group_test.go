@@ -185,7 +185,7 @@ func TestConduitSameEngineDegenerate(t *testing.T) {
 
 func TestGroupSteadyStateAllocs(t *testing.T) {
 	// After warm-up, rounds must not allocate: a cross-shard send takes its
-	// delivery node from the conduit's freelist and the event heaps have
+	// delivery node from the conduit's freelist and the event queues have
 	// reached their high-water capacity. The second row is the high fan-in
 	// case: 16 shards, two frames each in flight, every shard forwarding
 	// every round (its freelists take a few milliseconds to fill).

@@ -20,10 +20,8 @@ func (r BitRate) Serialize(n int) Duration {
 }
 
 // Resource models a single FIFO server (a link direction, a CPU core, an
-// accelerator lane): work items occupy it back to back, each for its own
-// service time. A Resource only reserves: Acquire books the server and
-// returns the completion instant, and the caller schedules whatever runs
-// then on the engine.
+// accelerator lane) whose work items occupy it back to back. It only
+// reserves: the caller schedules what runs at Acquire's completion time.
 type Resource struct {
 	eng       *Engine
 	busyUntil Time

@@ -1,16 +1,12 @@
 package sim
 
-// Timer is a reusable one-shot timer. It exists so steady-state schedulers
-// (doorbell coalescing, ACK delay, retransmission timeouts, CQ moderation)
-// can rearm the same preallocated object millions of times without
-// allocating a closure per event.
+// Timer is a reusable one-shot timer, so steady-state schedulers (ACK
+// delay, retransmission timeouts, moderation) rearm one preallocated
+// object instead of allocating a closure per event.
 //
-// Reset and Stop use lazy cancellation: every Reset pushes a fresh heap
-// entry, and an entry fires the callback only if the timer is still armed
-// with that entry's deadline. Superseded entries fire as no-ops when their
-// original expiry comes up. This keeps Reset O(log n) and allocation-free
-// at the cost of stale entries occupying the queue — exactly the cost the
-// closure-per-arm pattern it replaces paid, minus the allocations.
+// Reset and Stop cancel lazily: every Reset queues a fresh entry, which
+// fires the callback only if the timer is still armed with that entry's
+// deadline; superseded entries fire as no-ops at their original expiry.
 //
 // If Reset is called twice with the same resulting deadline, the callback
 // runs at the earlier entry's queue position (it fires exactly once either
@@ -32,9 +28,8 @@ func (e *Engine) NewTimer(fn func(any), arg any) *Timer {
 	return &Timer{eng: e, fn: fn, arg: arg}
 }
 
-// timerExpire is the heap entry's callback: it fires the timer only if the
-// entry is still current (armed, and the deadline was not moved by a later
-// Reset or cleared by Stop).
+// timerExpire is a queued entry's callback: it fires the timer only if the
+// entry is still current (armed, and its deadline not moved by a Reset).
 func timerExpire(a any) {
 	t := a.(*Timer)
 	if !t.armed || t.when != t.eng.now {
@@ -52,8 +47,8 @@ func (t *Timer) Reset(d Duration) {
 	t.eng.push(t.when, timerExpire, t)
 }
 
-// Stop disarms the timer and reports whether it was armed. Stopping never
-// removes the pending heap entry; it fires as a no-op.
+// Stop disarms the timer and reports whether it was armed. The queued
+// entry stays and fires as a no-op.
 func (t *Timer) Stop() bool {
 	was := t.armed
 	t.armed = false
