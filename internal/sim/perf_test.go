@@ -34,6 +34,53 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// tierTick alternates its next delay between the queue's two tiers: one
+// nanosecond (inside the wheel's horizon) and tierFar (past it).
+type tierTick struct {
+	e             *Engine
+	n, limit      int
+	maxNear, maxF int // the deepest near and far tiers the ticks saw
+}
+
+const tierFar = Time(wheelSlots+3) << bucketShift
+
+func tierTickRun(a any) {
+	s := a.(*tierTick)
+	s.n++
+	q := &s.e.events
+	s.maxNear, s.maxF = max(s.maxNear, q.near), max(s.maxF, q.far.Len())
+	if s.n < s.limit {
+		d := Nanosecond
+		if s.n%2 == 1 {
+			d = tierFar
+		}
+		s.e.AfterArg(d+Time(s.n%5), tierTickRun, s)
+	}
+}
+
+// TestEngineTwoTierZeroAlloc pins the same contract across both tiers of
+// the queue: 32 self-rescheduling events whose delays alternate between
+// the near and the far tier allocate nothing once the slab and the far
+// heap have reached their high-water capacity.
+func TestEngineTwoTierZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	ticks := make([]tierTick, 32)
+	run := func() {
+		for i := range ticks {
+			ticks[i] = tierTick{e: e, limit: 200}
+			e.AfterArg(Time(i), tierTickRun, &ticks[i])
+		}
+		e.Run()
+	}
+	run() // warm: build the wheel, grow the slab and the far heap
+	if avg := testing.AllocsPerRun(10, run); avg != 0 {
+		t.Fatalf("two-tier AfterArg loop: %.1f allocs per %d events, want 0", avg, 32*200)
+	}
+	if s := ticks[0]; s.maxNear == 0 || s.maxF < wheelFrom {
+		t.Fatalf("deepest tiers seen: %d near, %d far; want both tiers in use", s.maxNear, s.maxF)
+	}
+}
+
 // timerTick re-arms a reusable Timer from its own expiry callback.
 type timerTick struct {
 	t        *Timer
