@@ -19,18 +19,15 @@ type Link[T any] struct {
 func (l *Link[T]) link() *Link[T] { return l }
 
 // Pool is the freelist every per-event record of the model is recycled
-// through (a PCIe transaction, a descriptor fetch, a pipeline crossing, a
-// frame on a cable): the record carries its own link, so a warm Get or Put
-// touches a few pointers and allocates nothing, and a pool holds exactly
-// the records its owner once made — no backing array beside them.
+// through (a PCIe transaction, a descriptor fetch, a frame on a cable):
+// the record carries its own link, so a warm Get or Put allocates nothing
+// and a pool holds exactly the records its owner once made.
 //
 // Put clears nothing: whatever the next user reads, its Get side sets, and
 // a field bound once by New (a completion closure over the record) survives
 // every reuse. New, when set, makes a record on a miss; it should capture
-// nothing, so wiring a pool into its owner costs no allocation — a record
-// that points at its owner has that pointer stored after Get. A nil New
-// makes new(T). The zero value is an empty pool; like everything on an
-// Engine it is single-threaded.
+// nothing (a record that points at its owner has that pointer stored after
+// Get). A nil New makes new(T). The zero value is an empty pool.
 type Pool[T any, P interface {
 	*T
 	link() *Link[T]
