@@ -204,5 +204,4 @@ func TestAddFLDTelemetryAndFaults(t *testing.T) {
 	if !fld1 || !pcie1 {
 		t.Fatalf("missing added-core scopes: innova/fld1/=%v innova/pcie/fld1/=%v", fld1, pcie1)
 	}
-	checkFabricReconciles(t, snap, "innova", inn.Fab)
 }

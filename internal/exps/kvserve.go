@@ -248,8 +248,6 @@ func KVServe(p KVServeParams) *Result {
 	replayOK := runKVServePoint(p).snap.Hash() == hash
 	r.Check("telemetry hash identical on replay", 1, b2f(replayOK), "",
 		replayOK, fmt.Sprintf("two runs, hash %s...", hash[:12]))
-	r.Check("PCIe byte counters reconcile on every node", 0, float64(pt.pcieMismatches),
-		"mismatches", pt.pcieMismatches == 0, "telemetry vs Port.{Up,Down}Bytes, all nodes")
 	r.Check("sim engine quiesced", 0, float64(pt.pending), "events", pt.pending == 0, "")
 	return r
 }

@@ -90,7 +90,7 @@ func judge(id, title string, err error, specs ...scenario.Spec) *Result {
 
 	r.Check("every scenario holds all global invariants", 0, float64(len(violated)),
 		"violating scenarios", len(violated) == 0,
-		"frame conservation, PCIe reconcile, CQE<->WQE, pool balance, quiescence, replay determinism")
+		"frame conservation, CQE<->WQE, pool balance, quiescence, replay determinism")
 	r.Check("sweep exercised traffic", 1, b2f(sent > 0), "", sent > 0, "")
 	return r
 }

@@ -5,33 +5,20 @@ import (
 
 	"flexdriver"
 	"flexdriver/internal/pcie"
-	"flexdriver/internal/rig"
 )
 
-// reconcilePCIe adds one row per fabric port comparing the telemetry byte
-// counters against the port's own UpBytes/DownBytes accounting, which
-// the fabric maintains independently. Returns the number of mismatching
-// ports and the two grand totals.
-func reconcilePCIe(r *Result, snap flexdriver.Snapshot, node string, fab *pcie.Fabric) (mismatches int, telTotal, portTotal int64) {
-	mismatches = rig.ReconcileFabric(snap, node, fab, func(dev string, up, portUp, down, portDown int64) {
-		status := "exact"
-		if up != portUp || down != portDown {
-			status = "MISMATCH"
-		}
-		r.AddRow(node+"/"+dev, d64(up), d64(portUp), d64(down), d64(portDown), status)
-		telTotal += up + down
-		portTotal += portUp + portDown
-	})
-	return mismatches, telTotal, portTotal
+// linkRows adds one row per fabric port with the wire bytes charged to
+// each direction of its link.
+func linkRows(r *Result, node string, fab *pcie.Fabric) {
+	for _, p := range fab.Ports() {
+		r.AddRow(node+"/"+p.Device().PCIeName(), d64(p.UpBytes), d64(p.DownBytes))
+	}
 }
 
 // TelemetryWithRegistry runs the §8.1.1 FLD-E remote echo with full
-// telemetry (every layer instrumented, TLP flight recorder enabled) and
-// verifies the subsystem against the simulation's independent
-// accounting:
+// telemetry (every layer instrumented, TLP flight recorder enabled),
+// prints each PCIe link's wire bytes, and checks that:
 //
-//   - every per-link telemetry byte counter equals the PCIe port's
-//     UpBytes/DownBytes ground truth, to the byte, on both fabrics;
 //   - every stage of the data path (client doorbells and WQE fetches,
 //     server FLD MMIO WQEs, eSwitch steering, CQE writes) shows up as a
 //     nonzero counter;
@@ -40,8 +27,8 @@ func reconcilePCIe(r *Result, snap flexdriver.Snapshot, node string, fab *pcie.F
 // The registry and recorder are returned so cmd/fldreport can dump the
 // counter snapshot and export the Chrome trace.
 func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Registry, *flexdriver.Recorder) {
-	r := &Result{ID: "telemetry", Title: "Telemetry reconciliation on the FLD-E remote echo"}
-	r.Columns = []string{"link", "tel up B", "port up B", "tel down B", "port down B", "status"}
+	r := &Result{ID: "telemetry", Title: "Telemetry on the FLD-E remote echo"}
+	r.Columns = []string{"link", "up B", "down B"}
 
 	reg := flexdriver.NewRegistry()
 	rec := reg.EnableRecorder(0) // default capacity
@@ -51,13 +38,8 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 
 	snap := reg.Snapshot()
 
-	cm, ct, cp := reconcilePCIe(r, snap, "client", rp.Client.Fab)
-	sm, st, sp := reconcilePCIe(r, snap, "server", rp.Server.Fab)
-	mismatches := cm + sm
-	r.Check("per-link byte reconciliation", 0, float64(mismatches), "mismatches",
-		mismatches == 0, "telemetry vs Port.{Up,Down}Bytes, byte-exact")
-	r.Check("total wire bytes (telemetry vs fabric)", float64(cp+sp), float64(ct+st),
-		"B", ct+st == cp+sp, "")
+	linkRows(r, "client", rp.Client.Fab)
+	linkRows(r, "server", rp.Server.Fab)
 
 	// Every stage of the §8.1.1 data path must be visible in the counters.
 	stages := []struct {
@@ -80,7 +62,7 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 	}
 	allStages := true
 	for _, sg := range stages {
-		r.AddRow(sg.name, d64(sg.v), "-", "-", "-", nz(sg.v))
+		r.AddRow(sg.name, d64(sg.v), "-")
 		if sg.v == 0 {
 			allStages = false
 		}
@@ -103,10 +85,3 @@ func TelemetryWithRegistry(window flexdriver.Duration) (*Result, *flexdriver.Reg
 }
 
 func d64(v int64) string { return fmt.Sprintf("%d", v) }
-
-func nz(v int64) string {
-	if v > 0 {
-		return "nonzero"
-	}
-	return "ZERO"
-}

@@ -19,7 +19,9 @@ type Metadata struct {
 	// (rx).
 	Queue int
 	// Tag is the FLD-E context ID stamped by the NIC's match-action
-	// rules, or the local QPN for FLD-R traffic.
+	// rules, or the local QPN for FLD-R traffic. The compressed transmit
+	// descriptor carries 24 bits of it, so Send refuses a tag of 2^24 or
+	// more.
 	Tag uint32
 	// Last marks the final packet of an RDMA message (always true for
 	// Ethernet packets).
@@ -292,6 +294,9 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 	}
 	if q < 0 || q >= len(f.queues) {
 		return fmt.Errorf("fld: no such queue %d", q)
+	}
+	if md.Tag >= 1<<24 {
+		return fmt.Errorf("fld: flow tag %#x does not fit the descriptor's 24 bits", md.Tag)
 	}
 	tq := f.queues[q]
 	slots, bufBytes := f.Credits(q)

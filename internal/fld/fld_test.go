@@ -190,6 +190,33 @@ func TestSendRejectsBadQueue(t *testing.T) {
 	}
 }
 
+// TestSendRefusesAWideFlowTag: the compressed descriptor holds 24 bits
+// of flow tag, so a tag of 2^24 is refused before it takes any credit,
+// and the widest tag that fits reaches the generated WQE intact.
+func TestSendRefusesAWideFlowTag(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WQEByMMIO = false
+	eng, _, f := newFLD(t, cfg)
+	slots, buf := f.Credits(0)
+	if err := f.Send(0, []byte{1}, Metadata{Tag: 1 << 24}); err == nil {
+		t.Fatal("flow tag 0x1000000 accepted: the descriptor would carry 0")
+	}
+	if s, b := f.Credits(0); s != slots || b != buf || f.Stats.TxPackets != 0 {
+		t.Fatalf("the refused send took credits (%d,%d -> %d,%d) or counted a packet", slots, buf, s, b)
+	}
+	if err := f.Send(0, []byte{1}, Metadata{Tag: 1<<24 - 1}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	w, err := nic.ParseSendWQE(mmioRead(f, f.txDescBase, nic.SendWQESize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.FlowTag != 1<<24-1 {
+		t.Fatalf("WQE flow tag %#x, want 0xffffff", w.FlowTag)
+	}
+}
+
 func TestCreditsReflectState(t *testing.T) {
 	cfg := DefaultConfig()
 	_, _, f := newFLD(t, cfg)

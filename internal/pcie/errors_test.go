@@ -154,8 +154,8 @@ func TestSpanPastBAREndIsUR(t *testing.T) {
 }
 
 // TestFaultHooksDropAndPoison exercises the injection hooks directly:
-// dropped TLPs charge no wire bytes (keeping telemetry reconciliation
-// exact), poisoned writes charge bytes but never reach the device, and
+// dropped TLPs charge no wire bytes (keeping the byte ledger exact),
+// poisoned writes charge bytes but never reach the device, and
 // poisoned completions surface as CplPoisoned.
 func TestFaultHooksDropAndPoison(t *testing.T) {
 	eng := sim.NewEngine()

@@ -28,15 +28,10 @@ type Fabric struct {
 	// Fault injection (optional; see SetFaults).
 	flt *FaultHooks
 
-	// Errs accumulates fabric-level error events independently of
-	// telemetry, mirroring how Port.UpBytes/DownBytes back the byte
-	// counters.
+	// Errs counts fabric-level error events. SetTelemetry publishes each
+	// field as the counter at its errors/ path, so the fabric keeps the
+	// one ledger and a snapshot reads it.
 	Errs FabricErrors
-
-	errUR       *telemetry.Counter
-	errTimeout  *telemetry.Counter
-	errDropped  *telemetry.Counter
-	errPoisoned *telemetry.Counter
 }
 
 // FabricErrors counts error events on the fabric: unsupported-request
@@ -85,11 +80,6 @@ func (f *Fabric) corruptTLP(p *Port, typ telemetry.TLPType) bool {
 	return f.flt != nil && f.flt.Corrupt != nil && f.flt.Corrupt(p, typ)
 }
 
-func (f *Fabric) noteUR()      { f.Errs.UR++; f.errUR.Inc() }
-func (f *Fabric) noteTimeout() { f.Errs.CplTimeouts++; f.errTimeout.Inc() }
-func (f *Fabric) noteDrop()    { f.Errs.DroppedTLPs++; f.errDropped.Inc() }
-func (f *Fabric) notePoison()  { f.Errs.Poisoned++; f.errPoisoned.Inc() }
-
 // Port is a device's attachment point. Up is the device-to-switch
 // direction, down is switch-to-device; each is an independent serialization
 // resource so bidirectional traffic does not falsely contend.
@@ -103,7 +93,8 @@ type Port struct {
 	up   *sim.Resource
 	down *sim.Resource
 
-	// Byte counters for utilization reporting (wire bytes incl. overhead).
+	// Wire bytes (incl. TLP overhead) charged to each direction; with
+	// telemetry they are the counters at <dev>/{up,down}/bytes.
 	UpBytes, DownBytes int64
 
 	tlm *portTelemetry // nil unless the fabric has telemetry attached
@@ -249,12 +240,12 @@ func (f *Fabric) putWriteOp(o *writeOp) {
 func (p *Port) write(addr uint64, data []byte, done func(), buf []byte) {
 	q, ok := p.fab.target(addr, len(data))
 	if !ok {
-		p.fab.noteUR()
+		p.fab.Errs.UR++
 		p.fab.eng.Bufs().Put(buf)
 		return
 	}
 	if p.fab.linkDown(p) || p.fab.linkDown(q) || p.fab.dropTLP(p, telemetry.MemWr) {
-		p.fab.noteDrop()
+		p.fab.Errs.DroppedTLPs++
 		p.fab.eng.Bufs().Put(buf)
 		return
 	}
@@ -305,7 +296,7 @@ func writeDeliver(a any) {
 	o := a.(*writeOp)
 	fab := o.p.fab
 	if o.poisoned {
-		fab.notePoison()
+		fab.Errs.Poisoned++
 		fab.putWriteOp(o)
 		return
 	}
@@ -353,7 +344,7 @@ func (p *Port) Read(addr uint64, size int, done func(c Completion)) {
 
 	if p.fab.linkDown(p) || p.fab.dropTLP(p, telemetry.MemRd) {
 		// The request vanished before serializing.
-		p.fab.noteDrop()
+		p.fab.Errs.DroppedTLPs++
 		o.expire()
 		return
 	}
@@ -404,7 +395,7 @@ func (o *readOp) step(t sim.Time, next func(any)) {
 // time.
 func readTimeout(a any) {
 	o := a.(*readOp)
-	o.p.fab.noteTimeout()
+	o.p.fab.Errs.CplTimeouts++
 	o.done(Completion{Status: CplTimedOut})
 }
 
@@ -416,13 +407,13 @@ func readReqAtSwitch(a any) {
 	if !o.hasTarget {
 		// Unsupported Request: the switch returns a dataless error
 		// completion over the requester's down link.
-		fab.noteUR()
+		fab.Errs.UR++
 		o.completeRead(nil, CplUR)
 		return
 	}
 	q := o.q
 	if fab.linkDown(q) {
-		fab.noteDrop()
+		fab.Errs.DroppedTLPs++
 		o.expire()
 		return
 	}
@@ -442,14 +433,14 @@ func readAtDevice(a any) {
 		return
 	}
 	if fab.linkDown(q) || fab.dropTLP(q, telemetry.CplD) {
-		fab.noteDrop()
+		fab.Errs.DroppedTLPs++
 		fab.eng.Bufs().Put(data)
 		o.expire()
 		return
 	}
 	o.status = CplSuccess
 	if fab.corruptTLP(q, telemetry.CplD) {
-		fab.notePoison()
+		fab.Errs.Poisoned++
 		o.status = CplPoisoned
 	}
 	o.data = data
@@ -503,9 +494,8 @@ func (f *Fabric) AddrOf(dev Device, offset uint64) uint64 {
 	panic(fmt.Sprintf("pcie: device %s not attached", dev.PCIeName()))
 }
 
-// Ports returns every attached port in attach order. Callers use it to
-// reconcile external accounting (e.g. telemetry byte counters) against
-// the ports' UpBytes/DownBytes ground truth.
+// Ports returns every attached port in attach order, for callers that
+// read each link's UpBytes/DownBytes.
 func (f *Fabric) Ports() []*Port {
 	out := make([]*Port, len(f.ports))
 	copy(out, f.ports)

@@ -13,17 +13,16 @@ type portTelemetry struct {
 	link  string
 	sc    *telemetry.Scope                          // for the recorder, resolved per event so EnableRecorder works at any time
 	tlps  [2]*telemetry.Counter                     // TLP segments by Dir
-	bytes [2]*telemetry.Counter                     // wire bytes by Dir
 	types [2][telemetry.CplD + 1]*telemetry.Counter // segments by Dir, Type
 }
 
 // SetTelemetry attaches a telemetry scope to the fabric. Every port —
 // already attached or attached later — gets per-direction counters
-// under `<scope>/<device>/{up,down}/{tlps,bytes,memwr,memrd,cpld}`,
+// under `<scope>/<device>/{up,down}/{tlps,memwr,memrd,cpld}`,
 // utilization funcs, and (when the registry's flight recorder is
-// enabled) TLP event recording. The byte counters are incremented at
-// exactly the same points, with the same values, as the ports'
-// UpBytes/DownBytes accounting, so the two reconcile to the byte.
+// enabled) TLP event recording. The port's UpBytes/DownBytes are
+// published as `<device>/{up,down}/bytes` and the fabric's Errs fields
+// under `errors/`: the fabric keeps one ledger and snapshots read it.
 func (f *Fabric) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		return
@@ -31,10 +30,10 @@ func (f *Fabric) SetTelemetry(sc *telemetry.Scope) {
 	f.tel = sc
 	sc.Counter("ctrl/reads") // no untimed read exists; the golden snapshots carry the path (ROADMAP 9)
 	f.ctrlWrites = sc.Counter("ctrl/writes")
-	f.errUR = sc.Counter("errors/ur")
-	f.errTimeout = sc.Counter("errors/cpl_timeout")
-	f.errDropped = sc.Counter("errors/dropped")
-	f.errPoisoned = sc.Counter("errors/poisoned")
+	sc.CounterVar("errors/ur", &f.Errs.UR)
+	sc.CounterVar("errors/cpl_timeout", &f.Errs.CplTimeouts)
+	sc.CounterVar("errors/dropped", &f.Errs.DroppedTLPs)
+	sc.CounterVar("errors/poisoned", &f.Errs.Poisoned)
 	for _, p := range f.ports {
 		p.instrument(sc)
 	}
@@ -44,10 +43,11 @@ func (p *Port) instrument(sc *telemetry.Scope) {
 	name := p.dev.PCIeName()
 	s := sc.Scope(name)
 	t := &portTelemetry{link: name, sc: sc}
+	s.CounterVar("up/bytes", &p.UpBytes)
+	s.CounterVar("down/bytes", &p.DownBytes)
 	for _, dir := range []telemetry.Dir{telemetry.Up, telemetry.Down} {
 		ds := s.Scope(dir.String())
 		t.tlps[dir] = ds.Counter("tlps")
-		t.bytes[dir] = ds.Counter("bytes")
 		t.types[dir][telemetry.MemWr] = ds.Counter("memwr")
 		t.types[dir][telemetry.MemRd] = ds.Counter("memrd")
 		t.types[dir][telemetry.CplD] = ds.Counter("cpld")
@@ -59,7 +59,7 @@ func (p *Port) instrument(sc *telemetry.Scope) {
 
 // observe charges one logical transaction — the TLP segments an n-byte
 // write, read request or completion splits into, wire total wire bytes —
-// to the port's counters and the flight recorder. end is the
+// to the port's segment counters and the flight recorder. end is the
 // link-resource completion time returned by Acquire, so serialization
 // began at end-dur.
 func (p *Port) observe(dir telemetry.Dir, typ telemetry.TLPType,
@@ -75,7 +75,6 @@ func (p *Port) observe(dir telemetry.Dir, typ telemetry.TLPType,
 	}
 	t := p.tlm
 	t.tlps[dir].Add(int64(segs))
-	t.bytes[dir].Add(int64(wire))
 	t.types[dir][typ].Add(int64(segs))
 	t.sc.Recorder().Record(telemetry.TLPEvent{
 		Time:  end - dur,

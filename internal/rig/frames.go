@@ -3,7 +3,6 @@ package rig
 import (
 	"flexdriver"
 	"flexdriver/internal/netpkt"
-	"flexdriver/internal/pcie"
 )
 
 // UDPFrame builds a zero-payload UDP frame between two racked NICs, size
@@ -57,32 +56,4 @@ func InstallEcho(f *flexdriver.FLD) *Echo {
 		}
 	}))
 	return e
-}
-
-// ReconcileFabric compares the telemetry tree's per-device PCIe byte
-// counters under node against each fabric port's independent accounting
-// and returns how many ports disagree; visit (optional) sees every port.
-func ReconcileFabric(snap flexdriver.Snapshot, node string, fab *pcie.Fabric,
-	visit func(dev string, telUp, portUp, telDown, portDown int64)) (mismatches int) {
-	for _, p := range fab.Ports() {
-		dev := p.Device().PCIeName()
-		up := snap.Get(node + "/pcie/" + dev + "/up/bytes")
-		down := snap.Get(node + "/pcie/" + dev + "/down/bytes")
-		if up != p.UpBytes || down != p.DownBytes {
-			mismatches++
-		}
-		if visit != nil {
-			visit(dev, up, p.UpBytes, down, p.DownBytes)
-		}
-	}
-	return mismatches
-}
-
-// Reconcile is ReconcileFabric over every racked node: the byte-exact
-// telemetry-vs-fabric law holds on all of them, faults or not.
-func (r *Rig) Reconcile(snap flexdriver.Snapshot) (mismatches int) {
-	r.EachNode(func(name string, _ *flexdriver.NIC, fab *pcie.Fabric) {
-		mismatches += ReconcileFabric(snap, name, fab, nil)
-	})
-	return mismatches
 }

@@ -13,8 +13,8 @@
 // simulation testing: instead of a handful of hand-picked experiments,
 // the whole configuration space of the testbed is sampled under fault
 // injection, with conservation-style invariants (no ghost frames, no
-// unaccounted loss, byte-exact PCIe reconciliation, buffer-pool balance,
-// engine quiescence, replay determinism) standing in for correctness.
+// unaccounted loss, CQE/WQE matching, buffer-pool balance, engine
+// quiescence, replay determinism) standing in for correctness.
 package scenario
 
 import (

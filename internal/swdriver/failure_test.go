@@ -176,15 +176,85 @@ func TestSupervisorIdleWhenHealthy(t *testing.T) {
 	}
 }
 
+// TestSupervisorFLRRungHeals: a device that returns after the
+// queue-reset rung has spent its attempts (rung 1's resets are refused
+// while it is away) is healed by the FLR rung's function-level reset: the
+// episode closes without entering the reattach rung. Attempts k = 1..5
+// land at offsets within [0, 0], [0.375, 0.625], [1.125, 1.875],
+// [2.625, 4.375] and [5.625, 9.375] µs of the kick (backoff from 500 ns,
+// ±25 %), so a restart 5 µs in falls between the last queue reset and
+// the first FLR whatever the jitter draws.
+func TestSupervisorFLRRungHeals(t *testing.T) {
+	eng := sim.NewEngine()
+	a, _, tx, got := wireAtoB(eng)
+	f := frame(256, 7)
+	reg := telemetry.New()
+	reg.Bind(eng.Now)
+	sup := NewSupervisor(a.drv, 11)
+	sup.SetTelemetry(reg.Scope("sup"))
+
+	eng.After(10*sim.Microsecond, a.nic.Crash)
+	eng.After(11*sim.Microsecond, sup.Kick)
+	eng.After(16*sim.Microsecond, a.nic.Restart)
+	eng.After(40*sim.Microsecond, func() { tx.Send(f) })
+	eng.Run()
+
+	snap := reg.Snapshot()
+	if n := a.nic.Stats.DeviceFLRs; n != 1 {
+		t.Errorf("the FLR rung issued %d function-level resets, want 1", n)
+	}
+	if snap.Counters["sup/rung/flr"] != 1 || snap.Counters["sup/rung/reattach"] != 0 || snap.Counters["sup/episodes"] != 1 {
+		t.Errorf("rungs entered flr=%d reattach=%d, episodes=%d: the FLR rung did not heal the device",
+			snap.Counters["sup/rung/flr"], snap.Counters["sup/rung/reattach"], snap.Counters["sup/episodes"])
+	}
+	if *got != 1 {
+		t.Fatalf("received %d frames after the recovery, want 1", *got)
+	}
+}
+
+// TestSupervisorPacesAttempts: attempts are spaced by backoff, so an
+// outage is met by a ladder that climbs over microseconds rather than
+// spending its whole attempt budget at the instant of detection. Two
+// microseconds after the kick a paced ladder is in the queue-reset rung
+// (attempt 4, the first that could enter the FLR rung, is 2.625 µs in at
+// the earliest) and has abandoned nothing.
+func TestSupervisorPacesAttempts(t *testing.T) {
+	eng := sim.NewEngine()
+	a, _, _, _ := wireAtoB(eng)
+	reg := telemetry.New()
+	reg.Bind(eng.Now)
+	sup := NewSupervisor(a.drv, 5)
+	sup.SetTelemetry(reg.Scope("sup"))
+
+	eng.After(10*sim.Microsecond, a.nic.Crash)
+	eng.After(11*sim.Microsecond, sup.Kick)
+	eng.After(13*sim.Microsecond, func() {
+		snap := reg.Snapshot()
+		if n := snap.Counters["sup/rung/queue_reset"]; n != 1 || snap.Counters["sup/rung/flr"] != 0 || snap.Counters["sup/abandoned"] != 0 {
+			t.Errorf("2us after the kick: queue_reset entered %d, flr %d, abandoned %d: attempts are not paced by backoff",
+				n, snap.Counters["sup/rung/flr"], snap.Counters["sup/abandoned"])
+		}
+	})
+	eng.After(60*sim.Microsecond, a.nic.Restart)
+	eng.Run()
+	if !sup.Healthy() {
+		t.Fatal("not healthy after the device returned")
+	}
+}
+
 // TestSupervisorCrashDuringEpisode: if the NIC stays down past several
 // attempts the ladder keeps escalating (resets refuse to stick while the
-// device is away) and still converges once the device returns.
+// device is away) and still converges once the device returns, in the
+// reattach rung it had climbed to by then.
 func TestSupervisorCrashDuringEpisode(t *testing.T) {
 	eng := sim.NewEngine()
 	a, _, tx, got := wireAtoB(eng)
 	f := frame(256, 7)
 
+	reg := telemetry.New()
+	reg.Bind(eng.Now)
 	sup := NewSupervisor(a.drv, 7)
+	sup.SetTelemetry(reg.Scope("sup"))
 	for i := 0; i < 3; i++ {
 		tx.Send(f)
 	}
@@ -195,13 +265,17 @@ func TestSupervisorCrashDuringEpisode(t *testing.T) {
 	eng.After(36*sim.Microsecond, a.nic.Restart)
 	eng.After(60*sim.Microsecond, func() {
 		if !sup.Healthy() {
-			t.Error("not healthy after device returned")
+			t.Error("not healthy 24us after the device returned: the reattach rung did not heal the rings")
 		}
 		for i := 0; i < 3; i++ {
 			tx.Send(f)
 		}
 	})
 	eng.Run()
+	if snap := reg.Snapshot(); snap.Counters["sup/rung/reattach"] != 1 || snap.Counters["sup/episodes"] != 1 {
+		t.Errorf("reattach rung entered %d times, %d episodes closed; want the one episode healed in it",
+			snap.Counters["sup/rung/reattach"], snap.Counters["sup/episodes"])
+	}
 	if *got != 6 {
 		t.Fatalf("received %d frames, want 6", *got)
 	}

@@ -10,8 +10,8 @@
 //
 // The packet format is byte-compatible with a 20-byte TCP header
 // (internal/netpkt can steer it by ports), with two testbed liberties:
-// the checksum stays zero (the wire model injects corruption below L4,
-// where the PCIe reconciliation invariants catch it) and the urgent
+// the checksum stays zero (the wire model injects its faults below L4,
+// where the scenario invariants account for them) and the urgent
 // pointer's low byte carries the connection epoch, the same reserved-
 // field trick the RoCE BTH plays.
 package tcp

@@ -26,28 +26,13 @@ func telemetryEchoBed(t *testing.T, reg *Registry) (*RemotePair, *swdriver.EthPo
 	return rp, port
 }
 
-// checkFabricReconciles asserts that for every port on the fabric the
-// telemetry byte counters equal the port's own UpBytes/DownBytes
-// accounting — the fabric increments both at the same six code points,
-// so any divergence is an instrumentation bug.
-func checkFabricReconciles(t *testing.T, snap Snapshot, node string, fab *pcie.Fabric) {
-	t.Helper()
-	for _, p := range fab.Ports() {
-		dev := p.Device().PCIeName()
-		if got := snap.Get(node + "/pcie/" + dev + "/up/bytes"); got != p.UpBytes {
-			t.Errorf("%s/%s up: telemetry %d bytes, port accounting %d", node, dev, got, p.UpBytes)
-		}
-		if got := snap.Get(node + "/pcie/" + dev + "/down/bytes"); got != p.DownBytes {
-			t.Errorf("%s/%s down: telemetry %d bytes, port accounting %d", node, dev, got, p.DownBytes)
-		}
-	}
-}
-
 // TestTelemetryEchoReconciliation runs the flagship echo with telemetry
-// attached and verifies the facade accessors, byte-exact PCIe
-// reconciliation, data-path counter coverage, and snapshot diffs.
+// attached and verifies the facade accessors, the flight recorder's
+// per-event wire bytes against the PCIe ports' byte ledger, data-path
+// counter coverage, and snapshot diffs.
 func TestTelemetryEchoReconciliation(t *testing.T) {
 	reg := NewRegistry()
+	rec := reg.EnableRecorder(1 << 14)
 	rp, port := telemetryEchoBed(t, reg)
 
 	if rp.Client.Telemetry() != reg || rp.Server.tel != reg {
@@ -75,8 +60,23 @@ func TestTelemetryEchoReconciliation(t *testing.T) {
 		t.Fatalf("echo received %d frames, want %d", got, n1+n2)
 	}
 
-	checkFabricReconciles(t, snap2, "client", rp.Client.Fab)
-	checkFabricReconciles(t, snap2, "server", rp.Server.Fab)
+	// The recorder sums each crossing's wire bytes on its own; the ports'
+	// ledger must hold the same total, to the byte.
+	if rec.Total() != uint64(rec.Len()) {
+		t.Fatalf("recorder overwrote %d of %d events", rec.Total()-uint64(rec.Len()), rec.Total())
+	}
+	var recWire, portWire int64
+	for _, ev := range rec.Events() {
+		recWire += int64(ev.Wire)
+	}
+	for _, fab := range []*pcie.Fabric{rp.Client.Fab, rp.Server.Fab} {
+		for _, p := range fab.Ports() {
+			portWire += p.UpBytes + p.DownBytes
+		}
+	}
+	if recWire != portWire {
+		t.Errorf("recorder wire bytes %d != port accounting %d", recWire, portWire)
+	}
 
 	// Every data-path stage must be visible. Queue IDs are dynamic, so
 	// aggregate by path suffix.
@@ -175,13 +175,13 @@ func TestTelemetryChromeTrace(t *testing.T) {
 	}
 	// Each link appears as a process_name metadata event; every device
 	// on both fabrics moved traffic in this test.
-	links := map[string]bool{}
+	links := map[int]bool{}
 	complete := 0
 	for _, ev := range trace.TraceEvents {
 		switch ev.Ph {
 		case "M":
-			if strings.HasPrefix(ev.Name, "process_name") {
-				links[ev.Name] = true
+			if ev.Name == "process_name" {
+				links[ev.Pid] = true
 			}
 		case "X":
 			complete++
@@ -190,22 +190,8 @@ func TestTelemetryChromeTrace(t *testing.T) {
 	if complete != rec.Len() {
 		t.Errorf("trace has %d complete events, recorder holds %d", complete, rec.Len())
 	}
-
-	// The recorder's wire-byte total must also reconcile with the port
-	// accounting when nothing was overwritten.
-	if rec.Total() == uint64(rec.Len()) {
-		var recWire, portWire int64
-		for _, ev := range rec.Events() {
-			recWire += int64(ev.Wire)
-		}
-		for _, fab := range []*pcie.Fabric{rp.Client.Fab, rp.Server.Fab} {
-			for _, p := range fab.Ports() {
-				portWire += p.UpBytes + p.DownBytes
-			}
-		}
-		if recWire != portWire {
-			t.Errorf("recorder wire bytes %d != port accounting %d", recWire, portWire)
-		}
+	if ports := len(rp.Client.Fab.Ports()) + len(rp.Server.Fab.Ports()); len(links) != ports {
+		t.Errorf("trace names %d links, the two fabrics have %d ports", len(links), ports)
 	}
 }
 
