@@ -23,21 +23,21 @@ type (
 // "switch", and a fault plan attaches to every layer of every node and
 // to every switch-port link.
 //
-// Each node owns a private shard engine; the switch fabric is a shard of
-// its own, and the only cross-shard paths are the port conduits, whose
-// propagation delay is the scheduler's lookahead. Run and RunUntil step
-// all shards through the group's window scheduler on the calling
-// goroutine.
+// Every node and the switch run on the cluster's one engine; the nodes
+// meet only through the switch ports' conduits, whose arrivals run first
+// among the events of their picosecond (see sim.Engine.push). Run and
+// RunUntil drive the engine and the cluster's barrier actions (Control)
+// on the calling goroutine.
 type Cluster struct {
 	Hosts   []*Host
 	Innovas []*Innova
 
-	group  *sim.Group
-	o      Options
-	swCfg  ethswitch.Config
-	sw     *ethswitch.Switch
-	ports  map[*NIC]*ethswitch.Port
-	shared *sim.Engine // the single engine under WithColocated
+	group *sim.Group
+	eng   *sim.Engine // the group's one engine
+	o     Options
+	swCfg ethswitch.Config
+	sw    *ethswitch.Switch
+	ports map[*NIC]*ethswitch.Port
 
 	// Tenancy control plane: the per-node managers (see tenancy.go).
 	tms []*TenantManager
@@ -45,18 +45,16 @@ type Cluster struct {
 
 // NewCluster starts an empty topology; add nodes with AddHost/AddInnova.
 func NewCluster(opts ...Option) *Cluster {
+	g := sim.NewGroup()
 	c := &Cluster{
-		group: sim.NewGroup(),
+		group: g,
+		eng:   g.NewEngine(),
 		o:     buildOptions(opts),
 		ports: make(map[*NIC]*ethswitch.Port),
 	}
-	// Lookahead = the per-segment switch latency (ethswitch's default):
-	// no frame crosses shards faster than one segment's propagation
-	// delay.
-	c.group.SetLookahead(500 * Nanosecond)
 	// The group clock is the cluster's time authority. Bind is
-	// first-wins, so binding here keeps any node's per-shard clock from
-	// claiming the registry.
+	// first-wins, so binding here keeps any node from claiming the
+	// registry.
 	if c.o.Telemetry != nil {
 		c.o.Telemetry.Bind(c.group.Now)
 	}
@@ -77,31 +75,15 @@ func (c *Cluster) SwitchQueueFrames(n int) *Cluster {
 	return c
 }
 
-// shardEngine returns the engine for the next node or the switch: a
-// fresh shard normally, the cluster's one shared engine under
-// WithColocated (conduits between identical engines degenerate to
-// direct scheduling, so a fully colocated cluster has no cross-shard
-// paths at all and the group runs it monolithically).
-func (c *Cluster) shardEngine() *sim.Engine {
-	if !c.o.Colocate {
-		return c.group.NewEngine()
-	}
-	if c.shared == nil {
-		c.shared = c.group.NewEngine()
-	}
-	return c.shared
-}
-
-// Switch returns the ToR switch, creating it (and its shard engine) on
-// first use.
+// Switch returns the ToR switch, creating it on first use.
 func (c *Cluster) Switch() *EthSwitch {
 	if c.sw == nil {
-		c.sw = ethswitch.New(c.shardEngine(), c.swCfg)
+		c.sw = ethswitch.New(c.eng, c.swCfg)
 		if c.o.Telemetry != nil {
 			c.sw.SetTelemetry(c.o.Telemetry.Scope("switch"))
 		}
 		if c.o.Faults != nil {
-			c.o.Faults.AttachSwitchReboot(c.sw.Engine(), c.sw)
+			c.o.Faults.AttachSwitchReboot(c.eng, c.sw)
 		}
 	}
 	return c.sw
@@ -114,81 +96,68 @@ func (c *Cluster) PortOf(n *NIC) *SwitchPort { return c.ports[n] }
 func (c *Cluster) Telemetry() *Registry { return c.o.Telemetry }
 
 // Group exposes the underlying scheduler group — the escape hatch for
-// invariant sweeps (per-shard Pending/Bufs) and scheduler statistics.
+// its statistics.
 func (c *Cluster) Group() *sim.Group { return c.group }
 
-// Engines returns every shard engine in creation order (nodes, then the
-// switch if one exists).
+// Engines returns the cluster's engine as a one-element slice, for
+// invariant sweeps over Pending and Bufs.
 func (c *Cluster) Engines() []*Engine { return c.group.Engines() }
 
-// Now returns the cluster's virtual time: exact after Run/RunUntil
-// return, when every shard has synchronized.
+// Now returns the cluster's virtual time.
 func (c *Cluster) Now() Time { return c.group.Now() }
 
-// Control schedules fn at cluster time t: every shard is quiesced past t
-// and advanced to t before fn runs, so fn may read or mutate any node.
-// Controls are the cluster-wide analogue of Engine.After; per-node work
-// belongs on the node's own engine.
+// Control schedules fn at cluster time t: every event before t has run
+// and the clock reads t when fn runs, before any event at t, so fn may
+// read or mutate any node. Controls are the cluster-wide analogue of
+// Engine.After; per-node work belongs on the node's engine.
 func (c *Cluster) Control(t Time, fn func()) { c.group.Control(t, fn) }
 
-// Pending returns the number of undelivered events across all shards,
-// in-flight cross-shard frames included.
+// Pending returns the number of undelivered events, in-flight frames
+// included, and pending controls.
 func (c *Cluster) Pending() int { return c.group.Pending() }
 
-// Run drives every shard until the cluster is idle.
+// Run drives the cluster until it is idle.
 func (c *Cluster) Run() { c.group.Run() }
 
-// RunUntil drives every shard through deadline (inclusive), then
-// advances all clocks to it.
+// RunUntil drives the cluster through deadline (inclusive), then advances
+// the clock to it.
 func (c *Cluster) RunUntil(deadline Time) { c.group.RunUntil(deadline) }
 
-// AddHost builds a plain host on its own shard and racks it behind the
-// switch.
+// AddHost builds a plain host and racks it behind the switch.
 func (c *Cluster) AddHost(name string) *Host {
 	h := c.buildHost(name)
 	c.join(h.NIC)
 	return h
 }
 
-// AddInnova builds an Innova node on its own shard and racks it behind
-// the switch.
+// AddInnova builds an Innova node and racks it behind the switch.
 func (c *Cluster) AddInnova(name string) *Innova {
 	inn := c.buildInnova(name)
 	c.join(inn.NIC)
 	return inn
 }
 
-// buildHost constructs a node on a fresh shard without cabling it;
-// NewRemotePair instead colocates its two nodes via buildHostOn.
+// buildHost constructs a node without cabling it.
 func (c *Cluster) buildHost(name string) *Host {
-	return c.buildHostOn(c.shardEngine(), name)
-}
-
-func (c *Cluster) buildHostOn(eng *Engine, name string) *Host {
-	h := newHost(eng, name, c.o)
+	h := newHost(c.eng, name, c.o)
 	h.cl = c
 	c.Hosts = append(c.Hosts, h)
 	return h
 }
 
 func (c *Cluster) buildInnova(name string) *Innova {
-	return c.buildInnovaOn(c.shardEngine(), name)
-}
-
-func (c *Cluster) buildInnovaOn(eng *Engine, name string) *Innova {
-	inn := newInnova(eng, name, c.o)
+	inn := newInnova(c.eng, name, c.o)
 	inn.cl = c
 	c.Innovas = append(c.Innovas, inn)
 	return inn
 }
 
 // join cables a NIC to the next switch port and extends the fault plan
-// to the new link — one stream per direction, each on the shard whose
-// hooks consume it.
+// to the new link.
 func (c *Cluster) join(n *NIC) {
 	port := c.Switch().Connect(n)
 	c.ports[n] = port
 	if c.o.Faults != nil {
-		c.o.Faults.AttachLink(port.Link(), port.EndpointEngine(), c.sw.Engine())
+		c.o.Faults.AttachLink(port.Link(), c.eng)
 	}
 }

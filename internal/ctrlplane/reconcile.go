@@ -10,7 +10,7 @@ import (
 )
 
 // Actuator is the node-side machinery the reconciler drives. All calls
-// run on the node's engine (the reconciler never crosses shards).
+// run on the node's engine (the reconciler never crosses nodes).
 //
 // Drain must be idempotent and report whether the tenant has quiesced:
 // the reconciler keeps calling it (with backoff) until it returns true,

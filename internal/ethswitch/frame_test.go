@@ -82,16 +82,15 @@ func TestFrameEndsReturnToPool(t *testing.T) {
 		}, 4, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := sim.NewGroup()
-			g.SetLookahead(500 * sim.Nanosecond)
-			sw := New(g.NewEngine(), tc.cfg)
+			eng := sim.NewEngine()
+			sw := New(eng, tc.cfg)
 			eps := make([]*poolEP, 3)
 			for i := range eps {
-				eps[i] = &poolEP{eng: g.NewEngine()}
+				eps[i] = &poolEP{eng: eng}
 				sw.Connect(eps[i])
 			}
 			tc.run(sw, eps)
-			g.Run()
+			eng.Run()
 			got := 0
 			for _, ep := range eps {
 				got += ep.got
@@ -102,7 +101,7 @@ func TestFrameEndsReturnToPool(t *testing.T) {
 			if tc.dropped != nil && tc.dropped(sw) == 0 {
 				t.Error("the end this row drives was not counted")
 			}
-			checkPools(t, g.Engines()...)
+			checkPools(t, eng)
 		})
 	}
 }

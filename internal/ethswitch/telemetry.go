@@ -28,8 +28,7 @@ func (s *Switch) SetTelemetry(sc *telemetry.Scope) {
 }
 
 // instrument publishes the port's Counters and its link's fault-plane
-// losses (dir 0 is NIC-to-switch, "up"). Every published cell keeps the
-// single writing shard the Port comment describes.
+// losses (dir 0 is NIC-to-switch, "up").
 func (p *Port) instrument(sc *telemetry.Scope) {
 	ps := sc.Scope(fmt.Sprintf("port%d", p.ID))
 	c := &p.Counters

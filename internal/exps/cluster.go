@@ -97,7 +97,7 @@ const seqOff = 42
 
 // rttHost is one traffic-carrying host of a measured, fault-free point:
 // the rig client plus what it saw inside the measurement window, merged
-// across hosts once every shard is idle.
+// across hosts once the cluster is idle.
 type rttHost struct {
 	*rig.Client
 	lat        []float64 // RTTs, us
@@ -157,8 +157,8 @@ type servedTotals struct {
 	snap          flexdriver.Snapshot // the final telemetry snapshot
 }
 
-// measure runs the window and merges the per-shard accumulators now that
-// every shard is idle. Size hint: every measured-window packet can
+// measure runs the window and merges the per-host accumulators now that
+// the cluster is idle. Size hint: every measured-window packet can
 // contribute one RTT observation, so preallocate generously to keep Add
 // off the slice growth path at cluster scale.
 func (pt *servedPoint) measure(warmup, window, drain flexdriver.Duration) servedTotals {

@@ -81,7 +81,7 @@ func TestClusterTelemetryStable(t *testing.T) {
 // 441eb8d3…, was the 500 ns window's: an arrival tied with a local event
 // in whichever order the barrier had merged it, and on the switch shard of
 // this seed one such tie went the other way. The commit before this
-// change already prints the new value for this seed at SetLookahead(0),
+// change already prints the new value for this seed at lookaheads 0,
 // 50 ns and 250 ns; no other golden moved.
 //
 // Recaptured when the host supervisor lost its empty QP-reconnect rung
@@ -155,10 +155,9 @@ func TestChaosExpTelemetryGolden(t *testing.T) {
 // TestCluster128TelemetryStable is the large-cluster form of
 // TestClusterTelemetryStable: 256 aggregated clients folded onto 128
 // hosts (two per source) — the topology the hundred-node experiments
-// run — must replay byte-identically. The idle-shard skip and the
-// cross-shard delivery order run at a shard count two orders of magnitude
-// above the 2-client pin, where a map-ordered walk over nodes or ports
-// would actually show.
+// run — must replay byte-identically. The conduits' arrival order runs at
+// a node count two orders of magnitude above the 2-client pin, where a
+// map-ordered walk over nodes or ports would actually show.
 func TestCluster128TelemetryStable(t *testing.T) {
 	p := DefaultClusterParams(40 * sim.Microsecond)
 	p.Warmup = 20 * sim.Microsecond

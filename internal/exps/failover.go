@@ -117,8 +117,8 @@ func failoverRun(window flexdriver.Duration) (*Result, flexdriver.Snapshot) {
 	// rather than delivered to a flood copy.
 	cl.PinFDB()
 
-	// The crash and restart are cluster-wide barrier actions: every shard
-	// observes a consistent instant for the whole failure domain.
+	// The crash and restart are cluster-wide barrier actions: the whole
+	// failure domain goes down and comes back at one instant.
 	cl.Control(crashAt, crashed.Crash)
 	cl.Control(restartAt, crashed.Restart)
 

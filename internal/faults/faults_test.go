@@ -17,7 +17,7 @@ import (
 func driveWire(seed int64, cfg Config, n int) Counts {
 	p := NewPlan(seed, cfg)
 	w := &nic.Link{}
-	p.AttachLink(w, nil, nil)
+	p.AttachLink(w, nil)
 	frame := make([]byte, 64)
 	for i := 0; i < n; i++ {
 		for dir := 0; dir < 2; dir++ {
@@ -59,7 +59,7 @@ func TestWindowGatesInjection(t *testing.T) {
 	p := NewPlan(1, cfg)
 	p.Bind(eng)
 	w := &nic.Link{}
-	p.AttachLink(w, nil, nil)
+	p.AttachLink(w, nil)
 
 	frame := make([]byte, 64)
 	if w.Loss(0, frame) {
@@ -87,7 +87,7 @@ func TestWindowGatesInjection(t *testing.T) {
 func TestDeterministicDropOrdinals(t *testing.T) {
 	p := NewPlan(1, Config{WireDropNth: []int64{2, 5}, WireDir: 1})
 	w := &nic.Link{}
-	p.AttachLink(w, nil, nil)
+	p.AttachLink(w, nil)
 	frame := make([]byte, 64)
 
 	var dropped []int
@@ -117,8 +117,8 @@ func TestDeterministicDropOrdinals(t *testing.T) {
 func TestAttachLinkPerLinkOrdinals(t *testing.T) {
 	p := NewPlan(1, Config{WireDropNth: []int64{2}})
 	var l1, l2 nic.Link
-	p.AttachLink(&l1, nil, nil)
-	p.AttachLink(&l2, nil, nil)
+	p.AttachLink(&l1, nil)
+	p.AttachLink(&l2, nil)
 	frame := make([]byte, 64)
 
 	for name, l := range map[string]*nic.Link{"first": &l1, "second": &l2} {
@@ -258,7 +258,7 @@ func TestInjectedIsPublishedWhole(t *testing.T) {
 	p.SetTelemetry(reg.Scope("faults")) // every node of a testbed calls it
 
 	var l nic.Link
-	p.AttachLink(&l, nil, nil)
+	p.AttachLink(&l, nil)
 	if !l.Loss(0, nil) {
 		t.Fatal("first frame must be dropped")
 	}

@@ -50,7 +50,7 @@ func TestGoBackNNaksOncePerLossEvent(t *testing.T) {
 	eng, w, a, b, epA, epB := rdmaBed(t, nic.DefaultParams(), 16<<10)
 
 	plan := faults.NewPlan(7, faults.Config{WireDropNth: []int64{3}, WireDir: 1})
-	plan.AttachLink(&w.Link, eng, eng)
+	plan.AttachLink(&w.Link, eng)
 
 	var msgs [][]byte
 	epB.OnMessage = func(data []byte) { msgs = append(msgs, append([]byte(nil), data...)) }
@@ -80,7 +80,7 @@ func TestWindowClampsUnderAckBlackhole(t *testing.T) {
 	eng, w, a, _, epA, _ := rdmaBed(t, nic.DefaultParams(), 256<<10)
 
 	plan := faults.NewPlan(7, faults.Config{WireLoss: 1, WireDir: 2})
-	plan.AttachLink(&w.Link, eng, eng)
+	plan.AttachLink(&w.Link, eng)
 
 	epA.Send(patterned(160 << 10)) // 160 packets, well past the window
 	// Default RetransmitTimeout is 100us after the first transmission;
@@ -110,7 +110,7 @@ func TestBoundedRetryEntersErrorAndReconnects(t *testing.T) {
 	eng, w, a, _, epA, epB := rdmaBed(t, prm, 16<<10)
 
 	plan := faults.NewPlan(7, faults.Config{WireLoss: 1, WireDir: 2})
-	plan.AttachLink(&w.Link, eng, eng)
+	plan.AttachLink(&w.Link, eng)
 
 	// Note the blackhole only kills B->A frames: the data itself still
 	// reaches B and is delivered; it is the *sender* that, unable to see

@@ -7,19 +7,16 @@ import "flexdriver/internal/sim"
 const EthWireOverhead = 20
 
 // Segment is one direction of an Ethernet cable, and the only place a
-// frame's transit is written: serialize at the line rate on the sender's
-// engine, fire onSent, consult the Link's hooks for this direction, cross
-// the latency to the receiver's engine, deliver. A Wire is two segments
-// on one engine, a switch port two across the shard seam, a virtio cable
-// two between NetDevices. It implements Port, so the sending NIC
-// transmits straight into it.
+// frame's transit is written: serialize at the line rate, fire onSent,
+// consult the Link's hooks for this direction, cross the latency through
+// a conduit, deliver. A Wire is two segments, a switch port two between
+// the NIC and the switch, a virtio cable two between NetDevices. It
+// implements Port, so the sending NIC transmits straight into it.
 //
 // The owner embeds the segment by value and keeps what differs at its
 // ends: the deliver callback it hands to Init (which counts
 // Link.Delivered as its first act), any per-frame onSent, and onLost.
-// Everything here runs on the sender's shard except deliver; the Link's
-// counters and hooks are disjoint by direction, so a parallel group needs
-// no locks.
+// The Link's counters and hooks are disjoint by direction.
 type Segment struct {
 	link *Link
 	dir  int
@@ -29,7 +26,7 @@ type Segment struct {
 	latency *sim.Duration
 
 	ser      sim.Resource // the sender's serializer
-	c        *sim.Conduit // a direct schedule when both ends share an engine
+	c        *sim.Conduit
 	transits sim.Pool[transit, *transit]
 
 	// onLost, when set, tells the owner a frame fell to the Loss hook.
@@ -47,12 +44,12 @@ type transit struct {
 	d      sim.Duration // serialization time (dup spacing)
 }
 
-// Init wires direction dir of link l from src to dst. deliver runs on
-// dst's shard at each arrival.
+// Init wires direction dir of link l on eng. deliver runs at each
+// arrival.
 func (s *Segment) Init(l *Link, dir int, rate *sim.BitRate, latency *sim.Duration,
-	src, dst *sim.Engine, deliver func(frame []byte)) {
+	eng *sim.Engine, deliver func(frame []byte)) {
 	*s = Segment{link: l, dir: dir, rate: rate, latency: latency,
-		ser: *sim.NewResource(src), c: sim.NewConduit(src, dst, deliver)}
+		ser: *sim.NewResource(eng), c: sim.NewConduit(eng, eng, deliver)}
 }
 
 // Utilization returns the fraction of time the serializer spent busy.
@@ -66,7 +63,7 @@ func (s *Segment) Send(frame []byte, onSent func()) {
 	x := s.transits.Get()
 	x.seg, x.frame, x.onSent = s, frame, onSent
 	x.d = s.rate.Serialize(len(frame) + EthWireOverhead)
-	s.c.Src().AtArg(s.ser.Acquire(x.d), segmentSent, x)
+	s.c.Engine().AtArg(s.ser.Acquire(x.d), segmentSent, x)
 }
 
 // segmentSent runs when the frame has fully left the sender. Loss, delay
@@ -80,7 +77,7 @@ func segmentSent(a any) {
 	if onSent != nil {
 		onSent()
 	}
-	l, dir, bufs := s.link, s.dir, s.c.Src().Bufs()
+	l, dir, bufs := s.link, s.dir, s.c.Engine().Bufs()
 	if l.Loss != nil && l.Loss(dir, frame) {
 		l.Lost[dir]++
 		bufs.Put(frame)
@@ -89,7 +86,7 @@ func segmentSent(a any) {
 		}
 		return
 	}
-	at := s.c.Src().Now() + *s.latency
+	at := s.c.Engine().Now() + *s.latency
 	if l.Delay != nil {
 		at += l.Delay(dir, frame)
 	}

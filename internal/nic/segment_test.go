@@ -22,11 +22,11 @@ type segBed struct {
 	arrivals []sim.Time
 }
 
-func newSegBed(dir int, src, dst *sim.Engine) *segBed {
+func newSegBed(dir int, eng *sim.Engine) *segBed {
 	b := &segBed{rate: 25 * sim.Gbps, latency: 500 * sim.Nanosecond}
-	b.seg.Init(&b.link, dir, &b.rate, &b.latency, src, dst, func([]byte) {
+	b.seg.Init(&b.link, dir, &b.rate, &b.latency, eng, func([]byte) {
 		b.link.Delivered[dir]++
-		b.arrivals = append(b.arrivals, dst.Now())
+		b.arrivals = append(b.arrivals, eng.Now())
 	})
 	return b
 }
@@ -79,7 +79,7 @@ func TestSegmentTransit(t *testing.T) {
 		for dir := 0; dir < 2; dir++ {
 			t.Run(fmt.Sprintf("%s/dir%d", row.name, dir), func(t *testing.T) {
 				eng := sim.NewEngine()
-				b := newSegBed(dir, eng, eng)
+				b := newSegBed(dir, eng)
 				var log []string
 				if row.hooks != nil {
 					row.hooks(&b.link, &log)
@@ -127,7 +127,7 @@ func (s *countEP) Engine() *sim.Engine   { return s.eng }
 // switch hop (segment in, FDB lookup, output queue, segment out).
 func TestSegmentTransitZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	b := newSegBed(0, eng, eng)
+	b := newSegBed(0, eng)
 	b.arrivals = make([]sim.Time, 0, 256)
 	frame := make([]byte, 600)
 	one := func() {
@@ -161,26 +161,23 @@ func TestSegmentTransitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSegmentAcrossShardsWorkerInvariant runs a cable between two engines
-// of a group with Delay and Dup active, so later frames overtake earlier
-// ones inside one barrier window (the conduit's retrograde-append sort)
-// and duplicates interleave with originals. Each shard must still see its
+// TestSegmentAcrossShardsWorkerInvariant runs a cable's two directions
+// with Delay and Dup active, so later frames overtake earlier ones and
+// duplicates interleave with originals. Each end must still see its
 // arrivals in time order, every frame accounted for.
 func TestSegmentAcrossShardsWorkerInvariant(t *testing.T) {
 	type arrival struct {
 		at sim.Time
 		id byte
 	}
-	g := sim.NewGroup()
-	g.SetLookahead(500 * sim.Nanosecond)
-	engs := [2]*sim.Engine{g.NewEngine(), g.NewEngine()}
+	eng := sim.NewEngine()
 	var (
 		link    nic.Link
 		rate    = 25 * sim.Gbps
 		latency = 500 * sim.Nanosecond
 		segs    [2]nic.Segment
-		got     [2][]arrival // by receiving shard
-		seen    [2]int       // hook state, one cell per direction: each runs on its sender's shard
+		got     [2][]arrival // by receiving end
+		seen    [2]int       // hook state, one cell per direction
 	)
 	link.Delay = func(dir int, _ []byte) sim.Duration {
 		seen[dir]++
@@ -192,35 +189,35 @@ func TestSegmentAcrossShardsWorkerInvariant(t *testing.T) {
 	link.Dup = func(dir int, f []byte) bool { return f[0]%4 == 0 }
 	for dir := range segs {
 		rx := 1 - dir
-		segs[dir].Init(&link, dir, &rate, &latency, engs[dir], engs[rx], func(f []byte) {
+		segs[dir].Init(&link, dir, &rate, &latency, eng, func(f []byte) {
 			link.Delivered[dir]++
-			got[rx] = append(got[rx], arrival{engs[rx].Now(), f[0]})
+			got[rx] = append(got[rx], arrival{eng.Now(), f[0]})
 			if rx == 1 {
-				segs[1].Send(f, nil) // shard 1 echoes everything back
+				segs[1].Send(f, nil) // end 1 echoes everything back
 			}
 		})
 	}
 	for id := byte(0); id < 40; id++ {
 		segs[0].Send([]byte{id, 0, 0, 0}, nil)
 	}
-	g.Run()
+	eng.Run()
 
 	if len(got[1]) != 50 || len(got[0]) != 70 {
 		// 40 frames + 10 duplicates out; all 50 echoed, the 20 copies of
 		// the duplicated ids duplicated again.
-		t.Fatalf("shard 1 saw %d arrivals and shard 0 %d, want 50 and 70", len(got[1]), len(got[0]))
+		t.Fatalf("end 1 saw %d arrivals and end 0 %d, want 50 and 70", len(got[1]), len(got[0]))
 	}
 	overtaken := false
 	for rx, seq := range got {
 		for i := 1; i < len(seq); i++ {
 			overtaken = overtaken || rx == 1 && seq[i].id < seq[i-1].id
 			if seq[i].at < seq[i-1].at {
-				t.Fatalf("shard %d: arrival %d at %v precedes arrival %d at %v: the merge lost time order",
+				t.Fatalf("end %d: arrival %d at %v precedes arrival %d at %v: time order lost",
 					rx, i, seq[i].at, i-1, seq[i-1].at)
 			}
 		}
 	}
 	if !overtaken {
-		t.Fatal("no frame overtook an earlier one: the retrograde path was not exercised")
+		t.Fatal("no frame overtook an earlier one: the workload lost its overtaking")
 	}
 }

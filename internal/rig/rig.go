@@ -165,7 +165,7 @@ func (t *Tenants) Kick() {
 // host's own IP, an 8-byte send ordinal stamped at StampOff and read back
 // at RecvOff (they differ only when the server strips an encapsulation),
 // and the per-ordinal Ledger the two feed. Everything is private to the
-// host's shard while the cluster runs.
+// host while the cluster runs.
 type Client struct {
 	Ledger
 	Host *flexdriver.Host
@@ -264,7 +264,7 @@ func (r *Rig) PinFDB() {
 // supervisors, FLD runtimes, reconcilers), catching the Error-state
 // queues whose announcing CQE was itself lost, and reconnects transports
 // that take both ends. The pass may touch every node, so it runs as a
-// cluster Control: all shards quiesced and advanced to the tick first.
+// cluster Control: every earlier event has run and the clock reads the tick.
 func (r *Rig) Supervise(from sim.Time, every sim.Duration, until sim.Time, sweep func()) {
 	var tick func()
 	tick = func() {

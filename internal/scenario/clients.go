@@ -28,7 +28,7 @@ type framing struct {
 	stampOff, recvOff int
 	// screen (optional) sees every whole reply before the ledger does and
 	// returns false to keep it out. It tallies into the client it is
-	// handed — clients run on their own shards and share no counter.
+	// handed — clients share no counter.
 	screen func(c *echoClient, reply []byte) bool
 }
 

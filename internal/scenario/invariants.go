@@ -110,7 +110,7 @@ func checkCluster(rn *run, j *judgement) {
 			res.Dups, maxDups, inj.WireDups)
 	}
 
-	// Buffer-pool balance: every shard's pool must have every buffer
+	// Buffer-pool balance: the engine's pool must have every buffer
 	// returned once the run quiesces (free-on-delivery ownership).
 	var out int64
 	for _, eng := range rn.Engines() {
@@ -121,8 +121,8 @@ func checkCluster(rn *run, j *judgement) {
 	}
 
 	// Cluster quiescence: no wedged retry or recovery loop keeps
-	// scheduling events after traffic stops, on any shard or in flight
-	// between shards.
+	// scheduling events after traffic stops, on any node or in flight
+	// between nodes.
 	if n := rn.Pending(); n != 0 {
 		bad("quiesce", "%d events still pending after drain", n)
 	}

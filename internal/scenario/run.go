@@ -66,7 +66,7 @@ func (r *Result) Violated(invariant string) bool {
 // framing, a new framing value in server_flat.go), not an edit to Run.
 type part interface {
 	// build racks the part's nodes and wires its handlers. Parts build in
-	// partsFor's order, which fixes shard, switch-port and address
+	// partsFor's order, which fixes switch-port and address
 	// assignment.
 	build(rn *run)
 	// start schedules the part's open-loop load and timed controls.
@@ -90,7 +90,7 @@ type run struct {
 	plan *faults.Plan // nil without a fault spec
 	stop sim.Time     // open-loop sources send nothing from here on
 	// clients is the echo-client part, which the server parts' reply
-	// screens tally into (per client, so no shard shares a counter).
+	// screens tally into (per client, so no two share a counter).
 	clients *echoClients
 }
 

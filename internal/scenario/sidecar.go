@@ -9,15 +9,15 @@ import (
 // stream is a transport sidecar's message accounting: a host pair on the
 // same switch runs a reliable message stream, so the go-back-N transport
 // shares the fabric (and its faults) with the echo traffic. The receive
-// callback runs on the receiver's shard while the send ordinal lives on
-// the sender's, so delivered ordinals are collected raw and judged
-// against the final send count after the run — shards must not read each
-// other's bookkeeping. (The send count only grows, so judging ghosts
+// callback runs on the receiver while the send ordinal lives on the
+// sender, so delivered ordinals are collected raw and judged against the
+// final send count after the run — neither end reads the other's
+// bookkeeping. (The send count only grows, so judging ghosts
 // against its final value is equivalent to the at-delivery check.)
 type stream struct {
-	sent rig.Ledger // sender's shard
+	sent rig.Ledger // the sender's
 
-	// receiver's shard
+	// the receiver's
 	delivered, corrupt int64
 	seqs               []int64
 }

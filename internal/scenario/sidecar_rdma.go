@@ -15,7 +15,7 @@ type rdmaSidecar struct {
 	stream
 	a, b *swdriver.RDMAEndpoint
 	sups [2]*flexdriver.Supervisor
-	eng  *flexdriver.Engine // rdma0's shard
+	eng  *flexdriver.Engine // rdma0's engine
 }
 
 func (p *rdmaSidecar) build(rn *run) {
@@ -32,7 +32,7 @@ func (p *rdmaSidecar) build(rn *run) {
 		seq := rig.Unstamp(msg, 0)
 		p.arrived(seq, intact(msg, 8, seq))
 	}
-	// The hosts get ladders too; QP reconnection takes both shards, so
+	// The hosts get ladders too; QP reconnection takes both nodes, so
 	// it stays in the sweep.
 	p.sups = [2]*flexdriver.Supervisor{rn.AddSupervisor(ha, rn.spec.Seed*8191+100),
 		rn.AddSupervisor(hb, rn.spec.Seed*8191+101)}

@@ -21,7 +21,7 @@ type tcpSidecar struct {
 	stream
 	a, b *swdriver.TCPEndpoint
 	sups [2]*flexdriver.Supervisor
-	eng  *flexdriver.Engine // tcp0's shard
+	eng  *flexdriver.Engine // tcp0's engine
 	dec  rpc.Decoder
 }
 

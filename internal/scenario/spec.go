@@ -122,7 +122,7 @@ type Spec struct {
 	// Run confines the probabilistic window to the measurement window.
 	Faults string
 
-	// Workers is ignored: Run steps the shards on the caller.
+	// Workers is ignored: Run steps the one engine on the caller.
 	//
 	// Deprecated: bench/ is the only writer; ROADMAP 1(a)'s benchmark-only PR deletes it.
 	Workers int

@@ -23,7 +23,7 @@ const (
 // first occupied slot in circular order from the clock's holds the
 // earliest. A pop takes that bucket's exact minimum or the far tier's Min,
 // whichever is earlier. Until the wheel is built every event joins the far
-// tier, so a shallow queue (a set-up, a quiet shard) pays nothing for it.
+// tier, so a shallow queue (a set-up, a small test) pays nothing for it.
 type queue struct {
 	heads *[wheelSlots]int32 // nil until the wheel is built
 	occ   [wheelSlots / 64]uint64
@@ -94,19 +94,6 @@ func (q *queue) earliest(s uint) (m, pm int32) {
 		}
 	}
 	return m, pm
-}
-
-// next reports the earliest event's time.
-func (q *queue) next(now Time) (Time, bool) {
-	t, f := maxTime, q.far.h
-	if q.near > 0 {
-		m, _ := q.earliest(q.first(now))
-		t = q.slab[m].At
-	}
-	if len(f) > 0 {
-		t = min(t, f[0].At)
-	}
-	return t, q.near > 0 || len(f) > 0
 }
 
 // popThrough removes and returns the earliest event if it is due by last.

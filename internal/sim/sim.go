@@ -3,10 +3,10 @@
 // CPU cores, accelerator lanes) schedule callbacks on an Engine, whose
 // picosecond clock fires them in (time, seq) order, so runs reproduce.
 //
-// A single Engine is single-threaded. For cluster-scale models, several
-// engines — one per node — can be joined into a Group (see group.go),
-// which steps them in index order on the same goroutine, each through its
-// own queue inside a lookahead window.
+// An Engine is single-threaded, and one engine runs a whole model: a
+// cluster builds every node and its switch on one, joins the nodes with
+// Conduits, and runs barrier actions between events through a Group (see
+// group.go).
 package sim
 
 import "fmt"
@@ -76,8 +76,7 @@ type Engine struct {
 	events queue
 	bufs   *BufPool
 	ids    map[string]int
-	group  *Group // non-nil when the engine is one shard of a Group
-	shard  int    // index within the group (creation order)
+	nconds uint64 // conduits built on the engine: the next one's ID
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -88,12 +87,9 @@ func (e *Engine) Now() Time { return e.now }
 
 // NextID returns 1, 2, 3, ... per name: identities (MAC/IP numbering,
 // device names) drawn per engine, not from a package-level counter, so two
-// runs of one scenario in one process build bit-identical worlds. Engines
-// of a Group share the group's ID space. Construction-time only.
+// runs of one scenario in one process build bit-identical worlds.
+// Construction-time only.
 func (e *Engine) NextID(name string) int {
-	if e.group != nil {
-		return e.group.NextID(name)
-	}
 	if e.ids == nil {
 		e.ids = make(map[string]int)
 	}
@@ -126,13 +122,13 @@ func (e *Engine) AfterArg(d Duration, fn func(any), arg any) { e.push(e.now+d, f
 
 // The seq space has two classes. A locally scheduled event draws
 // localSeq|counter, so local events of one picosecond run in scheduling
-// order. A cross-shard arrival (Conduit.Send) brings its own seq, conduit
-// ID << arrivalIndexBits | the conduit's send index, with the top bit
-// clear: at one picosecond every arrival runs before every local event, and
-// arrivals among themselves in (conduit ID, send index) order — a function
-// of the model alone, whenever and from whichever shard they were inserted.
-// The budget is 23 bits of conduit ID and 40 of send index; NewConduit and
-// Send guard both.
+// order. A conduit arrival (Conduit.Send) brings its own seq, conduit ID <<
+// arrivalIndexBits | the conduit's send index, with the top bit clear: at
+// one picosecond every arrival runs before every local event, and arrivals
+// among themselves in (conduit ID, send index) order. So a frame's place
+// depends on its link and its ordinal alone, never on when another node
+// happened to schedule its own work for that instant. The budget is 23
+// bits of conduit ID and 40 of send index; NewConduit and Send guard both.
 const (
 	localSeq         = 1 << 63
 	arrivalIndexBits = 40
@@ -174,7 +170,7 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // runThrough is the dispatch loop of Run, RunUntil and the group's
-// windows: it executes events due at or before last (inclusive, so no
+// controls: it executes events due at or before last (inclusive, so no
 // caller computes deadline+1, which wraps at maxTime). With the near tier
 // empty it pops the far tier in line, as cheaply as a bare Heap.
 func (e *Engine) runThrough(last Time) {
@@ -198,9 +194,8 @@ func (e *Engine) runThrough(last Time) {
 }
 
 // advanceTo moves the clock forward to t without executing anything, so a
-// shard that idled through a window observes the global time when a
-// barrier action pokes it (After and resource reservations measure from
-// Now). Moving backwards is a no-op. The caller must have run every event
+// barrier action or a RunUntil caller sees the instant it asked for
+// (After and resource reservations measure from Now). Moving backwards is a no-op. The caller must have run every event
 // before t: no pending event is ever behind the clock, which the queue's
 // circular scan relies on.
 func (e *Engine) advanceTo(t Time) { e.now = max(e.now, t) }

@@ -102,7 +102,7 @@ func ConnectTCPEndpoints(a, b *TCPEndpoint) {
 // ReconnectTCPEndpoints re-establishes the pair after a transport
 // failure (retry-exceeded Error), flushing each side's dead-incarnation
 // state and notifying stream consumers — the ReconnectEndpoints
-// analogue. Call from a control barrier: it touches both shards.
+// analogue. Call from a control barrier: it touches both nodes.
 func ReconnectTCPEndpoints(a, b *TCPEndpoint) {
 	tcp.Reconnect(a.Conn, b.Conn)
 	for _, e := range []*TCPEndpoint{a, b} {

@@ -17,7 +17,7 @@ import (
 )
 
 // edgeResult is what one harness run hands the case's check function.
-// Delivered IDs are collected raw on the receiver's shard and judged
+// Delivered IDs are collected raw at the receiver and judged
 // only after the run, same as the scenario sidecar's ledger.
 type edgeResult struct {
 	sent       int64

@@ -157,9 +157,9 @@ type Stats struct {
 	Errors                     int64 // retry-exceeded escalations
 }
 
-// Conn is one endpoint of a connection. All methods must run on the
-// owning engine's shard (ingress from the host's receive path, timers on
-// the host's engine); only Connect/Reconnect touch both ends and belong
+// Conn is one endpoint of a connection. All methods run on the owning
+// host's events (ingress from the host's receive path, timers on the
+// host's engine); only Connect/Reconnect touch both ends and belong
 // in a control barrier, exactly like ConnectQPs/ReconnectQPs.
 type Conn struct {
 	cfg Config
@@ -222,7 +222,7 @@ func Connect(a, b *Conn) {
 // establishes a fresh one: epochs advance past both ends' (so stale
 // segments can never splice in), sequence spaces restart, and any
 // unacknowledged send state is flushed and counted. Call from a control
-// barrier: it touches both shards.
+// barrier: it touches both nodes.
 func Reconnect(a, b *Conn) {
 	e := a.epoch
 	if b.epoch > e {

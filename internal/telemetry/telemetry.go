@@ -16,10 +16,8 @@
 //     one predictable branch per event — calibrated timing results are
 //     unchanged whether telemetry is attached or not.
 //
-// An engine runs one event at a time, so no metric handle is locked; a
-// cell several shards of a sim.Group feed (the fault plane's Injected
-// tallies) is written atomically by its owner, and the registry's lookup
-// maps take a mutex (creation is a set-up-time or
+// An engine runs one event at a time, so no metric handle is locked; the
+// registry's lookup maps take a mutex (creation is a set-up-time or
 // first-use activity, never the per-event path).
 package telemetry
 

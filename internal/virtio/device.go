@@ -350,11 +350,14 @@ type cable struct {
 // ConnectLink cables two devices back to back and returns the cable's
 // fault hooks and delivery counters; dir is the transmitting end (a is 0).
 func ConnectLink(a, b *NetDevice, rate sim.BitRate, latency sim.Duration) *nic.Link {
+	if a.eng != b.eng {
+		panic("virtio: ConnectLink requires both devices on one engine")
+	}
 	c := &cable{rate: rate, latency: latency}
 	for dir, tx := range [2]*NetDevice{a, b} {
 		rx := [2]*NetDevice{b, a}[dir]
 		tx.link = &c.segs[dir]
-		tx.link.Init(&c.Link, dir, &c.rate, &c.latency, tx.eng, rx.eng, func(frame []byte) {
+		tx.link.Init(&c.Link, dir, &c.rate, &c.latency, tx.eng, func(frame []byte) {
 			c.Delivered[dir]++
 			rx.deliver(frame)
 		})

@@ -36,15 +36,6 @@ type Options struct {
 	// ConnectWire on the option-built pairs — the Ethernet wire). Nil
 	// (the default) injects nothing.
 	Faults *FaultPlan
-	// Colocate builds every Cluster node and the switch on one shared
-	// engine instead of one shard each. With no cross-shard conduits the
-	// group runs the single shard straight to each deadline — no windows,
-	// no barriers — making this the monolithic-engine baseline that
-	// scheduler-overhead measurements (bench's colocated_ratio) compare
-	// against. Same-instant event interleaving across nodes differs from
-	// the sharded schedule, so telemetry hashes are comparable only
-	// within one mode.
-	Colocate bool
 }
 
 // Option customizes testbed construction (the functional-options
@@ -77,15 +68,16 @@ func WithTelemetry(reg *Registry) Option { return func(o *Options) { o.Telemetry
 // plan may serve several nodes; they share its seeded random stream.
 func WithFaults(p *FaultPlan) Option { return func(o *Options) { o.Faults = p } }
 
-// WithWorkers does nothing: a Cluster steps its shards on the caller.
+// WithWorkers does nothing: a Cluster runs its one engine on the caller.
 //
 // Deprecated: bench/ is the only caller; ROADMAP 1(a)'s benchmark-only PR deletes it.
 func WithWorkers(int) Option { return func(*Options) {} }
 
-// WithColocated(true) racks every cluster node and the switch on one
-// shared engine — the monolithic baseline for scheduler-overhead
-// measurement. See Options.Colocate for the determinism caveat.
-func WithColocated(on bool) Option { return func(o *Options) { o.Colocate = on } }
+// WithColocated does nothing: every Cluster already runs its nodes and
+// its switch on one engine.
+//
+// Deprecated: bench/ is the only caller; ROADMAP 1(a)'s benchmark-only PR deletes it.
+func WithColocated(bool) Option { return func(*Options) {} }
 
 // buildOptions folds functional options into a defaulted carrier.
 func buildOptions(opts []Option) Options {
@@ -194,10 +186,10 @@ func (x nicFLRDomain) Restart() {
 }
 
 // Node is the execution handle every testbed node embeds: the node's
-// shard engine, its name, and — when the node was built by a Cluster —
+// engine, its name, and — when the node was built by a Cluster —
 // the owning cluster. Per-node work (scheduling callbacks, reading the
 // local clock) goes through the node's engine; execution (Run/RunUntil)
-// delegates to the cluster's group scheduler when there is one, so
+// delegates to the cluster when there is one, so
 // node.Run() on a clustered node drives the whole topology, exactly as
 // the redesigned Cluster.Run does.
 type Node struct {
@@ -206,7 +198,7 @@ type Node struct {
 	name string
 }
 
-// Engine returns the node's shard engine. Schedule node-local events
+// Engine returns the node's engine. Schedule node-local events
 // here; events that coordinate across nodes belong in Cluster.Control.
 func (n *Node) Engine() *Engine { return n.eng }
 
@@ -381,20 +373,18 @@ type RemotePair struct {
 
 // NewRemotePair builds the two-node remote testbed — the trivial
 // Cluster: options fold once, both nodes build from the shared carrier,
-// and the NICs are cabled back to back (no switch in the path). A
-// point-to-point cable has no barrier seam, so both nodes share one
-// shard engine. With WithTelemetry both register under their node names
-// ("client", "server") in the shared registry.
+// and the NICs are cabled back to back (no switch in the path). With
+// WithTelemetry both register under their node names ("client",
+// "server") in the shared registry.
 func NewRemotePair(opts ...Option) *RemotePair {
 	c := NewCluster(opts...)
-	eng := c.group.NewEngine()
-	client := c.buildHostOn(eng, "client")
-	server := c.buildInnovaOn(eng, "server")
+	client := c.buildHost("client")
+	server := c.buildInnova("server")
 	w := nic.ConnectWire(client.NIC, server.NIC, 25*Gbps, 500*Nanosecond)
 	if c.o.Faults != nil {
-		c.o.Faults.AttachLink(&w.Link, eng, eng)
+		c.o.Faults.AttachLink(&w.Link, c.eng)
 	}
-	return &RemotePair{Node: Node{eng: eng, cl: c, name: "pair"}, Client: client, Server: server, Wire: w}
+	return &RemotePair{Node: Node{eng: c.eng, cl: c, name: "pair"}, Client: client, Server: server, Wire: w}
 }
 
 // NewLocalInnova builds the paper's local testbed: one Innova node whose
