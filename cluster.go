@@ -79,9 +79,7 @@ func (c *Cluster) SwitchQueueFrames(n int) *Cluster {
 func (c *Cluster) Switch() *EthSwitch {
 	if c.sw == nil {
 		c.sw = ethswitch.New(c.eng, c.swCfg)
-		if c.o.Telemetry != nil {
-			c.sw.SetTelemetry(c.o.Telemetry.Scope("switch"))
-		}
+		c.sw.SetTelemetry(c.o.Telemetry.Scope("switch"))
 		if c.o.Faults != nil {
 			c.o.Faults.AttachSwitchReboot(c.eng, c.sw)
 		}

@@ -97,9 +97,8 @@ type FLD struct {
 	windowPages int // virtual data pages per queue window
 
 	// Transmit state.
-	descPool []txDesc      // made on the first Send
+	descPool []txDesc      // grown a slot at a time as slots are first used
 	descFree []uint16      // released slots, reused last-in first-out
-	descNext int           // slots below this have been handed out
 	descXlt  *cuckoo.Table // (queue, ring index) -> pool slot
 	dataXlt  *cuckoo.Table // global vpage -> physical page
 	txPool   *pagePool
@@ -127,7 +126,7 @@ type FLD struct {
 
 	pcieName string // device name override for multi-core FPGAs
 
-	tlm *fldTelemetry // nil unless SetTelemetry was called
+	tlm *fldTelemetry // &uninstrumented until SetTelemetry
 	flt *FaultHooks   // nil unless SetFaults was called
 }
 
@@ -159,7 +158,7 @@ func New(eng *sim.Engine, cfg Config) *FLD {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	f := &FLD{cfg: cfg, eng: eng}
+	f := &FLD{cfg: cfg, eng: eng, tlm: &uninstrumented}
 	f.rx.Strides = cfg.RxWQEBytes / cfg.RxStrideBytes
 
 	// Virtual windows: give each queue double the whole buffer pool so
@@ -265,9 +264,7 @@ func (f *FLD) Start() {
 }
 
 func (f *FLD) writeRQDoorbell(pi uint32) {
-	if t := f.tlm; t != nil {
-		t.rqDoorbells.Inc()
-	}
+	f.tlm.rqDoorbells.Inc()
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], pi)
 	f.port.Write(f.nicBAR+nic.RQDoorbellOffset(f.rxRQN), b[:], nil)
@@ -283,7 +280,7 @@ func (f *FLD) Credits(q int) (descSlots, bufBytes int) {
 }
 
 // descAvail is the descriptor-pool slots not in flight.
-func (f *FLD) descAvail() int { return f.cfg.TxDescPool - f.descNext + len(f.descFree) }
+func (f *FLD) descAvail() int { return f.cfg.TxDescPool - len(f.descPool) + len(f.descFree) }
 
 // Send transmits one packet (FLD-E: a complete Ethernet frame; FLD-R: a
 // message for the bound QP) on queue q. The data is copied into FLD's
@@ -310,15 +307,11 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 		f.Stats.CreditStalls++
 		return ErrNoCredits
 	}
-	if f.descPool == nil {
-		f.descPool = make([]txDesc, f.cfg.TxDescPool)
-		f.descFree = make([]uint16, 0, f.cfg.TxDescPool)
-	}
-	slot := uint16(f.descNext)
+	slot := uint16(len(f.descPool))
 	if n := len(f.descFree); n > 0 {
 		slot, f.descFree = f.descFree[n-1], f.descFree[:n-1]
 	} else {
-		f.descNext++
+		f.descPool = append(f.descPool, txDesc{})
 	}
 
 	// Copy the data into pages mapped at consecutive virtual addresses in
@@ -336,26 +329,16 @@ func (f *FLD) Send(q int, data []byte, md Metadata) error {
 
 	idx := tq.ring.PI
 	tq.sinceSig++
-	signal := tq.sinceSig >= f.cfg.SignalEvery
-	// Force a completion when resources run low: recycling must never
+	// Also force a completion when resources run low: recycling must never
 	// deadlock behind a run of unsignaled descriptors (with a small pool
 	// every in-flight descriptor could otherwise be unsignaled, and no
 	// completion would ever arrive to free them).
-	if !signal && (f.descAvail() < f.cfg.SignalEvery ||
-		f.txPool.freePages() < 2*pages+f.cfg.SignalEvery) {
-		signal = true
-	}
+	signal := tq.sinceSig >= f.cfg.SignalEvery || f.descAvail() < f.cfg.SignalEvery ||
+		f.txPool.freePages() < 2*pages+f.cfg.SignalEvery
 	if signal {
 		tq.sinceSig = 0
 	}
-	d := txDesc{
-		Page:    uint16(vstart),
-		Len:     uint16(len(data)),
-		Signal:  signal,
-		Valid:   true,
-		FlowTag: md.Tag,
-	}
-	f.descPool[slot] = d
+	f.descPool[slot] = txDesc{Page: uint16(vstart), Len: uint16(len(data)), Signal: signal, Valid: true, FlowTag: md.Tag}
 	ringKey := uint64(q)<<32 | uint64(idx%uint32(f.cfg.TxRingEntries))
 	if !f.descXlt.Insert(ringKey, uint32(slot)) {
 		panic("fld: descriptor translation table overflow (sizing bug)")
@@ -398,17 +381,13 @@ func txNotify(a any) {
 	if f.cfg.WQEByMMIO {
 		wqe := f.eng.Bufs().Get(nic.SendWQESize)
 		f.generateWQE(wqe, q, idx)
-		if t := f.tlm; t != nil {
-			t.wqeMMIO.Inc()
-		}
+		f.tlm.wqeMMIO.Inc()
 		f.port.WriteOwned(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), wqe, wqe, nil)
 		return
 	}
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], tq.ring.PI)
-	if t := f.tlm; t != nil {
-		t.sqDoorbells.Inc()
-	}
+	f.tlm.sqDoorbells.Inc()
 	f.port.Write(f.nicBAR+nic.SQDoorbellOffset(tq.nicSQN), b[:], nil)
 }
 
@@ -418,14 +397,8 @@ func txNotify(a any) {
 func (f *FLD) generateWQE(b []byte, q int, idx uint32) {
 	ringKey := uint64(q)<<32 | uint64(idx%uint32(f.cfg.TxRingEntries))
 	slotv, ok := f.descXlt.Lookup(ringKey)
-	if t := f.tlm; t != nil {
-		if ok {
-			t.descHits.Inc()
-		} else {
-			t.descMisses.Inc()
-		}
-	}
 	if !ok {
+		f.tlm.descMisses.Inc()
 		// The NIC read a descriptor FLD never posted: emit an invalid
 		// WQE; the NIC will complete it with an error that flows back
 		// through the control plane's error channel.
@@ -433,6 +406,7 @@ func (f *FLD) generateWQE(b []byte, q int, idx uint32) {
 		b[0] = 0xff // invalid opcode
 		return
 	}
+	f.tlm.descHits.Inc()
 	d := f.descPool[slotv]
 	vaddr := f.port.Base() + f.txDataBase +
 		uint64(q)*uint64(f.windowPages*f.cfg.TxPageBytes) +
@@ -523,16 +497,11 @@ func (f *FLD) readDataRegion(off uint64, out []byte) {
 		key := uint64(q)<<32 | uint64(vp)
 		phys, ok := f.dataXlt.Lookup(key)
 		if ok {
+			f.tlm.dataHits.Inc()
 			f.txPool.read(out[n:n+take], uint16(phys), pageOff)
 		} else {
+			f.tlm.dataMisses.Inc()
 			clear(out[n : n+take])
-		}
-		if t := f.tlm; t != nil {
-			if ok {
-				t.dataHits.Inc()
-			} else {
-				t.dataMisses.Inc()
-			}
 		}
 		n += take
 		off += uint64(take)
@@ -569,9 +538,7 @@ func (f *FLD) MMIOWrite(offset uint64, data []byte) {
 // not posted (nic.SendRing.Complete).
 func (f *FLD) handleTxCQE(c nic.CQE) {
 	rec := compressCQE(c) // stored compressed on-die (15 B)
-	if t := f.tlm; t != nil {
-		t.txCQEs.Inc()
-	}
+	f.tlm.txCQEs.Inc()
 	if rec.Opcode == nic.CQEError {
 		f.Stats.Errors++
 		if f.onError != nil {
@@ -671,9 +638,7 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	rec := compressCQE(c)
 	f.Stats.RxPackets++
 	f.Stats.RxBytes += int64(rec.ByteCount)
-	if t := f.tlm; t != nil {
-		t.rxCQEs.Inc()
-	}
+	f.tlm.rxCQEs.Inc()
 
 	// In-order buffer recycling (§5.2 "Receive Ring in Host Memory"):
 	// a buffer is done either when its strides are fully consumed or
@@ -681,7 +646,9 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	// skip); either way FLD reposts it by bumping the producer index —
 	// the host-memory descriptors themselves stay untouched.
 	strides := (int(rec.ByteCount) + f.cfg.RxStrideBytes - 1) / f.cfg.RxStrideBytes
-	for n := f.rx.Fill(int32(rec.Index>>8), strides); n > 0; n-- {
+	buf := int32(rec.Index >> 8)
+	recycled, first := f.rx.Fill(buf, strides)
+	for n := recycled; n > 0; n-- {
 		f.writeRQDoorbell(f.rx.PI - uint32(n-1))
 	}
 
@@ -698,6 +665,10 @@ func (f *FLD) handleRxCQE(c nic.CQE) {
 	data := f.eng.Bufs().Get(int(rec.ByteCount))
 	clear(data) // what runs past the SRAM reads as zero
 	f.rxMem.Read(data, off)
+	// The packet is out, so the buffers Fill recycled (first, then buf) are dead.
+	for b := first; recycled > 0; recycled, b = recycled-1, buf {
+		f.rxMem.Discard(uint64(b)*uint64(f.cfg.RxWQEBytes), uint64(f.cfg.RxWQEBytes))
+	}
 	md := Metadata{
 		Queue:      int(rec.Queue),
 		Tag:        rec.FlowTag,

@@ -64,10 +64,11 @@ func TestBARLayoutNonOverlapping(t *testing.T) {
 // TestNewFootprint pins what building an FLD with the default
 // configuration costs the host allocator before any traffic: the
 // descriptor pool, its free stack and the translation banks are the
-// modelled SRAM (Config.Memory prices all of them) and are allocated
-// by the first Send and the first placements, not here. The budget was
+// modelled SRAM (Config.Memory prices all of them) and are grown by
+// Sends and made by the first placements, not here. The budget was
 // set 4 % over the 2 376 B first measured under go1.24; the build reads
-// 2 440 B today (11 objects, pinned exactly);
+// 2 456 B today (11 objects, pinned exactly; 2 440 B before each store
+// held a slice of spare granules);
 // before the pool and banks went lazy the same build cost 207 158 B in
 // 21 objects. It measures the way testing.AllocsPerRun does: one build
 // first, so one-time initialisation stays out of the window, and one P
@@ -274,6 +275,57 @@ func TestRxCQEDeliversToHandler(t *testing.T) {
 	}
 	if f.Stats.RxPackets != 1 {
 		t.Fatalf("rx stats: %+v", f.Stats)
+	}
+}
+
+// TestRecycledRxBuffersAreDiscarded: a packet that ends its buffer
+// reaches the handler whole, and only then does the FLD discard the
+// buffers its completion recycled — that one, and the one the NIC left
+// with strides to spare — so their SRAM reads as zero (poison under the
+// pooldebug tag) while the buffer being filled keeps its bytes.
+func TestRecycledRxBuffersAreDiscarded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RxWQEBytes = 4 << 10 // 16 strides of 256 B
+	eng, _, f := newFLD(t, cfg)
+	f.ConfigureRx(2, f.RxBufCount())
+	f.Start()
+	var got [][]byte
+	f.SetHandler(HandlerFunc(func(data []byte, _ Metadata) { got = append(got, bytes.Clone(data)) }))
+	var want [][]byte
+	deliver := func(buf, stride, n int) {
+		pkt := bytes.Repeat([]byte{byte(len(want) + 1)}, n)
+		off := uint64(buf*cfg.RxWQEBytes + stride*cfg.RxStrideBytes)
+		f.MMIOWrite(f.rxBufBase+off, pkt)
+		cqe := nic.CQE{Opcode: nic.CQERecv, Last: true, Queue: 2, ByteCount: uint32(n),
+			Index: uint16(buf)<<8 | uint16(stride), Addr: f.port.Base() + f.rxBufBase + off}
+		f.MMIOWrite(f.rxCQBase, cqe.Marshal())
+		want = append(want, pkt)
+	}
+	deliver(0, 0, 2<<10)  // buffer 0 half full
+	deliver(1, 0, 3<<10)  // the NIC leaves buffer 0 for buffer 1
+	deliver(1, 12, 1<<10) // and fills buffer 1
+	deliver(2, 0, 1<<10)  // buffer 2 is being filled
+	eng.Run()
+	if len(got) != len(want) {
+		t.Fatalf("handler saw %d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("packet %d reached the handler as %v...", i, got[i][:8])
+		}
+	}
+	dead := byte(0)
+	if sim.PoolDebug {
+		dead = 0xA5
+	}
+	sram := make([]byte, 3*cfg.RxWQEBytes)
+	f.rxMem.Read(sram, 0)
+	wantSRAM := make([]byte, 3*cfg.RxWQEBytes) // buffer 0's second half was never written
+	copy(wantSRAM, bytes.Repeat([]byte{dead}, 2<<10))
+	copy(wantSRAM[cfg.RxWQEBytes:], bytes.Repeat([]byte{dead}, cfg.RxWQEBytes))
+	copy(wantSRAM[2*cfg.RxWQEBytes:], want[3])
+	if !bytes.Equal(sram, wantSRAM) {
+		t.Fatal("recycled receive buffers kept their bytes, or the filling one lost them")
 	}
 }
 

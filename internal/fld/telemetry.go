@@ -3,8 +3,8 @@ package fld
 import "flexdriver/internal/telemetry"
 
 // fldTelemetry holds the FLD data-plane handles that have no Stats
-// field behind them. All handles are nil-safe, so an uninstrumented FLD
-// pays one branch per event.
+// field behind them. All handles are nil-safe: an FLD without telemetry
+// points at uninstrumented and pays one branch per event.
 type fldTelemetry struct {
 	sqDoorbells *telemetry.Counter // 4 B PI doorbells (WQEByMMIO off)
 	wqeMMIO     *telemetry.Counter // full WQEs pushed over MMIO
@@ -23,6 +23,8 @@ type fldTelemetry struct {
 	poolPages *telemetry.Gauge // buffer-pool pages in use
 	descSlots *telemetry.Gauge // descriptor-pool slots in use
 }
+
+var uninstrumented fldTelemetry
 
 // SetTelemetry attaches a telemetry scope to the FLD instance: the
 // Stats fields published as packet/byte/error counters, doorbell and
@@ -68,11 +70,6 @@ func (f *FLD) SetTelemetry(sc *telemetry.Scope) {
 // noteOccupancy refreshes the pool gauges after an alloc or release so
 // the high-water marks are exact.
 func (f *FLD) noteOccupancy() {
-	t := f.tlm
-	if t == nil {
-		return
-	}
-	total := f.cfg.TxBufBytes / f.cfg.TxPageBytes
-	t.poolPages.Set(int64(total - f.txPool.freePages()))
-	t.descSlots.Set(int64(f.cfg.TxDescPool - f.descAvail()))
+	f.tlm.poolPages.Set(int64(f.cfg.TxBufBytes/f.cfg.TxPageBytes - f.txPool.freePages()))
+	f.tlm.descSlots.Set(int64(f.cfg.TxDescPool - f.descAvail()))
 }

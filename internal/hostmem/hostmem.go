@@ -1,12 +1,16 @@
 // Package hostmem models host DRAM as a PCIe-addressable memory device.
 //
-// The software driver baseline keeps all of its rings and buffers here, and
-// FlexDriver places exactly one structure here: the shared receive ring,
-// which it recycles in-order so the NIC can re-read descriptors unmodified
-// (paper §5.2, "Receive Ring in Host Memory").
+// The software driver keeps its rings and buffers here, FlexDriver only the
+// shared receive ring, which it recycles in order so the NIC re-reads its
+// descriptors unmodified (paper §5.2). A buffer's bytes live from its
+// first write until its owner discards them as consumed.
 package hostmem
 
-import "fmt"
+import (
+	"fmt"
+
+	"flexdriver/internal/sim"
+)
 
 const (
 	granule   = 1 << 10  // what a first write materialises
@@ -16,20 +20,20 @@ const (
 )
 
 // Store is a sparse byte store of a fixed size that costs what a run
-// writes: host DRAM behind Memory, and the FLD's data SRAM. A 1 KiB granule
-// exists from its first write, carved from the store's slabs; bytes nobody
-// wrote read as zero. Accesses past the end clip as copy does. The index is
-// a table of granules per 64 KiB window, in a slice grown to the highest
-// window written.
+// holds: host DRAM behind Memory, and the FLD's data SRAM. A 1 KiB granule
+// exists from its first write to its Discard, taken from the spares or
+// carved from the store's slabs; bytes nobody wrote read as zero. Accesses
+// past the end clip as copy does. The index is a table of granules per
+// 64 KiB window, in a slice grown to the highest window written.
 type Store struct {
-	size uint64
-	win  []*[window / granule]*[granule]byte
-	slab []byte // the newest slab's uncarved rest
-	next int    // size of the next slab
+	size  uint64
+	win   []*[window / granule]*[granule]byte
+	slab  []byte           // the newest slab's uncarved front; its cap is the slab's size
+	spare []*[granule]byte // discarded granules, cleared, for the next first writes
 }
 
 // NewStore returns an empty store of size bytes.
-func NewStore(size uint64) Store { return Store{size: size, next: firstSlab} }
+func NewStore(size uint64) Store { return Store{size: size} }
 
 // Write copies data to off, materialising the granules it covers.
 func (s *Store) Write(off uint64, data []byte) {
@@ -70,7 +74,8 @@ func (s *Store) at(off uint64) *[granule]byte {
 	return nil
 }
 
-// materialise makes the granule holding off, and its window's table.
+// materialise makes the granule holding off, and its window's table: a
+// spare if there is one, else one carved from the end of the slab.
 func (s *Store) materialise(off uint64) {
 	w := off / window
 	if w >= uint64(len(s.win)) {
@@ -79,10 +84,35 @@ func (s *Store) materialise(off uint64) {
 	if s.win[w] == nil {
 		s.win[w] = new([window / granule]*[granule]byte)
 	}
-	if len(s.slab) == 0 {
-		s.slab, s.next = make([]byte, s.next), min(2*s.next, maxSlab)
+	if n := len(s.spare); n > 0 {
+		s.win[w][off/granule%(window/granule)], s.spare = s.spare[n-1], s.spare[:n-1]
+		return
 	}
-	s.win[w][off/granule%(window/granule)], s.slab = (*[granule]byte)(s.slab), s.slab[granule:]
+	if len(s.slab) == 0 {
+		s.slab = make([]byte, max(firstSlab, min(2*cap(s.slab), maxSlab)))
+	}
+	n := len(s.slab) - granule
+	s.win[w][off/granule%(window/granule)], s.slab = (*[granule]byte)(s.slab[n:]), s.slab[:n]
+}
+
+// Discard ends the life of the granules wholly inside [off, off+n): each
+// is cleared for the next first write and reads as zero until then. A
+// granule the range covers in part keeps its bytes. Under the pooldebug
+// tag a discarded granule stays in place, poisoned.
+func (s *Store) Discard(off, n uint64) {
+	end := off + min(n, s.size-min(off, s.size))
+	for off = (off + granule - 1) &^ (granule - 1); off+granule <= end; off += granule {
+		if g := s.at(off); g != nil && sim.PoolDebug {
+			sim.Poison(g[:])
+		} else if g != nil {
+			clear(g[:])
+			s.win[off/window][off/granule%(window/granule)] = nil
+			if s.spare == nil {
+				s.spare = make([]*[granule]byte, 0, window/granule) // one allocation, not one per doubling
+			}
+			s.spare = append(s.spare, g)
+		}
+	}
 }
 
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is not
@@ -129,6 +159,9 @@ func (m *Memory) ReadAt(offset uint64, size int) []byte {
 	m.ReadInto(offset, out)
 	return out
 }
+
+// Discard declares the n bytes at offset consumed, as Store.Discard does.
+func (m *Memory) Discard(offset uint64, n int) { m.mem.Discard(offset, uint64(n)) }
 
 // ReadInto fills dst with the bytes at the given offset, for callers that
 // own the destination (a reassembly buffer, a completion).

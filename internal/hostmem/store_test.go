@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+
+	"flexdriver/internal/sim"
 )
 
 // materialised counts the bytes the store's granules hold.
@@ -26,36 +28,47 @@ func (s *Store) materialised() int {
 // the second index level, a granule the end cuts short and offsets past it.
 const storeSize = 3*window + 300
 
+// The ops of a FuzzStore step.
+const (
+	opRead    = 0
+	opWrite   = 1 // any odd op
+	opDiscard = 2 // any even op with bit 1 set
+)
+
 // storeStep encodes one step of a FuzzStore program.
-func storeStep(write bool, off uint32, n uint16) []byte {
+func storeStep(op byte, off uint32, n uint16) []byte {
 	b := make([]byte, 7)
-	if write {
-		b[0] = 1
-	}
+	b[0] = op
 	binary.LittleEndian.PutUint32(b[1:], off)
 	binary.LittleEndian.PutUint16(b[5:], n)
 	return b
 }
 
-// FuzzStore runs a bounded program of interleaved writes and reads against
-// a flat []byte of the same size. A step is 7 bytes: an op (odd writes), a
-// 32-bit offset reduced to two granules past the end, and a length under
-// five granules. Every read matches the flat slice byte for byte and leaves
-// the tail of dst past the end untouched, as copy does; an access that
-// starts past the end moves nothing. After every step the store holds
-// exactly the granules some write covered, so a read never materialises one.
+// FuzzStore runs a bounded program of interleaved writes, reads and
+// discards against a flat []byte of the same size. A step is 7 bytes: an op
+// (odd writes, else bit 1 discards), a 32-bit offset reduced to two
+// granules past the end, and a length under five granules. A discard
+// zeroes the whole granules its range covers in the flat slice (poisons
+// them under the pooldebug tag). Every read matches the flat slice byte
+// for byte and leaves the tail of dst past the end untouched, as copy
+// does; an access that starts past the end moves nothing. After every step
+// the store holds exactly the granules some write covered and no discard
+// dropped since, so a read never materialises one.
 func FuzzStore(f *testing.F) {
 	prog := func(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
-	f.Add(prog(storeStep(true, 1000, 100), storeStep(false, 990, 200))) // straddles a granule
-	f.Add(prog(storeStep(true, 0, 4*granule), storeStep(true, 4*granule-10, 30),
-		storeStep(false, 4*granule-200, 400))) // straddles the first two slabs
-	f.Add(prog(storeStep(true, window-10, 50), storeStep(false, window-100, 300),
-		storeStep(false, 2*window-1, 2))) // straddles an index window; reads an empty one
-	f.Add(prog(storeStep(true, storeSize-100, 300), storeStep(false, storeSize-50, 100),
-		storeStep(true, storeSize+5, 10), storeStep(false, storeSize+5, 10),
-		storeStep(false, storeSize, 3))) // clips at the end; starts past it
-	f.Add(prog(storeStep(true, 3*window-2000, 5000), storeStep(true, 1, 5119),
-		storeStep(false, 0, 5119), storeStep(false, 3*window-4000, 5119)))
+	f.Add(prog(storeStep(opWrite, 1000, 100), storeStep(opRead, 990, 200))) // straddles a granule
+	f.Add(prog(storeStep(opWrite, 0, 4*granule), storeStep(opWrite, 4*granule-10, 30),
+		storeStep(opRead, 4*granule-200, 400))) // straddles the first two slabs
+	f.Add(prog(storeStep(opWrite, window-10, 50), storeStep(opRead, window-100, 300),
+		storeStep(opRead, 2*window-1, 2))) // straddles an index window; reads an empty one
+	f.Add(prog(storeStep(opWrite, storeSize-100, 300), storeStep(opRead, storeSize-50, 100),
+		storeStep(opWrite, storeSize+5, 10), storeStep(opRead, storeSize+5, 10),
+		storeStep(opRead, storeSize, 3))) // clips at the end; starts past it
+	f.Add(prog(storeStep(opWrite, 3*window-2000, 5000), storeStep(opWrite, 1, 5119),
+		storeStep(opRead, 0, 5119), storeStep(opRead, 3*window-4000, 5119)))
+	f.Add(prog(storeStep(opWrite, 0, 3*granule), storeStep(opDiscard, 100, 2*granule),
+		storeStep(opRead, 0, 3*granule), storeStep(opWrite, window+5, 10),
+		storeStep(opRead, window, 2*granule))) // keeps partial granules; reuses the spare
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s, flat := NewStore(storeSize), make([]byte, storeSize)
 		written := map[uint64]bool{} // granule numbers
@@ -63,7 +76,8 @@ func FuzzStore(f *testing.F) {
 			off := uint64(binary.LittleEndian.Uint32(prog[i+1:])) % (storeSize + 2*granule)
 			n := int(binary.LittleEndian.Uint16(prog[i+5:])) % (5 * granule)
 			end := min(off+uint64(n), storeSize)
-			if prog[i]&1 == 1 {
+			switch {
+			case prog[i]&1 == 1:
 				data := make([]byte, n)
 				for k := range data {
 					data[k] = byte(i + 7*k + 1)
@@ -75,7 +89,17 @@ func FuzzStore(f *testing.F) {
 						written[g] = true
 					}
 				}
-			} else {
+			case prog[i]&2 == 2:
+				s.Discard(off, uint64(n))
+				for g := (off + granule - 1) / granule; (g+1)*granule <= end; g++ {
+					if written[g] && sim.PoolDebug {
+						copy(flat[g*granule:], bytes.Repeat([]byte{0xA5}, granule))
+					} else if written[g] {
+						clear(flat[g*granule : (g+1)*granule])
+						delete(written, g)
+					}
+				}
+			default:
 				got, want := bytes.Repeat([]byte{0xAA}, n), bytes.Repeat([]byte{0xAA}, n)
 				s.Read(got, off)
 				if off < storeSize {
@@ -142,5 +166,54 @@ func TestStoreCarvesGranulesFromSlabs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > firstSlab+1024 {
 		t.Fatalf("one 64 B write allocated %d bytes", got)
+	}
+}
+
+// TestStoreDiscard: Discard drops the whole granules of its range and keeps
+// a granule it covers in part; the dropped ones read as zero, and the next
+// first writes take them back, cleared, before carving a new one, so a
+// warm write/read/discard cycle allocates nothing. Under the pooldebug tag
+// a discarded granule stays in place, poisoned.
+func TestStoreDiscard(t *testing.T) {
+	s := NewStore(1 << 20)
+	s.Write(0, bytes.Repeat([]byte{7}, 3*granule))
+	held := s.at(granule)
+	s.Discard(100, 2*granule) // granule 1 whole; 0 and 2 in part
+	got, want := make([]byte, 3*granule), bytes.Repeat([]byte{7}, 3*granule)
+	s.Read(got, 0)
+	dead := byte(0)
+	if sim.PoolDebug {
+		dead = 0xA5
+	}
+	copy(want[granule:2*granule], bytes.Repeat([]byte{dead}, granule))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after a discard of [100, %d) the store reads %v", 100+2*granule, got)
+	}
+	if sim.PoolDebug {
+		if s.at(granule) != held || s.materialised() != 3*granule {
+			t.Fatal("pooldebug: a discarded granule left its place")
+		}
+		return
+	}
+	if s.at(0) == nil || s.at(2*granule) == nil || s.at(granule) != nil {
+		t.Fatal("Discard dropped a partial granule or kept a whole one")
+	}
+	slab := len(s.slab)
+	s.Write(window+5, []byte{1, 2, 3})
+	if s.at(window) != held || len(s.slab) != slab {
+		t.Fatal("a first write carved a granule while a spare waited")
+	}
+	got = make([]byte, granule)
+	s.Read(got, window)
+	if want := append(append(make([]byte, 5), 1, 2, 3), make([]byte, granule-8)...); !bytes.Equal(got, want) {
+		t.Fatalf("a reused spare reads %v", got)
+	}
+	frame, dst := make([]byte, 300), make([]byte, 300)
+	if avg := testing.AllocsPerRun(100, func() {
+		s.Write(4*granule+10, frame)
+		s.Read(dst, 4*granule+10)
+		s.Discard(4*granule, granule)
+	}); avg != 0 {
+		t.Fatalf("warm write/read/discard: %.1f allocations, want 0", avg)
 	}
 }

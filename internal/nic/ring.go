@@ -58,11 +58,13 @@ type RecvRing struct {
 }
 
 // Fill accounts a completion that consumed strides strides of buffer buf
-// and returns how many buffers it reposted (0, 1 or 2). The owner rings
-// one doorbell per repost, the first at PI-1 when there are two.
-func (r *RecvRing) Fill(buf int32, strides int) (n int) {
-	if r.cur != buf+1 && r.Abandon() {
-		n++ // the NIC left the previous buffer's remaining strides
+// and returns how many buffers it reposted (0, 1 or 2) and the first of
+// them; a second is buf. The owner rings one doorbell per repost, the
+// first at PI-1 when there are two.
+func (r *RecvRing) Fill(buf int32, strides int) (n int, first int32) {
+	first = buf
+	if left := r.cur - 1; r.cur != buf+1 && r.Abandon() {
+		n, first = 1, left // the NIC left the previous buffer's remaining strides
 	}
 	r.cur, r.used = buf+1, r.used+strides
 	if r.used >= r.Strides {
@@ -70,7 +72,7 @@ func (r *RecvRing) Fill(buf int32, strides int) (n int) {
 		n++
 	}
 	r.PI += uint32(n)
-	return n
+	return n, first
 }
 
 // Abandon stops tracking the buffer being filled, without reposting it,

@@ -2,6 +2,7 @@ package nic
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -137,9 +138,11 @@ type armRecycle struct {
 	strides   int
 	per       int
 	doorbells []uint32
+	recycled  []int32 // the buffer each bump reposted
 }
 
 func (o *armRecycle) bump() {
+	o.recycled = append(o.recycled, o.curBuf)
 	o.pi++
 	o.curBuf = -1
 	o.strides = 0
@@ -160,8 +163,9 @@ func (o *armRecycle) recycle(bufIdx int32, n int) {
 // FuzzRecvRing drives a RecvRing from a byte program (a completion
 // consuming strides of a buffer, the FLD's re-arm after an RQ reset, the
 // FLD's resync and the host driver's top-up after a crash) and checks its
-// producer index and the doorbells it asks for against the recycling
-// closure the RDMA endpoint kept before the merge.
+// producer index, the doorbells it asks for and the buffers a completion
+// recycles (what the FLD discards) against the recycling closure the RDMA
+// endpoint kept before the merge.
 func FuzzRecvRing(f *testing.F) {
 	f.Add([]byte{2, 8, 0, 3, 0, 5, 1, 4, 1, 0})
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 2, 3, 0, 1, 0})
@@ -180,8 +184,14 @@ func FuzzRecvRing(f *testing.F) {
 			switch op {
 			case 0, 1, 2, 3, 4: // completion: buffer arg%size, 1..per+1 strides
 				buf, strides := int32(arg%size), arg/size%(per+1)+1
+				before := len(o.recycled)
 				o.recycle(buf, strides)
-				for n := r.Fill(buf, strides); n > 0; n-- {
+				n, first := r.Fill(buf, strides)
+				if got := []int32{first, buf}[:n]; !slices.Equal(got, o.recycled[before:]) {
+					t.Fatalf("a completion of %d strides of buffer %d recycled %v; the closure recycled %v",
+						strides, buf, got, o.recycled[before:])
+				}
+				for ; n > 0; n-- {
 					doorbells = append(doorbells, r.PI-uint32(n-1))
 				}
 			case 5: // FLD ReArmRx: repost the buffer left mid-fill

@@ -175,9 +175,7 @@ func (vf *VF) SetRate(rate sim.BitRate, burst int) {
 
 // quotaDeny records a creation attempt the quota refused.
 func (vf *VF) quotaDeny(kind string) error {
-	if vf.tQuotaDenied != nil {
-		vf.tQuotaDenied.Inc()
-	}
+	vf.tQuotaDenied.Inc()
 	return fmt.Errorf("nic: vf%d %s quota exhausted", vf.ID, kind)
 }
 
@@ -244,9 +242,7 @@ func (vf *VF) FLR() {
 	if vf.n.downN > 0 {
 		return
 	}
-	if vf.tFLRs != nil {
-		vf.tFLRs.Inc()
-	}
+	vf.tFLRs.Inc()
 	for _, id := range vf.sqIDs {
 		if sq := vf.n.sqs[id]; sq != nil {
 			sq.ResetTo(sq.ci, sq.pi)

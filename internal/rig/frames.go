@@ -5,10 +5,12 @@ import (
 	"flexdriver/internal/netpkt"
 )
 
+var zeros [1 << 16]byte // UDPFrame's payload, which BuildUDP copies
+
 // UDPFrame builds a zero-payload UDP frame between two racked NICs, size
 // bytes on the wire.
 func UDPFrame(src, dst *flexdriver.NIC, sport, dport uint16, size int) []byte {
-	payload := make([]byte, size-netpkt.EthHeaderLen-netpkt.IPv4HeaderLen-netpkt.UDPHeaderLen)
+	payload := zeros[:size-netpkt.EthHeaderLen-netpkt.IPv4HeaderLen-netpkt.UDPHeaderLen]
 	return netpkt.BuildUDP(netpkt.Eth{Dst: dst.MAC, Src: src.MAC}, src.IP, dst.IP, sport, dport, payload)
 }
 
@@ -46,7 +48,7 @@ type Echo struct {
 func InstallEcho(f *flexdriver.FLD) *Echo {
 	e := &Echo{}
 	f.SetHandler(flexdriver.HandlerFunc(func(data []byte, md flexdriver.Metadata) {
-		out := append([]byte(nil), data...)
+		out := f.Engine().Bufs().Clone(data) // Send copies it into the core
 		SwapEcho(out)
 		if e.Rewrite != nil {
 			e.Rewrite(out)
@@ -54,6 +56,7 @@ func InstallEcho(f *flexdriver.FLD) *Echo {
 		if f.Send(0, out, md) != nil {
 			e.SendFails++
 		}
+		f.Engine().Bufs().Put(out)
 	}))
 	return e
 }

@@ -176,6 +176,7 @@ type Client struct {
 	StampOff, RecvOff int
 	// Short counts replies too short to carry the ordinal.
 	Short int64
+	frame []byte // Send's stamped copy; the port copies it in turn
 }
 
 // AddClient racks a discrete client host stamping at off.
@@ -207,9 +208,9 @@ func (c *Client) Stamp(f []byte) { Stamp(f, c.StampOff, c.Issue(c.Host.Engine().
 
 // Send posts a stamped copy of the next flow template.
 func (c *Client) Send() {
-	f := append([]byte(nil), c.Flows[int(c.Sent())%len(c.Flows)]...)
-	c.Stamp(f)
-	c.Port.Send(f)
+	c.frame = append(c.frame[:0], c.Flows[int(c.Sent())%len(c.Flows)]...)
+	c.Stamp(c.frame)
+	c.Port.Send(c.frame)
 }
 
 // Truncated reports (and counts) a reply too short to carry the ordinal.

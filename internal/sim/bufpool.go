@@ -20,7 +20,7 @@ type BufPool struct {
 	misses     uint64 // Get found no buffer to spare and allocated
 }
 
-var poisonOnPut bool // Put fills a buffer with 0xA5: set by the pooldebug tag
+var PoolDebug bool // set by the pooldebug tag: Put, Poison and hostmem's Discard fill with 0xA5
 
 const (
 	bufMinClass   = 64    // smallest class, bytes
@@ -96,7 +96,7 @@ func (p *BufPool) Put(b []byte) {
 // Poison fills b with 0xA5 under the pooldebug tag, as Put does: an owner
 // that lends a buffer of its own poisons it when the loan ends.
 func Poison(b []byte) {
-	for i := 0; poisonOnPut && i < len(b); i++ {
+	for i := 0; PoolDebug && i < len(b); i++ {
 		b[i] = 0xA5
 	}
 }

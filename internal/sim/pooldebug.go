@@ -2,4 +2,4 @@
 
 package sim
 
-func init() { poisonOnPut = true }
+func init() { PoolDebug = true }

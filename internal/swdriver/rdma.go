@@ -153,7 +153,7 @@ func (e *RDMAEndpoint) recvComplete(c nic.CQE) {
 		e.cur = e.cur[:0]
 		return
 	}
-	for n := e.rx.Fill(int32(c.Index>>8), (int(c.ByteCount)+255)/256); n > 0; n-- {
+	for n, _ := e.rx.Fill(int32(c.Index>>8), (int(c.ByteCount)+255)/256); n > 0; n-- {
 		e.rx.doorbell(e.rx.PI - uint32(n-1))
 	}
 	x := e.drv.rxWorks.Get()

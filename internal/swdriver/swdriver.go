@@ -177,6 +177,9 @@ func rxWorkRun(a any) {
 			p.OnReceive(frame, RxMeta{FlowTag: c.FlowTag, RSSHash: c.RSSHash, ChecksumOK: c.ChecksumOK})
 			p.drv.eng.Bufs().Put(frame)
 		}
+		// Copied out, the buffer is dead until the NIC refills it (a
+		// port's buffers are one size both ways).
+		p.drv.mem.Discard(c.Addr-p.drv.host.Base(), p.tx.bufSz)
 	}
 	// Recycle the buffer (in-order repost, batched doorbells).
 	p.rx.PI++

@@ -66,10 +66,8 @@ func NewTenantManager(inn *Innova, seed int64) *TenantManager {
 		gauges:  make(map[string]tenantGauges),
 	}
 	tm.rec = ctrlplane.NewReconciler(inn.eng, tm, seed)
-	if inn.tel != nil {
-		tm.sc = inn.tel.Scope(inn.name).Scope("ctrlplane")
-		tm.rec.SetTelemetry(tm.sc)
-	}
+	tm.sc = inn.tel.Scope(inn.name).Scope("ctrlplane")
+	tm.rec.SetTelemetry(tm.sc)
 	return tm
 }
 

@@ -148,9 +148,7 @@ func wireFaults(o Options, eng *Engine, fab *pcie.Fabric, n *nic.NIC, f *fld.FLD
 		return
 	}
 	p.Bind(eng)
-	if o.Telemetry != nil {
-		p.SetTelemetry(o.Telemetry.Scope("faults"))
-	}
+	p.SetTelemetry(o.Telemetry.Scope("faults"))
 	p.AttachFabric(fab)
 	p.AttachNIC(n)
 	if f != nil {
@@ -350,9 +348,7 @@ func (inn *Innova) newCore(cfg FLDConfig) *FLD {
 	f := fld.New(inn.eng, cfg)
 	f.SetPCIeName(name)
 	f.AttachPCIe(inn.Fab, inn.link)
-	if inn.tel != nil {
-		f.SetTelemetry(inn.tel.Scope(inn.name).Scope(name))
-	}
+	f.SetTelemetry(inn.tel.Scope(inn.name).Scope(name))
 	inn.flds = append(inn.flds, f)
 	if inn.faults != nil {
 		inn.faults.AttachFLD(f)
