@@ -39,14 +39,14 @@ type Request struct {
 // Marshal encodes header+payload into b (nil, or a dirty pooled buffer).
 func (r Request) Marshal(b []byte) []byte {
 	b = slices.Grow(b[:0], HeaderBytes+len(r.Payload))[:HeaderBytes+len(r.Payload)]
-	clear(b[:HeaderBytes])
 	r.putHeader(b)
 	copy(b[HeaderBytes:], r.Payload)
 	return b
 }
 
-// putHeader writes the 64-byte header into b, which must be zeroed.
+// putHeader writes the 64-byte header into b, its reserved bytes zero.
 func (r Request) putHeader(b []byte) {
+	clear(b[:HeaderBytes])
 	b[0], b[1] = 'Z', 'C'
 	b[2] = r.Op
 	b[3] = r.Bearer<<3 | r.Direction<<2
@@ -173,25 +173,22 @@ func (a *AFU) handle(msg []byte, tag uint32) {
 	buf := a.f.Engine().Bufs().Clone(msg)
 	req.Payload = buf[HeaderBytes:]
 	a.Requests++
-	lane := a.pickLane()
 	service := a.prm.PerMessage + sim.Duration(len(req.Payload))*a.prm.PerByte
 	j := a.jobs.Get()
 	*j = laneJob{a: a, req: req, buf: buf, tag: tag}
-	a.eng.AtArg(lane.Acquire(service), laneDone, j)
+	a.eng.AtArg(a.pickLane().Acquire(service), laneDone, j)
 }
 
 // laneDone runs when a request leaves its lane: it builds the response in
-// one buffer — its header, then the cipher's output written straight
-// behind it (compute fills every byte) — and sends it back on the QP. The
-// response is single-owner scratch from the engine's BufPool: send copies
-// it into FLD's transmit pages, after which it is dead.
+// one buffer, its header then the cipher's output (compute fills every
+// byte), and sends it back on the QP. The response is single-owner BufPool
+// scratch: send copies it into FLD's transmit pages, after which it is dead.
 func laneDone(x any) {
 	j := x.(*laneJob)
 	a, req, tag := j.a, j.req, j.tag
 	bitLen := resultBits(req)
 	bufs := a.f.Engine().Bufs()
 	resp := bufs.Get(HeaderBytes + (bitLen+7)/8)
-	clear(resp[:HeaderBytes])
 	hdr := req
 	hdr.Op, hdr.BitLen = req.Op|respFlag, bitLen
 	hdr.putHeader(resp)
@@ -234,9 +231,8 @@ func resultBits(req Request) int {
 		return req.BitLen
 	case OpAuth:
 		return 32
-	default:
-		return 0
 	}
+	return 0
 }
 
 // compute runs the real cipher into dst, the response payload.
@@ -245,7 +241,6 @@ func compute(dst []byte, req Request) {
 	case OpEncrypt, OpDecrypt:
 		eea3(dst, req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen)
 	case OpAuth:
-		binary.BigEndian.PutUint32(dst,
-			EIA3(req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen))
+		binary.BigEndian.PutUint32(dst, EIA3(req.Key, req.Count, req.Bearer, req.Direction, req.Payload, req.BitLen))
 	}
 }

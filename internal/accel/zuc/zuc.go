@@ -8,7 +8,10 @@
 // model (8 lanes at ~4.76 Gbps each for 512 B messages, as published).
 package zuc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // s0 and s1 are the ZUC S-boxes.
 var s0 = [256]byte{
@@ -55,38 +58,31 @@ var d = [16]uint32{
 	0x4D78, 0x2F13, 0x6BC4, 0x1AF1, 0x5E26, 0x3C4D, 0x789A, 0x47AC,
 }
 
-// State is a ZUC keystream generator. The 16-cell LFSR is a ring: at is
-// the slot holding s0, and a step overwrites it with s16 and advances, so
-// the register never shifts.
-type State struct {
+// state is a ZUC keystream generator: the 16-cell LFSR, s0 at index 0,
+// and the FSM's two registers.
+type state struct {
 	lfsr   [16]uint32
-	at     uint32
 	r1, r2 uint32
 }
 
 const mod31 = (1 << 31) - 1
 
-func rot32(x uint32, k uint) uint32 {
-	return x<<k | x>>(32-k)
-}
-
-// New initializes the generator from a 128-bit key and IV.
-func New(key, iv [16]byte) *State {
-	z := &State{}
-	z.init(key, iv)
-	return z
-}
-
-func (z *State) init(key, iv [16]byte) {
+// init loads a 128-bit key and IV. The 32 initialization rounds are two
+// blocks whose mask feeds F's output back into the LFSR; the one
+// work-mode round that follows, its output discarded, shifts the
+// register by a cell.
+func (z *state) init(key, iv [16]byte) {
 	for i := 0; i < 16; i++ {
 		z.lfsr[i] = uint32(key[i])<<23 | d[i]<<8 | uint32(iv[i])
 	}
-	// 32 initialization rounds feed F's output back into the LFSR, then
-	// one work-mode round runs with its output discarded.
-	for i := 0; i < 32; i++ {
-		z.clock(true)
-	}
-	z.clock(false)
+	var b [64]byte
+	z.block(&b, &b, ^uint32(0))
+	z.block(&b, &b, ^uint32(0))
+	l := &z.lfsr
+	w, r1, r2 := fsm(z.r1, z.r2, l[15], l[14], l[11], l[9], l[7], l[5])
+	s16 := step(&b, &b, 0, w, 0, l[0], l[2], l[4], l[10], l[13], l[15])
+	copy(l[:15], l[1:])
+	l[15], z.r1, z.r2 = s16, r1, r2
 }
 
 func sbox(x uint32) uint32 {
@@ -95,60 +91,75 @@ func sbox(x uint32) uint32 {
 }
 
 func l1(x uint32) uint32 {
-	return x ^ rot32(x, 2) ^ rot32(x, 10) ^ rot32(x, 18) ^ rot32(x, 24)
+	return x ^ bits.RotateLeft32(x, 2) ^ bits.RotateLeft32(x, 10) ^ bits.RotateLeft32(x, 18) ^ bits.RotateLeft32(x, 24)
 }
 
 func l2(x uint32) uint32 {
-	return x ^ rot32(x, 8) ^ rot32(x, 14) ^ rot32(x, 22) ^ rot32(x, 30)
+	return x ^ bits.RotateLeft32(x, 8) ^ bits.RotateLeft32(x, 14) ^ bits.RotateLeft32(x, 22) ^ bits.RotateLeft32(x, 30)
 }
 
-// clock runs one round — bit reorganization, the nonlinear function F, an
-// LFSR step — and returns the keystream word W ^ X3. In initialization
-// mode the LFSR step also absorbs W >> 1.
-func (z *State) clock(initMode bool) uint32 {
-	l, k := &z.lfsr, z.at
-	c0, c2, c4, c5 := l[k&15], l[(k+2)&15], l[(k+4)&15], l[(k+5)&15]
-	c7, c9, c10, c11 := l[(k+7)&15], l[(k+9)&15], l[(k+10)&15], l[(k+11)&15]
-	c13, c14, c15 := l[(k+13)&15], l[(k+14)&15], l[(k+15)&15]
+// fsm runs the nonlinear function F on the bit reorganization of cells
+// c15, c14, c11, c9, c7 and c5: it returns W and the next R1 and R2.
+func fsm(r1, r2, c15, c14, c11, c9, c7, c5 uint32) (w, n1, n2 uint32) {
+	w1 := r1 + (c11<<16 | c9>>15)
+	w2 := r2 ^ (c7<<16 | c5>>15)
+	w = (((c15&0x7fff8000)<<1 | c14&0xffff) ^ r1) + r2
+	return w, sbox(l1(w1<<16 | w2>>16)), sbox(l2(w2<<16 | w1>>16))
+}
 
-	x0 := (c15&0x7fff8000)<<1 | c14&0xffff
-	x1 := (c11&0xffff)<<16 | c9>>15
-	x2 := (c7&0xffff)<<16 | c5>>15
-	x3 := (c2&0xffff)<<16 | c0>>15
-
-	w := (x0 ^ z.r1) + z.r2
-	w1 := z.r1 + x1
-	w2 := z.r2 ^ x2
-	z.r1 = sbox(l1(w1<<16 | w2>>16))
-	z.r2 = sbox(l2(w2<<16 | w1>>16))
-
-	// s16 = 2^15 s15 + 2^17 s13 + 2^21 s10 + 2^20 s4 + (1 + 2^8) s0 (+ u)
-	// mod 2^31-1. The terms fit a uint64 with room to spare; two folds of
-	// the high bits onto the low 31 reduce the sum to 1..2^31-1, zero
-	// being represented as 2^31-1 like the specification asks (the sum is
-	// never zero because no cell is).
+// step writes keystream word i, W ^ X3 (X3 from cells c2 and c0), XORed
+// with src's into dst as big-endian bytes, and returns the LFSR's next
+// cell: s16 = 2^15 s15 + 2^17 s13 + 2^21 s10 + 2^20 s4 + (1 + 2^8) s0 +
+// (W >> 1 under the mask) mod 2^31-1. Two folds of the high bits onto the
+// low 31 take the uint64 sum, never zero as no cell is, to 1..2^31-1:
+// zero reads 2^31-1, as the specification asks.
+func step(dst, src *[64]byte, i int, w, m, c0, c2, c4, c10, c13, c15 uint32) uint32 {
+	binary.BigEndian.PutUint32(dst[4*i:], binary.BigEndian.Uint32(src[4*i:])^w^(c2<<16|c0>>15))
 	v := uint64(c0) + uint64(c0)<<8 + uint64(c4)<<20 + uint64(c10)<<21 +
-		uint64(c13)<<17 + uint64(c15)<<15
-	if initMode {
-		v += uint64(w >> 1)
-	}
+		uint64(c13)<<17 + uint64(c15)<<15 + uint64(w>>1&m)
 	v = v&mod31 + v>>31
-	v = v&mod31 + v>>31
-	l[k&15] = uint32(v)
-	z.at = k + 1
-	return w ^ x3
+	return uint32(v&mod31 + v>>31)
 }
 
-// Next produces the next 32-bit keystream word.
-func (z *State) Next() uint32 { return z.clock(false) }
-
-// Keystream produces n keystream words.
-func (z *State) Keystream(n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = z.Next()
-	}
-	return out
+// block is the keystream kernel: 16 rounds unrolled, round i overwriting
+// cell i, so the register ends in place. Each round writes keystream word
+// i XORed with src's into dst (which may be src). A mask m of ^0 is the
+// initialization mode: the LFSR step also absorbs W >> 1.
+func (z *state) block(dst, src *[64]byte, m uint32) {
+	l, r1, r2 := z.lfsr, z.r1, z.r2
+	w, r1, r2 := fsm(r1, r2, l[15], l[14], l[11], l[9], l[7], l[5])
+	l[0] = step(dst, src, 0, w, m, l[0], l[2], l[4], l[10], l[13], l[15])
+	w, r1, r2 = fsm(r1, r2, l[0], l[15], l[12], l[10], l[8], l[6])
+	l[1] = step(dst, src, 1, w, m, l[1], l[3], l[5], l[11], l[14], l[0])
+	w, r1, r2 = fsm(r1, r2, l[1], l[0], l[13], l[11], l[9], l[7])
+	l[2] = step(dst, src, 2, w, m, l[2], l[4], l[6], l[12], l[15], l[1])
+	w, r1, r2 = fsm(r1, r2, l[2], l[1], l[14], l[12], l[10], l[8])
+	l[3] = step(dst, src, 3, w, m, l[3], l[5], l[7], l[13], l[0], l[2])
+	w, r1, r2 = fsm(r1, r2, l[3], l[2], l[15], l[13], l[11], l[9])
+	l[4] = step(dst, src, 4, w, m, l[4], l[6], l[8], l[14], l[1], l[3])
+	w, r1, r2 = fsm(r1, r2, l[4], l[3], l[0], l[14], l[12], l[10])
+	l[5] = step(dst, src, 5, w, m, l[5], l[7], l[9], l[15], l[2], l[4])
+	w, r1, r2 = fsm(r1, r2, l[5], l[4], l[1], l[15], l[13], l[11])
+	l[6] = step(dst, src, 6, w, m, l[6], l[8], l[10], l[0], l[3], l[5])
+	w, r1, r2 = fsm(r1, r2, l[6], l[5], l[2], l[0], l[14], l[12])
+	l[7] = step(dst, src, 7, w, m, l[7], l[9], l[11], l[1], l[4], l[6])
+	w, r1, r2 = fsm(r1, r2, l[7], l[6], l[3], l[1], l[15], l[13])
+	l[8] = step(dst, src, 8, w, m, l[8], l[10], l[12], l[2], l[5], l[7])
+	w, r1, r2 = fsm(r1, r2, l[8], l[7], l[4], l[2], l[0], l[14])
+	l[9] = step(dst, src, 9, w, m, l[9], l[11], l[13], l[3], l[6], l[8])
+	w, r1, r2 = fsm(r1, r2, l[9], l[8], l[5], l[3], l[1], l[15])
+	l[10] = step(dst, src, 10, w, m, l[10], l[12], l[14], l[4], l[7], l[9])
+	w, r1, r2 = fsm(r1, r2, l[10], l[9], l[6], l[4], l[2], l[0])
+	l[11] = step(dst, src, 11, w, m, l[11], l[13], l[15], l[5], l[8], l[10])
+	w, r1, r2 = fsm(r1, r2, l[11], l[10], l[7], l[5], l[3], l[1])
+	l[12] = step(dst, src, 12, w, m, l[12], l[14], l[0], l[6], l[9], l[11])
+	w, r1, r2 = fsm(r1, r2, l[12], l[11], l[8], l[6], l[4], l[2])
+	l[13] = step(dst, src, 13, w, m, l[13], l[15], l[1], l[7], l[10], l[12])
+	w, r1, r2 = fsm(r1, r2, l[13], l[12], l[9], l[7], l[5], l[3])
+	l[14] = step(dst, src, 14, w, m, l[14], l[0], l[2], l[8], l[11], l[13])
+	w, r1, r2 = fsm(r1, r2, l[14], l[13], l[10], l[8], l[6], l[4])
+	l[15] = step(dst, src, 15, w, m, l[15], l[1], l[3], l[9], l[12], l[14])
+	z.lfsr, z.r1, z.r2 = l, r1, r2
 }
 
 // eeaIV builds the 128-EEA3 initialization vector.
@@ -170,29 +181,21 @@ func EEA3(ck [16]byte, count uint32, bearer, direction uint8, data []byte, lengt
 }
 
 // eea3 is EEA3 into a caller-owned destination of (lengthBits+7)/8 bytes:
-// the keystream is generated a word at a time and XORed with the input 32
-// bits at a time on its way to dst, so each byte is touched once and no
-// keystream is ever materialised. Input bytes that data is too short to
-// supply read as zero.
+// the kernel XORs the input into dst a whole 64-byte block at a time, and
+// the ragged tail through a zero-padded block, so no keystream is ever
+// materialised. Input bytes that data is too short to supply read as zero.
 func eea3(dst []byte, ck [16]byte, count uint32, bearer, direction uint8, data []byte, lengthBits int) {
-	var z State
+	var z state
 	z.init(ck, eeaIV(count, bearer, direction))
-	src := data[:min(len(data), len(dst))]
-	i := 0
-	for ; i+4 <= len(src); i += 4 {
-		binary.BigEndian.PutUint32(dst[i:], binary.BigEndian.Uint32(src[i:])^z.Next())
+	i, src := 0, data[:min(len(data), len(dst))]
+	for ; i+64 <= len(src); i += 64 {
+		z.block((*[64]byte)(dst[i:]), (*[64]byte)(src[i:]), 0)
 	}
-	// Ragged tail: the bytes of the last partial word, and whatever data
-	// did not cover.
-	for ; i < len(dst); i += 4 {
-		w := z.Next()
-		for j := i; j < min(i+4, len(dst)); j++ {
-			var b byte
-			if j < len(src) {
-				b = src[j]
-			}
-			dst[j] = b ^ byte(w>>(24-8*(j-i)))
-		}
+	for ; i < len(dst); i += 64 {
+		var b [64]byte
+		copy(b[:], src[min(i, len(src)):])
+		z.block(&b, &b, 0)
+		copy(dst[i:], b[:])
 	}
 	// Zero tail bits beyond the bit length.
 	if r := lengthBits % 8; r != 0 {
@@ -202,39 +205,41 @@ func eea3(dst []byte, ck [16]byte, count uint32, bearer, direction uint8, data [
 
 // eiaIV builds the 128-EIA3 initialization vector.
 func eiaIV(count uint32, bearer, direction uint8) [16]byte {
-	var iv [16]byte
-	binary.BigEndian.PutUint32(iv[0:], count)
-	iv[4] = bearer << 3
-	iv[8] = iv[0] ^ direction<<7
-	iv[9] = iv[1]
-	iv[10] = iv[2]
-	iv[11] = iv[3]
-	iv[12] = iv[4]
-	iv[13] = iv[5]
-	iv[14] = iv[6] ^ direction<<7
-	iv[15] = iv[7]
+	iv := eeaIV(count, bearer, 0)
+	iv[8] ^= direction << 7
+	iv[14] = direction << 7
 	return iv
 }
 
-// EIA3 computes the 128-EIA3 32-bit MAC over lengthBits of msg.
+// EIA3 computes the 128-EIA3 32-bit MAC over lengthBits of msg, a word of
+// message at a time against a 64-bit window of keystream, both taken a
+// 64-byte block at a time. Message bytes that msg is too short to supply
+// read as zero.
 func EIA3(ik [16]byte, count uint32, bearer, direction uint8, msg []byte, lengthBits int) uint32 {
-	z := New(ik, eiaIV(count, bearer, direction))
-	n := (lengthBits+31)/32 + 2
-	ks := z.Keystream(n)
-	getWord := func(i int) uint32 {
-		// 32 keystream bits starting at bit offset i.
-		w := ks[i/32]
-		if r := uint(i % 32); r != 0 {
-			w = w<<r | ks[i/32+1]>>(32-r)
+	var z state
+	z.init(ik, eiaIV(count, bearer, direction))
+	var ks, mb, zero [64]byte
+	z.block(&ks, &zero, 0)
+	nw, hi, t := (lengthBits+31)/32, binary.BigEndian.Uint32(ks[:]), uint32(0)
+	// Message word j, its bits past lengthBits masked off, meets the
+	// window of keystream words j and j+1; the MAC's last term is nw+1.
+	for j := 0; j <= nw; j++ {
+		if j%16 == 0 {
+			clear(mb[copy(mb[:], msg[min(4*j, len(msg)):]):])
 		}
-		return w
-	}
-	var t uint32
-	for i := 0; i < lengthBits; i++ {
-		if msg[i/8]&(1<<(7-uint(i%8))) != 0 {
-			t ^= getWord(i)
+		if (j+1)%16 == 0 {
+			z.block(&ks, &zero, 0)
 		}
+		lo := binary.BigEndian.Uint32(ks[(j+1)%16*4:])
+		win := uint64(hi)<<32 | uint64(lo)
+		m := binary.BigEndian.Uint32(mb[j%16*4:]) &^ (^uint32(0) >> max(0, min(32, lengthBits-32*j)))
+		for ; m != 0; m &= m - 1 {
+			t ^= uint32(win >> (1 + bits.TrailingZeros32(m)))
+		}
+		if j == lengthBits/32 {
+			t ^= uint32(win >> (32 - lengthBits%32))
+		}
+		hi = lo
 	}
-	t ^= getWord(lengthBits)
-	return t ^ ks[n-1]
+	return t ^ hi
 }

@@ -36,8 +36,8 @@ func TestZUCKeystreamVectors(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		z := New(c.key, c.iv)
-		got1, got2 := z.Next(), z.Next()
+		ks := keystream(c.key, c.iv, 2)
+		got1, got2 := ks[0], ks[1]
 		if got1 != c.z1 || got2 != c.z2 {
 			t.Errorf("%s: keystream = %08x %08x, want %08x %08x", c.name, got1, got2, c.z1, c.z2)
 		}
@@ -139,8 +139,8 @@ func TestEIA3DetectsTampering(t *testing.T) {
 func TestKeystreamDeterminism(t *testing.T) {
 	var key, iv [16]byte
 	rand.New(rand.NewSource(9)).Read(key[:])
-	a := New(key, iv).Keystream(64)
-	b := New(key, iv).Keystream(64)
+	a := keystream(key, iv, 64)
+	b := keystream(key, iv, 64)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("keystream not deterministic")
@@ -150,10 +150,12 @@ func TestKeystreamDeterminism(t *testing.T) {
 
 func BenchmarkZUCKeystream(b *testing.B) {
 	var key, iv [16]byte
-	z := New(key, iv)
-	b.SetBytes(4)
+	var z state
+	z.init(key, iv)
+	var blk, zero [64]byte
+	b.SetBytes(64)
 	for i := 0; i < b.N; i++ {
-		z.Next()
+		z.block(&blk, &zero, 0)
 	}
 }
 
